@@ -32,7 +32,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 REPLICATE = int(os.environ.get("RAY_GRAFT_REPLICATE", "200"))
 BENCH_ROOT = os.environ.get("GRAFT_BENCH_ROOT", "/tmp/graft_bench")
 

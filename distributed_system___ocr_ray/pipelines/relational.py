@@ -263,16 +263,14 @@ def doc_stats_by_source(sf_dir: str):
 
 
 def hash_bucket_column(batch: pa.Table, key: str, buckets: int, name: str = "__bucket") -> pa.Table:
-    """Append the engine's ONE hash-partition column:
-    ``pd.util.hash_array(key) % buckets`` as int32. Shared by the bucketed
-    join, the as-of join and session windows so their plans partition
+    """Append the engine's ONE hash-partition column
+    (``lance_like.bucket_of``). Shared by the bucketed join, the as-of join,
+    session windows and bucketed tables so their plans partition
     identically -- and so a future change (salting hot keys, swapping the
     hash) happens in exactly one place."""
-    import pandas as _pd
+    from ..sources.lance_like import bucket_of
 
-    keys = batch.column(key).to_numpy(zero_copy_only=False)
-    bucket = _pd.util.hash_array(np.ascontiguousarray(keys)) % np.uint64(buckets)
-    return batch.append_column(name, pa.array(bucket.astype(np.int32), pa.int32()))
+    return batch.append_column(name, pa.array(bucket_of(batch.column(key), buckets), pa.int32()))
 
 
 def derive_buckets(n_rows: int, rows_per_bucket: int = 500_000, lo: int = 8, hi: int = 4096) -> int:

@@ -40,7 +40,8 @@ from ..sources import lance_like
 from ..stages.explode import explode_spans
 from ..stages.extractors import ExtractDispatch
 from ..stages.reassemble import reassemble_partition
-from ..state.checkpoint import CheckpointManifest, clean_tmp, durable_replace, tmp_name
+from ..state.checkpoint import (
+    CheckpointManifest, clean_tmp, durable_replace, status_counts, tmp_name)
 
 
 class ShardWorker:
@@ -90,19 +91,18 @@ class ShardWorker:
         for sl in self._iter_slices(exploded):
             pieces.append(self.extract(sl))
         extracted = pa.concat_tables(pieces) if pieces else None
-        status_counts: dict[str, int] = {}
         if extracted is not None:
-            for s in extracted.column("status").to_pylist():
-                status_counts[s] = status_counts.get(s, 0) + 1
+            counts = status_counts(extracted.column("status"))
             out = reassemble_partition(extracted)
         else:
             from ..corpus import OUT_SCHEMA
 
+            counts = {}
             out = OUT_SCHEMA.empty_table()
         return out, {
             "rows_in": exploded.num_rows,
             "rows_out": out.num_rows,
-            "status_counts": status_counts,
+            "status_counts": counts,
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:

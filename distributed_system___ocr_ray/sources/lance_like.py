@@ -1110,6 +1110,20 @@ def diff(table_dir: str, v_old: int, v_new: int | None = None) -> dict:
     }
 
 
+def bucket_of(keys, n_buckets: int):
+    """Bucket id of every key of an Arrow array, as an int32 numpy array:
+    ``pd.util.hash_array(keys) % n_buckets`` in one vectorized call. The
+    engine's ONE hash partitioning: ``write_bucketed`` assigns rows with
+    it, ``ShardedMediaStore`` finds them with it, and the bucketed joins
+    (``relational.hash_bucket_column``) co-partition with it, so writer
+    and readers cannot drift."""
+    import numpy as np
+    import pandas as pd
+
+    values = np.ascontiguousarray(keys.to_numpy(zero_copy_only=False))
+    return (pd.util.hash_array(values) % np.uint64(n_buckets)).astype(np.int32)
+
+
 def write_bucketed(
     ds, table_dir: str, key_col: str, n_buckets: int,
     rows_per_fragment: int = 100_000, row_group_size: int | None = None,
@@ -1118,8 +1132,7 @@ def write_bucketed(
     at WRITE time so later joins on that key need ZERO exchange (Hive
     bucketed-table / Spark bucketBy semantics; the prompt's "pick ONE
     partitioning key and reuse it across stages" made durable). Every
-    fragment holds exactly one bucket's rows (bucket = the engine's shared
-    ``hash_bucket_column`` hash mod ``n_buckets``) and the manifest
+    fragment holds exactly one bucket's rows (``bucket_of``) and the manifest
     records the bucketing spec; ``relational.zip_join_bucketed`` validates
     two tables' specs match, then joins bucket-by-bucket with no shuffle.
 
@@ -1137,15 +1150,14 @@ def write_bucketed(
     """
     import uuid
 
-    from ..pipelines.relational import hash_bucket_column
-
     os.makedirs(os.path.join(table_dir, "data"), exist_ok=True)
     os.makedirs(_manifest_dir(table_dir), exist_ok=True)
     version = latest_version(table_dir) + 1
     rg = row_group_size or min(rows_per_fragment, 512)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, n_buckets)
+        buckets = bucket_of(batch.column(key_col), n_buckets)
+        return batch.append_column("__bucket", pa.array(buckets, pa.int32()))
 
     def write_bucket(group: pa.Table) -> pa.Table:
         b = group.column("__bucket")[0].as_py()

@@ -18,10 +18,18 @@ Two physical routings are provided (SURVEY.md #2.3):
   (Manager.java:96); kept for parity and used in tests to cross-check the
   fused path.
 
-The media store is the broadcast small side (SURVEY.md #2.4): ``ray.put``
-once on the driver, ``ray.get`` once per actor in ``__init__`` -- never
-re-shipped per batch. At 100 TB the store would be sharded object storage
-keyed by media_ref; the lookup contract (ref -> payload | miss) is identical.
+Media is reached through ONE batch contract, ``lookup(refs) -> [payload |
+None]`` in ref order: every extraction batch looks up all of its distinct
+media refs that miss the per-actor decode memo in a single call, and the
+per-span accessor ``_Extractors._payload`` reads the answers (adding the
+fetcher-on-miss hook). Two stores implement the contract:
+
+- ``MediaDict``: the broadcast small side (SURVEY.md #2.4) -- ``ray.put``
+  once on the driver, ``ray.get`` once per actor in ``__init__``, never
+  re-shipped per batch.
+- ``ShardedMediaStore``: the 100 TB path -- a ``media_ref``-bucketed table
+  whose buckets an actor loads lazily; one vectorized hash per batch finds
+  them.
 """
 
 from __future__ import annotations
@@ -49,15 +57,26 @@ from ..functions.html_strip import strip_boilerplate
 OUT_COLUMNS = ["doc_id", "part", "kind", "media_ref", "offset", "out_text", "status"]
 
 
+class MediaDict(dict):
+    """The broadcast media store: an in-memory ``ref -> payload`` dict with
+    the batch ``lookup`` contract."""
+
+    def lookup(self, refs: list) -> list:
+        get = self.get
+        return [get(r) for r in refs]
+
+
 class ShardedMediaStore:
-    """The 100 TB media path made real: lazy bucket-wise ``ref -> payload``
-    lookup over a HASH-BUCKETED Lance-style media table
-    (``lance_like.write_bucketed`` on ``media_ref``). An actor loads only
-    the buckets its spans actually reference -- one fragment read per
-    bucket, held in a bounded LRU -- instead of the whole store (the
-    broadcast path) or a full per-actor table read (the plain-path form).
-    Same ``get`` contract as the broadcast dict, so extraction code is
-    identical across all three media routings.
+    """The 100 TB media path made real: lazy bucket-wise batch lookup over
+    a HASH-BUCKETED Lance-style media table (``lance_like.write_bucketed`` on
+    ``media_ref``). ``lookup(refs)`` hashes every ref of a batch in one
+    vectorized ``lance_like.bucket_of`` call -- the writer's own hash -- then
+    loads each bucket it needs once (one fragment read per bucket, held in a
+    bounded LRU) and gathers the payloads. An actor thus reads only the
+    buckets its spans reference, instead of the whole store (the broadcast
+    path) or a full per-actor table read (the plain-path form). Same
+    ``lookup`` contract as ``MediaDict``, so extraction code is identical
+    across all three media routings.
 
     ``max_buckets`` bounds per-actor memory at max_buckets x (store size /
     n_buckets); web corpora reference media with heavy locality (shared
@@ -79,17 +98,30 @@ class ShardedMediaStore:
 
         self._cache: "OrderedDict[int, dict]" = OrderedDict()
 
-    def _bucket(self, ref: str) -> int:
-        import numpy as _np
-        import pandas as _pd
+    def lookup(self, refs: list) -> list:
+        """Payloads of ``refs`` in order, None for a miss. Buckets are
+        visited one at a time, so a batch spanning more than
+        ``max_buckets`` buckets still holds the LRU bound."""
+        from ..sources.lance_like import bucket_of
 
-        h = _pd.util.hash_array(_np.array([ref], dtype=object))[0]
-        return int(h % _np.uint64(self.n_buckets))
+        by_bucket: dict[int, list[int]] = {}
+        for i, b in enumerate(bucket_of(pa.array(refs, pa.string()), self.n_buckets).tolist()):
+            by_bucket.setdefault(b, []).append(i)
+        out = [None] * len(refs)
+        for b, rows in by_bucket.items():
+            get = self._load(b).get
+            for i in rows:
+                out[i] = get(refs[i])
+        return out
 
     def get(self, ref: str, default=None):
+        """One ref through ``lookup``."""
+        payload = self.lookup([ref])[0]
+        return default if payload is None else payload
+
+    def _load(self, b: int) -> dict:
         import pyarrow.parquet as _pq
 
-        b = self._bucket(ref)
         d = self._cache.get(b)
         if d is None:
             from ..corpus import media_dict
@@ -104,7 +136,7 @@ class ShardedMediaStore:
                 self._cache.popitem(last=False)  # LRU: evict oldest
         else:
             self._cache.move_to_end(b)
-        return d.get(ref, default)
+        return d
 
 
 def default_ocr_backend():
@@ -181,23 +213,25 @@ def _hook_identity(fetcher, ocr_backend) -> list[str]:
     return [name(fetcher), name(resolved)]
 
 
-def _resolve_media(media_handle) -> dict[str, bytes]:
+def _resolve_media(media_handle) -> MediaDict | ShardedMediaStore:
     """media_handle is [ObjectRef] (broadcast), a dict, a Lance-table path
     (bucketed tables resolve to the sharded lazy store, plain tables to a
     full read), or an already-built ShardedMediaStore."""
     import ray
 
-    if isinstance(media_handle, (dict, ShardedMediaStore)):
-        return media_handle
     if isinstance(media_handle, str):
         from ..corpus import media_dict
         from ..sources import lance_like
 
         if lance_like.read_manifest(media_handle).get("bucketing"):
             return ShardedMediaStore(media_handle)
-        return media_dict(lance_like.read_arrow(media_handle))
-    obj = media_handle[0]
-    return ray.get(obj) if isinstance(obj, ray.ObjectRef) else obj
+        return MediaDict(media_dict(lance_like.read_arrow(media_handle)))
+    if not isinstance(media_handle, (dict, ShardedMediaStore)):
+        obj = media_handle[0]
+        media_handle = ray.get(obj) if isinstance(obj, ray.ObjectRef) else obj
+    if isinstance(media_handle, (MediaDict, ShardedMediaStore)):
+        return media_handle
+    return MediaDict(media_handle)
 
 
 class _Extractors:
@@ -217,6 +251,7 @@ class _Extractors:
 
     def __init__(self, media_handle, fetcher=None, ocr_backend="auto") -> None:
         self.media = _resolve_media(media_handle)
+        self._batch: dict = {}  # ref -> store payload of the current batch
         self.font = glyph.GlyphFont()
         self._memo: dict[str, tuple[str, str]] = {}
         self._memo_bytes = 0
@@ -232,10 +267,20 @@ class _Extractors:
         self.ocr_backend = (
             default_ocr_backend() if ocr_backend == "auto" else ocr_backend)
 
+    def prefetch(self, refs) -> None:
+        """Look up, in ONE store call, the distinct ``refs`` of a batch
+        that miss the decode memo; ``_payload`` serves them from here."""
+        memo = self._memo
+        todo = [r for r in dict.fromkeys(refs) if r not in memo]
+        self._batch = dict(zip(todo, self.media.lookup(todo))) if todo else {}
+
     def _payload(self, ref: str):
-        """Store lookup with the miss-time fetcher hook; a fetcher error
-        or None is a miss (errors-as-data, never a raised batch)."""
-        payload = self.media.get(ref)
+        """The batch's store payload for ``ref``, with the miss-time
+        fetcher hook; a fetcher error or None is a miss (errors-as-data,
+        never a raised batch). A ref ``prefetch`` did not cover (evicted
+        from the memo mid-batch, or no prefetch) is looked up alone."""
+        batch = self._batch
+        payload = batch[ref] if ref in batch else self.media.lookup([ref])[0]
         if payload is None and self.fetcher is not None:
             try:
                 payload = self.fetcher(ref)
@@ -321,7 +366,8 @@ class ExtractDispatch:
     Use: ``ds.map_batches(ExtractDispatch, fn_constructor_kwargs=
     {"media_handle": [ray.put(media)]}, batch_format="pyarrow",
     concurrency=N, batch_size=B)``. ``fetcher`` / ``ocr_backend`` are the
-    pluggable miss-fetch and real-OCR hooks (see ``_Extractors``).
+    pluggable miss-fetch and real-OCR hooks (see ``_Extractors``). Each
+    batch makes one media ``lookup`` for its memo-missing refs.
     """
 
     def __init__(self, media_handle, fetcher=None, ocr_backend="auto") -> None:
@@ -336,6 +382,7 @@ class ExtractDispatch:
         out_text: list[str] = [""] * n
         status: list[str] = [""] * n
         ex = self.ex
+        ex.prefetch([r for k, r in zip(kinds, refs) if k == KIND_IMAGE or k == KIND_PDF])
         for i in range(n):
             k = kinds[i]
             if k == KIND_TEXT:
@@ -373,6 +420,7 @@ class OcrActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
+        self.ex.prefetch(refs)
         pairs = [self.ex.image(r) for r in refs]
         cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
         cols["out_text"] = pa.array([p[0] for p in pairs], pa.string())
@@ -388,6 +436,7 @@ class PdfActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
+        self.ex.prefetch(refs)
         pairs = [self.ex.pdf(r) for r in refs]
         cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
         cols["out_text"] = pa.array([p[0] for p in pairs], pa.string())

@@ -87,6 +87,14 @@ def durable_replace(tmp: str, dest: str, extra_dirs: tuple = ()) -> None:
         fsync_dir(d)
 
 
+def status_counts(statuses) -> dict[str, int]:
+    """A partition's manifest ``status_counts``: status -> rows, counted by
+    one Arrow ``value_counts`` (first-seen order)."""
+    import pyarrow.compute as pc
+
+    return {vc["values"]: vc["counts"] for vc in pc.value_counts(statuses).to_pylist()}
+
+
 class CheckpointManifest:
     JOB_FILE = "job.json"
 
@@ -226,14 +234,10 @@ class CommittingReassembler:
             # extra fsync of out_dir: the part=<k> directory entry we just
             # created must be durable before the manifest entry is
             durable_replace(tmp, path, extra_dirs=(self.manifest.out_dir,))
-            statuses = group.column("status").to_pylist()
-            status_counts: dict[str, int] = {}
-            for s in statuses:
-                status_counts[s] = status_counts.get(s, 0) + 1
             entry = {
                 "rows_in": group.num_rows,
                 "rows_out": out.num_rows,
-                "status_counts": status_counts,
+                "status_counts": status_counts(group.column("status")),
                 "wall_sec": round(time.monotonic() - t0, 4),
             }
             self.manifest.commit(part, entry)

@@ -1,12 +1,15 @@
 """Mini-driver conformance: replicate the driver's queries()-vs-oracle_sql()
 comparison (row count + schema + order-insensitive values) at sf0.001."""
 
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # tree under test
 TABLES = [
     "region", "nation", "customer", "supplier", "part",
     "orders", "lineitem", "events", "documents", "embeddings",
@@ -59,9 +62,9 @@ def test_all_sql_checked_queries_match_oracle(con):
 
     def run():
         return subprocess.run(
-            [sys.executable, "/root/repo/tools/check_oracles.py", SF],
+            [sys.executable, os.path.join(ROOT, "tools", "check_oracles.py"), SF],
             capture_output=True, text=True, timeout=2400,
-            env={**__import__("os").environ, "PYTHONPATH": "/root/repo"},
+            env={**os.environ, "PYTHONPATH": ROOT},
         )
 
     try:

@@ -218,6 +218,106 @@ class TestShardedMediaStore:
         assert s.get("no-such-ref") is None
         assert s.get("no-such-ref", b"dflt") == b"dflt"
 
+    @staticmethod
+    def _bucketed(store, tmp_path, n_buckets=8) -> str:
+        import ray.data as rd
+
+        from distributed_system___ocr_ray.sources import lance_like
+
+        media_dir = str(tmp_path / "media")
+        lance_like.write_bucketed(rd.from_arrow(store), media_dir, "media_ref", n_buckets)
+        return media_dir
+
+    @staticmethod
+    def _media_batch(refs):
+        kinds = ["pdf" if "/pdf/" in r else "image" for r in refs]
+        n = len(refs)
+        return pa.table({
+            "doc_id": pa.array(range(n), pa.int64()),
+            "part": pa.array([0] * n, pa.int32()),
+            "kind": pa.array(kinds),
+            "text": pa.array([""] * n),
+            "media_ref": pa.array(refs),
+            "offset": pa.array(range(n), pa.int32()),
+        })
+
+    def test_lookup_equals_get(self, small_corpus, tmp_path):
+        """The batch lookup answers exactly as per-ref ``get`` for hits,
+        misses and repeats, over more buckets than the LRU holds -- and
+        the LRU bound still holds afterwards."""
+        from distributed_system___ocr_ray.sources.lance_like import bucket_of
+        from distributed_system___ocr_ray.stages.extractors import ShardedMediaStore
+
+        _, store = small_corpus
+        media_dir = self._bucketed(store, tmp_path)
+        hits = store.column("media_ref").to_pylist()
+        refs = hits + ["no-such-ref", hits[3], "no-such-ref", hits[0]] + hits[::-1]
+        assert len(set(bucket_of(pa.array(refs), 8).tolist())) > 2
+        batched = ShardedMediaStore(media_dir, max_buckets=2)
+        single = ShardedMediaStore(media_dir, max_buckets=2)
+        got = batched.lookup(refs)
+        assert got == [single.get(r) for r in refs]
+        assert got[:len(hits)] == store.column("payload").to_pylist()
+        assert got[len(hits)] is None
+        assert len(batched._cache) <= 2
+        assert batched.lookup([]) == []
+
+    def test_dispatch_hashes_once_per_batch(self, small_corpus, tmp_path, monkeypatch):
+        """One ExtractDispatch call over a bucketed store hashes its refs
+        in ONE vectorized call, not once per span, and extracts exactly
+        what the broadcast dict does."""
+        import pandas as pd
+
+        from distributed_system___ocr_ray.stages.extractors import ExtractDispatch
+
+        _, store = small_corpus
+        media_dir = self._bucketed(store, tmp_path)
+        refs = store.column("media_ref").to_pylist() * 2 + ["mem://img/missing"]
+        batch = self._media_batch(refs)
+        expected = ExtractDispatch(corpus.media_dict(store))(batch)
+        stage = ExtractDispatch(media_dir)
+        calls = []
+        real = pd.util.hash_array
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pd.util, "hash_array", counting)
+        out = stage(batch)
+        assert calls == [len(set(refs))]
+        assert out.equals(expected)
+
+    def test_fetcher_once_per_distinct_missing_ref(self, small_corpus, tmp_path):
+        """A store miss reaches the fetcher once per distinct ref of a
+        batch, however often the ref repeats; a raising fetcher is still
+        the download sentinel."""
+        from collections import Counter
+
+        from distributed_system___ocr_ray import SENTINEL_IMAGE_DOWNLOAD, STATUS_DOWNLOAD_ERROR
+        from distributed_system___ocr_ray.stages.extractors import ExtractDispatch
+
+        _, store = small_corpus
+        media_dir = self._bucketed(store, tmp_path)
+        hit = corpus.media_ref_img(0)
+        refs = [hit, "gone-a", "gone-a", "gone-b", hit, "gone-b", "gone-a"]
+        calls = Counter()
+
+        def fetch(ref):
+            calls[ref] += 1
+            if ref == "gone-b":
+                raise ConnectionError("refused")
+            return None
+
+        out = ExtractDispatch(media_dir, fetcher=fetch)(self._media_batch(refs))
+        assert calls == {"gone-a": 1, "gone-b": 1}
+        texts = out.column("out_text").to_pylist()
+        status = out.column("status").to_pylist()
+        for i, r in enumerate(refs):
+            if r != hit:
+                assert (texts[i], status[i]) == (SENTINEL_IMAGE_DOWNLOAD, STATUS_DOWNLOAD_ERROR)
+        assert status[0] != STATUS_DOWNLOAD_ERROR and texts[0] == texts[4]
+
     def test_non_media_bucketed_table_raises(self, tmp_path):
         import ray.data as rd
 

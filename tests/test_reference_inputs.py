@@ -1,18 +1,72 @@
 """End-to-end over the REFERENCE'S OWN input files (read-only at
 /root/reference/inputs): the engine ingests the reference's literal URL-list
 format and reproduces its golden-output structure -- with the engine's
-stronger exactly-once contract (no 24th race block; FIXTURES.md F5)."""
+stronger exactly-once contract (no 24th race block; FIXTURES.md F5).
+
+Those files are optional: the tests that read them skip when they are
+absent, and synthetic URL files with the same shapes (SURVEY.md #1.1:
+24 lines over 10 distinct URLs, 1,000 lines over 11) keep the
+per-occurrence multiplicity path tested everywhere."""
 
 import os
+import random
+from collections import Counter
 
 import pytest
 
 REF_SHORT = "/root/reference/inputs/short_input.txt"
 REF_LONG = "/root/reference/inputs/long_input.txt"
 
+needs_reference = pytest.mark.skipif(
+    not os.path.exists(REF_SHORT) or not os.path.exists(REF_LONG),
+    reason="the reference's input files are not present")
+
+
+def _write_url_file(path, n_lines: int, n_distinct: int, seed: int) -> list[str]:
+    """A URL-list file of ``n_lines`` lines over ``n_distinct`` URLs, every
+    URL used at least once, the last line without a trailing newline (as in
+    the reference's short input). Returns the lines."""
+    rng = random.Random(seed)
+    urls = [f"http://example.com/img/{i}.png" for i in range(n_distinct)]
+    lines = urls + [rng.choice(urls) for _ in range(n_lines - n_distinct)]
+    rng.shuffle(lines)
+    path.write_text("\n".join(lines))
+    return lines
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestSyntheticReferenceShapes:
+    @pytest.mark.parametrize("n_lines,n_distinct", [(24, 10), (1000, 11)])
+    def test_one_block_per_line(self, tmp_path, n_lines, n_distinct):
+        """One output span and one rendered block per input line, in line
+        order, with each URL rendered once PER OCCURRENCE (M5)."""
+        import re
+
+        from distributed_system___ocr_ray.pipelines import extract as pipeline
+        from distributed_system___ocr_ray.sources.urls_txt import read_url_file, read_url_files
+        from distributed_system___ocr_ray.stages.render_html import write_html_file
+
+        path = tmp_path / "input.txt"
+        lines = _write_url_file(path, n_lines, n_distinct, seed=n_lines)
+        tbl = read_url_file(str(path))
+        assert [s["media_ref"] for s in tbl.column("spans")[0].as_py()] == lines
+        assert len(set(lines)) == n_distinct
+
+        out = pipeline.extract_dataset(read_url_files([str(path)]), {}, num_partitions=2)
+        spans = out.to_pandas().spans[0]
+        assert [s["order"] for s in spans] == list(range(n_lines))
+        assert [s["media_ref"] for s in spans] == lines
+        assert all(s["text"] == "Image download error" for s in spans)
+
+        html_path = str(tmp_path / "out.html")
+        assert write_html_file(out, html_path) == 1
+        srcs = re.findall(r'<img src="([^"]+)"', open(html_path).read())
+        assert Counter(srcs) == Counter(lines)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestReferenceInputs:
+    @needs_reference
     def test_short_input_end_to_end(self, tmp_path):
         from distributed_system___ocr_ray.pipelines import extract as pipeline
         from distributed_system___ocr_ray.sources.urls_txt import read_url_file, read_url_files
@@ -46,6 +100,7 @@ class TestReferenceInputs:
         assert content.count("<p") == golden_blocks == 24
         assert "Image download error" in content
 
+    @needs_reference
     def test_golden_structure_modulo_ocr_text(self, tmp_path):
         """Structural comparison against the reference's OWN golden
         (outputs/short_output.html, LocalApplication.java:180-207): same
@@ -80,6 +135,7 @@ class TestReferenceInputs:
 
         assert sorted(Counter(m_srcs).values()) == sorted(Counter(g_srcs).values())
 
+    @needs_reference
     def test_long_input_cardinality(self):
         from distributed_system___ocr_ray.pipelines import extract as pipeline
         from distributed_system___ocr_ray.sources.urls_txt import read_url_files

@@ -15,6 +15,7 @@ Exit code 1 on any failure.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -35,7 +36,8 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
+                 logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
