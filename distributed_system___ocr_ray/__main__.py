@@ -45,58 +45,37 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _run_plan(args, **kw) -> dict:
+    """The chosen plan over the CLI's args (the reference's parsed client
+    args, LocalApplication.java:44-62)."""
+    if args.plan == "sharded":
+        from .pipelines.sharded import run_extraction_sharded
+
+        return run_extraction_sharded(
+            args.input, args.media, args.output,
+            resume=not args.no_resume, batch_size=args.batch_size, **kw,
+        )
+    from .pipelines.extract import run_extraction
+
+    return run_extraction(
+        args.input, args.media, args.output,
+        num_partitions=args.partitions, resume=not args.no_resume,
+        batch_size=args.batch_size, **kw,
+    )
+
+
 def cmd_extract(args) -> int:
-    if getattr(args, "dry_run", False):
+    if args.dry_run:
         # plan-only validation (ray job submit packaging): no Ray session,
         # no output-directory mutation -- reads manifests, prunes committed
-        # partitions, prints the plan it WOULD execute
-        if args.plan == "sharded":
-            from .pipelines.sharded import run_extraction_sharded
-
-            plan = run_extraction_sharded(
-                args.input, args.media, args.output,
-                resume=not args.no_resume, batch_size=args.batch_size,
-                dry_run=True,
-            )
-        else:
-            from .pipelines.extract import run_extraction
-
-            plan = run_extraction(
-                args.input, args.media, args.output,
-                num_partitions=args.partitions, resume=not args.no_resume,
-                batch_size=args.batch_size, dry_run=True,
-            )
-        print(json.dumps(plan))
+        # partitions, refuses a job mismatch, prints the plan it WOULD execute
+        print(json.dumps(_run_plan(args, dry_run=True)))
         return 0
     _ray_session(args.num_cpus)
     import ray
 
-    from .config import JobConfig
-
-    # CLI args -> the one JobConfig both plans read (M9: the reference's
-    # parsed client args, LocalApplication.java:44-62)
-    cfg = JobConfig(
-        num_partitions=args.partitions,
-        batch_size=args.batch_size,
-        resume=not args.no_resume,
-    )
     try:
-        if args.plan == "sharded":
-            from .pipelines.sharded import run_extraction_sharded
-
-            metrics = run_extraction_sharded(
-                args.input, args.media, args.output,
-                resume=cfg.resume, batch_size=cfg.batch_size,
-            )
-        else:
-            from .pipelines.extract import run_extraction
-
-            metrics = run_extraction(
-                args.input, args.media, args.output,
-                num_partitions=cfg.num_partitions, resume=cfg.resume,
-                batch_size=cfg.batch_size,
-            )
-        print(json.dumps(metrics))
+        print(json.dumps(_run_plan(args)))
         return 0
     finally:
         ray.shutdown()
@@ -108,23 +87,8 @@ def cmd_status(args) -> int:
     durable manifest instead of manager RAM."""
     from .state.checkpoint import CheckpointManifest
 
-    man = CheckpointManifest(args.output)
-    entries = man.committed()
-    statuses: dict[str, int] = {}
-    for e in entries.values():
-        for k, v in e.get("status_counts", {}).items():
-            statuses[k] = statuses.get(k, 0) + v
-    print(
-        json.dumps(
-            {
-                "partitions_committed": len(entries),
-                "rows_in": sum(e["rows_in"] for e in entries.values()),
-                "docs_out": sum(e["rows_out"] for e in entries.values()),
-                "status_counts": statuses,
-                "wall_sec_sum": round(sum(e.get("wall_sec", 0) for e in entries.values()), 2),
-            }
-        )
-    )
+    summary = CheckpointManifest(args.output).summary()
+    print(json.dumps({"partitions_committed": summary.pop("partitions_total"), **summary}))
     return 0
 
 

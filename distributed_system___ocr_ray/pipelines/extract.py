@@ -1,4 +1,4 @@
-"""Flagship extraction pipeline wiring (SURVEY.md #3 "Engine lifecycle").
+"""Shuffle-plan extraction pipeline wiring (SURVEY.md #3 "Engine lifecycle").
 
 Logical plan (one lazy Dataset; the streaming executor pipelines all stages
 with backpressure -- nothing materializes the full input):
@@ -6,12 +6,16 @@ with backpressure -- nothing materializes the full input):
     read (Lance-style manifest -> read_parquet)
     -> map_batches(explode + partition-assign [+ resume-prune])   narrow
     -> map_batches(ExtractDispatch actor pool)                    narrow
-    -> groupby(part).map_groups(vectorized reassemble)            THE shuffle
-    -> per-partition atomic commit + lineage manifest             sink
+    -> groupby(part).map_groups(commit_group)                     THE shuffle
+       (reassemble_partition -> CheckpointManifest.commit_partition)
+    -> CheckpointManifest.summary                                 run result
 
-The reference's three processes (LocalApplication / Manager / Worker) and its
-SQS hops collapse into this single plan; queue transport disappears into the
-object store (SURVEY.md S9).
+The sharded plan (``pipelines.sharded``) runs the same core inside one actor
+per fragment, with no shuffle; this plan serves spans that arrive
+pre-exploded or scattered. The reference's three processes
+(LocalApplication / Manager / Worker) and its per-kind SQS queues collapse
+into one fused dispatch stage; queue transport disappears into the object
+store (SURVEY.md S9).
 """
 
 from __future__ import annotations
@@ -159,7 +163,6 @@ def extracted_dataset(
     skip_parts: frozenset[int] | None = None,
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
-    mode: str = "fused",
     read_blocks: int | None = None,
     fetcher=None,
     ocr_backend="auto",
@@ -170,50 +173,20 @@ def extracted_dataset(
     real-OCR hooks threaded into every extractor actor (see
     ``stages.extractors._Extractors``); defaults are no-fetch and
     auto-resolved (glyph-only in this container)."""
+    from ..stages.extractors import ExtractDispatch
+
     ds = exploded_dataset(
         docs, num_partitions=num_partitions, skip_parts=skip_parts, read_blocks=read_blocks
     )
-    handle = _media_handle(media)
-    from ..stages.extractors import ExtractDispatch, OcrActor, PdfActor, extract_text_batch
-
-    if mode == "fused":
-        return ds.map_batches(
-            ExtractDispatch,
-            fn_constructor_kwargs={"media_handle": handle, "fetcher": fetcher,
-                                   "ocr_backend": ocr_backend},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (1, 8),
-            num_cpus=1,
-        )
-    if mode == "split":
-        # literal kind-per-pool routing (Manager.java:96 analogue). The three
-        # filters re-execute the upstream explode, so pin it first; documented
-        # trade-off vs the single-pass fused default. NOTE (VERDICT r4 #2 of
-        # "what's wrong"): this pin MATERIALIZES the whole exploded dataset
-        # in the object store -- unusable at 100 TB; this mode exists for
-        # reference parity and fused-path cross-checks at test scale only.
-        ds = ds.materialize()
-        text_ds = ds.filter(expr="kind == 'text'").map_batches(
-            extract_text_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-        img_ds = ds.filter(expr="kind == 'image'").map_batches(
-            OcrActor,
-            fn_constructor_kwargs={"media_handle": handle, "fetcher": fetcher,
-                                   "ocr_backend": ocr_backend},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (1, 4),
-        )
-        pdf_ds = ds.filter(expr="kind == 'pdf'").map_batches(
-            PdfActor,
-            fn_constructor_kwargs={"media_handle": handle, "fetcher": fetcher},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (1, 4),
-        )
-        return text_ds.union(img_ds).union(pdf_ds)
-    raise ValueError(f"unknown mode: {mode!r}")
+    return ds.map_batches(
+        ExtractDispatch,
+        fn_constructor_kwargs={"media_handle": _media_handle(media), "fetcher": fetcher,
+                               "ocr_backend": ocr_backend},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency or (1, 8),
+        num_cpus=1,
+    )
 
 
 def extract_dataset(docs: Any, media: Any, *, num_partitions: int = 64, **kwargs):
@@ -233,7 +206,6 @@ def run_extraction(
     resume: bool = True,
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
-    mode: str = "fused",
     read_blocks: int | None = None,
     coalesce_blocks: int | None = 64,
     fetcher=None,
@@ -247,86 +219,90 @@ def run_extraction(
     ``dry_run=True`` builds and returns the plan summary (job identity,
     committed vs pending partition counts) without a Ray session or any
     output-directory mutation -- the shuffle-plan twin of
-    ``run_extraction_sharded(dry_run=True)``.
+    ``run_extraction_sharded(dry_run=True)``, refusing a job mismatch
+    exactly as the real run would.
     """
     from ..stages.extractors import _hook_identity
-    from ..state.checkpoint import CheckpointManifest, CommittingReassembler
+    from ..state.checkpoint import CheckpointManifest, clean_tmp
 
     manifest = CheckpointManifest(out_dir)
     if isinstance(media, pa.Table):  # convert ONCE: fingerprint + broadcast
         from ..corpus import media_dict
 
         media = media_dict(media)
-    if dry_run:
-        committed = sorted(manifest.committed()) if resume else []
-        return {
-            "dry_run": True,
-            "plan": "shuffle",
-            "num_partitions": int(num_partitions),
-            "docs": docs_fingerprint(docs),
-            "media": media_fingerprint(media),
-            "hooks": _hook_identity(fetcher, ocr_backend),
-            "partitions_pending": int(num_partitions) - len(committed),
-            "partitions_skipped_prior": len(committed),
-        }
     # refuse to resume under different partitioning/plan (committed part ids
     # were assigned by hash%P -- pruning by a different P drops documents),
     # a different media store (silent mixed-extraction output otherwise),
     # a changed docs input (appends are NOT resumable under hash%P
     # pruning: new docs landing in committed parts would be dropped), or
     # different fetch/OCR hooks (mixed-engine partitions otherwise)
-    manifest.check_job(
-        {
-            # format 3: adds the hooks identity key (older checkpoints
-            # refuse loudly at resume rather than mix engines silently)
-            "format": 3,
-            "plan": "shuffle",
-            "num_partitions": int(num_partitions),
-            "docs": docs_fingerprint(docs),
-            "media": media_fingerprint(media),
-            "hooks": _hook_identity(fetcher, ocr_backend),
-        },
-        enforce=resume,
-        compat={"media": media_compatible},
-    )
-    from ..state.checkpoint import clean_tmp
-
-    clean_tmp(out_dir)  # stale writer temp files from a crashed prior run
+    job = {
+        # format 3: adds the hooks identity key (older checkpoints
+        # refuse loudly at resume rather than mix engines silently)
+        "format": 3,
+        "plan": "shuffle",
+        "num_partitions": int(num_partitions),
+        "docs": docs_fingerprint(docs),
+        "media": media_fingerprint(media),
+        "hooks": _hook_identity(fetcher, ocr_backend),
+    }
+    manifest.check_job(job, enforce=resume, compat={"media": media_compatible},
+                       dry_run=dry_run)
     skip = frozenset(manifest.committed()) if resume else frozenset()
+    if dry_run:
+        return {
+            "dry_run": True,
+            **{k: v for k, v in job.items() if k != "format"},
+            "partitions_pending": int(num_partitions) - len(skip),
+            "partitions_skipped_prior": len(skip),
+        }
+    clean_tmp(out_dir)  # stale writer temp files from a crashed prior run
     ds = extracted_dataset(
         docs, media, num_partitions=num_partitions, skip_parts=skip,
-        concurrency=concurrency, batch_size=batch_size, mode=mode,
+        concurrency=concurrency, batch_size=batch_size,
         read_blocks=read_blocks, fetcher=fetcher, ocr_backend=ocr_backend,
     )
-    committer = CommittingReassembler(out_dir)
-
-    def commit_partition(group):
-        return committer(group)
-
     # coalesce before the sort-based groupby: extraction emits many small
     # blocks (good for the actor pool), but sort cost grows superlinearly
     # with block count (see stages/reassemble.py)
     if coalesce_blocks:
         ds = ds.repartition(coalesce_blocks)
-    metrics = ds.groupby("part").map_groups(commit_partition, batch_format="pyarrow")
-    rows = metrics.take_all()  # P small lineage rows, not data
-    committed = manifest.committed()
-    return {
-        "partitions_total": len(committed),
-        "partitions_run": len(rows),
-        "partitions_skipped_prior": len(skip),
-        "rows_in": sum(e["rows_in"] for e in committed.values()),
-        "docs_out": sum(e["rows_out"] for e in committed.values()),
-        "status_counts": _merge_counts(e.get("status_counts", {}) for e in committed.values()),
-    }
+    rows = ds.groupby("part").map_groups(
+        commit_group, fn_kwargs={"out_dir": out_dir}, batch_format="pyarrow").take_all()
+    summary = manifest.summary()
+    del summary["wall_sec_sum"]  # a status field, not part of the run result
+    return {**summary, "partitions_run": len(rows), "partitions_skipped_prior": len(skip)}
 
 
-def _merge_counts(dicts) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
+def commit_group(group: pa.Table, out_dir: str) -> pa.Table:
+    """map_groups UDF over one ``part`` group: reassemble and commit the
+    partition (skipped when a prior attempt already committed it), and emit
+    ONE small metrics row -- the dataset that reaches the driver is P rows
+    of lineage, not data."""
+    import time
+
+    from ..stages.reassemble import reassemble_partition
+    from ..state.checkpoint import CheckpointManifest, status_counts
+
+    t0 = time.monotonic()
+    manifest = CheckpointManifest(out_dir)
+    part = int(group.column("part")[0].as_py())
+    entry = (manifest.committed_one(part)
+             if os.path.exists(manifest.partition_path(part)) else None)
+    already = entry is not None
+    if not already:
+        entry = manifest.commit_partition(
+            part, reassemble_partition(group),
+            {"rows_in": group.num_rows, "status_counts": status_counts(group.column("status"))},
+            t0=t0)
+    return pa.table(
+        {
+            "part": pa.array([part], pa.int32()),
+            "rows_in": pa.array([entry["rows_in"]], pa.int64()),
+            "rows_out": pa.array([entry["rows_out"]], pa.int64()),
+            "skipped": pa.array([already]),
+        }
+    )
 
 
 def load_output(out_dir: str):

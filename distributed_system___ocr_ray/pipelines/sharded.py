@@ -18,8 +18,10 @@ re-reads only unfinished shards.
 The semantic spec (groupby(doc_id) + offset-ordered sort-aggregate, north
 rule) is unchanged -- ``reassemble_partition`` performs precisely that
 sort-aggregate; the shuffle-based path (``pipelines.extract``) remains for
-inputs whose spans arrive pre-exploded/scattered. Both paths are
-oracle-equality-tested against each other.
+inputs whose spans arrive pre-exploded/scattered. Both plans share one core
+(explode -> ``ExtractDispatch`` -> ``reassemble_partition`` ->
+``CheckpointManifest.commit_partition``, summarized by
+``CheckpointManifest.summary``) and are oracle-equality-tested.
 
 Scale notes: one fragment must fit a worker's heap (fragments are written
 row-capped; at 100 TB keep fragments ~256-512 MB). Skew across fragments is
@@ -40,8 +42,7 @@ from ..sources import lance_like
 from ..stages.explode import explode_spans
 from ..stages.extractors import ExtractDispatch
 from ..stages.reassemble import reassemble_partition
-from ..state.checkpoint import (
-    CheckpointManifest, clean_tmp, durable_replace, status_counts, tmp_name)
+from ..state.checkpoint import CheckpointManifest, clean_tmp, status_counts
 
 
 class ShardWorker:
@@ -99,11 +100,7 @@ class ShardWorker:
 
             counts = {}
             out = OUT_SCHEMA.empty_table()
-        return out, {
-            "rows_in": exploded.num_rows,
-            "rows_out": out.num_rows,
-            "status_counts": counts,
-        }
+        return out, {"rows_in": exploded.num_rows, "status_counts": counts}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         parts, rows_in, rows_out, wall = [], [], [], []
@@ -156,18 +153,10 @@ class ShardWorker:
             if extra:
                 docs = docs.select(cols)
             out, meta = self._process_table(docs)
-            dest = self.manifest.partition_path(part)
-            os.makedirs(os.path.dirname(dest), exist_ok=True)
-            tmp = tmp_name(dest)
-            pq.write_table(out, tmp)
-            # extra fsync of out_dir: the freshly created part=<k> directory
-            # entry must be durable before the manifest entry is
-            durable_replace(tmp, dest, extra_dirs=(self.manifest.out_dir,))
-            meta["wall_sec"] = round(time.monotonic() - t0, 4)
             # identity = manifest-RELATIVE path: basenames degenerate for
             # tables whose fragments share file names (e.g. part=K/data.parquet)
             meta["fragment"] = frag
-            self.manifest.commit(part, meta)
+            self.manifest.commit_partition(part, out, meta, t0=t0)
             parts.append(part)
             rows_in.append(meta["rows_in"])
             rows_out.append(meta["rows_out"])
@@ -200,7 +189,9 @@ def run_extraction_sharded(
     fingerprint, MOR delete-set load, committed-partition pruning, hook
     identity -- and returns the plan summary WITHOUT executing anything or
     mutating the output directory (no job entry persisted, no stale-index
-    retirement): the validation surface for ``ray job submit`` packaging."""
+    retirement): the validation surface for ``ray job submit`` packaging.
+    With ``resume=True`` it refuses a job mismatch exactly as the real run
+    would."""
     import ray
     import ray.data as rd
 
@@ -245,12 +236,9 @@ def run_extraction_sharded(
         job["deletes"] = [
             [df["path"], df["key_col"], df["rows"]] for df in man["delete_files"]
         ]
+    manifest.check_job(job, enforce=resume, compat={"media": media_compatible},
+                       dry_run=dry_run)
     if not dry_run:
-        manifest.check_job(
-            job,
-            enforce=resume,
-            compat={"media": media_compatible},
-        )
         clean_tmp(out_dir)  # stale writer temp files from a crashed prior run
     # ONE manifest scan at setup: retire stale indices (an overwrite rewrite
     # that SHRANK the table leaves committed indices beyond the new fragment
@@ -318,20 +306,6 @@ def run_extraction_sharded(
             num_cpus=1,
         )
         metrics.take_all()  # lineage rows only
-    entries = manifest.committed()
-    return {
-        "partitions_total": len(entries),
-        "partitions_run": len(items),
-        "partitions_skipped_prior": n_skipped,
-        "rows_in": sum(e["rows_in"] for e in entries.values()),
-        "docs_out": sum(e["rows_out"] for e in entries.values()),
-        "status_counts": _merge(e.get("status_counts", {}) for e in entries.values()),
-    }
-
-
-def _merge(dicts) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
+    summary = manifest.summary()
+    del summary["wall_sec_sum"]  # a status field, not part of the run result
+    return {**summary, "partitions_run": len(items), "partitions_skipped_prior": n_skipped}

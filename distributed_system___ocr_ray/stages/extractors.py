@@ -6,17 +6,11 @@ The heart of the engine -- the analogue of the reference's worker loop
 record, failures recorded as sentinel *data* (Worker.java:87,95), never a
 dropped row (completion invariant, Manager.java:223-226).
 
-Two physical routings are provided (SURVEY.md #2.3):
-
-- **Fused dispatch** (default): ONE actor-pool ``map_batches`` stage holding
-  all three extractors; each batch is split by kind masks internally. Single
-  pass over the exploded table, no union, streams end-to-end. Preferred at
-  scale because filter x3 + union would re-execute the upstream explode three
-  times (or force a mid-pipeline materialize).
-- **Split/union**: ``filter(kind)`` x3 -> per-kind stages -> ``union``. The
-  literal mapping of the reference's queue-per-worker-pool routing
-  (Manager.java:96); kept for parity and used in tests to cross-check the
-  fused path.
+Kind routing is ONE fused dispatch (SURVEY.md #2.3): ``ExtractDispatch``, a
+single actor-pool ``map_batches`` stage holding all three extractors, routes
+each span of a batch by its kind. The reference's queue-per-worker-pool
+routing (Manager.java:96) becomes that per-span branch: one pass over the
+exploded table, no filter/union, streaming end-to-end.
 
 Media is reached through ONE batch contract, ``lookup(refs) -> [payload |
 None]`` in ref order: every extraction batch looks up all of its distinct
@@ -195,6 +189,9 @@ def http_fetcher(base_url: str | None = None, timeout_sec: float = 10.0,
         except Exception:
             return None
 
+    # job identity (``_hook_identity``): the configuration, not the closure
+    fetch.identity = (f"http_fetcher(base_url={base_url!r}, "
+                      f"timeout_sec={timeout_sec!r}, max_bytes={max_bytes!r})")
     return fetch
 
 
@@ -202,12 +199,14 @@ def _hook_identity(fetcher, ocr_backend) -> list[str]:
     """Stable names for the two pluggable hooks, for checkpoint job
     identity: a resumed run under a DIFFERENT fetcher / OCR backend would
     silently mix partitions extracted by different engines (same hazard
-    as a changed media store)."""
+    as a changed media store). A hook carrying an ``identity`` string
+    names itself by it, so its configuration is part of the identity."""
 
     def name(obj) -> str:
         if obj is None:
             return "none"
-        return f"{getattr(obj, '__module__', '?')}.{getattr(obj, '__qualname__', repr(obj))}"
+        return getattr(obj, "identity", None) or (
+            f"{getattr(obj, '__module__', '?')}.{getattr(obj, '__qualname__', repr(obj))}")
 
     resolved = default_ocr_backend() if ocr_backend == "auto" else ocr_backend
     return [name(fetcher), name(resolved)]
@@ -396,49 +395,4 @@ class ExtractDispatch:
         cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
         cols["out_text"] = pa.array(out_text, pa.string())
         cols["status"] = pa.array(status, pa.string())
-        return pa.table(cols)
-
-
-def extract_text_batch(batch: pa.Table) -> pa.Table:
-    """Stateless text-branch transform (SURVEY.md T3): pure function of the
-    bytes, runs as Ray tasks -- no actor state needed."""
-    texts = batch.column("text").to_pylist()
-    out = [strip_boilerplate(t or "") for t in texts]
-    cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
-    cols["out_text"] = pa.array(out, pa.string())
-    cols["status"] = pa.array([STATUS_OK] * len(out), pa.string())
-    return pa.table(cols)
-
-
-class OcrActor:
-    """Image branch actor (SURVEY.md T1): glyph table built once per actor;
-    ``ocr_backend`` plugs a real engine (pytesseract when installed)."""
-
-    def __init__(self, media_handle, fetcher=None, ocr_backend="auto") -> None:
-        self.ex = _Extractors(media_handle, fetcher=fetcher,
-                              ocr_backend=ocr_backend)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        self.ex.prefetch(refs)
-        pairs = [self.ex.image(r) for r in refs]
-        cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
-        cols["out_text"] = pa.array([p[0] for p in pairs], pa.string())
-        cols["status"] = pa.array([p[1] for p in pairs], pa.string())
-        return pa.table(cols)
-
-
-class PdfActor:
-    """PDF branch actor (SURVEY.md T2): layout rules loaded once per actor."""
-
-    def __init__(self, media_handle, fetcher=None) -> None:
-        self.ex = _Extractors(media_handle, fetcher=fetcher)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        self.ex.prefetch(refs)
-        pairs = [self.ex.pdf(r) for r in refs]
-        cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
-        cols["out_text"] = pa.array([p[0] for p in pairs], pa.string())
-        cols["status"] = pa.array([p[1] for p in pairs], pa.string())
         return pa.table(cols)

@@ -95,6 +95,13 @@ def status_counts(statuses) -> dict[str, int]:
     return {vc["values"]: vc["counts"] for vc in pc.value_counts(statuses).to_pylist()}
 
 
+def _read_json(path: str) -> dict | None:
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
 class CheckpointManifest:
     JOB_FILE = "job.json"
 
@@ -108,19 +115,39 @@ class CheckpointManifest:
         if created:  # persist the _checkpoint directory entry itself
             fsync_dir(self.out_dir)
 
-    def check_job(self, params: dict, enforce: bool = True, compat: dict | None = None) -> None:
-        """Persist job-level parameters on first run; on resume, raise if the
-        caller's parameters disagree with the committed ones. Without this, a
-        resume with e.g. a different ``num_partitions`` would prune spans by
-        the NEW hash%P against part ids committed under the OLD P and
-        silently drop documents (ADVICE r1). ``enforce=False`` (fresh run,
-        resume disabled) PURGES any previously committed partitions and
-        rewrites the entry -- stale parts from an old partitioning must not
-        survive into the new output (they would double documents).
+    def job_mismatch(self, params: dict, compat: dict | None = None) -> list[str]:
+        """The sorted job keys whose committed value disagrees with
+        ``params`` (empty when no job entry exists yet). Read-only: creates,
+        writes and purges nothing, so a dry run can ask it too.
 
         ``compat``: per-key ``callable(committed, current) -> bool`` widening
         plain equality where a parameter may legitimately EVOLVE between the
-        first run and a resume (e.g. an append-only media table growing).
+        first run and a resume (e.g. an append-only media table growing)."""
+        committed = _read_json(os.path.join(self.dir, self.JOB_FILE))
+        if committed is None:
+            return []
+        compat = compat or {}
+        return sorted(
+            k for k in set(committed) | set(params)
+            if committed.get(k) != params.get(k)
+            and not (
+                k in compat and k in committed and k in params
+                and compat[k](committed[k], params[k])
+            )
+        )
+
+    def check_job(self, params: dict, enforce: bool = True, compat: dict | None = None,
+                  dry_run: bool = False) -> None:
+        """Persist job-level parameters on first run; on resume, raise if the
+        caller's parameters disagree with the committed ones (see
+        ``job_mismatch``). Without this, a resume with e.g. a different
+        ``num_partitions`` would prune spans by the NEW hash%P against part
+        ids committed under the OLD P and silently drop documents (ADVICE
+        r1). ``enforce=False`` (fresh run, resume disabled) PURGES any
+        previously committed partitions and rewrites the entry -- stale
+        parts from an old partitioning must not survive into the new output
+        (they would double documents). ``dry_run=True`` only raises.
+
         On a compatible-but-unequal match the committed entry is kept as-is:
         it records the state the finished partitions were actually built
         against, and compatibility is always judged from that origin.
@@ -129,29 +156,22 @@ class CheckpointManifest:
         changed fragment-identity scheme) deliberately invalidates
         checkpoints written by older code -- a loud mismatch at resume, never
         a silent misread of old entries under new semantics."""
-        self.ensure()
         path = os.path.join(self.dir, self.JOB_FILE)
-        if not enforce:
-            self.purge()
-        if os.path.exists(path) and enforce:
-            with open(path) as f:
-                committed = json.load(f)
-            compat = compat or {}
-            mismatched = [
-                k for k in set(committed) | set(params)
-                if committed.get(k) != params.get(k)
-                and not (
-                    k in compat and k in committed and k in params
-                    and compat[k](committed[k], params[k])
-                )
-            ]
+        if enforce:
+            mismatched = self.job_mismatch(params, compat)
             if mismatched:
                 raise ValueError(
-                    f"resume parameter mismatch ({sorted(mismatched)}): "
-                    f"checkpoint was created with {committed}, this run "
+                    f"resume parameter mismatch ({mismatched}): "
+                    f"checkpoint was created with {_read_json(path)}, this run "
                     f"passed {params}; use a fresh out_dir (or compatible "
                     f"parameters) to resume"
                 )
+        if dry_run:
+            return
+        self.ensure()
+        if not enforce:
+            self.purge()
+        elif os.path.exists(path):
             return
         self._write_entry(path, params)
 
@@ -179,6 +199,40 @@ class CheckpointManifest:
         entry = {"part": int(part), **entry}
         self._write_entry(os.path.join(self.dir, f"part-{part}.json"), entry)
 
+    def commit_partition(self, part: int, table: pa.Table, entry: dict, *, t0: float) -> dict:
+        """THE partition commit of both plans: write ``table`` as partition
+        ``part`` atomically, then commit its manifest entry. ``entry`` gains
+        ``rows_out`` and ``wall_sec`` (from ``t0``, a ``time.monotonic()``
+        taken when the partition's work began, through the durable data
+        write) and is returned as committed."""
+        dest = self.partition_path(part)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        tmp = tmp_name(dest)
+        pq.write_table(table, tmp)
+        # extra fsync of out_dir: the freshly created part=<k> directory
+        # entry must be durable before the manifest entry is
+        durable_replace(tmp, dest, extra_dirs=(self.out_dir,))
+        entry["rows_out"] = table.num_rows
+        entry["wall_sec"] = round(time.monotonic() - t0, 4)
+        self.commit(part, entry)
+        return entry
+
+    def summary(self) -> dict:
+        """The run summary both plans return and ``status`` prints, summed
+        over the committed entries in one manifest scan."""
+        entries = self.committed().values()
+        counts: dict[str, int] = {}
+        for e in entries:
+            for k, v in e.get("status_counts", {}).items():
+                counts[k] = counts.get(k, 0) + v
+        return {
+            "partitions_total": len(entries),
+            "rows_in": sum(e["rows_in"] for e in entries),
+            "docs_out": sum(e["rows_out"] for e in entries),
+            "status_counts": counts,
+            "wall_sec_sum": round(sum(e.get("wall_sec", 0) for e in entries), 2),
+        }
+
     def retire(self, part: int) -> None:
         """Invalidate a committed partition (manifest entry + data file) --
         used when the input table shrank (stale fragment indices) or a fresh
@@ -197,55 +251,10 @@ class CheckpointManifest:
     def committed_one(self, part: int) -> dict | None:
         """Single-entry lookup (the commit hot path must not scan all P
         manifest files -- that would be O(P^2) across a run)."""
-        path = os.path.join(self.dir, f"part-{part}.json")
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return json.load(f)
+        return _read_json(os.path.join(self.dir, f"part-{part}.json"))
 
     def partition_path(self, part: int) -> str:
         return os.path.join(self.out_dir, f"part={part}", "data.parquet")
 
     def data_paths(self) -> list[str]:
         return [self.partition_path(p) for p in sorted(self.committed())]
-
-
-class CommittingReassembler:
-    """map_groups UDF over ``part`` groups: reassemble, write the partition
-    atomically, commit the manifest entry, and emit ONE small metrics row
-    (the dataset that reaches the driver is P rows of lineage, not data)."""
-
-    def __init__(self, out_dir: str) -> None:
-        self.manifest = CheckpointManifest(out_dir)
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        from ..stages.reassemble import reassemble_partition
-
-        t0 = time.monotonic()
-        part = int(group.column("part")[0].as_py())
-        path = self.manifest.partition_path(part)
-        entry = self.manifest.committed_one(part) if os.path.exists(path) else None
-        already = entry is not None
-        if not already:
-            out = reassemble_partition(group)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = tmp_name(path)
-            pq.write_table(out, tmp)
-            # extra fsync of out_dir: the part=<k> directory entry we just
-            # created must be durable before the manifest entry is
-            durable_replace(tmp, path, extra_dirs=(self.manifest.out_dir,))
-            entry = {
-                "rows_in": group.num_rows,
-                "rows_out": out.num_rows,
-                "status_counts": status_counts(group.column("status")),
-                "wall_sec": round(time.monotonic() - t0, 4),
-            }
-            self.manifest.commit(part, entry)
-        return pa.table(
-            {
-                "part": pa.array([part], pa.int32()),
-                "rows_in": pa.array([entry["rows_in"]], pa.int64()),
-                "rows_out": pa.array([entry["rows_out"]], pa.int64()),
-                "skipped": pa.array([already]),
-            }
-        )

@@ -165,3 +165,31 @@ class TestDryRunAfterRealRun:
         plan = run_extraction_sharded(docs, store, out, dry_run=True)
         assert plan["partitions_pending"] == 0
         assert plan["partitions_skipped_prior"] == 3
+
+    def test_dry_run_refuses_job_mismatch_read_only(self, tmp_path):
+        """A dry run validates job identity like the real run: after a
+        P=8 shuffle run, a P=16 dry run raises the real run's error and
+        leaves the checkpoint byte-identical."""
+        from distributed_system___ocr_ray import corpus
+        from distributed_system___ocr_ray.pipelines.extract import run_extraction
+
+        corpus.write_corpus(str(tmp_path), n_docs=12, rows_per_fragment=4)
+        docs = str(tmp_path / "documents")
+        media = str(tmp_path / "media_store")
+        out = str(tmp_path / "out")
+        run_extraction(docs, media, out, num_partitions=8)
+
+        def snapshot():
+            files = {}
+            for dirpath, _, names in os.walk(out):
+                for n in names:
+                    with open(os.path.join(dirpath, n), "rb") as f:
+                        files[os.path.join(dirpath, n)] = f.read()
+            return files
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="resume parameter mismatch"):
+            run_extraction(docs, media, out, num_partitions=16, dry_run=True)
+        assert snapshot() == before
+        with pytest.raises(ValueError, match="resume parameter mismatch"):
+            run_extraction(docs, media, out, num_partitions=16)

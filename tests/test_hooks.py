@@ -147,9 +147,9 @@ class TestMediaFetcher:
 class TestNullTextSpan:
     def test_null_text_coalesces_to_empty_ok(self):
         """A NULL text span (legal in a user table) must extract as empty
-        text with ok status on BOTH text paths, never a raised batch."""
+        text with ok status, never a raised batch."""
         from distributed_system___ocr_ray.stages.extractors import (
-            ExtractDispatch, extract_text_batch,
+            ExtractDispatch,
         )
 
         batch = pa.table({
@@ -160,9 +160,9 @@ class TestNullTextSpan:
             "media_ref": pa.array([""]),
             "offset": pa.array([0], pa.int32()),
         })
-        for out in (ExtractDispatch({})(batch), extract_text_batch(batch)):
-            assert out.column("out_text").to_pylist() == [""]
-            assert out.column("status").to_pylist() == [STATUS_OK]
+        out = ExtractDispatch({})(batch)
+        assert out.column("out_text").to_pylist() == [""]
+        assert out.column("status").to_pylist() == [STATUS_OK]
 
 
 class TestHttpFetcher:
@@ -216,6 +216,21 @@ class TestHttpFetcher:
         assert fetch("img/huge.bin") is None           # oversize -> miss
         assert http_fetcher()( "img/ok.bin") is None   # no base, relative
 
+    def test_identity_includes_configuration(self):
+        """Each fetcher names itself by its configuration, so resume job
+        identity tells endpoints apart (the closure's qualname alone is the
+        same for every endpoint)."""
+        from distributed_system___ocr_ray.stages.extractors import (
+            _hook_identity, http_fetcher,
+        )
+
+        a = _hook_identity(http_fetcher(base_url="http://a.example/m"), None)
+        b = _hook_identity(http_fetcher(base_url="http://b.example/m"), None)
+        assert a != b
+        assert a == _hook_identity(http_fetcher(base_url="http://a.example/m"), None)
+        assert a[0] == ("http_fetcher(base_url='http://a.example/m', "
+                        "timeout_sec=10.0, max_bytes=67108864)")
+
     def test_extraction_stage_through_http(self, server):
         """End-to-end: a store MISS resolves over HTTP and decodes; a 404
         stays the verbatim download sentinel."""
@@ -264,6 +279,28 @@ class TestHookJobIdentity:
         with pytest.raises(ValueError) as ei:
             run_extraction_sharded(docs_dir, store, out, concurrency=2)
         assert "hooks" in str(ei.value)
+
+    def test_resume_refuses_changed_fetcher_endpoint(self, tmp_path):
+        """Same fetcher kind, different endpoint: a resume must refuse
+        (every ref resolves in-store, so neither endpoint is contacted)."""
+        from distributed_system___ocr_ray import corpus
+        from distributed_system___ocr_ray.pipelines.sharded import (
+            run_extraction_sharded,
+        )
+        from distributed_system___ocr_ray.sources import lance_like
+        from distributed_system___ocr_ray.stages.extractors import http_fetcher
+
+        corpus.write_corpus(str(tmp_path), n_docs=8, rows_per_fragment=4)
+        docs_dir = str(tmp_path / "documents")
+        store = lance_like.read_arrow(str(tmp_path / "media_store"))
+        out = str(tmp_path / "out")
+        run_extraction_sharded(docs_dir, store, out, concurrency=2,
+                               fetcher=http_fetcher(base_url="http://127.0.0.1:9/a"))
+        moved = http_fetcher(base_url="http://127.0.0.1:9/b")
+        for dry_run in (True, False):
+            with pytest.raises(ValueError, match="resume parameter mismatch"):
+                run_extraction_sharded(docs_dir, store, out, concurrency=2,
+                                       fetcher=moved, dry_run=dry_run)
 
     def test_flagship_output_identical_with_and_without_noop_hooks(self, tmp_path):
         """The full sharded pipeline over the same corpus produces

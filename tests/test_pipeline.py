@@ -38,12 +38,6 @@ class TestExtractionPipeline:
         out = pipeline.extract_dataset(docs, store, num_partitions=8)
         _assert_span_equality(_sorted_output(out), expected)
 
-    def test_split_union_matches_oracle(self, small_corpus):
-        docs, store = small_corpus
-        expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = pipeline.extract_dataset(docs, store, num_partitions=8, mode="split")
-        _assert_span_equality(_sorted_output(out), expected)
-
     def test_partitioning_invariance(self, small_corpus):
         """Output is identical at different partition counts (determinism
         across parallelism levels -- SURVEY.md #7.3)."""
@@ -60,14 +54,12 @@ class TestExtractionPipeline:
         # exactly-once per input span: 24 spans, 1:1 with the golden's blocks
         assert len(out.column("spans")[0].as_py()) == 24
 
-    def test_kind_imbalanced_corpus_both_modes(self):
+    def test_kind_imbalanced_corpus(self):
         """Bursty / kind-imbalanced load (SURVEY #4 skew row, the reference's
         30 s load-balance daemon analogue, Manager.java:169-201): a corpus
-        that is ~90% image spans must not starve the text branch in either
-        routing. Split mode uses per-kind AUTOSCALING pools -- an idle branch
-        scales to its floor while the hot branch takes the CPUs (resource-
-        based rebalancing replaces the daemon); fused mode rebalances by
-        construction. Both must equal the oracle exactly."""
+        that is ~90% image spans must not starve the text branch. The fused
+        dispatch rebalances by construction (every actor serves every kind)
+        and must equal the oracle exactly."""
         import random
 
         rng = random.Random(99)
@@ -90,11 +82,7 @@ class TestExtractionPipeline:
         store = corpus.build_media_store(n_img=50, n_pdf=0, seed=99)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
         fused = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=8))
-        split = _sorted_output(
-            pipeline.extract_dataset(docs, store, num_partitions=8, mode="split")
-        )
         _assert_span_equality(fused, expected)
-        _assert_span_equality(split, expected)
 
     def test_explode_cardinality(self, small_corpus):
         docs, _ = small_corpus
@@ -170,6 +158,49 @@ class TestCheckpoint:
         )
         assert m["rows_in"] == n_in - n_empty
         assert sum(m["status_counts"].values()) == m["rows_in"]
+
+    def test_both_plans_commit_the_same_entry_keys(self, small_corpus, tmp_path):
+        """Both plans commit through ``commit_partition``: their manifest
+        entries carry the same keys, bar the sharded plan's fragment id."""
+        from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
+        from distributed_system___ocr_ray.sources import lance_like
+        from distributed_system___ocr_ray.state.checkpoint import CheckpointManifest
+
+        docs, store = small_corpus
+        docs_dir = str(tmp_path / "docs")
+        lance_like.write_table(docs, docs_dir, rows_per_fragment=20)
+        pipeline.run_extraction(docs, store, str(tmp_path / "shuffle"), num_partitions=4)
+        run_extraction_sharded(docs_dir, store, str(tmp_path / "sharded"), concurrency=2)
+        shuffle = CheckpointManifest(str(tmp_path / "shuffle")).committed()
+        sharded = CheckpointManifest(str(tmp_path / "sharded")).committed()
+        assert len(shuffle) == 4 and len(sharded) == 3
+        keys = {frozenset(e) for e in shuffle.values()}
+        assert keys == {frozenset(e) - {"fragment"} for e in sharded.values()}
+        assert keys == {frozenset({"part", "rows_in", "rows_out", "status_counts", "wall_sec"})}
+
+
+class TestCommitPartition:
+    def test_writes_data_and_entry(self, tmp_path):
+        import os
+        import time
+
+        import pyarrow.parquet as pq
+
+        from distributed_system___ocr_ray.state.checkpoint import CheckpointManifest
+
+        out_dir = str(tmp_path / "out")
+        man = CheckpointManifest(out_dir)
+        table = pa.table({"doc_id": ["a", "b"], "n": [1, 2]})
+        entry = man.commit_partition(
+            3, table, {"rows_in": 5, "status_counts": {"ok": 5}}, t0=time.monotonic())
+        assert entry["rows_out"] == 2 and entry["wall_sec"] >= 0
+        assert pq.read_table(man.partition_path(3)).equals(table)
+        assert man.committed() == {3: {"part": 3, **entry}}
+        leftovers = [f for _, _, files in os.walk(out_dir) for f in files if ".tmp-" in f]
+        assert leftovers == []
+        assert man.summary() == {"partitions_total": 1, "rows_in": 5, "docs_out": 2,
+                                 "status_counts": {"ok": 5},
+                                 "wall_sec_sum": round(entry["wall_sec"], 2)}
 
 
 @pytest.mark.usefixtures("ray_session")

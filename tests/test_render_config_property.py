@@ -1,5 +1,5 @@
-"""HTML sink parity, pool-sizing formula parity, and the explode/reassemble
-round-trip property (hypothesis)."""
+"""HTML sink parity and the explode/reassemble round-trip property
+(hypothesis)."""
 
 import pyarrow as pa
 import pytest
@@ -7,24 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distributed_system___ocr_ray import corpus
-from distributed_system___ocr_ray.config import pool_size
 from distributed_system___ocr_ray.stages.explode import explode_spans, with_partition
 from distributed_system___ocr_ray.stages.reassemble import reassemble_partition
 from distributed_system___ocr_ray.stages.render_html import render_doc, write_html_file
-
-
-class TestPoolSize:
-    def test_reference_formula_parity(self):
-        # Manager.java:376-377 with MAX_INSTANCES=17 (Manager.java:34):
-        # 24 urls, n=4 -> ceil(24/4)=6 workers (the reference's short run)
-        assert pool_size(24, 4, 17) == 6
-        # 1000 urls, n=167 -> 6 workers (the reference's long run)
-        assert pool_size(1000, 167, 17) == 6
-        # cap binds: 999 urls, n=10 -> 100 needed -> 17
-        assert pool_size(999, 10, 17) == 17
-        # exact division has no +1: 20/4 = 5
-        assert pool_size(20, 4, 17) == 5
-        assert pool_size(0, 4, 17) == 1
 
 
 class TestRenderHtml:

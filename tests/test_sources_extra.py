@@ -1,6 +1,7 @@
 """JSONL source round trip, output publishing, CLI status, strip fuzzing."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -60,7 +61,7 @@ class TestPublishAndStatus:
         out_dir = str(tmp_path / "out")
         m = run_extraction_sharded(docs_dir, store, out_dir, concurrency=2)
 
-        repo = "/root/repo"
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         pub = subprocess.run(
             [sys.executable, "-m", "distributed_system___ocr_ray", "publish", "--output", out_dir],
             cwd=repo, capture_output=True, text=True,
