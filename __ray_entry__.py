@@ -263,107 +263,6 @@ def _q_filter_project(sf_dir: str):
     return relational.filter_project_documents(sf_dir)
 
 
-def _q_pricing_summary(sf_dir: str):
-    """TPC-H Q1 pricing summary: grouped sums/averages over lineitem with date filter."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.pricing_summary(sf_dir)
-
-
-def _q_revenue_by_nation(sf_dir: str):
-    """Multi-way dimension join to per-nation revenue rollup."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.revenue_by_nation(sf_dir)
-
-
-def _q_events_daily(sf_dir: str):
-    """Events per day: date-truncate then grouped count."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.events_daily(sf_dir)
-
-
-def _q_daily_activity(sf_dir: str):
-    """FULL OUTER join of orders/day vs events/day with zeros where one
-    side is silent — no join operator: both sides emit two-column partials
-    into one shared bounded-day-domain fold. Oracle: FULL OUTER JOIN +
-    COALESCE."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.daily_activity_full_outer(sf_dir)
-
-
-def _q_ols_trend(sf_dir: str):
-    """Exact one-pass distributed OLS slope (order cents over days since
-    1992-01-01, per priority): five integer sufficient statistics per
-    batch, Python-int final fold, sign-split floor division to ppm.
-    Oracle: the same HUGEINT normal-equation arithmetic."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.ols_trend_by_priority(sf_dir)
-
-
-def _q_top_users(sf_dir: str):
-    """Global top users by summed event value (partial top-k merge)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.top_users_by_value(sf_dir, k=10)
-
-
-def _q_order_lineitem_join(sf_dir: str):
-    """Orders-lineitem equi-join with per-order revenue aggregation."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.order_lineitem_join_stats(sf_dir)
-
-
-def _q_last_order_before_event(sf_dir: str):
-    """As-of (point-in-time) join: latest order at or before each event."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.last_order_before_event(sf_dir)
-
-
-def _q_session_windows(sf_dir: str):
-    """Sessionization: gap-based windows per user with per-session stats."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.session_windows(sf_dir)
-
-
-def _q_sliding_windows(sf_dir: str):
-    """Fixed-size sliding event windows per user."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.sliding_windows(sf_dir)
-
-
-def _q_approx_distinct_users(sf_dir: str):
-    """HyperLogLog approximate distinct users (mergeable sketch partial/final).
-
-    Approximate vs the TRUE cardinality, but a deterministic function of the
-    data: the md5-prefix hash, register maxima, bias-corrected estimator and
-    linear-counting branch are all replayed exactly by the DuckDB oracle, so
-    the estimate itself is hash-compared (rounded to integer -- the only
-    float ops are the final estimator arithmetic, identical on both sides)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.functions.sketches import approx_distinct
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    est = approx_distinct(ds, "user_id")
-    return pd.DataFrame({"approx_distinct_users": [int(np.floor(est + 0.5))]})
-
-
-def _q_top_orders_per_segment(sf_dir: str):
-    """Top-N orders per market segment (grouped partial top-k)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.top_orders_per_segment(sf_dir)
-
-
 def _q_token_count_by_lang(sf_dir: str):
     """Whitespace/regex token counts aggregated per language."""
     from distributed_system___ocr_ray.pipelines import analytics
@@ -678,28 +577,6 @@ def _q_sample_by_quality(sf_dir: str):
     return analytics.sample_by_weight(slim, "quality_ppm")
 
 
-def _q_value_histogram(sf_dir: str):
-    """32-bin exact order-value histogram (bin edges in integer cents):
-    one (min, max, count) aggregate then bincount partials through the
-    tiny merge. Oracle replays the identical float64 width/bin/edge
-    arithmetic."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-    return analytics.value_histogram(ds, "o_totalprice", bins=32)
-
-
-def _q_running_totals(sf_dir: str):
-    """Per-customer running order spend (cumulative window over
-    (o_orderdate, o_orderkey)); partition-bucketed vectorized cumsum,
-    integer cents. Oracle: SUM OVER (PARTITION BY ... ORDER BY ...)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.running_totals(sf_dir)
-
-
 def _q_robust_outliers(sf_dir: str):
     """Per-lang median/MAD outlier flags on n_chars (dev > 2 * MAD), both
     medians exact via histogram bisection — no global sort. All-integer
@@ -764,138 +641,6 @@ def _q_percent_rank_by_lang(sf_dir: str):
     return relational.percent_rank_by_group(
         _docs(sf_dir, ["doc_id", "lang", "n_chars"])
     )
-
-
-def _q_customer_order_counts(sf_dir: str):
-    """LEFT OUTER join through the bucketed hash join: customers keep a row
-    even with zero orders (the reference's completion ledger must list
-    inputs that produced nothing — same semantics). Orders pre-aggregate to
-    per-customer counts BEFORE the join (the wide side never ships raw
-    rows), then the null side fills 0."""
-    import pandas as pd
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    customers = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    counts = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="cnt"))
-    )
-    joined = relational.bucketed_hash_join(
-        customers, counts, "c_custkey", "o_custkey", how="left"
-    )
-
-    def clean(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "c_custkey": batch["c_custkey"].astype("int64"),
-                "n_orders": batch["cnt"].fillna(0).astype("int64"),
-            }
-        )
-
-    return joined.map_batches(clean, batch_format="pandas")
-
-
-def _q_distinct_users_by_type(sf_dir: str):
-    """Exact COUNT(DISTINCT user) per event type — the exact twin of the
-    HLL approx path. Distinct pairs shuffle on a val-hash bucket (hot keys
-    spread); per-bucket counts are disjoint and sum exactly."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
-    return analytics.grouped_distinct_count(ev, "event_type", "user_id")
-
-
-def _q_last_event_per_user(sf_dir: str):
-    """Per-user latest event (argmax record): per-batch partial argmax,
-    key-bucketed merge; value in integer cents. Oracle: row_number DESC
-    window."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        t = batch.column("ts").cast(pa.int64())
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts_us": t,
-                "event_type": batch.column("event_type"),
-                "value_cents": pa.array(
-                    np.floor(v * 100.0 + 0.5).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    out = analytics.latest_record_per_key(
-        ev.map_batches(cents, batch_format="pyarrow"),
-        "user_id", "ts_us", ["event_type", "value_cents"],
-    )
-    return out
-
-
-_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
-
-
-def _q_events_pivot_daily(sf_dir: str):
-    """Long-to-wide pivot: one row per day, one count column per event
-    type (fixed vocabulary). One key-domain-sized shuffle; the single
-    final block reshapes. Oracle: conditional aggregation with the same
-    n_{type} column names."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def day(batch: pa.Table) -> pa.Table:
-        d = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False) // (86400 * 10**6)
-        return pa.table(
-            {"day": pa.array(d, pa.int64()), "event_type": batch.column("event_type")}
-        )
-
-    return analytics.pivot_counts(
-        ev.map_batches(day, batch_format="pyarrow"), "day", "event_type", _EVENT_TYPES
-    )
-
-
-def _q_events_unpivot_daily(sf_dir: str):
-    """Wide-to-long UNPIVOT of the daily event pivot (the reshape dual of
-    events_pivot_daily; analytics.melt): pure map-side repeat/tile after
-    the pivot's single exchange -- melting commutes with partitioning, so
-    no second shuffle exists. Oracle: DuckDB UNPIVOT over the identical
-    pivot subquery with the n_ prefix stripped."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    wide = _q_events_pivot_daily(sf_dir)
-    return analytics.melt(
-        wide, ["day"], [f"n_{t}" for t in _EVENT_TYPES],
-        var_name="event_type", value_name="n", strip_prefix="n_",
-    )
-
-
-def _q_benford_first_digit(sf_dir: str):
-    """Benford first-significant-digit forensics profile of order prices
-    in exact integer cents (analytics.benford_first_digit): vectorized
-    integer floor-division digit extraction, 9-row bounded final,
-    Python-int share ppm. Oracle extracts the digit via
-    substr(CAST(cents AS VARCHAR), 1, 1) -- equal for positive ints."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-    return analytics.benford_first_digit(ds)
 
 
 def _q_zipf_bits_audit(sf_dir: str):
@@ -994,26 +739,6 @@ def _q_dedup_keep_best(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.dedup_keep_best(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_shipments_within_7d(sf_dir: str):
-    """Band/range join (no equality key): per order, count ALL lineitem
-    shipments corpus-wide with l_shipdate in [o_orderdate, +7 days).
-    Window-width time buckets, 2x replication of the small side only,
-    per-bucket sort + two searchsorted calls; zero counts survive.
-    Oracle: LEFT JOIN on the range predicate."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
-    )
-    lineitem = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_shipdate"])
-    return relational.range_join_counts(
-        orders, lineitem, "o_orderdate", "l_shipdate", "o_orderkey",
-        window_us=7 * 86400 * 10**6, out_col="n_shipped",
-    )
 
 
 def _range_bounds(sf_dir: str) -> tuple[int, int]:
@@ -1270,19 +995,6 @@ def _q_pruned_range_read(sf_dir: str):
         shutil.rmtree(os.path.dirname(tdir), ignore_errors=True)
 
 
-def _q_retention_cohorts(sf_dir: str):
-    """Weekly cohort retention triangle over the events stream: first
-    active week cohorts x week offsets, distinct users per cell. One
-    user-bucketed shuffle of deduped (user, week) pairs; tiny merge.
-    Oracle: epoch-week arithmetic + per-user MIN + COUNT DISTINCT."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return analytics.retention_cohorts(ev)
-
-
 def _q_domain_counts(sf_dir: str):
     """Per-domain URL counts over a deterministically URL-planted corpus
     (every doc links d{doc_id%7}.example.org; doc_id%3==0 docs add a
@@ -1308,24 +1020,6 @@ def _q_domain_counts(sf_dir: str):
 
     planted = _docs(sf_dir, ["doc_id", "text"]).map_batches(plant, batch_format="pandas")
     return analytics.domain_counts(planted, k=10)
-
-
-_FUNNEL_STEPS = ["view", "click", "purchase"]
-
-
-def _q_funnel_counts(sf_dir: str):
-    """view -> click -> purchase funnel with first-touch anchors: users
-    completing each stage strictly after their previous anchor. Hash-
-    bucketed per-user vectorized stages, tiny count merge. Oracle: chained
-    MIN-anchor CTEs."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-    return analytics.funnel_counts(ev, _FUNNEL_STEPS)
 
 
 def _q_zscore_by_lang(sf_dir: str):
@@ -1681,38 +1375,6 @@ def _q_dup_spans(sf_dir: str):
     return analytics.dup_spans(ds)
 
 
-def _q_ks_priority_drift(sf_dir: str):
-    """Exact pairwise two-sample Kolmogorov-Smirnov distance between
-    order-priority classes' value distributions in integer ppm
-    (distribution-drift audit; analytics.ks_priority_drift); oracle
-    replays the integer sup-norm |C_a*n_b - C_b*n_a| over the full
-    distinct-cents grid with window cumsums."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-    )
-    return analytics.ks_priority_drift(ds)
-
-
-def _q_sampled_quantile_audit(sf_dir: str):
-    """Decile estimates from the deterministic md5-threshold sample vs the
-    full data's exact deciles, with true rank error in ppm (the quantile
-    member of the sketch-audit family; analytics.sampled_quantile_audit);
-    oracle replays the integer rank convention (p*n+999)//1000 with
-    ROW_NUMBER over both populations."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
-    )
-    return analytics.sampled_quantile_audit(ds)
-
-
 def _q_compaction_bins(sf_dir: str):
     """Deterministic cumulative bin-packing of (source, lang) partition
     sizes into capacity-100 compaction bins (table-maintenance plan;
@@ -1739,19 +1401,6 @@ def _q_shingle_containment(sf_dir: str):
     return analytics.shingle_containment(ds)
 
 
-def _q_cusum_changepoints(sf_dir: str):
-    """Page's one-sided CUSUM level-shift detector over daily event value
-    in integer cents (sustained-drift monitor complementing spike_days;
-    analytics.cusum_changepoints); oracle walks the same max(0, s+x-mu-k)
-    recurrence with a recursive CTE."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-    return analytics.cusum_changepoints(ds)
-
-
 def _q_bigram_surprisal_by_source(sf_dir: str):
     """Char-bigram conditional surprisal per source in integer millibits
     (encoding-health distribution audit; analytics.bigram_surprisal_by_source);
@@ -1765,31 +1414,6 @@ def _q_bigram_surprisal_by_source(sf_dir: str):
     return analytics.bigram_surprisal_by_source(ds)
 
 
-def _q_key_density_audit(sf_dir: str):
-    """Key-space integrity audit over o_orderkey: exact distinct, range,
-    duplicate rows and density ppm (analytics.key_density_audit)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
-    return analytics.key_density_audit(ds)
-
-
-def _q_rolling_median_daily(sf_dir: str):
-    """7-row rolling lower median of daily order revenue cents (robust
-    trend line; analytics.rolling_median_daily); oracle is DuckDB's
-    windowed quantile_disc(0.5), rank-identical to (w+1)//2."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-    return analytics.rolling_median_daily(ds)
-
-
 def _q_doclen_deciles_by_source(sf_dir: str):
     """Per-source document-length deciles with the integer rank convention
     (n-1)*k//10 + 1 (analytics.doclen_deciles_by_source)."""
@@ -1799,48 +1423,6 @@ def _q_doclen_deciles_by_source(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
     return analytics.doclen_deciles_by_source(ds)
-
-
-def _q_value_moments_by_type(sf_dir: str):
-    """Exact integer power-sum moments of event value per type (mean,
-    population variance, truncated third central moment;
-    analytics.value_moments_by_type); oracle replays in HUGEINT."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    return analytics.value_moments_by_type(ds)
-
-
-def _q_order_backlog_daily(sf_dir: str):
-    """Daily open-order backlog step function (placed but not fully
-    shipped; analytics.order_backlog_daily); oracle replays the +1/-1
-    delta grid and a window running sum."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-    return analytics.order_backlog_daily(orders, lineitem)
-
-
-def _q_dow_revenue_profile(sf_dir: str):
-    """ISO-weekday revenue seasonality profile with ppm shares
-    (analytics.dow_revenue_profile)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-    return analytics.dow_revenue_profile(ds)
 
 
 def _q_completeness_audit(sf_dir: str):
@@ -1856,15 +1438,6 @@ def _q_completeness_audit(sf_dir: str):
     return analytics.completeness_audit(ds)
 
 
-def _q_first_event_after_order(sf_dir: str):
-    """Forward as-of join: first event strictly after each order, gap in
-    days (relational.first_event_after_order); oracle is the MIN-over-join
-    formulation, tie-identical because only ts-derived fields are output."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.first_event_after_order(sf_dir)
-
-
 def _q_doc_bigram_surprisal_topk(sf_dir: str):
     """Token-bigram LM surprisal top-k (rare TRANSITIONS: word salad that
     passes the unigram screen; analytics.doc_bigram_surprisal_topk);
@@ -1877,24 +1450,6 @@ def _q_doc_bigram_surprisal_topk(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
     )
     return analytics.doc_bigram_surprisal_topk(ds)
-
-
-def _q_negative_samples(sf_dir: str):
-    """Deterministic md5 negative sampling with anti-join against the true
-    (customer, part) interactions (analytics.negative_samples)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    customer = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    n_parts = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey"]).count()
-    return analytics.negative_samples(orders, lineitem, customer, n_parts)
 
 
 def _q_span_corruption_plan(sf_dir: str):
@@ -1916,19 +1471,6 @@ def _q_two_hop_reach(sf_dir: str):
 
     docs = _docs(sf_dir, ["doc_id"])
     return analytics.two_hop_reach(docs)
-
-
-def _q_revenue_time_rollup(sf_dir: str):
-    """Calendar ROLLUP (year / quarter / month) of order revenue with -1
-    for aggregated-out levels (analytics.revenue_time_rollup)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-    return analytics.revenue_time_rollup(ds)
 
 
 def _q_token_diversity_by_lang(sf_dir: str):
@@ -1985,20 +1527,6 @@ def _q_readability_by_lang(sf_dir: str):
     return analytics.readability_by_lang(ds)
 
 
-def _q_session_paths(sf_dir: str):
-    """Per-session event-type trigram counts (path mining one level above
-    event_transitions' bigrams); deterministic (ts, event_id) tie order on
-    both sides makes the counts exact, not order-dependent."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-    )
-    return relational.session_paths(events)
-
-
 def _q_minhash_recall_audit(sf_dir: str):
     """Precision/recall of the MinHash+LSH pair set (est >= 0.6, the
     registered minhash_pairs query) against the exact word-3-gram Jaccard
@@ -2012,49 +1540,6 @@ def _q_minhash_recall_audit(sf_dir: str):
     exact = analytics.ngram_jaccard_pairs(docs, threshold=0.5)
     approx = analytics.minhash_lsh_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.6)
     return analytics.pair_set_audit(exact, approx)
-
-
-def _q_trimmed_mean_price(sf_dir: str):
-    """Exact 5%-trimmed mean order price per priority (robust center
-    without a global sort -- grouped _range_offsets rank trimming);
-    oracle is the row_number/count window replay on identical cents."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-    )
-    return relational.trimmed_mean_by_group(
-        ds, "o_orderpriority", "o_totalprice", trim_pct=5
-    )
-
-
-def _q_top_revenue_suppliers(sf_dir: str):
-    """TPC-H Q15 shape: supplier(s) with the global-max revenue; oracle is
-    the grouped-sum + scalar-max replay on identical per-row cents."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.top_revenue_suppliers(sf_dir)
-
-
-def _q_big_volume_orders(sf_dir: str):
-    """TPC-H Q18 shape: orders with total lineitem quantity > 150 (cents
-    boundary exact on both sides), price attached via one hash join."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.big_volume_orders(sf_dir)
-
-
-def _q_hll_error_audit(sf_dir: str):
-    """HyperLogLog estimate vs exact distinct users with abs error in ppm;
-    oracle composes the register-exact HLL replay with COUNT(DISTINCT)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    return analytics.hll_error_audit(events, "user_id")
 
 
 def _q_bloom_fp_audit(sf_dir: str):
@@ -2095,42 +1580,6 @@ def _q_dup_size_histogram(sf_dir: str):
     return analytics.dup_size_histogram(planted)
 
 
-def _q_join_size_audit(sf_dir: str):
-    """CMS inner-product join-size estimate vs the exact orders|><|lineitem
-    cardinality (computed from count products, never the join itself);
-    oracle replays every counter and the min-over-rows inner product."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
-    lineitem = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])
-    return analytics.join_size_audit(orders, lineitem, "o_orderkey", "l_orderkey")
-
-
-def _q_interarrival_quantiles(sf_dir: str):
-    """Exact p50/p90 whole-second gaps between consecutive same-user
-    events per type; oracle is the LAG + cumulative-count-window replay
-    with the same (ts, event_id) tie order."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-    )
-    return relational.interarrival_quantiles(events)
-
-
-def _q_rfm_segments(sf_dir: str):
-    """Per-customer RFM quartile scores against exact type-1 boundaries;
-    oracle recomputes the 9 boundaries via row_number = CEIL(q*n) and the
-    same [v > b] scoring."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.rfm_segments(sf_dir)
-
-
 def _q_langid_confusion(sf_dir: str):
     """Language-ID confusion matrix (labeled lang vs heuristic prediction);
     oracle wraps the char-for-char language_id replay and joins the label."""
@@ -2139,55 +1588,12 @@ def _q_langid_confusion(sf_dir: str):
     return analytics.langid_confusion(_docs(sf_dir, ["lang", "text"]))
 
 
-def _q_revenue_share_by_nation(sf_dir: str):
-    """Nation revenue + ppm share of its region (ratio-to-report window);
-    oracle is SUM OVER (PARTITION BY region) with the same floor-div ppm."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.revenue_share_by_nation(sf_dir)
-
-
 def _q_k_anonymity(sf_dir: str):
     """k-anonymity risk over the (lang, source) quasi-identifier pair at
     k=10; oracle is the two-level GROUP BY with FILTER counters."""
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.k_anonymity_audit(_docs(sf_dir, ["lang", "source"]), ["lang", "source"], k=10)
-
-
-def _q_top_prices_with_ties(sf_dir: str):
-    """Grouped top-3 WITH TIES (DENSE_RANK semantics) on segment prices;
-    oracle is QUALIFY dense_rank() <= 3 on identical integer cents."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.top_prices_with_ties(sf_dir, k=3)
-
-
-def _q_session_durations(sf_dir: str):
-    """Exact p50/p90 session duration seconds + session count (30-min gap,
-    session_windows' break rule); oracle is the session replay + MIN/MAX
-    per session + cumulative-count quantile read."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return relational.session_duration_quantiles(events)
-
-
-def _q_trailing_rows_sum(sf_dir: str):
-    """ROWS-frame trailing window: per user, each event's value sum over
-    its last 5 events in (ts, event_id) order -- the row-counted dual of
-    rolling_7d_sum's calendar RANGE frame; shifted-cumsum kernel
-    (relational.trailing_rows_sum)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    )
-    return relational.trailing_rows_sum(ev, k=5)
 
 
 def _q_source_vocab_overlap(sf_dir: str):
@@ -2200,29 +1606,6 @@ def _q_source_vocab_overlap(sf_dir: str):
     return analytics.source_vocab_overlap(sf_dir)
 
 
-def _q_dominant_suppliers(sf_dir: str):
-    """TPC-H Q20 flavor: suppliers shipping >15% of some part's total
-    quantity, counted per supplier -- both aggregation levels and the
-    cross-multiplied compare fold inside ONE partkey-bucketed exchange
-    (relational.dominant_suppliers)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.dominant_suppliers(sf_dir, threshold_pct=15)
-
-
-def _q_out_of_order_audit(sf_dir: str):
-    """Streaming disorder audit: adjacent event-time inversions in per-user
-    ARRIVAL (event_id) order + worst lateness -- sizes watermark delay
-    before event-time windows are trusted; det stream measures 0 disorder
-    (relational.out_of_order_audit)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"])
-    return relational.out_of_order_audit(ev)
-
-
 def _q_normalized_dedup(sf_dir: str):
     """C4-style near-exact dedup profile after lowercase/punct-strip/
     ws-collapse normalization -- sizes the gap between raw exact dedup and
@@ -2231,16 +1614,6 @@ def _q_normalized_dedup(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.normalized_dedup_stats(_docs(sf_dir, ["text"]))
-
-
-def _q_cheapest_supplier(sf_dir: str):
-    """TPC-H Q2 shape: per part of size class 10, the supplier with the
-    MIN observed unit price (ties -> min suppkey); broadcast part filter,
-    map-side prune, one partkey-bucketed argmin exchange
-    (relational.cheapest_supplier_per_part)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.cheapest_supplier_per_part(sf_dir, p_size=10)
 
 
 def _q_lang_source_chi2(sf_dir: str):
@@ -2313,39 +1686,6 @@ def _q_vocab_growth(sf_dir: str):
     return analytics.vocab_growth(sf_dir)
 
 
-def _q_interval_overlap_pairs(sf_dir: str):
-    """Per-user count of overlapping activity-interval pairs (half-open
-    max(s) < min(e)) -- the double-booking audit over _activity_intervals,
-    the third sweep-line consumer next to coverage and peak concurrency;
-    counted pair-free via two searchsorted calls per bucket
-    (relational.overlap_pairs)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.overlap_pairs(
-        _activity_intervals(sf_dir), "user_id", "s_us", "e_us"
-    )
-
-
-def _q_important_parts(sf_dir: str):
-    """TPC-H Q11 shape: parts whose revenue exceeds 700 ppm of the GLOBAL
-    total -- the group-vs-global-scalar HAVING; the oracle repeats the
-    cross-multiplied HUGEINT compare and the ppm floor division
-    (relational.revenue_concentrated_parts)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.revenue_concentrated_parts(sf_dir, share_ppm=700)
-
-
-def _q_inactive_high_balance(sf_dir: str):
-    """TPC-H Q22 shape: per nation, customers above the positive-balance
-    average with NO order since 2000-01-01 -- global-scalar threshold +
-    date-filtered anti-join + grouped sum
-    (relational.inactive_high_balance)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.inactive_high_balance(sf_dir, cutoff="2000-01-01")
-
-
 def _q_split_skew_audit(sf_dir: str):
     """Exact TVD ppm between the train and test splits' n_chars
     distributions (256-wide buckets); oracle replays the md5 split and the
@@ -2353,35 +1693,6 @@ def _q_split_skew_audit(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.split_skew_audit(_docs(sf_dir, ["doc_id", "n_chars"]))
-
-
-def _q_first_last_order(sf_dir: str):
-    """Per-customer FIRST_VALUE/LAST_VALUE order price under the
-    deterministic (day, orderkey) order, with delta; oracle is the
-    row_number=1 replay both directions."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.first_last_order(sf_dir)
-
-
-def _q_supplier_hhi(sf_dir: str):
-    """Supplier revenue HHI concentration in ppm (exact integer square
-    sums past int64 via Python ints / HUGEINT); one suppkey exchange."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.supplier_hhi(sf_dir)
-
-
-def _q_decayed_user_value(sf_dir: str):
-    """Recency-weighted per-user value: integer cents halved per elapsed
-    week (bit shift) relative to the newest event -- exactly replayed by
-    the oracle with DuckDB's ``>>`` on the same whole-day age."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-    return analytics.decayed_user_value(ds, halflife_days=7)
 
 
 def _q_hybrid_topk(sf_dir: str):
@@ -2706,19 +2017,6 @@ def _q_quality_by_lang(sf_dir: str):
     return analytics.quality_by_lang(_docs(sf_dir, ["lang", "text"]))
 
 
-def _q_median_order_value(sf_dir: str):
-    """Exact distributed median via iterative histogram bisection (no global
-    sort; pull_limit forces at least one distributed histogram round)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-    v = analytics.exact_quantile(ds, "o_totalprice", q=0.5, pull_limit=1000)
-    return pd.DataFrame({"median_cents": [int(np.floor(v * 100 + 0.5))]})
-
-
 def _q_profile_documents(sf_dir: str):
     """Table profiling: per-column row/null/EXACT-distinct counts over
     documents (analytics.profile_table) -- every column shares ONE
@@ -2761,33 +2059,6 @@ _PPS_SAMPLE_SQL = (
     "h AS (SELECT doc_id, n_chars, CAST((cw * 500) // w - "
     "((cw - n_chars) * 500) // w AS BIGINT) AS n_hits FROM c, tot) "
     "SELECT doc_id, n_chars, n_hits FROM h WHERE n_hits > 0"
-)
-
-
-def _q_weighted_median_price(sf_dir: str):
-    """Quantity-weighted exact median of lineitem price
-    (analytics.weighted_quantile_cents): histogram bisection on WEIGHT
-    rank -- integer-cents bins, exact int64 weight sums, a width-1 bin is
-    the answer under any skew; pull_limit=1000 forces distributed rounds."""
-    import pandas as pd
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_extendedprice", "l_quantity"])
-    v = analytics.weighted_quantile_cents(
-        ds, "l_extendedprice", "l_quantity", q=0.5, pull_limit=1000)
-    return pd.DataFrame({"wmedian_cents": [int(v)]})
-
-
-_WEIGHTED_MEDIAN_PRICE_SQL = (
-    "WITH t AS (SELECT CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT) AS cents, "
-    "CAST(l_quantity AS BIGINT) AS w FROM lineitem), "
-    "tot AS (SELECT SUM(w) AS tw FROM t), "
-    "c AS (SELECT cents, SUM(w) OVER (ORDER BY cents) AS cw FROM t) "
-    "SELECT CAST(MIN(cents) AS BIGINT) AS wmedian_cents FROM c, tot "
-    "WHERE cw >= CEIL(0.5 * tw)"
 )
 
 
@@ -2874,73 +2145,6 @@ def _q_training_corpus_counts(sf_dir: str):
     )
 
 
-def _q_median_value_by_event_type(sf_dir: str):
-    """Exact per-event-type median of event value (grouped quantile over a
-    bounded key set: one histogram-bisection run per type, no sort)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    out = analytics.grouped_quantile(
-        lambda: rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
-        key="event_type",
-        col="value",
-        q=0.5,
-    )
-    return pd.DataFrame(
-        {
-            "event_type": out["event_type"],
-            "median_cents": np.floor(out["q_value"] * 100 + 0.5).astype("int64"),
-        }
-    )
-
-
-_MEDIAN_BY_TYPE_SQL = (
-    "WITH s AS (SELECT event_type, value AS v, "
-    "row_number() OVER (PARTITION BY event_type ORDER BY value) AS rn, "
-    "COUNT(*) OVER (PARTITION BY event_type) AS n FROM events) "
-    "SELECT event_type, CAST(FLOOR(v * 100 + 0.5) AS BIGINT) AS median_cents "
-    "FROM s WHERE rn = CAST(CEIL(0.5 * n) AS BIGINT)"
-)
-
-
-def _q_user_median_value_sketch(sf_dir: str):
-    """Per-user approximate median event value via the unbounded-key
-    grouped histogram sketch (256 bins; estimate = first-bin lower edge,
-    deterministic, replayed bit-for-bit in SQL)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    out = analytics.grouped_quantile_sketch(ds, key="user_id", col="value", q=0.5).to_pandas()
-    return pd.DataFrame(
-        {
-            "user_id": out["user_id"].astype("int64"),
-            "approx_median_cents": np.floor(out["q_value"] * 100 + 0.5).astype("int64"),
-        }
-    )
-
-
-_USER_MEDIAN_SKETCH_SQL = (
-    # same float64 arithmetic as the engine: w = (hi-lo)/256, bin =
-    # clip(floor((v-lo)/w)), estimate = lo + first_bin(cum >= ceil(q*n)) * w
-    "WITH m AS (SELECT CAST(MIN(value) AS DOUBLE) lo, CAST(MAX(value) AS DOUBLE) hi FROM events), "
-    "b AS (SELECT user_id, LEAST(GREATEST(CAST(FLOOR((CAST(value AS DOUBLE) - m.lo) / "
-    "(CASE WHEN m.hi > m.lo THEN (m.hi - m.lo) / 256.0 ELSE 1.0 END)) AS BIGINT), 0), 255) AS bin "
-    "FROM events, m), "
-    "c AS (SELECT user_id, bin, COUNT(*) cnt FROM b GROUP BY 1, 2), "
-    "cum AS (SELECT user_id, bin, SUM(cnt) OVER (PARTITION BY user_id ORDER BY bin) AS cum, "
-    "SUM(cnt) OVER (PARTITION BY user_id) AS n FROM c), "
-    "pick AS (SELECT user_id, MIN(bin) AS bin FROM cum WHERE cum >= CEIL(0.5 * n) GROUP BY 1) "
-    "SELECT p.user_id, CAST(FLOOR((m.lo + p.bin * "
-    "(CASE WHEN m.hi > m.lo THEN (m.hi - m.lo) / 256.0 ELSE 1.0 END)) * 100 + 0.5) AS BIGINT) "
-    "AS approx_median_cents FROM pick p, m"
-)
-
-
 def _q_tfidf_keywords(sf_dir: str):
     """Top-3 tf-idf keywords per document (integer ppm, term-ascending tie
     break); df pass + broadcast idf + batch-local per-doc top-k."""
@@ -2959,30 +2163,6 @@ _TFIDF_SQL = (
     "* 1000000.0 + 0.5) AS BIGINT) AS score_ppm FROM tf JOIN df USING(term), n) "
     "SELECT doc_id, term, score_ppm FROM sc "
     "QUALIFY row_number() OVER (PARTITION BY doc_id ORDER BY score_ppm DESC, term) <= 3"
-)
-
-
-def _q_debounce_events(sf_dir: str):
-    """Stream debounce: per (user_id, event_type), ordered by (ts,
-    event_id), drop events within 24 h of their predecessor (pure-LAG
-    semantics so the SQL window replays it exactly; 24 h drops ~36% of the
-    synthetic events, so the filter is meaningfully exercised)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "event_type", "ts"]
-    )
-    return relational.debounce_events(ds, min_gap_seconds=86_400)
-
-
-_DEBOUNCE_SQL = (
-    "WITH s AS (SELECT event_id, user_id, event_type, ts, "
-    "LAG(ts) OVER (PARTITION BY user_id, event_type ORDER BY ts, event_id) AS pts "
-    "FROM events) "
-    "SELECT event_id, user_id, event_type FROM s "
-    "WHERE pts IS NULL OR ts - pts >= INTERVAL 86400 SECOND"
 )
 
 
@@ -3220,35 +2400,6 @@ def _q_media_dedup_groups(sf_dir: str):
     return analytics.media_dedup_groups(rd.from_arrow(full))
 
 
-def _q_skyline_orders(sf_dir: str):
-    """Pareto frontier of orders on (price higher-better, date later-better).
-    Engine: per-batch local skyline (vectorized price-desc sweep) then one
-    tiny single-block merge — the skyline-of-union == skyline-of-local-
-    skylines property means the shuffle moves only frontier rows. Money as
-    integer cents, dates as epoch days, exact on both sides."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice", "o_orderdate"],
-    )
-    return analytics.skyline_orders(ds)
-
-
-_SKYLINE_ORDERS_SQL = (
-    "WITH o AS (SELECT o_orderkey, "
-    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS price_cents, "
-    "CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 86400 AS date_day FROM orders) "
-    "SELECT o_orderkey, price_cents, date_day FROM o a "
-    "WHERE NOT EXISTS (SELECT 1 FROM o b "
-    "WHERE b.price_cents >= a.price_cents AND b.date_day >= a.date_day "
-    "AND (b.price_cents > a.price_cents OR b.date_day > a.date_day)) "
-    "ORDER BY o_orderkey"
-)
-
-
 def _read_narrow(path: str, columns, filter=None, rows_per_block: int = 4_000_000):
     """Size-derived read for NARROW projections (key/audit scans): Ray's
     default parallelism heuristic splits by cpu count, which turns a
@@ -3263,535 +2414,6 @@ def _read_narrow(path: str, columns, filter=None, rows_per_block: int = 4_000_00
     n = _pq.ParquetFile(path).metadata.num_rows
     nb = max(1, min(512, n // rows_per_block + 1))
     return rd.read_parquet(path, columns=columns, filter=filter, override_num_blocks=nb)
-
-
-def _q_mode_event_type(sf_dir: str):
-    """Grouped mode: each user's most frequent event type (ties -> smallest
-    type string). Engine: per-batch partial counts -> one key-domain hash
-    exchange -> vectorized per-bucket argmax (relational.mode_by_key)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "event_type"])
-    return relational.mode_by_key(ds, "user_id", "event_type")
-
-
-_MODE_EVENT_TYPE_SQL = (
-    "WITH c AS (SELECT user_id, event_type, CAST(COUNT(*) AS BIGINT) AS n "
-    "FROM events GROUP BY 1, 2), "
-    "r AS (SELECT user_id, event_type, n, ROW_NUMBER() OVER "
-    "(PARTITION BY user_id ORDER BY n DESC, event_type ASC) AS rk FROM c) "
-    "SELECT user_id, event_type AS mode_value, n AS n_rows FROM r WHERE rk = 1"
-)
-
-
-def _q_fk_orphan_audit(sf_dir: str):
-    """Referential-integrity audit after simulated parent purges: orphaned
-    lineitems when only finished orders survive, orphaned orders/events when
-    only BUILDING-segment customers survive. Parent filters are pushed into
-    the parquet read (row-group stats); all three anti-joins share ONE
-    key-domain exchange (relational.orphan_audit_multi) — no broadcast,
-    no row shuffle, one groupby barrier total."""
-    import pyarrow.dataset as pds
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    lineitem = _read_narrow(f"{sf_dir}/lineitem.parquet", ["l_orderkey"])
-    orders_f = _read_narrow(
-        f"{sf_dir}/orders.parquet", ["o_orderkey"],
-        filter=(pds.field("o_orderstatus") == "F"),
-    )
-    orders = _read_narrow(f"{sf_dir}/orders.parquet", ["o_custkey"])
-    events = _read_narrow(f"{sf_dir}/events.parquet", ["user_id"])
-    cust_b = _read_narrow(
-        f"{sf_dir}/customer.parquet", ["c_custkey"],
-        filter=(pds.field("c_mktsegment") == "BUILDING"),
-    )
-    return relational.orphan_audit_multi(
-        [
-            (lineitem, "l_orderkey", orders_f, "o_orderkey", "lineitem->orders[F]"),
-            (orders, "o_custkey", cust_b, "c_custkey", "orders->customer[BUILDING]"),
-            (events, "user_id", cust_b, "c_custkey", "events->customer[BUILDING]"),
-        ]
-    )
-
-
-_FK_ORPHAN_AUDIT_SQL = (
-    "SELECT 'lineitem->orders[F]' AS relation, "
-    "CAST(COUNT(*) AS BIGINT) AS n_child_rows, "
-    "CAST(SUM(CASE WHEN o.o_orderkey IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_orphan_rows, "
-    "CAST(COUNT(DISTINCT CASE WHEN o.o_orderkey IS NULL THEN l.l_orderkey END) AS BIGINT) "
-    "AS n_orphan_keys "
-    "FROM lineitem l LEFT JOIN (SELECT o_orderkey FROM orders WHERE o_orderstatus = 'F') o "
-    "ON l.l_orderkey = o.o_orderkey "
-    "UNION ALL SELECT 'orders->customer[BUILDING]', CAST(COUNT(*) AS BIGINT), "
-    "CAST(SUM(CASE WHEN c.c_custkey IS NULL THEN 1 ELSE 0 END) AS BIGINT), "
-    "CAST(COUNT(DISTINCT CASE WHEN c.c_custkey IS NULL THEN o.o_custkey END) AS BIGINT) "
-    "FROM orders o LEFT JOIN (SELECT c_custkey FROM customer WHERE c_mktsegment = 'BUILDING') c "
-    "ON o.o_custkey = c.c_custkey "
-    "UNION ALL SELECT 'events->customer[BUILDING]', CAST(COUNT(*) AS BIGINT), "
-    "CAST(SUM(CASE WHEN c.c_custkey IS NULL THEN 1 ELSE 0 END) AS BIGINT), "
-    "CAST(COUNT(DISTINCT CASE WHEN c.c_custkey IS NULL THEN e.user_id END) AS BIGINT) "
-    "FROM events e LEFT JOIN (SELECT c_custkey FROM customer WHERE c_mktsegment = 'BUILDING') c "
-    "ON e.user_id = c.c_custkey"
-)
-
-
-def _q_corr_qty_price(sf_dir: str):
-    """Pearson correlation between lineitem quantity and extended price —
-    a 6-number exact-integer reduction with zero shuffle
-    (analytics.corr_stats); ONE shared float64 expression finishes it."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = _read_narrow(f"{sf_dir}/lineitem.parquet", ["l_quantity", "l_extendedprice"])
-    return analytics.corr_stats(ds, "l_quantity", "l_extendedprice")
-
-
-_CORR_QTY_PRICE_SQL = (
-    "WITH s AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-    "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS HUGEINT)) AS sx, "
-    "SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS HUGEINT)) AS sy, "
-    "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS HUGEINT) * "
-    "CAST(FLOOR(l_extendedprice*100 + 0.5) AS HUGEINT)) AS sxy, "
-    "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS HUGEINT) * "
-    "CAST(FLOOR(l_quantity*100 + 0.5) AS HUGEINT)) AS sx2, "
-    "SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS HUGEINT) * "
-    "CAST(FLOOR(l_extendedprice*100 + 0.5) AS HUGEINT)) AS sy2 FROM lineitem) "
-    "SELECT n, CAST(sx AS BIGINT) AS sum_x_cents, CAST(sy AS BIGINT) AS sum_y_cents, "
-    "CAST(FLOOR(CAST(n*sxy - sx*sy AS DOUBLE) / "
-    "(sqrt(CAST(n*sx2 - sx*sx AS DOUBLE)) * sqrt(CAST(n*sy2 - sy*sy AS DOUBLE))) "
-    "* 1e6 + 0.5) AS BIGINT) AS corr_ppm FROM s"
-)
-
-
-def _q_forward_fill_daily(sf_dir: str):
-    """Calendar densification + forward fill: per user, the last observed
-    event value of each day carried forward across the user's own day span
-    (relational.forward_fill_daily); one activity-domain exchange, one
-    vectorized searchsorted fill per bucket."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "value", "event_id"])
-    return relational.forward_fill_daily(ds, "user_id", "ts", "value", "event_id")
-
-
-_FORWARD_FILL_DAILY_SQL = (
-    "WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-    "o AS (SELECT user_id, day, cents FROM (SELECT user_id, day, cents, "
-    "ROW_NUMBER() OVER (PARTITION BY user_id, day ORDER BY ts DESC, event_id DESC) "
-    "AS rn FROM e) WHERE rn = 1), "
-    "s AS (SELECT user_id, MIN(day) AS d0, MAX(day) AS d1 FROM o GROUP BY 1), "
-    "g AS (SELECT user_id, UNNEST(generate_series(d0, d1)) AS day FROM s), "
-    "j AS (SELECT g.user_id, g.day, o.cents FROM g LEFT JOIN o "
-    "ON g.user_id = o.user_id AND g.day = o.day) "
-    "SELECT user_id, day, CAST(last_value(cents IGNORE NULLS) OVER "
-    "(PARTITION BY user_id ORDER BY day ROWS BETWEEN UNBOUNDED PRECEDING AND "
-    "CURRENT ROW) AS BIGINT) AS value_cents, "
-    "CAST(CASE WHEN cents IS NULL THEN 0 ELSE 1 END AS BIGINT) AS observed FROM j"
-)
-
-
-def _q_scd2_history(sf_dir: str):
-    """SCD type-2 compaction: per user, the daily last-observed value
-    stream collapsed into change intervals (valid_from_day, valid_to_day,
-    value_cents), open interval marked -1 (relational.scd2_history);
-    shares forward_fill_daily's map-side daily-argmax collapse."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "value", "event_id"])
-    return relational.scd2_history(ds, "user_id", "ts", "value", "event_id")
-
-
-_SCD2_HISTORY_SQL = (
-    "WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-    "o AS (SELECT user_id, day, cents FROM (SELECT user_id, day, cents, "
-    "ROW_NUMBER() OVER (PARTITION BY user_id, day ORDER BY ts DESC, event_id DESC) "
-    "AS rn FROM e) WHERE rn = 1), "
-    "c AS (SELECT user_id, day, cents, LAG(cents) OVER "
-    "(PARTITION BY user_id ORDER BY day) AS prev FROM o), "
-    "k AS (SELECT user_id, day AS valid_from_day, cents FROM c "
-    "WHERE prev IS NULL OR cents != prev) "
-    "SELECT user_id, valid_from_day, COALESCE(LEAD(valid_from_day) OVER "
-    "(PARTITION BY user_id ORDER BY valid_from_day), CAST(-1 AS BIGINT)) "
-    "AS valid_to_day, cents AS value_cents FROM k"
-)
-
-
-def _q_pit_value_join(sf_dir: str):
-    """Point-in-time join: each purchase event picks the SCD2 dimension
-    version valid at event time (relational.pit_value_join) -- the
-    leakage-safe feature-store join, composed from the scd2_history build
-    plus the bucketed as-of join."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.pit_value_join(sf_dir, event_type="purchase")
-
-
-_PIT_VALUE_JOIN_SQL = (
-    "WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-    "o AS (SELECT user_id, day, cents FROM (SELECT user_id, day, cents, "
-    "ROW_NUMBER() OVER (PARTITION BY user_id, day ORDER BY ts DESC, event_id DESC) "
-    "AS rn FROM e) WHERE rn = 1), "
-    "c AS (SELECT user_id, day, cents, LAG(cents) OVER "
-    "(PARTITION BY user_id ORDER BY day) AS prev FROM o), "
-    "k AS (SELECT user_id, day AS valid_from_day, cents FROM c "
-    "WHERE prev IS NULL OR cents != prev), "
-    "v AS (SELECT user_id, valid_from_day, COALESCE(LEAD(valid_from_day) OVER "
-    "(PARTITION BY user_id ORDER BY valid_from_day), CAST(-1 AS BIGINT)) "
-    "AS valid_to_day, cents AS value_cents FROM k), "
-    "p AS (SELECT event_id, user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 "
-    "AS day FROM events WHERE event_type = 'purchase') "
-    "SELECT p.event_id, p.user_id, p.day, v.value_cents FROM p JOIN v "
-    "ON v.user_id = p.user_id AND v.valid_from_day <= p.day "
-    "AND (v.valid_to_day = -1 OR p.day < v.valid_to_day)"
-)
-
-
-def _q_order_part_list(sf_dir: str):
-    """Grouped ordered collect: per order, the sorted distinct part keys
-    joined with ',' (relational.collect_sorted_list); map-side distinct
-    collapse, one pair-domain exchange, one vectorized join per bucket."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    # smaller blocks than the narrow-scan default: the string-join reduce
-    # parallelism equals the block count feeding the groupby, and this
-    # kernel is compute-bound (measured 7.0 s single-block vs ~1.3 s at 6
-    # blocks on identical sf0.1 input)
-    ds = _read_narrow(
-        f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"],
-        rows_per_block=100_000,
-    )
-    return relational.collect_sorted_list(ds, "l_orderkey", "l_partkey", "parts_csv")
-
-
-_ORDER_PART_LIST_SQL = (
-    "WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem) "
-    "SELECT l_orderkey, CAST(COUNT(*) AS BIGINT) AS n_values, "
-    "STRING_AGG(CAST(l_partkey AS VARCHAR), ',' ORDER BY l_partkey) AS parts_csv "
-    "FROM d GROUP BY l_orderkey"
-)
-
-
-def _q_rolling_7d_sum(sf_dir: str):
-    """Trailing 7-day range-window spend per user and active day
-    (relational.rolling_range_sum); map-side daily-sum collapse, one
-    key-domain exchange, prefix-sum + searchsorted windows per bucket --
-    no calendar densify."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "value"])
-    return relational.rolling_range_sum(ds, "user_id", "ts", "value", window_days=7)
-
-
-_ROLLING_7D_SUM_SQL = (
-    "WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
-    "d AS (SELECT user_id, day, SUM(cents) AS c FROM e GROUP BY 1, 2) "
-    "SELECT user_id, day, CAST(c AS BIGINT) AS day_cents, "
-    "CAST(SUM(c) OVER (PARTITION BY user_id ORDER BY day "
-    "RANGE BETWEEN 6 PRECEDING AND CURRENT ROW) AS BIGINT) AS sum_window_cents "
-    "FROM d"
-)
-
-
-def _q_conversion_within(sf_dir: str):
-    """Click->purchase-within-7-days conversion attribution per user
-    (relational.conversion_within): map-side projection keeps only the
-    two event types, one key-domain exchange, then two searchsorted
-    calls over a window-padded ordinal composite answer every click at
-    once -- no per-key loop, no pair materialization."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "event_type"])
-    return relational.conversion_within(
-        ds, "user_id", "ts", "event_type", "click", "purchase",
-        window_us=7 * 86_400_000_000,
-    )
-
-
-_CONVERSION_WITHIN_SQL = (
-    "WITH c AS (SELECT user_id, epoch_us(ts) AS t, ROW_NUMBER() OVER () AS rid "
-    "FROM events WHERE event_type = 'click'), "
-    "p AS (SELECT user_id, epoch_us(ts) AS t FROM events "
-    "WHERE event_type = 'purchase'), "
-    "per AS (SELECT c.user_id, c.rid, COUNT(p.t) AS m FROM c LEFT JOIN p "
-    "ON p.user_id = c.user_id AND p.t > c.t AND p.t <= c.t + 604800000000 "
-    "GROUP BY c.user_id, c.rid) "
-    "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_from, "
-    "CAST(SUM(CASE WHEN m > 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_converted, "
-    "CAST(SUM(m) AS BIGINT) AS n_pairs FROM per GROUP BY user_id"
-)
-
-
-def _q_order_rank_global(sf_dir: str):
-    """Global 0-based RANK() of every order by total price
-    (relational.global_rank): two narrow passes derive range bins and
-    their prefix-sum offsets, then ONE range exchange ranks each bin
-    locally -- the total-order window with no all-to-all sort."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"])
-    return relational.global_rank(ds, "o_totalprice", "o_orderkey")
-
-
-_ORDER_RANK_GLOBAL_SQL = (
-    "SELECT o_orderkey, CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS value_cents, "
-    "CAST(RANK() OVER (ORDER BY CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) - 1 "
-    "AS BIGINT) AS rank0 FROM orders"
-)
-
-
-def _q_order_decile_stats(sf_dir: str):
-    """Equi-depth deciles of order totals (relational.global_ntile):
-    NTILE(10) over (price, orderkey) without a global sort -- the shared
-    range-histogram prefix sum makes every row's global row number
-    computable inside its value bin; per-tile partials merge in one tiny
-    final block."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_totalprice"])
-    return relational.global_ntile(ds, "o_totalprice", "o_orderkey", n_tiles=10)
-
-
-_ORDER_DECILE_STATS_SQL = (
-    "WITH r AS (SELECT CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents, "
-    "NTILE(10) OVER (ORDER BY CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT), "
-    "o_orderkey) AS tile FROM orders) "
-    "SELECT CAST(tile AS BIGINT) AS tile, CAST(COUNT(*) AS BIGINT) AS n_rows, "
-    "MIN(cents) AS min_cents, MAX(cents) AS max_cents, "
-    "CAST(SUM(cents) AS BIGINT) AS sum_cents FROM r GROUP BY tile"
-)
-
-
-def _q_spike_days(sf_dir: str):
-    """Daily spend-anomaly flags (relational.spike_days): a day spikes
-    when its total beats 2x the trailing-28-observed-day mean, compared
-    in cross-multiplied integer form -- bounded day domain, single-block
-    prefix-sum window."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["ts", "value"])
-    return relational.spike_days(ds, "ts", "value")
-
-
-_SPIKE_DAYS_SQL = (
-    "WITH d AS (SELECT CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS rev FROM events GROUP BY 1), "
-    "w AS (SELECT day, rev, COALESCE(SUM(rev) OVER (ORDER BY day "
-    "ROWS BETWEEN 28 PRECEDING AND 1 PRECEDING), 0) AS sp, "
-    "COUNT(rev) OVER (ORDER BY day ROWS BETWEEN 28 PRECEDING AND 1 PRECEDING) "
-    "AS np FROM d) "
-    "SELECT day, CAST(rev AS BIGINT) AS rev_cents, "
-    "CAST(CASE WHEN np >= 7 AND rev * np > 2 * sp THEN 1 ELSE 0 END AS BIGINT) "
-    "AS spike FROM w"
-)
-
-
-def _q_fulfillment_latency(sf_dir: str):
-    """Fulfillment SLA: exact p50/p90 of (last ship day - order day) per
-    priority (relational.fulfillment_latency); one orderkey exchange
-    resolves per-order max ship day, the bounded (priority, latency)
-    count table is the quantile's sufficient statistic."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.fulfillment_latency(sf_dir)
-
-
-_FULFILLMENT_LATENCY_SQL = (
-    "WITH per AS (SELECT o.o_orderpriority AS pri, "
-    "MAX(CAST(FLOOR(epoch(l.l_shipdate)) AS BIGINT) // 86400) - "
-    "CAST(FLOOR(epoch(o.o_orderdate)) AS BIGINT) // 86400 AS lat "
-    "FROM orders o JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-    "GROUP BY o.o_orderkey, o.o_orderpriority, o.o_orderdate), "
-    "c AS (SELECT pri, lat, COUNT(*) AS n FROM per GROUP BY 1, 2), "
-    "w AS (SELECT pri, lat, SUM(n) OVER (PARTITION BY pri ORDER BY lat) AS cum, "
-    "SUM(n) OVER (PARTITION BY pri) AS tot FROM c) "
-    "SELECT pri AS o_orderpriority, CAST(MAX(tot) AS BIGINT) AS n_orders, "
-    "CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN lat END) AS BIGINT) AS p50_days, "
-    "CAST(MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN lat END) AS BIGINT) AS p90_days "
-    "FROM w GROUP BY pri"
-)
-
-
-def _q_key_skew(sf_dir: str):
-    """Join-key skew pre-flight on lineitem.l_suppkey: exact group-size
-    max/p50/p99 off a (size, n_keys) count table — the salting-decision
-    diagnostic. Oracle: double GROUP BY + cumulative-count windows."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/lineitem.parquet", ["l_suppkey"])
-    return relational.key_skew_report(ds, "l_suppkey")
-
-
-def _q_weekly_revenue_wow(sf_dir: str):
-    """Week-over-week revenue deltas (relational.period_over_period):
-    per-batch period collapse, bounded-domain single-block LAG; integer
-    cents end-to-end, gap weeks skipped like SQL LAG."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/orders.parquet",
-                      ["o_orderdate", "o_totalprice"])
-    return relational.period_over_period(ds, "o_orderdate", "o_totalprice",
-                                         period_days=7)
-
-
-_WEEKLY_REVENUE_WOW_SQL = (
-    "WITH w AS (SELECT CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 604800 "
-    "AS period, SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS rev "
-    "FROM orders GROUP BY 1) "
-    "SELECT period, CAST(rev AS BIGINT) AS rev_cents, "
-    "CAST(COALESCE(LAG(rev) OVER (ORDER BY period), 0) AS BIGINT) AS prev_cents, "
-    "CAST(rev - COALESCE(LAG(rev) OVER (ORDER BY period), 0) AS BIGINT) "
-    "AS delta_cents FROM w"
-)
-
-
-def _q_order_value_gini(sf_dir: str):
-    """Revenue concentration: exact Gini coefficient of order totals in
-    ppm (relational.gini_ppm) -- rank formulation over the shared range
-    histogram; integer arithmetic end-to-end, HUGEINT on the SQL side."""
-    import pandas as pd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/orders.parquet", ["o_totalprice"])
-    return pd.DataFrame({"gini_ppm": [relational.gini_ppm(ds, "o_totalprice")]})
-
-
-_ORDER_VALUE_GINI_SQL = (
-    "WITH r AS (SELECT CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS c, "
-    "ROW_NUMBER() OVER (ORDER BY CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) "
-    "AS rn FROM orders), "
-    "s AS (SELECT SUM(CAST(rn AS HUGEINT) * c) AS s2, "
-    "SUM(CAST(c AS HUGEINT)) AS s1, CAST(COUNT(*) AS HUGEINT) AS n FROM r) "
-    "SELECT CAST((2*s2 - (n+1)*s1) * 1000000 // (n * s1) AS BIGINT) "
-    "AS gini_ppm FROM s"
-)
-
-
-def _q_approx_users_by_type(sf_dir: str):
-    """Grouped HLL: approximate distinct users per event_type
-    (sketches.approx_distinct_by_key, p=10) -- one mergeable register
-    array per (batch, type), KB-sized exchange, estimator replayed
-    bit-exactly by the DuckDB oracle."""
-    from distributed_system___ocr_ray.functions.sketches import approx_distinct_by_key
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["event_type", "user_id"])
-    return approx_distinct_by_key(ds, "event_type", "user_id", p=10)
-
-
-def _q_new_users_daily(sf_dir: str):
-    """First-touch growth curve: new users per day + cumulative distinct
-    users (relational.new_users_daily); per-key MIN collapse, one
-    key-domain exchange, bounded-day-domain final cumsum."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts"])
-    return relational.new_users_daily(ds)
-
-
-_NEW_USERS_DAILY_SQL = (
-    "WITH f AS (SELECT user_id, MIN(CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400) "
-    "AS day FROM events GROUP BY 1), "
-    "d AS (SELECT day, CAST(COUNT(*) AS BIGINT) AS new_users FROM f GROUP BY 1) "
-    "SELECT day, new_users, CAST(SUM(new_users) OVER (ORDER BY day "
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS BIGINT) AS cum_users FROM d"
-)
-
-
-def _q_rolling_active_users(sf_dir: str):
-    """Trailing-30-day distinct active users per calendar day
-    (relational.rolling_active_users): per-batch distinct-(user, day)
-    collapse, one key-domain exchange, per-bucket coverage-island +1/-1
-    deltas, then a single bounded-day-domain cumsum + calendar expansion
-    -- never a per-day COUNT(DISTINCT) rescan."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts"])
-    return relational.rolling_active_users(ds, window_days=30)
-
-
-_ROLLING_ACTIVE_USERS_SQL = (
-    "WITH ud AS (SELECT DISTINCT user_id, "
-    "CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS d FROM events), "
-    "b AS (SELECT MIN(d) AS lo, MAX(d) AS hi FROM ud), "
-    "cal AS (SELECT UNNEST(range(lo, hi + 1)) AS day FROM b) "
-    "SELECT cal.day AS day, CAST(COUNT(DISTINCT ud.user_id) AS BIGINT) "
-    "AS active_users FROM cal LEFT JOIN ud "
-    "ON ud.d BETWEEN cal.day - 29 AND cal.day GROUP BY cal.day"
-)
-
-
-def _q_bucketed_join_revenue(sf_dir: str):
-    """Storage co-partitioned join end-to-end: write orders and lineitem
-    hash-BUCKETED on the order key (lance_like.write_bucketed -- the one
-    ingest-time exchange), then join them bucket-by-bucket with ZERO
-    query-time shuffle (relational.zip_join_bucketed) and aggregate
-    quantity per order priority. The green row certifies the bucketed
-    writer, the spec validation and the zip join against a plain SQL
-    join."""
-    import shutil
-    import tempfile
-
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-    from distributed_system___ocr_ray.sources import lance_like
-
-    root = tempfile.mkdtemp(prefix="graft_bucketed_")
-    try:
-        lance_like.write_bucketed(
-            _read_narrow(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_orderpriority"]),
-            f"{root}/orders", "o_orderkey", 16,
-        )
-        lance_like.write_bucketed(
-            _read_narrow(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_quantity"]),
-            f"{root}/lineitem", "l_orderkey", 16,
-        )
-        joined = relational.zip_join_bucketed(
-            f"{root}/orders", f"{root}/lineitem", "o_orderkey", "l_orderkey"
-        )
-
-        def partial(batch: "pa.Table") -> "pa.Table":
-            import pyarrow as pa
-
-            t = pa.table(
-                {
-                    "o_orderpriority": batch.column("o_orderpriority"),
-                    "qty_cents": pa.array(
-                        np.floor(
-                            batch.column("l_quantity").to_numpy(zero_copy_only=False)
-                            * 100.0 + 0.5
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
-            return t.group_by(["o_orderpriority"]).aggregate(
-                [("qty_cents", "sum"), ("qty_cents", "count")]
-            )
-
-        from distributed_system___ocr_ray.pipelines.relational import tiny_final_groupby
-
-        out = tiny_final_groupby(
-            joined.map_batches(partial, batch_format="pyarrow"),
-            ["o_orderpriority"],
-            [("qty_cents_sum", "sum"), ("qty_cents_count", "sum")],
-            ["o_orderpriority", "sum_qty_cents", "n_rows"],
-        )
-        return out.to_pandas()  # materialize before the scratch dir is removed
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
-_BUCKETED_JOIN_REVENUE_SQL = (
-    "SELECT o_orderpriority, "
-    "CAST(SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty_cents, "
-    "CAST(COUNT(*) AS BIGINT) AS n_rows "
-    "FROM orders JOIN lineitem ON o_orderkey = l_orderkey GROUP BY 1"
-)
 
 
 def _q_label_centroids(sf_dir: str):
@@ -3812,88 +2434,6 @@ _LABEL_CENTROIDS_SQL = (
     "SELECT CAST(label AS BIGINT) AS label, CAST(k1 - 1 AS BIGINT) AS dim, "
     "CAST(SUM(v) AS BIGINT) AS sum_micros, CAST(COUNT(*) AS BIGINT) AS n_vecs "
     "FROM u GROUP BY 1, 2"
-)
-
-
-def _q_incremental_daily_totals(sf_dir: str):
-    """Incremental view maintenance end-to-end: build a Lance-style event
-    table (~75% of rows), materialize the daily aggregate, append the
-    remaining ~25%, then refresh the aggregate from the DIFF fragments
-    alone (compose.refresh_daily_agg) -- raising unless the refresh
-    actually read fewer fragments than a full rebuild. The green row
-    certifies O(increment) refresh == full recompute."""
-    import os
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    from distributed_system___ocr_ray.pipelines import compose
-    from distributed_system___ocr_ray.sources import lance_like
-
-    root = tempfile.mkdtemp(prefix="graft_ivm_") + "/events"
-    try:
-        base = _read_narrow(f"{sf_dir}/events.parquet", ["event_id", "ts", "value"])
-
-        def split(keep_mod: bool):
-            def f(batch: "pa.Table") -> "pa.Table":
-                m = pc.equal(pc.bit_wise_and(batch.column("event_id"), 3), 0)
-                mask = m if keep_mod else pc.invert(m)
-                return batch.filter(mask).select(["ts", "value"])
-            return f
-
-        lance_like.write_dataset(
-            base.map_batches(split(False), batch_format="pyarrow"), root,
-            rows_per_fragment=2048,
-        )
-        agg1, v1 = compose.refresh_daily_agg(root)
-        lance_like.write_dataset(
-            base.map_batches(split(True), batch_format="pyarrow"), root,
-            mode="append", rows_per_fragment=2048,
-        )
-        n_total = len(lance_like.fragment_paths(root))
-        d = lance_like.diff(root, v1)
-        if not d["added"] or len(d["added"]) >= n_total:
-            raise RuntimeError("incremental refresh did not prune fragments")
-        agg2, _ = compose.refresh_daily_agg(root, agg1, v1)
-        return agg2
-    finally:
-        shutil.rmtree(os.path.dirname(root), ignore_errors=True)
-
-
-_INCREMENTAL_DAILY_TOTALS_SQL = (
-    "SELECT CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) AS value_cents, "
-    "CAST(COUNT(*) AS BIGINT) AS n_events FROM events GROUP BY 1"
-)
-
-
-def _q_late_orders_by_priority(sf_dir: str):
-    """TPC-H Q4-shape EXISTS semi-join: orders with at least one lineitem
-    shipped on/after 2000-06-01, counted per priority
-    (relational.semi_join_agg); the probe side collapses to distinct keys
-    map-side and broadcasts once -- the fact table streams, no shuffle."""
-    import pyarrow.compute as pc
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    cutoff = pa.scalar(np.datetime64("2000-06-01", "us"), pa.timestamp("us"))
-
-    def late_only(batch: "pa.Table") -> "pa.Table":
-        mask = pc.greater_equal(batch.column("l_shipdate"), cutoff)
-        return batch.filter(mask).select(["l_orderkey"])
-
-    probe = _read_narrow(f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_shipdate"]).map_batches(
-        late_only, batch_format="pyarrow"
-    )
-    fact = _read_narrow(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_orderpriority"])
-    return relational.semi_join_agg(fact, probe, "o_orderkey", "l_orderkey", "o_orderpriority")
-
-
-_LATE_ORDERS_BY_PRIORITY_SQL = (
-    "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n_matching FROM orders "
-    "WHERE EXISTS (SELECT 1 FROM lineitem WHERE l_orderkey = o_orderkey "
-    "AND l_shipdate >= TIMESTAMP '2000-06-01') GROUP BY 1"
 )
 
 
@@ -3988,190 +2528,6 @@ def _q_wap_publish_counts(sf_dir: str):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _q_time_travel_counts(sf_dir: str):
-    """Snapshot-isolation read (time travel): write odd-event rows as
-    table version 1, append the evens as version 2, then aggregate AT
-    VERSION 1 -- the versioned manifest guarantees the snapshot is
-    unaffected by later appends (Lance/Iceberg time-travel semantics;
-    every fragment is immutable, so an old manifest IS the old table).
-    The oracle replays the v1 membership rule (odd event_id) in SQL."""
-    import os
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines.relational import tiny_final_groupby
-    from distributed_system___ocr_ray.sources import lance_like
-
-    root = tempfile.mkdtemp(prefix="graft_tt_") + "/events"
-    try:
-        base = _read_narrow(f"{sf_dir}/events.parquet", ["event_id", "event_type", "value"])
-
-        def half(odd: bool):
-            def f(batch: "pa.Table") -> "pa.Table":
-                m = pc.equal(pc.bit_wise_and(batch.column("event_id"), 1), 1)
-                return batch.filter(m if odd else pc.invert(m)).select(
-                    ["event_type", "value"]
-                )
-            return f
-
-        lance_like.write_dataset(base.map_batches(half(True), batch_format="pyarrow"), root)
-        lance_like.write_dataset(
-            base.map_batches(half(False), batch_format="pyarrow"), root, mode="append"
-        )
-        if lance_like.latest_version(root) != 2:
-            raise RuntimeError("expected two manifest versions")
-        v1_paths = lance_like.fragment_paths(root, version=1)
-
-        def partial(batch: "pa.Table") -> "pa.Table":
-            t = pa.table(
-                {
-                    "event_type": batch.column("event_type"),
-                    "value_cents": pa.array(
-                        np.floor(
-                            batch.column("value").to_numpy(zero_copy_only=False)
-                            * 100.0 + 0.5
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
-            return t.group_by(["event_type"]).aggregate(
-                [("value_cents", "sum"), ("value_cents", "count")]
-            )
-
-        out = tiny_final_groupby(
-            rd.read_parquet(v1_paths).map_batches(partial, batch_format="pyarrow"),
-            keys=["event_type"],
-            aggs=[("value_cents_sum", "sum"), ("value_cents_count", "sum")],
-            out_names=["event_type", "value_cents", "n_events"],
-        )
-        return out.to_pandas()
-    finally:
-        shutil.rmtree(os.path.dirname(root), ignore_errors=True)
-
-
-_TIME_TRAVEL_COUNTS_SQL = (
-    "SELECT event_type, "
-    "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) AS value_cents, "
-    "CAST(COUNT(*) AS BIGINT) AS n_events FROM events "
-    "WHERE event_id % 2 = 1 GROUP BY 1"
-)
-
-
-def _q_star_join_revenue(sf_dir: str):
-    """Star-schema revenue cube: lineitem enriched by part (brand) AND
-    supplier->nation (snowflake hop folded into the broadcast) in ONE
-    fact pass (relational.star_join_revenue); two searchsorted probes per
-    batch, zero join shuffles."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.star_join_revenue(sf_dir)
-
-
-_STAR_JOIN_REVENUE_SQL = (
-    "SELECT p_brand, n_name, "
-    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
-    "AS revenue_cents, CAST(COUNT(*) AS BIGINT) AS n_rows "
-    "FROM lineitem JOIN part ON l_partkey = p_partkey "
-    "JOIN supplier ON l_suppkey = s_suppkey "
-    "JOIN nation ON s_nationkey = n_nationkey GROUP BY 1, 2"
-)
-
-
-def _q_zorder_2d_prune(sf_dir: str):
-    """Z-order layout end-to-end: cluster events by the Morton interleave
-    of (user_id, day) (lance_like.write_zordered -- one ingest-time sort),
-    then answer a 2-D range query (middle-quartile windows on BOTH dims)
-    from the zone maps, raising unless fragments were actually pruned.
-    The green row certifies the Morton kernel, the clustered layout and
-    the 2-level pruned read against a plain WHERE oracle."""
-    import os
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    from distributed_system___ocr_ray.pipelines.relational import tiny_final_groupby
-    from distributed_system___ocr_ray.sources import lance_like
-
-    root = tempfile.mkdtemp(prefix="graft_zorder_") + "/events"
-    try:
-        base = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "event_type", "value"])
-
-        def derive_day(batch: "pa.Table") -> "pa.Table":
-            day = batch.column("ts").cast(pa.int64()).to_numpy() // 86_400_000_000
-            return pa.table(
-                {
-                    "user_id": batch.column("user_id"),
-                    "day": pa.array(day, pa.int64()),
-                    "event_type": batch.column("event_type"),
-                    "value": batch.column("value"),
-                }
-            )
-
-        n = base.count()
-        res = lance_like.write_zordered(
-            base.map_batches(derive_day, batch_format="pyarrow"),
-            root, "user_id", "day", rows_per_fragment=max(256, n // 32),
-        )
-        (ulo, uhi) = res["bounds"]["user_id"]
-        (dlo, dhi) = res["bounds"]["day"]
-        # middle-quartile windows, integer arithmetic the SQL replays
-        u1, u2 = ulo + (uhi - ulo) // 4, ulo + (uhi - ulo) // 2
-        d1, d2 = dlo + (dhi - dlo) // 4, dlo + (dhi - dlo) // 2
-        preds = [("user_id", "between", (u1, u2)), ("day", "between", (d1, d2))]
-        paths, total = lance_like.pruned_fragment_paths(root, preds)
-        if not paths or len(paths) >= total:
-            raise RuntimeError(
-                f"z-order pruning ineffective: {len(paths)}/{total} fragments kept"
-            )
-        ds = lance_like.read_dataset(root, predicates=preds)
-
-        def partial(batch: "pa.Table") -> "pa.Table":
-            t = pa.table(
-                {
-                    "event_type": batch.column("event_type"),
-                    "value_cents": pa.array(
-                        np.floor(
-                            batch.column("value").to_numpy(zero_copy_only=False)
-                            * 100.0 + 0.5
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
-            return t.group_by(["event_type"]).aggregate(
-                [("value_cents", "sum"), ("value_cents", "count")]
-            )
-
-        out = tiny_final_groupby(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["event_type"],
-            aggs=[("value_cents_sum", "sum"), ("value_cents_count", "sum")],
-            out_names=["event_type", "value_cents", "n_events"],
-        )
-        return out.to_pandas()
-    finally:
-        shutil.rmtree(os.path.dirname(root), ignore_errors=True)
-
-
-_ZORDER_2D_PRUNE_SQL = (
-    "WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, "
-    "event_type, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
-    "b AS (SELECT MIN(user_id) AS ulo, MAX(user_id) AS uhi, "
-    "MIN(day) AS dlo, MAX(day) AS dhi FROM e) "
-    "SELECT event_type, CAST(SUM(cents) AS BIGINT) AS value_cents, "
-    "CAST(COUNT(*) AS BIGINT) AS n_events FROM e, b "
-    "WHERE user_id BETWEEN ulo + (uhi - ulo) // 4 AND ulo + (uhi - ulo) // 2 "
-    "AND day BETWEEN dlo + (dhi - dlo) // 4 AND dlo + (dhi - dlo) // 2 "
-    "GROUP BY 1"
-)
-
-
 def _q_evolved_schema_counts(sf_dir: str):
     """Schema evolution end-to-end: write docs (doc_id % 4 != 0) without a
     quality_tier column, ADD COLUMN quality_tier default 0 (metadata-only,
@@ -4235,24 +2591,6 @@ _EVOLVED_SCHEMA_COUNTS_SQL = (
 )
 
 
-def _q_typo_pairs(sf_dir: str):
-    """Edit-distance-1 fuzzy self-join over customer names
-    (analytics.typo_pairs, FastSS deletion neighborhoods): exact
-    Levenshtein<=1 pairs with NO verification stage -- substitution and
-    indel key spaces are constructed to admit only true pairs."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = _read_narrow(f"{sf_dir}/customer.parquet", ["c_name"])
-    return analytics.typo_pairs(ds, "c_name")
-
-
-_TYPO_PAIRS_SQL = (
-    "WITH v AS (SELECT DISTINCT c_name AS tk FROM customer) "
-    "SELECT a.tk AS tok_a, b.tk AS tok_b FROM v a "
-    "JOIN v b ON a.tk < b.tk AND levenshtein(a.tk, b.tk) = 1"
-)
-
-
 def _q_encoding_advisor(sf_dir: str):
     """Dictionary-encoding advisor over documents (lang: 5-distinct win,
     source: 20-distinct win, text: near-unique lose)
@@ -4265,17 +2603,6 @@ def _q_encoding_advisor(sf_dir: str):
         ["lang", "source", "text"])
 
 
-def _q_bloom_pruned_join_revenue(sf_dir: str):
-    """Bloom semi-join pruned orders x lineitem revenue
-    (analytics.bloom_pruned_join_revenue): the urgent-order build side
-    folds into one mergeable Bloom, probe rows test map-side, and only
-    survivors enter the exact join exchange -- false positives cost
-    bytes, never correctness. Oracle is the plain join aggregate."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.bloom_pruned_join_revenue(sf_dir)
-
-
 def _q_lpa_modularity(sf_dir: str):
     """Newman modularity of the LPA partition over the md5-derived
     citation graph (analytics.lpa_modularity); oracle reuses the shared
@@ -4284,355 +2611,6 @@ def _q_lpa_modularity(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.lpa_modularity(_docs(sf_dir, ["doc_id"]))
-
-
-def _q_event_type_stationary(sf_dir: str):
-    """Stationary distribution of the per-user event-type Markov chain
-    by fixed-round integer power iteration (analytics.
-    event_type_stationary); oracle replays the LAG transition counts
-    and every round's per-source truncating division + renormalization
-    as MATERIALIZED CTEs."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.event_type_stationary(sf_dir)
-
-
-def _q_revenue_acf(sf_dir: str):
-    """Autocorrelation of daily order revenue at lags 1..7
-    (analytics.revenue_acf -- the Box-Jenkins pre-forecast diagnostic);
-    oracle replays the n-scaled integer demeaning, the lag self-join,
-    and the sign-split truncating ppm in HUGEINT."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.revenue_acf(sf_dir)
-
-
-def _q_hive_partition_prune_daily(sf_dir: str):
-    """Day-range aggregate over a hive day=partitioned copy of events,
-    read through PathPartitionFilter so non-matching partition dirs
-    never open (analytics.hive_partition_prune_daily); oracle is the
-    plain WHERE-range aggregate with the shared day/cents conventions."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.hive_partition_prune_daily(sf_dir)
-
-
-def _q_entity_dedupe_keepers(sf_dir: str):
-    """Entity canonicalization over customer names: FastSS edit-1 pairs
-    -> connected components -> canonical map for the whole vocabulary
-    (analytics.entity_dedupe_keepers); oracle composes the shared
-    levenshtein pair CTE with a recursive min-label closure and a
-    LEFT JOIN back onto the distinct vocabulary."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = _read_narrow(f"{sf_dir}/customer.parquet", ["c_name"])
-    return analytics.entity_dedupe_keepers(ds, "c_name")
-
-
-def _q_json_field_stats(sf_dir: str):
-    """Semi-structured extraction: integer field k pulled from the JSON
-    props column with one compiled vectorized regex per batch
-    (relational.json_field_stats), aggregated per event_type; the regex
-    is shared char-for-char with the oracle's regexp_extract."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["props", "event_type"])
-    return relational.json_field_stats(ds, "props", "k", "event_type")
-
-
-_JSON_FIELD_STATS_SQL = (
-    "WITH x AS (SELECT event_type, "
-    "CAST(regexp_extract(props, '\"k\":\\s*(\\d+)', 1) AS BIGINT) AS k "
-    "FROM events WHERE regexp_extract(props, '\"k\":\\s*(\\d+)', 1) <> '') "
-    "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_rows, "
-    "CAST(SUM(k) AS BIGINT) AS sum_k, CAST(MIN(k) AS BIGINT) AS min_k, "
-    "CAST(MAX(k) AS BIGINT) AS max_k FROM x GROUP BY 1"
-)
-
-
-def _q_customers_without_orders(sf_dir: str):
-    """NOT EXISTS anti-join: customers with no URGENT order, counted per
-    market segment (relational.semi_join_agg with anti=True) -- the
-    post-purge audit complement of the Q4 semi-join, same one-broadcast
-    streaming shape (probe side filtered map-side before the distinct
-    collapse)."""
-    import pyarrow.compute as pc
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    def urgent_only(batch: "pa.Table") -> "pa.Table":
-        mask = pc.equal(batch.column("o_orderpriority"), "1-URGENT")
-        return batch.filter(mask).select(["o_custkey"])
-
-    probe = _read_narrow(
-        f"{sf_dir}/orders.parquet", ["o_custkey", "o_orderpriority"]
-    ).map_batches(urgent_only, batch_format="pyarrow")
-    fact = _read_narrow(f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment"])
-    return relational.semi_join_agg(
-        fact, probe, "c_custkey", "o_custkey", "c_mktsegment", anti=True
-    )
-
-
-_CUSTOMERS_WITHOUT_ORDERS_SQL = (
-    "SELECT c_mktsegment, CAST(COUNT(*) AS BIGINT) AS n_matching FROM customer "
-    "WHERE NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey "
-    "AND o_orderpriority = '1-URGENT') GROUP BY 1"
-)
-
-
-def _q_order_count_distribution(sf_dir: str):
-    """TPC-H Q13 shape: the DISTRIBUTION of orders-per-customer -- a
-    two-level aggregate (per-customer counts via one key-domain exchange of
-    map-side partials, then a bounded-domain count-of-counts). Customers
-    with zero orders are out of scope by construction (the left-join
-    variant is customer_order_counts)."""
-    from distributed_system___ocr_ray.pipelines.relational import (
-        bucketed_grouped_sum, tiny_final_groupby)
-
-    ds = _read_narrow(f"{sf_dir}/orders.parquet", ["o_custkey"])
-
-    def partial(batch: "pa.Table") -> "pa.Table":
-        t = batch.group_by(["o_custkey"]).aggregate([([], "count_all")])
-        return t.rename_columns(["o_custkey", "n"])
-
-    per_cust = bucketed_grouped_sum(
-        ds.map_batches(partial, batch_format="pyarrow"), "o_custkey", "n"
-    )
-
-    def to_counts(batch: "pa.Table") -> "pa.Table":
-        t = batch.select(["n"]).group_by(["n"]).aggregate([([], "count_all")])
-        return t.rename_columns(["n_orders", "n_customers"])
-
-    return tiny_final_groupby(
-        per_cust.map_batches(to_counts, batch_format="pyarrow"),
-        keys=["n_orders"],
-        aggs=[("n_customers", "sum")],
-        out_names=["n_orders", "n_customers"],
-    )
-
-
-_ORDER_COUNT_DISTRIBUTION_SQL = (
-    "WITH c AS (SELECT o_custkey, CAST(COUNT(*) AS BIGINT) AS n_orders "
-    "FROM orders GROUP BY 1) "
-    "SELECT n_orders, CAST(COUNT(*) AS BIGINT) AS n_customers FROM c GROUP BY 1"
-)
-
-
-def _q_audience_overlap(sf_dir: str):
-    """Set-intersection matrix: users appearing under BOTH event types, for
-    every unordered type pair (relational.cooccurrence_counts); distinct
-    collapse, one id-domain exchange, size-class triu pair kernel."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "event_type"])
-    return relational.cooccurrence_counts(ds)
-
-
-_AUDIENCE_OVERLAP_SQL = (
-    "WITH d AS (SELECT DISTINCT user_id, event_type FROM events) "
-    "SELECT a.event_type AS type_a, b.event_type AS type_b, "
-    "CAST(COUNT(*) AS BIGINT) AS n_ids FROM d a "
-    "JOIN d b ON a.user_id = b.user_id AND a.event_type < b.event_type GROUP BY 1, 2"
-)
-
-
-def _q_event_transitions(sf_dir: str):
-    """Markov transition matrix: per-user consecutive event-type bigram
-    counts ordered by (ts, event_id) (relational.event_transitions); one
-    key-domain exchange, vectorized bigram bincount per bucket, tiny
-    vocabulary-sized final merge."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "event_id", "event_type"])
-    return relational.event_transitions(ds)
-
-
-_EVENT_TRANSITIONS_SQL = (
-    "WITH t AS (SELECT user_id, event_type, LAG(event_type) OVER "
-    "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events) "
-    "SELECT prev AS prev_type, event_type AS next_type, "
-    "CAST(COUNT(*) AS BIGINT) AS n FROM t WHERE prev IS NOT NULL GROUP BY 1, 2"
-)
-
-
-def _q_basket_pairs(sf_dir: str):
-    """Market-basket affinity: top-20 part pairs co-occurring in orders,
-    A-Priori-pruned at item support 20 (analytics.basket_pairs_topk)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    # smaller blocks than the narrow-scan default: BOTH sort-groupby
-    # exchanges (basket co-location, pair merge) parallelize by the block
-    # count feeding them, and the pair stage doubles the row count
-    # (measured 8.1 s single-block vs ~3 s at 7 blocks on sf0.1 input)
-    ds = _read_narrow(
-        f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"],
-        rows_per_block=100_000,
-    )
-    return analytics.basket_pairs_topk(ds, min_support=20, topk=20)
-
-
-_BASKET_PAIRS_SQL = (
-    "WITH f AS (SELECT l_partkey FROM (SELECT l_partkey, COUNT(*) AS c "
-    "FROM lineitem GROUP BY 1) WHERE c >= 20), "
-    "li AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem "
-    "WHERE l_partkey IN (SELECT l_partkey FROM f)), "
-    "p AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-    "CAST(COUNT(*) AS BIGINT) AS n_orders FROM li a JOIN li b "
-    "ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey GROUP BY 1, 2) "
-    "SELECT * FROM p ORDER BY n_orders DESC, part_a, part_b LIMIT 20"
-)
-
-
-def _q_basket_lift(sf_dir: str):
-    """Market-basket lift in ppm for the top-20 pairs
-    (analytics.basket_lift_topk): the pair stage is basket_pairs_topk;
-    supports probe only the items in the top pairs (broadcast set,
-    distinct collapse, one item-domain exchange); the k-row final
-    arithmetic is integer-exact."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    def factory():
-        return _read_narrow(
-            f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_partkey"],
-            rows_per_block=100_000,
-        )
-
-    return analytics.basket_lift_topk(factory, min_support=20, topk=20)
-
-
-_BASKET_LIFT_SQL = (
-    "WITH f AS (SELECT l_partkey FROM (SELECT l_partkey, COUNT(*) AS c "
-    "FROM lineitem GROUP BY 1) WHERE c >= 20), "
-    "li AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem "
-    "WHERE l_partkey IN (SELECT l_partkey FROM f)), "
-    "p AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-    "CAST(COUNT(*) AS BIGINT) AS n_orders FROM li a JOIN li b "
-    "ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey GROUP BY 1, 2), "
-    "p2 AS (SELECT * FROM p ORDER BY n_orders DESC, part_a, part_b LIMIT 20), "
-    "s AS (SELECT l_partkey, CAST(COUNT(DISTINCT l_orderkey) AS BIGINT) AS c "
-    "FROM lineitem WHERE l_partkey IN "
-    "(SELECT part_a FROM p2 UNION SELECT part_b FROM p2) GROUP BY 1), "
-    "nb AS (SELECT CAST(COUNT(DISTINCT l_orderkey) AS BIGINT) AS n FROM lineitem) "
-    "SELECT part_a, part_b, n_orders, "
-    "CAST((n_orders * nb.n * 1000000) // (sa.c * sb.c) AS BIGINT) AS lift_ppm "
-    "FROM p2 JOIN s sa ON sa.l_partkey = p2.part_a "
-    "JOIN s sb ON sb.l_partkey = p2.part_b, nb"
-)
-
-
-def _q_longest_streak(sf_dir: str):
-    """Per-user longest consecutive-active-days streak (gaps-and-islands)
-    over the event stream; one activity-domain exchange, vectorized
-    run-length kernel (relational.longest_streak)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts"])
-    return relational.longest_streak(ds, "user_id", "ts")
-
-
-def _activity_intervals(sf_dir: str):
-    """Shared interval derivation for the sweep-line queries: each event
-    opens a half-open interval [ts, ts + (cents % 60000) * 10ms) -- the
-    md5-free deterministic duration rule both SQL replays restate in the
-    ``iv`` CTE (_ACTIVITY_IV_CTE, char-for-char twin)."""
-    ds = _read_narrow(f"{sf_dir}/events.parquet", ["user_id", "ts", "value"])
-
-    def project(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        s = batch.column("ts").cast(pa.int64()).to_numpy()
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "s_us": pa.array(s, pa.int64()),
-                "e_us": pa.array(s + (cents % 60000) * 10_000, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(project, batch_format="pyarrow")
-
-
-# SQL twin of _activity_intervals' duration rule
-_ACTIVITY_IV_CTE = (
-    "iv AS (SELECT user_id, epoch_us(ts) AS s, epoch_us(ts) + "
-    "(CAST(FLOOR(value * 100 + 0.5) AS BIGINT) % 60000) * 10000 AS e "
-    "FROM events)"
-)
-
-
-def _q_user_active_coverage(sf_dir: str):
-    """Per-user total covered time of the UNION of activity intervals
-    (overlaps merged) + disjoint-island count -- the SLA-uptime /
-    ad-exposure sweep over _activity_intervals; map-side island merge
-    makes the one exchange islands-domain sized
-    (relational.interval_coverage)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.interval_coverage(
-        _activity_intervals(sf_dir), "user_id", "s_us", "e_us"
-    )
-
-
-def _q_peak_concurrent_sessions(sf_dir: str):
-    """Per-user PEAK concurrent activity intervals + the first instant the
-    peak is reached -- the sweep-line dual of user_active_coverage over
-    the same _activity_intervals; START/END deltas net to one row per
-    (user, t) map-side so the exchange is timestamp-domain sized
-    (relational.peak_concurrency)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.peak_concurrency(
-        _activity_intervals(sf_dir), "user_id", "s_us", "e_us"
-    )
-
-
-# islands via MAX-OVER-preceding: a new island opens where start exceeds
-# the key's running max end; covered = per-island MAX(e) - MIN(s)
-_USER_ACTIVE_COVERAGE_SQL = (
-    f"WITH {_ACTIVITY_IV_CTE}, "
-    "m AS (SELECT user_id, s, e, MAX(e) OVER (PARTITION BY user_id "
-    "ORDER BY s, e ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) "
-    "AS prev_max FROM iv), "
-    "g AS (SELECT user_id, s, e, SUM(CASE WHEN prev_max IS NULL OR "
-    "s > prev_max THEN 1 ELSE 0 END) OVER (PARTITION BY user_id "
-    "ORDER BY s, e ROWS UNBOUNDED PRECEDING) AS isl FROM m), "
-    "a AS (SELECT user_id, isl, MAX(e) - MIN(s) AS len FROM g "
-    "GROUP BY user_id, isl) "
-    "SELECT user_id, CAST(SUM(len) AS BIGINT) AS covered_us, "
-    "CAST(COUNT(*) AS BIGINT) AS n_islands FROM a GROUP BY user_id"
-)
-
-
-# sweep line: +1/-1 deltas, ends-before-starts at equal t (ORDER BY t, d);
-# the running sum's max is the peak, MIN(t) at the peak is when it is
-# first reached (within a timestamp the dip-then-rise never exceeds
-# max(before, after), so netting per t -- what the engine ships -- and
-# row-wise SQL agree; see relational.peak_concurrency)
-_PEAK_CONCURRENT_SQL = (
-    f"WITH {_ACTIVITY_IV_CTE}, "
-    "ev AS (SELECT user_id, s AS t, 1 AS d FROM iv "
-    "UNION ALL SELECT user_id, e AS t, -1 AS d FROM iv), "
-    "r AS (SELECT user_id, t, SUM(d) OVER (PARTITION BY user_id "
-    "ORDER BY t, d ROWS UNBOUNDED PRECEDING) AS run FROM ev), "
-    "p AS (SELECT user_id, MAX(run) AS peak FROM r GROUP BY user_id) "
-    "SELECT r.user_id, CAST(p.peak AS BIGINT) AS peak, "
-    "CAST(MIN(r.t) AS BIGINT) AS peak_at_us "
-    "FROM r JOIN p ON r.user_id = p.user_id AND r.run = p.peak "
-    "GROUP BY r.user_id, p.peak"
-)
-
-
-_LONGEST_STREAK_SQL = (
-    "WITH d AS (SELECT DISTINCT user_id, "
-    "CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day FROM events), "
-    "r AS (SELECT user_id, day, day - ROW_NUMBER() OVER "
-    "(PARTITION BY user_id ORDER BY day) AS grp FROM d), "
-    "s AS (SELECT user_id, grp, COUNT(*) AS len FROM r GROUP BY 1, 2) "
-    "SELECT user_id, CAST(MAX(len) AS BIGINT) AS longest_streak_days, "
-    "CAST(SUM(len) AS BIGINT) AS n_active_days FROM s GROUP BY user_id"
-)
 
 
 def _q_semdedup_keepers(sf_dir: str):
@@ -4652,173 +2630,6 @@ def _q_semdedup_keepers(sf_dir: str):
     # unrolled SQL replay is unchanged.
     k = max(8, ds.count() // 2500)
     return analytics.semdedup_keepers(ds, k=k, iters=3, threshold=0.4)
-
-
-def _q_forecast_revenue_delta(sf_dir: str):
-    """TPC-H Q6 shape: what-if discount revenue for shipping-year 1996,
-    discount band 5-7%, qty < 24 -- pure filtered global aggregate, 2-int
-    partials, no row ever crosses the exchange
-    (relational.forecast_revenue_delta)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.forecast_revenue_delta(sf_dir)
-
-
-def _q_promo_revenue(sf_dir: str):
-    """TPC-H Q14 shape: PROMO parts' ppm share of 1996-09 gross revenue --
-    broadcast part bitmap, map-side month filter, ONE ppm row
-    (relational.promo_revenue)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.promo_revenue(sf_dir)
-
-
-def _q_disjunctive_revenue(sf_dir: str):
-    """TPC-H Q19 shape: OR of three (brand, size-range, qty-range)
-    conjunctions evaluated map-side against a broadcast part attribute
-    table -- the disjunctive-join optimizer trap flattened to a scan
-    (relational.disjunctive_revenue)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.disjunctive_revenue(sf_dir)
-
-
-def _q_shipping_priority(sf_dir: str):
-    """TPC-H Q3 shape: top-10 unshipped-order revenue for the BUILDING
-    segment at the 1997-06-30 cutoff -- broadcast segment filter, map-side
-    combiner on lineitem, one orderkey-bucketed join+topk exchange
-    (relational.shipping_priority)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.shipping_priority(sf_dir)
-
-
-def _q_returned_items(sf_dir: str):
-    """TPC-H Q10 shape: top-20 customers by returned revenue in 1996Q4 --
-    orderkey-bucketed fact-fact join with map-side combiners, then a
-    custkey-bucketed fold with per-bucket top-k
-    (relational.returned_items_topk)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.returned_items_topk(sf_dir)
-
-
-def _pin_schema_if_empty(ds, schema: "pa.Schema"):
-    """Ray Data cannot represent a zero-row Dataset's schema (empty blocks
-    drop it entirely, `to_pandas()` then yields zero COLUMNS); for bounded
-    final results that may legitimately be empty at tiny scales, return the
-    Dataset untouched when non-empty and a typed empty pyarrow Table (a
-    driver-accepted return type) otherwise."""
-    import pyarrow as pa
-
-    df = ds.to_pandas()
-    if len(df):
-        return pa.Table.from_pandas(df, preserve_index=False)
-    return schema.empty_table()
-
-
-def _q_nation_trade_volume(sf_dir: str):
-    """TPC-H Q7 shape: 1996-1997 revenue shipped between NATION_1 and
-    NATION_2 per direction per ship-year -- both nation legs broadcast,
-    map-side combiners, one orderkey-bucketed exchange
-    (relational.nation_trade_volume)."""
-    import pyarrow as pa
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return _pin_schema_if_empty(
-        relational.nation_trade_volume(sf_dir),
-        pa.schema(
-            [
-                ("supp_nation", pa.string()),
-                ("cust_nation", pa.string()),
-                ("l_year", pa.int64()),
-                ("revenue_cents", pa.int64()),
-            ]
-        ),
-    )
-
-
-def _q_market_share(sf_dir: str):
-    """TPC-H Q8 shape: NATION_5 suppliers' ppm share of PROMO-part revenue
-    sold to ASIA customers, per order-year -- three broadcast dimension
-    legs, per-orderkey combiner, one bucketed exchange
-    (relational.market_share)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.market_share(sf_dir)
-
-
-def _q_small_qty_revenue(sf_dir: str):
-    """TPC-H Q17 shape: revenue from Brand#13 lineitems below 1/5 of the
-    part's average quantity -- the correlated per-group average as two
-    broadcast-joined scans, zero row shuffle, exact cross-multiplied
-    integer compare (relational.small_qty_revenue)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.small_qty_revenue(sf_dir)
-
-
-def _q_supplier_count_by_part(sf_dir: str):
-    """TPC-H Q16 shape (over the observed lineitem relation): distinct
-    suppliers per (brand, type, size) class, one brand excluded, sizes
-    listed -- batch-distinct combiner then a suppkey-bucketed global
-    dedup (relational.supplier_count_by_part_attrs)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.supplier_count_by_part_attrs(sf_dir)
-
-
-def _q_waiting_suppliers(sf_dir: str):
-    """TPC-H Q21 shape (adapted: late = last shipment > 60 days after the
-    order date): per supplier, finished multi-supplier orders where it was
-    the ONLY late one -- max-shipdate combiner, one orderkey-bucketed
-    exchange, vectorized exactly-one-late predicate
-    (relational.waiting_suppliers)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.waiting_suppliers(sf_dir)
-
-
-def _q_product_profit(sf_dir: str):
-    """TPC-H Q9 shape (10% of retail price stands in for supplycost):
-    ECONOMY-part profit per supplier nation per order year -- two
-    broadcast dimension legs, per-orderkey combiner, one bucketed
-    exchange (relational.product_profit)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.product_profit(sf_dir)
-
-
-def _q_order_priority_check(sf_dir: str):
-    """TPC-H Q4 shape (late = some lineitem shipped > 30 days after the
-    order date): per priority class, orders in 1996Q1 with at least one
-    late lineitem -- EXISTS as a max-shipdate combiner, lossless
-    shipdate>date_lo prune, one orderkey-bucketed exchange
-    (relational.order_priority_check)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.order_priority_check(sf_dir)
-
-
-def _q_line_priority_counts(sf_dir: str):
-    """TPC-H Q12 shape (l_returnflag stands in for the absent ship mode):
-    per flag, 1996-shipped lineitems from high- vs low-priority orders --
-    per-(orderkey, flag) combiner, one-bit order side, one bucketed
-    exchange (relational.line_priority_counts)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.line_priority_counts(sf_dir)
-
-
-def _q_customer_order_distribution(sf_dir: str):
-    """TPC-H Q13 shape: customers per exact qualifying-order count
-    (priority 5-LOW excluded), zero bin included via the metadata-only
-    customer total -- per-batch custkey combiner, custkey-bucketed fold,
-    per-bucket histogram collapse (relational.customer_order_distribution)."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.customer_order_distribution(sf_dir)
 
 
 def _q_bpe_merge_candidates(sf_dir: str):
@@ -4841,20 +2652,6 @@ def _q_dp_geometric_counts(sf_dir: str):
     return analytics.dp_geometric_counts(_docs(sf_dir, ["lang"]))
 
 
-def _q_dow_adjusted_spikes(sf_dir: str):
-    """Seasonality-adjusted revenue anomalies: day revenue minus its
-    day-of-week floor-mean, flagged where |resid| > 3*MAD (lower-median)
-    (analytics.dow_adjusted_spikes); all-integer so the replay is exact."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-    return analytics.dow_adjusted_spikes(ds)
-
-
 def _q_boundary_overlap_pairs(sf_dir: str):
     """Crawl-stitch candidate pairs: A's last-2-token window == B's
     first-2-token window, boilerplate-boundary skew cap 40 per side
@@ -4866,29 +2663,6 @@ def _q_boundary_overlap_pairs(sf_dir: str):
     return analytics.boundary_overlap_pairs(_docs(sf_dir, ["doc_id", "text"]))
 
 
-def _q_attribution_last_touch(sf_dir: str):
-    """Last-touch attribution: each purchase event's value credited to the
-    user's immediately preceding event_type, '(none)' for first touches
-    (relational.attribution_last_touch); oracle replays the LAG window."""
-    from distributed_system___ocr_ray.pipelines import relational
-
-    return relational.attribution_last_touch(sf_dir)
-
-
-def _q_l_diversity_audit(sf_dir: str):
-    """l-diversity audit over (event_type, day) cells: events, distinct
-    users, at_risk flag where n_users < 5 (analytics.l_diversity_audit);
-    oracle is the direct COUNT DISTINCT replay."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "user_id"]
-    )
-    return analytics.l_diversity_audit(ds)
-
-
 def _q_padding_waste_by_bucket(sf_dir: str):
     """Length-bucketed batching padding audit: power-of-two token buckets,
     exact ppm of padded slots per bucket (analytics.padding_waste_by_bucket);
@@ -4896,26 +2670,6 @@ def _q_padding_waste_by_bucket(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.padding_waste_by_bucket(_docs(sf_dir, ["text"]))
-
-
-def _q_order_total_reconciliation(sf_dir: str):
-    """Header-vs-detail reconciliation: o_totalprice against the order's
-    summed lineitem extendedprice*(1-disc)*(1+tax) cents, per-status
-    (analytics.order_total_reconciliation); oracle is the LEFT JOIN +
-    FILTER replay on the same float chain."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_tax"],
-    )
-    return analytics.order_total_reconciliation(orders, lineitem)
 
 
 def _q_chao1_vocab_estimate(sf_dir: str):
@@ -5161,15 +2915,6 @@ def _q_cdc_chunk_dedup(sf_dir: str):
     return analytics.cdc_chunk_dedup(_docs(sf_dir, ["text"]))
 
 
-def _q_gdpr_erasure_plan(sf_dir: str):
-    """Erasure sizing per table for a derived ~2% deletion cohort
-    (analytics.gdpr_erasure_plan); oracle filters each table with the
-    same md5 predicate and counts rows + distinct subjects."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.gdpr_erasure_plan(sf_dir)
-
-
 def _q_max_coverage_select(sf_dir: str):
     """Greedy max-coverage selection of 5 docs by uncovered word-bigram
     gain (analytics.max_coverage_select); oracle unrolls the k rounds as
@@ -5197,18 +2942,6 @@ def _q_boundary_stitch_chains(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.boundary_stitch_chains(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_pseudonym_collision_audit(sf_dir: str):
-    """Birthday-bound collision audit of a 16-bit pseudonym space over
-    event subjects (analytics.pseudonym_collision_audit); oracle is the
-    direct COUNT DISTINCT replay of ids and md5-mod pseudonyms."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    return analytics.pseudonym_collision_audit(ds)
 
 
 def _q_code_switch_rate_by_source(sf_dir: str):
@@ -5256,24 +2989,6 @@ def _q_leakage_free_split_audit(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.leakage_free_split_audit(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_jsonl_source_daily(sf_dir: str):
-    """JSONL ingest roundtrip: events exported once as JSONL shards
-    (ints + day strings, precision-lossless by construction), re-read
-    via ray.data.read_json, aggregated (analytics.text_source_daily);
-    oracle aggregates the original parquet."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.text_source_daily(sf_dir, fmt="json")
-
-
-def _q_csv_source_daily(sf_dir: str):
-    """CSV ingest roundtrip via ray.data.read_csv — same contract as the
-    JSONL variant (analytics.text_source_daily)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.text_source_daily(sf_dir, fmt="csv")
 
 
 def _q_matryoshka_recall_audit(sf_dir: str):
@@ -5425,19 +3140,6 @@ def _q_kcore_nodes(sf_dir: str):
     return analytics.kcore_nodes(_docs(sf_dir, ["doc_id"]))
 
 
-def _q_kmv_distinct_audit(sf_dir: str):
-    """KMV bottom-k distinct-count audit over events.user_id
-    (analytics.kmv_distinct_audit -- the order-statistics sketch next to
-    the HLL/Bloom/CMS accuracy audits); oracle replays the 'kmv:' md5-u64
-    bottom-256 and the (k-1)*2^64 // m_k HUGEINT estimator."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    return analytics.kmv_distinct_audit(ev)
-
-
 def _q_langid_kappa(sf_dir: str):
     """Cohen's kappa between labeled lang and the n-gram heuristic
     (analytics.langid_kappa -- the chance-corrected routing-trust
@@ -5503,20 +3205,6 @@ def _q_nearest_centroid_confusion(sf_dir: str):
     ds = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["embedding", "label"])
     return analytics.nearest_centroid_confusion(ds)
-
-
-def _q_watermark_late_counts(sf_dir: str):
-    """Global-watermark allowed-lateness audit per event-time hour
-    (relational.watermark_late_counts: arrival order = event_id, watermark
-    = running max event time - 300 s, strict drop test); oracle is the
-    window-function replay MAX(us) OVER (ORDER BY event_id ... 1
-    PRECEDING)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import relational
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
-    return relational.watermark_late_counts(ds)
 
 
 def _q_quality_dup_calibration(sf_dir: str):
@@ -5587,36 +3275,6 @@ def _q_pq_recall_audit(sf_dir: str):
     return analytics.pq_recall_audit(ds, _query_matrix(sf_dir))
 
 
-def _q_t_closeness_audit(sf_dir: str):
-    """t-closeness per event_type cell: integer-ppm EMD between the cell's
-    and the global $10-binned value distribution (analytics.
-    t_closeness_audit, completing the k-anonymity / l-diversity /
-    t-closeness release ladder); oracle replays the zero-filled bin grid,
-    the cumulative cross products and the exact floor-divided ppm."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    return analytics.t_closeness_audit(ds)
-
-
-def _q_bootstrap_ci_mean(sf_dir: str):
-    """Poisson-bootstrap 95% CI for mean order value in integer cents x100
-    (analytics.bootstrap_ci_mean -- Chamandy et al.'s hash-seeded Poisson
-    weights, the bootstrap that parallelizes); oracle replays the md5 ->
-    64 affine draws -> CDF-ladder weights -> per-resample floor-divided
-    means -> percentile rank pick, all on shared integer literals."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
-    )
-    return analytics.bootstrap_ci_mean(ds)
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     return {
         # extraction engine (flagship + SQL-checkable shadows)
@@ -5635,23 +3293,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_by_lang": _q_docs_by_lang,
         "doc_stats_by_source": _q_doc_stats_by_source,
         "filter_project_documents": _q_filter_project,
-        "pricing_summary": _q_pricing_summary,
-        "revenue_by_nation": _q_revenue_by_nation,
-        "events_daily": _q_events_daily,
-        "daily_activity": _q_daily_activity,
-        "ols_trend": _q_ols_trend,
-        "top_users_by_value": _q_top_users,
-        "order_lineitem_join": _q_order_lineitem_join,
-        "last_order_before_event": _q_last_order_before_event,
-        "session_windows": _q_session_windows,
-        "sliding_windows": _q_sliding_windows,
-        "approx_distinct_users": _q_approx_distinct_users,
-        "top_orders_per_segment": _q_top_orders_per_segment,
         # text analysis
         "token_count_by_lang": _q_token_count_by_lang,
         "quality_by_lang": _q_quality_by_lang,
-        "median_order_value": _q_median_order_value,
-        "weighted_median_price": _q_weighted_median_price,
         "pps_sample": _q_pps_sample,
         "profile_documents": _q_profile_documents,
         "top_tokens": _q_top_tokens,
@@ -5680,9 +3324,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "training_corpus_counts": _q_training_corpus_counts,
         "ingest_increment_counts": _q_ingest_increment_counts,
         "corpus_report": _q_corpus_report,
-        "median_value_by_event_type": _q_median_value_by_event_type,
-        "user_median_value_sketch": _q_user_median_value_sketch,
-        "debounce_events": _q_debounce_events,
         "tfidf_keywords": _q_tfidf_keywords,
         # corpus hygiene (round 3)
         "redact_pii": _q_redact_pii,
@@ -5699,33 +3340,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "novel_docs_minhash": _q_novel_docs_minhash,
         "sample_n_per_group": _q_sample_n_per_group,
         "zscore_by_lang": _q_zscore_by_lang,
-        "funnel_counts": _q_funnel_counts,
         "domain_counts": _q_domain_counts,
-        "retention_cohorts": _q_retention_cohorts,
         "sample_by_quality": _q_sample_by_quality,
-        "value_histogram": _q_value_histogram,
         "pruned_range_read": _q_pruned_range_read,
         "postings_lookup": _q_postings_lookup,
         "percent_rank_by_lang": _q_percent_rank_by_lang,
-        "customer_order_counts": _q_customer_order_counts,
         "cow_delete_counts": _q_cow_delete_counts,
         "merge_upsert_counts": _q_merge_upsert_counts,
         "change_feed_counts": _q_change_feed_counts,
-        "shipments_within_7d": _q_shipments_within_7d,
         "docs_rollup": _q_docs_rollup,
         "docs_cube": _q_docs_cube,
-        "events_pivot_daily": _q_events_pivot_daily,
-        "events_unpivot_daily": _q_events_unpivot_daily,
-        "benford_first_digit": _q_benford_first_digit,
         "zipf_bits_audit": _q_zipf_bits_audit,
         "hapax_rate_by_source": _q_hapax_rate_by_source,
         "source_tv_distance": _q_source_tv_distance,
         "token_burstiness": _q_token_burstiness,
         "graph_reciprocity": _q_graph_reciprocity,
-        "distinct_users_by_type": _q_distinct_users_by_type,
-        "last_event_per_user": _q_last_event_per_user,
         "dedup_keep_best": _q_dedup_keep_best,
-        "running_totals": _q_running_totals,
         "robust_outliers": _q_robust_outliers,
         "collocations": _q_collocations,
         # similarity search / retrieval
@@ -5742,7 +3372,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kmeans_inertia": _q_kmeans_inertia,
         "cluster_balanced_sample": _q_cluster_balanced_sample,
         "hybrid_topk": _q_hybrid_topk,
-        "decayed_user_value": _q_decayed_user_value,
         "triangle_count": _q_triangle_count,
         "in_degree_histogram": _q_in_degree_histogram,
         "table_checksum": _q_table_checksum,
@@ -5751,136 +3380,45 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_shingle_rate": _q_dup_shingle_rate,
         "doc_boilerplate": _q_doc_boilerplate,
         "dup_spans": _q_dup_spans,
-        "ks_priority_drift": _q_ks_priority_drift,
-        "sampled_quantile_audit": _q_sampled_quantile_audit,
         "compaction_bins": _q_compaction_bins,
         "shingle_containment": _q_shingle_containment,
-        "cusum_changepoints": _q_cusum_changepoints,
         "bigram_surprisal_by_source": _q_bigram_surprisal_by_source,
-        "key_density_audit": _q_key_density_audit,
-        "rolling_median_daily": _q_rolling_median_daily,
         "doclen_deciles_by_source": _q_doclen_deciles_by_source,
-        "value_moments_by_type": _q_value_moments_by_type,
-        "order_backlog_daily": _q_order_backlog_daily,
-        "dow_revenue_profile": _q_dow_revenue_profile,
         "completeness_audit": _q_completeness_audit,
-        "first_event_after_order": _q_first_event_after_order,
         "doc_bigram_surprisal_topk": _q_doc_bigram_surprisal_topk,
-        "negative_samples": _q_negative_samples,
         "span_corruption_plan": _q_span_corruption_plan,
         "two_hop_reach": _q_two_hop_reach,
-        "revenue_time_rollup": _q_revenue_time_rollup,
         "token_diversity_by_lang": _q_token_diversity_by_lang,
         "doc_surprisal_topk": _q_doc_surprisal_topk,
         "sentence_stats_by_lang": _q_sentence_stats_by_lang,
         "readability_by_lang": _q_readability_by_lang,
-        "session_paths": _q_session_paths,
         "minhash_recall_audit": _q_minhash_recall_audit,
-        "trimmed_mean_price": _q_trimmed_mean_price,
-        "top_revenue_suppliers": _q_top_revenue_suppliers,
-        "big_volume_orders": _q_big_volume_orders,
-        "hll_error_audit": _q_hll_error_audit,
         "bloom_fp_audit": _q_bloom_fp_audit,
         "cms_error_audit": _q_cms_error_audit,
         "dup_size_histogram": _q_dup_size_histogram,
-        "join_size_audit": _q_join_size_audit,
-        "interarrival_quantiles": _q_interarrival_quantiles,
-        "rfm_segments": _q_rfm_segments,
         "langid_confusion": _q_langid_confusion,
-        "supplier_hhi": _q_supplier_hhi,
-        "revenue_share_by_nation": _q_revenue_share_by_nation,
         "k_anonymity": _q_k_anonymity,
-        "top_prices_with_ties": _q_top_prices_with_ties,
-        "first_last_order": _q_first_last_order,
         "split_skew_audit": _q_split_skew_audit,
-        "session_durations": _q_session_durations,
-        "important_parts": _q_important_parts,
-        "inactive_high_balance": _q_inactive_high_balance,
-        "interval_overlap_pairs": _q_interval_overlap_pairs,
         "vocab_growth": _q_vocab_growth,
         "link_prediction_topk": _q_link_prediction_topk,
         "cross_source_dups": _q_cross_source_dups,
         "encoding_audit": _q_encoding_audit,
         "quality_length_corr": _q_quality_length_corr,
         "shuffle_mix_audit": _q_shuffle_mix_audit,
-        "cheapest_supplier": _q_cheapest_supplier,
         "lang_source_chi2": _q_lang_source_chi2,
         "normalized_dedup": _q_normalized_dedup,
-        "out_of_order_audit": _q_out_of_order_audit,
-        "dominant_suppliers": _q_dominant_suppliers,
         "source_vocab_overlap": _q_source_vocab_overlap,
-        "trailing_rows_sum": _q_trailing_rows_sum,
-        "forecast_revenue_delta": _q_forecast_revenue_delta,
-        "shipping_priority": _q_shipping_priority,
-        "nation_trade_volume": _q_nation_trade_volume,
-        "market_share": _q_market_share,
-        "small_qty_revenue": _q_small_qty_revenue,
-        "supplier_count_by_part": _q_supplier_count_by_part,
-        "waiting_suppliers": _q_waiting_suppliers,
-        "product_profit": _q_product_profit,
-        "order_priority_check": _q_order_priority_check,
-        "line_priority_counts": _q_line_priority_counts,
-        "customer_order_distribution": _q_customer_order_distribution,
-        "returned_items": _q_returned_items,
-        "promo_revenue": _q_promo_revenue,
-        "disjunctive_revenue": _q_disjunctive_revenue,
-        "skyline_orders": _q_skyline_orders,
-        "mode_event_type": _q_mode_event_type,
-        "fk_orphan_audit": _q_fk_orphan_audit,
-        "longest_streak": _q_longest_streak,
-        "user_active_coverage": _q_user_active_coverage,
-        "peak_concurrent_sessions": _q_peak_concurrent_sessions,
-        "basket_pairs": _q_basket_pairs,
-        "basket_lift": _q_basket_lift,
-        "corr_qty_price": _q_corr_qty_price,
-        "forward_fill_daily": _q_forward_fill_daily,
-        "event_transitions": _q_event_transitions,
-        "approx_users_by_type": _q_approx_users_by_type,
-        "new_users_daily": _q_new_users_daily,
-        "bucketed_join_revenue": _q_bucketed_join_revenue,
         "label_centroids": _q_label_centroids,
-        "incremental_daily_totals": _q_incremental_daily_totals,
-        "late_orders_by_priority": _q_late_orders_by_priority,
-        "time_travel_counts": _q_time_travel_counts,
-        "star_join_revenue": _q_star_join_revenue,
-        "zorder_2d_prune": _q_zorder_2d_prune,
         "evolved_schema_counts": _q_evolved_schema_counts,
-        "typo_pairs": _q_typo_pairs,
-        "entity_dedupe_keepers": _q_entity_dedupe_keepers,
-        "hive_partition_prune_daily": _q_hive_partition_prune_daily,
-        "bloom_pruned_join_revenue": _q_bloom_pruned_join_revenue,
         "encoding_advisor": _q_encoding_advisor,
-        "revenue_acf": _q_revenue_acf,
-        "event_type_stationary": _q_event_type_stationary,
         "lpa_modularity": _q_lpa_modularity,
-        "json_field_stats": _q_json_field_stats,
-        "audience_overlap": _q_audience_overlap,
-        "customers_without_orders": _q_customers_without_orders,
-        "order_count_distribution": _q_order_count_distribution,
-        "scd2_history": _q_scd2_history,
-        "order_part_list": _q_order_part_list,
-        "rolling_7d_sum": _q_rolling_7d_sum,
-        "conversion_within": _q_conversion_within,
-        "rolling_active_users": _q_rolling_active_users,
-        "pit_value_join": _q_pit_value_join,
-        "order_decile_stats": _q_order_decile_stats,
-        "order_value_gini": _q_order_value_gini,
-        "weekly_revenue_wow": _q_weekly_revenue_wow,
-        "fulfillment_latency": _q_fulfillment_latency,
-        "key_skew": _q_key_skew,
-        "spike_days": _q_spike_days,
-        "order_rank_global": _q_order_rank_global,
         "quantize_embeddings": _q_quantize_embeddings,
         "bm25_topk": _q_bm25_topk,
         "bm25_prf_topk": _q_bm25_prf_topk,
         "bpe_merge_candidates": _q_bpe_merge_candidates,
         "dp_geometric_counts": _q_dp_geometric_counts,
-        "dow_adjusted_spikes": _q_dow_adjusted_spikes,
         "boundary_overlap_pairs": _q_boundary_overlap_pairs,
-        "attribution_last_touch": _q_attribution_last_touch,
-        "l_diversity_audit": _q_l_diversity_audit,
         "padding_waste_by_bucket": _q_padding_waste_by_bucket,
-        "order_total_reconciliation": _q_order_total_reconciliation,
         "chao1_vocab_estimate": _q_chao1_vocab_estimate,
         "real_pdf_roundtrip": _q_real_pdf_roundtrip,
         "real_png_roundtrip": _q_real_png_roundtrip,
@@ -5894,28 +3432,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "unigram_power_sample_plan": _q_unigram_power_sample_plan,
         "dedup_family_agreement": _q_dedup_family_agreement,
         "cdc_chunk_dedup": _q_cdc_chunk_dedup,
-        "gdpr_erasure_plan": _q_gdpr_erasure_plan,
         "max_coverage_select": _q_max_coverage_select,
         "blocklist_screen": _q_blocklist_screen,
         "boundary_stitch_chains": _q_boundary_stitch_chains,
-        "pseudonym_collision_audit": _q_pseudonym_collision_audit,
         "code_switch_rate_by_source": _q_code_switch_rate_by_source,
         "token_budget_waterfill": _q_token_budget_waterfill,
         "random_walks": _q_random_walks,
         "kwic_snippets": _q_kwic_snippets,
         "leakage_free_split_audit": _q_leakage_free_split_audit,
-        "jsonl_source_daily": _q_jsonl_source_daily,
-        "csv_source_daily": _q_csv_source_daily,
         "matryoshka_recall_audit": _q_matryoshka_recall_audit,
         "mmr_diverse_topk": _q_mmr_diverse_topk,
-        "bootstrap_ci_mean": _q_bootstrap_ci_mean,
         "embedding_covariance_topk": _q_embedding_covariance_topk,
-        "t_closeness_audit": _q_t_closeness_audit,
         "pq_recall_audit": _q_pq_recall_audit,
         "sq8_recall_audit": _q_sq8_recall_audit,
         "lang_temperature_plan": _q_lang_temperature_plan,
         "quality_dup_calibration": _q_quality_dup_calibration,
-        "watermark_late_counts": _q_watermark_late_counts,
         "embedding_outliers_topk": _q_embedding_outliers_topk,
         "centroid_separation_audit": _q_centroid_separation_audit,
         "nearest_centroid_confusion": _q_nearest_centroid_confusion,
@@ -5939,7 +3470,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "binary_hamming_topk": _q_binary_hamming_topk,
         "soft_dedup_weights": _q_soft_dedup_weights,
         "ccnet_bucket_counts": _q_ccnet_bucket_counts,
-        "kmv_distinct_audit": _q_kmv_distinct_audit,
         "kcore_nodes": _q_kcore_nodes,
         # multimodal
         "media_metadata": _q_media_metadata,
@@ -6180,43 +3710,6 @@ def _sample_by_quality_sql() -> str:
     )
 
 
-def _value_histogram_sql(bins: int = 32) -> str:
-    """Replays _q_value_histogram with the identical float64 arithmetic:
-    width = (max-min)/bins, bin = clip(floor((v-min)/width)), edges
-    floored to cents. numpy's astype(int64) truncates, but (v-lo)/width
-    is nonnegative so trunc == floor."""
-    return (
-        "WITH s AS (SELECT MIN(o_totalprice) AS lo, MAX(o_totalprice) AS hi FROM orders), "
-        f"w AS (SELECT lo, hi, CASE WHEN hi > lo THEN (hi - lo) / {bins} ELSE 1.0 END "
-        "AS width FROM s), "
-        "b AS (SELECT LEAST(GREATEST(CAST(FLOOR((o_totalprice - w.lo) / w.width) AS BIGINT), 0), "
-        f"{bins - 1}) AS bin FROM orders, w) "
-        "SELECT b.bin, "
-        "CAST(FLOOR((w.lo + b.bin * w.width) * 100 + 0.5) AS BIGINT) AS lo_cents, "
-        "CAST(FLOOR((w.lo + (b.bin + 1) * w.width) * 100 + 0.5) AS BIGINT) AS hi_cents, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM b, w GROUP BY 1, 2, 3"
-    )
-
-
-def _retention_cohorts_sql(week_secs: int = 604800) -> str:
-    """Replays _q_retention_cohorts: week = epoch-seconds // week_secs,
-    cohort = per-user MIN week, one count per distinct (user, week).
-
-    FLOOR before the BIGINT cast: DuckDB's epoch() is DOUBLE and a bare
-    CAST ROUNDS fractional seconds (604799.7 -> 604800), while the engine
-    floors integer microseconds (us // 1e6) — an event in the last <1 s of
-    a week would otherwise land in week w+1 in SQL but week w in the
-    engine (review finding, round 3)."""
-    return (
-        "WITH uw AS (SELECT DISTINCT user_id, "
-        f"CAST(FLOOR(epoch(ts)) AS BIGINT) // {week_secs} AS week FROM events), "
-        "c AS (SELECT user_id, MIN(week) AS cohort FROM uw GROUP BY user_id) "
-        "SELECT c.cohort AS cohort_week, uw.week - c.cohort AS week_offset, "
-        "CAST(COUNT(*) AS BIGINT) AS users FROM uw JOIN c USING (user_id) "
-        "GROUP BY 1, 2"
-    )
-
-
 def _domain_counts_sql(k: int = 10) -> str:
     """Replays _q_domain_counts: same planting expressions, the shared
     URL_PATTERN extraction, hostname = lowercase(first ':'-segment of the
@@ -6235,31 +3728,6 @@ def _domain_counts_sql(k: int = 10) -> str:
         "SELECT domain, CAST(COUNT(*) AS BIGINT) AS n FROM d GROUP BY domain "
         f"ORDER BY n DESC, domain LIMIT {k}"
     )
-
-
-def _funnel_counts_sql(steps: list[str]) -> str:
-    """Replays _q_funnel_counts: stage k's anchor is the per-user MIN ts of
-    step-k events strictly after the stage k-1 anchor."""
-    ctes, prev = [], None
-    for i, s in enumerate(steps, start=1):
-        if prev is None:
-            ctes.append(
-                f"t{i} AS (SELECT user_id, MIN(ts) AS a{i} FROM events "
-                f"WHERE event_type = '{s}' GROUP BY user_id)"
-            )
-        else:
-            ctes.append(
-                f"t{i} AS (SELECT e.user_id, MIN(e.ts) AS a{i} FROM events e "
-                f"JOIN t{i-1} p ON e.user_id = p.user_id "
-                f"WHERE e.event_type = '{s}' AND e.ts > p.a{i-1} GROUP BY e.user_id)"
-            )
-        prev = s
-    selects = " UNION ALL ".join(
-        f"SELECT CAST({i} AS BIGINT) AS step, '{s}' AS event_type, "
-        f"CAST(COUNT(*) AS BIGINT) AS users FROM t{i}"
-        for i, s in enumerate(steps, start=1)
-    )
-    return f"WITH {', '.join(ctes)} {selects}"
 
 
 def _zscore_by_lang_sql() -> str:
@@ -6704,56 +4172,6 @@ _DUP_SPANS_SQL = (
     "FROM base b LEFT JOIN c USING (doc_id) WHERE b.nw >= 1"
 )
 
-# replay of analytics.ks_priority_drift: the KS sup is attained on the
-# observed distinct-cents grid, so cross-join every group onto the grid,
-# window-cumsum the left-joined counts, and max the integer deviation
-_KS_PRIORITY_SQL = (
-    "WITH v AS (SELECT o_orderpriority AS g, "
-    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS c FROM orders), "
-    "n AS (SELECT g, COUNT(*) AS n FROM v GROUP BY g), "
-    "d AS (SELECT g, c, COUNT(*) AS cnt FROM v GROUP BY g, c), "
-    "grid AS (SELECT gs.g, vs.c FROM (SELECT DISTINCT g FROM v) gs "
-    "CROSS JOIN (SELECT DISTINCT c FROM v) vs), "
-    "cum AS (SELECT grid.g, grid.c, SUM(COALESCE(d.cnt, 0)) "
-    "OVER (PARTITION BY grid.g ORDER BY grid.c) AS cc "
-    "FROM grid LEFT JOIN d ON grid.g = d.g AND grid.c = d.c), "
-    "pd AS (SELECT a.g AS prio_a, b.g AS prio_b, "
-    "MAX(ABS(a.cc * nb.n - b.cc * na.n)) AS dev "
-    "FROM cum a JOIN cum b ON a.c = b.c AND a.g < b.g "
-    "JOIN n na ON na.g = a.g JOIN n nb ON nb.g = b.g GROUP BY 1, 2) "
-    "SELECT prio_a, prio_b, CAST(na.n AS BIGINT) AS n_a, "
-    "CAST(nb.n AS BIGINT) AS n_b, "
-    "CAST(dev * 1000000 // (na.n * nb.n) AS BIGINT) AS ks_ppm "
-    "FROM pd JOIN n na ON na.g = prio_a JOIN n nb ON nb.g = prio_b"
-)
-
-# replay of analytics.sampled_quantile_audit: same md5-hex-prefix sample
-# predicate as sample_docs (threshold 0x1fffffff = rate 0.125), the integer
-# rank convention (p*n+999)//1000 via ROW_NUMBER on both populations, and a
-# correlated COUNT(<=) for the estimate's true rank
-_SAMPLED_QUANTILE_SQL = (
-    "WITH v AS (SELECT o_orderkey AS k, "
-    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS c FROM orders), "
-    "s AS (SELECT c FROM v WHERE substr(md5(CAST(k AS VARCHAR)), 1, 8) < '1fffffff'), "
-    "q AS (SELECT unnest(generate_series(100, 900, 100)) AS q_permille), "
-    "ns AS (SELECT COUNT(*) AS n FROM s), "
-    "nf AS (SELECT COUNT(*) AS n FROM v), "
-    "ss AS (SELECT c, ROW_NUMBER() OVER (ORDER BY c) AS rn FROM s), "
-    "ff AS (SELECT c, ROW_NUMBER() OVER (ORDER BY c) AS rn FROM v), "
-    "est AS (SELECT q.q_permille, ss.c AS est_cents FROM q, ns, ss "
-    "WHERE ss.rn = GREATEST(1, (q.q_permille * ns.n + 999) // 1000)), "
-    "exq AS (SELECT q.q_permille, ff.c AS exact_cents FROM q, nf, ff "
-    "WHERE ff.rn = GREATEST(1, (q.q_permille * nf.n + 999) // 1000)), "
-    "r AS (SELECT e.q_permille, e.est_cents, "
-    "(SELECT COUNT(*) FROM v WHERE v.c <= e.est_cents) AS cle FROM est e) "
-    "SELECT r.q_permille, CAST(ns.n AS BIGINT) AS sample_n, "
-    "CAST(r.est_cents AS BIGINT) AS est_cents, "
-    "CAST(x.exact_cents AS BIGINT) AS exact_cents, "
-    "CAST(abs(r.cle * 1000000 // nf.n - r.q_permille * 1000) AS BIGINT) "
-    "AS rank_err_ppm "
-    "FROM r JOIN exq x ON x.q_permille = r.q_permille, ns, nf"
-)
-
 # replay of analytics.token_simpson_by_lang: exact HUGEINT sum-of-squares
 # over global (lang, token) counts, floor-div ppm
 _TOKEN_DIVERSITY_SQL = (
@@ -6800,13 +4218,6 @@ _TOP_TOKENS_SQL = (
     "SELECT tk AS token, CAST(COUNT(*) AS BIGINT) AS n FROM "
     "(SELECT unnest(regexp_extract_all(text, '\\S+')) AS tk FROM documents) "
     "GROUP BY tk ORDER BY n DESC, tk LIMIT 20"
-)
-
-_MEDIAN_ORDER_SQL = (
-    "WITH s AS (SELECT o_totalprice AS v, "
-    "row_number() OVER (ORDER BY o_totalprice) AS rn, COUNT(*) OVER () AS n FROM orders) "
-    "SELECT CAST(FLOOR(v * 100 + 0.5) AS BIGINT) AS median_cents FROM s "
-    "WHERE rn = CAST(CEIL(0.5 * n) AS BIGINT)"
 )
 
 _EMBEDDING_NEARDUP_SQL = (
@@ -7200,46 +4611,6 @@ def _kcenter_sql(k: int = 8, quant: int = 1000) -> str:
     )
 
 
-def _stationary_sql(iters: int = 12, scale: int = 1_000_000) -> str:
-    """Replay of analytics.event_type_stationary: the shared LAG
-    transition counts, then ``iters`` unrolled rounds -- per-source-term
-    truncating division by the row sum, truncating renormalization to
-    ``scale`` (all mass non-negative, no sign split needed); a vanished
-    total NULLs the division and COALESCE yields the engine's all-zero.
-    Chained CTEs MATERIALIZED."""
-    parts = [
-        "WITH tr AS MATERIALIZED (SELECT prev AS prev_type, event_type AS "
-        "next_type, CAST(COUNT(*) AS HUGEINT) AS n FROM (SELECT event_type, "
-        "LAG(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) "
-        "AS prev FROM events) WHERE prev IS NOT NULL GROUP BY 1, 2), "
-        "ty AS MATERIALIZED (SELECT DISTINCT t FROM (SELECT prev_type AS t "
-        "FROM tr UNION SELECT next_type FROM tr)), "
-        "kk AS (SELECT COUNT(*) AS k FROM ty), "
-        "rs AS MATERIALIZED (SELECT prev_type, SUM(n) AS rsum FROM tr "
-        "GROUP BY 1), "
-        f"p0 AS MATERIALIZED (SELECT t, CAST({scale} // "
-        "(SELECT k FROM kk) AS HUGEINT) AS v FROM ty)"
-    ]
-    for t in range(1, iters + 1):
-        parts.append(
-            f"r{t} AS MATERIALIZED (SELECT tr.next_type AS t, "
-            "SUM((p.v * tr.n) // rs.rsum) AS raw FROM tr "
-            f"JOIN p{t - 1} p ON p.t = tr.prev_type "
-            "JOIN rs ON rs.prev_type = tr.prev_type GROUP BY 1)"
-        )
-        parts.append(f"tt{t} AS (SELECT SUM(raw) AS tot FROM r{t})")
-        parts.append(
-            f"p{t} AS MATERIALIZED (SELECT ty.t, COALESCE((r.raw * {scale}) "
-            f"// (SELECT tot FROM tt{t}), 0) AS v FROM ty "
-            f"LEFT JOIN r{t} r ON r.t = ty.t)"
-        )
-    return (
-        ", ".join(parts)
-        + f" SELECT t AS event_type, CAST(v AS BIGINT) AS pi_scaled "
-        f"FROM p{iters} ORDER BY t"
-    )
-
-
 def _pca_sql(iters: int = 12, quant: int = 1000, scale: int = 1_000_000) -> str:
     """Replay of analytics.pca_top_component: the same one-pass moment
     fold (n, per-dim sums, full second-moment grid -> the n^2-scaled
@@ -7294,85 +4665,6 @@ def _pca_sql(iters: int = 12, quant: int = 1000, scale: int = 1_000_000) -> str:
         "CAST(((SELECT r FROM ray) * 1000000) // ((SELECT q2 FROM vv) * "
         "(SELECT n FROM nn) * (SELECT n FROM nn)) AS BIGINT) AS lambda_micro "
         f"FROM {last} ORDER BY dim"
-    )
-
-
-def _approx_distinct_sql(p: int = 12) -> str:
-    """Replay of functions/sketches.HyperLogLog: md5-prefix 64-bit hash,
-    idx = top p bits, rest = (h << p) | ones (the wrap emulated via
-    HUGEINT mod), rank = leading zeros + 1 (MIN set-bit position),
-    register maxima over 2^p registers (absent = 0), then the exact
-    estimator: alpha*m^2/sum(2^-reg) with the linear-counting branch.
-    The only float arithmetic is the final estimator, computed by the same
-    double ops on both sides; the estimate is compared as a rounded
-    integer."""
-    m = 1 << p
-    alpha = repr(0.7213 / (1 + 1.079 / m))
-    h = _MD5U64.format(v="CAST(user_id AS VARCHAR)")
-    return (
-        "WITH v AS (SELECT DISTINCT user_id FROM events), "
-        f"h AS (SELECT {h} AS h FROM v), "
-        f"rr AS (SELECT CAST(h >> {64 - p} AS BIGINT) AS idx, "
-        f"CAST((CAST(h AS HUGEINT) % CAST({1 << (64 - p)} AS HUGEINT)) "
-        f"* {1 << p} + {(1 << p) - 1} AS UBIGINT) AS rest FROM h), "
-        # per-HASH first-set-bit rank (GROUP BY idx, rest), THEN the register
-        # fold takes MAX over hashes -- grouping by idx alone would collapse
-        # every hash in a register to the global MIN rank, which diverges from
-        # the engine's np.maximum.at register maxima once registers hold
-        # multiple hashes (verified: 4093/4096 registers wrong at 60k users)
-        "rk AS (SELECT idx, rest, MIN(g.k) AS rank FROM rr "
-        "CROSS JOIN generate_series(1, 64) g(k) "
-        "WHERE (rest >> CAST(64 - g.k AS INTEGER)) & 1 = 1 GROUP BY idx, rest), "
-        "reg AS (SELECT idx, MAX(rank) AS r FROM rk GROUP BY idx), "
-        f"allr AS (SELECT gs.i AS idx, COALESCE(reg.r, 0) AS r "
-        f"FROM generate_series(0, {m - 1}) gs(i) LEFT JOIN reg ON reg.idx = gs.i), "
-        # the register sum is an exact HUGEINT (sum of 2^(64-r), r <= 64) so
-        # the only rounding is the final cast to DOUBLE -- a float SUM()
-        # here would be accumulation-order-sensitive in the last ulp and
-        # could diverge from the engine's numpy sum (then flip the rounded
-        # integer estimate); power(2.0, 64-r) is an exact power-of-two
-        # double, and its HUGEINT cast is exact
-        f"e AS (SELECT CAST({alpha} AS DOUBLE) * CAST({m} AS DOUBLE) "
-        f"* CAST({m} AS DOUBLE) * 18446744073709551616.0 "
-        "/ CAST(SUM(CAST(power(2.0, CAST(64 - r AS DOUBLE)) AS HUGEINT)) AS DOUBLE) "
-        "AS est0, "
-        "SUM(CASE WHEN r = 0 THEN 1 ELSE 0 END) AS zeros FROM allr) "
-        f"SELECT CAST(FLOOR((CASE WHEN est0 <= CAST({m} AS DOUBLE) * 2.5 AND zeros > 0 "
-        f"THEN CAST({m} AS DOUBLE) * ln(CAST({m} AS DOUBLE) / zeros) ELSE est0 END) "
-        "+ 0.5) AS BIGINT) AS approx_distinct_users FROM e"
-    )
-
-
-def _approx_distinct_by_type_sql(p: int = 10) -> str:
-    """Grouped replay of _approx_distinct_sql: the identical HLL pipeline
-    (md5-prefix hash, per-hash MIN set-bit rank, per-register MAX, exact
-    HUGEINT register sum, linear-counting branch) with event_type threaded
-    through every CTE -- one register table and one estimate per type."""
-    m = 1 << p
-    alpha = repr(0.7213 / (1 + 1.079 / m))
-    h = _MD5U64.format(v="CAST(user_id AS VARCHAR)")
-    return (
-        "WITH v AS (SELECT DISTINCT event_type, user_id FROM events), "
-        f"h AS (SELECT event_type, {h} AS h FROM v), "
-        f"rr AS (SELECT event_type, CAST(h >> {64 - p} AS BIGINT) AS idx, "
-        f"CAST((CAST(h AS HUGEINT) % CAST({1 << (64 - p)} AS HUGEINT)) "
-        f"* {1 << p} + {(1 << p) - 1} AS UBIGINT) AS rest FROM h), "
-        "rk AS (SELECT event_type, idx, rest, MIN(g.k) AS rank FROM rr "
-        "CROSS JOIN generate_series(1, 64) g(k) "
-        "WHERE (rest >> CAST(64 - g.k AS INTEGER)) & 1 = 1 GROUP BY 1, 2, 3), "
-        "reg AS (SELECT event_type, idx, MAX(rank) AS r FROM rk GROUP BY 1, 2), "
-        "types AS (SELECT DISTINCT event_type FROM events), "
-        f"allr AS (SELECT t.event_type, gs.i AS idx, COALESCE(reg.r, 0) AS r "
-        f"FROM types t CROSS JOIN generate_series(0, {m - 1}) gs(i) "
-        "LEFT JOIN reg ON reg.event_type = t.event_type AND reg.idx = gs.i), "
-        f"e AS (SELECT event_type, CAST({alpha} AS DOUBLE) * CAST({m} AS DOUBLE) "
-        f"* CAST({m} AS DOUBLE) * 18446744073709551616.0 "
-        "/ CAST(SUM(CAST(power(2.0, CAST(64 - r AS DOUBLE)) AS HUGEINT)) AS DOUBLE) "
-        "AS est0, SUM(CASE WHEN r = 0 THEN 1 ELSE 0 END) AS zeros "
-        "FROM allr GROUP BY event_type) "
-        f"SELECT event_type, CAST(FLOOR((CASE WHEN est0 <= CAST({m} AS DOUBLE) * 2.5 "
-        f"AND zeros > 0 THEN CAST({m} AS DOUBLE) * ln(CAST({m} AS DOUBLE) / zeros) "
-        "ELSE est0 END) + 0.5) AS BIGINT) AS approx_distinct FROM e"
     )
 
 
@@ -8170,25 +5462,6 @@ def _dp_geometric_sql() -> str:
     )
 
 
-_DOW_ADJUSTED_SPIKES_SQL = (
-    # replay of analytics.dow_adjusted_spikes: day cents -> dow floor-mean
-    # (all-positive: // truncation == floor) -> residuals -> lower-median
-    # MAD (quantile_disc 0.5) -> |resid| > 3*MAD, day ASC. pyarrow
-    # day_of_week is Monday=0 -> isodow - 1.
-    "WITH d AS (SELECT CAST(o_orderdate AS DATE) AS day, "
-    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS rev "
-    "FROM orders GROUP BY 1), "
-    "p AS (SELECT isodow(day) - 1 AS dow, SUM(rev) // COUNT(*) AS dm "
-    "FROM d GROUP BY 1), "
-    "r AS (SELECT d.day, p.dow, d.rev, d.rev - p.dm AS resid "
-    "FROM d JOIN p ON isodow(d.day) - 1 = p.dow), "
-    "m AS (SELECT quantile_disc(abs(resid), 0.5) AS mad FROM r) "
-    "SELECT strftime(r.day, '%Y-%m-%d') AS day, CAST(r.dow AS BIGINT) AS dow, "
-    "r.rev AS revenue_cents, CAST(r.resid AS BIGINT) AS resid_cents "
-    "FROM r, m WHERE abs(r.resid) > 3 * m.mad ORDER BY r.day"
-)
-
-
 # shared CTE body for the boundary-overlap pair family (k=2, cap=40):
 # [a-z0-9]+ token windows, cap CTE drops boilerplate boundaries (> cap
 # docs on either side), join tail(a) = head(b), a <> b
@@ -8227,34 +5500,6 @@ _BOUNDARY_CHAINS_SQL = (
 )
 
 
-_ATTRIBUTION_LAST_TOUCH_SQL = (
-    # replay of relational.attribution_last_touch: LAG over (user, ts, id)
-    # names the prior touch; purchases fold value-cents per channel
-    "WITH s AS (SELECT event_type, "
-    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS c, "
-    "LAG(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev "
-    "FROM events) "
-    "SELECT COALESCE(prev, '(none)') AS channel, "
-    "CAST(COUNT(*) AS BIGINT) AS n_conversions, "
-    "CAST(SUM(c) AS BIGINT) AS value_cents "
-    "FROM s WHERE event_type = 'purchase' GROUP BY 1 ORDER BY 1"
-)
-
-
-_L_DIVERSITY_SQL = (
-    # replay of analytics.l_diversity_audit: (event_type, day) cells,
-    # COUNT DISTINCT users, at_risk flag below l=5
-    "WITH c AS (SELECT event_type, "
-    "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
-    "CAST(COUNT(*) AS BIGINT) AS n_events, "
-    "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users "
-    "FROM events GROUP BY 1, 2) "
-    "SELECT event_type, day, n_events, n_users, "
-    "CAST(CASE WHEN n_users < 5 THEN 1 ELSE 0 END AS BIGINT) AS at_risk "
-    "FROM c ORDER BY event_type, day"
-)
-
-
 _PADDING_WASTE_SQL = (
     # replay of analytics.padding_waste_by_bucket: RE2 \\S token count,
     # power-of-two CASE ladder (16..8192, long docs clamp into the top),
@@ -8269,25 +5514,6 @@ _PADDING_WASTE_SQL = (
     "CAST(GREATEST(bucket*n_docs - sum_tokens, 0) * 1000000 "
     "// GREATEST(bucket*n_docs, 1) AS BIGINT) AS waste_ppm "
     "FROM g ORDER BY bucket"
-)
-
-
-_ORDER_RECON_SQL = (
-    # replay of analytics.order_total_reconciliation: detail sums via the
-    # proven left-assoc float chain, LEFT JOIN (detail-less orders diff
-    # against 0), per-status exact/abs-diff fold
-    "WITH ls AS (SELECT l_orderkey, "
-    "SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*(1+l_tax)*100 + 0.5) AS BIGINT)) AS lc "
-    "FROM lineitem GROUP BY 1), "
-    "o AS (SELECT o_orderkey, o_orderstatus, "
-    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS oc FROM orders), "
-    "d AS (SELECT o.o_orderstatus, o.oc - COALESCE(ls.lc, 0) AS diff "
-    "FROM o LEFT JOIN ls ON o.o_orderkey = ls.l_orderkey) "
-    "SELECT o_orderstatus, CAST(COUNT(*) AS BIGINT) AS n_orders, "
-    "CAST(COUNT(*) FILTER (diff = 0) AS BIGINT) AS n_exact, "
-    "CAST(SUM(ABS(diff)) AS BIGINT) AS sum_abs_diff_cents, "
-    "CAST(MAX(ABS(diff)) AS BIGINT) AS max_abs_diff_cents "
-    "FROM d GROUP BY 1 ORDER BY 1"
 )
 
 
@@ -8484,25 +5710,6 @@ _CDC_CHUNK_SQL = (
 )
 
 
-def _gdpr_sql(mod: int = 50) -> str:
-    def one(tbl: str, col: str) -> str:
-        h = _MD5U64.format(v=f"'gdpr:' || CAST({col} AS VARCHAR)")
-        return (
-            f"SELECT '{tbl}' AS tbl, CAST(COUNT(*) AS BIGINT) AS n_rows_to_erase, "
-            f"CAST(COUNT(DISTINCT {col}) AS BIGINT) AS n_users_to_erase "
-            f"FROM {tbl} WHERE {h} % {mod} = 0"
-        )
-
-    # replay of analytics.gdpr_erasure_plan: the same md5 cohort
-    # predicate per table, rows + distinct subjects
-    return (
-        one("customer", "c_custkey")
-        + " UNION ALL " + one("orders", "o_custkey")
-        + " UNION ALL " + one("events", "user_id")
-        + " ORDER BY tbl"
-    )
-
-
 def _max_coverage_sql(k: int = 5) -> str:
     # replay of analytics.max_coverage_select: distinct (doc, bigram)
     # table, k unrolled greedy rounds -- each picks argmax uncovered
@@ -8561,21 +5768,6 @@ def _blocklist_sql() -> str:
             f"FROM (SELECT lang, {hits} AS h FROM documents) GROUP BY lang"
         )
     return " UNION ALL ".join(parts) + " ORDER BY category, lang"
-
-
-def _pseudonym_sql(space_bits: int = 16) -> str:
-    h = _MD5U64.format(v="'pseud:' || CAST(user_id AS VARCHAR)")
-    mod = 1 << space_bits
-    return (
-        # replay of analytics.pseudonym_collision_audit over events
-        f"WITH s AS (SELECT DISTINCT user_id, CAST({h} % {mod} AS BIGINT) AS p "
-        "FROM events), "
-        "a AS (SELECT CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users, "
-        "CAST(COUNT(DISTINCT p) AS BIGINT) AS n_pseudonyms FROM s) "
-        "SELECT n_users, n_pseudonyms, n_users - n_pseudonyms AS n_collisions, "
-        "CAST((n_users - n_pseudonyms) * 1000000 // GREATEST(n_users, 1) AS BIGINT) "
-        "AS collision_ppm FROM a"
-    )
 
 
 def _code_switch_sql(min_hits: int = 2) -> str:
@@ -8705,17 +5897,6 @@ def _leakage_split_sql(train_pct: int = 8) -> str:
         "UNION ALL SELECT 'by_doc', naive_tr, nd - naive_tr, nstr FROM tot "
         "ORDER BY method"
     )
-
-
-_TEXT_SOURCE_DAILY_SQL = (
-    # replay of analytics.text_source_daily: the export is a pure
-    # projection (cents + day strings), so the oracle aggregates the
-    # original parquet directly
-    "SELECT event_type, strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
-    "CAST(COUNT(*) AS BIGINT) AS n_events, "
-    "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) AS value_cents "
-    "FROM events GROUP BY 1, 2 ORDER BY 1, 2"
-)
 
 
 def _matryoshka_sql(trunc_dim: int = 16, k: int = 10) -> str:
@@ -8908,46 +6089,6 @@ def _pq_sql(n_sub: int = 8, n_codes: int = 16, k: int = 10,
     )
 
 
-def _bootstrap_ci_sql(n_resamples: int = 64, seed: int = 7,
-                      lo_pct: int = 25, hi_pct: int = 975) -> str:
-    """Replay of analytics.bootstrap_ci_mean: the SAME (a_b, b_b) affine
-    literals and Poisson(1) integer CDF ladder (both from
-    analytics.bootstrap_constants -- one source of truth), u =
-    ((pa*h + pb) % 2^64) % Mersenne61 via HUGEINT, weight = CASE rung,
-    per-resample mean = floor((SUM(w*cents)*100) / SUM(w)) with zero-weight
-    resamples dropped on both sides, percentile pick by ROW_NUMBER at the
-    engine's integer rank formulas."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    a, b, thr = analytics.bootstrap_constants(n_resamples, seed)
-    perms = ", ".join(
-        f"({i}, {int(x)}, {int(y)})" for i, (x, y) in enumerate(zip(a, b))
-    )
-    ladder = "CASE " + " ".join(
-        f"WHEN u < {int(t)} THEN {k}" for k, t in enumerate(thr)
-    ) + f" ELSE {len(thr)} END"
-    h = _MD5U64.format(v="CAST(o_orderkey AS VARCHAR)")
-    return (
-        f"WITH base AS (SELECT {h} AS h, "
-        "CAST(ROUND(o_totalprice * 100) AS BIGINT) AS cents FROM orders), "
-        f"perm(b, pa, pb) AS (VALUES {perms}), "
-        "u AS (SELECT p.b, ((CAST(p.pa AS HUGEINT) * base.h + p.pb) "
-        "% 18446744073709551616) % 2305843009213693951 AS u, base.cents "
-        "FROM base CROSS JOIN perm p), "
-        f"w AS (SELECT b, {ladder} AS w, cents FROM u), "
-        "mn AS (SELECT b, CAST((SUM(w * cents) * 100) // SUM(w) AS BIGINT) "
-        "AS mean FROM w GROUP BY b HAVING SUM(w) > 0), "
-        "r AS (SELECT mean, ROW_NUMBER() OVER (ORDER BY mean) AS rn, "
-        "COUNT(*) OVER () AS m FROM mn), "
-        "pt AS (SELECT CAST((SUM(cents) * 100) // COUNT(*) AS BIGINT) "
-        "AS mean_c100 FROM base) "
-        "SELECT pt.mean_c100, "
-        f"(SELECT mean FROM r WHERE rn = ({lo_pct} * m) // 1000 + 1) AS ci_lo_c100, "
-        f"(SELECT mean FROM r WHERE rn = ({hi_pct} * m + 999) // 1000) AS ci_hi_c100, "
-        "(SELECT CAST(MAX(m) AS BIGINT) FROM r) AS n_resamples FROM pt"
-    )
-
-
 def oracle_sql() -> dict[str, str]:
     from distributed_system___ocr_ray.functions.textstats import (
         PUNCT_PATTERN as _TS_PUNCT,
@@ -9055,17 +6196,12 @@ def oracle_sql() -> dict[str, str]:
         "ngram_dup_clusters": _NGRAM_CLUSTERS_SQL,
         "ngram_dedup_keepers": _NGRAM_KEEPERS_SQL,
         "quality_by_lang": _quality_by_lang_sql(),
-        "median_order_value": _MEDIAN_ORDER_SQL,
-        "weighted_median_price": _WEIGHTED_MEDIAN_PRICE_SQL,
         "pps_sample": _PPS_SAMPLE_SQL,
         "profile_documents": _PROFILE_DOCUMENTS_SQL,
         "top_tokens": _TOP_TOKENS_SQL,
         "training_corpus_counts": _training_corpus_sql(),
         "ingest_increment_counts": _ingest_increment_sql(),
         "corpus_report": _corpus_report_sql(),
-        "median_value_by_event_type": _MEDIAN_BY_TYPE_SQL,
-        "user_median_value_sketch": _USER_MEDIAN_SKETCH_SQL,
-        "debounce_events": _DEBOUNCE_SQL,
         "tfidf_keywords": _TFIDF_SQL,
         "embedding_neardup": _EMBEDDING_NEARDUP_SQL,
         "extract_embed_neardup": _extract_embed_neardup_sql(),
@@ -9074,18 +6210,6 @@ def oracle_sql() -> dict[str, str]:
         "minhash_dup_clusters": _minhash_clusters_sql(),
         "simhash_dup_clusters": _simhash_clusters_sql(),
         "simhash_pairs": _simhash_pairs_sql(),
-        "approx_distinct_users": _approx_distinct_sql(),
-        "hll_error_audit": (
-            # composes the register-exact HLL replay with COUNT(DISTINCT);
-            # abs error floor-divides on both sides (both operands >= 0)
-            f"WITH a AS ({_approx_distinct_sql()}), "
-            "e AS (SELECT COUNT(DISTINCT user_id) AS n FROM events) "
-            "SELECT CAST(e.n AS BIGINT) AS exact_distinct, "
-            "CAST(a.approx_distinct_users AS BIGINT) AS approx_distinct, "
-            "CAST(abs(a.approx_distinct_users - e.n) * 1000000 // e.n AS BIGINT) "
-            "AS abs_err_ppm FROM a, e"
-        ),
-        "approx_users_by_type": _approx_distinct_by_type_sql(),
         "bm25_topk": _bm25_sql(),
         "bm25_prf_topk": _bm25_prf_sql(),
         "docs_by_lang": "SELECT lang, COUNT(*) AS n_docs FROM documents GROUP BY lang",
@@ -9096,121 +6220,12 @@ def oracle_sql() -> dict[str, str]:
         "filter_project_documents": (
             "SELECT doc_id, lang FROM documents WHERE n_chars >= 100 AND n_chars <= 20000"
         ),
-        "pricing_summary": (
-            "SELECT l_returnflag, l_linestatus, "
-            "CAST(SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty_cents, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_base_cents, "
-            "COUNT(*) AS n_rows "
-            "FROM lineitem WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
-            "GROUP BY l_returnflag, l_linestatus"
-        ),
-        "revenue_by_nation": (
-            "SELECT n.n_name, "
-            "CAST(SUM(CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents, "
-            "COUNT(*) AS n_orders "
-            "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-            "JOIN nation n ON c.c_nationkey = n.n_nationkey GROUP BY n.n_name"
-        ),
-        "events_daily": (
-            "SELECT event_type, strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
-            "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) AS value_cents, "
-            "COUNT(*) AS n_events FROM events GROUP BY 1, 2"
-        ),
-        # replays relational.daily_activity_full_outer: two independent
-        # daily aggregates reconciled with FULL OUTER + COALESCE zeros
-        "daily_activity": (
-            "WITH od AS (SELECT strftime(o_orderdate, '%Y-%m-%d') AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS n_orders FROM orders GROUP BY 1), "
-            "ed AS (SELECT strftime(ts, '%Y-%m-%d') AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS n_events FROM events GROUP BY 1) "
-            "SELECT COALESCE(od.day, ed.day) AS day, "
-            "COALESCE(n_orders, CAST(0 AS BIGINT)) AS n_orders, "
-            "COALESCE(n_events, CAST(0 AS BIGINT)) AS n_events "
-            "FROM od FULL OUTER JOIN ed ON od.day = ed.day"
-        ),
-        # replays relational.ols_trend_by_priority: HUGEINT normal
-        # equations, sign-split so both // operands are non-negative
-        # (truncation == floor on both engines)
-        "ols_trend": (
-            "WITH o AS (SELECT o_orderpriority AS pri, "
-            "CAST(datediff('day', DATE '1992-01-01', CAST(o_orderdate AS DATE)) "
-            "AS HUGEINT) AS x, "
-            "CAST(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS HUGEINT) AS y "
-            "FROM orders), "
-            "s AS (SELECT pri, CAST(COUNT(*) AS HUGEINT) AS n, SUM(x) AS sx, "
-            "SUM(y) AS sy, SUM(x*y) AS sxy, SUM(x*x) AS sxx FROM o GROUP BY pri), "
-            "c AS (SELECT pri, n, n*sxy - sx*sy AS num, n*sxx - sx*sx AS den FROM s) "
-            "SELECT pri AS o_orderpriority, CAST(n AS BIGINT) AS n_orders, "
-            "CAST(CASE WHEN num >= 0 THEN (1000000*num) // den "
-            "ELSE -((1000000*(-num)) // den) END AS BIGINT) AS slope_ppm FROM c"
-        ),
-        "top_users_by_value": (
-            "SELECT user_id, CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) "
-            "AS total_value_cents FROM events GROUP BY user_id "
-            "ORDER BY total_value_cents DESC, user_id LIMIT 10"
-        ),
-        "order_lineitem_join": (
-            "SELECT o.o_orderpriority, "
-            "CAST(SUM(CAST(FLOOR(l.l_extendedprice*(1-l.l_discount)*100 + 0.5) AS BIGINT)) AS BIGINT) "
-            "AS revenue_cents, COUNT(*) AS n_items "
-            "FROM orders o JOIN lineitem l ON o.o_orderkey = l.l_orderkey GROUP BY 1"
-        ),
-        "last_order_before_event": (
-            "SELECT e.event_id, strftime(o.o_orderdate, '%Y-%m-%d') AS last_order_day "
-            "FROM events e ASOF JOIN orders o "
-            "ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate"
-        ),
-        "session_windows": (
-            "WITH d AS (SELECT user_id, ts, value, "
-            "CASE WHEN lag(ts) OVER w IS NULL OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE "
-            "THEN 1 ELSE 0 END AS brk FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)), "
-            "s AS (SELECT *, SUM(brk) OVER (PARTITION BY user_id ORDER BY ts "
-            "ROWS UNBOUNDED PRECEDING) AS session_id FROM d) "
-            "SELECT user_id, CAST(session_id AS BIGINT) AS session_id, COUNT(*) AS n_events, "
-            "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS BIGINT) AS session_value_cents "
-            "FROM s GROUP BY 1, 2"
-        ),
-        "sliding_windows": (
-            # every event is in exactly width/hop = 4 windows, so a constant
-            # series works (DuckDB's generate_series rejects lateral column args)
-            "SELECT event_type, "
-            "CAST(900 * (floor(epoch(e.ts) / 900) - j.j) AS BIGINT) AS window_start, "
-            "COUNT(*) AS n_events FROM events e "
-            "CROSS JOIN generate_series(0, 3) AS j(j) GROUP BY 1, 2"
-        ),
-        "top_orders_per_segment": (
-            "SELECT c.c_mktsegment, o.o_orderkey, "
-            "CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) AS price_cents "
-            "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-            "QUALIFY row_number() OVER (PARTITION BY c.c_mktsegment "
-            "ORDER BY price_cents DESC, o.o_orderkey) <= 3"
-        ),
         "language_id": _lang_id_sql(),
         "langid_confusion": (
             # wraps the char-for-char language_id replay; the label joins in
             f"WITH pred AS ({_lang_id_sql()}) "
             "SELECT d.lang, p.pred_lang, CAST(COUNT(*) AS BIGINT) AS n_docs "
             "FROM pred p JOIN documents d USING (doc_id) GROUP BY 1, 2"
-        ),
-        "kmv_distinct_audit": (
-            # replay of analytics.kmv_distinct_audit: 'kmv:' md5-u64 over
-            # DISTINCT user ids, bottom-256, (k-1)*2^64 // m_k in HUGEINT;
-            # under-filled sketch ships its own size exactly
-            "WITH h AS (SELECT DISTINCT CAST(('0x' || substr(md5('kmv:' || "
-            "CAST(user_id AS VARCHAR)), 1, 16)) AS UBIGINT) AS hv "
-            "FROM events), "
-            "n AS (SELECT COUNT(*) AS exact FROM h), "
-            "bk AS (SELECT hv FROM h ORDER BY hv LIMIT 256), "
-            "kth AS (SELECT MAX(hv) AS mk, COUNT(*) AS nk FROM bk), "
-            "est AS (SELECT CASE WHEN (SELECT nk FROM kth) < 256 THEN "
-            "CAST((SELECT nk FROM kth) AS HUGEINT) ELSE "
-            "(255 * CAST(18446744073709551616 AS HUGEINT)) // "
-            "CAST((SELECT mk FROM kth) AS HUGEINT) END AS e) "
-            "SELECT CAST((SELECT exact FROM n) AS BIGINT) AS exact_distinct, "
-            "CAST((SELECT e FROM est) AS BIGINT) AS kmv_distinct, "
-            "CAST(CASE WHEN (SELECT exact FROM n) = 0 THEN 0 ELSE "
-            "abs((SELECT e FROM est) - (SELECT exact FROM n)) * 1000000 // "
-            "(SELECT exact FROM n) END AS BIGINT) AS abs_err_ppm"
         ),
         "langid_kappa": (
             # replay of analytics.langid_kappa: the shared language_id
@@ -9355,29 +6370,6 @@ def oracle_sql() -> dict[str, str]:
         "mixture_sample": _mixture_sample_sql(_MIX_SHARES, _MIX_TARGET),
         "cms_top_tokens": _cms_top_tokens_sql(20),
         "cms_error_audit": _cms_error_audit_sql(20),
-        "join_size_audit": (
-            # replay of analytics.join_size_audit: exact = sum of per-key
-            # count products (never the join), estimate = min over CMS rows
-            # of the counter inner product (identical md5 bucket hashes)
-            "WITH ca AS (SELECT o_orderkey AS k, COUNT(*) AS c FROM orders GROUP BY 1), "
-            "cb AS (SELECT l_orderkey AS k, COUNT(*) AS c FROM lineitem GROUP BY 1), "
-            "ex AS (SELECT COALESCE(SUM(CAST(ca.c AS HUGEINT) * cb.c), 0) AS n "
-            "FROM ca JOIN cb USING (k)), "
-            "rows_ AS (SELECT CAST(r AS INTEGER) AS r FROM range(4) t(r)), "
-            "ska AS (SELECT r, "
-            + _MD5U64.format(v="'cms' || CAST(r AS VARCHAR) || ':' || CAST(k AS VARCHAR)")
-            + " % 8192 AS b, SUM(c) AS c FROM ca CROSS JOIN rows_ GROUP BY 1, 2), "
-            "skb AS (SELECT r, "
-            + _MD5U64.format(v="'cms' || CAST(r AS VARCHAR) || ':' || CAST(k AS VARCHAR)")
-            + " % 8192 AS b, SUM(c) AS c FROM cb CROSS JOIN rows_ GROUP BY 1, 2), "
-            "ip AS (SELECT a.r, SUM(CAST(a.c AS HUGEINT) * b.c) AS s "
-            "FROM ska a JOIN skb b ON a.r = b.r AND a.b = b.b GROUP BY a.r), "
-            "est AS (SELECT MIN(s) AS e FROM ip) "
-            "SELECT CAST(ex.n AS BIGINT) AS exact_rows, "
-            "CAST(est.e AS BIGINT) AS cms_estimate, "
-            "CAST(CASE WHEN ex.n = 0 THEN 0 ELSE (est.e - ex.n) * 1000000 // ex.n END "
-            "AS BIGINT) AS over_ppm FROM ex, est"
-        ),
         "epoch_shuffle": _epoch_shuffle_sql(3),
         "sample_exact_n": _sample_exact_n_sql(60),
         "line_dedup": _line_dedup_sql(8),
@@ -9385,11 +6377,8 @@ def oracle_sql() -> dict[str, str]:
         "novel_docs_minhash": _novel_docs_minhash_sql(_FUZZY_NOVEL_THRESHOLD),
         "sample_n_per_group": _sample_n_per_group_sql(15),
         "zscore_by_lang": _zscore_by_lang_sql(),
-        "funnel_counts": _funnel_counts_sql(_FUNNEL_STEPS),
         "domain_counts": _domain_counts_sql(10),
-        "retention_cohorts": _retention_cohorts_sql(),
         "sample_by_quality": _sample_by_quality_sql(),
-        "value_histogram": _value_histogram_sql(32),
         # replays _q_pruned_range_read's [3N/10, 11N/20) doc_id range with the
         # same integer arithmetic; the engine's zone-map pruning must be
         # invisible in the result (pruning changes cost, never rows)
@@ -9398,14 +6387,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
             "CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
             "FROM documents, b WHERE doc_id >= b.lo AND doc_id < b.hi GROUP BY lang"
-        ),
-        # replays _q_running_totals: deterministic total order via the
-        # orderkey tie-break; integer cents
-        "running_totals": (
-            "SELECT o_custkey, o_orderkey, "
-            "CAST(SUM(CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT)) OVER "
-            "(PARTITION BY o_custkey ORDER BY o_orderdate, o_orderkey) AS BIGINT) "
-            "AS cum_cents FROM orders"
         ),
         # replays _q_robust_outliers: ceil-rank median (the engine's
         # exact_quantile convention), then ceil-rank median of |dev|, then
@@ -9455,50 +6436,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT term, CAST(COUNT(*) AS BIGINT) AS n_docs FROM toks "
             f"WHERE term IN ({', '.join(repr(t) for t in _POSTINGS_TERMS)}) "
             "GROUP BY term"
-        ),
-        # replays _q_customer_order_counts: LEFT JOIN + zero fill
-        "customer_order_counts": (
-            "SELECT c_custkey, CAST(COALESCE(o.cnt, 0) AS BIGINT) AS n_orders "
-            "FROM customer LEFT JOIN (SELECT o_custkey, COUNT(*) AS cnt "
-            "FROM orders GROUP BY 1) o ON c_custkey = o.o_custkey"
-        ),
-        # replays _q_distinct_users_by_type
-        "distinct_users_by_type": (
-            "SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
-            "AS n_distinct FROM events GROUP BY event_type"
-        ),
-        # replays _q_last_event_per_user: argmax by (ts, type, cents) DESC
-        "last_event_per_user": (
-            "WITH s AS (SELECT user_id, epoch_us(ts) AS ts_us, event_type, "
-            "CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS value_cents, "
-            "row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, "
-            "event_type DESC, CAST(FLOOR(value * 100 + 0.5) AS BIGINT) DESC) AS rn "
-            "FROM events) "
-            "SELECT user_id, ts_us, event_type, value_cents FROM s WHERE rn = 1"
-        ),
-        # replays _q_events_pivot_daily: same day floor + n_{type} names
-        "events_pivot_daily": (
-            "SELECT CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, CAST(COUNT(*) FILTER (event_type = 'click') AS BIGINT) AS n_click, CAST(COUNT(*) FILTER (event_type = 'error') AS BIGINT) AS n_error, CAST(COUNT(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase, CAST(COUNT(*) FILTER (event_type = 'signup') AS BIGINT) AS n_signup, CAST(COUNT(*) FILTER (event_type = 'view') AS BIGINT) AS n_view "
-            "FROM events GROUP BY 1"
-        ),
-        # replays _q_events_unpivot_daily: DuckDB UNPIVOT over the SAME
-        # pivot subquery, n_ prefix stripped back to the event type
-        "events_unpivot_daily": (
-            "WITH p AS (SELECT CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day, CAST(COUNT(*) FILTER (event_type = 'click') AS BIGINT) AS n_click, CAST(COUNT(*) FILTER (event_type = 'error') AS BIGINT) AS n_error, CAST(COUNT(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase, CAST(COUNT(*) FILTER (event_type = 'signup') AS BIGINT) AS n_signup, CAST(COUNT(*) FILTER (event_type = 'view') AS BIGINT) AS n_view "
-            "FROM events GROUP BY 1) "
-            "SELECT day, replace(et, 'n_', '') AS event_type, CAST(n AS BIGINT) AS n "
-            "FROM p UNPIVOT (n FOR et IN (n_click, n_error, n_purchase, n_signup, n_view))"
-        ),
-        # replays _q_benford_first_digit: string-route first digit, exact
-        # integer cents, floor-div ppm shares
-        "benford_first_digit": (
-            "WITH c AS (SELECT CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) "
-            "AS cents FROM orders), "
-            "d AS (SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) "
-            "AS digit FROM c WHERE cents > 0), "
-            "a AS (SELECT digit, CAST(COUNT(*) AS BIGINT) AS n FROM d GROUP BY digit) "
-            "SELECT digit, n, CAST(n * 1000000 // (SELECT SUM(n) FROM a) AS BIGINT) "
-            "AS share_ppm FROM a"
         ),
         # replays _q_zipf_bits_audit: identical ranking (n DESC, tk ASC),
         # floor(log2) via length(bin(n))-1, octave drop via lag()
@@ -9595,14 +6532,6 @@ def oracle_sql() -> dict[str, str]:
             "COUNT(*) OVER (PARTITION BY text) AS n_copies FROM q) "
             "SELECT doc_id AS keeper_doc_id, quality_ppm, "
             "CAST(n_copies AS BIGINT) AS n_copies FROM w WHERE rn = 1"
-        ),
-        # replays _q_shipments_within_7d: LEFT range join, exact us bounds
-        "shipments_within_7d": (
-            "SELECT o_orderkey, CAST(COUNT(l.l_shipdate) AS BIGINT) AS n_shipped "
-            "FROM orders o LEFT JOIN lineitem l "
-            "ON l.l_shipdate >= o.o_orderdate "
-            "AND l.l_shipdate < o.o_orderdate + INTERVAL 7 DAY "
-            "GROUP BY o_orderkey"
         ),
         # replays _q_cow_delete_counts: the complement of the deleted range
         "cow_delete_counts": (
@@ -9794,23 +6723,6 @@ def oracle_sql() -> dict[str, str]:
         "dup_shingle_rate": _DUP_SHINGLE_SQL,
         "doc_boilerplate": _DOC_BOILERPLATE_SQL,
         "dup_spans": _DUP_SPANS_SQL,
-        "ks_priority_drift": _KS_PRIORITY_SQL,
-        "sampled_quantile_audit": _SAMPLED_QUANTILE_SQL,
-        "revenue_time_rollup": (
-            # replay of analytics.revenue_time_rollup: GROUPING SETS with
-            # GROUPING() mapped to the engine's -1 sentinel and level tag
-            "WITH v AS (SELECT year(o_orderdate) AS y, "
-            "quarter(o_orderdate) AS q, month(o_orderdate) AS m, "
-            "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS c FROM orders) "
-            "SELECT CASE WHEN GROUPING(m) = 0 THEN 'month' "
-            "WHEN GROUPING(q) = 0 THEN 'quarter' ELSE 'year' END AS level, "
-            "CAST(y AS BIGINT) AS y, "
-            "CAST(CASE WHEN GROUPING(q) = 0 THEN q ELSE -1 END AS BIGINT) AS q, "
-            "CAST(CASE WHEN GROUPING(m) = 0 THEN m ELSE -1 END AS BIGINT) AS m, "
-            "CAST(COUNT(*) AS BIGINT) AS n_orders, "
-            "CAST(SUM(c) AS BIGINT) AS revenue_cents "
-            "FROM v GROUP BY GROUPING SETS ((y), (y, q), (y, q, m))"
-        ),
         "two_hop_reach": (
             # replay of analytics.two_hop_reach over the shared edge CTE:
             # distinct edges, top-20 by (in_deg DESC, dst), double join +
@@ -9826,21 +6738,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT s.seed, CAST(s.in_deg AS BIGINT) AS in_deg, "
             "CAST(COALESCE(r2.reach2, 0) AS BIGINT) AS reach2 "
             "FROM seeds s LEFT JOIN r2 USING (seed)"
-        ),
-        "negative_samples": (
-            # replay of analytics.negative_samples: md5-u64 big-endian
-            # prefix % n_parts candidates, NOT EXISTS anti-join
-            "WITH np AS (SELECT COUNT(*) AS n FROM part), "
-            "inter AS (SELECT DISTINCT o.o_custkey AS c, l.l_partkey AS p "
-            "FROM orders o JOIN lineitem l ON l.l_orderkey = o.o_orderkey), "
-            "cand AS (SELECT c_custkey AS c, "
-            "unnest(generate_series(1, 8)) AS j FROM customer), "
-            "cp AS (SELECT c, j, CAST(('0x' || substr(md5(CAST(c AS VARCHAR) "
-            "|| ':' || CAST(j AS VARCHAR)), 1, 16))::UBIGINT % "
-            "(SELECT n FROM np) AS BIGINT) AS p FROM cand) "
-            "SELECT c AS custkey, CAST(j AS BIGINT) AS neg_idx, p AS partkey "
-            "FROM cp WHERE NOT EXISTS (SELECT 1 FROM inter "
-            "WHERE inter.c = cp.c AND inter.p = cp.p)"
         ),
         "span_corruption_plan": (
             # replay of analytics.span_corruption_plan: nw = \S+ count,
@@ -9879,29 +6776,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(total_bits * 1000 // n_bigrams AS BIGINT) AS mean_millibits "
             "FROM d ORDER BY mean_millibits DESC, doc_id ASC LIMIT 50"
         ),
-        "first_event_after_order": (
-            # replay of relational.first_event_after_order: forward as-of =
-            # MIN(e.ts) over the strictly-after join, day-derived outputs
-            "WITH j AS (SELECT o.o_orderkey AS k, o.o_orderdate AS od, "
-            "MIN(e.ts) AS nts FROM orders o JOIN events e "
-            "ON e.user_id = o.o_custkey AND e.ts > o.o_orderdate "
-            "GROUP BY 1, 2) "
-            "SELECT k AS o_orderkey, "
-            "strftime(date_trunc('day', nts), '%Y-%m-%d') AS next_event_day, "
-            "CAST(date_diff('day', date_trunc('day', od), "
-            "date_trunc('day', nts)) AS BIGINT) AS gap_days FROM j"
-        ),
-        "dow_revenue_profile": (
-            "WITH a AS (SELECT isodow(o_orderdate) AS isodow, "
-            "COUNT(*) AS n_orders, "
-            "SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS rev "
-            "FROM orders GROUP BY 1), "
-            "t AS (SELECT SUM(rev) AS tot FROM a) "
-            "SELECT CAST(isodow AS BIGINT) AS isodow, "
-            "CAST(n_orders AS BIGINT) AS n_orders, "
-            "CAST(rev AS BIGINT) AS revenue_cents, "
-            "CAST(rev * 1000000 // t.tot AS BIGINT) AS share_ppm FROM a, t"
-        ),
         "completeness_audit": (
             "WITH a AS ("
             "SELECT 'text' AS col, COUNT(*) AS nr, "
@@ -9915,22 +6789,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(nn AS BIGINT) AS n_null, CAST(ne AS BIGINT) AS n_empty, "
             "CAST((nn + ne) * 1000000 // nr AS BIGINT) AS missing_ppm FROM a"
         ),
-        "order_backlog_daily": (
-            # replay of analytics.order_backlog_daily: per-order MAX ship,
-            # inner join, +1 on order day / -1 the day after last shipment,
-            # running sum over the change-day grid
-            "WITH ls AS (SELECT l_orderkey AS k, MAX(l_shipdate) AS last_ship "
-            "FROM lineitem GROUP BY 1), "
-            "j AS (SELECT o.o_orderdate AS od, ls.last_ship FROM orders o "
-            "JOIN ls ON ls.k = o.o_orderkey), "
-            "d AS (SELECT strftime(date_trunc('day', od), '%Y-%m-%d') AS day, "
-            "1 AS delta FROM j "
-            "UNION ALL SELECT strftime(date_trunc('day', last_ship) + "
-            "INTERVAL 1 DAY, '%Y-%m-%d'), -1 FROM j), "
-            "g AS (SELECT day, SUM(delta) AS net FROM d GROUP BY day) "
-            "SELECT day, CAST(net AS BIGINT) AS net_delta, "
-            "CAST(SUM(net) OVER (ORDER BY day) AS BIGINT) AS open_orders FROM g"
-        ),
         "doclen_deciles_by_source": (
             # replay of analytics.doclen_deciles_by_source: ROW_NUMBER per
             # source, integer rank (n-1)*k//10 + 1 (= quantile_disc)
@@ -9943,42 +6801,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(r.n_chars AS BIGINT) AS n_chars "
             "FROM q CROSS JOIN n JOIN r ON r.source = n.source "
             "AND r.rn = (n.n - 1) * q.decile // 10 + 1"
-        ),
-        "value_moments_by_type": (
-            # replay of analytics.value_moments_by_type: HUGEINT power sums;
-            # DuckDB // truncates toward zero, engine matches on the signed
-            # third moment
-            "WITH v AS (SELECT event_type, "
-            "CAST(FLOOR(value*100 + 0.5) AS HUGEINT) AS c FROM events), "
-            "a AS (SELECT event_type, COUNT(*) AS n, SUM(c) AS s1, "
-            "SUM(c*c) AS s2, SUM(c*c*c) AS s3 FROM v GROUP BY 1) "
-            "SELECT event_type, CAST(n AS BIGINT) AS n, "
-            "CAST(s1 // n AS BIGINT) AS mean_cents, "
-            "CAST((n*s2 - s1*s1) // (n*n) AS BIGINT) AS var_cents2, "
-            "CAST((n*n*s3 - 3*n*s1*s2 + 2*s1*s1*s1) // (n*n*n) AS BIGINT) "
-            "AS m3_cents3 FROM a"
-        ),
-        "key_density_audit": (
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_rows, "
-            "CAST(COUNT(DISTINCT o_orderkey) AS BIGINT) AS n_distinct, "
-            "CAST(MIN(o_orderkey) AS BIGINT) AS min_key, "
-            "CAST(MAX(o_orderkey) AS BIGINT) AS max_key, "
-            "CAST(COUNT(DISTINCT o_orderkey) * 1000000 // "
-            "(MAX(o_orderkey) - MIN(o_orderkey) + 1) AS BIGINT) AS density_ppm, "
-            "CAST(COUNT(*) - COUNT(DISTINCT o_orderkey) AS BIGINT) AS dup_rows "
-            "FROM orders"
-        ),
-        "rolling_median_daily": (
-            # replay of analytics.rolling_median_daily: windowed
-            # quantile_disc(0.5) over 7 ROWS = lower median rank (w+1)//2
-            "WITH d AS (SELECT strftime(date_trunc('day', o_orderdate), "
-            "'%Y-%m-%d') AS day, "
-            "SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS v "
-            "FROM orders GROUP BY 1) "
-            "SELECT day, CAST(v AS BIGINT) AS value_cents, "
-            "CAST(quantile_disc(v, 0.5) OVER (ORDER BY day "
-            "ROWS BETWEEN 6 PRECEDING AND CURRENT ROW) AS BIGINT) AS med7_cents "
-            "FROM d"
         ),
         "bigram_surprisal_by_source": (
             # replay of analytics.bigram_surprisal_by_source: chars via
@@ -10001,24 +6823,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT source, CAST(nb AS BIGINT) AS n_bigrams, "
             "CAST(tb AS BIGINT) AS total_bits, "
             "CAST(tb * 1000 // nb AS BIGINT) AS mean_millibits FROM a"
-        ),
-        "cusum_changepoints": (
-            # replay of analytics.cusum_changepoints: recursive CTE walks
-            # s_d = max(0, s + x - mu - mu//20) over ROW_NUMBER'd days
-            "WITH RECURSIVE d AS (SELECT strftime(date_trunc('day', ts), "
-            "'%Y-%m-%d') AS day, SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) "
-            "AS v FROM events GROUP BY 1), "
-            "o AS (SELECT day, v, ROW_NUMBER() OVER (ORDER BY day) AS rn FROM d), "
-            "p AS (SELECT SUM(v) // COUNT(*) AS mu FROM d), "
-            "c AS (SELECT o.rn, o.day, o.v, GREATEST(0, o.v - p.mu - p.mu // 20) "
-            "AS s FROM o, p WHERE o.rn = 1 "
-            "UNION ALL SELECT o.rn, o.day, o.v, "
-            "GREATEST(0, c.s + o.v - p.mu - p.mu // 20) "
-            "FROM c JOIN o ON o.rn = c.rn + 1, p) "
-            "SELECT day, CAST(v AS BIGINT) AS value_cents, "
-            "CAST(s AS BIGINT) AS cusum_cents, "
-            "CAST(CASE WHEN s > (SELECT mu FROM p) THEN 1 ELSE 0 END AS BIGINT) "
-            "AS flagged FROM c"
         ),
         "shingle_containment": (
             # replay of analytics.shingle_containment: distinct (source, s)
@@ -10067,60 +6871,6 @@ def oracle_sql() -> dict[str, str]:
             "+ 11800 * n_syllables // GREATEST(n_words, 1) - 15590 "
             "AS BIGINT) AS fk_grade_milli FROM a"
         ),
-        "top_revenue_suppliers": (
-            # replay of relational.top_revenue_suppliers (Q15 shape): same
-            # per-row FLOOR(price*(1-disc)*100+0.5) cents as the join family
-            "WITH r AS (SELECT l_suppkey, "
-            "SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) "
-            "AS rev FROM lineitem GROUP BY l_suppkey), "
-            "m AS (SELECT MAX(rev) AS mx FROM r) "
-            "SELECT s.s_suppkey, s.s_name, CAST(r.rev AS BIGINT) AS revenue_cents "
-            "FROM r JOIN supplier s ON s.s_suppkey = r.l_suppkey, m "
-            "WHERE r.rev = m.mx"
-        ),
-        "big_volume_orders": (
-            # replay of relational.big_volume_orders (Q18 shape): the
-            # HAVING boundary compares integer quantity cents exactly
-            "WITH q AS (SELECT l_orderkey, "
-            "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS tq "
-            "FROM lineitem GROUP BY l_orderkey) "
-            "SELECT o.o_orderkey, CAST(q.tq AS BIGINT) AS total_qty_cents, "
-            "CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) AS price_cents "
-            "FROM q JOIN orders o ON o.o_orderkey = q.l_orderkey "
-            "WHERE q.tq > 15000"
-        ),
-        "trimmed_mean_price": (
-            # replay of relational.trimmed_mean_by_group: trimming k rows
-            # per side depends only on the value multiset, so any
-            # row_number tie order yields the same sum
-            "WITH o AS (SELECT o_orderpriority, "
-            "CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders), "
-            "r AS (SELECT o_orderpriority, cents, row_number() OVER "
-            "(PARTITION BY o_orderpriority ORDER BY cents) AS rn, "
-            "COUNT(*) OVER (PARTITION BY o_orderpriority) AS n FROM o), "
-            "t AS (SELECT o_orderpriority, cents FROM r "
-            "WHERE rn > n * 5 // 100 AND rn <= n - n * 5 // 100) "
-            "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n_used, "
-            "CAST(SUM(cents) AS BIGINT) AS trimmed_sum_cents, "
-            "CAST(SUM(cents) // COUNT(*) AS BIGINT) AS trimmed_mean_cents "
-            "FROM t GROUP BY o_orderpriority"
-        ),
-        "session_paths": (
-            # replay of relational.session_paths: the same 30-min gap break
-            # as session_windows, with the (ts, event_id) tie order the
-            # trigram content requires
-            "WITH d AS (SELECT user_id, ts, event_id, event_type, "
-            "CASE WHEN lag(ts) OVER w IS NULL OR ts - lag(ts) OVER w > "
-            "INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
-            "s AS (SELECT *, SUM(brk) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS sid FROM d), "
-            "t AS (SELECT event_type AS e1, lead(event_type, 1) OVER w2 AS e2, "
-            "lead(event_type, 2) OVER w2 AS e3 FROM s "
-            "WINDOW w2 AS (PARTITION BY user_id, sid ORDER BY ts, event_id)) "
-            "SELECT e1, e2, e3, CAST(COUNT(*) AS BIGINT) AS n_paths FROM t "
-            "WHERE e3 IS NOT NULL GROUP BY 1, 2, 3"
-        ),
         "oov_rate_by_lang": (
             # replay of analytics.oov_rate_by_lang: identical vocabulary
             # selection (count DESC, token ASC LIMIT 512) and floor-div ppm
@@ -10134,263 +6884,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT lang, CAST(n_tokens AS BIGINT) AS n_tokens, "
             "CAST(n_oov AS BIGINT) AS n_oov, "
             "CAST(n_oov * 1000000 // n_tokens AS BIGINT) AS oov_ppm FROM s"
-        ),
-        "decayed_user_value": (
-            "WITH mx AS (SELECT epoch_us(max(ts)) AS m FROM events), "
-            "e AS (SELECT user_id, CAST(floor(value*100 + 0.5) AS BIGINT) AS cents, "
-            "((SELECT m FROM mx) - epoch_us(ts)) // 86400000000 AS age_days FROM events) "
-            "SELECT user_id, "
-            "CAST(SUM(cents >> CAST(LEAST(age_days // 7, 62) AS INTEGER)) AS BIGINT) "
-            "AS decayed_cents, CAST(COUNT(*) AS BIGINT) AS n_events "
-            "FROM e GROUP BY user_id"
-        ),
-        "skyline_orders": _SKYLINE_ORDERS_SQL,
-        "mode_event_type": _MODE_EVENT_TYPE_SQL,
-        "fk_orphan_audit": _FK_ORPHAN_AUDIT_SQL,
-        "longest_streak": _LONGEST_STREAK_SQL,
-        "user_active_coverage": _USER_ACTIVE_COVERAGE_SQL,
-        "peak_concurrent_sessions": _PEAK_CONCURRENT_SQL,
-        "basket_pairs": _BASKET_PAIRS_SQL,
-        "basket_lift": _BASKET_LIFT_SQL,
-        "corr_qty_price": _CORR_QTY_PRICE_SQL,
-        "forward_fill_daily": _FORWARD_FILL_DAILY_SQL,
-        "event_transitions": _EVENT_TRANSITIONS_SQL,
-        "scd2_history": _SCD2_HISTORY_SQL,
-        "order_part_list": _ORDER_PART_LIST_SQL,
-        "rolling_7d_sum": _ROLLING_7D_SUM_SQL,
-        "conversion_within": _CONVERSION_WITHIN_SQL,
-        "rolling_active_users": _ROLLING_ACTIVE_USERS_SQL,
-        "pit_value_join": _PIT_VALUE_JOIN_SQL,
-        "order_decile_stats": _ORDER_DECILE_STATS_SQL,
-        "order_value_gini": _ORDER_VALUE_GINI_SQL,
-        "weekly_revenue_wow": _WEEKLY_REVENUE_WOW_SQL,
-        "fulfillment_latency": _FULFILLMENT_LATENCY_SQL,
-        "session_durations": (
-            # replay of relational.session_duration_quantiles: the
-            # session_windows break rule, MIN/MAX per session, whole-second
-            # floor-div, cumulative-count quantile read
-            "WITH d AS (SELECT user_id, ts, CASE WHEN lag(ts) OVER w IS NULL "
-            "OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk "
-            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)), "
-            "s AS (SELECT *, SUM(brk) OVER (PARTITION BY user_id ORDER BY ts "
-            "ROWS UNBOUNDED PRECEDING) AS sid FROM d), "
-            "per AS (SELECT user_id, sid, "
-            "(epoch_us(MAX(ts)) - epoch_us(MIN(ts))) // 1000000 AS dur "
-            "FROM s GROUP BY 1, 2), "
-            "c AS (SELECT dur, COUNT(*) AS n FROM per GROUP BY 1), "
-            "w2 AS (SELECT dur, SUM(n) OVER (ORDER BY dur) AS cum, "
-            "SUM(n) OVER () AS tot FROM c) "
-            "SELECT CAST(MAX(tot) AS BIGINT) AS n_sessions, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN dur END) AS BIGINT) AS p50_sec, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN dur END) AS BIGINT) AS p90_sec "
-            "FROM w2"
-        ),
-        "trailing_rows_sum": (
-            # replay of relational.trailing_rows_sum: ROWS frame, same
-            # (ts, event_id) deterministic order, integer cents
-            "SELECT event_id, user_id, "
-            "CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS BIGINT) AS trail_cents "
-            "FROM events"
-        ),
-        "small_qty_revenue": (
-            # replay of relational.small_qty_revenue (Q17 shape): same
-            # qty-cents chain and cross-multiplied 1/5-average compare
-            "WITH bp AS (SELECT p_partkey FROM part WHERE p_brand = 'Brand#13'), "
-            "q AS (SELECT l_partkey, "
-            "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS sum_q, "
-            "CAST(COUNT(*) AS BIGINT) AS n "
-            "FROM lineitem JOIN bp ON p_partkey = l_partkey GROUP BY 1) "
-            "SELECT CAST(COALESCE(SUM(CAST(FLOOR(l.l_extendedprice*100 + 0.5) AS BIGINT)), 0) "
-            "AS BIGINT) AS revenue_cents, CAST(COUNT(*) AS BIGINT) AS n_rows "
-            "FROM lineitem l JOIN q ON q.l_partkey = l.l_partkey "
-            "WHERE CAST(FLOOR(l.l_quantity*100 + 0.5) AS BIGINT) * 5 * q.n < 1 * q.sum_q"
-        ),
-        "supplier_count_by_part": (
-            # replay of relational.supplier_count_by_part_attrs (Q16 shape
-            # over the observed lineitem relation)
-            "WITH pf AS (SELECT p_partkey, p_brand, p_type, p_size FROM part "
-            "WHERE p_brand <> 'Brand#13' AND p_size IN (1, 5, 10, 15, 20, 25)) "
-            "SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size, "
-            "CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt "
-            "FROM lineitem JOIN pf ON p_partkey = l_partkey GROUP BY 1, 2, 3"
-        ),
-        "waiting_suppliers": (
-            # replay of relational.waiting_suppliers (Q21 shape): same
-            # 60-day lateness in epoch-us and exactly-one-late predicate
-            "WITH l AS (SELECT l_orderkey, l_suppkey, "
-            "MAX(epoch_us(l_shipdate)) AS ship_us FROM lineitem GROUP BY 1, 2), "
-            "o AS (SELECT o_orderkey, epoch_us(o_orderdate) AS od_us FROM orders "
-            "WHERE o_orderstatus = 'F'), "
-            "m AS (SELECT l.l_orderkey, l.l_suppkey, "
-            "(l.ship_us > o.od_us + 5184000000000) AS late "
-            "FROM l JOIN o ON o.o_orderkey = l.l_orderkey), "
-            "st AS (SELECT l_orderkey, COUNT(*) AS n_supp, "
-            "SUM(CASE WHEN late THEN 1 ELSE 0 END) AS n_late FROM m GROUP BY 1), "
-            "c AS (SELECT m.l_suppkey FROM m JOIN st USING (l_orderkey) "
-            "WHERE m.late AND st.n_supp >= 2 AND st.n_late = 1) "
-            "SELECT c.l_suppkey AS s_suppkey, s.s_name, "
-            "CAST(COUNT(*) AS BIGINT) AS numwait "
-            "FROM c JOIN supplier s ON s.s_suppkey = c.l_suppkey GROUP BY 1, 2"
-        ),
-        "product_profit": (
-            # replay of relational.product_profit (Q9 shape): same integer
-            # profit chain, 10% retail unit cost, order-year key
-            "WITH pf AS (SELECT p_partkey, "
-            "CAST(FLOOR(p_retailprice*100 + 0.5) AS BIGINT) AS retail "
-            "FROM part WHERE p_type = 'ECONOMY'), "
-            "l AS (SELECT l_orderkey, s_nationkey AS nat, "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) "
-            "- (CAST(FLOOR(l_quantity + 0.5) AS BIGINT) * retail * 10) // 100 AS profit "
-            "FROM lineitem JOIN pf ON p_partkey = l_partkey "
-            "JOIN supplier ON s_suppkey = l_suppkey) "
-            "SELECT n_name, CAST(year(o_orderdate) AS BIGINT) AS o_year, "
-            "CAST(SUM(profit) AS BIGINT) AS profit_cents "
-            "FROM l JOIN orders ON o_orderkey = l_orderkey "
-            "JOIN nation ON n_nationkey = nat GROUP BY 1, 2"
-        ),
-        "order_priority_check": (
-            # replay of relational.order_priority_check (Q4 shape): same
-            # quarter window, 30-day lateness in epoch-us, EXISTS-as-max
-            "WITH o AS (SELECT o_orderkey, o_orderpriority, "
-            "epoch_us(o_orderdate) AS od FROM orders "
-            "WHERE o_orderdate >= DATE '1996-01-01' "
-            "AND o_orderdate < DATE '1996-04-01'), "
-            "l AS (SELECT l_orderkey, MAX(epoch_us(l_shipdate)) AS mx "
-            "FROM lineitem GROUP BY 1) "
-            "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS order_count "
-            "FROM o JOIN l ON l.l_orderkey = o.o_orderkey "
-            "WHERE l.mx > o.od + 2592000000000 GROUP BY 1"
-        ),
-        "line_priority_counts": (
-            # replay of relational.line_priority_counts (Q12 shape): same
-            # ship-year window and high-priority class set
-            "SELECT l_returnflag, "
-            "CAST(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') "
-            "THEN 1 ELSE 0 END) AS BIGINT) AS high_count, "
-            "CAST(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') "
-            "THEN 0 ELSE 1 END) AS BIGINT) AS low_count "
-            "FROM lineitem JOIN orders ON o_orderkey = l_orderkey "
-            "WHERE l_shipdate >= DATE '1996-01-01' "
-            "AND l_shipdate < DATE '1997-01-01' GROUP BY 1"
-        ),
-        "customer_order_distribution": (
-            # replay of relational.customer_order_distribution (Q13 shape):
-            # LEFT JOIN zero bin, same priority exclusion
-            "WITH o AS (SELECT o_custkey, CAST(COUNT(*) AS BIGINT) AS c_count "
-            "FROM orders WHERE o_orderpriority <> '5-LOW' GROUP BY 1) "
-            "SELECT COALESCE(o.c_count, 0) AS c_count, "
-            "CAST(COUNT(*) AS BIGINT) AS custdist "
-            "FROM customer LEFT JOIN o ON o.o_custkey = customer.c_custkey "
-            "GROUP BY 1"
-        ),
-        "nation_trade_volume": (
-            # replay of relational.nation_trade_volume (Q7 shape): same
-            # ship-year window, cents chain, same-nation pairs dropped
-            "WITH s AS (SELECT s_suppkey, n_name AS supp_nation FROM supplier "
-            "JOIN nation ON n_nationkey = s_nationkey "
-            "WHERE n_name IN ('NATION_1', 'NATION_2')), "
-            "c AS (SELECT c_custkey, n_name AS cust_nation FROM customer "
-            "JOIN nation ON n_nationkey = c_nationkey "
-            "WHERE n_name IN ('NATION_1', 'NATION_2')), "
-            "l AS (SELECT l_orderkey, l_suppkey, "
-            "CAST(year(l_shipdate) AS BIGINT) AS l_year, "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS rev "
-            "FROM lineitem WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1998-01-01') "
-            "SELECT s.supp_nation, c.cust_nation, l.l_year, "
-            "CAST(SUM(l.rev) AS BIGINT) AS revenue_cents "
-            "FROM l JOIN s ON s.s_suppkey = l.l_suppkey "
-            "JOIN orders ON o_orderkey = l.l_orderkey "
-            "JOIN c ON c.c_custkey = o_custkey "
-            "WHERE s.supp_nation <> c.cust_nation GROUP BY 1, 2, 3"
-        ),
-        "market_share": (
-            # replay of relational.market_share (Q8 shape): same PROMO /
-            # ASIA / NATION_5 legs and integer-ppm share
-            "WITH l AS (SELECT l_orderkey, "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS rev, "
-            "CASE WHEN n_name = 'NATION_5' THEN "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) "
-            "ELSE 0 END AS nat "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey AND p_type = 'PROMO' "
-            "JOIN supplier ON s_suppkey = l_suppkey "
-            "JOIN nation ON n_nationkey = s_nationkey), "
-            "o AS (SELECT o_orderkey, CAST(year(o_orderdate) AS BIGINT) AS y "
-            "FROM orders JOIN customer ON c_custkey = o_custkey "
-            "JOIN nation ON n_nationkey = c_nationkey "
-            "JOIN region ON r_regionkey = n_regionkey WHERE r_name = 'ASIA') "
-            "SELECT o.y AS o_year, CAST(SUM(l.nat) AS BIGINT) AS nation_cents, "
-            "CAST(SUM(l.rev) AS BIGINT) AS total_cents, "
-            "CAST(SUM(l.nat) * 1000000 // GREATEST(SUM(l.rev), 1) AS BIGINT) AS share_ppm "
-            "FROM l JOIN o ON o.o_orderkey = l.l_orderkey GROUP BY 1"
-        ),
-        "shipping_priority": (
-            # replay of relational.shipping_priority (Q3 shape): identical
-            # cents chain and (rev desc, date, orderkey) tie order
-            "WITH rev AS (SELECT l_orderkey, "
-            "SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS r "
-            "FROM lineitem WHERE l_shipdate > TIMESTAMP '1997-06-30' GROUP BY 1), "
-            "o AS (SELECT o_orderkey, o_orderdate, o_orderpriority FROM orders "
-            "JOIN customer ON c_custkey = o_custkey "
-            "WHERE c_mktsegment = 'BUILDING' AND o_orderdate < TIMESTAMP '1997-06-30') "
-            "SELECT o.o_orderkey, o.o_orderdate, o.o_orderpriority, "
-            "CAST(rev.r AS BIGINT) AS revenue_cents "
-            "FROM o JOIN rev ON rev.l_orderkey = o.o_orderkey "
-            "ORDER BY revenue_cents DESC, o.o_orderdate, o.o_orderkey LIMIT 10"
-        ),
-        "returned_items": (
-            # replay of relational.returned_items_topk (Q10 shape): same
-            # quarter window, returnflag filter, (rev desc, custkey) ties
-            "WITH rev AS (SELECT l_orderkey, "
-            "SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS r "
-            "FROM lineitem WHERE l_returnflag = 'R' GROUP BY 1), "
-            "o AS (SELECT o_orderkey, o_custkey FROM orders "
-            "WHERE o_orderdate >= TIMESTAMP '1996-10-01' "
-            "AND o_orderdate < TIMESTAMP '1997-01-01'), "
-            "per AS (SELECT o.o_custkey AS c_custkey, SUM(rev.r) AS r "
-            "FROM o JOIN rev ON rev.l_orderkey = o.o_orderkey GROUP BY 1) "
-            "SELECT p.c_custkey, c.c_name, CAST(p.r AS BIGINT) AS revenue_cents "
-            "FROM per p JOIN customer c ON c.c_custkey = p.c_custkey "
-            "ORDER BY p.r DESC, p.c_custkey LIMIT 20"
-        ),
-        "forecast_revenue_delta": (
-            # replay of relational.forecast_revenue_delta (Q6 shape):
-            # integer-percent discount band, identical per-row cents chain
-            "SELECT CAST(COALESCE(SUM(CAST(FLOOR(l_extendedprice * l_discount * 100 + 0.5) "
-            "AS BIGINT)), 0) AS BIGINT) AS revenue_cents, "
-            "CAST(COUNT(*) AS BIGINT) AS n_rows FROM lineitem "
-            "WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1997-01-01' "
-            "AND CAST(FLOOR(l_discount*100 + 0.5) AS BIGINT) BETWEEN 5 AND 7 "
-            "AND l_quantity < 24"
-        ),
-        "promo_revenue": (
-            # replay of relational.promo_revenue (Q14 shape): same month
-            # window, rev chain and integer-ppm share
-            "WITH m AS (SELECT l_partkey, "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS rev "
-            "FROM lineitem WHERE l_shipdate >= TIMESTAMP '1996-09-01' "
-            "AND l_shipdate < TIMESTAMP '1996-10-01'), "
-            "j AS (SELECT rev, (p_type = 'PROMO') AS promo FROM m "
-            "JOIN part ON p_partkey = l_partkey) "
-            "SELECT CAST(COALESCE(SUM(CASE WHEN promo THEN rev END), 0) AS BIGINT) AS promo_cents, "
-            "CAST(COALESCE(SUM(rev), 0) AS BIGINT) AS total_cents, "
-            "CAST(COALESCE(SUM(CASE WHEN promo THEN rev END), 0) * 1000000 // "
-            "GREATEST(COALESCE(SUM(rev), 0), 1) AS BIGINT) AS promo_ppm FROM j"
-        ),
-        "disjunctive_revenue": (
-            # replay of relational.disjunctive_revenue (Q19 shape): the
-            # same three OR-ed (brand, size, qty) clauses
-            "WITH j AS (SELECT l_quantity AS q, p_brand AS b, p_size AS s, "
-            "CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS rev "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey) "
-            "SELECT CAST(COALESCE(SUM(rev), 0) AS BIGINT) AS revenue_cents, "
-            "CAST(COUNT(*) AS BIGINT) AS n_rows FROM j WHERE "
-            "(b = 'Brand#13' AND s BETWEEN 1 AND 5 AND q BETWEEN 1 AND 11) OR "
-            "(b = 'Brand#20' AND s BETWEEN 1 AND 10 AND q BETWEEN 10 AND 20) OR "
-            "(b = 'Brand#9' AND s BETWEEN 1 AND 15 AND q BETWEEN 20 AND 30)"
         ),
         "source_vocab_overlap": (
             # replay of analytics.source_vocab_overlap: distinct token-md5
@@ -10408,33 +6901,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM inter i JOIN sz sa ON sa.source = i.source_a "
             "JOIN sz sb ON sb.source = i.source_b"
         ),
-        "dominant_suppliers": (
-            # replay of relational.dominant_suppliers (Q20 flavor): both
-            # levels + the 100*q > pct*t strict compare
-            "WITH ps AS (SELECT l_partkey, l_suppkey, "
-            "SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS q "
-            "FROM lineitem GROUP BY 1, 2), "
-            "tot AS (SELECT l_partkey, SUM(q) AS t FROM ps GROUP BY 1), "
-            "dom AS (SELECT ps.l_suppkey FROM ps JOIN tot USING (l_partkey) "
-            "WHERE 100 * ps.q > 15 * tot.t) "
-            "SELECT d.l_suppkey AS s_suppkey, s.s_name, "
-            "CAST(COUNT(*) AS BIGINT) AS n_dominated_parts "
-            "FROM dom d JOIN supplier s ON s.s_suppkey = d.l_suppkey GROUP BY 1, 2"
-        ),
-        "out_of_order_audit": (
-            # replay of relational.out_of_order_audit: LAG in event_id
-            # order per user, strict time regressions only
-            "WITH d AS (SELECT user_id, ts, LAG(ts) OVER "
-            "(PARTITION BY user_id ORDER BY event_id) AS prev FROM events), "
-            "p AS (SELECT epoch_us(prev) - epoch_us(ts) AS late FROM d "
-            "WHERE prev IS NOT NULL) "
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_pairs, "
-            "CAST(SUM(CASE WHEN late > 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_inversions, "
-            "CAST(SUM(CASE WHEN late > 0 THEN 1 ELSE 0 END) * 1000000 // "
-            "GREATEST(COUNT(*), 1) AS BIGINT) AS inv_ppm, "
-            "CAST(COALESCE(MAX(CASE WHEN late > 0 THEN late END), 0) AS BIGINT) AS max_late_us "
-            "FROM p"
-        ),
         "normalized_dedup": (
             # replay of analytics.normalized_dedup_stats: identical
             # lower -> punct-strip -> ws-collapse -> trim chain (patterns
@@ -10448,19 +6914,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(SUM(CASE WHEN c >= 2 THEN c ELSE 0 END) AS BIGINT) AS n_dup_docs, "
             "CAST(SUM(CASE WHEN c >= 2 THEN 1 ELSE 0 END) AS BIGINT) AS n_dup_groups "
             "FROM g"
-        ),
-        "cheapest_supplier": (
-            # replay of relational.cheapest_supplier_per_part (Q2 shape):
-            # identical float64 unit-price chain, (unit, suppkey) tie order
-            "WITH pf AS (SELECT p_partkey FROM part WHERE p_size = 10), "
-            "u AS (SELECT l_partkey, l_suppkey, "
-            "MIN(CAST(FLOOR(l_extendedprice / l_quantity * 100 + 0.5) AS BIGINT)) AS unit_cents "
-            "FROM lineitem JOIN pf ON p_partkey = l_partkey GROUP BY 1, 2), "
-            "sel AS (SELECT l_partkey AS p_partkey, l_suppkey AS s_suppkey, unit_cents, "
-            "ROW_NUMBER() OVER (PARTITION BY l_partkey ORDER BY unit_cents, l_suppkey) AS rn "
-            "FROM u) "
-            "SELECT s.p_partkey, s.s_suppkey, sup.s_name, s.unit_cents "
-            "FROM sel s JOIN supplier sup ON sup.s_suppkey = s.s_suppkey WHERE rn = 1"
         ),
         "lang_source_chi2": (
             # replay of analytics.categorical_independence_chi2: per-cell
@@ -10572,44 +7025,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST((SELECT COUNT(*) FROM firsts f WHERE f.fid < th.d) AS BIGINT) AS vocab_size "
             "FROM th"
         ),
-        "interval_overlap_pairs": (
-            # replay of relational.overlap_pairs over _activity_intervals:
-            # same WHERE e > s empty-interval drop, ROW_NUMBER ids dedup the
-            # unordered pair, half-open overlap predicate
-            f"WITH {_ACTIVITY_IV_CTE}, "
-            "ivr AS (SELECT user_id, s, e, ROW_NUMBER() OVER () AS rid "
-            "FROM iv WHERE e > s) "
-            "SELECT a.user_id, CAST(COUNT(*) AS BIGINT) AS n_overlap_pairs "
-            "FROM ivr a JOIN ivr b ON a.user_id = b.user_id AND a.rid < b.rid "
-            "AND a.s < b.e AND b.s < a.e GROUP BY 1"
-        ),
-        "important_parts": (
-            # replay of relational.revenue_concentrated_parts (Q11 shape):
-            # per-part revenue in the engine's cents convention, the
-            # cross-multiplied HUGEINT share compare, the ppm floor division
-            "WITH r AS (SELECT l_partkey, "
-            "SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS rev "
-            "FROM lineitem GROUP BY 1), "
-            "tot AS (SELECT SUM(rev) AS t FROM r) "
-            "SELECT l_partkey, CAST(rev AS BIGINT) AS revenue_cents, "
-            "CAST(CAST(rev AS HUGEINT)*1000000 // t AS BIGINT) AS share_ppm "
-            "FROM r, tot WHERE CAST(rev AS HUGEINT)*1000000 > 700*t"
-        ),
-        "inactive_high_balance": (
-            # replay of relational.inactive_high_balance (Q22 shape):
-            # positive-balance membership on the SAME rounded cents rule,
-            # cross-multiplied average compare, NOT EXISTS since the cutoff
-            "WITH pos AS (SELECT SUM(CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT)) AS s, "
-            "COUNT(*) AS n FROM customer "
-            "WHERE CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT) > 0) "
-            "SELECT n_name, CAST(COUNT(*) AS BIGINT) AS n_custs, "
-            "CAST(SUM(CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT)) AS BIGINT) AS total_bal_cents "
-            "FROM customer JOIN nation ON n_nationkey = c_nationkey, pos "
-            "WHERE CAST(FLOOR(c_acctbal*100+0.5) AS HUGEINT) * n > s "
-            "AND NOT EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c_custkey "
-            "AND o.o_orderdate >= TIMESTAMP '2000-01-01') "
-            "GROUP BY 1"
-        ),
         "split_skew_audit": (
             # replay of analytics.split_skew_audit: dataset_split_counts'
             # md5 split thresholds, 256-wide buckets, cross-multiplied TVD
@@ -10630,31 +7045,6 @@ def oracle_sql() -> dict[str, str]:
             "* 1000000 // (2 * CAST(nt.n0 AS HUGEINT) * nt.n1) AS BIGINT) AS tvd_ppm "
             "FROM u, nt GROUP BY nt.n0, nt.n1"
         ),
-        "first_last_order": (
-            # replay of relational.first_last_order: the same whole-day /
-            # orderkey total order, first and last via row_number both ways
-            "WITH o AS (SELECT o_custkey, o_orderkey, "
-            "CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 86400 AS day, "
-            "CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders), "
-            "f AS (SELECT o_custkey, cents FROM o QUALIFY row_number() OVER "
-            "(PARTITION BY o_custkey ORDER BY day, o_orderkey) = 1), "
-            "l AS (SELECT o_custkey, cents FROM o QUALIFY row_number() OVER "
-            "(PARTITION BY o_custkey ORDER BY day DESC, o_orderkey DESC) = 1) "
-            "SELECT f.o_custkey AS c_custkey, f.cents AS first_cents, "
-            "l.cents AS last_cents, l.cents - f.cents AS delta_cents "
-            "FROM f JOIN l ON f.o_custkey = l.o_custkey"
-        ),
-        "top_prices_with_ties": (
-            # replay of relational.top_prices_with_ties: DENSE_RANK keeps
-            # every tied order, unlike top_orders_per_segment's row_number
-            "SELECT c.c_mktsegment, o.o_orderkey, "
-            "CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) AS price_cents, "
-            "CAST(dense_rank() OVER (PARTITION BY c.c_mktsegment "
-            "ORDER BY CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) DESC) "
-            "AS BIGINT) AS price_rank "
-            "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-            "QUALIFY price_rank <= 3"
-        ),
         "k_anonymity": (
             # replay of analytics.k_anonymity_audit over (lang, source):
             # grouping by the columns == grouping by the chr(31) key
@@ -10668,144 +7058,9 @@ def oracle_sql() -> dict[str, str]:
             "SELECT n_rows, n_groups, n_small_groups, n_rows_at_risk, "
             "CAST(n_rows_at_risk * 1000000 // n_rows AS BIGINT) AS risk_ppm FROM a"
         ),
-        "revenue_share_by_nation": (
-            # replay of relational.revenue_share_by_nation: inner-join
-            # semantics, same cents, SUM OVER region + floor-div ppm
-            "WITH j AS (SELECT r.r_name, n.n_name, "
-            "CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) AS cents "
-            "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-            "JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "JOIN region r ON n.n_regionkey = r.r_regionkey), "
-            "g AS (SELECT r_name, n_name, SUM(cents) AS rev FROM j GROUP BY 1, 2) "
-            "SELECT r_name, n_name, CAST(rev AS BIGINT) AS revenue_cents, "
-            "CAST(rev * 1000000 // SUM(rev) OVER (PARTITION BY r_name) AS BIGINT) "
-            "AS share_ppm FROM g"
-        ),
-        "supplier_hhi": (
-            # replay of relational.supplier_hhi: same per-row revenue cents,
-            # HUGEINT square sums, floor-div ppm over total^2
-            "WITH r AS (SELECT l_suppkey, "
-            "SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) "
-            "AS rev FROM lineitem GROUP BY l_suppkey), "
-            "a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(CAST(rev AS HUGEINT)) AS s, "
-            "SUM(CAST(rev AS HUGEINT) * CAST(rev AS HUGEINT)) AS s2 FROM r) "
-            "SELECT n AS n_suppliers, CAST(s AS BIGINT) AS total_cents, "
-            "CAST(CASE WHEN s = 0 THEN 0 ELSE s2 * 1000000 // (s * s) END AS BIGINT) "
-            "AS hhi_ppm FROM a"
-        ),
-        "rfm_segments": (
-            # replay of relational.rfm_segments: same day/cents integers,
-            # type-1 boundaries at rank CEIL(q*n), ties take the lower score
-            "WITH o AS (SELECT o_custkey, "
-            "CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 86400 AS day, "
-            "CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders), "
-            "pc AS (SELECT o_custkey AS c_custkey, MAX(day) AS last_day, "
-            "CAST(COUNT(*) AS BIGINT) AS f_orders, "
-            "CAST(SUM(cents) AS BIGINT) AS m_cents FROM o GROUP BY 1), "
-            "mx AS (SELECT MAX(last_day) AS m FROM pc), "
-            "p AS (SELECT c_custkey, (SELECT m FROM mx) - last_day AS r_days, "
-            "f_orders, m_cents FROM pc), "
-            "nn AS (SELECT COUNT(*) AS n FROM p), "
-            "rb AS (SELECT r_days AS v, row_number() OVER (ORDER BY r_days) AS rn FROM p), "
-            "fb AS (SELECT f_orders AS v, row_number() OVER (ORDER BY f_orders) AS rn FROM p), "
-            "mb AS (SELECT m_cents AS v, row_number() OVER (ORDER BY m_cents) AS rn FROM p), "
-            "rq AS (SELECT "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.25 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b1, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.5 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b2, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.75 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b3 "
-            "FROM rb), "
-            "fq AS (SELECT "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.25 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b1, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.5 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b2, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.75 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b3 "
-            "FROM fb), "
-            "mq AS (SELECT "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.25 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b1, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.5 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b2, "
-            "MAX(CASE WHEN rn = CAST(CEIL(0.75 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b3 "
-            "FROM mb) "
-            "SELECT p.c_custkey, CAST(p.r_days AS BIGINT) AS r_days, "
-            "p.f_orders, p.m_cents, "
-            "CAST(1 + CAST(p.r_days > rq.b1 AS INT) + CAST(p.r_days > rq.b2 AS INT) "
-            "+ CAST(p.r_days > rq.b3 AS INT) AS BIGINT) AS r_score, "
-            "CAST(1 + CAST(p.f_orders > fq.b1 AS INT) + CAST(p.f_orders > fq.b2 AS INT) "
-            "+ CAST(p.f_orders > fq.b3 AS INT) AS BIGINT) AS f_score, "
-            "CAST(1 + CAST(p.m_cents > mq.b1 AS INT) + CAST(p.m_cents > mq.b2 AS INT) "
-            "+ CAST(p.m_cents > mq.b3 AS INT) AS BIGINT) AS m_score "
-            "FROM p, rq, fq, mq"
-        ),
-        "interarrival_quantiles": (
-            # replay of relational.interarrival_quantiles: same
-            # (ts, event_id) tie order, whole-second floor-div gaps, and
-            # the fulfillment_latency cumulative-count quantile read
-            "WITH d AS (SELECT event_type, (epoch_us(ts) - lag(epoch_us(ts)) "
-            "OVER (PARTITION BY user_id, event_type ORDER BY ts, event_id)) "
-            "// 1000000 AS ds FROM events), "
-            "v AS (SELECT event_type, ds FROM d WHERE ds IS NOT NULL), "
-            "c AS (SELECT event_type, ds, COUNT(*) AS n FROM v GROUP BY 1, 2), "
-            "w AS (SELECT event_type, ds, "
-            "SUM(n) OVER (PARTITION BY event_type ORDER BY ds) AS cum, "
-            "SUM(n) OVER (PARTITION BY event_type) AS tot FROM c) "
-            "SELECT event_type, CAST(MAX(tot) AS BIGINT) AS n_gaps, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN ds END) AS BIGINT) AS p50_sec, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN ds END) AS BIGINT) AS p90_sec "
-            "FROM w GROUP BY event_type"
-        ),
-        # replays relational.key_skew_report: per-key sizes, size-count
-        # table, smallest-size-with-cum>=ceil(q*n_keys) exact quantiles
-        "key_skew": (
-            "WITH g AS (SELECT l_suppkey, CAST(COUNT(*) AS BIGINT) AS n "
-            "FROM lineitem GROUP BY 1), "
-            "c AS (SELECT n AS sz, CAST(COUNT(*) AS BIGINT) AS k FROM g "
-            "GROUP BY 1), "
-            "w AS (SELECT sz, k, SUM(k) OVER (ORDER BY sz) AS cum, "
-            "SUM(k) OVER () AS tot FROM c) "
-            "SELECT CAST(MAX(tot) AS BIGINT) AS n_keys, "
-            "CAST(SUM(sz * k) AS BIGINT) AS n_rows, "
-            "CAST(MAX(sz) AS BIGINT) AS max_n, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN sz END) "
-            "AS BIGINT) AS p50_n, "
-            "CAST(MIN(CASE WHEN cum >= CEIL(0.99 * tot) THEN sz END) "
-            "AS BIGINT) AS p99_n FROM w"
-        ),
-        "spike_days": _SPIKE_DAYS_SQL,
-        "order_rank_global": _ORDER_RANK_GLOBAL_SQL,
-        "new_users_daily": _NEW_USERS_DAILY_SQL,
-        "bucketed_join_revenue": _BUCKETED_JOIN_REVENUE_SQL,
         "label_centroids": _LABEL_CENTROIDS_SQL,
-        "incremental_daily_totals": _INCREMENTAL_DAILY_TOTALS_SQL,
-        "late_orders_by_priority": _LATE_ORDERS_BY_PRIORITY_SQL,
-        "time_travel_counts": _TIME_TRAVEL_COUNTS_SQL,
-        "star_join_revenue": _STAR_JOIN_REVENUE_SQL,
-        "zorder_2d_prune": _ZORDER_2D_PRUNE_SQL,
         "evolved_schema_counts": _EVOLVED_SCHEMA_COUNTS_SQL,
-        "typo_pairs": _TYPO_PAIRS_SQL,
-        "event_type_stationary": _stationary_sql(),
         "lpa_modularity": _lpa_modularity_sql(rounds=4),
-        "revenue_acf": (
-            # replay of analytics.revenue_acf: daily cents fold, n-scaled
-            # integer demeaning (no fractional mean), lag self-join,
-            # sign-split truncating ppm; HUGEINT mid-chain
-            "WITH d AS (SELECT strftime(o_orderdate, '%Y-%m-%d') AS day, "
-            "SUM(CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT)) AS c "
-            "FROM orders GROUP BY 1), "
-            "o AS (SELECT row_number() OVER (ORDER BY day) AS t, "
-            "CAST(c AS HUGEINT) AS c FROM d), "
-            "st AS (SELECT COUNT(*) AS n, SUM(c) AS s FROM o), "
-            "dm AS (SELECT t, (SELECT n FROM st) * c - (SELECT s FROM st) "
-            "AS v FROM o), "
-            "dn AS (SELECT SUM(v * v) AS den FROM dm), "
-            "lg AS (SELECT unnest(generate_series(1, 7)) AS lag), "
-            "nm AS (SELECT l.lag, COALESCE(SUM(a.v * b.v), 0) AS num "
-            "FROM lg l LEFT JOIN dm a ON 1 = 1 "
-            "LEFT JOIN dm b ON b.t = a.t + l.lag GROUP BY 1) "
-            "SELECT CAST(lag AS BIGINT) AS lag, "
-            "CAST(CASE WHEN (SELECT den FROM dn) = 0 THEN 0 "
-            "WHEN num >= 0 THEN (num * 1000000) // (SELECT den FROM dn) "
-            "ELSE -(((-num) * 1000000) // (SELECT den FROM dn)) END "
-            "AS BIGINT) AS acf_ppm FROM nm ORDER BY lag"
-        ),
         "encoding_advisor": (
             # replay of analytics.encoding_advisor: exact byte arithmetic,
             # index width = bytes to index the dictionary via length(bin())
@@ -10828,58 +7083,10 @@ def oracle_sql() -> dict[str, str]:
             "GREATEST(n_distinct - 1, 1))) + 7) // 8) < plain THEN 1 "
             "ELSE 0 END AS BIGINT) AS dict_wins FROM s ORDER BY col"
         ),
-        "bloom_pruned_join_revenue": (
-            # replay of analytics.bloom_pruned_join_revenue: the Bloom
-            # prefilter is traffic-only (the exact join removes its false
-            # positives), so the oracle is the PLAIN join aggregate with
-            # the shared cents chain
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_lineitems, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 "
-            "+ 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-            "FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey "
-            "WHERE o.o_orderpriority = '1-URGENT'"
-        ),
-        "hive_partition_prune_daily": (
-            # replay of analytics.hive_partition_prune_daily: the same day
-            # derivation, cents quantization, and [lo, hi) day range the
-            # partition filter prunes to
-            "WITH x AS (SELECT strftime(date_trunc('day', ts), '%Y-%m-%d') "
-            "AS day, CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS c "
-            "FROM events) "
-            "SELECT day, CAST(SUM(c) AS BIGINT) AS value_cents, "
-            "COUNT(*) AS n_events FROM x "
-            "WHERE day >= '2024-01-10' AND day < '2024-01-20' "
-            "GROUP BY 1 ORDER BY 1"
-        ),
-        "entity_dedupe_keepers": (
-            # replay of analytics.entity_dedupe_keepers: the shared
-            # levenshtein-1 pair CTE, symmetric recursive min-label
-            # closure, LEFT JOIN back onto the distinct vocabulary
-            "WITH RECURSIVE v AS (SELECT DISTINCT c_name AS tk "
-            "FROM customer), "
-            "e AS (SELECT a.tk AS ta, b.tk AS tb FROM v a JOIN v b "
-            "ON a.tk < b.tk AND levenshtein(a.tk, b.tk) = 1), "
-            "sym AS (SELECT ta AS x, tb AS y FROM e "
-            "UNION SELECT tb, ta FROM e), "
-            "reach AS (SELECT x, y FROM sym UNION "
-            "SELECT r.x, s.y FROM reach r JOIN sym s ON s.x = r.y), "
-            "canon AS (SELECT x, LEAST(x, MIN(y)) AS root FROM reach "
-            "GROUP BY x) "
-            "SELECT v.tk AS name, COALESCE(c.root, v.tk) AS canonical "
-            "FROM v LEFT JOIN canon c ON c.x = v.tk ORDER BY name"
-        ),
-        "json_field_stats": _JSON_FIELD_STATS_SQL,
-        "audience_overlap": _AUDIENCE_OVERLAP_SQL,
-        "customers_without_orders": _CUSTOMERS_WITHOUT_ORDERS_SQL,
-        "order_count_distribution": _ORDER_COUNT_DISTRIBUTION_SQL,
         "bpe_merge_candidates": _BPE_MERGE_SQL,
         "dp_geometric_counts": _dp_geometric_sql(),
-        "dow_adjusted_spikes": _DOW_ADJUSTED_SPIKES_SQL,
         "boundary_overlap_pairs": _BOUNDARY_OVERLAP_SQL,
-        "attribution_last_touch": _ATTRIBUTION_LAST_TOUCH_SQL,
-        "l_diversity_audit": _L_DIVERSITY_SQL,
         "padding_waste_by_bucket": _PADDING_WASTE_SQL,
-        "order_total_reconciliation": _ORDER_RECON_SQL,
         "chao1_vocab_estimate": _CHAO1_SQL,
         "corpus_datacard": _corpus_datacard_sql(),
         "gopher_quality_flags": _gopher_flags_sql(),
@@ -10893,21 +7100,16 @@ def oracle_sql() -> dict[str, str]:
         "unigram_power_sample_plan": _UNIGRAM_POWER_SQL,
         "dedup_family_agreement": _dedup_family_agreement_sql(),
         "cdc_chunk_dedup": _CDC_CHUNK_SQL,
-        "gdpr_erasure_plan": _gdpr_sql(),
         "max_coverage_select": _max_coverage_sql(),
         "blocklist_screen": _blocklist_sql(),
         "boundary_stitch_chains": _BOUNDARY_CHAINS_SQL,
-        "pseudonym_collision_audit": _pseudonym_sql(),
         "code_switch_rate_by_source": _code_switch_sql(),
         "token_budget_waterfill": _WATERFILL_SQL,
         "random_walks": _random_walks_sql(),
         "kwic_snippets": _kwic_sql(),
         "leakage_free_split_audit": _leakage_split_sql(),
-        "jsonl_source_daily": _TEXT_SOURCE_DAILY_SQL,
-        "csv_source_daily": _TEXT_SOURCE_DAILY_SQL,
         "matryoshka_recall_audit": _matryoshka_sql(),
         "mmr_diverse_topk": _mmr_sql(),
-        "bootstrap_ci_mean": _bootstrap_ci_sql(),
         "embedding_covariance_topk": (
             # replay of analytics.embedding_covariance_topk: identical
             # milli-unit quantization (floor(x*1000+0.5) -- the
@@ -10930,35 +7132,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM g, n JOIN s sa ON sa.i = g.dim_a JOIN s sb ON sb.i = g.dim_b "
             "ORDER BY abs(n.n * g.sab - sa.s * sb.s) DESC, g.dim_a, g.dim_b "
             "LIMIT 20"
-        ),
-        "t_closeness_audit": (
-            # replay of analytics.t_closeness_audit: same clamped $10 bins
-            # (LEAST(GREATEST(cents,0)//1000, 9)), zero-filled grid so
-            # cumulative sums cross empty bins identically, exact integer
-            # cross-product EMD floor-divided to ppm
-            "WITH c AS (SELECT event_type AS qi, "
-            "LEAST(GREATEST(CAST(ROUND(value * 100) AS BIGINT), 0) // 1000, 9) "
-            "AS bin FROM events), "
-            "grid AS (SELECT q.qi, b.bin FROM (SELECT DISTINCT qi FROM c) q, "
-            "(SELECT unnest(generate_series(0, 9)) AS bin) b), "
-            "cnt AS (SELECT qi, bin, COUNT(*) AS n FROM c GROUP BY 1, 2), "
-            "filled AS (SELECT g.qi, g.bin, COALESCE(cnt.n, 0) AS n FROM grid g "
-            "LEFT JOIN cnt ON cnt.qi = g.qi AND cnt.bin = g.bin), "
-            "cum AS (SELECT qi, bin, SUM(n) OVER (PARTITION BY qi ORDER BY bin) "
-            "AS cc FROM filled), "
-            "gcum AS (SELECT bin, SUM(n) OVER (ORDER BY bin) AS cg FROM "
-            "(SELECT bin, SUM(n) AS n FROM filled GROUP BY bin)), "
-            "tot AS (SELECT COUNT(*) AS N FROM c), "
-            "nc AS (SELECT qi, COUNT(*) AS n FROM c GROUP BY qi), "
-            "emd AS (SELECT cum.qi, CAST(nc.n AS BIGINT) AS n_events, "
-            "CAST((1000000 * SUM(ABS(cum.cc * tot.N - gcum.cg * nc.n))) "
-            "// (nc.n * tot.N * 9) AS BIGINT) AS t_ppm "
-            "FROM cum JOIN gcum ON gcum.bin = cum.bin "
-            "JOIN nc ON nc.qi = cum.qi CROSS JOIN tot "
-            "WHERE cum.bin < 9 GROUP BY cum.qi, nc.n, tot.N) "
-            "SELECT qi, n_events, t_ppm, "
-            "CAST(CASE WHEN t_ppm > 150000 THEN 1 ELSE 0 END AS BIGINT) "
-            "AS at_risk FROM emd"
         ),
         "pq_recall_audit": _pq_sql(),
         "sq8_recall_audit": _sq8_sql(),
@@ -11129,21 +7302,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(m.n_vecs * 1000000 // cnt.n_total AS BIGINT) AS share_ppm "
             "FROM m JOIN cnt ON cnt.label = m.label "
             "ORDER BY m.label, m.pred_label"
-        ),
-        "watermark_late_counts": (
-            # replay of relational.watermark_late_counts: exclusive running
-            # max over arrival (event_id) order, strict 300s lateness, hour
-            # buckets of EVENT time
-            "WITH e AS (SELECT event_id, ts, epoch_us(ts) AS us FROM events), "
-            "p AS (SELECT ts, us, MAX(us) OVER (ORDER BY event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS pmax FROM e), "
-            "l AS (SELECT strftime(ts, '%Y-%m-%d %H') AS hour, "
-            "CASE WHEN pmax IS NOT NULL AND pmax - us > 300000000 "
-            "THEN 1 ELSE 0 END AS late FROM p) "
-            "SELECT hour, CAST(COUNT(*) AS BIGINT) AS n_events, "
-            "CAST(SUM(late) AS BIGINT) AS n_late, "
-            "CAST(SUM(late) * 1000000 // COUNT(*) AS BIGINT) AS late_ppm "
-            "FROM l GROUP BY hour"
         ),
         "quality_dup_calibration": (
             # replay of analytics.quality_dup_calibration: quality CTEs +

@@ -151,84 +151,51 @@ def run_bench() -> dict:
 # the full query sweep; chunked into fresh-cluster subprocesses by
 # run_sweep (see its docstring for why)
 SWEEP_QUERIES = [
-    "pricing_summary", "revenue_by_nation", "events_daily",
-    "token_count_by_lang", "exact_dedup_groups", "minhash_pairs",
-    "ann_topk", "extract_flat_identity", "order_lineitem_join",
-    "session_windows", "sliding_windows", "embedding_neardup",
-    "ngram_jaccard_pairs", "top_orders_per_segment", "fingerprints",
-    "median_order_value", "quality_by_lang", "bm25_topk",
-    "simhash_pairs", "approx_distinct_users",
-    "contamination_flags", "pack_sequences", "redact_pii",
-    "repetition_stats", "budget_select", "mixture_sample",
-    "cms_top_tokens", "epoch_shuffle", "sample_exact_n",
-    "line_dedup", "novel_docs_bloom", "running_totals",
-    "robust_outliers", "collocations", "pruned_range_read",
-    "shipments_within_7d", "dedup_keep_best",
-    "kmeans_clusters", "pagerank_top", "hybrid_topk",
-    "semdedup_keepers", "skyline_orders", "mode_event_type",
-    "fk_orphan_audit", "longest_streak", "basket_pairs",
-    "forward_fill_daily", "event_transitions", "scd2_history",
-    "order_part_list", "rolling_7d_sum", "order_rank_global",
-    "approx_users_by_type", "new_users_daily", "bucketed_join_revenue",
-    "label_centroids", "incremental_daily_totals",
-    "late_orders_by_priority", "time_travel_counts", "star_join_revenue",
-    "zorder_2d_prune", "evolved_schema_counts", "typo_pairs",
-    "json_field_stats", "audience_overlap", "customers_without_orders",
-    "order_count_distribution", "user_active_coverage",
-    "peak_concurrent_sessions", "conversion_within",
-    "rolling_active_users", "pit_value_join", "order_decile_stats",
-    "weighted_median_price", "pps_sample", "order_value_gini",
-    "bfs_levels", "basket_lift", "profile_documents",
-    "weekly_revenue_wow", "rnn_pairs", "kmeans_inertia",
-    "fulfillment_latency", "spike_days", "in_degree_histogram",
-    "table_checksum", "phrase_doc_counts", "docs_cube",
-    "daily_activity", "ols_trend", "key_skew", "oov_rate_by_lang",
-    "dup_shingle_rate", "session_paths", "trimmed_mean_price",
-    "top_revenue_suppliers", "big_volume_orders", "hll_error_audit",
+    "token_count_by_lang", "exact_dedup_groups", "minhash_pairs", "ann_topk",
+    "extract_flat_identity", "embedding_neardup", "ngram_jaccard_pairs",
+    "fingerprints", "quality_by_lang", "bm25_topk", "simhash_pairs",
+    "contamination_flags", "pack_sequences", "redact_pii", "repetition_stats",
+    "budget_select", "mixture_sample", "cms_top_tokens", "epoch_shuffle",
+    "sample_exact_n", "line_dedup", "novel_docs_bloom", "robust_outliers",
+    "collocations", "pruned_range_read", "dedup_keep_best", "kmeans_clusters",
+    "pagerank_top", "hybrid_topk", "semdedup_keepers", "label_centroids",
+    "evolved_schema_counts", "pps_sample", "bfs_levels", "profile_documents",
+    "rnn_pairs", "kmeans_inertia", "in_degree_histogram", "table_checksum",
+    "phrase_doc_counts", "docs_cube", "oov_rate_by_lang", "dup_shingle_rate",
     "bloom_fp_audit", "cms_error_audit", "dup_size_histogram",
-    "join_size_audit", "interarrival_quantiles", "rfm_segments",
-    "langid_confusion", "supplier_hhi", "revenue_share_by_nation",
-    "k_anonymity", "top_prices_with_ties", "first_last_order",
-    "split_skew_audit", "session_durations", "important_parts",
-    "inactive_high_balance", "interval_overlap_pairs", "vocab_growth",
+    "langid_confusion", "k_anonymity", "split_skew_audit", "vocab_growth",
     "link_prediction_topk", "cross_source_dups", "encoding_audit",
-    "quality_length_corr", "shuffle_mix_audit", "cheapest_supplier",
-    "lang_source_chi2", "normalized_dedup", "out_of_order_audit",
-    "dominant_suppliers", "source_vocab_overlap", "trailing_rows_sum",
-    "shipping_priority", "returned_items", "promo_revenue",
-    "disjunctive_revenue", "nation_trade_volume", "market_share",
-    "small_qty_revenue", "supplier_count_by_part", "waiting_suppliers",
-    "product_profit", "order_priority_check", "line_priority_counts",
-    "customer_order_distribution", "forecast_revenue_delta",
-    "doc_boilerplate", "token_diversity_by_lang", "doc_surprisal_topk",
-    "sentence_stats_by_lang", "events_unpivot_daily", "benford_first_digit",
+    "quality_length_corr", "shuffle_mix_audit", "lang_source_chi2",
+    "normalized_dedup", "source_vocab_overlap", "doc_boilerplate",
+    "token_diversity_by_lang", "doc_surprisal_topk", "sentence_stats_by_lang",
     "zipf_bits_audit", "hapax_rate_by_source", "source_tv_distance",
-    "token_burstiness", "graph_reciprocity", "dup_spans", "ks_priority_drift",
-    "sampled_quantile_audit", "compaction_bins", "shingle_containment",
-    "cusum_changepoints", "bigram_surprisal_by_source", "key_density_audit",
-    "rolling_median_daily", "doclen_deciles_by_source", "value_moments_by_type",
-    "order_backlog_daily", "dow_revenue_profile", "completeness_audit",
-    "first_event_after_order", "doc_bigram_surprisal_topk", "negative_samples",
-    "span_corruption_plan", "two_hop_reach", "revenue_time_rollup",
-    "bpe_merge_candidates", "dp_geometric_counts", "dow_adjusted_spikes",
-    "boundary_overlap_pairs", "attribution_last_touch",
-    "l_diversity_audit", "padding_waste_by_bucket",
-    "order_total_reconciliation", "vocab_pruning_plan",
-    "winnow_fingerprint_pairs", "cdc_chunk_dedup", "gdpr_erasure_plan",
-    "max_coverage_select", "blocklist_screen", "boundary_stitch_chains",
-    "pseudonym_collision_audit", "code_switch_rate_by_source",
+    "token_burstiness", "graph_reciprocity", "dup_spans", "compaction_bins",
+    "shingle_containment", "bigram_surprisal_by_source",
+    "doclen_deciles_by_source", "completeness_audit",
+    "doc_bigram_surprisal_topk", "span_corruption_plan", "two_hop_reach",
+    "bpe_merge_candidates", "dp_geometric_counts", "boundary_overlap_pairs",
+    "padding_waste_by_bucket", "vocab_pruning_plan",
+    "winnow_fingerprint_pairs", "cdc_chunk_dedup", "max_coverage_select",
+    "blocklist_screen", "boundary_stitch_chains", "code_switch_rate_by_source",
     "token_budget_waterfill", "random_walks", "kwic_snippets",
-    "leakage_free_split_audit", "jsonl_source_daily", "csv_source_daily",
-    "matryoshka_recall_audit", "mmr_diverse_topk",
+    "leakage_free_split_audit", "matryoshka_recall_audit", "mmr_diverse_topk",
     "centroid_separation_audit", "readability_by_lang",
     "nearest_centroid_confusion", "doc_completeness_by_lang",
-    "span_profile_by_kind", "retry_plan",
-    "kcenter_coreset", "pca_top_component", "rendezvous_routing_balance",
-    "dsir_importance_weights", "lpa_communities", "degree_assortativity", "bitext_mining_topk",
-    "hits_scores", "langid_kappa", "kmv_distinct_audit", "kcore_nodes", "entity_dedupe_keepers", "hive_partition_prune_daily", "bloom_pruned_join_revenue",
-    "encoding_advisor", "local_clustering_topk", "revenue_acf", "event_type_stationary", "lpa_modularity", "ppr_top",
-    "nb_source_classifier", "ccnet_bucket_counts", "soft_dedup_weights", "binary_hamming_topk", "mor_delete_counts", "filter_impact_audit", "texttiling_boundaries", "simhash_dup_clusters", "anf_effective_diameter", "quality_neardup_auc", "bm25_prf_topk", "wap_publish_counts", "cluster_balanced_sample", "winnow_dup_clusters", "dedup_family_agreement", "ams_f2_audit", "unigram_power_sample_plan", "chao1_vocab_estimate", "real_pdf_roundtrip", "corpus_datacard", "gopher_quality_flags", "mattr_by_lang", "real_png_roundtrip",
-    "ivf_indexed_topk", "media_dedup_groups", "sq8_recall_audit", "extract_salted", "dangling_ref_audit", "orphan_media_audit",
+    "span_profile_by_kind", "retry_plan", "kcenter_coreset",
+    "pca_top_component", "rendezvous_routing_balance",
+    "dsir_importance_weights", "lpa_communities", "degree_assortativity",
+    "bitext_mining_topk", "hits_scores", "langid_kappa", "kcore_nodes",
+    "encoding_advisor", "local_clustering_topk", "lpa_modularity", "ppr_top",
+    "nb_source_classifier", "ccnet_bucket_counts", "soft_dedup_weights",
+    "binary_hamming_topk", "mor_delete_counts", "filter_impact_audit",
+    "texttiling_boundaries", "simhash_dup_clusters", "anf_effective_diameter",
+    "quality_neardup_auc", "bm25_prf_topk", "wap_publish_counts",
+    "cluster_balanced_sample", "winnow_dup_clusters", "dedup_family_agreement",
+    "ams_f2_audit", "unigram_power_sample_plan", "chao1_vocab_estimate",
+    "real_pdf_roundtrip", "corpus_datacard", "gopher_quality_flags",
+    "mattr_by_lang", "real_png_roundtrip", "ivf_indexed_topk",
+    "media_dedup_groups", "sq8_recall_audit", "extract_salted",
+    "dangling_ref_audit", "orphan_media_audit",
 ]
 
 

@@ -74,7 +74,11 @@ def final_topk_group(group, k: int, id_col: str = "vec_id"):
     return pd.DataFrame(g)
 
 
-def seeded_centroids(sample: np.ndarray, n_centroids: int, iters: int = 5, seed: int = 7) -> np.ndarray:
+LLOYD_ITERS = 5  # default Lloyd iterations of the seeded centroid fit
+
+
+def seeded_centroids(sample: np.ndarray, n_centroids: int, iters: int = LLOYD_ITERS,
+                     seed: int = 7) -> np.ndarray:
     """Deterministic centroids: seeded pick + a few Lloyd iterations over the
     (small, driver-side) sample. No randomness in the data path afterwards."""
     rng = np.random.RandomState(seed)

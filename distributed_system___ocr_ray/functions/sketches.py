@@ -8,7 +8,7 @@ tiny second stage -- the shuffle moves KB-sized register arrays, never rows.
 HyperLogLog: dense, ``2^p`` uint8 registers, 64-bit hashes (md5-prefix,
 deterministic -- no randomness in the data path; the same value DuckDB
 computes as ``('0x' || substr(md5(v), 1, 16))::UBIGINT``, which is what lets
-the ``approx_distinct_users`` oracle replay the whole sketch -- registers,
+a DuckDB oracle replay the whole sketch -- registers,
 estimator, linear-counting branch -- in SQL). Standard bias-corrected
 estimator with linear counting for the small range.
 """

@@ -1199,10 +1199,11 @@ def ivf_topk(
     sample + seeded Lloyd -- a per-query scan plan); a PATH loads the
     centroid table persisted by ``index.build_ivf_centroids`` (the real
     build-once/lookup-many index shape: repeated query sets skip
-    re-clustering; VERDICT r4 #8), validating the stored params match
-    ``n_centroids``/``seed`` so a stale or differently-built index raises
-    instead of silently probing wrong lists; a ready ``np.ndarray`` is
-    used as-is."""
+    re-clustering; VERDICT r4 #8), validating that all four stored build
+    params equal the per-call fit's (``n_centroids``, ``sample_size``,
+    ``seed`` and ``sk.LLOYD_ITERS``) so a stale or differently-built index
+    raises instead of silently probing wrong lists; a ready ``np.ndarray``
+    is used as-is."""
     import ray
 
     if centroids is None:
@@ -1212,11 +1213,13 @@ def ivf_topk(
         from .index import load_ivf_centroids
 
         cents, params = load_ivf_centroids(centroids)
-        if params["n_centroids"] != n_centroids or params["seed"] != seed:
+        want = {"n_centroids": n_centroids, "sample_size": sample_size,
+                "seed": seed, "iters": sk.LLOYD_ITERS}
+        if params != want:
             raise ValueError(
                 f"persisted IVF index {centroids!r} was built with "
-                f"{params}, caller requested n_centroids={n_centroids} "
-                f"seed={seed}; rebuild with index.build_ivf_centroids"
+                f"{params}, caller requested {want}; rebuild with "
+                "index.build_ivf_centroids"
             )
     else:
         cents = np.asarray(centroids, dtype=np.float64)
@@ -1737,44 +1740,8 @@ def exact_quantile(ds, col: str, q: float = 0.5, bins: int = 4096, pull_limit: i
     return _quantile_from_stats(ds, col, k, lo, hi, n, bins, pull_limit)
 
 
-def exact_quantiles(ds, col: str, qs, bins: int = 4096, pull_limit: int = 100_000):
-    """Multi-target ``exact_quantile``: identical rank convention and
-    bisection, but ONE shared Min/Max/Count pass and -- when the column
-    fits ``pull_limit`` -- ONE shared bounded collect serving every rank.
-    Motivation (measured): rfm_segments needs 9 boundaries over a
-    customer-bounded table; 9 independent calls cost 18 dataset
-    executions whose ~0.25 s per-execution constant dominates at ANY
-    input size. Past ``pull_limit`` each target runs its own bisection
-    (targets diverge into different buckets after round 1), still
-    sharing the stats pass -- the at-scale passes are the histograms,
-    which were always per-target work. Returns {q: value}."""
-    import math
-
-    from ray.data.aggregate import Count, Max, Min
-
-    qs = list(qs)
-    stats = ds.aggregate(Min(col), Max(col), Count())
-    lo, hi, n = float(stats[f"min({col})"]), float(stats[f"max({col})"]), int(stats["count()"])
-    if n == 0:
-        raise ValueError("exact_quantiles on empty dataset")
-    if hi == lo:
-        return {q: lo for q in qs}
-    ranks = {q: max(1, math.ceil(q * n)) for q in qs}
-    if n <= pull_limit:
-        vals = np.sort(np.concatenate(
-            [b.column(col).to_numpy(zero_copy_only=False)
-             for b in ds.select_columns([col]).iter_batches(batch_format="pyarrow")]
-            or [np.array([], dtype=np.float64)]
-        ))
-        return {q: float(vals[k - 1]) for q, k in ranks.items()}
-    return {
-        q: _quantile_from_stats(ds, col, k, lo, hi, n, bins, pull_limit)
-        for q, k in ranks.items()
-    }
-
-
 def _quantile_from_stats(ds, col, k, lo, hi, n, bins, pull_limit):
-    """Bisection core shared by exact_quantile / exact_quantiles: narrow
+    """Bisection core shared by exact_quantile / exact_quantiles_permille: narrow
     to the bucket holding ascending rank ``k``, then read it off the
     collected (<= pull_limit) remainder."""
     cur = ds
@@ -1959,7 +1926,7 @@ def robust_outliers(
     cannot drag a median).
 
     Exact in TWO executions total (the first cut ran 2 + 2k Dataset
-    executions through the ``grouped_quantile`` kernel — 28 s of pure
+    executions through a per-group bisection kernel — 28 s of pure
     per-execution constants at sf0.1; bench finding, round 3): pass 1
     shuffles per-batch ``(key, value) -> count`` partials (pre-aggregated,
     so the shuffle is value-domain-sized, not row-sized) and the driver
@@ -1968,7 +1935,7 @@ def robust_outliers(
     ``|v - med|`` — no second data pass); pass 2 flags map-side.
     ``max_hist_rows`` guards the driver fold: integer-ish domains (lengths,
     cents, ppm scores) stay small at any corpus size; a genuinely unbounded
-    domain should use the ``grouped_quantile`` bisection kernel instead —
+    domain should bisect per group with ``exact_quantile`` instead —
     that trade is the caller's, so the guard raises loudly.
 
     All-integer compare (``dev > k_mad * mad``; med/mad are actual data
@@ -1995,7 +1962,7 @@ def robust_outliers(
     if len(hist) > max_hist_rows:
         raise ValueError(
             f"value histogram has {len(hist)} rows > {max_hist_rows}; use "
-            "grouped_quantile's histogram bisection for unbounded domains"
+            "exact_quantile's histogram bisection per group for unbounded domains"
         )
 
     def rank_value(vals: np.ndarray, counts: np.ndarray) -> int:
@@ -2031,54 +1998,6 @@ def robust_outliers(
         return t.filter(pa.array(dev > cutoff))
 
     return ds_factory().map_batches(flag, batch_format="pyarrow")
-
-
-def grouped_quantile_sketch(
-    ds, key: str, col: str, q: float = 0.5, bins: int = 256,
-    lo: float | None = None, hi: float | None = None,
-):
-    """Approximate grouped quantile for UNBOUNDED key sets (per-user, per-
-    domain): one fixed-width histogram per key, built from per-batch
-    pre-aggregated (key, bin, count) partials -- the shuffle moves tiny
-    count rows, never values, and works for any key cardinality (the
-    bounded-key ``grouped_quantile`` is exact but runs one pass per key).
-
-    The estimate is the LOWER EDGE of the first bin whose cumulative count
-    reaches ``ceil(q * n)`` -- deliberately interpolation-free so the
-    estimator is a deterministic function of (lo, hi, bins, counts) and a
-    SQL oracle replays it bit-for-bit (same float64 ops). Error is bounded
-    by one bin width ((hi-lo)/bins).
-
-    ``lo``/``hi`` default to a global min/max pass; pass them explicitly to
-    skip it (and to keep a stable binning across incremental runs)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    if lo is None or hi is None:
-        g = ds.aggregate(Min(col), Max(col))
-        lo = float(g[f"min({col})"]) if lo is None else lo
-        hi = float(g[f"max({col})"]) if hi is None else hi
-    width = (hi - lo) / bins if hi > lo else 1.0
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = np.clip(
-            np.floor((batch[col].to_numpy(dtype=np.float64) - lo) / width).astype(np.int64),
-            0, bins - 1,
-        )
-        out = pd.DataFrame({key: batch[key].values, "bin": b})
-        return out.groupby([key, "bin"], sort=False).size().rename("cnt").reset_index()
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-
-    def pick(group: pd.DataFrame) -> pd.DataFrame:
-        # one group = ALL partials of one key (<= bins rows after merge)
-        g = group.groupby("bin", as_index=False)["cnt"].sum().sort_values("bin")
-        n = int(g["cnt"].sum())
-        target = int(np.ceil(q * n))
-        cum = g["cnt"].cumsum().to_numpy()
-        b = int(g["bin"].to_numpy()[np.searchsorted(cum, target)])
-        return pd.DataFrame({key: [group[key].iloc[0]], "q_value": [lo + b * width]})
-
-    return partials.groupby(key).map_groups(pick, batch_format="pandas")
 
 
 # ---------------------------------------------------------------- sampling
@@ -2168,12 +2087,11 @@ def pps_systematic_sample(ds, id_col: str = "doc_id",
     never be drawn, and the whole draw is integer arithmetic end-to-end --
     replayable verbatim in ANSI SQL (no RNG, no float ulp risk).
 
-    Scale shape: a distributed prefix sum, the ``_range_offsets``
-    discipline over the id domain -- pass 1 reduces per-id-bin weight sums
-    to exclusive global offsets (KB-sized, broadcast once via ray.put);
-    pass 2 is ONE range exchange where each bin sorts locally by id and
-    applies offset + local cumsum. No global sort, no driver collect of
-    data rows. Returns (id_col, weight_col, n_hits) for the drawn rows.
+    Scale shape: a distributed prefix sum over the id domain -- pass 1
+    reduces per-id-bin weight sums to exclusive global offsets (KB-sized,
+    broadcast once via ray.put); pass 2 is ONE range exchange where each
+    bin sorts locally by id and applies offset + local cumsum. No global
+    sort, no driver collect of data rows. Returns (id_col, weight_col, n_hits) for the drawn rows.
     """
     import ray
 
@@ -3417,61 +3335,6 @@ def zscore_by_group(ds, key: str = "lang", id_col: str = "doc_id", text_col: str
     return s.map_batches(zmap, batch_format="pyarrow")
 
 
-def funnel_counts(events_ds, steps: list[str], user_col: str = "user_id", ts_col: str = "ts", type_col: str = "event_type", buckets: int | None = None):
-    """Event-funnel analysis: how many users complete step 1, then step 2
-    STRICTLY AFTER their first step-1 event, then step 3 after that, ...
-    (first-touch semantics: each stage anchors at the MIN qualifying
-    timestamp). Returns one row per stage: (step, event_type, users).
-
-    Scale shape (the sessionize pattern): events are pre-filtered to the
-    funnel's types and hash-bucketed by user — each bucket computes every
-    stage for its own users with VECTORIZED pandas merges (per-user min,
-    join previous anchor, filter ts > anchor, min again; no per-user
-    Python loop) — then per-bucket stage counts merge in one tiny
-    aggregate. Only (user, ts, type) triples of matching events ever
-    shuffle, once."""
-    import pyarrow.compute as pc
-
-    from .relational import derive_buckets, tiny_final_groupby
-
-    nb = buckets if buckets is not None else derive_buckets(events_ds.count())
-
-    def prep(batch: pa.Table) -> pa.Table:
-        m = pc.is_in(batch.column(type_col), value_set=pa.array(steps))
-        b = batch.filter(m).select([user_col, ts_col, type_col])
-        u = b.column(user_col).to_numpy(zero_copy_only=False)
-        return b.append_column("__b", pa.array((u % nb).astype(np.int32), pa.int32()))
-
-    def bucket_stages(group: pd.DataFrame) -> pd.DataFrame:
-        counts = []
-        anchor = None  # per-user DataFrame (user, __t)
-        for step in steps:
-            ev = group[group[type_col] == step][[user_col, ts_col]]
-            if anchor is not None:
-                ev = ev.merge(anchor, on=user_col)
-                ev = ev[ev[ts_col] > ev["__t"]][[user_col, ts_col]]
-            anchor = (
-                ev.groupby(user_col, sort=False)[ts_col].min().rename("__t").reset_index()
-            )
-            counts.append(len(anchor))
-        return pd.DataFrame(
-            {
-                "step": np.arange(1, len(steps) + 1, dtype=np.int64),
-                "event_type": steps,
-                "users": np.array(counts, dtype=np.int64),
-            }
-        )
-
-    partials = (
-        events_ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_stages, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        partials, ["step", "event_type"], [("users", "sum")], ["step", "event_type", "users"]
-    )
-
-
 def domain_counts(ds, text_col: str = "text", k: int = 20):
     """Provenance stats: extract http(s) URLs from document text
     (``scrub.URL_PATTERN`` — the exact pattern the PII redactor and its
@@ -3835,64 +3698,6 @@ def collocations(
     )
 
 
-def retention_cohorts(
-    events_ds,
-    user_col: str = "user_id",
-    ts_col: str = "ts",
-    week_secs: int = 604800,
-    buckets: int | None = None,
-):
-    """Cohort retention matrix: users are cohorted by their FIRST active
-    week (epoch // week_secs) and counted once per (cohort_week,
-    week_offset) they were active in — the standard retention triangle.
-
-    One shuffle total: slim (user, week) pairs (batch-deduped) hash-bucket
-    by user, so each user's full history lands in exactly one group; the
-    group computes cohorts and offsets vectorized (per-user min via
-    groupby, merge, dedupe) and emits partial (cohort, offset, users)
-    counts that sum in the tiny merge (the week x offset domain is
-    calendar-bounded). Timestamps reduce to integer week indexes
-    map-side — exact parity with the SQL epoch arithmetic."""
-    from .relational import derive_buckets, tiny_final_groupby
-
-    nb = buckets if buckets is not None else derive_buckets(events_ds.count())
-
-    def prep(batch: pa.Table) -> pa.Table:
-        df = batch.select([user_col, ts_col]).to_pandas()
-        week = (df[ts_col].astype("datetime64[us]").astype(np.int64) // 10**6) // week_secs
-        slim = pd.DataFrame({user_col: df[user_col].values, "week": week.values})
-        slim = slim.drop_duplicates()
-        slim["__b"] = (slim[user_col] % nb).astype(np.int32)
-        return pa.Table.from_pandas(slim, preserve_index=False)
-
-    def bucket_counts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates([user_col, "week"])
-        cohort = g.groupby(user_col, sort=False)["week"].min().rename("cohort")
-        m = g.merge(cohort, left_on=user_col, right_index=True)
-        m["week_offset"] = m["week"] - m["cohort"]
-        out = (
-            m.groupby(["cohort", "week_offset"], sort=False)
-            .size()
-            .rename("users")
-            .reset_index()
-            .rename(columns={"cohort": "cohort_week"})
-        )
-        out["users"] = out["users"].astype(np.int64)
-        return out
-
-    partials = (
-        events_ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_counts, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        partials,
-        ["cohort_week", "week_offset"],
-        [("users", "sum")],
-        ["cohort_week", "week_offset", "users"],
-    )
-
-
 def sample_by_weight(ds, weight_ppm_col: str, id_col: str = "doc_id"):
     """Importance sampling with PER-ROW keep probabilities: keep a row iff
     ``md5_u64('samplew:' || id) % 1e6 < weight_ppm`` — e.g. sample
@@ -3912,55 +3717,6 @@ def sample_by_weight(ds, weight_ppm_col: str, id_col: str = "doc_id"):
         return batch.filter(pa.array(rolls < w))
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def value_histogram(ds, col: str, bins: int = 32):
-    """Exact fixed-width value histogram: (bin, lo, hi, n) over the global
-    [min, max] range — the distribution table behind data-quality
-    dashboards and bin-width choices for the quantile/selection kernels.
-    Two bounded passes: a (min, max, count) aggregate, then per-batch
-    numpy bincount partials through the tiny merge (bin domain = ``bins``).
-    Bin edges are float64 computed identically in the SQL replay; the top
-    edge clips into the last bin (same clip both sides)."""
-    from ray.data.aggregate import Count, Max, Min
-
-    from .relational import tiny_final_groupby
-
-    stats = ds.aggregate(Min(col), Max(col), Count())
-    lo, hi, n = float(stats[f"min({col})"]), float(stats[f"max({col})"]), int(stats["count()"])
-    if n == 0:
-        raise ValueError("value_histogram on empty dataset")
-    width = (hi - lo) / bins if hi > lo else 1.0
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        b = np.clip(((v - lo) / width).astype(np.int64), 0, bins - 1)
-        counts = np.bincount(b, minlength=bins)
-        nz = np.flatnonzero(counts)
-        return pa.table(
-            {"bin": pa.array(nz, pa.int64()), "n": pa.array(counts[nz], pa.int64())}
-        )
-
-    hist = tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"), ["bin"], [("n", "sum")], ["bin", "n"]
-    )
-
-    def edges(batch: pa.Table) -> pa.Table:
-        b = batch.column("bin").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bin": batch.column("bin"),
-                "lo_cents": pa.array(
-                    np.floor((lo + b * width) * 100 + 0.5).astype(np.int64), pa.int64()
-                ),
-                "hi_cents": pa.array(
-                    np.floor((lo + (b + 1) * width) * 100 + 0.5).astype(np.int64), pa.int64()
-                ),
-                "n": batch.column("n"),
-            }
-        )
-
-    return hist.map_batches(edges, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------- k-means
@@ -4666,55 +4422,7 @@ def hybrid_topk(
     )
 
 
-# ------------------------------------------------------ time-decay scoring
-
-
-def decayed_user_value(ds, halflife_days: int = 7, user_col: str = "user_id"):
-    """Recency-weighted per-user value: each event's integer cents are
-    halved once per elapsed ``halflife_days`` (relative to the newest event
-    in the table) via an arithmetic right shift, then summed per user --
-    the freshness weighting a crawl/source scorer applies before mixing.
-    Bit-shift halving keeps the whole computation in int64 (numpy ``>>`` ==
-    DuckDB ``>>``; shift capped at 62), so the oracle replays it exactly --
-    no float pow/exp drift.
-
-    Plan: one tiny aggregate for the global max timestamp (a scalar to the
-    driver), then a single map pass computing per-batch partial per-user
-    sums, finished with a grouped sum on the bounded user domain. Age is
-    whole days: ``(max_us - ts_us) // 86_400_000_000``.
-    """
-    from ray.data.aggregate import Max, Sum
-
-    mx = ds.aggregate(Max("ts"))["max(ts)"]
-    m_us = int(pd.Timestamp(mx).value // 1000)  # ns -> us
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        age_days = (m_us - ts.view(np.int64)) // 86_400_000_000
-        shift = np.minimum(age_days // halflife_days, 62)
-        cents = np.floor(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        decayed = cents >> shift
-        t = pa.table(
-            {
-                user_col: batch.column(user_col),
-                "decayed_cents": pa.array(decayed, pa.int64()),
-                "n_events": pa.array(np.ones(len(decayed), np.int64), pa.int64()),
-            }
-        )
-        out = t.group_by([user_col]).aggregate(
-            [("decayed_cents", "sum"), ("n_events", "sum")]
-        )
-        # arrow emits '<col>_<fn>' names with the keys last; restore order
-        out = out.select([user_col, "decayed_cents_sum", "n_events_sum"])
-        return out.rename_columns([user_col, "decayed_cents", "n_events"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(user_col).aggregate(
-        Sum("decayed_cents", alias_name="decayed_cents"),
-        Sum("n_events", alias_name="n_events"),
-    )
+# --------------------------------------------------------- triangle count
 
 
 def triangle_count(ds, id_col: str = "doc_id"):
@@ -4793,7 +4501,7 @@ def triangle_count(ds, id_col: str = "doc_id"):
     return rd.from_arrow(pa.table({"n_triangles": pa.array([n], pa.int64())}))
 
 
-# ----------------------------------------------------- skyline / mode / fk
+# ----------------------------------------------------------------- skyline
 
 
 def skyline_orders(ds, price_col: str = "o_totalprice", date_col: str = "o_orderdate",
@@ -4863,284 +4571,6 @@ def skyline_orders(ds, price_col: str = "o_totalprice", date_col: str = "o_order
         local_skyline, batch_format="pyarrow", batch_size=None
     )
     return final.sort(id_col)
-
-
-# ------------------------------------------------------- market basket
-
-
-def basket_lift_topk(ds_factory, order_col: str = "l_orderkey",
-                     item_col: str = "l_partkey", min_support: int = 20,
-                     topk: int = 20, buckets: int = 64):
-    """Market-basket LIFT for the top-k co-occurring pairs:
-    ``lift = P(a,b) / (P(a) * P(b))`` in ppm -- above 1e6 means the pair
-    is genuinely associated, not just two individually popular items (raw
-    pair counts, what ``basket_pairs_topk`` ranks, conflate the two).
-    ``lift_ppm = (n_ab * n_baskets * 10^6) // (n_a * n_b)`` -- integer
-    arithmetic end-to-end, replayed verbatim in SQL.
-
-    Scale shape: the pair stage IS basket_pairs_topk (A-Priori pruned,
-    one order-domain + one pair-domain exchange). Supports AND the exact
-    distinct-basket count then come from ONE fused pass: the <= 2k items
-    appearing in the top pairs are broadcast once and probed map-side,
-    distinct (item, order) rows collapse per batch, per-batch-distinct
-    orders ride along as sentinel (-1, order) rows, and ONE mixed-domain
-    exchange (item rows bucketed by item hash, sentinel rows by order
-    hash) counts both. The final join + arithmetic runs on k driver rows
-    (bounded, documented collect). ``ds_factory`` is called per pass (the
-    reads are cheap narrow scans; a computed pipeline would re-execute).
-
-    Returns (part_a, part_b, n_orders, lift_ppm) ordered like the pair
-    ranking (n_orders desc, part_a, part_b).
-    """
-    import ray
-
-    pairs = basket_pairs_topk(
-        ds_factory(), order_col, item_col, min_support, topk, buckets
-    ).to_pandas()
-    if pairs.empty:
-        pairs["lift_ppm"] = pd.Series([], dtype=np.int64)
-        return pairs
-
-    items = np.sort(pd.concat([pairs["part_a"], pairs["part_b"]])
-                    .unique().astype(np.int64))
-    items_ref = ray.put(items)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        # ONE fused partial pass emitting two row kinds telled apart by a
-        # sentinel item of -1 (partkeys are positive):
-        #   (item, order)  -- distinct-per-batch rows for the <= 2k probed
-        #                     items, bucketed by ITEM hash downstream;
-        #   (-1,   order)  -- distinct-per-batch orders for the exact
-        #                     n_baskets count, bucketed by ORDER hash so the
-        #                     sentinel rows spread instead of piling into
-        #                     one skewed group.
-        # Fusing saves a whole read + all-to-all barrier vs the previous
-        # separate groupby("o").count() pass (measured 6.6 s -> see below).
-        arr = ray.get(items_ref)
-        i = batch.column(item_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        o = batch.column(order_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq_o = np.unique(o)
-        pos = np.clip(np.searchsorted(arr, i), 0, len(arr) - 1)
-        hit = arr[pos] == i
-        i, o = i[hit], o[hit]
-        # per-batch distinct (item, order) collapse
-        order = np.lexsort((o, i))
-        i, o = i[order], o[order]
-        keep = np.r_[True, (i[1:] != i[:-1]) | (o[1:] != o[:-1])]
-        i, o = i[keep], o[keep]
-        i = np.concatenate([i, np.full(len(uniq_o), -1, np.int64)])
-        o = np.concatenate([o, uniq_o])
-        return pa.table({item_col: pa.array(i, pa.int64()),
-                         order_col: pa.array(o, pa.int64())})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # sentinel rows co-locate by order value, item rows by item value
-        i = batch.column(item_col).to_numpy(zero_copy_only=False)
-        o = batch.column(order_col).to_numpy(zero_copy_only=False)
-        key = np.where(i < 0, o, i).astype(np.int64)
-        b = pd.util.hash_array(key) % buckets
-        return batch.append_column(
-            "__bucket", pa.array(b.astype(np.int32), pa.int32()))
-
-    def support(group: pd.DataFrame) -> pd.DataFrame:
-        i = group[item_col].to_numpy(np.int64)
-        o = group[order_col].to_numpy(np.int64)
-        sent = i < 0
-        n_orders_here = np.int64(len(np.unique(o[sent])))
-        i, o = i[~sent], o[~sent]
-        if len(i) == 0:
-            return pd.DataFrame({item_col: np.array([-1], np.int64),
-                                 "n": np.array([n_orders_here], np.int64)})
-        order = np.lexsort((o, i))
-        i, o = i[order], o[order]
-        keep = np.r_[True, (i[1:] != i[:-1]) | (o[1:] != o[:-1])]
-        i = i[keep]
-        first = np.r_[True, i[1:] != i[:-1]]
-        idx = np.flatnonzero(first)
-        out_i = np.concatenate([i[first], [-1]])
-        out_n = np.concatenate(
-            [np.diff(np.r_[idx, len(i)]).astype(np.int64), [n_orders_here]])
-        return pd.DataFrame({item_col: out_i, "n": out_n})
-
-    folded = (
-        ds_factory().map_batches(probe, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(support, batch_format="pandas")
-        .to_pandas()
-    )
-    n_baskets = int(folded.loc[folded[item_col] < 0, "n"].sum())
-    sup = folded[folded[item_col] >= 0].set_index(item_col)["n"]
-
-    na = sup.loc[pairs["part_a"].to_numpy()].to_numpy(np.int64)
-    nb = sup.loc[pairs["part_b"].to_numpy()].to_numpy(np.int64)
-    pairs["lift_ppm"] = (
-        pairs["n_orders"].to_numpy(np.int64) * n_baskets * 1_000_000
-    ) // (na * nb)
-    return pairs
-
-
-def basket_pairs_topk(
-    ds,
-    order_col: str = "l_orderkey",
-    item_col: str = "l_partkey",
-    min_support: int = 20,
-    topk: int = 20,
-    buckets: int = 64,
-    max_basket: int = 4096,
-):
-    """Top-k co-occurring item pairs (market-basket affinity) with A-Priori
-    item pruning: only items whose ROW frequency >= ``min_support`` enter
-    the pair stage (a pair can never be frequent if either member isn't --
-    Agrawal & Srikant '94), which is what keeps the pair fan-out bounded at
-    scale. Pair count = number of distinct orders containing both items.
-
-    Scale shape: (1) item counts are a partial-agg + one key-domain
-    exchange; the surviving frequent set is ray.put ONCE (its size is the
-    min_support knob's job -- the classic A-Priori memory assumption) and
-    probed map-side. (2) baskets co-locate with ONE order-domain exchange;
-    pair generation is vectorized across all baskets of equal size (one
-    triu gather per (size class), no per-order Python loop). (3) pair
-    counts merge in ONE pair-domain exchange whose per-bucket top-k means
-    only k x buckets candidate rows reach the single final-merge task.
-    ``max_basket`` caps pathological baskets (m^2 pairs) loudly.
-
-    Returns (part_a, part_b, n_orders), the top-k by (n_orders desc,
-    part_a, part_b) -- fully ordered, deterministic at any partitioning.
-    """
-    import ray
-
-    from .relational import hash_bucket_column
-
-    # ---- pass 1: frequent items (A-Priori prune)
-    def item_partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([item_col]).to_pandas()
-        c = df.groupby(item_col, sort=False).size().rename("n").reset_index()
-        return pa.table(
-            {
-                item_col: pa.array(c[item_col].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(c["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    def add_item_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, item_col, buckets)
-
-    def merge_items(group: pd.DataFrame) -> pd.DataFrame:
-        tot = group.groupby(item_col, sort=False)["n"].sum()
-        keep = tot[tot >= min_support]
-        return pd.DataFrame({item_col: keep.index.to_numpy(np.int64)})
-
-    freq = (
-        ds.map_batches(item_partial, batch_format="pyarrow")
-        .map_batches(add_item_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_items, batch_format="pandas")
-        .to_pandas()[item_col]
-        .to_numpy(np.int64)
-    )
-    handle = ray.put(np.sort(freq))
-
-    # ---- pass 2: baskets -> pairs -> counts -> top-k
-    class FilterFrequent:
-        def __init__(self):
-            self.freq = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            items = batch.column(item_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(self.freq) == 0:
-                hit = np.zeros(len(items), dtype=bool)
-            else:
-                pos_safe = np.clip(np.searchsorted(self.freq, items), 0, len(self.freq) - 1)
-                hit = self.freq[pos_safe] == items
-            orders = batch.column(order_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    order_col: pa.array(orders[hit], pa.int64()),
-                    item_col: pa.array(items[hit], pa.int64()),
-                }
-            )
-
-    def add_order_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, order_col, buckets)
-
-    def gen_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # distinct (order, item), sorted -> per-basket sizes -> for each size
-        # class, one (G, m) reshape + triu gather emits all pairs at once
-        arr = np.unique(
-            np.stack(
-                [group[order_col].to_numpy(np.int64), group[item_col].to_numpy(np.int64)],
-                axis=1,
-            ),
-            axis=0,
-        )
-        o, it = arr[:, 0], arr[:, 1]
-        brk = np.r_[True, o[1:] != o[:-1]]
-        starts = np.flatnonzero(brk)
-        sizes = np.diff(np.r_[starts, len(o)])
-        if sizes.size and sizes.max() > max_basket:
-            raise ValueError(
-                f"basket of {sizes.max()} items exceeds max_basket={max_basket}; "
-                "raise min_support"
-            )
-        pas, pbs = [], []
-        for m in np.unique(sizes):
-            if m < 2:
-                continue
-            sel = starts[sizes == m]
-            M = it[(sel[:, None] + np.arange(m)[None, :])]  # (G, m) baskets
-            iu, ju = np.triu_indices(int(m), k=1)
-            pas.append(M[:, iu].ravel())
-            pbs.append(M[:, ju].ravel())
-        if not pas:
-            return pd.DataFrame({"part_a": pd.Series([], dtype=np.int64),
-                                 "part_b": pd.Series([], dtype=np.int64),
-                                 "n_orders": pd.Series([], dtype=np.int64)})
-        pa_ = np.concatenate(pas)
-        pb_ = np.concatenate(pbs)
-        c = (
-            pd.DataFrame({"part_a": pa_, "part_b": pb_})
-            .groupby(["part_a", "part_b"], sort=False)
-            .size()
-            .rename("n_orders")
-            .reset_index()
-        )
-        return c
-
-    def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        key = (
-            batch.column("part_a").to_numpy(zero_copy_only=False) * 1_000_003
-            + batch.column("part_b").to_numpy(zero_copy_only=False)
-        )
-        b = pd.util.hash_array(key.astype(np.int64)) % buckets
-        return batch.append_column("__bucket", pa.array(b.astype(np.int32), pa.int32()))
-
-    def merge_pairs_topk(group: pd.DataFrame) -> pd.DataFrame:
-        tot = (
-            group.groupby(["part_a", "part_b"], sort=False)["n_orders"].sum().reset_index()
-        )
-        tot = tot.sort_values(
-            ["n_orders", "part_a", "part_b"], ascending=[False, True, True], kind="mergesort"
-        ).head(topk)
-        return tot.astype({"part_a": np.int64, "part_b": np.int64, "n_orders": np.int64})
-
-    def final_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["n_orders", "part_a", "part_b"], ascending=[False, True, True], kind="mergesort"
-        ).head(topk)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        ds.map_batches(FilterFrequent, batch_format="pyarrow", concurrency=(1, 8))
-        .map_batches(add_order_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(gen_pairs, batch_format="pandas")
-        .map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_pairs_topk, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final_topk, batch_format="pyarrow", batch_size=None)
-    )
 
 
 # ------------------------------------------------------------ correlation
@@ -5213,6 +4643,9 @@ def corr_stats(ds, x_col: str, y_col: str):
         .repartition(1)
         .map_batches(final, batch_format="pyarrow", batch_size=None)
     )
+
+
+# ------------------------------------------------------- label centroids
 
 
 def label_centroid_sums(ds, label_col: str = "label", emb_col: str = "embedding"):
@@ -5966,8 +5399,8 @@ def bloom_fp_audit(
     Bloom HITS were actually novel (false positives the exact
     re-verification join then had to absorb) -- the measurement behind
     ``novel_docs_bloom``'s claim that FP rate only costs re-verification
-    volume. Third member of the "measure, don't guess" audit family
-    (pair_set_audit, hll_error_audit).
+    volume. A member of the "measure, don't guess" audit family
+    (pair_set_audit).
 
     Same broadcast-bloom build as ``novel_docs_bloom`` (shared
     ``_broadcast_bloom``); the new batch is tagged once, hit rows
@@ -6128,105 +5561,6 @@ def dup_size_histogram(ds, text_col: str = "text"):
         ["group_size"],
         [("k", "sum")],
         ["group_size", "n_groups"],
-    )
-
-
-def _cms_over_keys(ds, key: str, depth: int, width: int, merge_group: int = 64):
-    """Per-batch key value_counts -> partial CMS -> the cms_token_counts
-    tree merge (bounded ``merge_group`` sketches per task). Keys stringify
-    as str(int) so the SQL replay's CAST(key AS VARCHAR) hashes
-    identically. Returns the merged driver-side CountMinSketch."""
-    from ..functions.sketches import CountMinSketch
-
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        keys = batch.column(key).to_numpy(zero_copy_only=False)
-        vc = pd.Series(keys).value_counts()
-        cms = CountMinSketch(depth, width).add_counts(
-            [str(int(t)) for t in vc.index], vc.to_numpy(np.int64)
-        )
-        return pd.DataFrame({"sketch": [cms.to_bytes()]})
-
-    def merge_block(batch: pd.DataFrame) -> pd.DataFrame:
-        m = CountMinSketch.from_bytes(batch["sketch"].iloc[0])
-        for b in batch["sketch"].iloc[1:]:
-            m.merge(CountMinSketch.from_bytes(b))
-        return pd.DataFrame({"sketch": [m.to_bytes()]})
-
-    merged = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    while merged.count() > 1:
-        blocks = (merged.count() + merge_group - 1) // merge_group
-        merged = (
-            merged.repartition(blocks)
-            .map_batches(merge_block, batch_format="pandas", batch_size=None)
-            .materialize()
-        )
-    return CountMinSketch.from_bytes(merged.take_all()[0]["sketch"])
-
-
-def join_size_audit(
-    left, right, left_key: str, right_key: str, depth: int = 4, width: int = 8192
-):
-    """Join-cardinality estimation audit -- the query-planner primitive:
-    |A |><| B| estimated as the CMS inner product min over rows
-    (Alon-Gibbons-Matias-Szegedy style; always an OVERESTIMATE, collisions
-    only add mass), next to the EXACT count computed WITHOUT materializing
-    the join (per-key count tables, one key-domain exchange, sum of count
-    products). Fifth member of the audit family.
-
-    The sketches are constant 256 KB regardless of key cardinality -- the
-    at-scale path when even the per-key count table is too hot to ship; the
-    audit quantifies what that compression costs. All driver folds are
-    Python-int exact (count products overflow int64 at planetary scale).
-
-    Returns ONE row (exact_rows, cms_estimate, over_ppm >= 0)."""
-    from .relational import hash_bucket_column
-
-    ska = _cms_over_keys(left, left_key, depth, width)
-    skb = _cms_over_keys(right, right_key, depth, width)
-    est = min(
-        sum(int(a) * int(b) for a, b in zip(ska.table[r], skb.table[r]))
-        for r in range(depth)
-    )
-
-    def side_counts(key: str, side: int):
-        def _fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).to_numpy(zero_copy_only=False)
-            vc = pd.Series(keys).value_counts()
-            t = pa.table(
-                {
-                    "k": pa.array(vc.index.to_numpy(np.int64), pa.int64()),
-                    "n": pa.array(vc.to_numpy(np.int64), pa.int64()),
-                    "side": pa.array([side] * len(vc), pa.int64()),
-                }
-            )
-            return hash_bucket_column(t, "k", 64)
-
-        return _fn
-
-    both = left.map_batches(side_counts(left_key, 0), batch_format="pyarrow").union(
-        right.map_batches(side_counts(right_key, 1), batch_format="pyarrow")
-    )
-
-    def bucket_product(g: pd.DataFrame) -> pd.DataFrame:
-        p = g.groupby(["k", "side"], sort=False)["n"].sum().unstack("side")
-        if 0 not in p.columns or 1 not in p.columns:
-            return pd.DataFrame({"s": pd.array([0], dtype="int64")})
-        prod = (p[0].fillna(0) * p[1].fillna(0)).sum()
-        return pd.DataFrame({"s": pd.array([int(prod)], dtype="int64")})
-
-    exact = int(
-        both.groupby("__bucket")
-        .map_groups(bucket_product, batch_format="pandas")
-        .to_pandas()["s"]
-        .sum()
-    )
-    over = (est - exact) * 1_000_000 // exact if exact else 0
-    return pd.DataFrame(
-        {
-            "exact_rows": pd.array([exact], dtype="int64"),
-            "cms_estimate": pd.array([est], dtype="int64"),
-            "over_ppm": pd.array([over], dtype="int64"),
-        }
     )
 
 
@@ -6759,10 +6093,9 @@ def quality_length_corr(ds, lang_col: str = "lang", text_col: str = "text"):
     audit: a near-1e6 value says the two signals are redundant and the
     cheaper one suffices; near-0 says quality carries independent signal.
 
-    The classic five-sufficient-statistics parallel correlation
-    (ols_trend_by_priority's discipline): per-batch per-lang int64
-    partials of (n, Sx, Sy, Sxx, Syy, Sxy) -- batch_size=16384 is the
-    proven int64-partial overflow guard -- then ONE bounded final block
+    The classic five-sufficient-statistics parallel correlation: per-batch
+    per-lang int64 partials of (n, Sx, Sy, Sxx, Syy, Sxy) --
+    batch_size=16384 is the proven int64-partial overflow guard -- then ONE bounded final block
     folds them with PYTHON ints (exact past int64 at any corpus size) and
     scores ``sign(cov) * cov^2 // max((varx*vary)//1e6, 1)``: every
     quantity an integer, division-free until the last floor, replayed
@@ -7945,152 +7278,16 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text", buckets: int |
     )
 
 
-def ks_priority_drift(ds, group_col: str = "o_orderpriority", value_col: str = "o_totalprice"):
-    """Exact pairwise two-sample Kolmogorov-Smirnov distance between the
-    order-value distributions of each priority class -- the
-    distribution-DRIFT audit (did one slice's value distribution shift?)
-    that complements source_tv_distance's categorical TV: KS is the sup-norm
-    gap between EMPIRICAL CDFs of a numeric column, the standard two-sample
-    drift test.
-
-    Exactness without floats: at any value v, ``|F_a(v) - F_b(v)| =
-    |C_a(v)*n_b - C_b(v)*n_a| / (n_a*n_b)`` with integer cumulative counts
-    C; the max over v is attained at an OBSERVED value, so the sup over a
-    continuum reduces to a max over the distinct-cents grid.
-    ``ks_ppm = max_dev * 1e6 // (n_a*n_b)``.
-
-    Distributed ECDF without a global sort: cents are RANGE-bucketed by a
-    fixed width (ordering-preserving, unlike hash buckets), per-bucket
-    (g, c, n) partial counts fold into the compressed distinct-value
-    support, ONE tiny per-(bucket, g) total table comes to the driver to
-    compute each bucket's CARRY-IN (counts below it) which is closure-
-    broadcast back, and each bucket then scans its own sorted slice of the
-    grid independently -- a two-pass distributed prefix sum. The folded
-    support is materialized once (it is the compressed ECDF, orders of
-    magnitude smaller than the input). Products C*n overflow int64 past
-    n ~ 2^31 rows; the per-bucket kernel switches to Python big-int columns
-    there (same guarded pattern as source_tv_distance).
-
-    Returns one row per unordered group pair (prio_a < prio_b):
-    (prio_a, prio_b, n_a, n_b, ks_ppm)."""
-    from .relational import _cents
-
-    width = 1 << 21  # ~$21k per range bucket: parallelism knob, not correctness
-
-    def partials(batch: pa.Table) -> pa.Table:
-        c = _cents(batch.column(value_col)).to_numpy(zero_copy_only=False)
-        g = batch.column(group_col).to_pylist()
-        out = (
-            pd.DataFrame({"g": g, "c": c})
-            .groupby(["g", "c"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "rbucket": pa.array(
-                    out["c"].to_numpy(np.int64) // width, pa.int64()
-                ),
-                "g": pa.array(out["g"], pa.string()),
-                "c": pa.array(out["c"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(out["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["rbucket", "g", "c"], sort=False)["n"].sum().reset_index()
-        out["n"] = out["n"].astype(np.int64)
-        return out
-
-    detail = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("rbucket")
-        .map_groups(fold, batch_format="pandas")
-        .materialize()
-    )
-
-    # tiny: (#range-buckets x #groups) rows -> driver computes carry-ins
-    per_bucket = (
-        detail.groupby(["rbucket", "g"])
-        .sum("n")
-        .to_pandas()
-        .rename(columns={"sum(n)": "bn"})
-        .sort_values(["g", "rbucket"])
-    )
-    per_bucket["carry"] = per_bucket.groupby("g")["bn"].cumsum() - per_bucket["bn"]
-    carry = {
-        (int(r.rbucket), r.g): int(r.carry) for r in per_bucket.itertuples()
-    }
-    n_tot = {g: int(n) for g, n in per_bucket.groupby("g")["bn"].sum().items()}
-    groups = sorted(n_tot)
-    big = max(n_tot.values(), default=0) >= (1 << 31)
-
-    def bucket_dev(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rbucket"].iloc[0])
-        piv = (
-            g.pivot_table(index="c", columns="g", values="n", aggfunc="sum", fill_value=0)
-            .reindex(columns=groups, fill_value=0)
-            .sort_index()
-        )
-        cums = {}
-        for gg in groups:
-            col = piv[gg].to_numpy(np.int64).cumsum() + carry.get((rb, gg), 0)
-            cums[gg] = [int(x) for x in col] if big else col
-        rows = []
-        for i, ga in enumerate(groups):
-            for gb in groups[i + 1 :]:
-                if big:
-                    dev = max(
-                        abs(ca * n_tot[gb] - cb * n_tot[ga])
-                        for ca, cb in zip(cums[ga], cums[gb])
-                    )
-                else:
-                    dev = int(
-                        np.abs(cums[ga] * n_tot[gb] - cums[gb] * n_tot[ga]).max()
-                    )
-                rows.append((ga, gb, dev))
-        return pd.DataFrame(rows, columns=["prio_a", "prio_b", "dev"]).astype(
-            {"dev": "int64" if not big else "object"}
-        )
-
-    per_pair = detail.groupby("rbucket").map_groups(bucket_dev, batch_format="pandas")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        best = df.groupby(["prio_a", "prio_b"], sort=True)["dev"].max().reset_index()
-        ka, kb, na_, nb_, ppm = [], [], [], [], []
-        for r in best.itertuples():
-            a, b = n_tot[r.prio_a], n_tot[r.prio_b]
-            ka.append(r.prio_a)
-            kb.append(r.prio_b)
-            na_.append(a)
-            nb_.append(b)
-            ppm.append(int(r.dev) * 1_000_000 // (a * b))
-        return pa.table(
-            {
-                "prio_a": pa.array(ka, pa.string()),
-                "prio_b": pa.array(kb, pa.string()),
-                "n_a": pa.array(na_, pa.int64()),
-                "n_b": pa.array(nb_, pa.int64()),
-                "ks_ppm": pa.array(ppm, pa.int64()),
-            }
-        )
-
-    return per_pair.repartition(1).map_batches(
-        finish, batch_format="pyarrow", batch_size=None
-    )
-
-
 def exact_quantiles_permille(
     ds, col: str, permilles, bins: int = 4096, pull_limit: int = 100_000
 ):
-    """``exact_quantiles`` with the rank computed in INTEGER arithmetic:
+    """``exact_quantile`` over several ranks, computed in INTEGER arithmetic:
     k = max(1, ceil(p*n/1000)) as ``(p*n + 999) // 1000``. The float
     convention (``math.ceil(q*n)``) can ulp-overshoot -- 0.1*3000 is
     300.00000000000006, whose ceil is 301 -- which makes a permille-grid
     SQL replay ambiguous; integer permilles remove the hazard on both
     sides. Returns ({p: value}, n). Same shared-stats-pass / bounded-pull
-    plan as ``exact_quantiles``."""
+    plan as ``exact_quantile``."""
     from ray.data.aggregate import Count, Max, Min
 
     permilles = list(permilles)
@@ -8124,167 +7321,11 @@ def exact_quantiles_permille(
     }, n
 
 
-def sampled_quantile_audit(
-    ds,
-    id_col: str = "o_orderkey",
-    value_col: str = "o_totalprice",
-    rate: float = 0.125,
-    permilles=range(100, 1000, 100),
-):
-    """Sample-based quantile-estimation audit: estimate every decile of the
-    order-value distribution from the DETERMINISTIC md5-threshold sample
-    (``deterministic_sample``: reproducible across runs and cluster sizes,
-    SQL-replayable) and measure each estimate's TRUE rank error against the
-    full data -- the quantile member of the "measure, don't guess" sketch
-    audits (hll/bloom/cms): sample quantiles are THE cheap scale path for
-    range partitioning and histogram planning, and this quantifies what the
-    sample rate buys.
-
-    ONE data pass builds a range-bucketed COMPRESSED distribution
-    (rbucket, cents, n_full, n_sample) -- the per-batch partial groups by
-    distinct cents and tags sample membership, so both populations share
-    the read and the md5 runs once per row. The materialized detail (the
-    compressed ECDF, same license as ks_priority_drift) then serves
-    everything without touching the data again: tiny per-bucket totals
-    come to the driver, every rank (both sides) locates its bucket and
-    residual there, one bounded filter pulls only the needed buckets'
-    rows, and the TRUE rank of each estimate falls out of the same
-    carry + in-bucket cumsum (no separate counting pass).
-    rank_err_ppm = |count(full <= est)*1e6//n - p*1000| in Python ints
-    (the SQL replay's BIGINT is fine to ~1e12 rows). The earlier
-    per-rank histogram-bisection formulation ran ~2 passes per rank;
-    this runs 1 + epsilon total (measured 18.6 s -> 6.3 s at sf0.1/32c;
-    the residue is the per-row md5 of the sample predicate).
-
-    Returns 9 rows: (q_permille, sample_n, est_cents, exact_cents,
-    rank_err_ppm)."""
-    from .relational import _cents, hash_bucket_column, tiny_final_groupby
-
-    permilles = list(permilles)
-    threshold = format(int(rate * 0xFFFFFFFF), "08x")
-    width = 1 << 21  # range bucket: ordering-preserving parallelism knob
-
-    def partials(batch: pa.Table) -> pa.Table:
-        c = _cents(batch.column(value_col)).to_numpy(zero_copy_only=False)
-        hx = _md5_hex8(batch.column(id_col).to_pylist())
-        in_samp = np.fromiter((h < threshold for h in hx), bool, len(hx))
-        df = pd.DataFrame({"c": c, "s": in_samp.astype(np.int64)})
-        g = df.groupby("c", sort=False)["s"].agg(["size", "sum"]).reset_index()
-        return pa.table(
-            {
-                "rbucket": pa.array(g["c"].to_numpy(np.int64) // width, pa.int64()),
-                "c": pa.array(g["c"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(g["size"].to_numpy(np.int64), pa.int64()),
-                "ns": pa.array(g["sum"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["rbucket", "c"], sort=False)[["n", "ns"]].sum().reset_index()
-        for col in ("n", "ns"):
-            out[col] = out[col].astype(np.int64)
-        return out
-
-    detail = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("rbucket")
-        .map_groups(fold, batch_format="pandas")
-        .materialize()
-    )
-    totals = (
-        tiny_final_groupby(
-            detail, ["rbucket"], [("n", "sum"), ("ns", "sum")], ["rbucket", "n", "ns"]
-        )
-        .to_pandas()
-        .sort_values("rbucket")
-        .reset_index(drop=True)
-    )
-    n = int(totals["n"].sum())
-    n_s = int(totals["ns"].sum())
-    if n_s == 0:
-        raise ValueError("sampled_quantile_audit: empty sample")
-    buckets_sorted = totals["rbucket"].to_numpy(np.int64)
-
-    def locate(col: str, total: int):
-        """permille -> (bucket, residual rank, carry-below) for one side."""
-        cum = totals[col].cumsum().to_numpy(np.int64)
-        out = {}
-        for p in permilles:
-            k = max(1, (p * total + 999) // 1000)
-            i = int(np.searchsorted(cum, k))
-            out[p] = (int(buckets_sorted[i]), k - (int(cum[i - 1]) if i else 0),
-                      int(cum[i - 1]) if i else 0)
-        return out
-
-    loc_full = locate("n", n)
-    loc_samp = locate("ns", n_s)
-    needed = {b for b, _, _ in loc_full.values()} | {
-        b for b, _, _ in loc_samp.values()
-    }
-
-    def keep(batch: pa.Table) -> pa.Table:
-        rb = batch.column("rbucket").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(rb, list(needed))))
-
-    pulled = (
-        detail.map_batches(keep, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["rbucket", "c"])
-    )
-    by_bucket = {
-        int(rb): (
-            grp["c"].to_numpy(np.int64),
-            grp["n"].cumsum().to_numpy(np.int64),
-            grp["ns"].cumsum().to_numpy(np.int64),
-        )
-        for rb, grp in pulled.groupby("rbucket")
-    }
-
-    def resolve(loc, col_idx):
-        vals = {}
-        for p, (b, k, _) in loc.items():
-            cvals, cn, cns = by_bucket[b]
-            cum = cn if col_idx == 0 else cns
-            vals[p] = int(cvals[int(np.searchsorted(cum, k))])
-        return vals
-
-    est = resolve(loc_samp, 1)
-    exact = resolve(loc_full, 0)
-    # carry-in per bucket for the FULL side: counts in all lower buckets
-    cum_n = totals["n"].cumsum().to_numpy(np.int64)
-    carry_full = {
-        int(b): int(cum_n[i - 1]) if i else 0 for i, b in enumerate(buckets_sorted)
-    }
-    bucket_index = {int(b): i for i, b in enumerate(buckets_sorted)}
-    rows = []
-    for p in permilles:
-        v = est[p]
-        b = v // width
-        if b in by_bucket:
-            cvals, cn, _ = by_bucket[b]
-            inb = int(cn[np.searchsorted(cvals, v, side="right") - 1]) if np.searchsorted(
-                cvals, v, side="right"
-            ) else 0
-            cle = carry_full.get(b, 0) + inb
-        else:
-            # estimate's bucket was not pulled (cannot happen: est comes
-            # from a pulled bucket) -- carry of the next bucket boundary
-            i = bucket_index.get(b, 0)
-            cle = int(cum_n[i])
-        rows.append(
-            (p, n_s, v, exact[p], abs(cle * 1_000_000 // n - p * 1000))
-        )
-    return pd.DataFrame(
-        rows,
-        columns=["q_permille", "sample_n", "est_cents", "exact_cents", "rank_err_ppm"],
-    ).astype("int64")
-
-
 def compaction_bins(ds, keys=("source", "lang"), capacity: int = 100):
     """Compaction PLAN over partition sizes: group the corpus's (source,
     lang) partitions into target-size compaction bins -- the table-
     maintenance step every partitioned lake needs when small partitions
-    accumulate (the write side of pruned_range_read / zorder_2d_prune's
+    accumulate (the write side of pruned_range_read's
     read-side story). Deterministic CUMULATIVE packing: partitions sort by
     rows DESC then key, and bin = exclusive-prefix-sum // capacity -- a
     window-function packing (unlike first-fit-decreasing it is
@@ -8568,57 +7609,6 @@ def bigram_surprisal_by_source(
     return agg
 
 
-def key_density_audit(ds, key_col: str = "o_orderkey"):
-    """Surrogate-KEY-space integrity audit: row count, exact distinct
-    count, key range, duplicate rows and the key-space DENSITY (distinct
-    keys per 1e6 slots of [min, max]) -- the one-row health check that
-    catches duplicate-key ingestion (dup_rows > 0), allocator gaps and
-    sharded ranges that went sparse (density drops), before any
-    uniqueness-assuming join runs. Same exact-distinct plan as
-    hll_error_audit's exact side: per-batch np.unique partials bucketed on
-    the key, per-bucket nunique, plus ONE Min/Max/Count aggregate; the
-    fold is a handful of ints.
-
-    Returns ONE row (n_rows, n_distinct, min_key, max_key, density_ppm,
-    dup_rows)."""
-    from ray.data.aggregate import Count, Max, Min
-
-    from .relational import hash_bucket_column
-
-    stats = ds.aggregate(Min(key_col), Max(key_col), Count())
-    lo, hi, n = (
-        int(stats[f"min({key_col})"]),
-        int(stats[f"max({key_col})"]),
-        int(stats["count()"]),
-    )
-
-    def uniq(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column(key_col).to_numpy(zero_copy_only=False))
-        return hash_bucket_column(pa.table({key_col: pa.array(u)}), key_col, 64)
-
-    def bucket_n(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int(g[key_col].nunique())]})
-
-    nd = int(
-        ds.map_batches(uniq, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_n, batch_format="pandas")
-        .to_pandas()["n"]
-        .sum()
-    )
-    span = hi - lo + 1
-    return pd.DataFrame(
-        {
-            "n_rows": pd.array([n], dtype="int64"),
-            "n_distinct": pd.array([nd], dtype="int64"),
-            "min_key": pd.array([lo], dtype="int64"),
-            "max_key": pd.array([hi], dtype="int64"),
-            "density_ppm": pd.array([nd * 1_000_000 // span], dtype="int64"),
-            "dup_rows": pd.array([n - nd], dtype="int64"),
-        }
-    )
-
-
 def rolling_median_daily(ds, ts_col: str = "o_orderdate", value_col: str = "o_totalprice"):
     """7-row rolling LOWER MEDIAN of the daily revenue series -- the
     robust trend line (immune to single-day spikes that drag
@@ -8669,7 +7659,7 @@ def doclen_deciles_by_source(ds, source_col: str = "source", len_col: str = "n_c
     """Per-source document-LENGTH deciles -- the length-distribution
     profile (truncation, boilerplate padding, extraction bugs all move
     specific deciles long before they move the mean) that slots between
-    quality_by_lang's means and value_histogram's global bins. Exact
+    quality_by_lang's means and a global length histogram. Exact
     discrete deciles, rank = (n-1)*k//10 + 1 in INTEGER arithmetic --
     DuckDB's quantile_disc convention, no float interpolation.
 
@@ -9054,94 +8044,6 @@ def doc_bigram_surprisal_topk(ds, k: int = 50, id_col: str = "doc_id",
     )
 
 
-def negative_samples(orders, lineitem, customer, n_parts: int, k: int = 8,
-                     buckets: int | None = None):
-    """Deterministic NEGATIVE sampling for contrastive / link-prediction
-    training: for every customer, k candidate partkeys drawn by md5
-    arithmetic (``md5_u64(f"{cust}:{j}") % n_parts`` -- reproducible
-    across runs and cluster sizes, SQL-replayable like every RNG-ish
-    thing here), with candidates that the customer actually purchased
-    removed by an ANTI-join against the true interaction set. The
-    training-data counterpart of link_prediction_topk: that ranks likely
-    edges, this manufactures the non-edges a ranking model trains
-    against.
-
-    ONE exchange: the interaction side (orders |><| lineitem via the
-    bucketed hash join, projected to distinct (cust, part) per batch) and
-    the candidate side (generated straight off the customer table, no
-    shuffle) are both bucketed on cust; each bucket folds with a vectorized
-    merge-indicator anti-join. Collisions between a customer's own
-    candidates are kept as distinct (neg_idx) rows on both sides.
-
-    Returns (custkey, neg_idx, partkey) for surviving negatives."""
-    from ..functions.dedup import md5_u64
-    from .relational import bucketed_hash_join, derive_buckets, hash_bucket_column
-
-    if buckets is None:
-        buckets = derive_buckets(max(orders.count(), lineitem.count()))
-    joined = bucketed_hash_join(
-        orders, lineitem, "o_orderkey", "l_orderkey", buckets=buckets
-    )
-
-    def inter_rows(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "c": batch.column("o_custkey").to_numpy(zero_copy_only=False),
-                "p": batch.column("l_partkey").to_numpy(zero_copy_only=False),
-            }
-        ).drop_duplicates()
-        t = pa.table(
-            {
-                "c": pa.array(df["c"].to_numpy(np.int64), pa.int64()),
-                "p": pa.array(df["p"].to_numpy(np.int64), pa.int64()),
-                "j": pa.array(np.zeros(len(df), np.int64), pa.int64()),
-                "is_cand": pa.array(np.zeros(len(df), np.int8), pa.int8()),
-            }
-        )
-        return hash_bucket_column(t, "c", buckets)
-
-    def cand_rows(batch: pa.Table) -> pa.Table:
-        cs = batch.column("c_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        c_rep = np.repeat(cs, k)
-        j_rep = np.tile(np.arange(1, k + 1, dtype=np.int64), len(cs))
-        p = np.fromiter(
-            (
-                md5_u64(b"%d:%d" % (c, j)) % n_parts
-                for c, j in zip(c_rep, j_rep)
-            ),
-            np.int64,
-            len(c_rep),
-        )
-        t = pa.table(
-            {
-                "c": pa.array(c_rep, pa.int64()),
-                "p": pa.array(p, pa.int64()),
-                "j": pa.array(j_rep, pa.int64()),
-                "is_cand": pa.array(np.ones(len(c_rep), np.int8), pa.int8()),
-            }
-        )
-        return hash_bucket_column(t, "c", buckets)
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        cand = g[g["is_cand"] == 1]
-        inter = g[g["is_cand"] == 0][["c", "p"]].drop_duplicates()
-        m = cand.merge(inter, on=["c", "p"], how="left", indicator=True)
-        keep = m[m["_merge"] == "left_only"]
-        return pd.DataFrame(
-            {
-                "custkey": keep["c"].to_numpy(np.int64),
-                "neg_idx": keep["j"].to_numpy(np.int64),
-                "partkey": keep["p"].to_numpy(np.int64),
-            }
-        )
-
-    inter_ds = joined.map_batches(inter_rows, batch_format="pyarrow")
-    cand_ds = customer.map_batches(cand_rows, batch_format="pyarrow")
-    return inter_ds.union(cand_ds).groupby("__bucket").map_groups(
-        fold, batch_format="pandas"
-    )
-
-
 def span_corruption_plan(ds, id_col: str = "doc_id", text_col: str = "text",
                          span_len: int = 3, tokens_per_span: int = 20):
     """T5-style span-corruption PLAN: for each doc, a deterministic list
@@ -9301,61 +8203,6 @@ def two_hop_reach(ds, topn: int = 20, id_col: str = "doc_id"):
     return out[["seed", "in_deg", "reach2"]]
 
 
-def revenue_time_rollup(ds, ts_col: str = "o_orderdate", value_col: str = "o_totalprice"):
-    """Time-hierarchy ROLLUP of revenue: one output row per (year),
-    (year, quarter) and (year, quarter, month) group -- the calendar
-    drill-down docs_rollup/docs_cube provide for categorical dimensions,
-    on the time axis. Aggregated-out levels report -1 (not NULL: the
-    driver's value-hash compare stringifies, and -1 is unambiguous in a
-    month/quarter domain).
-
-    ONE bounded exchange at MONTH granularity (the finest level; the
-    month domain is bounded at any sf) -- quarters and years then fold
-    from the month partials at the driver with Python-int sums, zero
-    extra passes (the classic rollup-from-finest-partial identity).
-
-    Returns (level, y, q, m, n_orders, revenue_cents); level in
-    {'year', 'quarter', 'month'}."""
-    import pyarrow.compute as pc
-
-    from .relational import _cents, tiny_final_groupby
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col)
-        t = pa.table(
-            {
-                "y": pc.year(ts),
-                "m": pc.month(ts),
-                "v": _cents(batch.column(value_col)),
-            }
-        )
-        return t.group_by(["y", "m"]).aggregate([("v", "sum"), ("v", "count")])
-
-    months = (
-        tiny_final_groupby(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            ["y", "m"],
-            [("v_sum", "sum"), ("v_count", "sum")],
-            ["y", "m", "revenue_cents", "n_orders"],
-        )
-        .to_pandas()
-        .sort_values(["y", "m"])
-        .reset_index(drop=True)
-    )
-    months["q"] = (months["m"].to_numpy(np.int64) - 1) // 3 + 1
-    rows = []
-    for r in months.itertuples():
-        rows.append(("month", int(r.y), int(r.q), int(r.m), int(r.n_orders), int(r.revenue_cents)))
-    for (y, q), g in months.groupby(["y", "q"]):
-        rows.append(("quarter", int(y), int(q), -1, int(g["n_orders"].sum()), int(g["revenue_cents"].sum())))
-    for y, g in months.groupby("y"):
-        rows.append(("year", int(y), -1, -1, int(g["n_orders"].sum()), int(g["revenue_cents"].sum())))
-    out = pd.DataFrame(rows, columns=["level", "y", "q", "m", "n_orders", "revenue_cents"])
-    for c in ("y", "q", "m", "n_orders", "revenue_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
 def bpe_merge_candidates(ds, text_col: str = "text", k: int = 50):
     """BPE vocabulary-induction kernel (round 1 of byte-pair encoding):
     corpus-wide counts of adjacent character pairs WITHIN word tokens,
@@ -9470,58 +8317,6 @@ def dp_geometric_counts(ds, group_col: str = "lang", seed: str = "dp1"):
     tiny["noise"] = noise
     tiny["dp_count"] = tiny["n"] + noise
     return tiny.sort_values(group_col).reset_index(drop=True)
-
-
-def dow_adjusted_spikes(ds, ts_col: str = "o_orderdate", value_col: str = "o_totalprice"):
-    """Seasonality-adjusted anomaly days: daily revenue minus its
-    day-of-week mean (integer floor-division cents), flagged where
-    |residual| > 3 × MAD(residuals) (MAD = lower-median of absolute
-    residuals) — the deseasonalize-then-robust-threshold monitor that
-    ``spike_days`` (raw z-score) misses when weekly seasonality dominates.
-
-    Plan: per-batch (day, cents) Arrow partials → tiny final merge (day
-    domain is bounded by the calendar, ~2.4k keys for TPC-H) → the dow
-    profile, residuals and MAD run on that key-domain-sized table. Output:
-    flagged days only, (day, dow, revenue_cents, resid_cents), day ASC."""
-    import pyarrow.compute as pc
-
-    from .relational import _cents, tiny_final_groupby
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "day": pc.cast(batch.column(ts_col), pa.date32()),
-                "v": _cents(batch.column(value_col)),
-            }
-        )
-        return t.group_by(["day"]).aggregate([("v", "sum")])
-
-    days = (
-        tiny_final_groupby(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            ["day"],
-            [("v_sum", "sum")],
-            ["day", "revenue_cents"],
-        )
-        .to_pandas()
-        .sort_values("day")
-        .reset_index(drop=True)
-    )
-    day_arr = pa.array(pd.to_datetime(days["day"]).dt.date, pa.date32())
-    days["dow"] = pc.day_of_week(day_arr).to_numpy(zero_copy_only=False).astype(np.int64)
-    rev = days["revenue_cents"].to_numpy(np.int64)
-    prof = days.groupby("dow")["revenue_cents"].agg(["sum", "count"])
-    dow_mean = (prof["sum"] // prof["count"]).astype(np.int64)  # all-positive: // == floor
-    resid = rev - dow_mean.reindex(days["dow"]).to_numpy(np.int64)
-    ab = np.sort(np.abs(resid))
-    mad = int(ab[(len(ab) + 1) // 2 - 1]) if len(ab) else 0
-    days["resid_cents"] = resid
-    out = days[np.abs(resid) > 3 * mad][["day", "dow", "revenue_cents", "resid_cents"]]
-    out = out.sort_values("day").reset_index(drop=True)
-    out["day"] = pd.to_datetime(out["day"]).dt.strftime("%Y-%m-%d")
-    for c in ("dow", "revenue_cents", "resid_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def boundary_overlap_pairs(
@@ -9724,105 +8519,6 @@ def padding_waste_by_bucket(ds, text_col: str = "text"):
     out["waste_tokens"] = waste
     out["waste_ppm"] = waste * 1_000_000 // np.maximum(cap, 1)
     for c in ("bucket", "n_docs", "sum_tokens", "waste_tokens", "waste_ppm"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def order_total_reconciliation(orders, lineitem, buckets: int | None = None):
-    """Cross-table reconciliation audit: does each order's header total
-    equal the sum of its line items' ``extendedprice × (1−discount) ×
-    (1+tax)``? The ingest-consistency gate every warehouse runs between
-    a header table and its detail table. Per-status summary:
-    (o_orderstatus, n_orders, n_exact, sum_abs_diff_cents,
-    max_abs_diff_cents) — a bounded output whatever the mismatch rate.
-
-    Plan (100 TB shape): line items collapse to per-batch (orderkey,
-    cents) partials BEFORE the exchange (map-side combine), both sides
-    union into ONE orderkey-bucketed shuffle of 3-int rows, each bucket
-    folds its orders (header cents − detail cents, LEFT-join semantics:
-    detail-less orders diff against 0, orphan details drop) into a
-    bounded per-status partial, and a tiny final merge finishes. The
-    cents kernel is the proven float chain (left-assoc IEEE products,
-    then floor) the revenue family already replays exactly in SQL."""
-    from .relational import derive_buckets, hash_bucket_column, tiny_final_groupby
-
-    if buckets is None:
-        buckets = derive_buckets(max(orders.count(), lineitem.count()))
-
-    def norm_orders(batch: pa.Table) -> pa.Table:
-        oc = np.floor(
-            batch.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "k": batch.column("o_orderkey"),
-                "status": batch.column("o_orderstatus"),
-                "oc": pa.array(oc, pa.int64()),
-                "lc": pa.array(np.zeros(len(oc), np.int64), pa.int64()),
-            }
-        )
-        return hash_bucket_column(t, "k", buckets)
-
-    def norm_lineitem(batch: pa.Table) -> pa.Table:
-        ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        dis = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        tax = batch.column("l_tax").to_numpy(zero_copy_only=False)
-        cents = np.floor(ep * (1 - dis) * (1 + tax) * 100.0 + 0.5).astype(np.int64)
-        part = (
-            pa.table({"k": batch.column("l_orderkey"), "lc": pa.array(cents, pa.int64())})
-            .group_by(["k"])
-            .aggregate([("lc", "sum")])
-        )
-        n = part.num_rows
-        t = pa.table(
-            {
-                "k": part.column("k"),
-                "status": pa.array([""] * n, pa.string()),
-                "oc": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "lc": part.column("lc_sum"),
-            }
-        )
-        return hash_bucket_column(t, "k", buckets)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("k", sort=False).agg(
-            status=("status", "max"), oc=("oc", "sum"), lc=("lc", "sum")
-        )
-        per = per[per["status"] != ""]  # orphan details: no header row
-        diff = per["oc"].to_numpy(np.int64) - per["lc"].to_numpy(np.int64)
-        per = per.assign(ad=np.abs(diff), ex=(diff == 0).astype(np.int64))
-        out = per.groupby("status", sort=False).agg(
-            n_orders=("ad", "size"),
-            n_exact=("ex", "sum"),
-            sum_abs_diff_cents=("ad", "sum"),
-            max_abs_diff_cents=("ad", "max"),
-        ).reset_index().rename(columns={"status": "o_orderstatus"})
-        return out.astype(
-            {c: "int64" for c in ("n_orders", "n_exact", "sum_abs_diff_cents", "max_abs_diff_cents")}
-        )
-
-    o_long = orders.map_batches(norm_orders, batch_format="pyarrow")
-    l_long = lineitem.map_batches(norm_lineitem, batch_format="pyarrow")
-    partials = o_long.union(l_long).groupby("__bucket").map_groups(
-        bucket_fold, batch_format="pandas"
-    )
-    out = (
-        tiny_final_groupby(
-            partials,
-            ["o_orderstatus"],
-            [
-                ("n_orders", "sum"),
-                ("n_exact", "sum"),
-                ("sum_abs_diff_cents", "sum"),
-                ("max_abs_diff_cents", "max"),
-            ],
-            ["o_orderstatus", "n_orders", "n_exact", "sum_abs_diff_cents", "max_abs_diff_cents"],
-        )
-        .to_pandas()
-        .sort_values("o_orderstatus")
-        .reset_index(drop=True)
-    )
-    for c in ("n_orders", "n_exact", "sum_abs_diff_cents", "max_abs_diff_cents"):
         out[c] = out[c].astype(np.int64)
     return out
 
@@ -10325,106 +9021,6 @@ def cdc_chunk_dedup(ds, text_col: str = "text"):
     return out
 
 
-def gdpr_erasure_plan(sf_dir: str, mod: int = 50):
-    """Right-to-be-forgotten erasure plan: given a deletion cohort of
-    customers (here derived deterministically — custkeys whose
-    md5-u64('gdpr:'‖key) ≡ 0 mod ``mod``, ~2% — standing in for the
-    externally-supplied request list), count the rows each table must
-    erase and how many distinct subjects they touch: the sizing pass a
-    compliance pipeline runs before executing deletes. A real external
-    list would broadcast via ``ray.put`` and filter with ``isin`` (the
-    ``novel_docs`` pattern); the derived predicate keeps the plan fully
-    map-side AND bit-exactly oracle-checkable.
-
-    Plan: each table's scan filters map-side (the md5 is computed once
-    per DISTINCT key per batch — keys repeat in fact tables), folds to
-    per-batch (table, user, n) partials, and ONE table‖user-bucketed
-    exchange makes the distinct-subject counts add (the
-    ``l_diversity_audit`` fold). Output
-    (tbl, n_rows_to_erase, n_users_to_erase), tbl ASC."""
-    import ray.data as rd
-
-    from ..functions.dedup import md5_u64
-    from .relational import hash_bucket_column, tiny_final_groupby
-
-    SEP = chr(31)
-    specs = [
-        ("customer", "c_custkey"),
-        ("orders", "o_custkey"),
-        ("events", "user_id"),
-    ]
-
-    def make_partial(tbl: str, col: str):
-        def partial(batch: pd.DataFrame) -> pd.DataFrame:
-            u = batch[col].to_numpy(np.int64)
-            codes, uniq = pd.factorize(u)
-            hit = np.array(
-                [md5_u64(f"gdpr:{v}".encode()) % mod == 0 for v in uniq], dtype=bool
-            )
-            keep = hit[codes]
-            if not keep.any():
-                return pd.DataFrame(
-                    {
-                        "tbl": pd.Series([], dtype=str),
-                        "u": pd.Series([], dtype=np.int64),
-                        "n": pd.Series([], dtype=np.int64),
-                    }
-                )
-            g = (
-                pd.Series(u[keep]).value_counts().rename("n").reset_index()
-                .rename(columns={"index": "u"})
-            )
-            g.columns = ["u", "n"]
-            g.insert(0, "tbl", tbl)
-            return g.astype({"u": "int64", "n": "int64"})
-
-        return partial
-
-    longs = []
-    for tbl, col in specs:
-        ds = rd.read_parquet(f"{sf_dir}/{tbl}.parquet", columns=[col])
-        longs.append(ds.map_batches(make_partial(tbl, col), batch_format="pandas"))
-    long = longs[0].union(*longs[1:])
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["__key"] = batch["tbl"] + SEP + batch["u"].astype(str)
-        return batch
-
-    def key_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "__key", 32)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby(["tbl", "u"], sort=False)["n"].sum().reset_index()
-        out = per.groupby("tbl", sort=False).agg(
-            n_rows_to_erase=("n", "sum"), n_users_to_erase=("u", "size")
-        ).reset_index()
-        return out.astype({"n_rows_to_erase": "int64", "n_users_to_erase": "int64"})
-
-    out = (
-        tiny_final_groupby(
-            long.map_batches(add_bucket, batch_format="pandas")
-            .map_batches(key_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(bucket_fold, batch_format="pandas"),
-            ["tbl"],
-            [("n_rows_to_erase", "sum"), ("n_users_to_erase", "sum")],
-            ["tbl", "n_rows_to_erase", "n_users_to_erase"],
-        )
-        .to_pandas()
-        .set_index("tbl")
-        # a table whose cohort slice is empty still reports a 0 row (the
-        # oracle's COUNT over an empty filter does; so must the engine)
-        .reindex([t for t, _ in specs], fill_value=0)
-        .reset_index()
-        .sort_values("tbl")
-        .reset_index(drop=True)
-    )
-    for c in ("n_rows_to_erase", "n_users_to_erase"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
 def max_coverage_select(ds, k: int = 5, text_col: str = "text", id_col: str = "doc_id"):
     """Greedy max-coverage corpus selection (submodular curation, the
     lazy-greedy baseline of facility-location data selection): pick k
@@ -10713,65 +9309,6 @@ def boundary_stitch_chains(ds, collect_cap_rows: int = 2_000_000, **kwargs):
         .to_pandas()
         .sort_values("chain_size")
         .reset_index(drop=True)
-    )
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def pseudonym_collision_audit(ds, id_col: str = "user_id", space_bits: int = 16):
-    """Pseudonymization collision audit: hash every subject id into a
-    ``2^space_bits`` pseudonym space (md5-u64 mod) and count how many
-    DISTINCT subjects collide — the birthday-bound check a privacy
-    engineer runs before releasing a pseudonymized join key (a collision
-    silently MERGES two people's histories). ``space_bits=16`` is
-    deliberately small so the audit exercises its collision path on test
-    data; a production key uses 64+ bits and this same audit proves it.
-
-    Plan: per batch, ids dedupe then hash once per distinct id; the
-    exchange buckets distinct (id, pseudonym) pairs BY PSEUDONYM (an
-    id always lands with its pseudonym, a pseudonym never splits, so
-    per-bucket distinct counts of BOTH columns add); 3-counter fold.
-    Output one row: (n_users, n_pseudonyms, n_collisions,
-    collision_ppm)."""
-    from ..functions.dedup import md5_u64
-    from .relational import hash_bucket_column
-
-    mod = 1 << space_bits
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        u = pd.unique(batch[id_col].to_numpy(np.int64))
-        p = np.array([md5_u64(f"pseud:{v}".encode()) % mod for v in u], dtype=np.int64)
-        return pd.DataFrame({"u": u, "p": p})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "p", 32)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.drop_duplicates(["u", "p"])
-        return pd.DataFrame(
-            {
-                "n_users": [int(per["u"].nunique())],
-                "n_pseudonyms": [int(per["p"].nunique())],
-            }
-        ).astype("int64")
-
-    tot = (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_fold, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
-    nu, npse = int(tot["n_users"]), int(tot["n_pseudonyms"])
-    out = pd.DataFrame(
-        {
-            "n_users": [nu],
-            "n_pseudonyms": [npse],
-            "n_collisions": [nu - npse],
-            "collision_ppm": [(nu - npse) * 1_000_000 // max(nu, 1)],
-        }
     )
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
@@ -11153,104 +9690,6 @@ def leakage_free_split_audit(ds, threshold: float = 0.6, train_pct: int = 8):
     return out
 
 
-def _roundtrip_export(sf_dir: str, fmt: str):
-    """Derive a (event_type, day, value_cents) export of the events table
-    in ``fmt`` ('json' = JSONL shards, 'csv') under a content-keyed /tmp
-    dir, written ONCE per (sf_dir, format) and reused — floats convert
-    to integer cents and timestamps to day strings BEFORE serialization,
-    so the text roundtrip is bit-exact by construction (JSON/CSV float
-    printing would not be)."""
-    import hashlib as _hl
-    import os
-
-    import ray.data as rd
-
-    key = _hl.md5(f"{os.path.abspath(sf_dir)}".encode()).hexdigest()[:12]
-    out_dir = f"/tmp/graft_roundtrip/{fmt}_{key}"
-    if not os.path.isdir(out_dir) or not os.listdir(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-
-        def project(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table(
-                {
-                    "event_type": batch.column("event_type"),
-                    "day": pc.strftime(batch.column("ts"), format="%Y-%m-%d"),
-                    "value_cents": pa.array(
-                        np.floor(
-                            batch.column("value").to_numpy(zero_copy_only=False) * 100.0
-                            + 0.5
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
-
-        proj = ds.map_batches(project, batch_format="pyarrow")
-        if fmt == "json":
-            proj.write_json(out_dir)
-        else:
-            proj.write_csv(out_dir)
-    return out_dir
-
-
-def text_source_daily(sf_dir: str, fmt: str = "json"):
-    """Text-format ingest roundtrip: the events table exported once as
-    JSONL or CSV shards (the two formats web-scale pipelines actually
-    receive), re-ingested with ``ray.data.read_json`` / ``read_csv``,
-    and aggregated per (event_type, day) — proving the whole engine
-    path (schema, partials, bounded fold) is source-format-agnostic.
-    Exactness: the export writes integer cents and day STRINGS, so the
-    text roundtrip cannot lose precision; the oracle aggregates the
-    original parquet directly.
-
-    Returns (event_type, day, n_events, value_cents)."""
-    import ray.data as rd
-
-    from .relational import tiny_final_groupby
-
-    path = _roundtrip_export(sf_dir, fmt)
-    ds = rd.read_json(path) if fmt == "json" else rd.read_csv(path)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        day = batch.column("day")
-        # CSV type inference re-parses the day strings as dates/timestamps;
-        # normalize back to the exported string form so both formats (and
-        # the oracle) agree
-        if pa.types.is_timestamp(day.type) or pa.types.is_date(day.type):
-            day = pc.strftime(pc.cast(day, pa.timestamp("us")), format="%Y-%m-%d")
-        t = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "day": day,
-                "value_cents": pc.cast(batch.column("value_cents"), pa.int64()),
-            }
-        )
-        return t.group_by(["event_type", "day"]).aggregate(
-            [("value_cents", "sum"), ([], "count_all")]
-        )
-
-    out = (
-        tiny_final_groupby(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            ["event_type", "day"],
-            [("value_cents_sum", "sum"), ("count_all", "sum")],
-            ["event_type", "day", "value_cents", "n_events"],
-        )
-        .to_pandas()
-        .sort_values(["event_type", "day"])
-        .reset_index(drop=True)
-    )
-    out = out[["event_type", "day", "n_events", "value_cents"]]
-    for c in ("n_events", "value_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
 def matryoshka_recall_audit(ds, queries: np.ndarray, trunc_dim: int = 16, k: int = 10,
                             id_col: str = "vec_id", emb_col: str = "embedding"):
     """Matryoshka-truncation retrieval audit: cosine top-k over only the
@@ -11376,111 +9815,6 @@ def mmr_diverse_topk(ds, queries: np.ndarray, k: int = 5, pool: int = 50,
     for c in res.columns:
         res[c] = res[c].astype(np.int64)
     return res.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-# Poisson(1) CDF ladder for the bootstrap weight map, quantized onto the
-# Mersenne-61 hash range as integer thresholds so the engine (searchsorted)
-# and the DuckDB replay (CASE ladder on the same literals) compare the SAME
-# integers -- no float comparison anywhere. Weights cap at 8: P(X>8|lam=1)
-# ~= 1.1e-6, and BOTH sides clamp identically so the cap is semantics, not
-# error.
-_POISSON1_CDF = (
-    0.36787944117144233, 0.7357588823428847, 0.9196986029286058,
-    0.9810118431238462, 0.9963401531726563, 0.9994058151824183,
-    0.9999167588507119, 0.9999897508033253,
-)
-
-
-def bootstrap_constants(n_resamples: int = 64, seed: int = 7):
-    """Per-resample affine constants (a_b, b_b) on the Mersenne-61 field and
-    the Poisson(1) integer threshold ladder. Derived from md5 so the SQL
-    replay can embed the SAME literals (``__ray_entry__`` calls this very
-    function when building the oracle): resample b's uniform draw for row
-    key h is ``((a_b * h + b_b) mod 2^64) mod (2^61-1)`` -- one md5 per ROW
-    fans out to B resamples by arithmetic, the exact trick the MinHash
-    permutation family proved oracle-exact (analytics.minhash_lsh_pairs)."""
-    from ..functions import dedup as dk
-
-    M = dk._MERSENNE
-    a = np.array(
-        [max(1, dk.md5_u64(f"bootA{seed}:{i}".encode()) % M)
-         for i in range(n_resamples)], dtype=np.uint64)
-    b = np.array(
-        [dk.md5_u64(f"bootB{seed}:{i}".encode()) % M
-         for i in range(n_resamples)], dtype=np.uint64)
-    thresholds = np.array([int(c * M) for c in _POISSON1_CDF], dtype=np.uint64)
-    return a, b, thresholds
-
-
-def bootstrap_ci_mean(ds, value_col: str = "o_totalprice",
-                      key_col: str = "o_orderkey", n_resamples: int = 64,
-                      seed: int = 7, lo_pct: int = 25, hi_pct: int = 975):
-    """Poisson-bootstrap confidence interval for the mean -- the bootstrap
-    that actually runs at 100 TB. Classic resampling needs global
-    coordination (each resample draws n rows WITH replacement); the Poisson
-    bootstrap (Chamandy et al. 2012, "Estimating Uncertainty for Massive
-    Data Streams", Google) replaces the multinomial with independent
-    per-(row, resample) Poisson(1) weights, so every row computes its B
-    weights LOCALLY from a hash and the whole procedure is one
-    embarrassingly-parallel pass + a B-row fold. Here the Poisson draw is
-    deterministic: u = affine(md5(key)) on Mersenne-61, weight = rung of u
-    in the integer-quantized Poisson(1) CDF ladder -- bit-replayable in SQL.
-
-    Output (single row, integer cents x100 for exactness):
-    mean_c100 (point estimate over all rows), ci_lo_c100 / ci_hi_c100
-    (percentile bootstrap bounds at lo_pct/hi_pct permille over the B
-    resample means, floor-divided), n_resamples (surviving resamples --
-    a resample with total weight 0 is dropped identically on both sides).
-
-    Scale shape: one narrow scan; per batch a (B x n) uint64 matrix of
-    weights folds to 2B int64 partials (sum_w, sum_wx) plus one b=-1 row
-    carrying the plain sum/count, so the exchange moves B+1 rows per block
-    regardless of input size; the final fold is a tiny_final_groupby over
-    B+1 bounded keys; the percentile pick runs on B driver floats' worth of
-    integers. No shuffle of data rows, ever."""
-    from ..functions import dedup as dk
-    from .relational import _cents, tiny_final_groupby
-
-    M = np.uint64(dk._MERSENNE)
-    a, b, thr = bootstrap_constants(n_resamples, seed)
-    bidx = np.arange(-1, n_resamples, dtype=np.int64)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = _cents(batch.column(value_col)).to_numpy()
-        h = np.array([dk.md5_u64(str(i).encode()) for i in ids], dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            u = (a[:, None] * h[None, :] + b[:, None]) % M
-        w = np.searchsorted(thr, u.ravel(), side="right").reshape(
-            n_resamples, -1).astype(np.int64)
-        sw = np.concatenate([[len(ids)], w.sum(axis=1)])
-        swx = np.concatenate([[int(cents.sum())], (w * cents[None, :]).sum(axis=1)])
-        return pa.table({
-            "b": pa.array(bidx, pa.int64()),
-            "sw": pa.array(sw, pa.int64()),
-            "swx": pa.array(swx, pa.int64()),
-        })
-
-    folded = tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192),
-        keys=["b"], aggs=[("sw", "sum"), ("swx", "sum")],
-        out_names=["b", "sw", "swx"],
-    ).to_pandas()
-
-    point = folded[folded["b"] < 0].iloc[0]
-    mean_c100 = int(point["swx"]) * 100 // int(point["sw"])
-    rs = folded[(folded["b"] >= 0) & (folded["sw"] > 0)]
-    means = np.sort((rs["swx"].to_numpy(np.int64) * 100)
-                    // rs["sw"].to_numpy(np.int64))
-    m = len(means)
-    lo = int(means[(lo_pct * m) // 1000])
-    hi = int(means[(hi_pct * m + 999) // 1000 - 1])
-    return pd.DataFrame({
-        "mean_c100": pd.Series([mean_c100], dtype=np.int64),
-        "ci_lo_c100": pd.Series([lo], dtype=np.int64),
-        "ci_hi_c100": pd.Series([hi], dtype=np.int64),
-        "n_resamples": pd.Series([m], dtype=np.int64),
-    })
 
 
 def embedding_covariance_topk(ds, vec_col: str = "embedding", topk: int = 20,
@@ -12492,7 +10826,6 @@ def kcenter_coreset(ds, k: int = 8, quant: int = 1000,
     return out
 
 
-
 def pca_top_component(ds, iters: int = 12, quant: int = 1000,
                       scale: int = 1_000_000, vec_col: str = "embedding"):
     """Top principal component of the embedding cloud by power iteration
@@ -13255,246 +11588,6 @@ def kcore_nodes(ds, k: int = 2, rounds: int = 4, id_col: str = "doc_id",
     return final_deg.map_batches(at_least_k, batch_format="pyarrow")
 
 
-
-
-def entity_dedupe_keepers(ds, col: str, broadcast_cap_rows: int = 2_000_000,
-                          buckets: int = 64):
-    """End-to-end entity canonicalization: FastSS edit-distance-1 pairs
-    (``typo_pairs``) -> connected components (``dedup_clusters``) -> a
-    canonical-name map for the WHOLE vocabulary -- the classic record-
-    linkage resolve step (a typo'd customer name and its true form merge
-    under the lexicographically smallest member; untouched names map to
-    themselves). This is the fuzzy mirror of exact_dedup's keep-first:
-    exact dedup collapses identical strings, THIS collapses a
-    Levenshtein-1 neighborhood, and the two compose (run this first,
-    then exact machinery downstream sees clean keys).
-
-    Scale shape: the pair and component machinery is the existing exact
-    FastSS + union-find path; the component table is PAIR-bounded (only
-    names in some pair), broadcast via ray.put under
-    ``broadcast_cap_rows`` (loud raise past it -- the bucketed-join
-    shape is the fallback documented at cross_source_dup_matrix); the
-    vocabulary distinct is one value-domain exchange and the canonical
-    gather is map-side. Returns (name, canonical), one row per DISTINCT
-    name, canonical <= name lexicographically."""
-    import ray
-
-    from .relational import hash_bucket_column
-
-    pairs = typo_pairs(ds, col, buckets=buckets)
-    cl = dedup_clusters(pairs, id_a="tok_a", id_b="tok_b").to_pandas()
-    if len(cl) > broadcast_cap_rows:
-        raise ValueError(
-            f"component table {len(cl)} rows exceeds the broadcast cap; "
-            "attach canonicals via the bucketed-join shape at this scale")
-    canon_handle = ray.put(dict(zip(cl["doc_id"].astype(str),
-                                    cl["cluster_id"].astype(str))))
-
-    def distinct_vals(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column(col).to_numpy(zero_copy_only=False))
-        return pa.table({col: pa.array(u.tolist(), pa.string())})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, col, buckets)
-
-    def canon_group(g: pd.DataFrame) -> pd.DataFrame:
-        # ray.get on a broadcast handle is a shared-memory lookup per
-        # group, not a copy per row
-        m = ray.get(canon_handle)
-        names = np.unique(g[col].to_numpy(object))
-        return pd.DataFrame({
-            "name": names,
-            "canonical": [m.get(str(n), str(n)) for n in names],
-        })
-
-    return (
-        ds.map_batches(distinct_vals, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(canon_group, batch_format="pandas")
-    )
-
-
-def hive_partition_prune_daily(sf_dir: str, lo_day: str = "2024-01-10",
-                               hi_day: str = "2024-01-20",
-                               cache_root: str = "/tmp/graft_hive"):
-    """Hive-style partition pruning, end to end: the events table is laid
-    out ONCE as a day=YYYY-MM-DD partitioned parquet dataset (the
-    standard warehouse layout), then a day-range query reads it back
-    through a ``PathPartitionFilter`` so non-matching partition
-    DIRECTORIES never open -- pruning at the file listing, the layout
-    complement of ``pruned_range_read`` (row-group zone maps) and
-    ``zorder_2d_prune`` (multi-dim clustering): three rungs of the same
-    skip-the-bytes ladder. At 100 TB the partitioned layout is what
-    turns a 30-day scan into a 10-day scan BEFORE any reader task
-    launches.
-
-    The partitioned copy is content-addressed per sf_dir under /tmp and
-    written through a tmp-dir + atomic rename (concurrent callers race
-    benignly; losers reuse the winner's directory). Day derivation,
-    cents quantization and the aggregate are shared character-for-
-    character with events_daily's replay.
-
-    Returns (day, n_events, value_cents) for lo_day <= day < hi_day,
-    via a bounded per-day fold."""
-    import os
-    import shutil
-
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ray.data.datasource.partitioning import Partitioning, PathPartitionFilter
-
-    from .relational import _cents, tiny_final_groupby
-
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out = os.path.join(cache_root, tag, "events_by_day")
-    if not os.path.isdir(out):
-        src = rd.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts", "value"])
-
-        def add_day(batch: pa.Table) -> pa.Table:
-            day = pc.strftime(pc.floor_temporal(batch.column("ts"),
-                                                unit="day"), format="%Y-%m-%d")
-            return pa.table({"day": day,
-                             "value_cents": _cents(batch.column("value"))})
-
-        tmp = f"{out}.tmp.{os.getpid()}"
-        src.map_batches(add_day, batch_format="pyarrow").write_parquet(
-            tmp, partition_cols=["day"])
-        try:
-            os.rename(tmp, out)
-        except OSError:  # another process won the race: reuse theirs
-            shutil.rmtree(tmp, ignore_errors=True)
-
-    part_filter = PathPartitionFilter.of(
-        lambda kv: lo_day <= kv["day"] < hi_day)
-    ds = rd.read_parquet(out, partition_filter=part_filter,
-                         partitioning=Partitioning("hive"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "day": batch.column("day").combine_chunks().cast(pa.string()),
-            "value_cents": batch.column("value_cents").combine_chunks()
-            .cast(pa.int64()),
-        })
-        return t.group_by(["day"]).aggregate(
-            [("value_cents", "sum"), ("value_cents", "count")])
-
-    return tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["day"],
-        [("value_cents_sum", "sum"), ("value_cents_count", "sum")],
-        ["day", "value_cents", "n_events"],
-    )
-
-
-def bloom_pruned_join_revenue(sf_dir: str, priority: str = "1-URGENT",
-                              bits_per_key: int = 16):
-    """Bloom semi-join pruning, the classic distributed-join traffic
-    optimization, end to end: the SELECTIVE build side (urgent orders)
-    folds into one mergeable Bloom filter; the probe side (lineitem)
-    tests membership MAP-SIDE and only survivors -- true matches plus
-    the filter's bounded false positives -- enter the join exchange.
-    False positives cost shuffle bytes, never correctness: the exact
-    bucketed hash join eliminates them, so the aggregate equals the
-    plain join's. At 100 TB the pruned traffic is the win: a 2%
-    build-side selectivity turns the probe shuffle into ~2% of its
-    bytes for 2 bits-per-key-per-probe-row of map-side work.
-
-    Plan: ONE narrow build pass (per-batch partial Blooms, driver
-    OR-merge of block-count x KB filters -- the md5 probe layout is
-    functions/bloom.BloomFilter, already bit-for-bit SQL-replayed by
-    novel_docs_bloom); bloom broadcast via ray.put; probe map-filter;
-    one bucketed hash join of SURVIVORS against build keys; cents
-    revenue fold. The pruned-traffic accounting (survivors vs probe
-    rows vs true matches) is pytest-held; the oracle checks the exact
-    aggregate through the plain join.
-
-    Returns ONE row (n_lineitems, revenue_cents): joined lineitem rows
-    and the sum of extendedprice*(1 - discount) in the shared cents
-    convention -- both additive, so per-block partials fold exactly
-    however dynamic block splitting carves the join output."""
-    import ray
-    import ray.data as rd
-
-    from ..functions.bloom import BloomFilter
-    from .relational import bucketed_hash_join, derive_buckets, tiny_final_groupby
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderpriority"])
-
-    def build_keys(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.equal(batch.column("o_orderpriority"), priority)
-        return pa.table({"o_orderkey": batch.column("o_orderkey")
-                         .combine_chunks().cast(pa.int64())}).filter(
-            keep.combine_chunks() if isinstance(keep, pa.ChunkedArray) else keep)
-
-    keys = orders.map_batches(build_keys, batch_format="pyarrow").materialize()
-    n_build = keys.count()
-    bloom = BloomFilter.for_keys(max(n_build, 1), bits_per_key=bits_per_key)
-
-    def partial_bloom(batch: pa.Table) -> pa.Table:
-        b = BloomFilter(bloom.m, bloom.k)
-        b.add_many([str(x) for x in batch.column("o_orderkey").to_pylist()])
-        return pa.table({"b": pa.array([b.to_bytes()], pa.binary())})
-
-    for raw in keys.map_batches(partial_bloom,
-                                batch_format="pyarrow").to_pandas()["b"]:
-        bloom.merge(BloomFilter.from_bytes(raw))
-    bloom_handle = ray.put(bloom.to_bytes())
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"])
-
-    class Probe:
-        def __init__(self) -> None:
-            self.bloom = BloomFilter.from_bytes(ray.get(bloom_handle))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            k = batch.column("l_orderkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            # ~4 lineitems share an order: digest each DISTINCT key once
-            # and gather (the md5-memoization convention of the pair
-            # family) -- same probes, same oracle, 4x fewer digests
-            uk, inv = np.unique(k, return_inverse=True)
-            ok = self.bloom.contains_many([str(x) for x in uk])[inv]
-            kept = batch.filter(pa.array(ok))
-            price = kept.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            disc = kept.column("l_discount").to_numpy(zero_copy_only=False)
-            rev = np.floor(price * (1.0 - disc) * 100 + 0.5).astype(np.int64)
-            return pa.table({
-                "l_orderkey": kept.column("l_orderkey").combine_chunks()
-                .cast(pa.int64()),
-                "rev": pa.array(rev, pa.int64()),
-            })
-
-    survivors = li.map_batches(Probe, batch_format="pyarrow",
-                               concurrency=(1, 8))
-    joined = bucketed_hash_join(
-        survivors, keys, "l_orderkey", "o_orderkey",
-        buckets=derive_buckets(max(n_build, 1)),
-    )
-
-    def fold(batch: pa.Table) -> pa.Table:
-        rev = batch.column("rev").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "k": pa.array([0], pa.int64()),
-            "n_lineitems": pa.array([len(rev)], pa.int64()),
-            "revenue_cents": pa.array([int(rev.sum())], pa.int64()),
-        })
-
-    f = tiny_final_groupby(
-        joined.map_batches(fold, batch_format="pyarrow"),
-        keys=["k"],
-        aggs=[("n_lineitems", "sum"), ("revenue_cents", "sum")],
-        out_names=["k", "n_lineitems", "revenue_cents"],
-    ).to_pandas()
-    return f.drop(columns=["k"]).astype("int64")
-
-
 def encoding_advisor(ds, columns, id_type_bytes: int | None = None,
                      buckets: int = 64):
     """Dictionary-encoding advisor for string columns -- the storage-
@@ -13712,115 +11805,6 @@ def local_clustering_topk(ds, topn: int = 20, id_col: str = "doc_id",
     for c in top.columns:
         top[c] = top[c].astype(np.int64)
     return top.reset_index(drop=True)
-
-
-def revenue_acf(sf_dir: str, max_lag: int = 7):
-    """Autocorrelation function of daily order revenue at lags 1..max_lag
-    (Box & Jenkins): THE first diagnostic read before any forecasting or
-    anomaly model -- lag-7 mass says weekly seasonality (dow_adjusted_
-    spikes then applies it), a slow decay says trend (ols_trend measures
-    it), white noise says don't bother. Exactness: with the bounded
-    daily series x_1..x_n in cents and S = sum(x), the lag-k coefficient
-    is acf_k = num_k / den with ``num_k = sum_t (n*x_t - S)(n*x_{t+k} -
-    S)`` and ``den = sum_t (n*x_t - S)^2`` -- the n-scaled demeaning
-    keeps every term an integer (no fractional mean); shipped as
-    sign-split truncating ppm on driver Python ints (the products pass
-    int64 at planetary revenue, HUGEINT in the replay).
-
-    Scale shape: ONE distributed daily fold (day x cents partials, the
-    events_daily shape over orders); the ACF arithmetic runs on the
-    bounded day-domain table -- the cusum/ols convention.
-
-    Returns (lag, acf_ppm) for lags 1..max_lag; lags with no overlap
-    (k >= n) or a constant series (den = 0) ship 0."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from .relational import _cents, tiny_final_groupby
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderdate", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.strftime(batch.column("o_orderdate"), format="%Y-%m-%d")
-        t = pa.table({"day": day,
-                      "cents": _cents(batch.column("o_totalprice"))})
-        return t.group_by(["day"]).aggregate([("cents", "sum")])
-
-    daily = tiny_final_groupby(
-        orders.map_batches(partial, batch_format="pyarrow"),
-        ["day"], [("cents_sum", "sum")], ["day", "cents"],
-    ).to_pandas().sort_values("day")
-    x = [int(v) for v in daily["cents"]]
-    n = len(x)
-    s = sum(x)
-    d = [n * v - s for v in x]
-    den = sum(v * v for v in d)
-    rows = []
-    for k in range(1, max_lag + 1):
-        if den == 0 or k >= n:
-            rows.append((k, 0))
-            continue
-        num = sum(d[t] * d[t + k] for t in range(n - k))
-        ppm = (num * 1_000_000) // den if num >= 0 else -(
-            ((-num) * 1_000_000) // den)
-        rows.append((k, ppm))
-    out = pd.DataFrame(rows, columns=["lag", "acf_ppm"])
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def event_type_stationary(sf_dir: str, iters: int = 12,
-                          scale: int = 1_000_000):
-    """Stationary distribution of the per-user event-type Markov chain:
-    where the clickstream SETTLES if users keep behaving like the
-    observed transition counts -- the long-run behavior profile that
-    complements event_transitions (one-step counts) and session_paths
-    (observed trajectories). pi is iterated a FIXED ``iters`` rounds of
-    pi' = pi P in pure integers: per-source-term truncating division by
-    the row sum, then a truncating renormalization to ``scale`` -- both
-    spelled sign-free (all mass non-negative) so the SQL replay is
-    character-identical; the fixed round count is the determinism
-    contract shared with pagerank/HITS/PCA. Types whose row sum is zero
-    (never a predecessor) pass no mass; unreachable types decay to 0.
-
-    Scale shape: the transition fold is the existing event_transitions
-    machinery (LAG pairs -> bounded (prev, next, n) table, one
-    exchange); the k x k iteration runs on driver Python ints over the
-    bounded type domain. Returns (event_type, pi_scaled) for every type
-    appearing as a transition SOURCE or TARGET, ordered by type."""
-    import ray.data as rd
-
-    from .relational import event_transitions
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type", "event_id"])
-    tr = event_transitions(ev).to_pandas()
-    types = sorted(set(tr["prev_type"]) | set(tr["next_type"]))
-    idx = {t: i for i, t in enumerate(types)}
-    k = len(types)
-    C = [[0] * k for _ in range(k)]
-    for p, nx, n in zip(tr["prev_type"], tr["next_type"], tr["n"]):
-        C[idx[p]][idx[nx]] = int(n)
-    rowsum = [sum(r) for r in C]
-    pi = [scale // k] * k
-    for _ in range(iters):
-        raw = [0] * k
-        for i in range(k):
-            if rowsum[i] == 0:
-                continue
-            for j in range(k):
-                if C[i][j]:
-                    raw[j] += (pi[i] * C[i][j]) // rowsum[i]
-        tot = sum(raw)
-        if tot == 0:  # mass vanished (no live transition): all-zero, as
-            pi = [0] * k  # the replay's NULL-division COALESCE yields
-            break
-        pi = [(v * scale) // tot for v in raw]
-    out = pd.DataFrame({"event_type": types,
-                        "pi_scaled": np.array(pi, np.int64)})
-    return out
 
 
 def lpa_modularity(ds, rounds: int = 4, id_col: str = "doc_id", edges=None):

@@ -28,8 +28,8 @@ lineage/summary record of the reference's per-app ledger.
 Watermark wiring: when increments carry a ``ts`` column, the daemon
 maintains the GLOBAL high watermark (max event time seen across files,
 persisted in the ledger) and counts per file how many rows arrive with
-``ts < watermark - allowed_lateness_us`` -- the ``watermark_late_counts``
-semantics applied at the ingest boundary, telling you what lateness budget
+``ts < watermark - allowed_lateness_us`` -- event-time lateness
+applied at the ingest boundary, telling you what lateness budget
 a streaming deployment of this feed needs.
 
 Retry wiring: a file whose increment RAISES is retried on subsequent

@@ -11,8 +11,10 @@ with backpressure -- nothing materializes the full input):
     -> CheckpointManifest.summary                                 run result
 
 The sharded plan (``pipelines.sharded``) runs the same core inside one actor
-per fragment, with no shuffle; this plan serves spans that arrive
-pre-exploded or scattered. The reference's three processes
+per fragment, with no shuffle, and needs a Lance-style table on disk. This
+plan also takes ``(doc_id, spans)`` documents as an in-memory Arrow table or
+a pre-built Dataset, which have no fragment layout; it always explodes them
+itself (``exploded_dataset``). The reference's three processes
 (LocalApplication / Manager / Worker) and its per-kind SQS queues collapse
 into one fused dispatch stage; queue transport disappears into the object
 store (SURVEY.md S9).

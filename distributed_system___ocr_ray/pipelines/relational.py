@@ -1,23 +1,26 @@
-"""Relational pipelines over the TPC-H-ish testdata tables.
+"""Shared wide-op kernels for the document registry, plus three plain
+document queries (``filter_project_documents``, ``docs_by_lang``,
+``doc_stats_by_source``).
 
-These exercise the engine's generic wide-op toolbox the Ray-Data-first way:
+The kernels are the engine's generic toolbox, built the Ray-Data-first way:
 
-- **partial aggregation**: ``pyarrow.Table.group_by`` inside ``map_batches``
-  emits one row per key per batch; the following ``groupby`` shuffles only
-  partials (SURVEY.md "Aggregation at scale").
-- **broadcast hash join**: the small side is ``ray.put`` once and probed per
-  batch with a numpy searchsorted/dict map inside ``map_batches`` -- no
-  shuffle join for dimension tables (SURVEY.md #2.4: the reference's keyed
-  in-memory lookups are exactly this pattern).
-- **windowed aggregate**: event-time tumbling windows as
-  ``groupby(key, window_start)`` after a vectorized truncation -- Ray Data
-  has no event-time runtime, so windows are computed as columns
-  (ray_guide: streaming-shaped workloads).
+- **partial aggregation**: per-batch partials inside ``map_batches``, then
+  one key-domain-sized exchange (``tiny_final_groupby``,
+  ``bucketed_grouped_sum``, ``grouped_pair_fold``, ``mode_by_key``,
+  ``cooccurrence_counts``).
+- **one hash partition**: every bucketed plan derives its partition column
+  from ``hash_bucket_column`` (``lance_like.bucket_of``) and sizes its
+  fan-out with ``derive_buckets``.
+- **bounded collects**: ``collect_bounded`` raises
+  :class:`CollectCapExceeded` instead of pulling an unbounded domain onto
+  the driver.
 
-Money columns are summed as integer cents (``floor(x*100 + 0.5)``) so the
-DuckDB oracle comparison is exact, not float-fuzzy.
+The remaining functions are relational kernels over the TPC-H and
+``events`` tables (joins, windows, sessions, ranks). No registry query
+calls them; ``tests/test_analytics.py`` checks each against DuckDB. Money
+columns are summed as integer cents (``floor(x*100 + 0.5)``) so those
+comparisons are exact.
 """
-
 from __future__ import annotations
 
 import json
@@ -130,58 +133,6 @@ def pricing_summary(sf_dir: str):
     )
 
 
-def revenue_by_nation(sf_dir: str):
-    """orders |><| customer |><| nation via broadcast join (both small sides
-    shipped once with ray.put), then partial + final aggregate."""
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    nation_names = dict(zip(nation.column("n_nationkey").to_pylist(), nation.column("n_name").to_pylist()))
-    cust_keys = cust.column("c_custkey").to_numpy()
-    cust_order = np.argsort(cust_keys)
-    lookup = {
-        "keys": cust_keys[cust_order],
-        "names": np.array(
-            [nation_names[k] for k in cust.column("c_nationkey").to_numpy()[cust_order]], dtype=object
-        ),
-    }
-    handle = ray.put(lookup)
-
-    class Probe:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch.column("o_custkey").to_numpy()
-            pos = np.searchsorted(self.lk["keys"], keys)
-            # inner-join semantics: a custkey absent from customer must DROP,
-            # not silently take a neighbor's nation (searchsorted returns the
-            # insertion point for misses, and len(keys) past the end)
-            pos_safe = np.clip(pos, 0, len(self.lk["keys"]) - 1)
-            hit = self.lk["keys"][pos_safe] == keys
-            names = self.lk["names"][pos_safe[hit]]
-            t = pa.table(
-                {
-                    "n_name": pa.array(names.tolist(), pa.string()),
-                    "rev_cents": _cents(batch.column("o_totalprice").filter(pa.array(hit))),
-                }
-            )
-            return t.group_by(["n_name"]).aggregate([("rev_cents", "sum"), ("rev_cents", "count")])
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    return tiny_final_groupby(
-        ds.map_batches(Probe, batch_format="pyarrow", concurrency=(1, 4)),
-        ["n_name"],
-        [("rev_cents_sum", "sum"), ("rev_cents_count", "sum")],
-        ["n_name", "revenue_cents", "n_orders"],
-    )
-
-
 def events_daily(sf_dir: str):
     """Tumbling 1-day event-time window per event_type."""
     import ray.data as rd
@@ -258,14 +209,14 @@ def doc_stats_by_source(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# large-large joins, as-of joins, session windows, grouped top-k
+# hash-partitioned joins, folds and window ranks
 # ---------------------------------------------------------------------------
 
 
 def hash_bucket_column(batch: pa.Table, key: str, buckets: int, name: str = "__bucket") -> pa.Table:
     """Append the engine's ONE hash-partition column
-    (``lance_like.bucket_of``). Shared by the bucketed join, the as-of join,
-    session windows and bucketed tables so their plans partition
+    (``lance_like.bucket_of``). Shared by the bucketed join, the grouped
+    folds, the window ranks and bucketed tables so their plans partition
     identically -- and so a future change (salting hot keys, swapping the
     hash) happens in exactly one place."""
     from ..sources.lance_like import bucket_of
@@ -369,274 +320,6 @@ def bucketed_hash_join(
     )
 
 
-def asof_join(
-    left, right, key: str, right_key: str, left_ts: str, right_ts: str, *,
-    buckets: int = 16, direction: str = "backward", allow_exact: bool = True,
-    right_sort_extra: list | None = None,
-):
-    """As-of join: per key, the most recent ``right_ts`` <= ``left_ts``
-    (``direction='backward'``, the default) or the FIRST ``right_ts`` >=
-    ``left_ts`` (``'forward'``; with ``allow_exact=False`` strictly >/<).
-    Bucket both sides by key hash, sort within bucket, ``pd.merge_asof``
-    per bucket (ray_guide as-of pattern). Inner semantics: unmatched left
-    rows drop.
-
-    ``right_sort_extra``: extra right-side ASC sort keys after
-    ``right_ts``. ``merge_asof`` resolves equal-timestamp right rows to
-    the LAST in sort order, so the extra keys make that choice
-    DETERMINISTIC: the row with the greatest extra-key tuple wins
-    (input order is shuffle-dependent without this).
-    """
-    import pandas as pd
-
-    def tag(side: str, k: str, pad: list):
-        def _fn(batch: pa.Table) -> pa.Table:
-            batch = hash_bucket_column(batch, k, buckets)
-            batch = batch.append_column("__side", pa.array([side] * batch.num_rows, pa.string()))
-            for c, typ in pad:
-                batch = batch.append_column(c, pa.nulls(batch.num_rows, typ))
-            return batch
-
-        return _fn
-
-    l_schema, r_schema = left.schema(), right.schema()
-    l_types = list(zip(l_schema.names, l_schema.types))
-    r_types = list(zip(r_schema.names, r_schema.types))
-    l_tagged = left.map_batches(
-        tag("l", key, [(n, t) for n, t in r_types if n not in l_schema.names]), batch_format="pyarrow"
-    )
-    r_tagged = right.map_batches(
-        tag("r", right_key, [(n, t) for n, t in l_types if n not in r_schema.names]),
-        batch_format="pyarrow",
-    )
-
-    def asof_bucket(group: pa.Table) -> pd.DataFrame:
-        # Arrow-side split first (see join_bucket: avoids int->float upcast)
-        lg = group.filter(pc.equal(group.column("__side"), "l")).select(
-            [n for n, _ in l_types]
-        ).to_pandas().sort_values(left_ts)
-        rg = group.filter(pc.equal(group.column("__side"), "r")).select(
-            [n for n, _ in r_types]
-        ).to_pandas().sort_values([right_ts, *(right_sort_extra or [])])
-        if lg.empty or rg.empty:
-            # typed empty (object-dtype empties trip Ray's size estimation)
-            out = lg.iloc[0:0].copy()
-            for c in rg.columns:
-                if c not in out.columns:
-                    out[c] = pd.Series(dtype=rg.dtypes[c])
-            return out
-        out = pd.merge_asof(
-            lg, rg, left_on=left_ts, right_on=right_ts, left_by=key, right_by=right_key,
-            direction=direction, allow_exact_matches=allow_exact,
-        )
-        return out.dropna(subset=[right_ts])  # inner semantics
-
-    return (
-        l_tagged.union(r_tagged)
-        .repartition(buckets)
-        .groupby("__bucket")
-        .map_groups(asof_bucket, batch_format="pyarrow")
-    )
-
-
-def last_order_before_event(sf_dir: str):
-    """Per event: the most recent order date of that user at event time
-    (as-of join events x orders on user_id = o_custkey)."""
-    import ray.data as rd
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"])
-    buckets = derive_buckets(max(events.count(), orders.count()))
-    joined = asof_join(events, orders, key="user_id", right_key="o_custkey",
-                       left_ts="ts", right_ts="o_orderdate", buckets=buckets)
-
-    def project(batch: pa.Table) -> pa.Table:
-        # date-only format: pyarrow's %S appends fractional seconds, DuckDB's
-        # does not; o_orderdate is midnight-aligned so the date is lossless
-        day = pc.strftime(batch.column("o_orderdate"), format="%Y-%m-%d")
-        eid = pc.cast(pc.round(batch.column("event_id")), pa.int64())
-        return pa.table({"event_id": eid, "last_order_day": day})
-
-    return joined.map_batches(project, batch_format="pyarrow")
-
-
-def pit_value_join(sf_dir: str, event_type: str = "purchase"):
-    """Point-in-time (PIT) join against a DERIVED SCD2 dimension -- the
-    feature-store staple: each event joins the dimension VERSION that was
-    valid at event time, never a later one (no feature leakage). Composes
-    ``scd2_history`` (daily-last value stream -> change intervals) with
-    the bucketed as-of join: versions are contiguous per key, so
-    "greatest valid_from_day <= event day" IS the containing interval,
-    and every event is covered (a key's first version starts at its first
-    event day). Returns (event_id, user_id, day, value_cents).
-
-    Scale shape: the dimension build is scd2_history's one activity-domain
-    exchange; the join is the as-of bucket pattern (hash both sides on
-    key, merge_asof per bucket) -- no range-join blowup, no per-key loop.
-    """
-    import ray.data as rd
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value", "event_id"]
-    )
-    versions = scd2_history(ev, "user_id", "ts", "value", "event_id")
-
-    raw = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.equal(batch.column("event_type"), event_type))
-        day = b.column("ts").cast(pa.int64()).to_numpy() // 86_400_000_000
-        return pa.table(
-            {
-                "event_id": b.column("event_id").cast(pa.int64()),
-                "user_id": b.column("user_id").cast(pa.int64()),
-                "day": pa.array(day, pa.int64()),
-            }
-        )
-
-    probes = raw.map_batches(project, batch_format="pyarrow")
-    joined = asof_join(
-        probes, versions, key="user_id", right_key="user_id",
-        left_ts="day", right_ts="valid_from_day", buckets=16,
-    )
-    return joined.select_columns(["event_id", "user_id", "day", "value_cents"])
-
-
-def order_lineitem_join_stats(sf_dir: str):
-    """Large-large bucketed hash join: orders |><| lineitem, then revenue per
-    o_orderpriority (integer cents; fully SQL-checkable)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"])
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_extendedprice", "l_discount"]
-    )
-    buckets = derive_buckets(max(orders.count(), lineitem.count()))
-    joined = bucketed_hash_join(orders, lineitem, "o_orderkey", "l_orderkey", buckets=buckets)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table(
-            {"o_orderpriority": batch.column("o_orderpriority"), "rev_cents": pa.array(rev, pa.int64())}
-        )
-        return t.group_by(["o_orderpriority"]).aggregate([("rev_cents", "sum"), ("rev_cents", "count")])
-
-    return tiny_final_groupby(
-        joined.map_batches(partial, batch_format="pyarrow"),
-        ["o_orderpriority"],
-        [("rev_cents_sum", "sum"), ("rev_cents_count", "sum")],
-        ["o_orderpriority", "revenue_cents", "n_items"],
-    )
-
-
-def session_windows(sf_dir: str, gap_minutes: int = 30, partitions: int | None = None):
-    """Session windows per user (gap > ``gap_minutes`` starts a new session):
-    the streaming-shaped operator Ray Data has no runtime for.
-
-    Partition-bucketed: users are grouped by ``hash(user_id) % P`` and each
-    PARTITION is sessionized in ONE vectorized pass (sort by (user, ts),
-    numpy diff/cumsum with per-user restarts) -- P Python calls total, not
-    one per user (same discipline as stages/reassemble.py:12). Sessions are
-    numbered 1..k per user in ts order, matching the SQL lag/sum-over
-    formulation, so DuckDB checks it exactly."""
-    import pandas as pd
-    import ray.data as rd
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-    if partitions is None:
-        # parquet count is metadata-cheap; ~500k events per partition
-        partitions = max(16, events.count() // 500_000 + 1)
-    gap = np.timedelta64(gap_minutes * 60, "s")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def sessionize_partition(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        new_user = np.concatenate(([True], uid[1:] != uid[:-1]))
-        gap_brk = np.concatenate(([False], (ts[1:] - ts[:-1]) > gap))
-        brk = new_user | gap_brk
-        csum = np.cumsum(brk)
-        starts = np.flatnonzero(new_user)
-        counts = np.diff(np.append(starts, len(uid)))
-        base = np.repeat(csum[starts] - 1, counts)  # session ids restart per user
-        out = pd.DataFrame(
-            {
-                "user_id": uid,
-                "session_id": (csum - base).astype("int64"),
-                "value_cents": np.floor(g["value"].to_numpy() * 100.0 + 0.5).astype(np.int64),
-            }
-        )
-        agg = out.groupby(["user_id", "session_id"], as_index=False, sort=False).agg(
-            n_events=("value_cents", "size"), session_value_cents=("value_cents", "sum")
-        )
-        return agg[["user_id", "session_id", "n_events", "session_value_cents"]]
-
-    return (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sessionize_partition, batch_format="pandas")
-    )
-
-
-def running_totals(sf_dir: str, partitions: int | None = None):
-    """Per-customer running order spend (the cumulative-window op:
-    ``SUM(cents) OVER (PARTITION BY custkey ORDER BY date, orderkey)``).
-
-    Same partition-bucketed discipline as session_windows: customers are
-    hash-bucketed, each bucket cumsum'd in ONE vectorized pass (mergesort
-    by (cust, date, orderkey) for a deterministic total order -- the
-    orderkey tie-break is what makes the running value exact, not
-    order-dependent -- then per-customer cumsum via offset subtraction).
-    Integer cents end-to-end, so the SQL window replay is exact."""
-    import pandas as pd
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
-    )
-    if partitions is None:
-        partitions = derive_buckets(orders.count())  # the module's one sizing rule
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "o_custkey", partitions)
-
-    def cumsum_partition(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort"
-        )
-        cust = g["o_custkey"].to_numpy()
-        cents = np.floor(g["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        csum = np.cumsum(cents)
-        new_cust = np.concatenate(([True], cust[1:] != cust[:-1]))
-        starts = np.flatnonzero(new_cust)
-        counts = np.diff(np.append(starts, len(cust)))
-        # value of csum just BEFORE each customer's first row, repeated
-        base = np.repeat(csum[starts] - cents[starts], counts)
-        return pd.DataFrame(
-            {
-                "o_custkey": cust,
-                "o_orderkey": g["o_orderkey"].to_numpy(),
-                "cum_cents": csum - base,
-            }
-        )
-
-    return (
-        orders.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(cumsum_partition, batch_format="pandas")
-    )
-
-
 def count_in_window(lts: np.ndarray, sorted_rts: np.ndarray, window_us: int) -> np.ndarray:
     """Per left timestamp, how many of the SORTED right timestamps fall in
     ``[l, l + window_us)`` — the range join's per-bucket kernel (two
@@ -644,82 +327,6 @@ def count_in_window(lts: np.ndarray, sorted_rts: np.ndarray, window_us: int) -> 
     return np.searchsorted(sorted_rts, lts + window_us, side="left") - np.searchsorted(
         sorted_rts, lts, side="left"
     )
-
-
-def range_join_counts(
-    left, right, left_ts: str, right_ts: str, left_id: str,
-    window_us: int, out_col: str = "n_in_window",
-):
-    """Band/range join without an equality key: for each LEFT row, count
-    RIGHT rows whose timestamp falls in ``[l_ts, l_ts + window_us)`` —
-    the non-equi join Ray Data has no native operator for.
-
-    Scale shape (never all-pairs): both sides bucket by
-    ``ts // window_us``; a left row's window spans AT MOST two buckets, so
-    only the SMALL left side replicates 2×, the big right side ships once.
-    Each bucket sorts its right timestamps once and answers every left row
-    in it with two vectorized ``searchsorted`` calls; per-replica partial
-    counts then sum per left id (zero counts survive: both replicas emit a
-    row, so unmatched ids appear with 0). One shuffle per side + the
-    id-bucketed count merge — at 100 TB the bucket width IS the window, so
-    skew only arises if one window holds a corpus-scale burst; re-bucket by
-    ``(bucket, salt)`` on the right side in that case."""
-    _ls = left.schema()
-    lid_type = dict(zip(_ls.names, _ls.types))[left_id]
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        ts = batch.column(left_ts).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        n_rows = batch.num_rows
-        dup = pa.array(np.tile(np.arange(n_rows, dtype=np.int64), 2))
-        b0 = ts // window_us
-        out_ts = np.concatenate([ts, ts])
-        out_b = np.concatenate([b0, b0 + 1])
-        return pa.table(
-            {
-                "__rbucket": pa.array(out_b, pa.int64()),
-                left_id: batch.column(left_id).take(dup),
-                "__lts": pa.array(out_ts, pa.int64()),
-                "__rts": pa.nulls(2 * n_rows, pa.int64()),
-            }
-        )
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        ts = batch.column(right_ts).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__rbucket": pa.array(ts // window_us, pa.int64()),
-                left_id: pa.nulls(batch.num_rows, lid_type),
-                "__lts": pa.nulls(batch.num_rows, pa.int64()),
-                "__rts": pa.array(ts, pa.int64()),
-            }
-        )
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        # stay in Arrow: a pandas conversion would upcast the null-padded
-        # int64 columns to float64, which corrupts microsecond timestamps
-        # past 2^53 and silently shifts window boundaries
-        lmask = pc.is_valid(group.column("__lts"))
-        lrows = group.filter(lmask)
-        rts = np.sort(
-            group.filter(pc.invert(lmask)).column("__rts").to_numpy(zero_copy_only=False)
-        )
-        lts = lrows.column("__lts").to_numpy(zero_copy_only=False)
-        # right rows in THIS bucket that fall in [l, l+W): the two-bucket
-        # replication guarantees every (l, r) pair co-locates exactly once
-        n = count_in_window(lts, rts, window_us)
-        return pa.table(
-            {
-                left_id: lrows.column(left_id),
-                out_col: pa.array(n.astype(np.int64), pa.int64()),
-            }
-        )
-
-    partials = both.groupby("__rbucket").map_groups(count_bucket, batch_format="pyarrow")
-    return bucketed_grouped_sum(partials, left_id, out_col)
 
 
 def percent_rank_by_group(
@@ -733,7 +340,7 @@ def percent_rank_by_group(
     without per-language thresholds.
 
     Hash-bucketing by key puts every row of a group in one partition
-    (same discipline as session_windows); each partition ranks ALL its
+    (same discipline as bucketed_hash_join); each partition ranks ALL its
     groups in one vectorized pass — mergesort by (key, col), tie-min
     ranks via first-occurrence propagation, no Python per-group loop.
     Integer arithmetic end-to-end, so the SQL window replay is exact.
@@ -831,38 +438,6 @@ def top_orders_per_segment(sf_dir: str, k: int = 3):
         orders.map_batches(TagPartialTopK, batch_format="pyarrow", concurrency=(1, 4))
         .groupby("c_mktsegment")
         .map_groups(topk, batch_format="pandas")
-    )
-
-
-def sliding_windows(sf_dir: str, width_s: int = 3600, hop_s: int = 900):
-    """Sliding (hopping) event-time windows per event_type: each event lands
-    in width/hop consecutive windows. Vectorized window explode inside
-    ``map_batches`` (np.repeat over per-row window ranges) -> partial count
-    -> small groupby. Window start is emitted as epoch seconds (BIGINT) so
-    the DuckDB lateral-generate_series oracle compares exactly."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def explode_windows(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy() // 1_000_000  # epoch sec
-        first = (ts - width_s) // hop_s + 1  # smallest window index containing ts
-        last = ts // hop_s  # largest
-        counts = (last - first + 1).astype(np.int64)
-        etypes = np.repeat(batch.column("event_type").to_numpy(zero_copy_only=False), counts)
-        base = np.repeat(first, counts)
-        offsets = np.arange(counts.sum(), dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        ws = (base + offsets) * hop_s
-        t = pa.table({"event_type": etypes.tolist(), "window_start": pa.array(ws, pa.int64())})
-        return t.group_by(["event_type", "window_start"]).aggregate([("window_start", "count")])
-
-    return (
-        ds.map_batches(explode_windows, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(Sum("window_start_count", alias_name="n_events"))
     )
 
 
@@ -968,112 +543,6 @@ def mode_by_key(ds, key_col: str, value_col: str, buckets: int = 64):
         .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(merge, batch_format="pandas")
-    )
-
-
-def orphan_audit(child_ds, child_key: str, parent_ds, parent_key: str,
-                 relation: str, buckets: int = 64):
-    """Single-relation convenience wrapper over :func:`orphan_audit_multi`."""
-    return orphan_audit_multi(
-        [(child_ds, child_key, parent_ds, parent_key, relation)], buckets=buckets
-    )
-
-
-def orphan_audit_multi(specs, buckets: int = 64):
-    """Referential-integrity audit: for each ``(child_ds, child_key,
-    parent_ds, parent_key, relation)`` spec, counts child rows whose key has
-    no match in the (possibly filtered) parent table -- the post-purge /
-    post-delete data-ops check (did a retention sweep on the parent orphan
-    live child rows?). Reference analogue: the manager's completion-ledger
-    consistency sweep (Manager.java:406-460 cleans result rows whose parent
-    job row was retired).
-
-    Scale shape: every child collapses map-side to per-batch (key, n)
-    partial counts and every parent to per-batch distinct keys -- tagged
-    with their relation index -- so ALL relations share ONE key-domain-sized
-    hash exchange and ONE tiny final sum, however many specs there are (the
-    first cut ran one groupby barrier per relation: 3x the wall at sf0.1
-    for pure barrier constants). Each bucket anti-joins vectorized per
-    relation (pandas groupby + isin). Never broadcasts the parent -- works
-    when both sides are too big for any worker's heap.
-
-    Returns one row per relation:
-    (relation, n_child_rows, n_orphan_rows, n_orphan_keys).
-    """
-    names = [s[4] for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("relation labels must be unique")
-
-    def child_partial(rel: int, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            df = batch.select([key]).to_pandas()
-            c = df.groupby(key, sort=False).size().rename("n").reset_index()
-            return pa.table(
-                {
-                    "rel": pa.array(np.full(len(c), rel, np.int32), pa.int32()),
-                    "key": pa.array(c[key].to_numpy(np.int64), pa.int64()),
-                    "n": pa.array(c["n"].to_numpy(np.int64), pa.int64()),
-                    "is_parent": pa.array(np.zeros(len(c), dtype=bool)),
-                }
-            )
-
-        return fn
-
-    def parent_partial(rel: int, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = np.unique(batch.column(key).to_numpy(zero_copy_only=False))
-            return pa.table(
-                {
-                    "rel": pa.array(np.full(len(k), rel, np.int32), pa.int32()),
-                    "key": pa.array(k.astype(np.int64), pa.int64()),
-                    "n": pa.array(np.zeros(len(k), np.int64), pa.int64()),
-                    "is_parent": pa.array(np.ones(len(k), dtype=bool)),
-                }
-            )
-
-        return fn
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "key", buckets)
-
-    def audit_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for rel, g in group.groupby("rel", sort=True):
-            parents = g.loc[g["is_parent"], "key"].unique()
-            child = g.loc[~g["is_parent"]]
-            orphan = child.loc[~child["key"].isin(parents)]
-            rows.append(
-                (names[int(rel)], int(child["n"].sum()),
-                 int(orphan["n"].sum()), int(orphan["key"].nunique()))
-            )
-        return pd.DataFrame(
-            rows, columns=["relation", "n_child_rows", "n_orphan_rows", "n_orphan_keys"]
-        )
-
-    merged = None
-    for rel, (child_ds, child_key, parent_ds, parent_key, _name) in enumerate(specs):
-        c = child_ds.map_batches(child_partial(rel, child_key), batch_format="pyarrow")
-        p = parent_ds.map_batches(parent_partial(rel, parent_key), batch_format="pyarrow")
-        part = c.union(p)
-        merged = part if merged is None else merged.union(part)
-
-    partials = (
-        # coalesce before the exchange: the union of 2x len(specs) streams
-        # arrives as hundreds of kilobyte-sized blocks, and the sort-based
-        # groupby pays ~50ms of boundary machinery PER INPUT BLOCK (measured
-        # 20s on 384 blocks / 20MB at sf0.1); a shuffle-free repartition
-        # folds them to `buckets` blocks first (the partials are key-domain
-        # sized, so this is always cheap relative to the inputs)
-        merged.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(buckets)
-        .groupby("__bucket")
-        .map_groups(audit_bucket, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        partials,
-        keys=["relation"],
-        aggs=[("n_child_rows", "sum"), ("n_orphan_rows", "sum"), ("n_orphan_keys", "sum")],
-        out_names=["relation", "n_child_rows", "n_orphan_rows", "n_orphan_keys"],
     )
 
 
@@ -1872,113 +1341,6 @@ def global_rank(ds, val_col: str, id_col: str, buckets: int | None = None):
     )
 
 
-def fulfillment_latency(sf_dir: str, buckets: int = 64):
-    """Order-fulfillment SLA report: per order priority, the exact p50 and
-    p90 of (last ship day - order day) in days -- the join-then-quantile
-    every ops dashboard runs. The latency domain is small bounded integers
-    (days), so the exact grouped quantile needs NO bisection or sort: a
-    (priority, latency) count table IS the sufficient statistic.
-
-    Scale shape: both tables project narrow map-side and co-locate with
-    ONE orderkey-domain hash exchange (an order's lineitems land with its
-    order row); the per-bucket kernel resolves each order's MAX ship day
-    vectorized (factorize + maximum.at), subtracts the order day, and
-    emits (priority, latency) COUNT partials -- the second exchange is the
-    tiny bounded count table; the single final block reads quantiles off
-    cumulative counts. Orders with no lineitems drop (inner semantics).
-
-    Returns (o_orderpriority, n_orders, p50_days, p90_days).
-    """
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-    )
-    items = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "okey": batch.column("o_orderkey").cast(pa.int64()),
-                "day": pa.array(
-                    batch.column("o_orderdate").cast(pa.int64()).to_numpy()
-                    // 86_400_000_000, pa.int64()),
-                "pri": batch.column("o_orderpriority"),
-                "side": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-        return hash_bucket_column(t, "okey", buckets)
-
-    def tag_items(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "okey": batch.column("l_orderkey").cast(pa.int64()),
-                "day": pa.array(
-                    batch.column("l_shipdate").cast(pa.int64()).to_numpy()
-                    // 86_400_000_000, pa.int64()),
-                "pri": pa.nulls(batch.num_rows, pa.string()),
-                "side": pa.array([1] * batch.num_rows, pa.int8()),
-            }
-        )
-        return hash_bucket_column(t, "okey", buckets)
-
-    def latency_counts(group: pd.DataFrame) -> pd.DataFrame:
-        side = group["side"].to_numpy(np.int8)
-        ok = group["okey"].to_numpy(np.int64)
-        day = group["day"].to_numpy(np.int64)
-        is_o = side == 0
-        o_key, o_day = ok[is_o], day[is_o]
-        o_pri = group["pri"].to_numpy()[is_o]
-        l_key, l_day = ok[~is_o], day[~is_o]
-        # per-order max ship day, vectorized over all orders in the bucket
-        uo = np.sort(np.unique(o_key))
-        pos = np.searchsorted(uo, l_key)
-        hit = (pos < len(uo)) & (uo[np.clip(pos, 0, len(uo) - 1)] == l_key)
-        mx = np.full(len(uo), np.iinfo(np.int64).min, np.int64)
-        np.maximum.at(mx, pos[hit], l_day[hit])
-        opos = np.searchsorted(uo, o_key)
-        lat = mx[opos] - o_day
-        keep = mx[opos] != np.iinfo(np.int64).min  # orders with >= 1 item
-        df = pd.DataFrame({"pri": o_pri[keep], "lat": lat[keep]})
-        c = df.groupby(["pri", "lat"], sort=False).size().rename("n").reset_index()
-        return c
-
-    merged = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-        .groupby("__bucket")
-        .map_groups(latency_counts, batch_format="pandas")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        import math
-
-        df = batch.to_pandas().groupby(["pri", "lat"], sort=True)["n"].sum().reset_index()
-        out = {"o_orderpriority": [], "n_orders": [], "p50_days": [], "p90_days": []}
-        for pri, g in df.groupby("pri", sort=True):
-            lat = g["lat"].to_numpy(np.int64)
-            cum = g["n"].to_numpy(np.int64).cumsum()
-            n = int(cum[-1])
-            out["o_orderpriority"].append(pri)
-            out["n_orders"].append(n)
-            out["p50_days"].append(int(lat[np.searchsorted(cum, math.ceil(0.5 * n))]))
-            out["p90_days"].append(int(lat[np.searchsorted(cum, math.ceil(0.9 * n))]))
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(out["o_orderpriority"], pa.string()),
-                "n_orders": pa.array(out["n_orders"], pa.int64()),
-                "p50_days": pa.array(out["p50_days"], pa.int64()),
-                "p90_days": pa.array(out["p90_days"], pa.int64()),
-            }
-        )
-
-    return merged.repartition(1).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None)
-
-
 def period_over_period(ds, ts_col: str = "o_orderdate",
                        val_col: str = "o_totalprice", period_days: int = 7):
     """Period-over-period report: value summed per period (epoch-aligned
@@ -2487,78 +1849,6 @@ def semi_join_agg(fact_ds, probe_ds, fact_key: str, probe_key: str,
     )
 
 
-def star_join_revenue(sf_dir: str):
-    """Star-schema enrichment in ONE fact pass: lineitem joined to BOTH
-    dimension tables (part -> brand, supplier -> nation name via the
-    supplier->nation snowflake hop) inside a single ``map_batches`` stage
-    -- two broadcast lookups per batch, zero shuffles for the joins, one
-    bounded-domain exchange for the (brand, nation) aggregate. The
-    snowflake hop is folded INTO the broadcast at build time (supplier
-    rows carry the nation NAME), so the fact probe is exactly two
-    searchsorted gathers regardless of dimension depth.
-
-    Inner-join semantics on both dims: a fact row missing either key
-    drops (consistent with revenue_by_nation). Returns
-    (p_brand, n_name, revenue_cents, n_rows).
-    """
-    import ray
-    import ray.data as rd
-
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    n_names = dict(zip(nation.column("n_nationkey").to_pylist(), nation.column("n_name").to_pylist()))
-    pk = part.column("p_partkey").to_numpy()
-    po = np.argsort(pk)
-    sk = supp.column("s_suppkey").to_numpy()
-    so = np.argsort(sk)
-    lookup = {
-        "p_keys": pk[po],
-        "p_brand": np.array(part.column("p_brand").to_pylist(), dtype=object)[po],
-        "s_keys": sk[so],
-        # snowflake fold: supplier -> nation name resolved once at build
-        "s_nation": np.array(
-            [n_names[k] for k in supp.column("s_nationkey").to_numpy()[so]], dtype=object
-        ),
-    }
-    handle = ray.put(lookup)
-
-    class Probe:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lk = self.lk
-            pkeys = batch.column("l_partkey").to_numpy()
-            skeys = batch.column("l_suppkey").to_numpy()
-            ppos = np.clip(np.searchsorted(lk["p_keys"], pkeys), 0, len(lk["p_keys"]) - 1)
-            spos = np.clip(np.searchsorted(lk["s_keys"], skeys), 0, len(lk["s_keys"]) - 1)
-            hit = (lk["p_keys"][ppos] == pkeys) & (lk["s_keys"][spos] == skeys)
-            t = pa.table(
-                {
-                    "p_brand": pa.array(lk["p_brand"][ppos[hit]].tolist(), pa.string()),
-                    "n_name": pa.array(lk["s_nation"][spos[hit]].tolist(), pa.string()),
-                    "rev_cents": _cents(batch.column("l_extendedprice").filter(pa.array(hit))),
-                }
-            )
-            return t.group_by(["p_brand", "n_name"]).aggregate(
-                [("rev_cents", "sum"), ("rev_cents", "count")]
-            )
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"],
-    )
-    return tiny_final_groupby(
-        ds.map_batches(Probe, batch_format="pyarrow", concurrency=(1, 8)),
-        ["p_brand", "n_name"],
-        [("rev_cents_sum", "sum"), ("rev_cents_count", "sum")],
-        ["p_brand", "n_name", "revenue_cents", "n_rows"],
-    )
-
-
 def json_field_stats(ds, json_col: str = "props", key: str = "k",
                      group_col: str = "event_type"):
     """Semi-structured extraction + grouped stats: pull integer field
@@ -2614,7 +1904,7 @@ def cooccurrence_counts(ds, id_col: str = "user_id", cat_col: str = "event_type"
 
     Scale shape: per-batch distinct (id, cat) collapse -> ONE id-domain
     exchange -> per-bucket vectorized pair generation over each id's
-    category set (the basket_pairs size-class triu kernel on factorized
+    category set (a size-class triu kernel on factorized
     category codes -- set sizes are bounded by |categories|, so fan-out is
     at most |cats| choose 2 per id) -> final merge of <= |cats|^2 rows per
     bucket. Returns (type_a, type_b, n_ids) with type_a < type_b.
@@ -3079,135 +2369,6 @@ def trimmed_mean_by_group(
     )
 
 
-def top_revenue_suppliers(sf_dir: str):
-    """TPC-H Q15 shape (argmax over an aggregate): revenue per supplier,
-    then ONLY the supplier(s) hitting the global maximum -- the
-    self-referential HAVING-MAX no single GROUP BY expresses.
-
-    Plan: map-side revenue partials -> ``bucketed_grouped_sum`` on the
-    suppkey domain (the one exchange; moves (key, cents) partials) ->
-    the per-supplier table is supplier-domain bounded, so it is
-    ``materialize()``-d (two consumers: the global max and the filter;
-    re-deriving it would re-scan lineitem) -> per-block max partials give
-    the global max at the driver (one row per block, bounded) -> map-side
-    equality filter -> supplier names resolved from the broadcast small
-    side (``ray.put`` once, revenue_by_nation's pattern).
-
-    Returns (s_suppkey, s_name, revenue_cents); ties all surface, exactly
-    like the SQL replay."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table(
-            {"l_suppkey": batch.column("l_suppkey"), "rev": pa.array(rev, pa.int64())}
-        )
-        return t.group_by(["l_suppkey"]).aggregate([("rev", "sum")])
-
-    per_supp = bucketed_grouped_sum(
-        lineitem.map_batches(partial, batch_format="pyarrow"), "l_suppkey", "rev_sum"
-    ).materialize()
-
-    def block_max(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"m": pa.array([pc.max(batch.column("rev_sum")).as_py()])})
-
-    mx = int(
-        per_supp.map_batches(block_max, batch_format="pyarrow").to_pandas()["m"].max()
-    )
-
-    supp = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    )
-    names = ray.put(dict(zip(supp.column("s_suppkey").to_pylist(),
-                             supp.column("s_name").to_pylist())))
-
-    def filter_max(batch: pa.Table) -> pa.Table:
-        rev = batch.column("rev_sum").to_numpy()
-        keep = rev == mx
-        keys = batch.column("l_suppkey").to_numpy()[keep]
-        nm = ray.get(names)
-        return pa.table(
-            {
-                "s_suppkey": pa.array(keys, pa.int64()),
-                "s_name": pa.array([nm[int(k)] for k in keys], pa.string()),
-                "revenue_cents": pa.array(rev[keep], pa.int64()),
-            }
-        )
-
-    return per_supp.map_batches(filter_max, batch_format="pyarrow")
-
-
-def big_volume_orders(sf_dir: str, min_qty_cents: int = 150_00):
-    """TPC-H Q18 shape (HAVING then join back): orders whose TOTAL lineitem
-    quantity exceeds a threshold, with the order's price attached -- the
-    aggregate-filter-rejoin that trips naive plans into re-scanning.
-
-    Plan: map-side (orderkey, qty_cents) partials -> ``bucketed_grouped_sum``
-    (orderkey-domain exchange) -> map-side threshold filter (the survivor
-    set is tiny by construction) -> ONE bucketed hash join back to the
-    narrow orders projection. Quantities compare in integer cents, so the
-    HAVING boundary is exact on both sides.
-
-    Returns (o_orderkey, total_qty_cents, price_cents)."""
-    import ray.data as rd
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        q = _cents(batch.column("l_quantity"))
-        t = pa.table({"l_orderkey": batch.column("l_orderkey"), "q": q})
-        return t.group_by(["l_orderkey"]).aggregate([("q", "sum")])
-
-    per_order = bucketed_grouped_sum(
-        lineitem.map_batches(partial, batch_format="pyarrow"), "l_orderkey", "q_sum"
-    )
-
-    def over(batch: pa.Table) -> pa.Table:
-        q = batch.column("q_sum").to_numpy()
-        keep = q > min_qty_cents
-        return pa.table(
-            {
-                "l_orderkey": pa.array(batch.column("l_orderkey").to_numpy()[keep], pa.int64()),
-                "total_qty_cents": pa.array(q[keep], pa.int64()),
-            }
-        )
-
-    big = per_order.map_batches(over, batch_format="pyarrow")
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
-    )
-
-    def price_cents(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "price_cents": _cents(batch.column("o_totalprice")),
-            }
-        )
-
-    joined = bucketed_hash_join(
-        big,
-        orders.map_batches(price_cents, batch_format="pyarrow"),
-        "l_orderkey",
-        "o_orderkey",
-        buckets=16,
-    )
-    return joined.select_columns(["o_orderkey", "total_qty_cents", "price_cents"])
-
-
 def interarrival_quantiles(events, partitions: int | None = None):
     """Inter-arrival latency profile: per event type, the exact p50/p90 of
     the whole-second gap between CONSECUTIVE same-user events of that type
@@ -3284,426 +2445,6 @@ def interarrival_quantiles(events, partitions: int | None = None):
     )
 
 
-def rfm_segments(sf_dir: str, buckets: int = 64):
-    """RFM segmentation -- per customer: Recency (days since their last
-    order, against the corpus max day), Frequency (order count), Monetary
-    (total cents), each scored 1-4 against the EXACT quartile boundaries
-    of the customer population. The classic marketing/feature-store
-    segmentation, done with exact integers end-to-end.
-
-    Scale shape: per-batch (cust, max-day, count, sum) partials -> ONE
-    custkey exchange folds the per-customer table (customer-domain
-    bounded; materialized for its several consumers) -> the 9 quartile
-    boundaries come from ``analytics.exact_quantiles``'s histogram
-    bisection (log-round passes, no sort, no big collect) -> one map-side
-    scoring pass against the 9 broadcast scalars.
-
-    Scoring: score = 1 + [v > b25] + [v > b50] + [v > b75] with type-1
-    boundaries (rank CEIL(q*n)); ties at a boundary take the LOWER score
-    on both sides (this is quantile-scoring, not equi-depth NTILE -- tied
-    values never split). Boundary scalars pass through float64 exactly
-    (integer-valued, far under 2^53).
-
-    Returns (c_custkey, r_days, f_orders, m_cents, r_score, f_score,
-    m_score)."""
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch.column("o_orderdate").cast(pa.int64()).to_numpy() // 86_400_000_000
-        cents = _cents(batch.column("o_totalprice")).to_numpy()
-        df = pd.DataFrame(
-            {
-                "c": batch.column("o_custkey").to_numpy(zero_copy_only=False),
-                "day": day,
-                "cents": cents,
-            }
-        )
-        p = df.groupby("c", sort=False).agg(
-            last_day=("day", "max"), f_orders=("day", "size"), m_cents=("cents", "sum")
-        ).reset_index()
-        t = pa.table(
-            {
-                "c_custkey": pa.array(p["c"].to_numpy(np.int64), pa.int64()),
-                "last_day": pa.array(p["last_day"].to_numpy(np.int64), pa.int64()),
-                "f_orders": pa.array(p["f_orders"].to_numpy(np.int64), pa.int64()),
-                "m_cents": pa.array(p["m_cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-        return hash_bucket_column(t, "c_custkey", buckets)
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        p = g.groupby("c_custkey", sort=False).agg(
-            last_day=("last_day", "max"),
-            f_orders=("f_orders", "sum"),
-            m_cents=("m_cents", "sum"),
-        ).reset_index()
-        return p.astype(np.int64)
-
-    percust = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .materialize()
-    )
-
-    def block_max(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"m": pa.array([pc.max(batch.column("last_day")).as_py()])})
-
-    ref_day = int(
-        percust.map_batches(block_max, batch_format="pyarrow").to_pandas()["m"].max()
-    )
-
-    def add_r(batch: pa.Table) -> pa.Table:
-        r = ref_day - batch.column("last_day").to_numpy()
-        return batch.append_column("r_days", pa.array(r, pa.int64())).drop_columns(
-            ["last_day"]
-        )
-
-    feat = percust.map_batches(add_r, batch_format="pyarrow").materialize()
-
-    from .analytics import exact_quantiles
-
-    # one stats pass + one bounded pull per column (vs 2 executions per
-    # boundary): exact_quantiles shares them across the three targets
-    bounds = {
-        col: [int(v) for _, v in sorted(
-            exact_quantiles(feat, col, (0.25, 0.5, 0.75)).items()
-        )]
-        for col in ("r_days", "f_orders", "m_cents")
-    }
-
-    def score(batch: pa.Table) -> pa.Table:
-        out = {name: batch.column(name) for name in batch.schema.names}
-        for col, sname in (
-            ("r_days", "r_score"),
-            ("f_orders", "f_score"),
-            ("m_cents", "m_score"),
-        ):
-            v = batch.column(col).to_numpy()
-            b1, b2, b3 = bounds[col]
-            out[sname] = pa.array(
-                1 + (v > b1).astype(np.int64) + (v > b2) + (v > b3), pa.int64()
-            )
-        return pa.table(out)
-
-    return feat.map_batches(score, batch_format="pyarrow")
-
-
-def supplier_hhi(sf_dir: str):
-    """Supplier revenue concentration as the Herfindahl-Hirschman index in
-    ppm: HHI = sum_i share_i^2 with share_i = rev_i / total -- the
-    market-concentration dual of ``gini_ppm`` (gini ranks the whole
-    distribution; HHI weights the top). Exact integers end-to-end:
-    hhi_ppm = floor(10^6 * sum(rev_i^2) / total^2), folded in Python ints
-    (rev^2 at 10^13-cent suppliers is ~10^26 -- past int64, fine for
-    Python and for the oracle's HUGEINT).
-
-    Scale shape: per-batch (suppkey, cents) partials -> ONE suppkey-domain
-    exchange (``bucketed_grouped_sum``) -> per-bucket (sum rev, sum rev^2,
-    n) partials as decimal STRINGS (the table_checksum transport trick:
-    rev^2 sums exceed int64, so they ship exact as text) -> tiny driver
-    fold.
-
-    Returns ONE row (n_suppliers, total_cents, hhi_ppm)."""
-    import ray.data as rd
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table(
-            {"l_suppkey": batch.column("l_suppkey"), "rev": pa.array(rev, pa.int64())}
-        )
-        return t.group_by(["l_suppkey"]).aggregate([("rev", "sum")])
-
-    per_supp = bucketed_grouped_sum(
-        lineitem.map_batches(partial, batch_format="pyarrow"), "l_suppkey", "rev_sum"
-    )
-
-    def sq_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        revs = [int(v) for v in batch["rev_sum"]]
-        return pd.DataFrame(
-            {
-                "n": pd.array([len(revs)], dtype="int64"),
-                "s": [str(sum(revs))],
-                "s2": [str(sum(v * v for v in revs))],
-            }
-        )
-
-    parts = per_supp.map_batches(sq_partial, batch_format="pandas").to_pandas()
-    n = int(parts["n"].sum())
-    total = sum(int(x) for x in parts["s"])
-    s2 = sum(int(x) for x in parts["s2"])
-    hhi = s2 * 1_000_000 // (total * total) if total else 0
-    return pd.DataFrame(
-        {
-            "n_suppliers": pd.array([n], dtype="int64"),
-            "total_cents": pd.array([total], dtype="int64"),
-            "hhi_ppm": pd.array([hhi], dtype="int64"),
-        }
-    )
-
-
-def revenue_share_by_nation(sf_dir: str):
-    """Ratio-to-report window: each nation's order revenue plus its share
-    (ppm) of its REGION's total -- ``SUM() OVER (PARTITION BY region)`` as
-    a distributed plan. revenue_by_nation's broadcast-probe stage carries
-    the region through (the (custkey -> nation, region) lookup ships ONCE
-    via ray.put), and the window itself folds inside the single tiny final
-    block: the (nation x region) domain is bounded, so the 'window' costs
-    one pandas transform, never an exchange.
-
-    Returns (r_name, n_name, revenue_cents, share_ppm)."""
-    import ray
-    import ray.data as rd
-
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
-    )
-    region = pq.read_table(f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"])
-    rnames = dict(zip(region.column("r_regionkey").to_pylist(), region.column("r_name").to_pylist()))
-    nnames = dict(zip(nation.column("n_nationkey").to_pylist(), nation.column("n_name").to_pylist()))
-    nregion = dict(zip(nation.column("n_nationkey").to_pylist(), nation.column("n_regionkey").to_pylist()))
-    ck = cust.column("c_custkey").to_numpy()
-    order = np.argsort(ck)
-    cn = cust.column("c_nationkey").to_numpy()[order]
-    lookup = {
-        "keys": ck[order],
-        "nation": np.array([nnames[k] for k in cn], dtype=object),
-        "region": np.array([rnames[nregion[k]] for k in cn], dtype=object),
-    }
-    handle = ray.put(lookup)
-
-    class Probe:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch.column("o_custkey").to_numpy()
-            pos = np.searchsorted(self.lk["keys"], keys)
-            pos_safe = np.clip(pos, 0, len(self.lk["keys"]) - 1)
-            hit = self.lk["keys"][pos_safe] == keys
-            t = pa.table(
-                {
-                    "r_name": pa.array(self.lk["region"][pos_safe[hit]].tolist(), pa.string()),
-                    "n_name": pa.array(self.lk["nation"][pos_safe[hit]].tolist(), pa.string()),
-                    "rev_cents": _cents(batch.column("o_totalprice").filter(pa.array(hit))),
-                }
-            )
-            return t.group_by(["r_name", "n_name"]).aggregate([("rev_cents", "sum")])
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    folded = tiny_final_groupby(
-        ds.map_batches(Probe, batch_format="pyarrow", concurrency=(1, 4)),
-        ["r_name", "n_name"],
-        [("rev_cents_sum", "sum")],
-        ["r_name", "n_name", "revenue_cents"],
-    )
-
-    def add_share(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        tot = df.groupby("r_name")["revenue_cents"].transform("sum")
-        share = [
-            int(c) * 1_000_000 // int(t) for c, t in zip(df["revenue_cents"], tot)
-        ]
-        df["share_ppm"] = pd.array(share, dtype="int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return folded.map_batches(add_share, batch_format="pyarrow", batch_size=None)
-
-
-def top_prices_with_ties(sf_dir: str, k: int = 3):
-    """Grouped top-k WITH TIES (the DENSE_RANK <= k window semantics):
-    ALL orders whose price is among the top-``k`` DISTINCT prices of their
-    market segment -- unlike ``top_orders_per_segment``'s row_number cut,
-    a price tie never splits arbitrarily.
-
-    Two passes over the orders read:
-
-    1. boundary mining: per batch, each present segment's top-k DISTINCT
-       prices (np.unique tail) -- the global i-th-highest distinct price
-       is inside the per-batch top-k of any batch containing it (at most
-       i-1 distinct prices exceed it anywhere), so one tiny merge block
-       yields each segment's distinct top-k list exactly;
-    2. a map-side filter against the broadcast per-segment boundary
-       (lowest qualifying price), emitting the dense rank as the match
-       position in the segment's sorted top-k list.
-
-    The segment lookup broadcasts once (top_orders_per_segment's probe);
-    custkeys absent from customer DROP (inner-join semantics). Returns
-    (c_mktsegment, o_orderkey, price_cents, price_rank 1-based)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    seg = dict(zip(cust.column("c_custkey").to_pylist(), cust.column("c_mktsegment").to_pylist()))
-    handle = ray.put(seg)
-
-    class SegTag:
-        def __init__(self) -> None:
-            self.seg = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pd.DataFrame:
-            df = pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series(
-                        batch.column("o_custkey").to_numpy(zero_copy_only=False)
-                    ).map(self.seg),
-                    "o_orderkey": batch.column("o_orderkey").to_numpy(zero_copy_only=False),
-                    "price_cents": _cents(batch.column("o_totalprice")).to_numpy(),
-                }
-            )
-            return df.dropna(subset=["c_mktsegment"])
-
-    def batch_topk_distinct(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for s, g in batch.groupby("c_mktsegment", sort=False):
-            top = np.unique(g["price_cents"].to_numpy(np.int64))[-k:]
-            out.append(pd.DataFrame({"c_mktsegment": s, "price_cents": top}))
-        return pd.concat(out) if out else pd.DataFrame(
-            {"c_mktsegment": [], "price_cents": []}
-        ).astype({"c_mktsegment": str, "price_cents": np.int64})
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey", "o_totalprice"]
-    )
-    tagged = orders.map_batches(SegTag, batch_format="pyarrow", concurrency=(1, 4))
-    tops = (
-        tagged.map_batches(batch_topk_distinct, batch_format="pandas")
-        .repartition(1)
-        .map_batches(batch_topk_distinct, batch_format="pandas", batch_size=None)
-        .to_pandas()
-    )
-    # per segment: DESC-sorted distinct top-k list (rank 1 = highest)
-    top_lists = {
-        s: np.sort(g["price_cents"].to_numpy(np.int64))[::-1]
-        for s, g in tops.groupby("c_mktsegment")
-    }
-    lists_handle = ray.put(top_lists)
-
-    class FilterRank:
-        def __init__(self) -> None:
-            self.seg = ray.get(handle)
-            self.tops = ray.get(lists_handle)
-
-        def __call__(self, batch: pa.Table) -> pd.DataFrame:
-            df = pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series(
-                        batch.column("o_custkey").to_numpy(zero_copy_only=False)
-                    ).map(self.seg),
-                    "o_orderkey": batch.column("o_orderkey").to_numpy(zero_copy_only=False),
-                    "price_cents": _cents(batch.column("o_totalprice")).to_numpy(),
-                }
-            )
-            df = df.dropna(subset=["c_mktsegment"])
-            keep, rank = [], []
-            for s, g in df.groupby("c_mktsegment", sort=False):
-                tl = self.tops.get(s)
-                if tl is None or len(tl) == 0:
-                    continue
-                v = g["price_cents"].to_numpy(np.int64)
-                m = v >= tl[-1]
-                # dense rank = position in the DESC distinct list
-                pos = np.searchsorted(-tl, -v[m]) + 1
-                sub = g[m].copy()
-                sub["price_rank"] = pos.astype(np.int64)
-                keep.append(sub)
-            if not keep:
-                return pd.DataFrame(
-                    {
-                        "c_mktsegment": [],
-                        "o_orderkey": [],
-                        "price_cents": [],
-                        "price_rank": [],
-                    }
-                ).astype(
-                    {
-                        "c_mktsegment": str,
-                        "o_orderkey": np.int64,
-                        "price_cents": np.int64,
-                        "price_rank": np.int64,
-                    }
-                )
-            return pd.concat(keep)
-
-    return orders.map_batches(FilterRank, batch_format="pyarrow", concurrency=(1, 4))
-
-
-def first_last_order(sf_dir: str, buckets: int = 64):
-    """FIRST_VALUE / LAST_VALUE window semantics: per customer, the price
-    of their FIRST and LAST order under the deterministic
-    (order day, orderkey) total order, plus the delta -- the
-    first-touch/last-touch comparison behind "did spend grow".
-
-    Associative argmin/argmax shape: each batch emits per customer ONLY
-    its local first- and last-candidate rows (two rows per customer per
-    batch), the custkey exchange co-locates candidates, and the bucket
-    kernel repeats the same reduction -- no sort ever sees more than a
-    bucket, and the exchange carries 2 x |customers-per-batch| rows.
-
-    Returns (c_custkey, first_cents, last_cents, delta_cents)."""
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def candidates(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "c_custkey": batch.column("o_custkey").to_numpy(zero_copy_only=False),
-                "day": batch.column("o_orderdate").cast(pa.int64()).to_numpy()
-                // 86_400_000_000,
-                "okey": batch.column("o_orderkey").to_numpy(zero_copy_only=False),
-                "cents": _cents(batch.column("o_totalprice")).to_numpy(),
-            }
-        )
-        g = df.sort_values(["c_custkey", "day", "okey"], kind="mergesort")
-        first = g.groupby("c_custkey", sort=False).head(1)
-        last = g.groupby("c_custkey", sort=False).tail(1)
-        out = pd.concat([first, last])
-        t = pa.Table.from_pandas(out, preserve_index=False)
-        return hash_bucket_column(t, "c_custkey", buckets)
-
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["c_custkey", "day", "okey"], kind="mergesort")
-        first = g.groupby("c_custkey", sort=False).head(1)
-        last = g.groupby("c_custkey", sort=False).tail(1)
-        out = pd.DataFrame(
-            {
-                "c_custkey": first["c_custkey"].to_numpy(np.int64),
-                "first_cents": first["cents"].to_numpy(np.int64),
-                "last_cents": last["cents"].to_numpy(np.int64),
-            }
-        )
-        out["delta_cents"] = out["last_cents"] - out["first_cents"]
-        return out
-
-    return (
-        orders.map_batches(candidates, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
-
-
 def session_duration_quantiles(events, gap_minutes: int = 30, partitions: int | None = None):
     """Session-length profile: exact p50/p90 of session DURATION in whole
     seconds (last event minus first, per session) plus the session count --
@@ -3771,1915 +2512,6 @@ def session_duration_quantiles(events, gap_minutes: int = 30, partitions: int | 
 
     return merged.repartition(1).map_batches(
         finalize, batch_format="pyarrow", batch_size=None
-    )
-
-
-def revenue_concentrated_parts(sf_dir: str, share_ppm: int = 700):
-    """TPC-H Q11 shape (group vs GLOBAL-total filter): parts whose total
-    lineitem revenue exceeds ``share_ppm`` parts-per-million of the whole
-    table's revenue -- the "important stock" screen whose HAVING threshold
-    is itself an aggregate of the same data.
-
-    Plan: map-side revenue partials -> ``bucketed_grouped_sum`` on the
-    partkey domain (the one exchange) -> the per-part table is
-    ``materialize()``-d (two consumers: the global total and the filter)
-    -> per-block sum partials fold to the global total at the driver as a
-    PYTHON int (exact past int64 at any scale) -> the ppm comparison
-    ``rev * 1e6 > share_ppm * total`` is pre-divided into an integer
-    threshold (``rev > (share_ppm*total)//1e6``, provably equivalent for
-    integers) so the map-side filter stays an int64 vector compare.
-
-    Returns (l_partkey, revenue_cents, share_ppm) -- the share recomputed
-    per survivor with Python-int floor division, matching the HUGEINT
-    oracle digit-for-digit."""
-    import ray.data as rd
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table(
-            {"l_partkey": batch.column("l_partkey"), "rev": pa.array(rev, pa.int64())}
-        )
-        return t.group_by(["l_partkey"]).aggregate([("rev", "sum")])
-
-    per_part = bucketed_grouped_sum(
-        lineitem.map_batches(partial, batch_format="pyarrow"), "l_partkey", "rev_sum"
-    ).materialize()
-
-    def block_sum(batch: pa.Table) -> pa.Table:
-        return pa.table({"s": pa.array([int(pc.sum(batch.column("rev_sum")).as_py())])})
-
-    total = int(
-        per_part.map_batches(block_sum, batch_format="pyarrow").to_pandas()["s"].sum()
-    )
-    # rev*1e6 > ppm*total  <=>  rev > (ppm*total)//1e6  (integers: write
-    # ppm*total = q*1e6 + r, both sides reduce to rev >= q+1). Clamp so the
-    # int64 vector compare can't overflow when the threshold exceeds any
-    # representable per-part revenue.
-    threshold = min((share_ppm * total) // 1_000_000, (1 << 63) - 2)
-
-    def over(batch: pa.Table) -> pa.Table:
-        rev = batch.column("rev_sum").to_numpy()
-        keep = rev > threshold
-        keys = batch.column("l_partkey").to_numpy()[keep]
-        survivors = rev[keep]
-        share = [(int(r) * 1_000_000) // total for r in survivors]
-        return pa.table(
-            {
-                "l_partkey": pa.array(keys, pa.int64()),
-                "revenue_cents": pa.array(survivors, pa.int64()),
-                "share_ppm": pa.array(share, pa.int64()),
-            }
-        )
-
-    return per_part.map_batches(over, batch_format="pyarrow")
-
-
-def inactive_high_balance(sf_dir: str, cutoff: str = "2000-01-01",
-                          broadcast_cap_bytes: int = 256 << 20):
-    """TPC-H Q22 shape (global-scalar threshold + anti-join + group): per
-    nation, the count and total balance of customers whose account balance
-    beats the average over positive-balance customers AND who placed no
-    order since ``cutoff`` -- the "wealthy but drifting away" screen.
-
-    Plan: one narrow customer pass folds (sum, count) of positive balances
-    to the driver (one row per block); the above-average test is the exact
-    cross-multiplied integer compare ``bal_cents * n_pos > sum_pos`` (no
-    division, no float; positive-balance membership uses cents > 0 -- the
-    SAME rounded rule as the SQL replay). Recent orderers collapse to
-    DISTINCT custkeys map-side and ship ONCE via ray.put (semi_join_agg's
-    capped-broadcast discipline -- loud raise past the cap, where the
-    bucketed anti-join is the shape); the second customer pass filters
-    map-side and emits bounded per-nation (count, sum) partials. Nation
-    names resolve from a broadcast dict in the single final block.
-
-    Returns (n_name, n_custs, total_bal_cents)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_acctbal"],
-    )
-
-    def pos_partial(batch: pa.Table) -> pa.Table:
-        cents = _cents(batch.column("c_acctbal")).to_numpy()
-        pos = cents[cents > 0]
-        return pa.table({"s": pa.array([int(pos.sum())]), "n": pa.array([len(pos)])})
-
-    folded = cust.map_batches(pos_partial, batch_format="pyarrow").to_pandas()
-    sum_pos, n_pos = int(folded["s"].sum()), int(folded["n"].sum())
-
-    cutoff_ts = pa.scalar(pd.Timestamp(cutoff), pa.timestamp("us"))
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
-    )
-
-    def recent_keys(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.greater_equal(batch.column("o_orderdate"), cutoff_ts))
-        u = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"k": pa.array(u, pa.int64())})
-
-    keys = np.unique(
-        orders.map_batches(recent_keys, batch_format="pyarrow").to_pandas()["k"].to_numpy(np.int64)
-    )
-    if keys.nbytes > broadcast_cap_bytes:
-        raise ValueError(
-            f"distinct recent-orderer keys {keys.nbytes >> 20} MB exceed the broadcast "
-            "cap; use a bucketed anti-join (orphan_audit_multi shape) at this scale"
-        )
-    handle = ray.put(keys)
-
-    class Screen:
-        def __init__(self) -> None:
-            self.keys = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cents = _cents(batch.column("c_acctbal")).to_numpy()
-            ck = batch.column("c_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            rich = cents * n_pos > sum_pos
-            pos = np.searchsorted(self.keys, ck)
-            pos_safe = np.clip(pos, 0, max(len(self.keys) - 1, 0))
-            active = (self.keys[pos_safe] == ck) if len(self.keys) else np.zeros(len(ck), bool)
-            keep = rich & ~active
-            t = pa.table(
-                {
-                    "c_nationkey": batch.column("c_nationkey").filter(pa.array(keep)),
-                    "bal": pa.array(cents[keep], pa.int64()),
-                }
-            )
-            return t.group_by(["c_nationkey"]).aggregate([("bal", "sum"), ("bal", "count")])
-
-    partials = cust.map_batches(Screen, batch_format="pyarrow", concurrency=(1, 8))
-    per_nation = tiny_final_groupby(
-        partials,
-        keys=["c_nationkey"],
-        aggs=[("bal_count", "sum"), ("bal_sum", "sum")],
-        out_names=["c_nationkey", "n_custs", "total_bal_cents"],
-    )
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    names = dict(zip(nation.column("n_nationkey").to_pylist(), nation.column("n_name").to_pylist()))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        nk = batch.column("c_nationkey").to_pylist()
-        return pa.table(
-            {
-                "n_name": pa.array([names[int(k)] for k in nk], pa.string()),
-                "n_custs": batch.column("n_custs"),
-                "total_bal_cents": batch.column("total_bal_cents"),
-            }
-        )
-
-    return per_nation.map_batches(attach, batch_format="pyarrow")
-
-
-def overlap_pairs(intervals, key_col: str, s_col: str, e_col: str, buckets: int = 64):
-    """Per-key count of OVERLAPPING interval pairs (half-open [s, e);
-    a pair overlaps iff ``max(s) < min(e)``) -- the double-booking /
-    conflicting-session audit that complements interval_coverage (union
-    length) and peak_concurrency (max simultaneous) over the same
-    intervals.
-
-    Never materializes a pair: within each key,
-    ``overlap(i) = #{s_j < e_i} - #{e_j <= s_i} - 1`` (the subtracted sets
-    nest, self is excluded; exact for non-empty intervals), so the pair
-    count is ``sum(overlap)/2`` off TWO np.searchsorted calls over the
-    (key, time) ordinal composite (conversion_within's kernel; the
-    per-key segment offset localizes the global searchsorted). Empty
-    intervals (e <= s) drop map-side as data -- the SQL replay repeats
-    the same WHERE so the overlap predicate is unambiguous.
-
-    ONE key-domain exchange; per-key outputs are disjoint across buckets
-    so bucket outputs union without a second exchange. Returns
-    (key, n_overlap_pairs) for keys with at least one overlapping pair."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        s = batch.column(s_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        e = batch.column(e_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = e > s
-        return pa.table(
-            {
-                key_col: pa.array(
-                    batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)[keep],
-                    pa.int64(),
-                ),
-                "s": pa.array(s[keep], pa.int64()),
-                "e": pa.array(e[keep], pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def kern(group: pd.DataFrame) -> pd.DataFrame:
-        k = group[key_col].to_numpy(np.int64)
-        s = group["s"].to_numpy(np.int64)
-        e = group["e"].to_numpy(np.int64)
-        uk, inv = np.unique(k, return_inverse=True)
-        lo = s.min()
-        width = (e.max() - lo) + 2
-        if len(uk) and width > (2**62) // len(uk):
-            raise ValueError(
-                "overlap_pairs: key-count x time-span overflows the ordinal "
-                "composite; raise `buckets`"
-            )
-        comp_s = inv.astype(np.int64) * width + (s - lo)
-        comp_e = inv.astype(np.int64) * width + (e - lo)
-        sorted_s = np.sort(comp_s)
-        sorted_e = np.sort(comp_e)
-        counts = np.bincount(inv)
-        seg_start = np.r_[0, np.cumsum(counts)[:-1]]
-        a = np.searchsorted(sorted_s, comp_e, side="left") - seg_start[inv]
-        b = np.searchsorted(sorted_e, comp_s, side="right") - seg_start[inv]
-        ov = a - b - 1  # per-interval overlap degree, >= 0
-        per_key = np.bincount(inv, weights=ov).astype(np.int64) // 2
-        hit = per_key > 0
-        return pd.DataFrame(
-            {key_col: uk[hit], "n_overlap_pairs": per_key[hit]}
-        )
-
-    return (
-        intervals.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kern, batch_format="pandas")
-    )
-
-
-def cheapest_supplier_per_part(sf_dir: str, p_size: int = 10,
-                               broadcast_cap_bytes: int = 256 << 20):
-    """TPC-H Q2 shape (grouped argmin with join-back): for every part of a
-    given size class, the supplier offering the MINIMUM observed unit
-    price -- the "who do I buy from" screen whose answer is an argmin over
-    an aggregate, not the aggregate itself.
-
-    Plan: the part filter collapses to a sorted key array broadcast ONCE
-    (dimension-side, capped with a loud raise); the lineitem scan filters
-    map-side (98% of rows never reach the exchange at the default size
-    class) and emits per-batch (partkey, suppkey, min unit_cents)
-    partials; ONE partkey-bucketed exchange repeats the (part, supp) min
-    and picks each part's winner vectorized (unit asc, suppkey asc
-    tie-break -- deterministic, shared with the replay); supplier names
-    resolve from a broadcast dict. Unit price is
-    ``floor(price/qty*100+0.5)`` -- identical float64 chain both sides.
-
-    Returns (p_partkey, s_suppkey, s_name, unit_cents)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_size"])
-    keep = pc.equal(part.column("p_size"), p_size)
-    pkeys = np.sort(part.filter(keep).column("p_partkey").to_numpy().astype(np.int64))
-    if pkeys.nbytes > broadcast_cap_bytes:
-        raise ValueError("part filter keys exceed the broadcast cap; bucket-join the filter")
-    pk_handle = ray.put(pkeys)
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_quantity"],
-    )
-
-    class Partial:
-        def __init__(self) -> None:
-            self.pkeys = ray.get(pk_handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(self.pkeys, lp)
-            pos_safe = np.clip(pos, 0, max(len(self.pkeys) - 1, 0))
-            hit = (self.pkeys[pos_safe] == lp) if len(self.pkeys) else np.zeros(len(lp), bool)
-            b = batch.filter(pa.array(hit))
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            qty = b.column("l_quantity").to_numpy(zero_copy_only=False)
-            unit = np.floor(price / qty * 100.0 + 0.5).astype(np.int64)
-            t = pa.table(
-                {
-                    "l_partkey": b.column("l_partkey"),
-                    "l_suppkey": b.column("l_suppkey"),
-                    "unit": pa.array(unit, pa.int64()),
-                }
-            )
-            return t.group_by(["l_partkey", "l_suppkey"]).aggregate([("unit", "min")])
-
-    partials = lineitem.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "l_partkey", 32)
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
-    names = dict(zip(supp.column("s_suppkey").to_pylist(), supp.column("s_name").to_pylist()))
-
-    def winners(g: pd.DataFrame) -> pd.DataFrame:
-        m = (
-            g.groupby(["l_partkey", "l_suppkey"], sort=False)["unit_min"]
-            .min()
-            .reset_index()
-            .sort_values(["l_partkey", "unit_min", "l_suppkey"], kind="mergesort")
-            .drop_duplicates("l_partkey", keep="first")
-        )
-        return pd.DataFrame(
-            {
-                "p_partkey": m["l_partkey"].to_numpy(np.int64),
-                "s_suppkey": m["l_suppkey"].to_numpy(np.int64),
-                "s_name": [names[int(s)] for s in m["l_suppkey"]],
-                "unit_cents": m["unit_min"].to_numpy(np.int64),
-            }
-        )
-
-    return (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(winners, batch_format="pandas")
-    )
-
-
-def out_of_order_audit(events, partitions: int | None = None):
-    """Streaming disorder audit: in per-user ARRIVAL order (ascending
-    event_id -- the ingest sequence), how many adjacent event pairs go
-    BACKWARD in event time, and by how much at worst -- the measurement
-    that sizes watermark delay / reorder buffers before any event-time
-    windowing is trusted.
-
-    session_windows' one user-hash exchange; each bucket sorts by
-    (user_id, event_id) and takes one vectorized diff masked at user
-    boundaries; per-bucket (pairs, inversions, max_lateness) partials fold
-    into ONE row. Equal timestamps are IN order (strict regression only).
-
-    Returns ONE row (n_pairs, n_inversions, inv_ppm, max_late_us)."""
-    if partitions is None:
-        partitions = derive_buckets(events.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        same = uid[1:] == uid[:-1]
-        late = (us[:-1] - us[1:])[same]  # >0 means time went backward
-        inv = late > 0
-        return pd.DataFrame(
-            {
-                "n_pairs": [int(same.sum())],
-                "n_inv": [int(inv.sum())],
-                "max_late": [int(late[inv].max()) if inv.any() else 0],
-            }
-        )
-
-    folded = (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kern, batch_format="pandas")
-        .to_pandas()
-    )
-    n_pairs = int(folded["n_pairs"].sum())
-    n_inv = int(folded["n_inv"].sum())
-    return pd.DataFrame(
-        {
-            "n_pairs": [n_pairs],
-            "n_inversions": [n_inv],
-            "inv_ppm": [(n_inv * 1_000_000) // max(n_pairs, 1)],
-            "max_late_us": [int(folded["max_late"].max()) if len(folded) else 0],
-        }
-    )
-
-
-def dominant_suppliers(sf_dir: str, threshold_pct: int = 15):
-    """TPC-H Q20 flavor (two-level aggregate with cross-level compare):
-    suppliers shipping MORE than ``threshold_pct`` percent of some part's
-    total quantity -- the supply-chain concentration screen ("who could
-    hold a part hostage"), per supplier counting the parts they dominate.
-
-    Scale shape: ONE partkey-bucketed exchange of per-batch
-    (part, supplier, qty) partials co-locates each part's full history,
-    so BOTH aggregation levels (per-(part,supp) and per-part totals) and
-    the strict cross-multiplied compare ``100*ps > pct*total`` fold
-    vectorized inside the bucket -- no second shuffle, no join between
-    the levels; the bounded supplier-domain final counts dominated parts
-    and resolves names from a broadcast dict.
-
-    Returns (s_suppkey, s_name, n_dominated_parts)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey", "l_quantity"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "l_partkey": batch.column("l_partkey"),
-                "l_suppkey": batch.column("l_suppkey"),
-                "q": _cents(batch.column("l_quantity")),
-            }
-        )
-        return t.group_by(["l_partkey", "l_suppkey"]).aggregate([("q", "sum")])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "l_partkey", 32)
-
-    def dominate(g: pd.DataFrame) -> pd.DataFrame:
-        ps = (
-            g.groupby(["l_partkey", "l_suppkey"], sort=False)["q_sum"].sum().reset_index()
-        )
-        tot = ps.groupby("l_partkey")["q_sum"].transform("sum")
-        win = ps[100 * ps["q_sum"] > threshold_pct * tot]
-        vc = win["l_suppkey"].value_counts()
-        return pd.DataFrame(
-            {
-                "s_suppkey": vc.index.to_numpy(np.int64),
-                "n_dominated_parts": vc.to_numpy(np.int64),
-            }
-        )
-
-    partials = (
-        lineitem.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dominate, batch_format="pandas")
-    )
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
-    names = dict(zip(supp.column("s_suppkey").to_pylist(), supp.column("s_name").to_pylist()))
-
-    def finalize(batch: pd.DataFrame) -> pd.DataFrame:
-        m = batch.groupby("s_suppkey", sort=True)["n_dominated_parts"].sum().reset_index()
-        m["s_name"] = [names[int(k)] for k in m["s_suppkey"]]
-        return m[["s_suppkey", "s_name", "n_dominated_parts"]].astype(
-            {"s_suppkey": "int64", "n_dominated_parts": "int64"}
-        )
-
-    return partials.repartition(1).map_batches(
-        finalize, batch_format="pandas", batch_size=None
-    )
-
-
-def trailing_rows_sum(events, k: int = 5, partitions: int | None = None):
-    """ROWS-frame trailing window (SUM OVER ... ROWS BETWEEN k-1 PRECEDING
-    AND CURRENT ROW): per user, each event's value-cents sum over its last
-    ``k`` events in (ts, event_id) order -- the moving-average primitive
-    whose frame counts ROWS, not a calendar range (the dual of
-    rolling_range_sum, which this deliberately does not reuse: a row frame
-    needs no day collapse and no window padding, just a shifted cumsum).
-
-    ONE user-hash exchange; each bucket sorts once by (user, ts,
-    event_id) -- the unique event_id makes frame CONTENT deterministic --
-    and answers every row with ``cumsum - shift(cumsum, k)`` masked at
-    user boundaries (rows closer than k to their user's start sum what
-    exists). Output is event-domain sized, exact int64 cents.
-
-    Returns (event_id, user_id, trail_cents)."""
-    if partitions is None:
-        partitions = derive_buckets(events.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        cents = np.floor(g["value"].to_numpy(np.float64) * 100.0 + 0.5).astype(np.int64)
-        cum = np.cumsum(cents)
-        # per-user row index: position since the user's first row
-        brk = np.r_[True, uid[1:] != uid[:-1]]
-        starts = np.flatnonzero(brk)
-        seg = np.repeat(starts, np.diff(np.r_[starts, len(uid)]))
-        # frame start (exclusive prefix index): k rows back, clipped to the
-        # user's segment start; rows before index 0 contribute 0
-        lo = np.maximum(np.arange(len(uid)) - k, seg - 1)
-        trail = cum - np.where(lo >= 0, cum[np.maximum(lo, 0)], 0)
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(np.int64),
-                "user_id": uid,
-                "trail_cents": trail,
-            }
-        )
-
-    return (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kern, batch_format="pandas")
-    )
-
-
-def forecast_revenue_delta(sf_dir: str, year: int = 1996, disc_lo: int = 5,
-                           disc_hi: int = 7, max_qty: float = 24.0):
-    """TPC-H Q6 shape (what-if revenue filter): total discount revenue that
-    would be recovered by dropping a discount band for one shipping year --
-    a pure filtered global aggregate, the cheapest possible distributed
-    plan: predicate pushdown at the read, one map-side partial per batch,
-    ONE final row. No exchange moves more than a handful of partial rows.
-
-    Discounts are compared in integer percent (``floor(d*100 + 0.5)``) so
-    the band edges are exact, never float-fuzzy; revenue is per-row
-    ``floor(extprice * discount * 100 + 0.5)`` cents (identical chain in
-    the SQL replay).
-
-    Returns ONE row (revenue_cents, n_rows)."""
-    import ray.data as rd
-
-    lo = np.datetime64(f"{year}-01-01")
-    hi = np.datetime64(f"{year + 1}-01-01")
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sd = batch.column("l_shipdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
-        dpct = np.floor(disc * 100.0 + 0.5).astype(np.int64)
-        keep = (
-            (sd >= lo) & (sd < hi) & (dpct >= disc_lo) & (dpct <= disc_hi) & (qty < max_qty)
-        )
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-        rev = np.floor(price * disc[keep] * 100.0 + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "__k": pa.array([0], pa.int64()),
-                "rev": pa.array([int(rev.sum())], pa.int64()),
-                "n": pa.array([int(keep.sum())], pa.int64()),
-            }
-        )
-
-    out = tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["__k"],
-        [("rev", "sum"), ("n", "sum")],
-        ["__k", "revenue_cents", "n_rows"],
-    )
-    return out.drop_columns(["__k"])
-
-
-def promo_revenue(sf_dir: str, year: int = 1996, month: int = 9,
-                  promo_type: str = "PROMO"):
-    """TPC-H Q14 shape (promotion effect): the share of one month's gross
-    revenue earned by parts of a promotional type. The part dimension
-    collapses to a broadcast membership pair (sorted partkeys + is-promo
-    bitmap, shipped ONCE with ray.put); lineitem is scanned with a
-    map-side month filter and emits per-batch (promo_cents, total_cents)
-    partials -- the exchange moves two ints per block, then ONE final row
-    computes the ppm share in integer arithmetic.
-
-    Returns ONE row (promo_cents, total_cents, promo_ppm)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    lo_m = np.datetime64(f"{year}-{month:02d}", "M")
-    lo, hi = lo_m.astype("datetime64[us]"), (lo_m + 1).astype("datetime64[us]")
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
-    pk = part.column("p_partkey").to_numpy().astype(np.int64)
-    order = np.argsort(pk)
-    lookup = {
-        "keys": pk[order],
-        "promo": pc.equal(part.column("p_type"), promo_type).to_numpy(zero_copy_only=False)[order],
-    }
-    handle = ray.put(lookup)
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-
-    class Partial:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sd = batch.column("l_shipdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-            b = batch.filter(pa.array((sd >= lo) & (sd < hi)))
-            lp = b.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            keys = self.lk["keys"]
-            pos = np.searchsorted(keys, lp)
-            pos_safe = np.clip(pos, 0, max(len(keys) - 1, 0))
-            hit = (keys[pos_safe] == lp) if len(keys) else np.zeros(len(lp), bool)
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)[hit]
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)[hit]
-            rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            promo = self.lk["promo"][pos_safe[hit]]
-            return pa.table(
-                {
-                    "__k": pa.array([0], pa.int64()),
-                    "promo": pa.array([int(rev[promo].sum())], pa.int64()),
-                    "total": pa.array([int(rev.sum())], pa.int64()),
-                }
-            )
-
-    partials = ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8))
-    out = tiny_final_groupby(
-        partials,
-        ["__k"],
-        [("promo", "sum"), ("total", "sum")],
-        ["__k", "promo_cents", "total_cents"],
-    )
-
-    def ppm(batch: pa.Table) -> pa.Table:
-        p = batch.column("promo_cents").to_numpy()
-        t = batch.column("total_cents").to_numpy()
-        share = (p * 1_000_000) // np.maximum(t, 1)
-        return pa.table(
-            {
-                "promo_cents": batch.column("promo_cents"),
-                "total_cents": batch.column("total_cents"),
-                "promo_ppm": pa.array(share.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return out.map_batches(ppm, batch_format="pyarrow")
-
-
-def disjunctive_revenue(sf_dir: str,
-                        clauses: tuple = (("Brand#13", 1, 5, 1.0, 11.0),
-                                          ("Brand#20", 1, 10, 10.0, 20.0),
-                                          ("Brand#9", 1, 15, 20.0, 30.0))):
-    """TPC-H Q19 shape (disjunctive multi-attribute predicate join): gross
-    revenue from lineitems matching ANY of several (brand, size-range,
-    quantity-range) clauses. The classic optimizer trap -- an OR of
-    conjunctions across two tables -- becomes trivial map-side work here:
-    the part dimension broadcasts ONCE as (sorted partkeys, brand codes,
-    sizes); every lineitem batch evaluates all clauses vectorized and
-    emits a 2-int partial. No exchange carries row data at all.
-
-    ``clauses``: (brand, size_lo, size_hi, qty_lo, qty_hi) tuples, OR-ed.
-
-    Returns ONE row (revenue_cents, n_rows)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"])
-    pk = part.column("p_partkey").to_numpy().astype(np.int64)
-    order = np.argsort(pk)
-    brands = sorted({c[0] for c in clauses})
-    code = {b: i for i, b in enumerate(brands)}
-    bcol = part.column("p_brand").to_pylist()
-    lookup = {
-        "keys": pk[order],
-        # brands outside any clause code to -1: one int compare per clause
-        "brand": np.array([code.get(b, -1) for b in bcol], dtype=np.int64)[order],
-        "size": part.column("p_size").to_numpy(zero_copy_only=False).astype(np.int64)[order],
-    }
-    handle = ray.put(lookup)
-    coded_clauses = [(code[b], slo, shi, qlo, qhi) for b, slo, shi, qlo, qhi in clauses]
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    )
-
-    class Partial:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            keys = self.lk["keys"]
-            pos = np.searchsorted(keys, lp)
-            pos_safe = np.clip(pos, 0, max(len(keys) - 1, 0))
-            hit = (keys[pos_safe] == lp) if len(keys) else np.zeros(len(lp), bool)
-            brand = np.where(hit, self.lk["brand"][pos_safe], -2)
-            size = np.where(hit, self.lk["size"][pos_safe], -1)
-            qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
-            keep = np.zeros(len(lp), bool)
-            for bc, slo, shi, qlo, qhi in coded_clauses:
-                keep |= (brand == bc) & (size >= slo) & (size <= shi) & (qty >= qlo) & (qty <= qhi)
-            price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-            disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
-            rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            return pa.table(
-                {
-                    "__k": pa.array([0], pa.int64()),
-                    "rev": pa.array([int(rev.sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-    out = tiny_final_groupby(
-        ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8)),
-        ["__k"],
-        [("rev", "sum"), ("n", "sum")],
-        ["__k", "revenue_cents", "n_rows"],
-    )
-    return out.drop_columns(["__k"])
-
-
-def shipping_priority(sf_dir: str, segment: str = "BUILDING",
-                      cutoff: str = "1997-06-30", k: int = 10, buckets: int = 32):
-    """TPC-H Q3 shape (unshipped-order revenue screen): the k highest-value
-    orders from one market segment that were placed before a cutoff but
-    still have lineitems shipping after it.
-
-    Plan: the customer segment filter collapses to a broadcast sorted
-    custkey array (dimension side, ray.put once); orders are pruned
-    map-side to (orderkey, orderdate, priority); lineitem batches
-    pre-aggregate revenue per orderkey BEFORE the exchange (the combiner --
-    only (orderkey, partial_rev) rows move); ONE orderkey-bucketed exchange
-    joins the two sides, sums revenue per order, and keeps a per-bucket
-    top-k; the <= k x buckets survivors merge in a single final block.
-    Ties break (revenue desc, orderdate asc, orderkey asc) -- deterministic
-    and shared with the SQL replay.
-
-    Returns (o_orderkey, o_orderdate, o_orderpriority, revenue_cents), the
-    global top k."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    cut = np.datetime64(cutoff).astype("datetime64[us]")
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    ck = np.sort(
-        cust.filter(pc.equal(cust.column("c_mktsegment"), segment))
-        .column("c_custkey").to_numpy().astype(np.int64)
-    )
-    ck_handle = ray.put(ck)
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-
-    class OrderSide:
-        def __init__(self) -> None:
-            self.ck = ray.get(ck_handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            od = batch.column("o_orderdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-            oc = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(self.ck, oc)
-            pos_safe = np.clip(pos, 0, max(len(self.ck) - 1, 0))
-            hit = (self.ck[pos_safe] == oc) if len(self.ck) else np.zeros(len(oc), bool)
-            b = batch.filter(pa.array((od < cut) & hit))
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("o_orderkey"),
-                    "od_us": pa.array(
-                        b.column("o_orderdate").to_numpy(zero_copy_only=False)
-                        .astype("datetime64[us]").astype(np.int64),
-                        pa.int64(),
-                    ),
-                    "prio": b.column("o_orderpriority"),
-                    "rev": pa.nulls(b.num_rows, pa.int64()),
-                    "__side": pa.array(["o"] * b.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def line_side(batch: pa.Table) -> pa.Table:
-        sd = batch.column("l_shipdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        b = batch.filter(pa.array(sd > cut))
-        price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"o_orderkey": b.column("l_orderkey"), "rev": pa.array(rev, pa.int64())})
-        g = t.group_by(["o_orderkey"]).aggregate([("rev", "sum")])
-        t = pa.table(
-            {
-                "o_orderkey": g.column("o_orderkey"),
-                "od_us": pa.nulls(g.num_rows, pa.int64()),
-                "prio": pa.nulls(g.num_rows, pa.string()),
-                "rev": g.column("rev_sum"),
-                "__side": pa.array(["l"] * g.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = orders.map_batches(OrderSide, batch_format="pyarrow", concurrency=(1, 4)).union(
-        lineitem.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["__side"] == "l"]
-        rev = l.groupby("o_orderkey", sort=False)["rev"].sum().reset_index()
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "od_us", "prio"]]
-        m = o.merge(rev, on="o_orderkey", how="inner")
-        m = m.sort_values(
-            ["rev", "od_us", "o_orderkey"], ascending=[False, True, True], kind="mergesort"
-        ).head(k)
-        return pd.DataFrame(
-            {
-                "o_orderkey": m["o_orderkey"].to_numpy(np.int64),
-                "od_us": m["od_us"].to_numpy(np.int64),
-                "o_orderpriority": m["prio"].astype(str),
-                "revenue_cents": m["rev"].to_numpy(np.int64),
-            }
-        )
-
-    def final_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["revenue_cents", "od_us", "o_orderkey"],
-            ascending=[False, True, True],
-            kind="mergesort",
-        ).head(k)
-        return pa.table(
-            {
-                "o_orderkey": pa.array(df["o_orderkey"].to_numpy(np.int64), pa.int64()),
-                "o_orderdate": pa.array(
-                    df["od_us"].to_numpy(np.int64).astype("datetime64[us]"),
-                    pa.timestamp("us"),
-                ),
-                "o_orderpriority": pa.array(df["o_orderpriority"].tolist(), pa.string()),
-                "revenue_cents": pa.array(df["revenue_cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        both.repartition(buckets)
-        .groupby("__bucket")
-        .map_groups(bucket_topk, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final_topk, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def returned_items_topk(sf_dir: str, date_lo: str = "1996-10-01",
-                        date_hi: str = "1997-01-01", k: int = 20, buckets: int = 32):
-    """TPC-H Q10 shape (returned-item reporting): the k customers who
-    returned the most revenue in one order quarter -- a two-level join
-    (lineitem |><| orders |><| customer) where the FACT-FACT leg is an
-    orderkey-bucketed exchange and the dimension leg is a broadcast dict
-    applied to only k final rows.
-
-    Lineitem pre-aggregates returned revenue per orderkey map-side (the
-    combiner); orders prune to the quarter map-side; per orderkey-bucket
-    the join emits (custkey, rev) partials, which a SECOND custkey-bucketed
-    exchange folds per customer with a per-bucket top-k; <= k x buckets
-    rows reach the final merge, where customer names resolve from a
-    broadcast dict. Ties break (revenue desc, custkey asc).
-
-    Returns (c_custkey, c_name, revenue_cents), the global top k."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    lo = np.datetime64(date_lo).astype("datetime64[us]")
-    hi = np.datetime64(date_hi).astype("datetime64[us]")
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-    )
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        od = batch.column("o_orderdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        b = batch.filter(pa.array((od >= lo) & (od < hi)))
-        t = pa.table(
-            {
-                "o_orderkey": b.column("o_orderkey"),
-                "cust": b.column("o_custkey"),
-                "rev": pa.nulls(b.num_rows, pa.int64()),
-                "__side": pa.array(["o"] * b.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def line_side(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.equal(batch.column("l_returnflag"), "R"))
-        price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"o_orderkey": b.column("l_orderkey"), "rev": pa.array(rev, pa.int64())})
-        g = t.group_by(["o_orderkey"]).aggregate([("rev", "sum")])
-        t = pa.table(
-            {
-                "o_orderkey": g.column("o_orderkey"),
-                "cust": pa.nulls(g.num_rows, pa.int64()),
-                "rev": g.column("rev_sum"),
-                "__side": pa.array(["l"] * g.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = orders.map_batches(order_side, batch_format="pyarrow").union(
-        lineitem.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["__side"] == "l"]
-        rev = l.groupby("o_orderkey", sort=False)["rev"].sum().reset_index()
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "cust"]]
-        m = o.merge(rev, on="o_orderkey", how="inner")
-        per_cust = m.groupby("cust", sort=False)["rev"].sum().reset_index()
-        out = pd.DataFrame(
-            {
-                "c_custkey": per_cust["cust"].to_numpy(np.int64),
-                "rev": per_cust["rev"].to_numpy(np.int64),
-            }
-        )
-        return out
-
-    joined = (
-        both.repartition(buckets).groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
-    )
-
-    def add_cust_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "c_custkey", buckets)
-
-    def cust_topk(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("c_custkey", sort=False)["rev"].sum().reset_index()
-        per = per.sort_values(["rev", "c_custkey"], ascending=[False, True], kind="mergesort").head(k)
-        return per
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
-    names = dict(zip(cust.column("c_custkey").to_pylist(), cust.column("c_name").to_pylist()))
-
-    def final_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["rev", "c_custkey"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        return pa.table(
-            {
-                "c_custkey": pa.array(df["c_custkey"].to_numpy(np.int64), pa.int64()),
-                "c_name": pa.array([names[int(c)] for c in df["c_custkey"]], pa.string()),
-                "revenue_cents": pa.array(df["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(add_cust_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(cust_topk, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final_topk, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def _sorted_lookup(keys: np.ndarray, vals: np.ndarray):
-    order = np.argsort(keys)
-    return keys[order], vals[order]
-
-
-def _probe_sorted(keys: np.ndarray, probe: np.ndarray):
-    """Vectorized membership probe against a sorted key array: returns the
-    hit mask and the (clipped) positions -- inner-join semantics, misses
-    never take a neighbor's payload."""
-    pos = np.searchsorted(keys, probe)
-    pos_safe = np.clip(pos, 0, max(len(keys) - 1, 0))
-    hit = (keys[pos_safe] == probe) if len(keys) else np.zeros(len(probe), bool)
-    return hit, pos_safe
-
-
-def nation_trade_volume(sf_dir: str, nation_a: str = "NATION_1",
-                        nation_b: str = "NATION_2", year_lo: int = 1996,
-                        year_hi: int = 1997, buckets: int = 32):
-    """TPC-H Q7 shape (bi-national trade volume): revenue shipped between
-    two nations per direction per year -- supplier nation from the
-    lineitem leg, customer nation from the orders leg, so the nation pair
-    only exists AFTER the fact-fact join.
-
-    Both dimension legs collapse to broadcast sorted arrays filtered to
-    the two nations (ray.put once); lineitem pre-aggregates
-    (orderkey, supp_nation, year) -> rev map-side; ONE orderkey-bucketed
-    exchange joins in the customer nation, drops same-nation pairs, and
-    folds per (supp_nation, cust_nation, year); a tiny final merges the
-    bounded key space (2 directions x years).
-
-    Returns (supp_nation, cust_nation, l_year, revenue_cents)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    nkeys = {
-        n: k for k, n in zip(
-            nation.column("n_nationkey").to_pylist(), nation.column("n_name").to_pylist()
-        )
-    }
-    pair_keys = np.array([nkeys[nation_a], nkeys[nation_b]], dtype=np.int64)
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    sn = supp.column("s_nationkey").to_numpy().astype(np.int64)
-    s_in = np.isin(sn, pair_keys)
-    s_keys, s_code = _sorted_lookup(
-        supp.column("s_suppkey").to_numpy().astype(np.int64)[s_in],
-        (sn[s_in] == pair_keys[1]).astype(np.int8),  # 0 -> nation_a, 1 -> nation_b
-    )
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    cn = cust.column("c_nationkey").to_numpy().astype(np.int64)
-    c_in = np.isin(cn, pair_keys)
-    c_keys, c_code = _sorted_lookup(
-        cust.column("c_custkey").to_numpy().astype(np.int64)[c_in],
-        (cn[c_in] == pair_keys[1]).astype(np.int8),
-    )
-    handle = ray.put({"s_keys": s_keys, "s_code": s_code, "c_keys": c_keys, "c_code": c_code})
-
-    lo = np.datetime64(f"{year_lo}-01-01").astype("datetime64[us]")
-    hi = np.datetime64(f"{year_hi + 1}-01-01").astype("datetime64[us]")
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-
-    class LineSide:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sd = batch.column("l_shipdate").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-            b = batch.filter(pa.array((sd >= lo) & (sd < hi)))
-            sk = b.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, pos = _probe_sorted(self.lk["s_keys"], sk)
-            b = b.filter(pa.array(hit))
-            scode = self.lk["s_code"][pos[hit]].astype(np.int64)
-            year = (
-                b.column("l_shipdate").to_numpy(zero_copy_only=False)
-                .astype("datetime64[Y]").astype(np.int64) + 1970
-            )
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-            rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("l_orderkey"),
-                    "scode": pa.array(scode, pa.int64()),
-                    "year": pa.array(year, pa.int64()),
-                    "rev": pa.array(rev, pa.int64()),
-                }
-            )
-            g = t.group_by(["o_orderkey", "scode", "year"]).aggregate([("rev", "sum")])
-            t = pa.table(
-                {
-                    "o_orderkey": g.column("o_orderkey"),
-                    "scode": g.column("scode"),
-                    "year": g.column("year"),
-                    "rev": g.column("rev_sum"),
-                    "ccode": pa.nulls(g.num_rows, pa.int64()),
-                    "__side": pa.array(["l"] * g.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    class OrderSide:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, pos = _probe_sorted(self.lk["c_keys"], ck)
-            b = batch.filter(pa.array(hit))
-            ccode = self.lk["c_code"][pos[hit]].astype(np.int64)
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("o_orderkey"),
-                    "scode": pa.nulls(b.num_rows, pa.int64()),
-                    "year": pa.nulls(b.num_rows, pa.int64()),
-                    "rev": pa.nulls(b.num_rows, pa.int64()),
-                    "ccode": pa.array(ccode, pa.int64()),
-                    "__side": pa.array(["o"] * b.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = lineitem.map_batches(LineSide, batch_format="pyarrow", concurrency=(1, 8)).union(
-        orders.map_batches(OrderSide, batch_format="pyarrow", concurrency=(1, 4))
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "scode", "year", "rev"]]
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "ccode"]]
-        m = l.merge(o, on="o_orderkey", how="inner")
-        m = m[m["scode"] != m["ccode"]]
-        per = m.groupby(["scode", "ccode", "year"], sort=False)["rev"].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "scode": per["scode"].to_numpy(np.int64),
-                "ccode": per["ccode"].to_numpy(np.int64),
-                "l_year": per["year"].to_numpy(np.int64),
-                "rev": per["rev"].to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-    names = {0: nation_a, 1: nation_b}
-
-    # NOTE: with zero qualifying rows the pipeline yields ZERO blocks and
-    # Ray Data drops the schema entirely; callers needing a stable empty
-    # schema must pin it driver-side (see __ray_entry__._pin_schema_if_empty)
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["scode", "ccode", "l_year"]).aggregate([("rev", "sum")])
-        return pa.table(
-            {
-                "supp_nation": pa.array(
-                    [names[int(s)] for s in out.column("scode").to_pylist()], pa.string()
-                ),
-                "cust_nation": pa.array(
-                    [names[int(c)] for c in out.column("ccode").to_pylist()], pa.string()
-                ),
-                "l_year": out.column("l_year"),
-                "revenue_cents": out.column("rev_sum"),
-            }
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def market_share(sf_dir: str, nation: str = "NATION_5", region: str = "ASIA",
-                 p_type: str = "PROMO", buckets: int = 32):
-    """TPC-H Q8 shape (national market share): per order-year, the ppm
-    share of one nation's suppliers in the revenue of one part type sold
-    to customers of one region.
-
-    Three dimension legs collapse to broadcasts (promo partkeys; suppkey ->
-    is-target-nation; region custkeys via the nation |><| region snowflake
-    resolved driver-side -- 25 rows); lineitem emits per-orderkey
-    (nation_rev, total_rev) combiner partials; the orderkey-bucketed
-    exchange attaches the order year and folds per year; a tiny final
-    computes integer-ppm shares over the bounded year space.
-
-    Returns (o_year, nation_cents, total_cents, share_ppm)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet")
-    rkey = {
-        r: k for k, r in zip(reg.column("r_regionkey").to_pylist(), reg.column("r_name").to_pylist())
-    }[region]
-    region_nations = np.array(
-        [
-            k for k, rk in zip(
-                nat.column("n_nationkey").to_pylist(), nat.column("n_regionkey").to_pylist()
-            )
-            if rk == rkey
-        ],
-        dtype=np.int64,
-    )
-    nation_key = {
-        n: k for k, n in zip(nat.column("n_nationkey").to_pylist(), nat.column("n_name").to_pylist())
-    }[nation]
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
-    pkeys = np.sort(
-        part.filter(pc.equal(part.column("p_type"), p_type))
-        .column("p_partkey").to_numpy().astype(np.int64)
-    )
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    s_keys, s_is_nat = _sorted_lookup(
-        supp.column("s_suppkey").to_numpy().astype(np.int64),
-        (supp.column("s_nationkey").to_numpy().astype(np.int64) == nation_key).astype(np.int8),
-    )
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    c_in = np.isin(cust.column("c_nationkey").to_numpy().astype(np.int64), region_nations)
-    ckeys = np.sort(cust.column("c_custkey").to_numpy().astype(np.int64)[c_in])
-    handle = ray.put({"pkeys": pkeys, "s_keys": s_keys, "s_is_nat": s_is_nat, "ckeys": ckeys})
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-
-    class LineSide:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, _ = _probe_sorted(self.lk["pkeys"], lp)
-            b = batch.filter(pa.array(hit))
-            sk = b.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            s_hit, s_pos = _probe_sorted(self.lk["s_keys"], sk)
-            is_nat = np.where(s_hit, self.lk["s_is_nat"][s_pos], 0).astype(bool)
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-            rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("l_orderkey"),
-                    "nat": pa.array(np.where(is_nat, rev, 0), pa.int64()),
-                    "tot": pa.array(rev, pa.int64()),
-                }
-            )
-            g = t.group_by(["o_orderkey"]).aggregate([("nat", "sum"), ("tot", "sum")])
-            t = pa.table(
-                {
-                    "o_orderkey": g.column("o_orderkey"),
-                    "nat": g.column("nat_sum"),
-                    "tot": g.column("tot_sum"),
-                    "year": pa.nulls(g.num_rows, pa.int64()),
-                    "__side": pa.array(["l"] * g.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    class OrderSide:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, _ = _probe_sorted(self.lk["ckeys"], ck)
-            b = batch.filter(pa.array(hit))
-            year = (
-                b.column("o_orderdate").to_numpy(zero_copy_only=False)
-                .astype("datetime64[Y]").astype(np.int64) + 1970
-            )
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("o_orderkey"),
-                    "nat": pa.nulls(b.num_rows, pa.int64()),
-                    "tot": pa.nulls(b.num_rows, pa.int64()),
-                    "year": pa.array(year, pa.int64()),
-                    "__side": pa.array(["o"] * b.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = lineitem.map_batches(LineSide, batch_format="pyarrow", concurrency=(1, 8)).union(
-        orders.map_batches(OrderSide, batch_format="pyarrow", concurrency=(1, 4))
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "nat", "tot"]]
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "year"]]
-        m = l.merge(o, on="o_orderkey", how="inner")
-        per = m.groupby("year", sort=False)[["nat", "tot"]].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "o_year": per["year"].to_numpy(np.int64),
-                "nat": per["nat"].to_numpy(np.int64),
-                "tot": per["tot"].to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["o_year"]).aggregate([("nat", "sum"), ("tot", "sum")])
-        nat_ = out.column("nat_sum").to_numpy()
-        tot = out.column("tot_sum").to_numpy()
-        ppm = (nat_ * 1_000_000) // np.maximum(tot, 1)
-        return pa.table(
-            {
-                "o_year": out.column("o_year"),
-                "nation_cents": pa.array(nat_.astype(np.int64), pa.int64()),
-                "total_cents": pa.array(tot.astype(np.int64), pa.int64()),
-                "share_ppm": pa.array(ppm.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def small_qty_revenue(sf_dir: str, brand: str = "Brand#13", frac_num: int = 1,
-                      frac_den: int = 5, broadcast_cap_bytes: int = 256 << 20):
-    """TPC-H Q17 shape (small-quantity-order revenue): gross revenue from
-    lineitems of one brand whose quantity is below ``frac`` of that part's
-    average quantity -- a correlated per-group average turned into TWO
-    broadcast-joined scans with ZERO row shuffle.
-
-    Pass 1 folds per-part (sum_qty_cents, n) combiner partials for the
-    brand's parts into one small table (1/|brands| of the part dimension;
-    capped with a loud raise); pass 2 re-scans lineitem with the averages
-    broadcast and tests ``qty * den * n < num * sum_qty`` in exact integer
-    arithmetic (no float division on either side -- the SQL replay shares
-    the cross-multiplied compare).
-
-    Returns ONE row (revenue_cents, n_rows)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
-    pkeys = np.sort(
-        part.filter(pc.equal(part.column("p_brand"), brand))
-        .column("p_partkey").to_numpy().astype(np.int64)
-    )
-    pk_handle = ray.put(pkeys)
-
-    cols = ["l_partkey", "l_quantity", "l_extendedprice"]
-    lineitem = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols)
-
-    class QtyPartial:
-        def __init__(self) -> None:
-            self.pkeys = ray.get(pk_handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, _ = _probe_sorted(self.pkeys, lp)
-            b = batch.filter(pa.array(hit))
-            qty = np.floor(
-                b.column("l_quantity").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-            ).astype(np.int64)
-            t = pa.table(
-                {
-                    "pk": b.column("l_partkey"),
-                    "q": pa.array(qty, pa.int64()),
-                    "n": pa.array(np.ones(len(qty), np.int64), pa.int64()),
-                }
-            )
-            return t.group_by(["pk"]).aggregate([("q", "sum"), ("n", "sum")])
-
-    # pass 1: per-part qty sums -- the combiner keeps this to one row per
-    # (part, batch); the driver folds the small result and re-broadcasts
-    partials = lineitem.map_batches(QtyPartial, batch_format="pyarrow", concurrency=(1, 8))
-    folded = tiny_final_groupby(
-        partials, ["pk"], [("q_sum", "sum"), ("n_sum", "sum")], ["pk", "sum_q", "n"]
-    ).to_pandas()
-    avg_keys = folded["pk"].to_numpy(np.int64)
-    order = np.argsort(avg_keys)
-    avgs = {
-        "keys": avg_keys[order],
-        "sum_q": folded["sum_q"].to_numpy(np.int64)[order],
-        "n": folded["n"].to_numpy(np.int64)[order],
-    }
-    if avgs["keys"].nbytes * 3 > broadcast_cap_bytes:
-        raise ValueError("per-part average table exceeds the broadcast cap; bucket-join pass 2")
-    avg_handle = ray.put(avgs)
-
-    class Pass2:
-        def __init__(self) -> None:
-            self.lk = ray.get(avg_handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, pos = _probe_sorted(self.lk["keys"], lp)
-            b = batch.filter(pa.array(hit))
-            qty = np.floor(
-                b.column("l_quantity").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-            ).astype(np.int64)
-            sum_q = self.lk["sum_q"][pos[hit]]
-            n = self.lk["n"][pos[hit]]
-            # qty < (num/den) * avg  <=>  qty * den * n < num * sum_q
-            keep = qty * frac_den * n < frac_num * sum_q
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-            rev = np.floor(price * 100.0 + 0.5).astype(np.int64)
-            return pa.table(
-                {
-                    "__k": pa.array([0], pa.int64()),
-                    "rev": pa.array([int(rev.sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-    out = tiny_final_groupby(
-        lineitem.map_batches(Pass2, batch_format="pyarrow", concurrency=(1, 8)),
-        ["__k"],
-        [("rev", "sum"), ("n", "sum")],
-        ["__k", "revenue_cents", "n_rows"],
-    )
-    return out.drop_columns(["__k"])
-
-
-def supplier_count_by_part_attrs(sf_dir: str, exclude_brand: str = "Brand#13",
-                                 sizes: tuple = (1, 5, 10, 15, 20, 25),
-                                 buckets: int = 32):
-    """TPC-H Q16 shape (supplier breadth per part class, adapted to the
-    observed lineitem relation in place of partsupp): how many DISTINCT
-    suppliers ship each (brand, type, size) class, excluding one brand and
-    restricted to a size list.
-
-    The part dimension broadcasts as (sorted qualifying partkeys, attr
-    codes); every lineitem batch maps partkey -> attr code and emits
-    batch-distinct (attr, suppkey) pairs (the combiner -- duplicate
-    shipments never leave the scan); ONE suppkey-bucketed exchange makes
-    the pairs globally distinct (a suppkey lives in exactly one bucket)
-    and folds per-attr counts; a tiny final sums the bounded attr space.
-
-    Returns (p_brand, p_type, p_size, supplier_cnt)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_type", "p_size"]
-    )
-    keep = pc.and_(
-        pc.not_equal(part.column("p_brand"), exclude_brand),
-        pc.is_in(part.column("p_size"), value_set=pa.array(list(sizes), pa.int64())),
-    )
-    part = part.filter(keep)
-    # encode (brand, type, size) combos once; codes ship instead of strings
-    # (separator is \x1f, NOT \x00 -- numpy's fixed-width unicode dtype
-    # silently drops embedded NULs when np.unique casts object -> U)
-    combo = pd.DataFrame(
-        {
-            "brand": part.column("p_brand").to_pylist(),
-            "type": part.column("p_type").to_pylist(),
-            "size": part.column("p_size").to_numpy(zero_copy_only=False).astype(np.int64),
-        }
-    )
-    attrs, codes = np.unique(
-        (combo["brand"] + "\x1f" + combo["type"] + "\x1f" + combo["size"].astype(str)).to_numpy(),
-        return_inverse=True,
-    )
-    pk = part.column("p_partkey").to_numpy().astype(np.int64)
-    order = np.argsort(pk)
-    lookup = {"keys": pk[order], "code": codes.astype(np.int64)[order]}
-    handle = ray.put(lookup)
-
-    lineitem = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-
-    class Pairs:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, pos = _probe_sorted(self.lk["keys"], lp)
-            code = self.lk["code"][pos[hit]]
-            supp = batch.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)[hit]
-            pairs = np.unique(np.stack([code, supp], axis=1), axis=0)
-            t = pa.table(
-                {
-                    "code": pa.array(pairs[:, 0], pa.int64()),
-                    "supp": pa.array(pairs[:, 1], pa.int64()),
-                }
-            )
-            return hash_bucket_column(t, "supp", buckets)
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["code", "supp"]].drop_duplicates()
-        per = d.groupby("code", sort=False).size().reset_index(name="cnt")
-        return pd.DataFrame(
-            {"code": per["code"].to_numpy(np.int64), "cnt": per["cnt"].to_numpy(np.int64)}
-        )
-
-    folded = (
-        lineitem.map_batches(Pairs, batch_format="pyarrow", concurrency=(1, 8))
-        .repartition(buckets)
-        .groupby("__bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["code"]).aggregate([("cnt", "sum")])
-        code = out.column("code").to_numpy()
-        parts = [attrs[int(c)].split("\x1f") for c in code]
-        return pa.table(
-            {
-                "p_brand": pa.array([p[0] for p in parts], pa.string()),
-                "p_type": pa.array([p[1] for p in parts], pa.string()),
-                "p_size": pa.array([int(p[2]) for p in parts], pa.int64()),
-                "supplier_cnt": out.column("cnt_sum"),
-            }
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def waiting_suppliers(sf_dir: str, late_days: int = 60, status: str = "F",
-                      buckets: int = 32):
-    """TPC-H Q21 shape (suppliers who kept orders waiting, adapted to the
-    available columns: "late" means the supplier's LAST shipment left more
-    than ``late_days`` after the order date): per supplier, the number of
-    finished multi-supplier orders where that supplier was the ONLY late
-    one -- the classic EXISTS / NOT-EXISTS double-correlation.
-
-    Lineitem folds per-(orderkey, suppkey) max-shipdate combiner partials
-    map-side; orders prune to the status map-side; ONE orderkey-bucketed
-    exchange re-folds the max, joins the order date, and evaluates the
-    exactly-one-late / at-least-two-suppliers predicate vectorized per
-    order; per-bucket per-supplier counts fold in a tiny final with the
-    supplier names broadcast.
-
-    Returns (s_suppkey, s_name, numwait) for suppliers with numwait >= 1."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus", "o_orderdate"]
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey", "l_shipdate"]
-    )
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.equal(batch.column("o_orderstatus"), status))
-        od = (
-            b.column("o_orderdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        t = pa.table(
-            {
-                "o_orderkey": b.column("o_orderkey"),
-                "supp": pa.nulls(b.num_rows, pa.int64()),
-                "ship_us": pa.nulls(b.num_rows, pa.int64()),
-                "od_us": pa.array(od, pa.int64()),
-                "__side": pa.array(["o"] * b.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def line_side(batch: pa.Table) -> pa.Table:
-        ship = (
-            batch.column("l_shipdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        t = pa.table(
-            {
-                "o_orderkey": batch.column("l_orderkey"),
-                "supp": batch.column("l_suppkey"),
-                "ship_us": pa.array(ship, pa.int64()),
-            }
-        )
-        g = t.group_by(["o_orderkey", "supp"]).aggregate([("ship_us", "max")])
-        t = pa.table(
-            {
-                "o_orderkey": g.column("o_orderkey"),
-                "supp": g.column("supp"),
-                "ship_us": g.column("ship_us_max"),
-                "od_us": pa.nulls(g.num_rows, pa.int64()),
-                "__side": pa.array(["l"] * g.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = orders.map_batches(order_side, batch_format="pyarrow").union(
-        lineitem.map_batches(line_side, batch_format="pyarrow")
-    )
-    late_us = np.int64(late_days) * 86_400_000_000
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "supp", "ship_us"]]
-        per = l.groupby(["o_orderkey", "supp"], sort=False)["ship_us"].max().reset_index()
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "od_us"]]
-        m = per.merge(o, on="o_orderkey", how="inner")
-        m["late"] = m["ship_us"] > m["od_us"] + late_us
-        st = m.groupby("o_orderkey", sort=False).agg(
-            n_supp=("supp", "size"), n_late=("late", "sum")
-        )
-        ok = st[(st["n_supp"] >= 2) & (st["n_late"] == 1)].index
-        culprit = m[m["late"] & m["o_orderkey"].isin(ok)]
-        per_supp = culprit.groupby("supp", sort=False).size().reset_index(name="numwait")
-        return pd.DataFrame(
-            {
-                "supp": per_supp["supp"].to_numpy(np.int64),
-                "numwait": per_supp["numwait"].to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
-    names = dict(zip(supp.column("s_suppkey").to_pylist(), supp.column("s_name").to_pylist()))
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["supp"]).aggregate([("numwait", "sum")])
-        sk = out.column("supp").to_pylist()
-        return pa.table(
-            {
-                "s_suppkey": pa.array(sk, pa.int64()),
-                "s_name": pa.array([names[int(s)] for s in sk], pa.string()),
-                "numwait": out.column("numwait_sum"),
-            }
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def product_profit(sf_dir: str, p_type: str = "ECONOMY", cost_pct: int = 10,
-                   buckets: int = 32):
-    """TPC-H Q9 shape (product-type profit by nation and year, with
-    ``cost_pct`` percent of the part's retail price per unit standing in
-    for the absent partsupp supplycost): profit = discounted revenue minus
-    quantity x unit cost, folded per (supplier nation, order year).
-
-    Part (retail cents for the type's parts) and supplier (nation code)
-    broadcast once; lineitem emits per-(orderkey, nation) integer profit
-    combiner partials; ONE orderkey-bucketed exchange attaches the order
-    year and folds; a tiny final resolves nation names over the bounded
-    (25 x years) key space.
-
-    Returns (n_name, o_year, profit_cents)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type", "p_retailprice"])
-    part = part.filter(pc.equal(part.column("p_type"), p_type))
-    pk = part.column("p_partkey").to_numpy().astype(np.int64)
-    order = np.argsort(pk)
-    retail_cents = np.floor(
-        part.column("p_retailprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-    ).astype(np.int64)
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    s_keys, s_nat = _sorted_lookup(
-        supp.column("s_suppkey").to_numpy().astype(np.int64),
-        supp.column("s_nationkey").to_numpy().astype(np.int64),
-    )
-    handle = ray.put(
-        {"pkeys": pk[order], "retail": retail_cents[order], "s_keys": s_keys, "s_nat": s_nat}
-    )
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-                 "l_extendedprice", "l_discount"],
-    )
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"])
-
-    class LineSide:
-        def __init__(self) -> None:
-            self.lk = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lp = batch.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, pos = _probe_sorted(self.lk["pkeys"], lp)
-            b = batch.filter(pa.array(hit))
-            retail = self.lk["retail"][pos[hit]]
-            sk = b.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            s_hit, s_pos = _probe_sorted(self.lk["s_keys"], sk)
-            nat = np.where(s_hit, self.lk["s_nat"][s_pos], -1)
-            price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-            qty = np.floor(
-                b.column("l_quantity").to_numpy(zero_copy_only=False) + 0.5
-            ).astype(np.int64)
-            rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            profit = rev - qty * retail * cost_pct // 100
-            t = pa.table(
-                {
-                    "o_orderkey": b.column("l_orderkey"),
-                    "nat": pa.array(nat, pa.int64()),
-                    "profit": pa.array(profit, pa.int64()),
-                }
-            )
-            g = t.group_by(["o_orderkey", "nat"]).aggregate([("profit", "sum")])
-            t = pa.table(
-                {
-                    "o_orderkey": g.column("o_orderkey"),
-                    "nat": g.column("nat"),
-                    "profit": g.column("profit_sum"),
-                    "year": pa.nulls(g.num_rows, pa.int64()),
-                    "__side": pa.array(["l"] * g.num_rows, pa.string()),
-                }
-            )
-            return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        year = (
-            batch.column("o_orderdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[Y]").astype(np.int64) + 1970
-        )
-        t = pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "nat": pa.nulls(batch.num_rows, pa.int64()),
-                "profit": pa.nulls(batch.num_rows, pa.int64()),
-                "year": pa.array(year, pa.int64()),
-                "__side": pa.array(["o"] * batch.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = lineitem.map_batches(LineSide, batch_format="pyarrow", concurrency=(1, 8)).union(
-        orders.map_batches(order_side, batch_format="pyarrow")
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "nat", "profit"]]
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "year"]]
-        m = l.merge(o, on="o_orderkey", how="inner")
-        per = m.groupby(["nat", "year"], sort=False)["profit"].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "nat": per["nat"].to_numpy(np.int64),
-                "o_year": per["year"].to_numpy(np.int64),
-                "profit": per["profit"].to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    nnames = dict(zip(nat.column("n_nationkey").to_pylist(), nat.column("n_name").to_pylist()))
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["nat", "o_year"]).aggregate([("profit", "sum")])
-        return pa.table(
-            {
-                "n_name": pa.array(
-                    [nnames[int(n)] for n in out.column("nat").to_pylist()], pa.string()
-                ),
-                "o_year": out.column("o_year"),
-                "profit_cents": out.column("profit_sum"),
-            }
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def order_priority_check(sf_dir: str, date_lo: str = "1996-01-01",
-                         date_hi: str = "1996-04-01", late_days: int = 30,
-                         buckets: int = 32):
-    """TPC-H Q4 shape (order-priority checking, adapted: "late" = some
-    lineitem shipped more than ``late_days`` after the order date, since the
-    observed lineitem relation carries no commit/receipt dates): per
-    priority class, how many orders placed in [date_lo, date_hi) have AT
-    LEAST ONE late lineitem.
-
-    The EXISTS turns into a per-orderkey MAX-shipdate combiner (exists a
-    late ship <=> max ship is late), so the lineitem side of the ONE
-    orderkey-bucketed exchange is one row per (order, batch). The lineitem
-    scan prunes to ``l_shipdate > date_lo``: a qualifying ship satisfies
-    ship > orderdate + late_days >= date_lo, so the filter is lossless for
-    the existence test while skipping most of history at 100 TB.
-
-    Returns (o_orderpriority, order_count)."""
-    import ray.data as rd
-
-    lo_us = np.datetime64(date_lo, "us").astype(np.int64)
-    hi_us = np.datetime64(date_hi, "us").astype(np.int64)
-    late_us = np.int64(late_days) * 86_400_000_000
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        od = (
-            batch.column("o_orderdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        keep = (od >= lo_us) & (od < hi_us)
-        b = batch.filter(pa.array(keep))
-        t = pa.table(
-            {
-                "o_orderkey": b.column("o_orderkey"),
-                "prio": b.column("o_orderpriority"),
-                "us": pa.array(od[keep], pa.int64()),
-                "__side": pa.array(["o"] * b.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def line_side(batch: pa.Table) -> pa.Table:
-        ship = (
-            batch.column("l_shipdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        keep = ship > lo_us  # lossless prune: see docstring
-        t = pa.table(
-            {
-                "o_orderkey": batch.column("l_orderkey").filter(pa.array(keep)),
-                "us": pa.array(ship[keep], pa.int64()),
-            }
-        )
-        g = t.group_by(["o_orderkey"]).aggregate([("us", "max")])
-        t = pa.table(
-            {
-                "o_orderkey": g.column("o_orderkey"),
-                "prio": pa.nulls(g.num_rows, pa.string()),
-                "us": g.column("us_max"),
-                "__side": pa.array(["l"] * g.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = orders.map_batches(order_side, batch_format="pyarrow").union(
-        lineitem.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "prio", "us"]]
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "us"]]
-        mx = l.groupby("o_orderkey", sort=False)["us"].max()
-        m = o.merge(mx.rename("mx"), left_on="o_orderkey", right_index=True, how="inner")
-        late = m[m["mx"] > m["us"] + late_us]
-        per = late.groupby("prio", sort=False).size().reset_index(name="n")
-        return pd.DataFrame({"prio": per["prio"], "n": per["n"].to_numpy(np.int64)})
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        folded, ["prio"], [("n", "sum")], ["o_orderpriority", "order_count"]
-    )
-
-
-def line_priority_counts(sf_dir: str, year: int = 1996, buckets: int = 32):
-    """TPC-H Q12 shape (shipping-class vs order priority, adapted: the
-    observed lineitem relation has no ship mode, so l_returnflag is the
-    class axis): for lineitems shipped in ``year``, per return flag, how
-    many came from high-priority orders (1-URGENT / 2-HIGH) vs the rest.
-
-    Lineitem emits per-(orderkey, flag) count combiner partials after the
-    year prune; orders carry one (orderkey, is_high) bit; ONE
-    orderkey-bucketed exchange folds (flag, high, low) partials and the
-    bounded-flag final sums them.
-
-    Returns (l_returnflag, high_count, low_count)."""
-    import ray.data as rd
-
-    lo_us = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
-    hi_us = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_shipdate"],
-    )
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        prio = batch.column("o_orderpriority")
-        hi = pc.or_(pc.equal(prio, "1-URGENT"), pc.equal(prio, "2-HIGH"))
-        t = pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "flag": pa.nulls(batch.num_rows, pa.string()),
-                "n": pa.nulls(batch.num_rows, pa.int64()),
-                "hi": hi.combine_chunks() if isinstance(hi, pa.ChunkedArray) else hi,
-                "__side": pa.array(["o"] * batch.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    def line_side(batch: pa.Table) -> pa.Table:
-        ship = (
-            batch.column("l_shipdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        keep = (ship >= lo_us) & (ship < hi_us)
-        b = batch.filter(pa.array(keep))
-        t = pa.table(
-            {
-                "o_orderkey": b.column("l_orderkey"),
-                "flag": b.column("l_returnflag"),
-                "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by(["o_orderkey", "flag"]).aggregate([("n", "sum")])
-        t = pa.table(
-            {
-                "o_orderkey": g.column("o_orderkey"),
-                "flag": g.column("flag"),
-                "n": g.column("n_sum"),
-                "hi": pa.nulls(g.num_rows, pa.bool_()),
-                "__side": pa.array(["l"] * g.num_rows, pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "o_orderkey", buckets)
-
-    both = orders.map_batches(order_side, batch_format="pyarrow").union(
-        lineitem.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == "l", ["o_orderkey", "flag", "n"]]
-        o = g.loc[g["__side"] == "o", ["o_orderkey", "hi"]]
-        m = l.merge(o, on="o_orderkey", how="inner")
-        m["high"] = np.where(m["hi"].to_numpy(bool), m["n"].to_numpy(np.int64), 0)
-        m["low"] = m["n"].to_numpy(np.int64) - m["high"].to_numpy(np.int64)
-        per = m.groupby("flag", sort=False)[["high", "low"]].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "flag": per["flag"],
-                "high": per["high"].to_numpy(np.int64),
-                "low": per["low"].to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        both.repartition(buckets).groupby("__bucket").map_groups(fold_bucket, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        folded,
-        ["flag"],
-        [("high", "sum"), ("low", "sum")],
-        ["l_returnflag", "high_count", "low_count"],
     )
 
 
@@ -5751,117 +2583,6 @@ def customer_order_distribution(sf_dir: str, exclude_priority: str = "5-LOW",
         )
 
     return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def first_event_after_order(sf_dir: str):
-    """FORWARD as-of join: for each order, the customer's FIRST event
-    STRICTLY after the order timestamp and the gap in days -- the
-    time-to-next-touch operational join (did the purchase trigger
-    activity?), the mirror of ``last_order_before_event``'s backward
-    lookup. Same bucketed merge_asof plan, ``direction='forward'`` with
-    exact matches excluded; inner semantics (orders whose customer never
-    acts again drop).
-
-    Returns (o_orderkey, next_event_day, gap_days)."""
-    import ray.data as rd
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    buckets = derive_buckets(max(orders.count(), events.count()))
-    joined = asof_join(
-        orders, events, key="o_custkey", right_key="user_id",
-        left_ts="o_orderdate", right_ts="ts", buckets=buckets,
-        direction="forward", allow_exact=False,
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        od = batch.column("o_orderdate").cast(pa.int64()).to_numpy() // 86_400_000_000
-        nd = batch.column("ts").cast(pa.int64()).to_numpy() // 86_400_000_000
-        day = pc.strftime(pc.floor_temporal(batch.column("ts"), unit="day"), format="%Y-%m-%d")
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "next_event_day": day,
-                "gap_days": pa.array((nd - od).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return joined.map_batches(project, batch_format="pyarrow")
-
-
-def attribution_last_touch(sf_dir: str, conversion_type: str = "purchase",
-                           buckets: int = 64):
-    """Last-touch attribution: each CONVERSION event (``event_type ==
-    'purchase'``) is credited to the event_type of the same user's
-    immediately preceding event in (ts, event_id) order — '(none)' when
-    the conversion is the user's first touch. The marketing-analytics
-    staple ("which touch gets the credit?"), value-weighted: the
-    conversion's own ``value`` (exact cents) accrues to the credited
-    channel. (The orders table cannot play the conversion role here:
-    TPC-H order dates 1992-98 all PRECEDE the events' time range, so an
-    order's strictly-prior event never exists — measured, not assumed.)
-
-    Scale shape: LAG needs per-user order, so the narrow (user, ts, id,
-    type, cents) projection takes ONE user-bucketed exchange (the
-    event_transitions plan); each bucket runs one vectorized
-    sort + shifted-compare pass and folds to a bounded (channel) partial,
-    so the second exchange is channel-vocabulary-sized. Output
-    (channel, n_conversions, value_cents), channel ASC."""
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id", "value"],
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "event_id": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-                "c": _cents(batch.column("value")),
-            }
-        )
-        return hash_bucket_column(t, "user_id", buckets)
-
-    def attribute(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        t = g["event_type"].to_numpy()
-        prev = np.empty(len(g), dtype=object)
-        prev[0:1] = "(none)"
-        if len(g) > 1:
-            same = u[1:] == u[:-1]
-            prev[1:] = np.where(same, t[:-1], "(none)")
-        conv = t == conversion_type
-        out = pd.DataFrame(
-            {"channel": prev[conv], "c": g["c"].to_numpy(np.int64)[conv]}
-        )
-        agg = out.groupby("channel", sort=False).agg(
-            n_conversions=("c", "size"), value_cents=("c", "sum")
-        ).reset_index()
-        return agg.astype({"n_conversions": "int64", "value_cents": "int64"})
-
-    out = (
-        tiny_final_groupby(
-            events.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(attribute, batch_format="pandas"),
-            ["channel"],
-            [("n_conversions", "sum"), ("value_cents", "sum")],
-            ["channel", "n_conversions", "value_cents"],
-        )
-        .to_pandas()
-        .sort_values("channel")
-        .reset_index(drop=True)
-    )
-    for c in ("n_conversions", "value_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def grouped_pair_fold(ds, key_cols, agg: dict, buckets: int = 16):

@@ -18,7 +18,8 @@ re-reads only unfinished shards.
 The semantic spec (groupby(doc_id) + offset-ordered sort-aggregate, north
 rule) is unchanged -- ``reassemble_partition`` performs precisely that
 sort-aggregate; the shuffle-based path (``pipelines.extract``) remains for
-inputs whose spans arrive pre-exploded/scattered. Both plans share one core
+documents that arrive as an in-memory Arrow table or a pre-built Dataset,
+which have no fragment layout to shard on. Both plans share one core
 (explode -> ``ExtractDispatch`` -> ``reassemble_partition`` ->
 ``CheckpointManifest.commit_partition``, summarized by
 ``CheckpointManifest.summary``) and are oracle-equality-tested.

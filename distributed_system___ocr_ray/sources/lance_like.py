@@ -1237,64 +1237,6 @@ def _morton2(a, b):
     return (spread(a) << np.uint64(1)) | spread(b)
 
 
-def write_zordered(
-    ds, table_dir: str, col_a: str, col_b: str,
-    rows_per_fragment: int = 100_000, row_group_size: int | None = None,
-) -> dict:
-    """Z-order clustered write: sort the table by the Morton interleave of
-    two numeric columns (each scaled to 16-bit bins over its global range)
-    so every fragment covers a small RECTANGLE in (col_a, col_b) space --
-    then the existing per-column zone maps prune 2-D range queries on
-    EITHER or BOTH columns (Delta/Iceberg OPTIMIZE ZORDER semantics; a
-    single-column sort clusters one dim and shreds the other).
-
-    Cost model: one narrow min/max pass + ONE global sort at ingest --
-    the layout is paid once and amortized over every subsequent 2-D range
-    read; the sort is Ray's range-partitioned shuffle, the documented
-    exception to the no-all-to-all rule (data layout IS the product here).
-
-    Returns ``{"manifest": ..., "bounds": {col: [lo, hi]}}``.
-    """
-    import numpy as np
-
-    def minmax(batch: pa.Table) -> pa.Table:
-        a = batch.column(col_a).to_numpy(zero_copy_only=False)
-        b = batch.column(col_b).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "alo": [int(a.min())], "ahi": [int(a.max())],
-                "blo": [int(b.min())], "bhi": [int(b.max())],
-            }
-        )
-
-    mm = ds.map_batches(minmax, batch_format="pyarrow").to_pandas()
-    alo, ahi = int(mm["alo"].min()), int(mm["ahi"].max())
-    blo, bhi = int(mm["blo"].min()), int(mm["bhi"].max())
-    aspan, bspan = max(ahi - alo, 1), max(bhi - blo, 1)
-
-    def add_z(batch: pa.Table) -> pa.Table:
-        a = batch.column(col_a).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column(col_b).to_numpy(zero_copy_only=False).astype(np.int64)
-        za = ((a - alo) * 65535 // aspan).astype(np.uint64)
-        zb = ((b - blo) * 65535 // bspan).astype(np.uint64)
-        z = _morton2(za, zb).astype(np.int64)  # top bits < 2^32: int64-safe
-        return batch.append_column("__z", pa.array(z, pa.int64()))
-
-    def drop_z(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["__z"])
-
-    sorted_ds = (
-        ds.map_batches(add_z, batch_format="pyarrow")
-        .sort("__z")
-        .map_batches(drop_z, batch_format="pyarrow")
-    )
-    man = write_dataset(
-        sorted_ds, table_dir,
-        rows_per_fragment=rows_per_fragment, row_group_size=row_group_size,
-    )
-    return {"manifest": man, "bounds": {col_a: [alo, ahi], col_b: [blo, bhi]}}
-
-
 def evolve_add_column(table_dir: str, col: str, type_name: str, default) -> dict:
     """Schema evolution (metadata-only ADD COLUMN): commit a new manifest
     version with the same fragments plus an ``evolution`` record

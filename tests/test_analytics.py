@@ -39,25 +39,6 @@ class TestRelational:
         assert got["sum_base_cents"].tolist() == exp["sum_base_cents"].tolist()
         assert got["n_rows"].tolist() == exp["n_rows"].tolist()
 
-    def test_revenue_by_nation_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.revenue_by_nation(SF)).sort_values("n_name").reset_index(drop=True)
-        exp = duckdb.sql(
-            f"""
-            SELECT n.n_name,
-                   SUM(CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT)) AS revenue_cents,
-                   COUNT(*) AS n_orders
-            FROM '{SF}/orders.parquet' o
-            JOIN '{SF}/customer.parquet' c ON o.o_custkey = c.c_custkey
-            JOIN '{SF}/nation.parquet' n ON c.c_nationkey = n.n_nationkey
-            GROUP BY 1 ORDER BY 1
-            """
-        ).df()
-        assert got["n_name"].tolist() == exp["n_name"].tolist()
-        assert got["revenue_cents"].tolist() == exp["revenue_cents"].tolist()
-        assert got["n_orders"].tolist() == exp["n_orders"].tolist()
-
     def test_events_daily_vs_duckdb(self):
         from distributed_system___ocr_ray.pipelines import relational
 
@@ -931,35 +912,6 @@ class TestGroupedQuantile:
             assert got["event_type"].tolist() == exp["event_type"].tolist()
             assert np.allclose(got["q_value"].to_numpy(), exp["v"].to_numpy())
 
-    def test_sketch_error_bounded_by_bin_width(self):
-        """Unbounded-key sketch: estimate within one bin width of the exact
-        per-key median, and exact when a key's values are constant."""
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        rng = np.random.RandomState(7)
-        df = pd.DataFrame(
-            {
-                "k": np.repeat(np.arange(20), 50),
-                "v": np.concatenate(
-                    [rng.uniform(i, i + 10, 50) for i in range(20)]
-                ),
-            }
-        )
-        df.loc[df["k"] == 0, "v"] = 42.0  # constant-value key
-        got = (
-            analytics.grouped_quantile_sketch(rd.from_pandas(df), key="k", col="v", q=0.5)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        exact = df.groupby("k")["v"].quantile(0.5, interpolation="lower").to_numpy()
-        width = (df["v"].max() - df["v"].min()) / 256
-        assert (np.abs(got["q_value"].to_numpy() - exact) <= width + 1e-9).all()
-        assert got.loc[got["k"] == 0, "q_value"].iloc[0] <= 42.0 + width
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestDebounce:
@@ -1623,37 +1575,6 @@ class TestZscoreByGroup:
         assert en.abs().max() > 100_000  # spread is actually normalized
 
 
-class TestFunnelCounts:
-    def test_planted_funnel_strict_ordering(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ts = pd.to_datetime(
-            ["2026-01-01 10:00", "2026-01-01 11:00", "2026-01-01 12:00"]
-        )
-        rows = []
-        # user 1: full funnel in order
-        rows += [(1, ts[0], "view"), (1, ts[1], "click"), (1, ts[2], "purchase")]
-        # user 2: click BEFORE first view -> stops at view
-        rows += [(2, ts[1], "view"), (2, ts[0], "click")]
-        # user 3: view+click, purchase at SAME ts as click (not strictly
-        # after) -> stops at click
-        rows += [(3, ts[0], "view"), (3, ts[1], "click"), (3, ts[1], "purchase")]
-        # user 4: never views
-        rows += [(4, ts[0], "click"), (4, ts[1], "purchase")]
-        ev = pd.DataFrame(rows, columns=["user_id", "ts", "event_type"])
-        got = (
-            analytics.funnel_counts(
-                rd.from_pandas(ev), ["view", "click", "purchase"], buckets=3
-            )
-            .to_pandas()
-            .sort_values("step")
-        )
-        assert got["users"].tolist() == [3, 2, 1]
-
-
 class TestDomainCounts:
     def test_hostname_reduction_and_ranking(self):
         import pandas as pd
@@ -1677,32 +1598,6 @@ class TestDomainCounts:
         assert top == {"a.ex.org": 3, "b.ex.org": 1}
 
 
-class TestRetentionCohorts:
-    def test_planted_triangle(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        W = 604800
-        base = pd.Timestamp("2026-01-05")  # week boundary-agnostic
-        rows = []
-        # user 1: weeks 0, 1, 2 ; user 2: weeks 0, 2 ; user 3: week 1 only
-        for u, wks in [(1, [0, 1, 2]), (2, [0, 2]), (3, [1])]:
-            for w in wks:
-                rows.append((u, base + pd.Timedelta(seconds=w * W + u)))
-                rows.append((u, base + pd.Timedelta(seconds=w * W + u + 5)))  # dup week
-        ev = pd.DataFrame(rows, columns=["user_id", "ts"])
-        got = analytics.retention_cohorts(rd.from_pandas(ev), buckets=2).to_pandas()
-        cw0 = int(got["cohort_week"].min())
-        m = {
-            (int(r.cohort_week) - cw0, int(r.week_offset)): int(r.users)
-            for r in got.itertuples()
-        }
-        # cohort 0 = users 1,2 ; cohort 1 = user 3
-        assert m == {(0, 0): 2, (0, 1): 1, (0, 2): 2, (1, 0): 1}
-
-
 class TestSampleByWeightAndHistogram:
     def test_weight_extremes(self):
         import pandas as pd
@@ -1722,58 +1617,6 @@ class TestSampleByWeightAndHistogram:
         assert set(range(100, 200)) <= kept  # weight 1e6: always kept
         mid = len(kept & set(range(200, 400)))
         assert 60 <= mid <= 140  # ~50% of the mid-weight rows
-
-    def test_histogram_counts_sum_and_edges(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        vals = pd.DataFrame({"v": [float(x) for x in range(100)]})
-        got = (
-            analytics.value_histogram(rd.from_pandas(vals), "v", bins=10)
-            .to_pandas()
-            .sort_values("bin")
-        )
-        assert int(got["n"].sum()) == 100
-        assert got["n"].tolist() == [10] * 9 + [10]  # max clips into last bin
-        assert got["lo_cents"].iloc[0] == 0 and got["hi_cents"].iloc[-1] == 9900
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRunningTotals:
-    def test_cumsum_with_date_ties(self, tmp_path):
-        import pandas as pd
-        import pyarrow as pa
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # cust 1: two orders on the SAME date -- orderkey breaks the tie;
-        # cust 2: out-of-date-order rows in the file
-        t = pa.table(
-            {
-                "o_orderkey": [10, 11, 12, 20, 21],
-                "o_custkey": [1, 1, 1, 2, 2],
-                "o_orderdate": pa.array(
-                    pd.to_datetime(
-                        ["2024-01-02", "2024-01-01", "2024-01-01", "2024-03-01", "2024-02-01"]
-                    ),
-                    pa.timestamp("us"),
-                ),
-                "o_totalprice": [5.0, 1.0, 2.0, 10.0, 0.5],
-            }
-        )
-        pq.write_table(t, str(tmp_path / "orders.parquet"))
-        got = (
-            relational.running_totals(str(tmp_path))
-            .to_pandas()
-            .sort_values("o_orderkey")
-            .reset_index(drop=True)
-        )
-        # cust 1 order: key 11 (1.00) -> 12 (2.00) -> 10 (5.00)
-        assert dict(zip(got["o_orderkey"], got["cum_cents"])) == {
-            11: 100, 12: 300, 10: 800, 21: 50, 20: 1050,
-        }
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1849,38 +1692,6 @@ class TestPercentRank:
         # lang a: ties 5,5 share rank 0; 7 -> 2/3; 9 -> 3/3
         # lang b: both tied at 0; lang c: single row pins to 0
         assert got == {1: 0, 2: 0, 3: 666666, 4: 1000000, 5: 0, 6: 0, 7: 0}
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRangeJoin:
-    def test_boundaries_and_zero_counts(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        W = 100  # window in fake "us"
-        left = pa.table(
-            {
-                "id": [1, 2, 3],
-                "lts": pa.array([1000, 1050, 5000], pa.int64()),
-            }
-        )
-        # right rows: at lo (counted), at hi (excluded), straddling the
-        # bucket boundary of id 2's window [1050, 1150) -> bucket 10 and 11
-        right = pa.table(
-            {"rts": pa.array([1000, 1100, 1149, 1150, 999, 2000], pa.int64())}
-        )
-        got = dict(
-            (r["id"], r["n_in_window"])
-            for r in relational.range_join_counts(
-                rd.from_arrow(left), rd.from_arrow(right), "lts", "rts", "id", W
-            ).take_all()
-        )
-        # id1 [1000,1100): 1000 yes, 1100 no (hi-exclusive), 999 no -> 1
-        # id2 [1050,1150): 1100, 1149 yes (1149 is in bucket 11: cross-bucket), 1150 no -> 2
-        # id3 [5000,5100): nothing -> 0 survives
-        assert got == {1: 1, 2: 2, 3: 0}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2193,37 +2004,6 @@ class TestGraphAndDecay:
         got = _pdf(analytics.triangle_count(ds))
         assert int(got["n_triangles"].iloc[0]) == exp
 
-    def test_decayed_user_value_matches_pandas(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        t = pq.read_table(f"{SF}/events.parquet", columns=["user_id", "ts", "value"])
-        df = t.to_pandas()
-        m_us = df["ts"].max().value // 1000
-        ts_us = df["ts"].astype("datetime64[us]").astype("int64")
-        age = (m_us - ts_us) // 86_400_000_000
-        shift = np.minimum(age // 7, 62).astype(np.int64)
-        cents = np.floor(df["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        df["dec"] = cents >> shift
-        exp = (
-            df.groupby("user_id")
-            .agg(decayed_cents=("dec", "sum"), n_events=("dec", "size"))
-            .reset_index()
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts", "value"])
-        got = (
-            _pdf(analytics.decayed_user_value(ds))
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-        assert got["user_id"].tolist() == exp["user_id"].tolist()
-        assert got["decayed_cents"].tolist() == exp["decayed_cents"].tolist()
-        assert got["n_events"].astype(int).tolist() == exp["n_events"].astype(int).tolist()
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestSkylineOrders:
@@ -2329,42 +2109,6 @@ class TestModeAndOrphanAudit:
         b = _pdf(relational.mode_by_key(base.repartition(13), "user_id", "event_type")
                  ).sort_values("user_id").reset_index(drop=True)
         assert a.values.tolist() == b.values.tolist()
-
-    def test_orphan_audit_counts_planted_orphans(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        child = pa.table(
-            {"fk": pa.array([1, 1, 2, 3, 3, 3, 9, 9, 42], pa.int64())}
-        )
-        parent = pa.table({"pk": pa.array([1, 2, 5], pa.int64())})
-        got = _pdf(
-            relational.orphan_audit(
-                rd.from_arrow(child).repartition(4), "fk",
-                rd.from_arrow(parent).repartition(2), "pk", "child->parent",
-            )
-        )
-        assert len(got) == 1
-        r = got.iloc[0]
-        assert r["relation"] == "child->parent"
-        assert int(r["n_child_rows"]) == 9
-        # orphans: 3 (x3), 9 (x2), 42 (x1) = 6 rows over 3 distinct keys
-        assert int(r["n_orphan_rows"]) == 6
-        assert int(r["n_orphan_keys"]) == 3
-
-    def test_orphan_audit_clean_relation(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        lineitem = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey"])
-        orders = rd.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey"])
-        got = _pdf(relational.orphan_audit(lineitem, "l_orderkey", orders, "o_orderkey", "li->o"))
-        n = duckdb.sql(f"SELECT COUNT(*) FROM '{SF}/lineitem.parquet'").fetchone()[0]
-        assert int(got.iloc[0]["n_child_rows"]) == int(n)
-        assert int(got.iloc[0]["n_orphan_rows"]) == 0
-        assert int(got.iloc[0]["n_orphan_keys"]) == 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2630,73 +2374,6 @@ class TestPeakConcurrency:
             row = a[a["user_id"] == u].iloc[0]
             assert row["peak"] == depth.max()
             assert row["peak_at_us"] == int(np.argmax(depth))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBasketPairs:
-    def test_hand_built_baskets(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # orders: 1:{A,B,C} 2:{A,B} 3:{A,B} 4:{B,C} 5:{A,D} (+ dup row A in 1)
-        A, B, C, D = 10, 20, 30, 40
-        rows = [(1, A), (1, A), (1, B), (1, C), (2, A), (2, B),
-                (3, A), (3, B), (4, B), (4, C), (5, A), (5, D)]
-        t = pa.table(
-            {
-                "l_orderkey": pa.array([r[0] for r in rows], pa.int64()),
-                "l_partkey": pa.array([r[1] for r in rows], pa.int64()),
-            }
-        )
-        # min_support=2 prunes D (freq 1); A row-freq 5, B 4, C 2
-        got = analytics.basket_pairs_topk(
-            rd.from_arrow(t).repartition(5), min_support=2, topk=10
-        ).to_pandas()
-        # pair counts: (A,B)=3, (A,C)=1, (B,C)=2
-        assert list(map(tuple, got.values.tolist())) == [
-            (A, B, 3), (B, C, 2), (A, C, 1),
-        ]
-
-    def test_topk_truncation_and_tiebreak(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # three pairs all with count 1 -> tie broken by (part_a, part_b)
-        rows = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3),
-                (4, 1), (5, 2), (6, 3)]
-        t = pa.table(
-            {
-                "l_orderkey": pa.array([r[0] for r in rows], pa.int64()),
-                "l_partkey": pa.array([r[1] for r in rows], pa.int64()),
-            }
-        )
-        got = analytics.basket_pairs_topk(
-            rd.from_arrow(t).repartition(3), min_support=1, topk=2
-        ).to_pandas()
-        assert list(map(tuple, got.values.tolist())) == [(1, 2, 1), (1, 3, 1)]
-
-    def test_matches_duckdb_on_lineitem(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
-        got = analytics.basket_pairs_topk(ds, min_support=5, topk=15).to_pandas()
-        exp = duckdb.sql(
-            f"""
-            WITH f AS (SELECT l_partkey FROM (SELECT l_partkey, COUNT(*) AS c
-                       FROM '{SF}/lineitem.parquet' GROUP BY 1) WHERE c >= 5),
-            li AS (SELECT DISTINCT l_orderkey, l_partkey FROM '{SF}/lineitem.parquet'
-                   WHERE l_partkey IN (SELECT l_partkey FROM f)),
-            p AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
-                  CAST(COUNT(*) AS BIGINT) AS n_orders FROM li a JOIN li b
-                  ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey GROUP BY 1, 2)
-            SELECT * FROM p ORDER BY n_orders DESC, part_a, part_b LIMIT 15
-            """
-        ).df()
-        assert got.values.tolist() == exp.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3158,39 +2835,6 @@ class TestConversionWithin:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestFulfillmentLatency:
-    def test_matches_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            relational.fulfillment_latency(SF)
-            .to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH per AS (SELECT o.o_orderpriority AS pri,
-                 MAX(CAST(FLOOR(epoch(l.l_shipdate)) AS BIGINT) // 86400) -
-                 CAST(FLOOR(epoch(o.o_orderdate)) AS BIGINT) // 86400 AS lat
-                 FROM '{SF}/orders.parquet' o
-                 JOIN '{SF}/lineitem.parquet' l ON l.l_orderkey = o.o_orderkey
-                 GROUP BY o.o_orderkey, o.o_orderpriority, o.o_orderdate),
-            c AS (SELECT pri, lat, COUNT(*) AS n FROM per GROUP BY 1, 2),
-            w AS (SELECT pri, lat,
-                  SUM(n) OVER (PARTITION BY pri ORDER BY lat) AS cum,
-                  SUM(n) OVER (PARTITION BY pri) AS tot FROM c)
-            SELECT pri, MAX(tot) AS n_orders,
-                   MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN lat END) AS p50,
-                   MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN lat END) AS p90
-            FROM w GROUP BY pri ORDER BY pri
-            """
-        ).df()
-        assert got["o_orderpriority"].tolist() == exp["pri"].tolist()
-        assert got["n_orders"].tolist() == exp["n_orders"].astype(int).tolist()
-        assert got["p50_days"].tolist() == exp["p50"].astype(int).tolist()
-        assert got["p90_days"].tolist() == exp["p90"].astype(int).tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestSpikeDays:
     def test_hand_built_spike(self):
         import ray.data as rd
@@ -3416,78 +3060,6 @@ class TestProfileTable:
         ).df()
         for c in ["n_rows", "n_nulls", "n_distinct"]:
             assert got[c].tolist() == exp[c].astype(int).tolist(), c
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBasketLift:
-    def test_hand_built_lift_separates_popular_from_associated(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 8 baskets. items 1,2 co-occur ONLY together (perfect assoc,
-        # support 4 each, pair 4): lift = 4*8/(4*4) = 2.0.
-        # items 3,4 are popular but only partly together (support 5 each,
-        # pair 3: baskets 3,5,6): lift = 3*8/(5*5) = 0.96.
-        baskets = [
-            (1, [1, 2, 3]), (2, [1, 2, 4]), (3, [1, 2, 3, 4]), (4, [1, 2]),
-            (5, [3, 4]), (6, [3, 4]), (7, [3]), (8, [4]),
-        ]
-        rows_o, rows_i = [], []
-        for o, its in baskets:
-            for i in its:
-                rows_o.append(o)
-                rows_i.append(i)
-        t = pa.table({"l_orderkey": pa.array(rows_o, pa.int64()),
-                      "l_partkey": pa.array(rows_i, pa.int64())})
-
-        got = analytics.basket_lift_topk(
-            lambda: rd.from_arrow(t).repartition(3),
-            min_support=1, topk=10, buckets=4)
-        lift = got.set_index(["part_a", "part_b"])["lift_ppm"]
-        assert lift.loc[(1, 2)] == 2_000_000
-        assert lift.loc[(3, 4)] == (3 * 8 * 1_000_000) // (5 * 5)
-        assert lift.loc[(1, 2)] > lift.loc[(3, 4)]
-
-    def test_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        got = analytics.basket_lift_topk(
-            lambda: rd.read_parquet(f"{SF}/lineitem.parquet",
-                                    columns=["l_orderkey", "l_partkey"]),
-            min_support=5, topk=15,
-        ).reset_index(drop=True)
-        exp = duckdb.sql(
-            f"""
-            WITH f AS (SELECT l_partkey FROM (SELECT l_partkey, COUNT(*) AS c
-                 FROM '{SF}/lineitem.parquet' GROUP BY 1) WHERE c >= 5),
-            li AS (SELECT DISTINCT l_orderkey, l_partkey
-                   FROM '{SF}/lineitem.parquet'
-                   WHERE l_partkey IN (SELECT l_partkey FROM f)),
-            p AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
-                  COUNT(*) AS n_orders FROM li a JOIN li b
-                  ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-                  GROUP BY 1, 2),
-            p2 AS (SELECT * FROM p ORDER BY n_orders DESC, part_a, part_b
-                   LIMIT 15),
-            s AS (SELECT l_partkey, COUNT(DISTINCT l_orderkey) AS c
-                  FROM '{SF}/lineitem.parquet' WHERE l_partkey IN
-                  (SELECT part_a FROM p2 UNION SELECT part_b FROM p2)
-                  GROUP BY 1),
-            nb AS (SELECT COUNT(DISTINCT l_orderkey) AS n
-                   FROM '{SF}/lineitem.parquet')
-            SELECT part_a, part_b, n_orders,
-                   CAST((n_orders * nb.n * 1000000) // (sa.c * sb.c) AS BIGINT)
-                   AS lift_ppm
-            FROM p2 JOIN s sa ON sa.l_partkey = p2.part_a
-            JOIN s sb ON sb.l_partkey = p2.part_b, nb
-            ORDER BY n_orders DESC, part_a, part_b
-            """
-        ).df()
-        assert got["part_a"].tolist() == exp["part_a"].astype(int).tolist()
-        assert got["lift_ppm"].tolist() == exp["lift_ppm"].astype(int).tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3749,50 +3321,6 @@ class TestGlobalNtile:
                                      "o_orderkey", n_tiles=7, buckets=64)
              .to_pandas().sort_values("tile").reset_index(drop=True))
         assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestPitValueJoin:
-    def test_matches_duckdb_and_covers_every_purchase(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            relational.pit_value_join(SF, event_type="purchase")
-            .to_pandas().sort_values("event_id").reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400
-                       AS day, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents,
-                       ts, event_id FROM '{SF}/events.parquet'),
-            o AS (SELECT user_id, day, cents FROM (SELECT user_id, day, cents,
-                  ROW_NUMBER() OVER (PARTITION BY user_id, day
-                  ORDER BY ts DESC, event_id DESC) AS rn FROM e) WHERE rn = 1),
-            c AS (SELECT user_id, day, cents, LAG(cents) OVER
-                  (PARTITION BY user_id ORDER BY day) AS prev FROM o),
-            k AS (SELECT user_id, day AS valid_from_day, cents FROM c
-                  WHERE prev IS NULL OR cents != prev),
-            v AS (SELECT user_id, valid_from_day, COALESCE(LEAD(valid_from_day)
-                  OVER (PARTITION BY user_id ORDER BY valid_from_day),
-                  CAST(-1 AS BIGINT)) AS valid_to_day, cents AS value_cents FROM k),
-            p AS (SELECT event_id, user_id,
-                  CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day
-                  FROM '{SF}/events.parquet' WHERE event_type = 'purchase')
-            SELECT p.event_id, p.user_id, p.day, v.value_cents FROM p JOIN v
-            ON v.user_id = p.user_id AND v.valid_from_day <= p.day
-            AND (v.valid_to_day = -1 OR p.day < v.valid_to_day)
-            ORDER BY event_id
-            """
-        ).df()
-        # every purchase is covered exactly once (first version starts at
-        # the user's first event day, versions are contiguous)
-        n_purchases = duckdb.sql(
-            f"SELECT COUNT(*) FROM '{SF}/events.parquet' "
-            "WHERE event_type = 'purchase'"
-        ).fetchone()[0]
-        assert len(got) == n_purchases == len(exp)
-        assert got["event_id"].tolist() == exp["event_id"].astype(int).tolist()
-        assert got["value_cents"].tolist() == exp["value_cents"].astype(int).tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -4167,32 +3695,6 @@ class TestSemiJoinAgg:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestStarJoinRevenue:
-    def test_matches_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (relational.star_join_revenue(SF)
-               .to_pandas().sort_values(["p_brand", "n_name"]).reset_index(drop=True))
-        exp = duckdb.sql(
-            f"""
-            SELECT p_brand, n_name,
-                   CAST(SUM(CAST(FLOOR(l_extendedprice*100+0.5) AS BIGINT)) AS BIGINT)
-                       AS revenue_cents,
-                   CAST(COUNT(*) AS BIGINT) AS n_rows
-            FROM '{SF}/lineitem.parquet'
-            JOIN '{SF}/part.parquet' ON l_partkey = p_partkey
-            JOIN '{SF}/supplier.parquet' ON l_suppkey = s_suppkey
-            JOIN '{SF}/nation.parquet' ON s_nationkey = n_nationkey
-            GROUP BY 1, 2 ORDER BY 1, 2
-            """
-        ).df()
-        assert got["p_brand"].tolist() == exp["p_brand"].tolist()
-        assert got["n_name"].tolist() == exp["n_name"].tolist()
-        assert got["revenue_cents"].tolist() == exp["revenue_cents"].astype(int).tolist()
-        assert got["n_rows"].tolist() == exp["n_rows"].astype(int).tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestZOrder:
     def test_morton_kernel_reference(self):
         from distributed_system___ocr_ray.sources.lance_like import _morton2
@@ -4208,57 +3710,6 @@ class TestZOrder:
             return out
         got = _morton2(a, b)
         assert got.tolist() == [ref(x, y) for x, y in zip(a.tolist(), b.tolist())]
-
-    def test_zorder_prunes_both_dims(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.sources import lance_like
-
-        root = str(tmp_path / "ev")
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts", "value"])
-
-        def derive(batch: pa.Table) -> pa.Table:
-            day = batch.column("ts").cast(pa.int64()).to_numpy() // 86_400_000_000
-            return pa.table({
-                "user_id": batch.column("user_id"),
-                "day": pa.array(day, pa.int64()),
-                "value": batch.column("value"),
-            })
-
-        # 64-row fragments -> ~16 z-squares over the 1000-row table: coarse
-        # 256-row fragments made the pruning geometry razor-thin (sort
-        # block boundaries shift under load; observed 5 fragments whose
-        # minmax boxes all overlapped a quarter band -> flake)
-        res = lance_like.write_zordered(
-            base.map_batches(derive, batch_format="pyarrow"),
-            root, "user_id", "day", rows_per_fragment=64,
-        )
-        (ulo, uhi) = res["bounds"]["user_id"]
-        (dlo, dhi) = res["bounds"]["day"]
-        u1, u2 = ulo + (uhi - ulo) // 4, ulo + (uhi - ulo) // 2
-        d1, d2 = dlo + (dhi - dlo) // 4, dlo + (dhi - dlo) // 2
-        # pruning on EITHER dim alone must skip fragments (z-order clusters both)
-        for preds in (
-            [("user_id", "between", (u1, u2))],
-            [("day", "between", (d1, d2))],
-            [("user_id", "between", (u1, u2)), ("day", "between", (d1, d2))],
-        ):
-            paths, total = lance_like.pruned_fragment_paths(root, preds)
-            assert 0 < len(paths) < total, (preds, len(paths), total)
-        # and the pruned read returns exactly the WHERE rows
-        got = lance_like.read_dataset(
-            root, predicates=[("user_id", "between", (u1, u2)),
-                              ("day", "between", (d1, d2))]
-        ).to_pandas()
-        exp = duckdb.sql(
-            f"""
-            WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day
-                       FROM '{SF}/events.parquet')
-            SELECT COUNT(*) AS n FROM e
-            WHERE user_id BETWEEN {u1} AND {u2} AND day BETWEEN {d1} AND {d2}
-            """
-        ).df()
-        assert len(got) == int(exp["n"].iloc[0])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -5141,51 +4592,6 @@ class TestTrimmedMean:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestQ15Q18Shapes:
-    def test_top_revenue_suppliers_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.top_revenue_suppliers(SF))
-            .sort_values("s_suppkey")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH r AS (SELECT l_suppkey,
-              SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT))
-              AS rev FROM '{SF}/lineitem.parquet' GROUP BY l_suppkey),
-            m AS (SELECT MAX(rev) AS mx FROM r)
-            SELECT s.s_suppkey, s.s_name, CAST(r.rev AS BIGINT) AS revenue_cents
-            FROM r JOIN '{SF}/supplier.parquet' s ON s.s_suppkey = r.l_suppkey, m
-            WHERE r.rev = m.mx ORDER BY s.s_suppkey
-            """
-        ).df()
-        assert got.equals(exp) and len(got) >= 1
-
-    def test_big_volume_orders_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.big_volume_orders(SF))
-            .sort_values("o_orderkey")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH q AS (SELECT l_orderkey,
-              SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS tq
-              FROM '{SF}/lineitem.parquet' GROUP BY l_orderkey)
-            SELECT o.o_orderkey, CAST(q.tq AS BIGINT) AS total_qty_cents,
-              CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) AS price_cents
-            FROM q JOIN '{SF}/orders.parquet' o ON o.o_orderkey = q.l_orderkey
-            WHERE q.tq > 15000 ORDER BY o.o_orderkey
-            """
-        ).df()
-        assert got.equals(exp) and len(got) >= 1
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestHllErrorAudit:
     def test_vs_duckdb_exact_side(self):
         import ray.data as rd
@@ -5350,44 +4756,6 @@ class TestDupSizeHistogram:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestJoinSizeAudit:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        left = rd.from_arrow(
-            pa.table({"a": pa.array([1, 1, 2, 3], pa.int64())})
-        )
-        right = rd.from_arrow(
-            pa.table({"b": pa.array([1, 2, 2, 2, 9], pa.int64())})
-        )
-        got = analytics.join_size_audit(left, right, "a", "b").iloc[0]
-        # exact: key 1 -> 2*1, key 2 -> 1*3, key 3/9 unmatched = 5
-        assert got["exact_rows"] == 5
-        # CMS inner product never underestimates
-        assert got["cms_estimate"] >= 5
-        assert got["over_ppm"] >= 0
-
-    def test_vs_duckdb_exact_join(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        orders = rd.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey"])
-        lineitem = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey"])
-        got = analytics.join_size_audit(orders, lineitem, "o_orderkey", "l_orderkey").iloc[0]
-        exp = duckdb.sql(
-            f"""
-            SELECT COUNT(*) FROM '{SF}/orders.parquet' o
-            JOIN '{SF}/lineitem.parquet' l ON o.o_orderkey = l.l_orderkey
-            """
-        ).fetchone()[0]
-        assert got["exact_rows"] == exp
-        assert got["cms_estimate"] >= exp
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestInterarrivalQuantiles:
     def test_hand_built(self):
         import ray.data as rd
@@ -5446,49 +4814,6 @@ class TestInterarrivalQuantiles:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestRfmSegments:
-    def test_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.rfm_segments(SF))
-            .sort_values("c_custkey")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH o AS (SELECT o_custkey,
-              CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 86400 AS day,
-              CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-              FROM '{SF}/orders.parquet'),
-            pc AS (SELECT o_custkey AS c_custkey, MAX(day) AS last_day,
-              CAST(COUNT(*) AS BIGINT) AS f_orders,
-              CAST(SUM(cents) AS BIGINT) AS m_cents FROM o GROUP BY 1),
-            mx AS (SELECT MAX(last_day) AS m FROM pc),
-            p AS (SELECT c_custkey, (SELECT m FROM mx) - last_day AS r_days,
-              f_orders, m_cents FROM pc),
-            nn AS (SELECT COUNT(*) AS n FROM p),
-            mb AS (SELECT m_cents AS v, row_number() OVER (ORDER BY m_cents) AS rn FROM p),
-            mq AS (SELECT
-              MAX(CASE WHEN rn = CAST(CEIL(0.25 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b1,
-              MAX(CASE WHEN rn = CAST(CEIL(0.5 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b2,
-              MAX(CASE WHEN rn = CAST(CEIL(0.75 * (SELECT n FROM nn)) AS BIGINT) THEN v END) AS b3
-              FROM mb)
-            SELECT p.c_custkey, CAST(p.r_days AS BIGINT) AS r_days, p.f_orders,
-              p.m_cents,
-              CAST(1 + CAST(p.m_cents > mq.b1 AS INT) + CAST(p.m_cents > mq.b2 AS INT)
-              + CAST(p.m_cents > mq.b3 AS INT) AS BIGINT) AS m_score
-            FROM p, mq ORDER BY p.c_custkey
-            """
-        ).df()
-        assert got[["c_custkey", "r_days", "f_orders", "m_cents", "m_score"]].equals(exp)
-        # quartile scores roughly balance (ties can skew, never empty)
-        for col in ("r_score", "f_score", "m_score"):
-            assert set(got[col].unique()) <= {1, 2, 3, 4}
-            assert got[col].nunique() >= 2
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestLangidConfusion:
     def test_mass_conservation_and_diagonal(self):
         import ray.data as rd
@@ -5527,65 +4852,12 @@ class TestLangidConfusion:
 
 @pytest.mark.usefixtures("ray_session")
 class TestSupplierHhi:
-    def test_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = relational.supplier_hhi(SF).iloc[0]
-        exp = duckdb.sql(
-            f"""
-            WITH r AS (SELECT l_suppkey,
-              SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT))
-              AS rev FROM '{SF}/lineitem.parquet' GROUP BY l_suppkey),
-            a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n,
-              SUM(CAST(rev AS HUGEINT)) AS s,
-              SUM(CAST(rev AS HUGEINT) * CAST(rev AS HUGEINT)) AS s2 FROM r)
-            SELECT n, CAST(s AS BIGINT) AS s,
-              CAST(s2 * 1000000 // (s * s) AS BIGINT) AS hhi FROM a
-            """
-        ).df().iloc[0]
-        assert got["n_suppliers"] == exp["n"]
-        assert got["total_cents"] == exp["s"]
-        assert got["hhi_ppm"] == exp["hhi"]
-        # HHI bounds: 1e6/n (perfectly even) <= hhi <= 1e6 (monopoly)
-        assert 1_000_000 // got["n_suppliers"] <= got["hhi_ppm"] <= 1_000_000
-
     def test_monopoly_bound(self):
         # pure-python fold identity on a monopoly-like distribution
         revs = [100, 0, 0]
         total = sum(revs)
         s2 = sum(v * v for v in revs)
         assert s2 * 1_000_000 // (total * total) == 1_000_000
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRevenueShareByNation:
-    def test_vs_duckdb_and_shares_sum(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.revenue_share_by_nation(SF))
-            .sort_values(["r_name", "n_name"])
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH j AS (SELECT r.r_name, n.n_name,
-              CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-              FROM '{SF}/orders.parquet' o
-              JOIN '{SF}/customer.parquet' c ON o.o_custkey = c.c_custkey
-              JOIN '{SF}/nation.parquet' n ON c.c_nationkey = n.n_nationkey
-              JOIN '{SF}/region.parquet' r ON n.n_regionkey = r.r_regionkey),
-            g AS (SELECT r_name, n_name, SUM(cents) AS rev FROM j GROUP BY 1, 2)
-            SELECT r_name, n_name, CAST(rev AS BIGINT) AS revenue_cents,
-              CAST(rev * 1000000 // SUM(rev) OVER (PARTITION BY r_name) AS BIGINT)
-              AS share_ppm FROM g ORDER BY r_name, n_name
-            """
-        ).df()
-        assert got.equals(exp)
-        # per region, shares sum to 1e6 minus at most (nations-1) floor loss
-        for r, g in got.groupby("r_name"):
-            s = int(g["share_ppm"].sum())
-            assert 1_000_000 - (len(g) - 1) <= s <= 1_000_000
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -5704,90 +4976,7 @@ class TestKAnonymity:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTopPricesWithTies:
-    def test_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.top_prices_with_ties(SF, k=3))
-            .sort_values(["c_mktsegment", "o_orderkey"])
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            SELECT c.c_mktsegment, o.o_orderkey,
-              CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) AS price_cents,
-              CAST(dense_rank() OVER (PARTITION BY c.c_mktsegment
-              ORDER BY CAST(FLOOR(o.o_totalprice * 100 + 0.5) AS BIGINT) DESC)
-              AS BIGINT) AS price_rank
-            FROM '{SF}/orders.parquet' o
-            JOIN '{SF}/customer.parquet' c ON o.o_custkey = c.c_custkey
-            QUALIFY price_rank <= 3 ORDER BY c_mktsegment, o_orderkey
-            """
-        ).df()
-        assert got.equals(exp)
-
-    def test_tie_kept(self):
-        # at k=1 with a planted tie, BOTH orders must surface (the exact
-        # semantics row_number-based topk cannot express)
-        import ray
-        import tempfile, os
-        import pyarrow.parquet as pq_mod
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        with tempfile.TemporaryDirectory() as d:
-            pq_mod.write_table(
-                pa.table(
-                    {
-                        "c_custkey": pa.array([1, 2], pa.int64()),
-                        "c_mktsegment": pa.array(["S", "S"], pa.string()),
-                    }
-                ),
-                os.path.join(d, "customer.parquet"),
-            )
-            pq_mod.write_table(
-                pa.table(
-                    {
-                        "o_custkey": pa.array([1, 2, 1], pa.int64()),
-                        "o_orderkey": pa.array([10, 11, 12], pa.int64()),
-                        "o_totalprice": pa.array([9.99, 9.99, 1.0]),
-                    }
-                ),
-                os.path.join(d, "orders.parquet"),
-            )
-            got = _pdf(relational.top_prices_with_ties(d, k=1))
-            assert sorted(got["o_orderkey"]) == [10, 11]
-            assert set(got["price_rank"]) == {1}
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestFirstLastAndSplitSkew:
-    def test_first_last_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.first_last_order(SF))
-            .sort_values("c_custkey")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH o AS (SELECT o_custkey, o_orderkey,
-              CAST(FLOOR(epoch(o_orderdate)) AS BIGINT) // 86400 AS day,
-              CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-              FROM '{SF}/orders.parquet'),
-            f AS (SELECT o_custkey, cents FROM o QUALIFY row_number() OVER
-              (PARTITION BY o_custkey ORDER BY day, o_orderkey) = 1),
-            l AS (SELECT o_custkey, cents FROM o QUALIFY row_number() OVER
-              (PARTITION BY o_custkey ORDER BY day DESC, o_orderkey DESC) = 1)
-            SELECT f.o_custkey AS c_custkey, f.cents AS first_cents,
-              l.cents AS last_cents, l.cents - f.cents AS delta_cents
-            FROM f JOIN l ON f.o_custkey = l.o_custkey ORDER BY c_custkey
-            """
-        ).df()
-        assert got.equals(exp)
-
     def test_split_skew_identical_distributions_zero(self):
         import ray.data as rd
 
@@ -5870,28 +5059,6 @@ class TestSessionDurations:
 
 @pytest.mark.usefixtures("ray_session")
 class TestQ11Q22Shapes:
-    def test_important_parts_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.revenue_concentrated_parts(SF, share_ppm=700))
-            .sort_values("l_partkey")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH r AS (SELECT l_partkey,
-              SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS rev
-              FROM '{SF}/lineitem.parquet' GROUP BY 1),
-            tot AS (SELECT SUM(rev) AS t FROM r)
-            SELECT l_partkey, CAST(rev AS BIGINT) AS revenue_cents,
-              CAST(CAST(rev AS HUGEINT)*1000000 // t AS BIGINT) AS share_ppm
-            FROM r, tot WHERE CAST(rev AS HUGEINT)*1000000 > 700*t ORDER BY 1
-            """
-        ).df()
-        assert len(got) > 0
-        assert got.astype(str).equals(exp.astype(str))
-
     def test_important_parts_threshold_math(self):
         # the pre-divided threshold must be EXACTLY equivalent to the
         # cross-multiplied compare at the boundary: rev*1e6 > ppm*total
@@ -5901,88 +5068,6 @@ class TestQ11Q22Shapes:
                 thr = (ppm * total) // 1_000_000
                 for rev in (thr - 1, thr, thr + 1):
                     assert (rev * 1_000_000 > ppm * total) == (rev > thr)
-
-    def test_inactive_high_balance_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.inactive_high_balance(SF, cutoff="2000-01-01"))
-            .sort_values("n_name")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH pos AS (SELECT SUM(CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT)) AS s,
-              COUNT(*) AS n FROM '{SF}/customer.parquet'
-              WHERE CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT) > 0)
-            SELECT n_name, CAST(COUNT(*) AS BIGINT) AS n_custs,
-              CAST(SUM(CAST(FLOOR(c_acctbal*100+0.5) AS BIGINT)) AS BIGINT) AS total_bal_cents
-            FROM '{SF}/customer.parquet' JOIN '{SF}/nation.parquet' ON n_nationkey = c_nationkey, pos
-            WHERE CAST(FLOOR(c_acctbal*100+0.5) AS HUGEINT) * n > s
-              AND NOT EXISTS (SELECT 1 FROM '{SF}/orders.parquet' o
-                              WHERE o.o_custkey = c_custkey
-                              AND o.o_orderdate >= TIMESTAMP '2000-01-01')
-            GROUP BY 1 ORDER BY 1
-            """
-        ).df()
-        assert got.astype(str).equals(exp.astype(str))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestOverlapPairs:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # key 1: [0,10),[5,8),[10,20): only ([0,10),[5,8)) overlap (touching
-        # at 10 does NOT); key 2: all three of [0,5),[1,6),[2,7) overlap;
-        # key 3: a zero-length [0,0) drops, leaving one interval -> no row
-        tbl = pa.table(
-            {
-                "k": pa.array([1, 1, 1, 2, 2, 2, 3, 3], pa.int64()),
-                "s": pa.array([0, 5, 10, 0, 1, 2, 0, 0], pa.int64()),
-                "e": pa.array([10, 8, 20, 5, 6, 7, 0, 9], pa.int64()),
-            }
-        )
-        got = (
-            _pdf(relational.overlap_pairs(rd.from_arrow(tbl), "k", "s", "e", buckets=4))
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        assert got.to_dict("records") == [
-            {"k": 1, "n_overlap_pairs": 1},
-            {"k": 2, "n_overlap_pairs": 3},
-        ]
-
-    def test_vs_duckdb_and_bucket_invariance(self):
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.overlap_pairs(em._activity_intervals(SF), "user_id", "s_us", "e_us"))
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH iv0 AS (SELECT user_id, epoch_us(ts) AS s, epoch_us(ts) +
-              (CAST(FLOOR(value * 100 + 0.5) AS BIGINT) % 60000) * 10000 AS e
-              FROM '{SF}/events.parquet'),
-            iv AS (SELECT user_id, s, e, ROW_NUMBER() OVER () AS rid FROM iv0 WHERE e > s)
-            SELECT a.user_id, CAST(COUNT(*) AS BIGINT) AS n_overlap_pairs
-            FROM iv a JOIN iv b ON a.user_id = b.user_id AND a.rid < b.rid
-              AND a.s < b.e AND b.s < a.e
-            GROUP BY 1 ORDER BY 1
-            """
-        ).df()
-        assert got.astype(str).equals(exp.astype(str))
-        few = (
-            _pdf(relational.overlap_pairs(em._activity_intervals(SF), "user_id", "s_us", "e_us", buckets=3))
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-        assert got.equals(few)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -6197,20 +5282,6 @@ class TestShuffleMixAudit:
 
 @pytest.mark.usefixtures("ray_session")
 class TestQ2AndChi2:
-    def test_cheapest_supplier_vs_duckdb(self):
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.cheapest_supplier_per_part(SF, p_size=10))
-        con = duckdb.connect()
-        for t in ["lineitem", "part", "supplier"]:
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
-        exp = con.execute(em.oracle_sql()["cheapest_supplier"]).df()
-        g = got.sort_values(list(got.columns)).reset_index(drop=True)
-        e = exp.sort_values(list(exp.columns)).reset_index(drop=True)
-        assert len(g) > 0
-        assert g.astype(str).equals(e.astype(str))
-
     def test_chi2_vs_duckdb_and_independence_zero(self):
         import ray.data as rd  # noqa: F401
 
@@ -6299,67 +5370,6 @@ class TestNormalizedDedup:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestOutOfOrderAudit:
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ev = rd.read_parquet(f"{SF}/events.parquet", columns=["event_id", "ts", "user_id"])
-        got = relational.out_of_order_audit(ev)
-        con = duckdb.connect()
-        con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
-        exp = con.execute(em.oracle_sql()["out_of_order_audit"]).df()
-        assert got.astype(str).equals(exp.astype(str))
-
-    def test_planted_inversions(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        def t(sec):
-            return np.datetime64("2024-01-01T00:00:00", "us") + np.timedelta64(sec, "s")
-
-        # user 1 arrival order (by event_id): times 0, 50, 30, 40 ->
-        # one inversion (50 -> 30, 20 s late); user 2 in order
-        tbl = pa.table(
-            {
-                "event_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-                "user_id": pa.array([1, 1, 1, 1, 2, 2], pa.int64()),
-                "ts": pa.array([t(0), t(50), t(30), t(40), t(5), t(9)], pa.timestamp("us")),
-            }
-        )
-        got = relational.out_of_order_audit(rd.from_arrow(tbl), partitions=4).iloc[0]
-        assert (got["n_pairs"], got["n_inversions"], got["max_late_us"]) == (4, 1, 20_000_000)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDominantSuppliers:
-    def test_vs_duckdb(self):
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.dominant_suppliers(SF, threshold_pct=15))
-        con = duckdb.connect()
-        for t in ["lineitem", "supplier"]:
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
-        exp = con.execute(em.oracle_sql()["dominant_suppliers"]).df()
-        g = got.sort_values(list(got.columns)).reset_index(drop=True)
-        e = exp.sort_values(list(exp.columns)).reset_index(drop=True)
-        assert len(g) > 0
-        assert g.astype(str).equals(e.astype(str))
-
-    def test_threshold_monotone(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        lo = _pdf(relational.dominant_suppliers(SF, threshold_pct=10))
-        hi = _pdf(relational.dominant_suppliers(SF, threshold_pct=30))
-        assert lo["n_dominated_parts"].sum() >= hi["n_dominated_parts"].sum()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestSourceVocabOverlap:
     def test_vs_duckdb(self):
         import __ray_entry__ as em
@@ -6383,50 +5393,6 @@ class TestSourceVocabOverlap:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTrailingRowsSum:
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ev = rd.read_parquet(f"{SF}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
-        got = _pdf(relational.trailing_rows_sum(ev, k=5))
-        con = duckdb.connect()
-        con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
-        exp = con.execute(em.oracle_sql()["trailing_rows_sum"]).df()
-        g = got.sort_values(list(got.columns)).reset_index(drop=True)
-        e = exp.sort_values(list(exp.columns)).reset_index(drop=True)
-        assert g.astype(str).equals(e.astype(str))
-
-    def test_hand_built_frame_edges(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        def t(sec):
-            return np.datetime64("2024-01-01T00:00:00", "us") + np.timedelta64(sec, "s")
-
-        # user 1 values 1,2,3,4 with k=2: frames 1, 1+2, 2+3, 3+4;
-        # user 2 single row: its own value (frame clipped at segment start)
-        tbl = pa.table(
-            {
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([t(0), t(1), t(2), t(3), t(0)], pa.timestamp("us")),
-                "value": pa.array([0.01, 0.02, 0.03, 0.04, 0.99], pa.float64()),
-            }
-        )
-        got = (
-            _pdf(relational.trailing_rows_sum(rd.from_arrow(tbl), k=2, partitions=4))
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-        assert got["trail_cents"].tolist() == [1, 3, 5, 7, 99]
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestTpchLateFamilyEdges:
     """Hand-built boundary pins for the Q4/Q13/Q21 shapes (the driver
     contract blanket-checks them vs DuckDB at sf0.001; these pin the exact
@@ -6440,37 +5406,6 @@ class TestTpchLateFamilyEdges:
         for name, df in tables.items():
             _pq.write_table(_pa.Table.from_pandas(_pd.DataFrame(df)), f"{tmp_path}/{name}.parquet")
         return str(tmp_path)
-
-    def test_order_priority_check_strict_boundary(self, tmp_path):
-        import pandas as pd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        d = pd.Timestamp("1996-02-01")
-        sf = self._write(
-            tmp_path,
-            orders={
-                "o_orderkey": [1, 2, 3, 4],
-                "o_orderdate": [d, d, d, pd.Timestamp("1995-01-01")],
-                "o_orderpriority": ["1-URGENT", "1-URGENT", "2-HIGH", "1-URGENT"],
-            },
-            lineitem={
-                # order 1: ship EXACTLY od+30d -- NOT late (strict >)
-                # order 2: od+30d+1s -- late
-                # order 3: no lineitems at all -- drops (inner semantics)
-                # order 4: out of window, wildly late -- excluded
-                "l_orderkey": [1, 2, 4],
-                "l_shipdate": [
-                    d + pd.Timedelta(days=30),
-                    d + pd.Timedelta(days=30, seconds=1),
-                    pd.Timestamp("1996-06-01"),
-                ],
-            },
-        )
-        got = _pdf(relational.order_priority_check(sf, late_days=30))
-        assert got.to_dict("records") == [
-            {"o_orderpriority": "1-URGENT", "order_count": 1}
-        ]
 
     def test_customer_order_distribution_zero_bin(self, tmp_path):
         from distributed_system___ocr_ray.pipelines import relational
@@ -6510,63 +5445,6 @@ class TestTpchLateFamilyEdges:
         # the SQL LEFT JOIN emits no 0 bin when every customer qualifies
         assert 0 not in set(got["c_count"])
         assert got["custdist"].sum() == 2
-
-    def test_waiting_suppliers_exactly_one_late(self, tmp_path):
-        import pandas as pd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        d = pd.Timestamp("1995-01-01")
-        late = d + pd.Timedelta(days=61)
-        ok = d + pd.Timedelta(days=10)
-        sf = self._write(
-            tmp_path,
-            orders={
-                "o_orderkey": [10, 20, 30, 40],
-                "o_orderstatus": ["F", "F", "F", "O"],
-                "o_orderdate": [d, d, d, d],
-            },
-            lineitem={
-                # order 10: s1 late, s2 on time -> s1 counted
-                # order 20: BOTH late -> nobody (n_late == 2)
-                # order 30: single-supplier late -> nobody (n_supp < 2)
-                # order 40: open status, s1 late -> excluded map-side
-                "l_orderkey": [10, 10, 20, 20, 30, 40],
-                "l_suppkey": [1, 2, 1, 2, 1, 1],
-                "l_shipdate": [late, ok, late, late, late, late],
-            },
-            supplier={"s_suppkey": [1, 2], "s_name": ["S1", "S2"]},
-        )
-        got = _pdf(relational.waiting_suppliers(sf, late_days=60))
-        assert got.to_dict("records") == [
-            {"s_suppkey": 1, "s_name": "S1", "numwait": 1}
-        ]
-
-    def test_waiting_suppliers_max_shipdate_rule(self, tmp_path):
-        import pandas as pd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # s1 ships twice for one order: early AND late -- the adapted rule
-        # says the supplier's LAST shipment decides, so s1 is late
-        d = pd.Timestamp("1995-01-01")
-        sf = self._write(
-            tmp_path,
-            orders={"o_orderkey": [10], "o_orderstatus": ["F"],
-                    "o_orderdate": [d]},
-            lineitem={
-                "l_orderkey": [10, 10, 10],
-                "l_suppkey": [1, 1, 2],
-                "l_shipdate": [d + pd.Timedelta(days=5),
-                               d + pd.Timedelta(days=90),
-                               d + pd.Timedelta(days=6)],
-            },
-            supplier={"s_suppkey": [1, 2], "s_name": ["S1", "S2"]},
-        )
-        got = _pdf(relational.waiting_suppliers(sf, late_days=60))
-        assert got.to_dict("records") == [
-            {"s_suppkey": 1, "s_name": "S1", "numwait": 1}
-        ]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -6939,67 +5817,6 @@ class TestDupSpans:
         assert (a["covered"] <= a["nw"]).all()
 
 
-class TestKsPriorityDrift:
-    def test_hand_built_exact_ks(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # A = {1,2,3,4}, B = {3,4,5,6} dollars: ECDFs diverge most at 2.00
-        # (F_A=1/2, F_B=0) -> KS = 1/2; A vs C = {1,2,3,4} identical -> 0
-        tbl = pa.table(
-            {
-                "o_orderpriority": pa.array(
-                    ["A"] * 4 + ["B"] * 4 + ["C"] * 4, pa.string()
-                ),
-                "o_totalprice": pa.array(
-                    [1.0, 2.0, 3.0, 4.0, 3.0, 4.0, 5.0, 6.0, 1.0, 2.0, 3.0, 4.0],
-                    pa.float64(),
-                ),
-            }
-        )
-        got = (
-            _pdf(analytics.ks_priority_drift(rd.from_arrow(tbl)))
-            .sort_values(["prio_a", "prio_b"])
-            .reset_index(drop=True)
-        )
-        assert list(got["prio_a"]) == ["A", "A", "B"]
-        assert list(got["prio_b"]) == ["B", "C", "C"]
-        assert list(got["n_a"]) == [4, 4, 4]
-        assert list(got["n_b"]) == [4, 4, 4]
-        assert list(got["ks_ppm"]) == [500_000, 0, 500_000]
-
-    def test_matches_brute_force_on_sf(self):
-        import itertools
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-        )
-        got = (
-            _pdf(analytics.ks_priority_drift(ds))
-            .set_index(["prio_a", "prio_b"])["ks_ppm"]
-            .to_dict()
-        )
-        import pandas as pd
-
-        df = pd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-        )
-        df["c"] = np.floor(df["o_totalprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-        by_g = {g: np.sort(s["c"].to_numpy()) for g, s in df.groupby("o_orderpriority")}
-        grid = np.unique(df["c"].to_numpy())
-        for ga, gb in itertools.combinations(sorted(by_g), 2):
-            a, b = by_g[ga], by_g[gb]
-            ca = np.searchsorted(a, grid, side="right").astype(object)
-            cb = np.searchsorted(b, grid, side="right").astype(object)
-            dev = int(np.abs(ca * len(b) - cb * len(a)).max())
-            assert got[(ga, gb)] == dev * 1_000_000 // (len(a) * len(b))
-
-
 class TestSampledQuantileAudit:
     def test_permille_ranks_vs_numpy_both_paths(self):
         import ray.data as rd
@@ -7036,38 +5853,6 @@ class TestSampledQuantileAudit:
         assert n1 == n2 == n
         assert got_pull == want
         assert got_bis == want
-
-    def test_audit_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # ids chosen so md5(str(id))[:8] < '1fffffff' keeps a KNOWN subset
-        import hashlib
-
-        ids = list(range(1, 2001))
-        kept = [
-            i for i in ids if hashlib.md5(str(i).encode()).hexdigest()[:8] < "1fffffff"
-        ]
-        tbl = pa.table(
-            {
-                "o_orderkey": pa.array(ids, pa.int64()),
-                # value = id dollars -> cents = id*100; quantiles are exact
-                "o_totalprice": pa.array([float(i) for i in ids], pa.float64()),
-            }
-        )
-        got = analytics.sampled_quantile_audit(rd.from_arrow(tbl)).set_index(
-            "q_permille"
-        )
-        assert (got["sample_n"] == len(kept)).all()
-        n, ks = len(ids), sorted(kept)
-        for p in range(100, 1000, 100):
-            est = ks[max(1, (p * len(ks) + 999) // 1000) - 1] * 100
-            exact = ids[max(1, (p * n + 999) // 1000) - 1] * 100
-            assert got.loc[p, "est_cents"] == est
-            assert got.loc[p, "exact_cents"] == exact
-            cle = sum(1 for i in ids if i * 100 <= est)
-            assert got.loc[p, "rank_err_ppm"] == abs(cle * 1_000_000 // n - p * 1000)
 
 
 class TestCompactionBins:
@@ -7249,25 +6034,6 @@ class TestBigramSurprisal:
         )
         got = analytics.bigram_surprisal_by_source(rd.from_arrow(tbl))
         assert list(got["n_bigrams"]) == [2]
-
-
-class TestKeyDensityAudit:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # keys 10..19 minus 13, with 12 duplicated: n=10, distinct=9,
-        # span=10 -> density 900000, dup_rows=1
-        keys = [10, 11, 12, 12, 14, 15, 16, 17, 18, 19]
-        tbl = pa.table({"o_orderkey": pa.array(keys, pa.int64())})
-        got = analytics.key_density_audit(rd.from_arrow(tbl))
-        assert got.loc[0, "n_rows"] == 10
-        assert got.loc[0, "n_distinct"] == 9
-        assert got.loc[0, "min_key"] == 10
-        assert got.loc[0, "max_key"] == 19
-        assert got.loc[0, "density_ppm"] == 900_000
-        assert got.loc[0, "dup_rows"] == 1
 
 
 class TestRollingMedianDaily:
@@ -7512,73 +6278,6 @@ class TestCompletenessAudit:
         assert got.loc["source", "missing_ppm"] == 0
 
 
-class TestFirstEventAfterOrder:
-    def test_matches_pandas_brute_force(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.first_event_after_order(SF))
-            .sort_values("o_orderkey")
-            .reset_index(drop=True)
-        )
-        import pandas as pd
-
-        orders = pd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-        )
-        events = pd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts"])
-        m = orders.merge(events, left_on="o_custkey", right_on="user_id")
-        m = m[m["ts"] > m["o_orderdate"]]
-        nxt = m.groupby("o_orderkey").agg(
-            od=("o_orderdate", "first"), nts=("ts", "min")
-        )
-        assert len(got) == len(nxt)
-        want_day = nxt["nts"].dt.strftime("%Y-%m-%d")
-        want_gap = (
-            nxt["nts"].dt.floor("D") - nxt["od"].dt.floor("D")
-        ).dt.days.astype(np.int64)
-        g = got.set_index("o_orderkey")
-        for k in nxt.index:
-            assert g.loc[k, "next_event_day"] == want_day.loc[k]
-            assert g.loc[k, "gap_days"] == want_gap.loc[k]
-
-    def test_strictly_after_excludes_exact(self):
-        import datetime
-
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines.relational import asof_join
-
-        orders = rd.from_arrow(
-            pa.table(
-                {
-                    "k": pa.array([1], pa.int64()),
-                    "ots": pa.array([datetime.datetime(2024, 1, 1)], pa.timestamp("us")),
-                }
-            )
-        )
-        events = rd.from_arrow(
-            pa.table(
-                {
-                    "u": pa.array([1, 1], pa.int64()),
-                    "ts": pa.array(
-                        [datetime.datetime(2024, 1, 1), datetime.datetime(2024, 1, 5)],
-                        pa.timestamp("us"),
-                    ),
-                }
-            )
-        )
-        out = _pdf(
-            asof_join(
-                orders, events, key="k", right_key="u", left_ts="ots", right_ts="ts",
-                buckets=2, direction="forward", allow_exact=False,
-            )
-        )
-        assert len(out) == 1
-        assert out["ts"].iloc[0] == pd.Timestamp(2024, 1, 5)
-
-
 class TestDocBigramSurprisal:
     def test_word_salad_outranks_template(self):
         import ray.data as rd
@@ -7617,54 +6316,6 @@ class TestDocBigramSurprisal:
         )
         got = _pdf(analytics.doc_bigram_surprisal_topk(rd.from_arrow(tbl), k=5))
         assert list(got["doc_id"]) == [2]
-
-
-class TestNegativeSamples:
-    def test_hand_built_anti_join(self):
-        import hashlib
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        orders = rd.from_arrow(
-            pa.table(
-                {
-                    "o_orderkey": pa.array([10, 11], pa.int64()),
-                    "o_custkey": pa.array([1, 2], pa.int64()),
-                }
-            )
-        )
-        lineitem = rd.from_arrow(
-            pa.table(
-                {
-                    "l_orderkey": pa.array([10, 10, 11], pa.int64()),
-                    "l_partkey": pa.array([0, 3, 1], pa.int64()),
-                }
-            )
-        )
-        customer = rd.from_arrow(
-            pa.table({"c_custkey": pa.array([1, 2, 3], pa.int64())})
-        )
-        n_parts = 5
-        got = (
-            _pdf(analytics.negative_samples(orders, lineitem, customer, n_parts, k=4))
-            .sort_values(["custkey", "neg_idx"])
-            .reset_index(drop=True)
-        )
-        inter = {(1, 0), (1, 3), (2, 1)}
-        want = []
-        for c in (1, 2, 3):
-            for j in range(1, 5):
-                p = (
-                    int.from_bytes(
-                        hashlib.md5(f"{c}:{j}".encode()).digest()[:8], "big"
-                    )
-                    % n_parts
-                )
-                if (c, p) not in inter:
-                    want.append((c, j, p))
-        assert [tuple(r) for r in got.itertuples(index=False)] == want
 
 
 class TestSpanCorruptionPlan:
@@ -7736,42 +6387,6 @@ class TestTwoHopReach:
             assert int(row["reach2"].iloc[0]) == len(want)
 
 
-class TestRevenueTimeRollup:
-    def test_hand_built_levels(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ts = [
-            datetime.datetime(2023, 1, 15),
-            datetime.datetime(2023, 2, 15),
-            datetime.datetime(2023, 7, 1),
-            datetime.datetime(2024, 1, 1),
-        ]
-        tbl = pa.table(
-            {
-                "o_orderdate": pa.array(ts, pa.timestamp("us")),
-                "o_totalprice": pa.array([1.0, 2.0, 4.0, 8.0], pa.float64()),
-            }
-        )
-        got = analytics.revenue_time_rollup(rd.from_arrow(tbl))
-        g = got.set_index(["level", "y", "q", "m"])
-        assert g.loc[("month", 2023, 1, 1), "revenue_cents"] == 100
-        assert g.loc[("quarter", 2023, 1, -1), "revenue_cents"] == 300
-        assert g.loc[("quarter", 2023, 3, -1), "revenue_cents"] == 400
-        assert g.loc[("year", 2023, -1, -1), "revenue_cents"] == 700
-        assert g.loc[("year", 2024, -1, -1), "n_orders"] == 1
-        # level row counts: 4 months, 3 quarters, 2 years
-        assert got.groupby("level").size().to_dict() == {
-            "month": 4, "quarter": 3, "year": 2,
-        }
-        # mass conservation across levels
-        lv = got.groupby("level")["revenue_cents"].sum()
-        assert lv["month"] == lv["quarter"] == lv["year"] == 1500
-
-
 class TestBpeMergeCandidates:
     def test_hand_corpus(self):
         import ray.data as rd
@@ -7837,40 +6452,6 @@ class TestDpGeometricCounts:
                 n = len(bits) - len(bits.lstrip("1"))
                 want.append(n)
             assert _md5_leading_ones16(s) == tuple(want)
-
-
-class TestDowAdjustedSpikes:
-    def test_hand_built_spike(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 4 Mondays at 100.00, one Monday at 1000.00 -> spike; Tuesdays flat
-        days, vals = [], []
-        base = datetime.datetime(2024, 1, 1)  # a Monday
-        for wk in range(5):
-            days.append(base + datetime.timedelta(weeks=wk))
-            vals.append(100.0 if wk < 4 else 1000.0)
-            days.append(base + datetime.timedelta(weeks=wk, days=1))
-            vals.append(50.0)
-        tbl = pa.table(
-            {
-                "o_orderdate": pa.array(days, pa.timestamp("us")),
-                "o_totalprice": pa.array(vals, pa.float64()),
-            }
-        )
-        out = analytics.dow_adjusted_spikes(rd.from_arrow(tbl))
-        # monday mean = (4*10000 + 100000)//5 = 28000 cents; residuals
-        # -18000 x4, +72000 x1; tuesday resid 0 x5 -> MAD (lower median
-        # of sorted |resid|, rank (10+1)//2=5) = 0 -> every nonzero
-        # residual day is flagged (all 5 Mondays)
-        assert len(out) == 5
-        assert list(out["dow"].unique()) == [0]
-        spike = out[out["resid_cents"] > 0]
-        assert len(spike) == 1 and spike.iloc[0]["day"] == "2024-01-29"
-        assert spike.iloc[0]["resid_cents"] == 72000
 
 
 class TestBoundaryOverlapPairs:
@@ -8016,67 +6597,6 @@ class TestPaddingWasteByBucket:
         out = analytics.padding_waste_by_bucket(rd.from_arrow(tbl))
         assert list(out["bucket"]) == [8192]
         assert out.iloc[0]["waste_tokens"] == 0  # GREATEST floor, not negative
-
-
-class TestOrderTotalReconciliation:
-    def test_hand_built_mismatch(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        orders = pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-                "o_orderstatus": pa.array(["F", "F", "O"], pa.string()),
-                # order 1: matches its lines exactly; order 2: off by 5.00;
-                # order 3: NO lines at all -> diff = full header total
-                "o_totalprice": pa.array([30.0, 20.0, 7.5], pa.float64()),
-            }
-        )
-        lineitem = pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2], pa.int64()),
-                "l_extendedprice": pa.array([10.0, 20.0, 15.0], pa.float64()),
-                "l_discount": pa.array([0.0, 0.0, 0.0], pa.float64()),
-                "l_tax": pa.array([0.0, 0.0, 0.0], pa.float64()),
-            }
-        )
-        out = analytics.order_total_reconciliation(
-            rd.from_arrow(orders), rd.from_arrow(lineitem), buckets=4
-        )
-        got = {
-            r["o_orderstatus"]: (
-                r["n_orders"], r["n_exact"], r["sum_abs_diff_cents"], r["max_abs_diff_cents"]
-            )
-            for _, r in out.iterrows()
-        }
-        assert got == {"F": (2, 1, 500, 500), "O": (1, 0, 750, 750)}
-
-    def test_orphan_lineitems_dropped(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        orders = pa.table(
-            {
-                "o_orderkey": pa.array([1], pa.int64()),
-                "o_orderstatus": pa.array(["O"], pa.string()),
-                "o_totalprice": pa.array([10.0], pa.float64()),
-            }
-        )
-        lineitem = pa.table(
-            {
-                "l_orderkey": pa.array([1, 99], pa.int64()),
-                "l_extendedprice": pa.array([10.0, 5.0], pa.float64()),
-                "l_discount": pa.array([0.0, 0.0], pa.float64()),
-                "l_tax": pa.array([0.0, 0.0], pa.float64()),
-            }
-        )
-        out = analytics.order_total_reconciliation(
-            rd.from_arrow(orders), rd.from_arrow(lineitem), buckets=4
-        )
-        assert len(out) == 1
-        assert out.iloc[0]["n_orders"] == 1 and out.iloc[0]["n_exact"] == 1
 
 
 class TestVocabPruningPlan:
@@ -8242,42 +6762,6 @@ class TestCdcChunkDedup:
         assert out["stored_chars"] == sum(len(c) for c in set(all_chunks))
 
 
-class TestGdprErasurePlan:
-    def test_predicate_and_zero_rows(self, tmp_path):
-        import pyarrow.parquet as pq
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        custs = list(range(1, 401))
-        hit = [c for c in custs if md5_u64(f"gdpr:{c}".encode()) % 50 == 0]
-        assert hit, "need at least one cohort member for the test"
-        pq.write_table(
-            pa.table({"c_custkey": pa.array(custs, pa.int64())}),
-            tmp_path / "customer.parquet",
-        )
-        # orders: 3 rows for the first cohort member, 2 for a non-member
-        ok = [hit[0]] * 3 + [custs[0] if custs[0] not in hit else custs[1]] * 2
-        pq.write_table(
-            pa.table({"o_custkey": pa.array(ok, pa.int64())}),
-            tmp_path / "orders.parquet",
-        )
-        # events: all users OUTSIDE the cohort -> zero row must appear
-        nohit = [c for c in custs if c not in hit][:5]
-        pq.write_table(
-            pa.table({"user_id": pa.array(nohit, pa.int64())}),
-            tmp_path / "events.parquet",
-        )
-        out = analytics.gdpr_erasure_plan(str(tmp_path))
-        got = {
-            r["tbl"]: (r["n_rows_to_erase"], r["n_users_to_erase"])
-            for _, r in out.iterrows()
-        }
-        assert got["customer"] == (len(hit), len(hit))
-        assert got["orders"] == (3, 1)
-        assert got["events"] == (0, 0)
-
-
 class TestMaxCoverageSelect:
     def test_hand_built_greedy(self):
         import ray.data as rd
@@ -8369,25 +6853,6 @@ class TestBoundaryStitchChains:
         out = analytics.boundary_stitch_chains(rd.from_arrow(tbl))
         got = {r["chain_size"]: r["n_chains"] for _, r in out.iterrows()}
         assert got == {2: 1, 3: 1}
-
-
-class TestPseudonymCollisionAudit:
-    def test_tiny_space_forces_collisions(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        users = list(range(1, 60))
-        tbl = pa.table({"user_id": pa.array(users * 3, pa.int64())})  # dups too
-        out = analytics.pseudonym_collision_audit(
-            rd.from_arrow(tbl), space_bits=4
-        ).iloc[0]
-        ps = {md5_u64(f"pseud:{u}".encode()) % 16 for u in users}
-        assert out["n_users"] == 59
-        assert out["n_pseudonyms"] == len(ps)
-        assert out["n_collisions"] == 59 - len(ps) > 0
-        assert out["collision_ppm"] == (59 - len(ps)) * 1_000_000 // 59
 
 
 class TestCodeSwitchRateBySource:
@@ -8637,63 +7102,6 @@ class TestMmrDiverseTopk:
         picked = list(out["vec_id"])
         assert picked[0] in (0, 1, 2)      # most relevant first
         assert 10 in picked[:3]            # diversity pulls in the orthogonal doc
-
-
-class TestBootstrapCIMean:
-    def test_hand_checked_weights_and_interval(self):
-        import hashlib
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ids = list(range(1, 501))
-        tbl = pa.table(
-            {
-                "o_orderkey": pa.array(ids, pa.int64()),
-                "o_totalprice": pa.array([float(i) for i in ids], pa.float64()),
-            }
-        )
-        got = analytics.bootstrap_ci_mean(rd.from_arrow(tbl))
-        assert list(got.columns) == [
-            "mean_c100", "ci_lo_c100", "ci_hi_c100", "n_resamples",
-        ]
-        # point estimate: mean of 1..500 dollars = 250.50 -> cents*100
-        assert int(got["mean_c100"].iloc[0]) == sum(ids) * 100 * 100 // len(ids)
-        # replay one resample by hand (b=0) with the published constants
-        a, b, thr = analytics.bootstrap_constants()
-        M = (1 << 61) - 1
-        sw = swx = 0
-        for i in ids:
-            h = int.from_bytes(hashlib.md5(str(i).encode()).digest()[:8], "big")
-            u = ((int(a[0]) * h + int(b[0])) % (1 << 64)) % M
-            w = sum(1 for t in thr if int(t) <= u)
-            sw += w
-            swx += w * i * 100
-        mean0 = swx * 100 // sw
-        # 64 resamples survive (every total weight positive at n=500)
-        assert int(got["n_resamples"].iloc[0]) == 64
-        lo = int(got["ci_lo_c100"].iloc[0])
-        hi = int(got["ci_hi_c100"].iloc[0])
-        assert lo <= mean0 <= hi or not (lo <= int(got["mean_c100"].iloc[0]) <= hi)
-        # interval is ordered and brackets the point estimate at n=500
-        assert lo <= int(got["mean_c100"].iloc[0]) <= hi
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ids = list(range(1, 301))
-        tbl = pa.table(
-            {
-                "o_orderkey": pa.array(ids, pa.int64()),
-                "o_totalprice": pa.array([float(1 + (i % 7)) for i in ids], pa.float64()),
-            }
-        )
-        one = analytics.bootstrap_ci_mean(rd.from_arrow(tbl))
-        many = analytics.bootstrap_ci_mean(rd.from_arrow(tbl).repartition(13))
-        assert one.equals(many)
 
 
 class TestEmbeddingCovariance:
@@ -9522,85 +7930,6 @@ class TestDedupClustersPaths:
         assert slow.values.tolist() == fast.values.tolist()
 
 
-class TestEntityDedupeKeepers:
-    def test_typo_neighborhood_canonicalizes(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # "smith"/"smyth"/"smiths" form one edit-1 neighborhood chain;
-        # "jones" stands alone; canonical = lexicographic min member
-        names = ["smith", "smyth", "smiths", "jones", "smith"]
-        t = pa.table({"c_name": pa.array(names)})
-        got = (analytics.entity_dedupe_keepers(rd.from_arrow(t), "c_name")
-               .to_pandas().sort_values("name").reset_index(drop=True))
-        m = dict(zip(got["name"], got["canonical"]))
-        assert m == {"jones": "jones", "smith": "smith",
-                     "smiths": "smith", "smyth": "smith"}
-
-
-class TestHivePartitionPrune:
-    def test_prunes_directories_and_matches_plain_scan(self, tmp_path):
-        import datetime
-        import os
-
-        import ray.data as rd  # noqa: F401
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 4 days of events, two in range; driver must see exactly those
-        ts = pa.array([
-            datetime.datetime(2024, 1, 9, 12), datetime.datetime(2024, 1, 10, 1),
-            datetime.datetime(2024, 1, 19, 23), datetime.datetime(2024, 1, 20),
-        ], pa.timestamp("us"))
-        pq.write_table(pa.table({
-            "ts": ts,
-            "value": pa.array([1.0, 2.5, 3.0, 4.0]),
-        }), tmp_path / "events.parquet")
-        out = analytics.hive_partition_prune_daily(
-            str(tmp_path), cache_root=str(tmp_path / "hive"))
-        got = out.to_pandas().sort_values("day").reset_index(drop=True)
-        assert got["day"].tolist() == ["2024-01-10", "2024-01-19"]
-        assert got["value_cents"].tolist() == [250, 300]
-        assert got["n_events"].tolist() == [1, 1]
-        # the layout really is one directory per day
-        root = tmp_path / "hive" / tmp_path.name / "events_by_day"
-        days = sorted(d for d in os.listdir(root) if d.startswith("day="))
-        assert len(days) == 4
-
-
-class TestBloomPrunedJoin:
-    def test_pruning_accounting_and_exactness(self, tmp_path):
-        import pyarrow.parquet as pq
-        import ray  # noqa: F401
-        import ray.data as rd  # noqa: F401
-
-        from distributed_system___ocr_ray.functions.bloom import BloomFilter
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 3 urgent orders of 10; lineitems reference every order
-        pq.write_table(pa.table({
-            "o_orderkey": pa.array(list(range(10)), pa.int64()),
-            "o_orderpriority": pa.array(
-                ["1-URGENT" if i < 3 else "3-MEDIUM" for i in range(10)]),
-        }), tmp_path / "orders.parquet")
-        pq.write_table(pa.table({
-            "l_orderkey": pa.array([i % 10 for i in range(40)], pa.int64()),
-            "l_extendedprice": pa.array([100.0] * 40),
-            "l_discount": pa.array([0.25] * 40),
-        }), tmp_path / "lineitem.parquet")
-        got = analytics.bloom_pruned_join_revenue(str(tmp_path))
-        # 3 urgent orders x 4 lineitems each, 100 * 0.75 = 75.00 a line
-        assert int(got["n_lineitems"].iloc[0]) == 12
-        assert int(got["revenue_cents"].iloc[0]) == 12 * 7500
-        # the filter really prunes: at 16 bits/key the 7 non-urgent keys
-        # must not all pass (FP rate ~0.05%)
-        bloom = BloomFilter.for_keys(3)
-        bloom.add_many([str(i) for i in range(3)])
-        hits = bloom.contains_many([str(i) for i in range(10)])
-        assert hits[:3].all() and hits[3:].sum() == 0
-
-
 class TestEncodingAdvisor:
     def test_exact_byte_arithmetic_and_verdicts(self):
         import ray.data as rd
@@ -9647,61 +7976,6 @@ class TestLocalClusteringTopk:
         assert int(g.loc[0, "lcc_ppm"]) == 500_000
         # node 4 (deg 1) is excluded
         assert 4 not in g.index
-
-
-class TestRevenueAcf:
-    def test_alternating_series_lag_signs(self, tmp_path):
-        import datetime
-
-        import pyarrow.parquet as pq
-        import ray.data as rd  # noqa: F401
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # perfectly alternating daily revenue 1.00 / 3.00: acf(1) = -1,
-        # acf(2) = +1 (up to the shrinking-overlap bias of the
-        # full-series denominator), acf(k >= n) ships 0
-        days = [datetime.date(2024, 1, d) for d in range(1, 7)]
-        prices = [1.0, 3.0, 1.0, 3.0, 1.0, 3.0]
-        pq.write_table(pa.table({
-            "o_orderdate": pa.array(days, pa.date32()),
-            "o_totalprice": pa.array(prices),
-        }), tmp_path / "orders.parquet")
-        got = analytics.revenue_acf(str(tmp_path), max_lag=6)
-        g = dict(zip(got["lag"], got["acf_ppm"]))
-        assert g[1] < -700_000 and g[2] > 600_000
-        assert g[6] == 0  # no overlap at lag n
-        # exact check of lag 1: d = n*x - S alternates +-6.00 (cents 600)
-        # num = 5 * (-360000*100? ) -- rely on sign/magnitude envelope
-        assert got["acf_ppm"].dtype == np.int64
-
-
-class TestEventTypeStationary:
-    def test_two_state_chain_converges_to_known_pi(self, tmp_path):
-        import datetime
-
-        import pyarrow.parquet as pq
-        import ray.data as rd  # noqa: F401
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # one user's stream A A B A A B ...: transitions A->A, A->B, B->A
-        # with counts giving P(A->A)=1/2, P(A->B)=1/2, P(B->A)=1 ->
-        # stationary pi = (2/3, 1/3)
-        seq = ["A", "A", "B"] * 20
-        base = datetime.datetime(2024, 1, 1)
-        pq.write_table(pa.table({
-            "event_id": pa.array(list(range(len(seq))), pa.int64()),
-            "ts": pa.array([base + datetime.timedelta(minutes=i)
-                            for i in range(len(seq))], pa.timestamp("us")),
-            "user_id": pa.array([1] * len(seq), pa.int64()),
-            "event_type": pa.array(seq),
-        }), tmp_path / "events.parquet")
-        got = analytics.event_type_stationary(str(tmp_path))
-        g = dict(zip(got["event_type"], got["pi_scaled"]))
-        assert abs(int(g["A"]) - 666_666) <= 2_000
-        assert abs(int(g["B"]) - 333_333) <= 2_000
-        assert int(g["A"]) + int(g["B"]) <= 1_000_000
 
 
 class TestLpaModularity:

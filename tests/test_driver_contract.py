@@ -80,6 +80,21 @@ def _entry():
     return entry_mod
 
 
+def test_every_oracle_reads_documents_or_embeddings():
+    """The registry serves the extraction system: every oracle reads the
+    ``documents`` or ``embeddings`` table in a FROM/JOIN. The two media
+    oracles generate their media in SQL and are the only exceptions."""
+    import re
+
+    reads = re.compile(r"\b(?:FROM|JOIN)\s+(?:documents|embeddings)\b", re.IGNORECASE)
+    exempt = {"media_metadata", "media_dedup_groups"}
+    off_scope = sorted(
+        name for name, sql in _entry().oracle_sql().items()
+        if name not in exempt and not reads.search(sql)
+    )
+    assert off_scope == [], f"{len(off_scope)} oracles read neither table: {off_scope}"
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_rows_only_queries_run(con):
     """Every non-SQL query at least executes and yields a well-formed frame."""
@@ -157,13 +172,13 @@ class TestQueryCli:
 
         from distributed_system___ocr_ray.__main__ import main
 
-        out = str(tmp_path / "ps.parquet")
-        rc = main(["query", "--name", "pricing_summary",
+        out = str(tmp_path / "langs.parquet")
+        rc = main(["query", "--name", "docs_by_lang",
                    "--sf-dir", "/root/testdata/sf0.001", "--out", out])
         assert rc == 0
         t = pq.read_table(out)
-        assert t.num_rows == 6
-        assert "sum_qty_cents" in t.column_names
+        assert t.num_rows == 5
+        assert "n_docs" in t.column_names
 
     def test_query_subcommand_rejects_unknown(self, capsys):
         from distributed_system___ocr_ray.__main__ import main

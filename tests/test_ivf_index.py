@@ -85,3 +85,20 @@ class TestIvfIndex:
             analytics.ivf_topk(ds, self._queries(), k=5, n_centroids=16,
                                n_probe=4, centroids=tdir)
         assert "build_ivf_centroids" in str(ei.value)
+
+    @pytest.mark.parametrize("build_kw", [{"iters": 2}, {"sample_size": 512}])
+    def test_build_param_mismatch_raises(self, tmp_path, build_kw):
+        """An index built with other Lloyd iterations or another sample
+        size holds other centroids, so lookup must refuse it even when
+        ``n_centroids`` and ``seed`` agree."""
+        import ray.data as rd
+
+        from distributed_system___ocr_ray.pipelines import analytics
+        from distributed_system___ocr_ray.pipelines import index as idx
+
+        ds = rd.read_parquet(f"{SF}/embeddings.parquet")
+        tdir = str(tmp_path / "centroids")
+        idx.build_ivf_centroids(ds, tdir, n_centroids=8, **build_kw)
+        with pytest.raises(ValueError, match="build_ivf_centroids"):
+            analytics.ivf_topk(ds, self._queries(), k=5, n_centroids=8,
+                               n_probe=4, centroids=tdir)

@@ -361,42 +361,6 @@ class TestShardedMediaStore:
             ShardedMediaStore(str(tmp_path / "x"))
 
 
-class TestAttributionLastTouch:
-    def test_hand_built_stream(self, tmp_path):
-        import datetime
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        t0 = datetime.datetime(2024, 1, 1)
-        rows = [
-            # user 1: view -> purchase(10) -> click -> purchase(20)
-            (1, t0, "view", 1, 0.0),
-            (1, t0 + datetime.timedelta(hours=1), "purchase", 2, 10.0),
-            (1, t0 + datetime.timedelta(hours=2), "click", 3, 0.0),
-            (1, t0 + datetime.timedelta(hours=3), "purchase", 4, 20.0),
-            # user 2: purchase with no prior touch
-            (2, t0, "purchase", 5, 5.0),
-        ]
-        import pyarrow.parquet as pq
-
-        tbl = pa.table(
-            {
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "event_type": pa.array([r[2] for r in rows], pa.string()),
-                "event_id": pa.array([r[3] for r in rows], pa.int64()),
-                "value": pa.array([r[4] for r in rows], pa.float64()),
-            }
-        )
-        pq.write_table(tbl, tmp_path / "events.parquet")
-        out = relational.attribution_last_touch(str(tmp_path))
-        got = {
-            r["channel"]: (r["n_conversions"], r["value_cents"])
-            for _, r in out.iterrows()
-        }
-        assert got == {"(none)": (1, 500), "view": (1, 1000), "click": (1, 2000)}
-
-
 class TestDocCompleteness:
     def test_invariants_and_known_incomplete(self):
         from distributed_system___ocr_ray.pipelines import compose

@@ -862,39 +862,3 @@ class TestEmptyManifestRead:
         assert ds.count() == 0 and set(ds.schema().names) == {"doc_id", "lang"}
         ds2 = lance_like.read_dataset(d)
         assert ds2.count() == 0
-
-
-class TestTextSourceRoundtrip:
-    def test_jsonl_and_csv_agree_with_parquet(self, tmp_path):
-        import pyarrow.parquet as pq
-        import datetime
-
-        import pyarrow as pa
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        rows = [
-            ("click", datetime.datetime(2024, 1, 1, 5), 1.25),
-            ("click", datetime.datetime(2024, 1, 1, 9), 2.50),
-            ("view", datetime.datetime(2024, 1, 2, 1), 0.10),
-        ]
-        pq.write_table(
-            pa.table(
-                {
-                    "event_type": pa.array([r[0] for r in rows], pa.string()),
-                    "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                    "value": pa.array([r[2] for r in rows], pa.float64()),
-                }
-            ),
-            tmp_path / "events.parquet",
-        )
-        for fmt in ("json", "csv"):
-            out = analytics.text_source_daily(str(tmp_path), fmt=fmt)
-            got = {
-                (r["event_type"], r["day"]): (r["n_events"], r["value_cents"])
-                for _, r in out.iterrows()
-            }
-            assert got == {
-                ("click", "2024-01-01"): (2, 375),
-                ("view", "2024-01-02"): (1, 10),
-            }

@@ -1,6 +1,6 @@
 """Generate OPERATORS.md: the registry-derived operator index.
 
-With 300+ public operators, the map IS the product for a new user (VERDICT
+With about 200 public operators, the map IS the product for a new user (VERDICT
 r3 "next round" #9): one row per ``__ray_entry__.queries()`` entry -- name,
 implementing callable, oracle status, first docstring line -- generated
 FROM the registry so it can never drift from it. A pytest
@@ -26,12 +26,12 @@ HEADER = """\
 Generated from the `__ray_entry__.queries()` registry by
 `tools/gen_operator_index.py` -- do not edit by hand; regenerate with
 `PYTHONPATH=. python tools/gen_operator_index.py`. Every row is a callable
-taking an `sf_dir` of parquet tables (`region nation customer supplier part
-orders lineitem events documents embeddings`) and returning a Ray `Dataset`
-/ pandas frame / Arrow table. *oracle* = the query has a registered
-ANSI-SQL twin in `oracle_sql()` that DuckDB replays for row/schema/value
-equality (the correctness gate); the handful without one are
-non-SQL-expressible and carry a rows-only check.
+taking an `sf_dir` of parquet tables, reading its `documents` and/or
+`embeddings` table, and returning a Ray `Dataset` / pandas frame / Arrow
+table. *oracle* = the query has a registered ANSI-SQL twin in
+`oracle_sql()` that DuckDB replays for row/schema/value equality (the
+correctness gate); the handful without one are non-SQL-expressible and
+carry a rows-only check.
 """
 
 

@@ -30,14 +30,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_SF = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 SCALE_ROOT = "/tmp/graft_scale"
 
-# the 15 most expensive BENCH_r03 sweep entries + the headline dedup
-# representatives whose sub-linear claims BASELINE.md leans on
+# the 11 of the 15 most expensive BENCH_r03 sweep entries still in the
+# registry + the headline dedup representatives whose sub-linear claims
+# BASELINE.md leans on
 DEFAULT_QUERIES = [
     "dedup_family_agreement", "lpa_modularity", "lpa_communities",
     "quality_neardup_auc", "cross_source_dups", "ngram_jaccard_pairs",
-    "pagerank_top", "ppr_top", "bloom_pruned_join_revenue", "kcore_nodes",
-    "hits_scores", "bfs_levels", "join_size_audit", "top_prices_with_ties",
-    "gdpr_erasure_plan",
+    "pagerank_top", "ppr_top", "kcore_nodes",
+    "hits_scores", "bfs_levels",
     # scale-claim representatives
     "minhash_pairs", "semdedup_keepers", "exact_dedup_groups",
     "novel_docs_bloom", "bm25_topk",
