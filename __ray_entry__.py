@@ -25,7 +25,7 @@ def _flagship(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, store = wrap.interleaved_from_documents(sf_dir)
-    return pipeline.extract_dataset(ds, store, num_partitions=32)
+    return pipeline.extract_dataset(ds, store)
 
 
 def entry() -> Any:
@@ -77,36 +77,13 @@ def _q_extract_interleaved(sf_dir: str):
     return out.map_batches(encode, batch_format="pyarrow")
 
 
-def _q_extract_salted(sf_dir: str):
-    """Flagship extraction through the SALTED two-level reassembly
-    (stages/reassemble.reassemble_salted -- the skew path for
-    pathological span-count documents, north rule "salted keys"): byte-
-    identical output contract vs the plain reassembly, so the SAME exact
-    interleaved SQL oracle certifies it (previously pytest-equality only;
-    the skew drill's full-scale numbers live in SKEW_DRILL.json)."""
-    from distributed_system___ocr_ray.pipelines import extract as pipeline
-    from distributed_system___ocr_ray.sources import wrap
-    from distributed_system___ocr_ray.stages.reassemble import reassemble_salted
-
-    ds, store = wrap.interleaved_from_documents(sf_dir)
-    out = reassemble_salted(
-        pipeline.extracted_dataset(ds, store, num_partitions=32), num_salts=4)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        return _encode_spans_column(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        )
-
-    return out.map_batches(encode, batch_format="pyarrow")
-
-
 def _q_extract_flat_identity(sf_dir: str):
     """Full explode->extract->reassemble over flat-wrapped docs; on plain text
     extraction is the identity, so DuckDB can check the whole round trip."""
     from distributed_system___ocr_ray.pipelines import extract as pipeline
     from distributed_system___ocr_ray.sources import wrap
 
-    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {}, num_partitions=32)
+    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {})
 
     def flatten(batch: pa.Table) -> pa.Table:
         ids = [int(d.split("-")[1]) for d in batch.column("doc_id").to_pylist()]
@@ -127,7 +104,7 @@ def _q_span_kind_counts(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, _ = wrap.interleaved_from_documents(sf_dir)
-    exploded = pipeline.exploded_dataset(ds, num_partitions=32)
+    exploded = pipeline.exploded_dataset(ds)
     out = exploded.groupby("kind").aggregate(Count(alias_name="n_spans"))
     return out.select_columns(["kind", "n_spans"])
 
@@ -140,7 +117,7 @@ def _q_extract_status_counts(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, store = wrap.interleaved_from_documents(sf_dir)
-    extracted = pipeline.extracted_dataset(ds, store, num_partitions=32)
+    extracted = pipeline.extracted_dataset(ds, store)
     return extracted.groupby("status").aggregate(Count(alias_name="n_spans"))
 
 
@@ -185,7 +162,7 @@ def _q_media_ref_counts(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, _ = wrap.interleaved_from_documents(sf_dir)
-    exploded = pipeline.exploded_dataset(ds, num_partitions=32)
+    exploded = pipeline.exploded_dataset(ds)
 
     def image_refs(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -213,13 +190,14 @@ def _q_render_html(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
     from distributed_system___ocr_ray.stages.render_html import render_html
 
-    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {}, num_partitions=32)
+    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {})
     return render_html(out)
 
 
 def _q_extract_sharded(sf_dir: str):
-    """Shard-local zero-shuffle plan via the checkpointed runner; returns the
-    committed output (cross-checked vs the shuffle plan in tests)."""
+    """The checkpointed shard-local run over a written fragment table;
+    returns the committed output (cross-checked vs extract_dataset in
+    tests)."""
     import shutil
     import tempfile
 
@@ -235,8 +213,9 @@ def _q_extract_sharded(sf_dir: str):
         lance_like.write_dataset(ds, docs_dir, rows_per_fragment=500)
         run_extraction_sharded(docs_dir, store, f"{work}/out")
         out = load_output(f"{work}/out").to_pandas()
-        # same canonical serialization as extract_interleaved: both plans
-        # must reproduce the same closed-form span table (_interleaved_sql)
+        # same canonical serialization as extract_interleaved: the
+        # checkpointed run must reproduce the same closed-form span table
+        # (_interleaved_sql)
         return _encode_spans_column(out["doc_id"], out["spans"]).to_pandas()
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -2109,7 +2088,7 @@ def _q_training_corpus_counts(sf_dir: str):
     from distributed_system___ocr_ray.pipelines.relational import tiny_final_groupby
     from distributed_system___ocr_ray.sources import wrap
 
-    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {}, num_partitions=32)
+    out = pipeline.extract_dataset(wrap.flat_as_spans(sf_dir), {})
 
     def flatten(batch: pa.Table) -> pa.Table:
         ids = [int(d.split("-")[1]) for d in batch.column("doc_id").to_pylist()]
@@ -2351,7 +2330,7 @@ def _q_dangling_ref_audit(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, store = wrap.interleaved_from_documents(sf_dir)
-    exploded = pipeline.exploded_dataset(ds, num_partitions=32)
+    exploded = pipeline.exploded_dataset(ds)
     return analytics.dangling_ref_audit(
         exploded, store.column("media_ref").to_pylist())
 
@@ -2366,7 +2345,7 @@ def _q_orphan_media_audit(sf_dir: str):
     from distributed_system___ocr_ray.sources import wrap
 
     ds, store = wrap.interleaved_from_documents(sf_dir)
-    exploded = pipeline.exploded_dataset(ds, num_partitions=32)
+    exploded = pipeline.exploded_dataset(ds)
     return analytics.orphan_media_audit(exploded, store)
 
 
@@ -3279,7 +3258,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     return {
         # extraction engine (flagship + SQL-checkable shadows)
         "extract_interleaved": _q_extract_interleaved,
-        "extract_salted": _q_extract_salted,
         "extract_flat_identity": _q_extract_flat_identity,
         "span_kind_counts": _q_span_kind_counts,
         "extract_status_counts": _q_extract_status_counts,
@@ -6102,11 +6080,8 @@ def oracle_sql() -> dict[str, str]:
 
     return {
         "extract_interleaved": _interleaved_sql(),
-        # byte-identical output contract: the salted skew path answers to
-        # the SAME exact oracle as the plain reassembly
-        "extract_salted": _interleaved_sql(),
-        # the sharded zero-shuffle plan must produce the SAME closed-form
-        # span table as the shuffle plan
+        # the checkpointed run must produce the SAME closed-form span table
+        # as extract_dataset
         "extract_sharded": _interleaved_sql(),
         "extract_flat_identity": (
             "SELECT doc_id, text AS extracted_text FROM documents WHERE trim(text) <> ''"

@@ -103,8 +103,7 @@ def run_bench() -> dict:
     lance_like.read_dataset(docs_dir).count()
 
     out_dir = os.path.join(BENCH_ROOT, f"out_{NUM_CPUS}")
-    # headline = the shard-local zero-shuffle plan (pipelines/sharded.py);
-    # the groupby-shuffle plan is timed separately as `extract_shuffle`
+    # headline = the checkpointed shard-local run (pipelines/sharded.py)
     from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 
     # one untimed warm extraction first: a fresh process's FIRST run pays
@@ -194,7 +193,7 @@ SWEEP_QUERIES = [
     "ams_f2_audit", "unigram_power_sample_plan", "chao1_vocab_estimate",
     "real_pdf_roundtrip", "corpus_datacard", "gopher_quality_flags",
     "mattr_by_lang", "real_png_roundtrip", "ivf_indexed_topk",
-    "media_dedup_groups", "sq8_recall_audit", "extract_salted",
+    "media_dedup_groups", "sq8_recall_audit",
     "dangling_ref_audit", "orphan_media_audit",
 ]
 

@@ -6,7 +6,7 @@ Usage::
 
     python -m distributed_system___ocr_ray gen-corpus --out DIR --docs 1000
     python -m distributed_system___ocr_ray extract --input DIR/documents \\
-        --media DIR/media_store --output OUT [--plan sharded|shuffle]
+        --media DIR/media_store --output OUT
     python -m distributed_system___ocr_ray render --input OUT --html out.html
 
 The CLI owns its Ray session (guarded init + shutdown); library code never
@@ -45,22 +45,14 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _run_plan(args, **kw) -> dict:
-    """The chosen plan over the CLI's args (the reference's parsed client
-    args, LocalApplication.java:44-62)."""
-    if args.plan == "sharded":
-        from .pipelines.sharded import run_extraction_sharded
+def _run(args, **kw) -> dict:
+    """The checkpointed extraction over the CLI's args (the reference's
+    parsed client args, LocalApplication.java:44-62)."""
+    from .pipelines.sharded import run_extraction_sharded
 
-        return run_extraction_sharded(
-            args.input, args.media, args.output,
-            resume=not args.no_resume, batch_size=args.batch_size, **kw,
-        )
-    from .pipelines.extract import run_extraction
-
-    return run_extraction(
+    return run_extraction_sharded(
         args.input, args.media, args.output,
-        num_partitions=args.partitions, resume=not args.no_resume,
-        batch_size=args.batch_size, **kw,
+        resume=not args.no_resume, batch_size=args.batch_size, **kw,
     )
 
 
@@ -69,13 +61,13 @@ def cmd_extract(args) -> int:
         # plan-only validation (ray job submit packaging): no Ray session,
         # no output-directory mutation -- reads manifests, prunes committed
         # partitions, refuses a job mismatch, prints the plan it WOULD execute
-        print(json.dumps(_run_plan(args, dry_run=True)))
+        print(json.dumps(_run(args, dry_run=True)))
         return 0
     _ray_session(args.num_cpus)
     import ray
 
     try:
-        print(json.dumps(_run_plan(args)))
+        print(json.dumps(_run(args)))
         return 0
     finally:
         ray.shutdown()
@@ -243,8 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     e.add_argument("--input", required=True, help="Lance-style documents table dir")
     e.add_argument("--media", required=True, help="Lance-style media_store table dir")
     e.add_argument("--output", required=True)
-    e.add_argument("--plan", choices=["sharded", "shuffle"], default="sharded")
-    e.add_argument("--partitions", type=int, default=64)
     e.add_argument("--batch-size", type=int, default=1024)
     e.add_argument("--no-resume", action="store_true")
     e.add_argument("--num-cpus", type=int, default=None)

@@ -2942,7 +2942,7 @@ def line_dedup(
     )
     joined = bucketed_hash_join(exploded, dups2, "h", "h2", buckets=buckets, how="left")
 
-    def reassemble(group: pd.DataFrame) -> pd.DataFrame:
+    def rejoin_doc(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values("i")
         real = g[g["real"]]
         # nullable Int64 (never float64): packs reach 2^63 and would lose
@@ -2959,7 +2959,7 @@ def line_dedup(
             }
         )
 
-    return joined.groupby(id_col).map_groups(reassemble, batch_format="pandas")
+    return joined.groupby(id_col).map_groups(rejoin_doc, batch_format="pandas")
 
 
 def _distinct_content_hashes(corpus_ds, text_col: str, out_col: str = "corpus_hash"):

@@ -57,7 +57,7 @@ class HashEmbedder:
 
 
 def extract_embed_neardup(
-    docs, media, *, threshold: float = 0.995, num_partitions: int = 32, dim: int = EMBED_DIM
+    docs, media, *, threshold: float = 0.995, dim: int = EMBED_DIM
 ):
     """(documents, media) -> near-dup doc pairs over EXTRACTED content.
 
@@ -69,7 +69,7 @@ def extract_embed_neardup(
     from ..pipelines import analytics
     from ..pipelines.extract import extract_dataset
 
-    extracted = extract_dataset(docs, media, num_partitions=num_partitions)
+    extracted = extract_dataset(docs, media)
     embedded = extracted.map_batches(
         HashEmbedder, fn_constructor_kwargs={"dim": dim},
         batch_format="pyarrow", batch_size=512, concurrency=(1, 8),
@@ -409,8 +409,7 @@ def changed_rows(
     )
 
 
-def doc_completeness_by_lang(sf_dir: str, *, num_partitions: int = 32,
-                             buckets: int = 32):
+def doc_completeness_by_lang(sf_dir: str, *, buckets: int = 32):
     """Per-language extraction completeness over the interleaved flagship:
     a document is COMPLETE when every one of its spans extracted ok (no
     download/ocr/parse errors) -- the acceptance metric an extraction fleet
@@ -438,8 +437,7 @@ def doc_completeness_by_lang(sf_dir: str, *, num_partitions: int = 32,
                              tiny_final_groupby)
 
     docs_ds, store = wrap.interleaved_from_documents(sf_dir)
-    ext = extract_mod.extracted_dataset(docs_ds, store,
-                                        num_partitions=num_partitions)
+    ext = extract_mod.extracted_dataset(docs_ds, store)
 
     def partial(batch: pa.Table) -> pa.Table:
         bad = pc.cast(pc.not_equal(batch.column("status"), "ok"), pa.int64())
@@ -485,7 +483,7 @@ def doc_completeness_by_lang(sf_dir: str, *, num_partitions: int = 32,
     return folded.map_batches(add_ppm, batch_format="pyarrow", batch_size=None)
 
 
-def span_profile_by_kind(sf_dir: str, *, num_partitions: int = 32):
+def span_profile_by_kind(sf_dir: str):
     """Extracted-output shape profile per span kind over the REAL flagship
     pipeline: span counts and total/mean extracted-text lengths for text vs
     image(OCR) vs pdf(layout) spans -- the capacity-planning table an
@@ -506,8 +504,7 @@ def span_profile_by_kind(sf_dir: str, *, num_partitions: int = 32):
     from .relational import tiny_final_groupby
 
     docs_ds, store = wrap.interleaved_from_documents(sf_dir)
-    ext = extract_mod.extracted_dataset(docs_ds, store,
-                                        num_partitions=num_partitions)
+    ext = extract_mod.extracted_dataset(docs_ds, store)
 
     def partial(batch: pa.Table) -> pa.Table:
         chars = pc.cast(pc.utf8_length(batch.column("out_text")), pa.int64())
@@ -530,13 +527,13 @@ def span_profile_by_kind(sf_dir: str, *, num_partitions: int = 32):
     return folded.map_batches(add_mean, batch_format="pyarrow", batch_size=None)
 
 
-def retry_plan(sf_dir: str, *, num_partitions: int = 32, buckets: int = 32):
+def retry_plan(sf_dir: str, *, buckets: int = 32):
     """Failed-span retry work-list over the REAL flagship pipeline: every
     (status, media_ref) that did not extract ok, with its span count -- the
     table a fleet feeds back into redelivery (the reference's SQS
     visibility-timeout requeue, Manager.java redelivery path; here the
-    work-list is data, consumed by a targeted re-run with skip_parts or an
-    input filter instead of a message broker).
+    work-list is data, consumed by a targeted re-run (``invalidate`` then a
+    resumed run) or an input filter instead of a message broker).
 
     Scale shape: the not-ok filter runs map-side (error rate bounds the
     surviving rows), per-batch (status, media_ref) count partials collapse
@@ -553,8 +550,7 @@ def retry_plan(sf_dir: str, *, num_partitions: int = 32, buckets: int = 32):
     from .relational import hash_bucket_column
 
     docs_ds, store = wrap.interleaved_from_documents(sf_dir)
-    ext = extract_mod.extracted_dataset(docs_ds, store,
-                                        num_partitions=num_partitions)
+    ext = extract_mod.extracted_dataset(docs_ds, store)
 
     def partial(batch: pa.Table) -> pa.Table:
         bad = batch.filter(pc.not_equal(batch.column("status"), "ok"))

@@ -1,23 +1,26 @@
-"""Shuffle-plan extraction pipeline wiring (SURVEY.md #3 "Engine lifecycle").
+"""Block-local extraction: the one extraction plan (SURVEY.md #3 "Engine
+lifecycle").
 
-Logical plan (one lazy Dataset; the streaming executor pipelines all stages
-with backpressure -- nothing materializes the full input):
+A document is ONE input row, so explode, extract and offset-ordered
+reassembly never need a row from another block. The whole pipeline is one
+narrow actor stage over document blocks, with no all-to-all exchange:
 
-    read (Lance-style manifest -> read_parquet)
-    -> map_batches(explode + partition-assign [+ resume-prune])   narrow
-    -> map_batches(ExtractDispatch actor pool)                    narrow
-    -> groupby(part).map_groups(commit_group)                     THE shuffle
-       (reassemble_partition -> CheckpointManifest.commit_partition)
-    -> CheckpointManifest.summary                                 run result
+    documents (Lance-style table path, in-memory Arrow table or Dataset)
+    -> map_batches(BlockExtractor actor pool)
+         explode -> ExtractDispatch over size-capped slices
+         -> reassemble_partition (groupby(doc_id) + offset-ordered
+            sort-aggregate, inside the block)
+    -> (doc_id, spans) Dataset
 
-The sharded plan (``pipelines.sharded``) runs the same core inside one actor
-per fragment, with no shuffle, and needs a Lance-style table on disk. This
-plan also takes ``(doc_id, spans)`` documents as an in-memory Arrow table or
-a pre-built Dataset, which have no fragment layout; it always explodes them
-itself (``exploded_dataset``). The reference's three processes
+``extract_dataset`` is that stage without a checkpoint. The checkpointed,
+resumable run is ``pipelines.sharded.run_extraction_sharded``: its workers
+hold the same ``BlockExtractor`` and feed it one fragment of a Lance-style
+table at a time, committing each as an output partition. ``exploded_dataset``
+and ``extracted_dataset`` expose the explode and dispatch steps as narrow
+stages for span-level queries. The reference's three processes
 (LocalApplication / Manager / Worker) and its per-kind SQS queues collapse
-into one fused dispatch stage; queue transport disappears into the object
-store (SURVEY.md S9).
+into one fused dispatch; queue transport disappears into the object store
+(SURVEY.md S9).
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ import os
 from typing import Any
 
 import pyarrow as pa
+
+from ..stages.explode import explode_spans
+from ..stages.extractors import ExtractDispatch
+from ..stages.reassemble import reassemble_partition
+from ..state.checkpoint import status_counts
 
 
 def media_fingerprint(media: Any) -> str:
@@ -77,35 +85,6 @@ def media_compatible(committed: str, current: str) -> bool:
     return committed.startswith("table:") and current.startswith(committed + ",")
 
 
-def docs_fingerprint(docs: Any) -> str:
-    """Identity of the documents input for SHUFFLE-plan resume validation.
-    Unlike the sharded plan (per-fragment identity, appends resumable), the
-    shuffle plan prunes by hash(doc_id)%P, so ANY membership change breaks
-    resume -- an appended doc hashing into a committed part would be
-    silently dropped. Path-form inputs pin the exact table version;
-    in-memory tables hash the doc_id membership. A pre-built Dataset cannot
-    be fingerprinted without executing it: identified as
-    ``dataset:unverified`` (no protection -- callers resuming Dataset-input
-    jobs own input stability; pass the table path to get the guard)."""
-    import hashlib
-
-    if isinstance(docs, str):
-        from ..sources import lance_like
-
-        man = lance_like.read_manifest(docs)  # raises if table absent
-        return f"table:{os.path.abspath(docs)}@{man['version']}"
-    if isinstance(docs, pa.Table):
-        h = hashlib.md5()
-        # sorted: the fingerprint is doc_id MEMBERSHIP, not row order -- the
-        # hash%P pruning invariant only needs the id set, so a row-permuted
-        # but identical docs table must still resume
-        for d in sorted(str(d) for d in docs.column("doc_id").to_pylist()):
-            h.update(d.encode("utf-8"))
-            h.update(b"\x00")
-        return f"docids-md5:{h.hexdigest()[:16]}:{docs.num_rows}"
-    return "dataset:unverified"
-
-
 def _media_handle(media: Any):
     """Broadcast the media store once (ray.put) and wrap the ref so Ray does
     not auto-deref it in fn_constructor_kwargs; actors ray.get it in __init__."""
@@ -120,37 +99,37 @@ def _media_handle(media: Any):
     return [ray.put(media)]
 
 
-def _as_dataset(docs: Any, read_blocks: int | None = None):
+def _num_blocks() -> int:
+    """Blocks to split a read or an in-memory table into: a block is the
+    unit of work of the actor stage, so several per pool slot."""
+    import ray
+
+    return max(64, int(ray.cluster_resources().get("CPU", 8)) * 4)
+
+
+MIN_BLOCK_DOCS = 256  # an in-memory table is not cut finer than this
+
+
+def _as_dataset(docs: Any):
     import ray.data as rd
 
     if isinstance(docs, str):
         from ..sources import lance_like
 
-        # split the read so downstream fused map stages get enough blocks to
-        # parallelize (a fused actor stage inherits read-block granularity)
-        if read_blocks is None:
-            import ray
-
-            read_blocks = max(64, int(ray.cluster_resources().get("CPU", 8)) * 4)
-        return lance_like.read_dataset(docs, override_num_blocks=read_blocks)
+        return lance_like.read_dataset(docs, override_num_blocks=_num_blocks())
     if isinstance(docs, pa.Table):
-        return rd.from_arrow(docs)
+        # zero-copy row slices, one block each; a document is one row, so
+        # no document straddles two blocks
+        step = max(MIN_BLOCK_DOCS, -(-docs.num_rows // _num_blocks()))
+        return rd.from_arrow(
+            [docs.slice(i, step) for i in range(0, max(docs.num_rows, 1), step)])
     return docs  # already a Dataset
 
 
-def exploded_dataset(
-    docs: Any,
-    *,
-    num_partitions: int = 64,
-    skip_parts: frozenset[int] | None = None,
-    batch_size: int = 1024,
-    read_blocks: int | None = None,
-):
-    from ..stages.explode import make_explode_fn
-
-    ds = _as_dataset(docs, read_blocks)
-    return ds.map_batches(
-        make_explode_fn(num_partitions, skip_parts),
+def exploded_dataset(docs: Any, *, batch_size: int = 1024):
+    """The exploded span dataset (doc_id, kind, text, media_ref, offset)."""
+    return _as_dataset(docs).map_batches(
+        explode_spans,
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
@@ -161,11 +140,8 @@ def extracted_dataset(
     docs: Any,
     media: Any,
     *,
-    num_partitions: int = 64,
-    skip_parts: frozenset[int] | None = None,
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
-    read_blocks: int | None = None,
     fetcher=None,
     ocr_backend="auto",
 ):
@@ -175,12 +151,7 @@ def extracted_dataset(
     real-OCR hooks threaded into every extractor actor (see
     ``stages.extractors._Extractors``); defaults are no-fetch and
     auto-resolved (glyph-only in this container)."""
-    from ..stages.extractors import ExtractDispatch
-
-    ds = exploded_dataset(
-        docs, num_partitions=num_partitions, skip_parts=skip_parts, read_blocks=read_blocks
-    )
-    return ds.map_batches(
+    return exploded_dataset(docs).map_batches(
         ExtractDispatch,
         fn_constructor_kwargs={"media_handle": _media_handle(media), "fetcher": fetcher,
                                "ocr_backend": ocr_backend},
@@ -191,119 +162,76 @@ def extracted_dataset(
     )
 
 
-def extract_dataset(docs: Any, media: Any, *, num_partitions: int = 64, **kwargs):
-    """Full pipeline -> reassembled (doc_id, spans) Dataset (no checkpoint)."""
-    from ..stages.reassemble import reassemble
+class BlockExtractor:
+    """The extraction core: a block of ``(doc_id, spans)`` documents -> its
+    reassembled ``(doc_id, spans)`` documents, extractor state built once.
 
-    ds = extracted_dataset(docs, media, num_partitions=num_partitions, **kwargs)
-    return reassemble(ds)
+    explode -> ``ExtractDispatch`` over size-capped span slices ->
+    ``reassemble_partition`` (the offset-ordered sort-aggregate). Every
+    block holds whole documents, so nothing crosses blocks."""
+
+    MAX_BATCH_BYTES = 32 * 1024 * 1024  # size-capped batch splitting: a batch
+    # of fat spans (e.g. one 5 MB text payload x 1024 rows) must not blow the
+    # worker heap; row slices halve until under the byte cap (north rule:
+    # "size-capped Arrow batch splitting")
+
+    def __init__(self, media_handle, batch_size: int = 1024, fetcher=None,
+                 ocr_backend="auto") -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.extract = ExtractDispatch(media_handle, fetcher=fetcher,
+                                       ocr_backend=ocr_backend)
+        self.batch_size = batch_size
+
+    def _iter_slices(self, tbl: pa.Table):
+        start = 0
+        while start < tbl.num_rows:
+            n = min(self.batch_size, tbl.num_rows - start)
+            sl = tbl.slice(start, n)
+            while n > 1 and sl.nbytes > self.MAX_BATCH_BYTES:
+                n = max(1, n // 2)
+                sl = tbl.slice(start, n)
+            yield sl
+            start += n
+
+    def process(self, docs: pa.Table) -> tuple[pa.Table, dict]:
+        """The reassembled documents and their manifest entry fields
+        (``rows_in`` exploded spans, ``status_counts``)."""
+        exploded = explode_spans(docs)
+        pieces = [self.extract(sl) for sl in self._iter_slices(exploded)]
+        if not pieces:
+            from ..corpus import OUT_SCHEMA
+
+            return OUT_SCHEMA.empty_table(), {"rows_in": 0, "status_counts": {}}
+        extracted = pa.concat_tables(pieces)
+        return reassemble_partition(extracted), {
+            "rows_in": exploded.num_rows,
+            "status_counts": status_counts(extracted.column("status")),
+        }
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        return self.process(docs)[0]
 
 
-def run_extraction(
+def extract_dataset(
     docs: Any,
     media: Any,
-    out_dir: str,
     *,
-    num_partitions: int = 64,
-    resume: bool = True,
     concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 256,
-    read_blocks: int | None = None,
-    coalesce_blocks: int | None = 64,
+    batch_size: int = 1024,
     fetcher=None,
     ocr_backend="auto",
-    dry_run: bool = False,
-) -> dict:
-    """Checkpointed run: extract -> reassemble -> atomic per-partition commit.
-
-    Returns the lineage summary. On resume, committed partitions are pruned
-    at the explode stage, before any extraction compute is spent on them.
-    ``dry_run=True`` builds and returns the plan summary (job identity,
-    committed vs pending partition counts) without a Ray session or any
-    output-directory mutation -- the shuffle-plan twin of
-    ``run_extraction_sharded(dry_run=True)``, refusing a job mismatch
-    exactly as the real run would.
-    """
-    from ..stages.extractors import _hook_identity
-    from ..state.checkpoint import CheckpointManifest, clean_tmp
-
-    manifest = CheckpointManifest(out_dir)
-    if isinstance(media, pa.Table):  # convert ONCE: fingerprint + broadcast
-        from ..corpus import media_dict
-
-        media = media_dict(media)
-    # refuse to resume under different partitioning/plan (committed part ids
-    # were assigned by hash%P -- pruning by a different P drops documents),
-    # a different media store (silent mixed-extraction output otherwise),
-    # a changed docs input (appends are NOT resumable under hash%P
-    # pruning: new docs landing in committed parts would be dropped), or
-    # different fetch/OCR hooks (mixed-engine partitions otherwise)
-    job = {
-        # format 3: adds the hooks identity key (older checkpoints
-        # refuse loudly at resume rather than mix engines silently)
-        "format": 3,
-        "plan": "shuffle",
-        "num_partitions": int(num_partitions),
-        "docs": docs_fingerprint(docs),
-        "media": media_fingerprint(media),
-        "hooks": _hook_identity(fetcher, ocr_backend),
-    }
-    manifest.check_job(job, enforce=resume, compat={"media": media_compatible},
-                       dry_run=dry_run)
-    skip = frozenset(manifest.committed()) if resume else frozenset()
-    if dry_run:
-        return {
-            "dry_run": True,
-            **{k: v for k, v in job.items() if k != "format"},
-            "partitions_pending": int(num_partitions) - len(skip),
-            "partitions_skipped_prior": len(skip),
-        }
-    clean_tmp(out_dir)  # stale writer temp files from a crashed prior run
-    ds = extracted_dataset(
-        docs, media, num_partitions=num_partitions, skip_parts=skip,
-        concurrency=concurrency, batch_size=batch_size,
-        read_blocks=read_blocks, fetcher=fetcher, ocr_backend=ocr_backend,
-    )
-    # coalesce before the sort-based groupby: extraction emits many small
-    # blocks (good for the actor pool), but sort cost grows superlinearly
-    # with block count (see stages/reassemble.py)
-    if coalesce_blocks:
-        ds = ds.repartition(coalesce_blocks)
-    rows = ds.groupby("part").map_groups(
-        commit_group, fn_kwargs={"out_dir": out_dir}, batch_format="pyarrow").take_all()
-    summary = manifest.summary()
-    del summary["wall_sec_sum"]  # a status field, not part of the run result
-    return {**summary, "partitions_run": len(rows), "partitions_skipped_prior": len(skip)}
-
-
-def commit_group(group: pa.Table, out_dir: str) -> pa.Table:
-    """map_groups UDF over one ``part`` group: reassemble and commit the
-    partition (skipped when a prior attempt already committed it), and emit
-    ONE small metrics row -- the dataset that reaches the driver is P rows
-    of lineage, not data."""
-    import time
-
-    from ..stages.reassemble import reassemble_partition
-    from ..state.checkpoint import CheckpointManifest, status_counts
-
-    t0 = time.monotonic()
-    manifest = CheckpointManifest(out_dir)
-    part = int(group.column("part")[0].as_py())
-    entry = (manifest.committed_one(part)
-             if os.path.exists(manifest.partition_path(part)) else None)
-    already = entry is not None
-    if not already:
-        entry = manifest.commit_partition(
-            part, reassemble_partition(group),
-            {"rows_in": group.num_rows, "status_counts": status_counts(group.column("status"))},
-            t0=t0)
-    return pa.table(
-        {
-            "part": pa.array([part], pa.int32()),
-            "rows_in": pa.array([entry["rows_in"]], pa.int64()),
-            "rows_out": pa.array([entry["rows_out"]], pa.int64()),
-            "skipped": pa.array([already]),
-        }
+):
+    """Full pipeline -> reassembled (doc_id, spans) Dataset (no checkpoint):
+    one actor-pool map of ``BlockExtractor`` over whole document blocks."""
+    return _as_dataset(docs).map_batches(
+        BlockExtractor,
+        fn_constructor_kwargs={"media_handle": _media_handle(media), "batch_size": batch_size,
+                               "fetcher": fetcher, "ocr_backend": ocr_backend},
+        batch_format="pyarrow",
+        batch_size=None,  # one call per block: the unit that holds whole documents
+        concurrency=concurrency or (1, 8),
+        num_cpus=1,
     )
 
 

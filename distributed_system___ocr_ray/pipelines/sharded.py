@@ -1,4 +1,4 @@
-"""Shard-local extraction: the zero-shuffle physical plan for the flagship.
+"""Shard-local extraction: the checkpointed, resumable run of the one plan.
 
 A document is ONE ROW of the input table, so every Lance-style fragment
 contains only whole documents -- explode, extract and offset-ordered
@@ -16,13 +16,14 @@ fragments from the work list BEFORE anything is read -- a killed job
 re-reads only unfinished shards.
 
 The semantic spec (groupby(doc_id) + offset-ordered sort-aggregate, north
-rule) is unchanged -- ``reassemble_partition`` performs precisely that
-sort-aggregate; the shuffle-based path (``pipelines.extract``) remains for
-documents that arrive as an in-memory Arrow table or a pre-built Dataset,
-which have no fragment layout to shard on. Both plans share one core
-(explode -> ``ExtractDispatch`` -> ``reassemble_partition`` ->
-``CheckpointManifest.commit_partition``, summarized by
-``CheckpointManifest.summary``) and are oracle-equality-tested.
+rule) is unchanged: each worker holds the one extraction core,
+``pipelines.extract.BlockExtractor`` (explode -> ``ExtractDispatch`` ->
+``reassemble_partition``), feeds it one fragment at a time and commits the
+result through ``CheckpointManifest.commit_partition``. The run result is
+the setup manifest scan folded with the workers' lineage rows, so a run
+reads the manifest entries once. An in-memory table or a Dataset has no
+fragment layout: write it with ``lance_like.write_table`` /
+``write_dataset`` first, or run ``extract_dataset`` without a checkpoint.
 
 Scale notes: one fragment must fit a worker's heap (fragments are written
 row-capped; at 100 TB keep fragments ~256-512 MB). Skew across fragments is
@@ -32,6 +33,7 @@ store is broadcast once (ray.put), fetched per actor in ``__init__``.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Any
@@ -40,24 +42,20 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources import lance_like
-from ..stages.explode import explode_spans
-from ..stages.extractors import ExtractDispatch
-from ..stages.reassemble import reassemble_partition
-from ..state.checkpoint import CheckpointManifest, clean_tmp, status_counts
+from ..state.checkpoint import CheckpointManifest, clean_tmp, summarize
+from .extract import BlockExtractor, _media_handle, media_compatible, media_fingerprint
 
 
 class ShardWorker:
-    """Actor: processes whole fragments; extractor state built once."""
+    """Actor: processes whole fragments through one ``BlockExtractor``
+    (extractor state built once) and commits each as a partition."""
 
     def __init__(self, media_handle, out_dir: str, batch_size: int = 1024,
                  deletes_handle=None, evolution=None, fetcher=None,
                  ocr_backend="auto") -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.extract = ExtractDispatch(media_handle, fetcher=fetcher,
-                                       ocr_backend=ocr_backend)
+        self.core = BlockExtractor(media_handle, batch_size=batch_size,
+                                   fetcher=fetcher, ocr_backend=ocr_backend)
         self.manifest = CheckpointManifest(out_dir)
-        self.batch_size = batch_size
         # merge-on-read equality deletes: (col, sorted key array) pairs
         # fetched once per actor; applied to every fragment read so the
         # zero-shuffle plan honors the same logical table as read_dataset
@@ -71,40 +69,8 @@ class ShardWorker:
         # the column physically; deletes keyed on it match the default
         self.evo_defaults = {e["add"]: e["default"] for e in (evolution or [])}
 
-    MAX_BATCH_BYTES = 32 * 1024 * 1024  # size-capped batch splitting: a batch
-    # of fat spans (e.g. one 5 MB text payload x 1024 rows) must not blow the
-    # worker heap; row slices halve until under the byte cap (north rule:
-    # "size-capped Arrow batch splitting")
-
-    def _iter_slices(self, tbl: pa.Table):
-        start = 0
-        while start < tbl.num_rows:
-            n = min(self.batch_size, tbl.num_rows - start)
-            sl = tbl.slice(start, n)
-            while n > 1 and sl.nbytes > self.MAX_BATCH_BYTES:
-                n = max(1, n // 2)
-                sl = tbl.slice(start, n)
-            yield sl
-            start += n
-
-    def _process_table(self, docs: pa.Table) -> tuple[pa.Table, dict]:
-        exploded = explode_spans(docs)
-        pieces = []
-        for sl in self._iter_slices(exploded):
-            pieces.append(self.extract(sl))
-        extracted = pa.concat_tables(pieces) if pieces else None
-        if extracted is not None:
-            counts = status_counts(extracted.column("status"))
-            out = reassemble_partition(extracted)
-        else:
-            from ..corpus import OUT_SCHEMA
-
-            counts = {}
-            out = OUT_SCHEMA.empty_table()
-        return out, {"rows_in": exploded.num_rows, "status_counts": counts}
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parts, rows_in, rows_out, wall = [], [], [], []
+        entries = []
         for item in batch.to_pylist():
             part, path, frag = int(item["part"]), item["path"], item["frag"]
             # in-run retry skip: a block packs many fragments (n_tasks ~
@@ -112,10 +78,7 @@ class ShardWorker:
             # redo the fragments it already durably committed
             prior = self.manifest.committed_one(part)
             if prior is not None and prior.get("fragment") == frag:
-                parts.append(part)
-                rows_in.append(prior["rows_in"])
-                rows_out.append(prior["rows_out"])
-                wall.append(0.0)
+                entries.append({**prior, "wall_sec": 0.0})
                 continue
             t0 = time.monotonic()
             # widen the projection to delete key columns (a delete may be
@@ -153,21 +116,21 @@ class ShardWorker:
                     docs = docs.filter(pc.invert(mask))
             if extra:
                 docs = docs.select(cols)
-            out, meta = self._process_table(docs)
+            out, meta = self.core.process(docs)
             # identity = manifest-RELATIVE path: basenames degenerate for
             # tables whose fragments share file names (e.g. part=K/data.parquet)
             meta["fragment"] = frag
-            self.manifest.commit_partition(part, out, meta, t0=t0)
-            parts.append(part)
-            rows_in.append(meta["rows_in"])
-            rows_out.append(meta["rows_out"])
-            wall.append(meta["wall_sec"])
+            entries.append({"part": part, **self.manifest.commit_partition(part, out, meta, t0=t0)})
+        # one lineage row per fragment, carrying what the run result sums,
+        # so the driver never re-reads the manifest entries
         return pa.table(
             {
-                "part": pa.array(parts, pa.int32()),
-                "rows_in": pa.array(rows_in, pa.int64()),
-                "rows_out": pa.array(rows_out, pa.int64()),
-                "wall_sec": pa.array(wall, pa.float64()),
+                "part": pa.array([e["part"] for e in entries], pa.int32()),
+                "rows_in": pa.array([e["rows_in"] for e in entries], pa.int64()),
+                "rows_out": pa.array([e["rows_out"] for e in entries], pa.int64()),
+                "wall_sec": pa.array([e["wall_sec"] for e in entries], pa.float64()),
+                "status_counts": pa.array(
+                    [json.dumps(e["status_counts"]) for e in entries], pa.string()),
             }
         )
 
@@ -197,7 +160,6 @@ def run_extraction_sharded(
     import ray.data as rd
 
     from ..stages.extractors import _hook_identity
-    from .extract import _media_handle, media_compatible, media_fingerprint
 
     manifest = CheckpointManifest(out_dir)
     man = lance_like.read_manifest(docs_dir)
@@ -306,7 +268,10 @@ def run_extraction_sharded(
             concurrency=concurrency,
             num_cpus=1,
         )
-        metrics.take_all()  # lineage rows only
-    summary = manifest.summary()
+        # a re-run fragment's row replaces its stale setup-scan entry
+        for row in metrics.take_all():
+            committed[int(row["part"])] = {
+                **row, "status_counts": json.loads(row["status_counts"])}
+    summary = summarize(committed.values())
     del summary["wall_sec_sum"]  # a status field, not part of the run result
     return {**summary, "partitions_run": len(items), "partitions_skipped_prior": n_skipped}

@@ -6,22 +6,12 @@ inside ``map_batches`` instead of per-record queue sends. The empty-record
 filter (Manager.java:332-334) is applied here, before any extraction work is
 scheduled, so empty text spans never reach the extractors (exactly as the
 reference filters empty lines before tasking).
-
-Partition assignment for the reassembly shuffle and the checkpoint layer also
-happens here: ``part = siphash(doc_id) % num_partitions`` (deterministic
-across processes -- Python's builtin ``hash`` is salted and banned from the
-data path). All of a document's spans land in one partition, which is the
-invariant both reassembly and resume rely on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-EXPLODED_COLUMNS = ["doc_id", "kind", "text", "media_ref", "offset"]
 
 
 def explode_spans(batch: pa.Table) -> pa.Table:
@@ -44,30 +34,3 @@ def explode_spans(batch: pa.Table) -> pa.Table:
         pc.equal(pc.utf8_trim_whitespace(out.column("text")), ""),
     )
     return out.filter(pc.invert(empty))
-
-
-def doc_partition(doc_ids: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Deterministic doc_id -> partition id (stable across processes/runs)."""
-    h = pd.util.hash_array(np.asarray(doc_ids, dtype=object))
-    return (h % np.uint64(num_partitions)).astype(np.int32)
-
-
-def with_partition(batch: pa.Table, num_partitions: int) -> pa.Table:
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-    return batch.append_column("part", pa.array(doc_partition(ids, num_partitions), pa.int32()))
-
-
-def make_explode_fn(num_partitions: int, skip_parts: frozenset[int] | None = None):
-    """Explode + partition-assign (+ optionally drop already-committed
-    partitions on resume, pruning work before extraction)."""
-
-    skip = np.array(sorted(skip_parts), dtype=np.int32) if skip_parts else None
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        out = with_partition(explode_spans(batch), num_partitions)
-        if skip is not None and len(skip):
-            mask = np.isin(out.column("part").to_numpy(), skip, invert=True)
-            out = out.filter(pa.array(mask))
-        return out
-
-    return _fn

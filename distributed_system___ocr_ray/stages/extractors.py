@@ -46,11 +46,6 @@ from .. import (
 from ..functions import glyph, minipdf, pdftext
 from ..functions.html_strip import strip_boilerplate
 
-# columns that flow out of extraction (input `text` is dropped -- it can be
-# megabytes of raw HTML per span; only the extracted text crosses the shuffle)
-OUT_COLUMNS = ["doc_id", "part", "kind", "media_ref", "offset", "out_text", "status"]
-
-
 class MediaDict(dict):
     """The broadcast media store: an in-memory ``ref -> payload`` dict with
     the batch ``lookup`` contract."""

@@ -1,4 +1,4 @@
-"""Per-document reassembly: the flagship wide operation (SURVEY.md A3).
+"""Per-document reassembly: the flagship sort-aggregate (SURVEY.md A3).
 
 The analogue of the reference's summary phase -- collect all results of one
 request and emit one artifact (Manager.createSendSummaryFile,
@@ -6,17 +6,16 @@ Manager.java:250-293 + the render join, LocalApplication.java:174-207) --
 expressed as the north rule demands: ``groupby(doc_id) + offset-ordered
 sort-aggregate``.
 
-Physical plan: ONE shuffle on the precomputed ``part = hash(doc_id) % P``
-column (all spans of a doc share a part), then a fully vectorized per-part
-rebuild: ``sort_by(doc_id, offset)`` -> run-length doc boundaries ->
-``ListArray.from_arrays``. Grouping by ``part`` instead of ``doc_id`` keeps
-the number of Python group calls at P (hundreds), not n_docs (billions at
-target scale), while the shuffle volume is identical; the per-doc "group"
-work is numpy, not per-group UDF calls.
+Physical plan: no shuffle. A document is one input row, so every block
+(or fragment) already holds all of a document's spans, and the rebuild runs
+inside the block that exploded them (``pipelines.extract.BlockExtractor``):
+``sort_by(doc_id, offset)`` -> run-length doc boundaries ->
+``ListArray.from_arrays``. The per-doc "group" work is numpy, not per-group
+UDF calls.
 
-Skew: a hot document cannot straddle partitions, but hashing spreads docs so
-a partition holds ~total/P spans; P is the explicit knob (size so a partition
-fits a worker's heap -- at 100 TB with 512 MB partitions that is P ~ 200k).
+Skew: a hot document stays in its block, so one worker rebuilds it
+serially. Its memory is bounded by the block (fragments are row-capped) and
+extraction ahead of it runs in size-capped slices.
 Output ordering within a doc is the offset sort -- deterministic, stronger
 than the reference's HashMap-iteration order (LocalApplication.java:182).
 """
@@ -54,58 +53,3 @@ def reassemble_partition(tbl: pa.Table) -> pa.Table:
     spans = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), struct)
     doc_ids = tbl.column("doc_id").take(pa.array(starts, pa.int64()))
     return pa.table({"doc_id": doc_ids, "spans": spans})
-
-
-def reassemble(ds, *, batch_format: str = "pyarrow", coalesce_blocks: int | None = 64):
-    """groupby(part) -> vectorized per-partition rebuild. Input must carry a
-    ``part`` column (stages.explode.with_partition).
-
-    ``coalesce_blocks``: Ray's sort-based groupby cost grows superlinearly
-    with input block count (each of B blocks is range-split against every
-    sort boundary; measured 375 blocks -> 40 s vs 64 blocks -> 6 s on the
-    same 1.5M-row input). Extraction wants many small blocks for actor-pool
-    parallelism, the shuffle wants few large ones -- so coalesce (metadata
-    merge, no row movement) right before the groupby. At multi-node scale
-    set this ~2x cluster cores.
-    """
-    if coalesce_blocks:
-        ds = ds.repartition(coalesce_blocks)
-    return ds.groupby("part").map_groups(
-        lambda g: reassemble_partition(g), batch_format=batch_format
-    )
-
-
-def reassemble_salted(ds, *, num_salts: int = 4, coalesce_blocks: int | None = 64):
-    """Two-level salted reassembly for pathological span-count documents
-    (north rule: "salted keys"): spans are spread over ``(part, salt)``
-    sub-keys for a first-stage groupby, then merged per ``part``.
-
-    What this buys (and does not): stage 1 bounds the ROW COUNT each
-    first-stage reducer receives to ~1/S of a hot partition -- spreading the
-    shuffle receive + stage-1 sort memory across S reducers. The final
-    ``part`` reducer still holds the whole partition and re-sorts it (a true
-    k-way merge of the pre-sorted runs would save that sort but the rows
-    must be co-resident anyway, because one output row = one whole doc). So
-    salting relieves first-stage skew pressure, not the final reducer's
-    memory; for fragment-resident inputs prefer ``pipelines/sharded.py``
-    which avoids the shuffle entirely. Output is byte-identical to
-    ``reassemble`` (equality-tested).
-    """
-    def add_salt(batch: pa.Table) -> pa.Table:
-        off = batch.column("offset").to_numpy(zero_copy_only=False)
-        salt = (off.astype(np.int64) * 2654435761 % num_salts).astype(np.int32)
-        return batch.append_column("salt", pa.array(salt, pa.int32()))
-
-    def partial_sort(group: pa.Table) -> pa.Table:
-        g = group.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
-        return g
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-    partials = salted.groupby(["part", "salt"]).map_groups(partial_sort, batch_format="pyarrow")
-    # runs arrive pre-sorted per (part, salt); the final per-partition sort
-    # over S merged runs is what reassemble_partition already does
-    if coalesce_blocks:
-        partials = partials.repartition(coalesce_blocks)
-    return partials.groupby("part").map_groups(
-        lambda g: reassemble_partition(g), batch_format="pyarrow"
-    )

@@ -95,6 +95,23 @@ def status_counts(statuses) -> dict[str, int]:
     return {vc["values"]: vc["counts"] for vc in pc.value_counts(statuses).to_pylist()}
 
 
+def summarize(entries) -> dict:
+    """Sum manifest entries into the run summary: the one fold behind
+    ``CheckpointManifest.summary`` and the sharded run's result."""
+    entries = list(entries)
+    counts: dict[str, int] = {}
+    for e in entries:
+        for k, v in e.get("status_counts", {}).items():
+            counts[k] = counts.get(k, 0) + v
+    return {
+        "partitions_total": len(entries),
+        "rows_in": sum(e["rows_in"] for e in entries),
+        "docs_out": sum(e["rows_out"] for e in entries),
+        "status_counts": counts,
+        "wall_sec_sum": round(sum(e.get("wall_sec", 0) for e in entries), 2),
+    }
+
+
 def _read_json(path: str) -> dict | None:
     if not os.path.exists(path):
         return None
@@ -140,13 +157,13 @@ class CheckpointManifest:
                   dry_run: bool = False) -> None:
         """Persist job-level parameters on first run; on resume, raise if the
         caller's parameters disagree with the committed ones (see
-        ``job_mismatch``). Without this, a resume with e.g. a different
-        ``num_partitions`` would prune spans by the NEW hash%P against part
-        ids committed under the OLD P and silently drop documents (ADVICE
-        r1). ``enforce=False`` (fresh run, resume disabled) PURGES any
-        previously committed partitions and rewrites the entry -- stale
-        parts from an old partitioning must not survive into the new output
-        (they would double documents). ``dry_run=True`` only raises.
+        ``job_mismatch``). Without this, a resume against e.g. a different
+        input table would skip fragment indices committed from the OLD one
+        and silently mix two inputs in one output. ``enforce=False`` (fresh
+        run, resume disabled) PURGES any previously committed partitions
+        and rewrites the entry -- stale parts from an earlier job must not
+        survive into the new output (they would double documents).
+        ``dry_run=True`` only raises.
 
         On a compatible-but-unequal match the committed entry is kept as-is:
         it records the state the finished partitions were actually built
@@ -200,7 +217,7 @@ class CheckpointManifest:
         self._write_entry(os.path.join(self.dir, f"part-{part}.json"), entry)
 
     def commit_partition(self, part: int, table: pa.Table, entry: dict, *, t0: float) -> dict:
-        """THE partition commit of both plans: write ``table`` as partition
+        """THE partition commit: write ``table`` as partition
         ``part`` atomically, then commit its manifest entry. ``entry`` gains
         ``rows_out`` and ``wall_sec`` (from ``t0``, a ``time.monotonic()``
         taken when the partition's work began, through the durable data
@@ -218,20 +235,9 @@ class CheckpointManifest:
         return entry
 
     def summary(self) -> dict:
-        """The run summary both plans return and ``status`` prints, summed
-        over the committed entries in one manifest scan."""
-        entries = self.committed().values()
-        counts: dict[str, int] = {}
-        for e in entries:
-            for k, v in e.get("status_counts", {}).items():
-                counts[k] = counts.get(k, 0) + v
-        return {
-            "partitions_total": len(entries),
-            "rows_in": sum(e["rows_in"] for e in entries),
-            "docs_out": sum(e["rows_out"] for e in entries),
-            "status_counts": counts,
-            "wall_sec_sum": round(sum(e.get("wall_sec", 0) for e in entries), 2),
-        }
+        """The run summary ``status`` prints, summed over the committed
+        entries in one manifest scan."""
+        return summarize(self.committed().values())
 
     def retire(self, part: int) -> None:
         """Invalidate a committed partition (manifest entry + data file) --

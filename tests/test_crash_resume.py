@@ -88,19 +88,6 @@ class TestCrashResume:
 
 
 class TestResumeValidation:
-    def test_shuffle_resume_param_mismatch_raises(self, tmp_path, ray_session):
-        from distributed_system___ocr_ray.pipelines.extract import run_extraction
-
-        docs = corpus.build_documents(n_docs=40, seed=5)
-        store = corpus.build_media_store(seed=5)
-        out = str(tmp_path / "out")
-        run_extraction(docs, store, out, num_partitions=8, concurrency=2)
-        with pytest.raises(ValueError, match="resume parameter mismatch"):
-            run_extraction(docs, store, out, num_partitions=16, concurrency=2)
-        # resume=False rewrites the job entry instead of raising
-        m = run_extraction(docs, store, out, num_partitions=8, resume=False, concurrency=2)
-        assert m["partitions_total"] >= 1
-
     def test_sharded_input_path_mismatch_raises(self, tmp_path, ray_session):
         from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 
@@ -163,21 +150,26 @@ class TestStalePartitionRetirement:
         b = _sorted_output(load_output(clean))
         _assert_span_equality(a, b)
 
-    def test_shuffle_fresh_run_purges_stale_parts(self, tmp_path, ray_session):
-        """resume=False into an out_dir committed under a different P must
-        purge the old parts -- otherwise documents double in the output."""
-        from distributed_system___ocr_ray.pipelines.extract import load_output, run_extraction
+    def test_fresh_run_purges_stale_parts(self, tmp_path, ray_session):
+        """resume=False into an out_dir committed under a different fragment
+        layout must purge the old parts -- otherwise documents double in the
+        output."""
+        from distributed_system___ocr_ray.pipelines.extract import load_output
+        from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 
         docs = corpus.build_documents(n_docs=40, seed=17)
         store = corpus.build_media_store(seed=17)
+        docs_dir = str(tmp_path / "docs")
+        lance_like.write_table(docs, docs_dir, rows_per_fragment=5)  # 8 frags
         out = str(tmp_path / "out")
-        run_extraction(docs, store, out, num_partitions=8, concurrency=2)
-        m = run_extraction(docs, store, out, num_partitions=4, resume=False, concurrency=2)
+        run_extraction_sharded(docs_dir, store, out, concurrency=2)
+        lance_like.write_table(docs, docs_dir, rows_per_fragment=10, mode="overwrite")
+        m = run_extraction_sharded(docs_dir, store, out, resume=False, concurrency=2)
         got = load_output(out)
         assert got.count() == m["docs_out"]  # no doubled documents
 
         clean = str(tmp_path / "clean")
-        run_extraction(docs, store, clean, num_partitions=4, concurrency=2)
+        run_extraction_sharded(docs_dir, store, clean, concurrency=2)
         _assert_span_equality(_sorted_output(got), _sorted_output(load_output(clean)))
 
 

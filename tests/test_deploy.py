@@ -78,26 +78,6 @@ class TestDryRun:
         # nothing written: neither checkpoint dir nor job entry exist
         assert not os.path.exists(out)
 
-    def test_dry_run_shuffle_plan(self, corpus_dirs, capsys):
-        """The shuffle plan dry-runs too: hash%P identity + committed
-        pruning, no Ray session."""
-        import ray
-
-        from distributed_system___ocr_ray.__main__ import main
-
-        docs, media, out = corpus_dirs
-        was_init = ray.is_initialized()
-        rc = main(["extract", "--input", docs, "--media", media,
-                   "--output", out, "--dry-run", "--plan", "shuffle",
-                   "--partitions", "8"])
-        assert rc == 0
-        assert ray.is_initialized() == was_init
-        plan = json.loads(capsys.readouterr().out.strip())
-        assert plan["plan"] == "shuffle" and plan["num_partitions"] == 8
-        assert plan["partitions_pending"] == 8
-        assert plan["partitions_skipped_prior"] == 0
-        assert not os.path.exists(out)
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestInvalidate:
@@ -167,17 +147,25 @@ class TestDryRunAfterRealRun:
         assert plan["partitions_skipped_prior"] == 3
 
     def test_dry_run_refuses_job_mismatch_read_only(self, tmp_path):
-        """A dry run validates job identity like the real run: after a
-        P=8 shuffle run, a P=16 dry run raises the real run's error and
-        leaves the checkpoint byte-identical."""
+        """A dry run validates job identity like the real run: after a run,
+        a dry run against a changed media store raises the real run's error
+        and leaves the checkpoint byte-identical."""
+        import pyarrow as pa
+
         from distributed_system___ocr_ray import corpus
-        from distributed_system___ocr_ray.pipelines.extract import run_extraction
+        from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
+        from distributed_system___ocr_ray.sources import lance_like
 
         corpus.write_corpus(str(tmp_path), n_docs=12, rows_per_fragment=4)
         docs = str(tmp_path / "documents")
         media = str(tmp_path / "media_store")
         out = str(tmp_path / "out")
-        run_extraction(docs, media, out, num_partitions=8)
+        run_extraction_sharded(docs, media, out, concurrency=2)
+        store = lance_like.read_arrow(media)
+        payloads = store.column("payload").to_pylist()
+        payloads[0] = payloads[0] + b"\x00"
+        changed = store.set_column(store.schema.get_field_index("payload"), "payload",
+                                   pa.array(payloads, pa.binary()))
 
         def snapshot():
             files = {}
@@ -189,7 +177,7 @@ class TestDryRunAfterRealRun:
 
         before = snapshot()
         with pytest.raises(ValueError, match="resume parameter mismatch"):
-            run_extraction(docs, media, out, num_partitions=16, dry_run=True)
+            run_extraction_sharded(docs, changed, out, dry_run=True)
         assert snapshot() == before
         with pytest.raises(ValueError, match="resume parameter mismatch"):
-            run_extraction(docs, media, out, num_partitions=16)
+            run_extraction_sharded(docs, changed, out, concurrency=2)

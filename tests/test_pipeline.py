@@ -9,6 +9,7 @@ import pytest
 
 from distributed_system___ocr_ray import corpus, oracle
 from distributed_system___ocr_ray.pipelines import extract as pipeline
+from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 
 
 def _sorted_output(ds) -> pa.Table:
@@ -35,21 +36,26 @@ class TestExtractionPipeline:
     def test_fused_matches_oracle(self, small_corpus):
         docs, store = small_corpus
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = pipeline.extract_dataset(docs, store, num_partitions=8)
+        out = pipeline.extract_dataset(docs, store)
         _assert_span_equality(_sorted_output(out), expected)
 
     def test_partitioning_invariance(self, small_corpus):
-        """Output is identical at different partition counts (determinism
+        """Output is identical whatever the input block layout (determinism
         across parallelism levels -- SURVEY.md #7.3)."""
+        import ray.data as rd
+
         docs, store = small_corpus
-        a = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=3))
-        b = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=16))
-        _assert_span_equality(a, b)
+        outs = [
+            _sorted_output(pipeline.extract_dataset(rd.from_arrow(docs).repartition(k), store))
+            for k in (1, 3, 16)
+        ]
+        for out in outs[1:]:
+            _assert_span_equality(out, outs[0])
 
     def test_reference_shaped_doc(self):
         docs, store = corpus.build_reference_shaped_doc()
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=2))
+        out = _sorted_output(pipeline.extract_dataset(docs, store))
         _assert_span_equality(out, expected)
         # exactly-once per input span: 24 spans, 1:1 with the golden's blocks
         assert len(out.column("spans")[0].as_py()) == 24
@@ -81,12 +87,12 @@ class TestExtractionPipeline:
         docs = pa.table({"doc_id": ids, "spans": spans_col}, schema=corpus.DOC_SCHEMA)
         store = corpus.build_media_store(n_img=50, n_pdf=0, seed=99)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        fused = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=8))
+        fused = _sorted_output(pipeline.extract_dataset(docs, store))
         _assert_span_equality(fused, expected)
 
     def test_explode_cardinality(self, small_corpus):
         docs, _ = small_corpus
-        ds = pipeline.exploded_dataset(docs, num_partitions=4)
+        ds = pipeline.exploded_dataset(docs)
         n_in = sum(len(r) for r in docs.column("spans").to_pylist())
         n_empty = sum(
             1
@@ -103,20 +109,30 @@ class TestExtractionPipeline:
 
         lance_like.write_table(docs, str(tmp_path / "docs"), rows_per_fragment=17)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = pipeline.extract_dataset(str(tmp_path / "docs"), store, num_partitions=8)
+        out = pipeline.extract_dataset(str(tmp_path / "docs"), store)
         _assert_span_equality(_sorted_output(out), expected)
+
+
+def _written(docs, tmp_path) -> str:
+    """``docs`` written as an 8-fragment Lance-style table."""
+    from distributed_system___ocr_ray.sources import lance_like
+
+    docs_dir = str(tmp_path / "docs")
+    lance_like.write_table(docs, docs_dir, rows_per_fragment=-(-docs.num_rows // 8))
+    return docs_dir
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestCheckpoint:
     def test_run_commit_and_resume(self, small_corpus, tmp_path):
         docs, store = small_corpus
+        docs_dir = _written(docs, tmp_path)
         out_dir = str(tmp_path / "out")
-        m1 = pipeline.run_extraction(docs, store, out_dir, num_partitions=8)
+        m1 = run_extraction_sharded(docs_dir, store, out_dir)
         assert m1["partitions_skipped_prior"] == 0
         assert m1["docs_out"] == docs.num_rows
         # full resume: nothing recomputed
-        m2 = pipeline.run_extraction(docs, store, out_dir, num_partitions=8)
+        m2 = run_extraction_sharded(docs_dir, store, out_dir)
         assert m2["partitions_run"] == 0
         assert m2["docs_out"] == docs.num_rows
 
@@ -126,11 +142,12 @@ class TestCheckpoint:
         from distributed_system___ocr_ray.state.checkpoint import CheckpointManifest
 
         docs, store = small_corpus
+        docs_dir = _written(docs, tmp_path)
         full_dir = str(tmp_path / "full")
-        pipeline.run_extraction(docs, store, full_dir, num_partitions=8)
+        run_extraction_sharded(docs_dir, store, full_dir)
 
         part_dir = str(tmp_path / "partial")
-        pipeline.run_extraction(docs, store, part_dir, num_partitions=8)
+        run_extraction_sharded(docs_dir, store, part_dir)
         # simulate a crash that lost half the partitions
         import os
         import shutil
@@ -139,7 +156,7 @@ class TestCheckpoint:
         for p in list(man.committed())[::2]:
             os.remove(os.path.join(man.dir, f"part-{p}.json"))
             shutil.rmtree(os.path.join(part_dir, f"part={p}"))
-        m = pipeline.run_extraction(docs, store, part_dir, num_partitions=8)
+        m = run_extraction_sharded(docs_dir, store, part_dir)
         assert m["partitions_skipped_prior"] == 4
         a = _sorted_output(pipeline.load_output(full_dir))
         b = _sorted_output(pipeline.load_output(part_dir))
@@ -148,7 +165,7 @@ class TestCheckpoint:
     def test_lineage_counts(self, small_corpus, tmp_path):
         docs, store = small_corpus
         out_dir = str(tmp_path / "out")
-        m = pipeline.run_extraction(docs, store, out_dir, num_partitions=8)
+        m = run_extraction_sharded(_written(docs, tmp_path), store, out_dir)
         n_in = sum(len(r) for r in docs.column("spans").to_pylist())
         n_empty = sum(
             1
@@ -159,24 +176,39 @@ class TestCheckpoint:
         assert m["rows_in"] == n_in - n_empty
         assert sum(m["status_counts"].values()) == m["rows_in"]
 
-    def test_both_plans_commit_the_same_entry_keys(self, small_corpus, tmp_path):
-        """Both plans commit through ``commit_partition``: their manifest
-        entries carry the same keys, bar the sharded plan's fragment id."""
-        from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
-        from distributed_system___ocr_ray.sources import lance_like
+    def test_one_manifest_scan_per_run(self, small_corpus, tmp_path, monkeypatch):
+        """The driver reads the manifest entries once per run: the result
+        folds the setup scan with the workers' lineage rows, and equals the
+        manifest's own summary on a resumed run."""
+        import os
+        import shutil
+
         from distributed_system___ocr_ray.state.checkpoint import CheckpointManifest
 
         docs, store = small_corpus
-        docs_dir = str(tmp_path / "docs")
-        lance_like.write_table(docs, docs_dir, rows_per_fragment=20)
-        pipeline.run_extraction(docs, store, str(tmp_path / "shuffle"), num_partitions=4)
-        run_extraction_sharded(docs_dir, store, str(tmp_path / "sharded"), concurrency=2)
-        shuffle = CheckpointManifest(str(tmp_path / "shuffle")).committed()
-        sharded = CheckpointManifest(str(tmp_path / "sharded")).committed()
-        assert len(shuffle) == 4 and len(sharded) == 3
-        keys = {frozenset(e) for e in shuffle.values()}
-        assert keys == {frozenset(e) - {"fragment"} for e in sharded.values()}
-        assert keys == {frozenset({"part", "rows_in", "rows_out", "status_counts", "wall_sec"})}
+        docs_dir = _written(docs, tmp_path)
+        out_dir = str(tmp_path / "out")
+        run_extraction_sharded(docs_dir, store, out_dir)
+        man = CheckpointManifest(out_dir)
+        for p in list(man.committed())[:3]:
+            os.remove(os.path.join(man.dir, f"part-{p}.json"))
+            shutil.rmtree(os.path.join(out_dir, f"part={p}"))
+        scans = []
+        real = CheckpointManifest.committed
+
+        def counting(self):
+            scans.append(self.out_dir)
+            return real(self)
+
+        monkeypatch.setattr(CheckpointManifest, "committed", counting)
+        m = run_extraction_sharded(docs_dir, store, out_dir)
+        assert scans == [out_dir]
+        assert (m["partitions_run"], m["partitions_skipped_prior"]) == (3, 5)
+        monkeypatch.undo()
+        summary = man.summary()
+        del summary["wall_sec_sum"]
+        assert {k: v for k, v in m.items()
+                if k not in ("partitions_run", "partitions_skipped_prior")} == summary
 
 
 class TestCommitPartition:
@@ -210,7 +242,7 @@ class TestSkew:
         docs = corpus.build_skew_documents(n_small=200, big_spans=2000)
         store = corpus.build_media_store(n_img=200, n_pdf=100, seed=42)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = _sorted_output(pipeline.extract_dataset(docs, store, num_partitions=8))
+        out = _sorted_output(pipeline.extract_dataset(docs, store))
         _assert_span_equality(out, expected)
 
 
@@ -228,7 +260,7 @@ class TestShardedMediaStore:
         media_dir = str(tmp_path / "media")
         lance_like.write_bucketed(rd.from_arrow(store), media_dir, "media_ref", 4)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = pipeline.extract_dataset(docs, media_dir, num_partitions=8)
+        out = pipeline.extract_dataset(docs, media_dir)
         _assert_span_equality(_sorted_output(out), expected)
 
     def test_lru_bound_and_misses(self, small_corpus, tmp_path):

@@ -52,7 +52,7 @@ class TestSyntheticReferenceShapes:
         assert [s["media_ref"] for s in tbl.column("spans")[0].as_py()] == lines
         assert len(set(lines)) == n_distinct
 
-        out = pipeline.extract_dataset(read_url_files([str(path)]), {}, num_partitions=2)
+        out = pipeline.extract_dataset(read_url_files([str(path)]), {})
         spans = out.to_pandas().spans[0]
         assert [s["order"] for s in spans] == list(range(n_lines))
         assert [s["media_ref"] for s in spans] == lines
@@ -79,7 +79,7 @@ class TestReferenceInputs:
         assert len({s["media_ref"] for s in tbl.column("spans")[0].as_py()}) == 10
 
         ds = read_url_files([REF_SHORT])
-        out = pipeline.extract_dataset(ds, {}, num_partitions=2)
+        out = pipeline.extract_dataset(ds, {})
         docs = out.to_pandas()
         assert len(docs) == 1
         spans = docs.spans[0]
@@ -120,7 +120,7 @@ class TestReferenceInputs:
         assert all(re.search(r'<img src="[^"]+"><br/>', b) for b in g_blocks)
 
         ds = read_url_files([REF_SHORT])
-        out = pipeline.extract_dataset(ds, {}, num_partitions=2)
+        out = pipeline.extract_dataset(ds, {})
         html_path = str(tmp_path / "render.html")
         write_html_file(out, html_path)
         mine = open(html_path).read()
@@ -141,7 +141,7 @@ class TestReferenceInputs:
         from distributed_system___ocr_ray.sources.urls_txt import read_url_files
 
         ds = read_url_files([REF_LONG])
-        out = pipeline.extract_dataset(ds, {}, num_partitions=2).to_pandas()
+        out = pipeline.extract_dataset(ds, {}).to_pandas()
         n_lines = sum(1 for line in open(REF_LONG) if line.strip())
         assert n_lines == 1000
         # golden long_output.html has exactly 1000 <p> blocks -- 1:1
@@ -159,7 +159,7 @@ class TestReferenceInputs:
             f"{corpus.media_ref_img(0)}\n\nhttp://example.com/a.png\n{corpus.media_ref_img(1)}\n"
         )
         ds = read_url_files([str(p)])
-        out = pipeline.extract_dataset(ds, store, num_partitions=2).to_pandas()
+        out = pipeline.extract_dataset(ds, store).to_pandas()
         spans = out.spans[0]
         assert len(spans) == 3  # empty line filtered
         assert spans[0]["text"] not in ("", "Image download error")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distributed_system___ocr_ray import corpus
-from distributed_system___ocr_ray.stages.explode import explode_spans, with_partition
+from distributed_system___ocr_ray.stages.explode import explode_spans
 from distributed_system___ocr_ray.stages.reassemble import reassemble_partition
 from distributed_system___ocr_ray.stages.render_html import render_doc, write_html_file
 
@@ -29,7 +29,7 @@ class TestRenderHtml:
         from distributed_system___ocr_ray.pipelines import extract as pipeline
 
         docs, store = small_corpus
-        out = pipeline.extract_dataset(docs, store, num_partitions=4)
+        out = pipeline.extract_dataset(docs, store)
         path = str(tmp_path / "out.html")
         n = write_html_file(out, path)
         assert n == docs.num_rows
@@ -65,15 +65,16 @@ class TestRoundTripProperty:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_doc_spans, min_size=1, max_size=8))
     def test_explode_reassemble_preserves_structure(self, all_spans):
-        """reassemble(explode(t)) == t modulo extraction: same docs, same
-        per-doc span multiset of (kind, media_ref), offset-sorted order."""
+        """reassemble_partition(explode_spans(t)) == t modulo extraction:
+        same docs, same per-doc span multiset of (kind, media_ref),
+        offset-sorted order."""
         doc_ids = [f"doc-{i:04d}" for i in range(len(all_spans))]
         # make offsets unique within a doc so order is well-defined
         for spans in all_spans:
             for j, s in enumerate(spans):
                 s["offset"] = s["offset"] * 16 + j
         t = pa.table({"doc_id": doc_ids, "spans": all_spans}, schema=corpus.DOC_SCHEMA)
-        exploded = with_partition(explode_spans(t), 4)
+        exploded = explode_spans(t)
         # fake extraction: out_text = kind (content-free), status ok
         exploded = exploded.append_column(
             "out_text", exploded.column("kind")

@@ -1,5 +1,6 @@
-"""Tests for the shard-local (zero-shuffle) extraction path: equality with
-the oracle AND with the shuffle-based path, plus resume semantics."""
+"""Tests for the checkpointed shard-local extraction run: equality with the
+oracle AND with the uncheckpointed ``extract_dataset``, plus resume
+semantics."""
 
 import os
 import shutil
@@ -8,7 +9,7 @@ import pyarrow as pa
 import pytest
 
 from distributed_system___ocr_ray import corpus, oracle
-from distributed_system___ocr_ray.pipelines import extract as shuffle_pipeline
+from distributed_system___ocr_ray.pipelines import extract as pipeline
 from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 from distributed_system___ocr_ray.sources import lance_like
 from distributed_system___ocr_ray.state.checkpoint import CheckpointManifest
@@ -29,19 +30,18 @@ def corpus_dirs(tmp_path_factory, small_corpus):
 
 @pytest.mark.usefixtures("ray_session")
 class TestSharded:
-    def test_matches_oracle_and_shuffle_path(self, corpus_dirs, small_corpus, tmp_path):
+    def test_matches_oracle_and_extract_dataset(self, corpus_dirs, small_corpus, tmp_path):
         docs, store = small_corpus
         docs_dir, media_dir = corpus_dirs
         out_dir = str(tmp_path / "out")
         m = run_extraction_sharded(docs_dir, store, out_dir, concurrency=2)
         assert m["docs_out"] == docs.num_rows
         assert m["partitions_total"] == 9
-        got = _sorted_output(shuffle_pipeline.load_output(out_dir))
+        got = _sorted_output(pipeline.load_output(out_dir))
         expected = oracle.extract_table(docs, corpus.media_dict(store))
         _assert_span_equality(got, expected)
-        # cross-check the two physical plans against each other
-        shuffled = _sorted_output(shuffle_pipeline.extract_dataset(docs, store, num_partitions=8))
-        _assert_span_equality(got, shuffled)
+        # cross-check the checkpointed run against the uncheckpointed one
+        _assert_span_equality(got, _sorted_output(pipeline.extract_dataset(docs, store)))
 
     def test_resume_skips_committed_fragments(self, corpus_dirs, small_corpus, tmp_path):
         docs, store = small_corpus
@@ -57,7 +57,7 @@ class TestSharded:
         assert m["partitions_run"] == 3
         assert m["partitions_skipped_prior"] == 6
         assert m["docs_out"] == docs.num_rows
-        got = _sorted_output(shuffle_pipeline.load_output(out_dir))
+        got = _sorted_output(pipeline.load_output(out_dir))
         expected = oracle.extract_table(docs, corpus.media_dict(store))
         _assert_span_equality(got, expected)
 
@@ -69,24 +69,6 @@ class TestSharded:
         m = run_extraction_sharded(docs_dir, store, out_dir, concurrency=2)
         assert m["partitions_run"] == 0
         assert m["docs_out"] == docs.num_rows
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSaltedReassembly:
-    def test_salted_equals_plain_on_skew(self):
-        """Salted two-level reassembly == plain reassembly on the skew fixture
-        (one 2000-span doc among 100 small docs)."""
-        from distributed_system___ocr_ray.pipelines import extract as pipeline
-        from distributed_system___ocr_ray.stages.reassemble import reassemble, reassemble_salted
-        from test_pipeline import _assert_span_equality, _sorted_output
-
-        docs = corpus.build_skew_documents(n_small=100, big_spans=2000)
-        store = corpus.build_media_store(n_img=200, n_pdf=100, seed=42)
-        extracted = pipeline.extracted_dataset(docs, store, num_partitions=8)
-        plain = _sorted_output(reassemble(extracted, coalesce_blocks=8))
-        extracted2 = pipeline.extracted_dataset(docs, store, num_partitions=8)
-        salted = _sorted_output(reassemble_salted(extracted2, num_salts=4, coalesce_blocks=8))
-        _assert_span_equality(salted, plain)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -178,20 +160,6 @@ class TestResumeIdentity:
         lance_like.write_table(store, media_dir, mode="overwrite", rows_per_fragment=10**6)
         with pytest.raises(ValueError, match="resume parameter mismatch"):
             run_extraction_sharded(docs_dir, media_dir, out_dir, concurrency=2)
-
-    def test_shuffle_plan_docs_change_rejected_on_resume(self, small_corpus, tmp_path):
-        """The shuffle plan prunes by hash(doc_id)%P, so ANY docs membership
-        change (even an append) breaks resume: new docs hashing into
-        committed parts would silently drop (review r2)."""
-        docs, store = small_corpus
-        out_dir = str(tmp_path / "out")
-        shuffle_pipeline.run_extraction(docs, store, out_dir, num_partitions=4)
-        changed = docs.slice(0, docs.num_rows - 1)  # one doc fewer
-        with pytest.raises(ValueError, match="resume parameter mismatch"):
-            shuffle_pipeline.run_extraction(changed, store, out_dir, num_partitions=4, resume=True)
-        # identical docs resume cleanly as a no-op
-        m = shuffle_pipeline.run_extraction(docs, store, out_dir, num_partitions=4)
-        assert m["partitions_run"] == 0
 
     def test_batch_size_must_be_positive(self, small_corpus):
         from distributed_system___ocr_ray.pipelines.extract import _media_handle

@@ -29,7 +29,7 @@ class TestJsonlSource:
         assert write_documents_jsonl(docs, path) == docs.num_rows
         ds = read_documents_jsonl(path)
         expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = _sorted_output(pipeline.extract_dataset(ds, store, num_partitions=8))
+        out = _sorted_output(pipeline.extract_dataset(ds, store))
         _assert_span_equality(out, expected)
 
     def test_normalizer_defaults(self, tmp_path):

@@ -20,7 +20,7 @@ class TestWrap:
         from distributed_system___ocr_ray.sources import wrap
 
         ds = wrap.flat_as_spans(SF)
-        out = pipeline.extract_dataset(ds, {}, num_partitions=8).to_pandas()
+        out = pipeline.extract_dataset(ds, {}).to_pandas()
         got = {}
         for _, row in out.iterrows():
             spans = row["spans"]
@@ -41,7 +41,7 @@ class TestWrap:
         ds, store = wrap.interleaved_from_documents(SF, replicate=1)
         docs_tbl = pa.Table.from_pandas(ds.to_pandas(), schema=corpus.DOC_SCHEMA)
         expected = oracle.extract_table(docs_tbl, corpus.media_dict(store))
-        out = pipeline.extract_dataset(ds, store, num_partitions=8).to_pandas()
+        out = pipeline.extract_dataset(ds, store).to_pandas()
         out = out.sort_values("doc_id").reset_index(drop=True)
         assert out["doc_id"].tolist() == expected.column("doc_id").to_pylist()
         for i, spans in enumerate(out["spans"]):

@@ -15,27 +15,13 @@ Prints one JSON line. Usage::
 
     PYTHONPATH=/root/repo python tools/measure_backpressure.py
 
-Runs BOTH execution plans:
-
-- the sharded (zero-shuffle) plan, where streaming keeps the footprint
-  bounded by construction -- expected result: completes with little or no
-  spill however large the corpus (that bound IS the evidence);
-- the shuffle (groupby-reassembly) plan, whose all-to-all materializes
-  every exploded span in the object store -- with a store smaller than the
-  exploded data this MUST spill, and completing correctly anyway is the
-  backpressure+spill evidence.
+Streaming keeps the sharded run's footprint bounded by construction --
+expected result: completes with little or no spill however large the
+corpus (that bound IS the evidence).
 
 Env: ``BP_STORE_MB`` (default 512), ``BP_REPLICATE`` (default 800 over
 sf0.1 -- the 4M-doc scaling corpus, whose exploded spans are well past the
 store), ``BP_CPUS`` (default 16).
-
-Deadlock found while building this (kept as a warning): handing the
-shuffle plan's extract stage a FIXED actor pool of size == num_cpus
-starves ReadParquet of its 1 CPU and the executor sits at 0 blocks
-forever (observed twice, 10+ min each, at 256 MB and 2 GB stores alike --
-the stall was CPU-shaped, not store-shaped). Stage pools must leave
-headroom for the read/shuffle tasks; the tool autoscales the extract pool
-to cpus-2.
 """
 
 from __future__ import annotations
@@ -69,8 +55,6 @@ def main() -> int:
     from distributed_system___ocr_ray.corpus import generator_content_id
     from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
     from distributed_system___ocr_ray.sources import lance_like, wrap
-
-    from distributed_system___ocr_ray.pipelines.extract import run_extraction
 
     # reuse the content-keyed bench corpus when present (same generator)
     tag = f"{os.path.basename(os.path.normpath(SF_DIR))}_r{REPLICATE}_f1000_{generator_content_id()}"
@@ -119,29 +103,11 @@ def main() -> int:
         except Exception:
             return None
 
-    results = {}
-    # the shuffle plan's extract stage must NOT pin every CPU: a fixed
-    # actor pool of size == num_cpus starves ReadParquet of its 1 CPU and
-    # the executor deadlocks at 0 blocks (observed; the sharded plan's
-    # per-shard tasks don't have this failure mode). Autoscale to cpus-2.
-    pool = (1, max(2, NUM_CPUS - 2))
-    for plan, runner in (
-        ("sharded", lambda out: run_extraction_sharded(
-            docs_dir, store, out, concurrency=NUM_CPUS, batch_size=512)),
-        ("shuffle", lambda out: run_extraction(
-            docs_dir, store, out, concurrency=pool, batch_size=512)),
-    ):
-        out_dir = os.path.join(ROOT, f"out_{plan}_{STORE_MB}mb")
-        shutil.rmtree(out_dir, ignore_errors=True)
-        metrics = runner(out_dir)
-        results[plan] = {
-            "docs_out": metrics.get("docs_out"),
-            "rows_in": metrics.get("rows_in"),
-            "spilled_after": spilled(),
-            "ok": metrics.get("docs_out") == n_docs,
-        }
-
-    ok = all(r["ok"] for r in results.values())
+    out_dir = os.path.join(ROOT, f"out_sharded_{STORE_MB}mb")
+    shutil.rmtree(out_dir, ignore_errors=True)
+    metrics = run_extraction_sharded(
+        docs_dir, store, out_dir, concurrency=NUM_CPUS, batch_size=512)
+    ok = metrics.get("docs_out") == n_docs
     print(
         json.dumps(
             {
@@ -149,7 +115,9 @@ def main() -> int:
                 "object_store_mb": STORE_MB,
                 "corpus_bytes_on_disk": corpus_bytes,
                 "docs_in": n_docs,
-                "plans": results,
+                "docs_out": metrics.get("docs_out"),
+                "rows_in": metrics.get("rows_in"),
+                "spilled_after": spilled(),
                 "ok": ok,
             }
         )
