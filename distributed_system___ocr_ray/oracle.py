@@ -59,7 +59,7 @@ def extract_span(kind: str, text: str, media_ref: str, media: dict[str, bytes]) 
 
 def extract_document(spans: list[dict], media: dict[str, bytes]) -> list[dict]:
     """One document's spans -> extracted spans [(kind, text, media_ref, order)]."""
-    kept = [s for s in spans if not (s["kind"] == "text" and not s["text"].strip())]
+    kept = [s for s in spans if not (s["kind"] == "text" and not (s["text"] or "").strip())]
     kept = sorted(kept, key=lambda s: s["offset"])
     return [
         {

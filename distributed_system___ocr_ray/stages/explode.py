@@ -29,8 +29,10 @@ def explode_spans(batch: pa.Table) -> pa.Table:
             "offset": flat.field("offset"),
         }
     )
+    # null text reads as empty, so a null-text media span is kept (a null
+    # in the mask would make ``filter`` drop the row)
     empty = pc.and_(
         pc.equal(out.column("kind"), "text"),
-        pc.equal(pc.utf8_trim_whitespace(out.column("text")), ""),
+        pc.equal(pc.utf8_trim_whitespace(pc.fill_null(out.column("text"), "")), ""),
     )
     return out.filter(pc.invert(empty))

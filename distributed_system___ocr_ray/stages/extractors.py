@@ -9,8 +9,10 @@ dropped row (completion invariant, Manager.java:223-226).
 Kind routing is ONE fused dispatch (SURVEY.md #2.3): ``ExtractDispatch``, a
 single actor-pool ``map_batches`` stage holding all three extractors, routes
 each span of a batch by its kind. The reference's queue-per-worker-pool
-routing (Manager.java:96) becomes that per-span branch: one pass over the
-exploded table, no filter/union, streaming end-to-end.
+routing (Manager.java:96) becomes that branch: one pass over the exploded
+table, no filter/union, streaming end-to-end. The text spans of a batch go
+to the HTML stripper in one batch-kernel call; image and pdf spans go one
+by one through the per-actor decode memo.
 
 Media is reached through ONE batch contract, ``lookup(refs) -> [payload |
 None]`` in ref order: every extraction batch looks up all of its distinct
@@ -44,7 +46,8 @@ from .. import (
     STATUS_PARSE_ERROR,
 )
 from ..functions import glyph, minipdf, pdftext
-from ..functions.html_strip import strip_boilerplate
+from ..functions.html_strip import strip_boilerplate_batch
+
 
 class MediaDict(dict):
     """The broadcast media store: an in-memory ``ref -> payload`` dict with
@@ -282,10 +285,11 @@ class _Extractors:
                 payload = None
         return payload
 
-    def text(self, text: str) -> tuple[str, str]:
-        # null text coalesces to empty (a user table may carry NULL span
-        # text; SQL-engine semantics, never a raised batch)
-        return strip_boilerplate(text or ""), STATUS_OK
+    def text(self, texts: pa.Array) -> tuple[list[str], str]:
+        """Every text span of a batch stripped in one kernel call. Null text
+        coalesces to empty (a user table may carry NULL span text;
+        SQL-engine semantics, never a raised batch)."""
+        return strip_boilerplate_batch(texts), STATUS_OK
 
     def _memo_put(self, ref: str, res: tuple[str, str]) -> tuple[str, str]:
         cost = len(res[0]) + len(ref) + 64
@@ -370,22 +374,24 @@ class ExtractDispatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         kinds = batch.column("kind").to_pylist()
-        texts = batch.column("text").to_pylist()
         refs = batch.column("media_ref").to_pylist()
         n = len(kinds)
         out_text: list[str] = [""] * n
         status: list[str] = [""] * n
         ex = self.ex
+        text_rows = [i for i, k in enumerate(kinds) if k == KIND_TEXT]
+        if text_rows:
+            texts, ok = ex.text(batch.column("text").take(text_rows).combine_chunks())
+            for i, t in zip(text_rows, texts):
+                out_text[i], status[i] = t, ok
         ex.prefetch([r for k, r in zip(kinds, refs) if k == KIND_IMAGE or k == KIND_PDF])
         for i in range(n):
             k = kinds[i]
-            if k == KIND_TEXT:
-                out_text[i], status[i] = ex.text(texts[i])
-            elif k == KIND_IMAGE:
+            if k == KIND_IMAGE:
                 out_text[i], status[i] = ex.image(refs[i])
             elif k == KIND_PDF:
                 out_text[i], status[i] = ex.pdf(refs[i])
-            else:  # unknown kind: schema violation -> parse error as data
+            elif k != KIND_TEXT:  # unknown kind: schema violation -> parse error as data
                 out_text[i], status[i] = "", STATUS_PARSE_ERROR
         cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
         cols["out_text"] = pa.array(out_text, pa.string())

@@ -147,46 +147,81 @@ class TestOracle:
         assert not a.equals(c)
 
 
+def _corpus_pages() -> list[str]:
+    rng = random.Random(17)
+    return [corpus.html_page(rng, [f"Sentence {j} alpha." for j in range(rng.randint(1, 4))])
+            for _ in range(300)]
+
+
+_STRIP_EDGE_CASES = [
+    "plain", "", "<p>a   b\n c</p>", "<p>ent &amp; ities &#65;</p>",
+    "<script>if (a<b) { x; }</script><p>after</p>", "<!-- c --><p>hi</p>",
+    "<br/><p>x</p>y<div>z</div>", "<nav><a href='#'>n</a></nav><p>keep</p>",
+    "<P>UPPER</P><DIV>case</DIV>", "<p>unclosed",
+    # self-closing skip tags: start+end in html.parser, NOT a raw
+    # body -- the rest of the document must survive
+    "<script/><p>must survive</p>",
+    "<style/><p>also survives</p>",
+    "before<script />mid<p>after</p>",
+    "<a/>no link depth<p>kept text here</p>",
+    "<nav/>flush only<p>kept</p>",
+    # unclosed skip tag: cdata to EOF on both implementations
+    "<p>head</p><script>var x = 1;",
+    # UNQUOTED attribute value ending in '/': html.parser consumes
+    # the '/' into the value, so these are normal START tags (cdata
+    # for script; link depth for a) -- not self-closing
+    "<script src=foo/>mid<p>after</p>",
+    "<a href=http://x.com/>link text</a><p>body</p>",
+    "<nav data-x=1/>flush<p>kept</p>",
+    # quoted value + '/>' IS self-closing
+    "<script src='foo'/><p>survives</p>",
+    "<a href='http://x.com/'/>no link<p>plain</p>",
+    # a QUOTE inside an unquoted value is part of the value: these
+    # are normal start tags, not self-closing
+    '<script title=foo"/>rest of doc<p>paragraph text here</p>',
+    '<a href=x"/>link text</a><p>body here</p>',
+    # stray '/' between attributes is a separator
+    "<script / src='x'/><p>kept</p>",
+    "<script //>cdata-or-selfclose<p>x</p>",
+]
+
+
 class TestStripImplementations:
     def test_fast_equals_reference_on_corpus_pages(self):
-        rng = random.Random(17)
         from distributed_system___ocr_ray.functions.html_strip import (
-            strip_boilerplate,
             strip_boilerplate_reference,
         )
 
-        for i in range(300):
-            page = corpus.html_page(rng, [f"Sentence {j} alpha." for j in range(rng.randint(1, 4))])
+        for i, page in enumerate(_corpus_pages()):
             assert strip_boilerplate(page) == strip_boilerplate_reference(page), i
-        for t in [
-            "plain", "", "<p>a   b\n c</p>", "<p>ent &amp; ities &#65;</p>",
-            "<script>if (a<b) { x; }</script><p>after</p>", "<!-- c --><p>hi</p>",
-            "<br/><p>x</p>y<div>z</div>", "<nav><a href='#'>n</a></nav><p>keep</p>",
-            "<P>UPPER</P><DIV>case</DIV>", "<p>unclosed",
-            # self-closing skip tags: start+end in html.parser, NOT a raw
-            # body -- the rest of the document must survive
-            "<script/><p>must survive</p>",
-            "<style/><p>also survives</p>",
-            "before<script />mid<p>after</p>",
-            "<a/>no link depth<p>kept text here</p>",
-            "<nav/>flush only<p>kept</p>",
-            # unclosed skip tag: cdata to EOF on both implementations
-            "<p>head</p><script>var x = 1;",
-            # UNQUOTED attribute value ending in '/': html.parser consumes
-            # the '/' into the value, so these are normal START tags (cdata
-            # for script; link depth for a) -- not self-closing
-            "<script src=foo/>mid<p>after</p>",
-            "<a href=http://x.com/>link text</a><p>body</p>",
-            "<nav data-x=1/>flush<p>kept</p>",
-            # quoted value + '/>' IS self-closing
-            "<script src='foo'/><p>survives</p>",
-            "<a href='http://x.com/'/>no link<p>plain</p>",
-            # a QUOTE inside an unquoted value is part of the value: these
-            # are normal start tags, not self-closing
-            '<script title=foo"/>rest of doc<p>paragraph text here</p>',
-            '<a href=x"/>link text</a><p>body here</p>',
-            # stray '/' between attributes is a separator
-            "<script / src='x'/><p>kept</p>",
-            "<script //>cdata-or-selfclose<p>x</p>",
-        ]:
+        for t in _STRIP_EDGE_CASES:
             assert strip_boilerplate(t) == strip_boilerplate_reference(t), repr(t)
+
+    def test_batch_equals_scalar(self):
+        import pyarrow as pa
+
+        from distributed_system___ocr_ray.functions.html_strip import (
+            strip_boilerplate_batch,
+        )
+
+        texts = _corpus_pages() + _STRIP_EDGE_CASES
+        assert strip_boilerplate_batch(pa.array(texts)) == [strip_boilerplate(t) for t in texts]
+        assert strip_boilerplate_batch(pa.array([None, "x", None], pa.string())) == ["", "x", ""]
+        assert strip_boilerplate_batch(pa.array([], pa.string())) == []
+
+    def test_corpus_pages_take_the_batch_path(self, monkeypatch):
+        """The scalar stripper is only the fallback for documents the
+        split tokenizer cannot represent; corpus pages never need it."""
+        import pyarrow as pa
+
+        from distributed_system___ocr_ray.functions import html_strip
+
+        calls = []
+        scalar = html_strip.strip_boilerplate
+        monkeypatch.setattr(html_strip, "strip_boilerplate",
+                            lambda t: calls.append(t) or scalar(t))
+        pages = _corpus_pages()
+        assert html_strip.strip_boilerplate_batch(pa.array(pages)) == [scalar(p) for p in pages]
+        assert calls == []
+        html_strip.strip_boilerplate_batch(pa.array(["<!-- c --><p>hi</p>", "<p>é</p>"]))
+        assert len(calls) == 2

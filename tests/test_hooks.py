@@ -164,6 +164,26 @@ class TestNullTextSpan:
         assert out.column("out_text").to_pylist() == [""]
         assert out.column("status").to_pylist() == [STATUS_OK]
 
+    def test_null_text_media_span_matches_oracle(self):
+        """An image span with NULL text is a media span like any other: the
+        engine keeps it, as the oracle does, and emits its download
+        sentinel; a NULL text span is empty and dropped by both."""
+        from distributed_system___ocr_ray import oracle
+        from distributed_system___ocr_ray.corpus import DOC_SCHEMA
+        from distributed_system___ocr_ray.pipelines.extract import BlockExtractor
+
+        spans = [{"kind": "text", "text": f"<p>para {i}</p>", "media_ref": "",
+                  "offset": i} for i in range(50)]
+        spans += [{"kind": "image", "text": None, "media_ref": "mem://img/gone",
+                   "offset": 50},
+                  {"kind": "text", "text": None, "media_ref": "", "offset": 51}]
+        docs = pa.table({"doc_id": ["d"], "spans": [spans]}, schema=DOC_SCHEMA)
+        got = BlockExtractor({}).process(docs)[0].column("spans")[0].as_py()
+        want = oracle.extract_document(spans, {})
+        assert len(want) == 51
+        assert want[-1]["text"] == SENTINEL_IMAGE_DOWNLOAD
+        assert got == want
+
 
 class TestHttpFetcher:
     """The stdlib urllib fetcher against an IN-PROCESS localhost server --

@@ -444,3 +444,47 @@ class TestHtmlStripFuzz:
         )
 
         assert isinstance(strip_boilerplate("".join(parts)), str)
+
+
+# tag soup for the batch stripper: case and spacing in tag names, raw
+# script bodies holding '<', self-closing forms, comments, entities and
+# stray angle brackets
+_SOUP_PARTS = [
+    "<p>", "</p>", "<P >", "< p>", "</ p>", "<div class='c'>", "</DIV>", "<br/>",
+    "<h1>", "<span>", "</span>",
+    "<a href='x'>", "</a>", "<A HREF=X>", "<a/>", "<a href=x/>", "<a href='x'/>",
+    "<nav>", "</nav>", "<nav/>", "<Header>", "</footer >", "<aside data-x=1/>",
+    "<script>", "</script>", "</Script >", "<script>if (a<b) x;</script>",
+    "<style>", "</style>", "<title>", "</title>", "<script/>", "<script src=foo/>",
+    "<!-- c -->", "<!--a>b-->", "<!-->", "<!doctype html>",
+    "&amp;", "&#32;", "&nbsp;", "&#1;", "&lt;", "&#10;", "&",
+    "<", ">", "/", "word", "text block here", " ", "  ", "\n", "\t", "\x1c", "é",
+]
+_soup = st.lists(st.sampled_from(_SOUP_PARTS), max_size=40).map("".join)
+
+
+class TestHtmlStripBatch:
+    """``strip_boilerplate_batch`` is ``strip_boilerplate`` over a batch,
+    byte for byte, with null read as empty."""
+
+    @staticmethod
+    def _check(texts):
+        import pyarrow as pa
+
+        from distributed_system___ocr_ray.functions.html_strip import (
+            strip_boilerplate,
+            strip_boilerplate_batch,
+        )
+
+        got = strip_boilerplate_batch(pa.array(texts, pa.string()))
+        assert got == [strip_boilerplate(t or "") for t in texts]
+
+    @given(st.lists(st.one_of(st.none(), _soup), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_tag_soup(self, texts):
+        self._check(texts)
+
+    @given(st.lists(st.one_of(st.none(), _texts), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, texts):
+        self._check(texts)
