@@ -250,34 +250,10 @@ def _q_token_count_by_lang(sf_dir: str):
     return analytics.token_count_by_key(ds, key="lang").select_columns(["lang", "n_ws_tokens"])
 
 
-def _q_exact_dedup_groups(sf_dir: str):
-    """Exact duplicate groups: (keeper id, copy count) per distinct content; hash-only shuffle."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.exact_dedup_groups(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_exact_dedup_rows(sf_dir: str):
-    """Full keeper ROWS via the semi-filter scale shape: keepers from the
-    hash-only shuffle, then a map-side broadcast ``pc.is_in`` filter -- full
-    rows never enter a shuffle (analytics.exact_dedup_semifilter; the
-    bucketed-join past-the-cap path is pytest-held equal). Text is omitted
-    from the output only to keep the driver compare payload small; the
-    engine filters complete rows."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    out = analytics.exact_dedup_semifilter(
-        _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
-    )
-    return out.select_columns(["doc_id", "lang", "n_chars"])
-
-
 def _novelty_split(sf_dir: str):
-    """(new_ds, corpus_ds) for the three novelty queries: 'new batch' =
-    every 5th doc, 'committed corpus' = the rest. ONE definition — the
-    three queries and their three oracle SQL strings all assume this exact
-    split rule, so a drift between copies would silently break the
-    'shares the oracle verbatim' contract (review finding, round 3)."""
+    """(new_ds, corpus_ds) for ``bloom_fp_audit``: 'new batch' = every 5th
+    doc, 'committed corpus' = the rest. Its oracle SQL assumes this exact
+    split rule (``doc_id % 5 = 0``)."""
 
     def mod5(want_zero: bool):
         def fn(batch: pa.Table) -> pa.Table:
@@ -296,37 +272,6 @@ def _novelty_split(sf_dir: str):
     return new_ds, corpus_ds
 
 
-def _q_novel_docs(sf_dir: str):
-    """Incremental-ingest novelty filter: 'new batch' = every 5th doc,
-    'committed corpus' = the rest; keep new docs whose text is absent from
-    the corpus (exact content match). Corpus side reduces to distinct
-    hashes then broadcasts; new side filters map-side."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    new_ds, corpus_ds = _novelty_split(sf_dir)
-    out = analytics.novel_docs(new_ds, corpus_ds)
-    return out.select_columns(["doc_id", "lang"])
-
-
-def _q_dedup_stats(sf_dir: str):
-    """Global dedup scalars: total docs, distinct contents, duplicate rows."""
-    from ray.data.aggregate import Count, Sum
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    groups = analytics.exact_dedup_groups(_docs(sf_dir, ["doc_id", "text"]))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("one", pa.array([1] * batch.num_rows, pa.int64()))
-
-    return (
-        groups.map_batches(tag, batch_format="pyarrow")
-        .groupby("one")
-        .aggregate(Sum("n_copies", alias_name="n_docs"), Count(alias_name="n_distinct"))
-        .select_columns(["n_docs", "n_distinct"])
-    )
-
-
 def _pairs_df(ds, columns: dict[str, str]):
     """Small pair results -> pandas with a guaranteed schema (an all-empty
     map_groups output otherwise loses its column names)."""
@@ -336,51 +281,6 @@ def _pairs_df(ds, columns: dict[str, str]):
     if len(df.columns) == 0:
         df = pd.DataFrame({c: pd.Series(dtype=t) for c, t in columns.items()})
     return df[list(columns)]
-
-
-def _q_minhash_pairs(sf_dir: str):
-    """MinHash+LSH near-dup pairs. est_jaccard is k/64 (k = matching
-    signature positions), reported as the integer k so the DuckDB oracle --
-    which replays shingling, the md5 shingle hash, all 64 seeded
-    permutations, banding, the bucket skew cap and the candidate join in
-    SQL -- compares exactly. Oracle caveat: band buckets keyed by value
-    equality in SQL vs a 63-bit md5 of the band slice in the engine (a
-    2^-63 collision could perturb candidates either way -- negligible)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    out = analytics.minhash_lsh_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.6)
-    df = _pairs_df(out, {"doc_a": "int64", "doc_b": "int64", "est_jaccard": "float64"})
-    df["n_match"] = (df.pop("est_jaccard") * 64).round().astype("int64")
-    return df
-
-
-def _q_simhash_pairs(sf_dir: str):
-    """SimHash near-dup pairs; the DuckDB oracle replays the md5 token hash,
-    per-bit majority vote, band blocking and Hamming filter in SQL."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    out = analytics.simhash_pairs(_docs(sf_dir, ["doc_id", "text"]), max_hamming=3)
-    return _pairs_df(out, {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
-
-
-def _q_ngram_jaccard_pairs(sf_dir: str):
-    """Exact-recall prefix-filtered Jaccard pairs; the DuckDB oracle computes
-    the full exact pair set (self-join on word 3-shingles), which the prefix
-    lemma guarantees the distributed plan also finds."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    out = analytics.ngram_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.5)
-    return _pairs_df(out, {"doc_a": "int64", "doc_b": "int64", "jaccard_ppm": "int64"})
-
-
-def _q_ngram_dup_clusters(sf_dir: str):
-    """Connected components over the exact-recall Jaccard pair graph --
-    checkable end-to-end in SQL via a recursive-CTE transitive closure."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    pairs = analytics.ngram_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.5)
-    out = analytics.dedup_clusters(pairs)
-    return _pairs_df(out, {"doc_id": "int64", "cluster_id": "int64"})
 
 
 def _q_embedding_neardup(sf_dir: str):
@@ -414,43 +314,6 @@ def _q_extract_embed_neardup(sf_dir: str):
     ds, store = wrap.interleaved_from_documents(sf_dir, replicate=2)
     out = extract_embed_neardup(ds, store, threshold=0.999)
     return _pairs_df(out, {"vec_a": "object", "vec_b": "object"})
-
-
-def _q_minhash_dup_clusters(sf_dir: str):
-    """Near-dup clusters: MinHash-LSH pairs -> connected components via
-    iterative min-label propagation. The DuckDB oracle replays the full
-    MinHash pair SQL plus a recursive-CTE transitive closure."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    pairs = analytics.minhash_lsh_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.6)
-    out = analytics.dedup_clusters(pairs)
-    return _pairs_df(out, {"doc_id": "int64", "cluster_id": "int64"})
-
-
-def _q_simhash_dup_clusters(sf_dir: str):
-    """Near-dup clusters over the SIMHASH pair graph (completing the
-    cluster matrix beside minhash_dup_clusters and ngram_dup_clusters:
-    same connected-components engine, third edge generator); oracle
-    wraps the full simhash pair replay as a CTE and applies the shared
-    recursive-closure pattern."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    pairs = analytics.simhash_pairs(_docs(sf_dir, ["doc_id", "text"]), max_hamming=3)
-    out = analytics.dedup_clusters(pairs)
-    return _pairs_df(out, {"doc_id": "int64", "cluster_id": "int64"})
-
-
-def _q_clean_corpus_keepers(sf_dir: str):
-    """Composed cleaning pipeline: length filter -> exact dedup keep-first.
-    SQL-checkable end-to-end."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"])
-    filtered = ds.filter(expr="n_chars >= 100 and n_chars <= 20000")
-    groups = analytics.exact_dedup_groups(filtered)
-    return groups.select_columns(["keeper_doc_id"])
 
 
 def _q_sample_docs(sf_dir: str):
@@ -708,16 +571,6 @@ def _q_docs_cube(sf_dir: str):
     return analytics.cube_counts(
         _docs(sf_dir, ["lang", "source"]), ["lang", "source"]
     )
-
-
-def _q_dedup_keep_best(sf_dir: str):
-    """Exact dedup keeping the best-quality representative per content
-    group (max quality_ppm, tie min doc_id) — quality computed map-side,
-    per-batch partial argmax, group-domain-sized shuffle. Oracle: the
-    shared quality CTE + a row_number window."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.dedup_keep_best(_docs(sf_dir, ["doc_id", "text"]))
 
 
 def _range_bounds(sf_dir: str) -> tuple[int, int]:
@@ -1019,25 +872,6 @@ def _q_sample_n_per_group(sf_dir: str):
     return analytics.sample_n_per_group(_docs(sf_dir, ["doc_id", "lang"]), 15)
 
 
-_FUZZY_NOVEL_THRESHOLD = 0.6
-
-
-def _q_novel_docs_minhash(sf_dir: str):
-    """Fuzzy novelty gate: every-5th doc is the new batch, the rest the
-    committed corpus; new docs near-duplicating (MinHash est-Jaccard >=
-    0.6) any corpus doc are dropped. The unchanged minhash_lsh_pairs plan
-    runs over a side-encoded union; the oracle replays it (permutation
-    literals, banding, skew cap) over the same union and anti-joins the
-    cross-side matches."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    new_ds, corpus_ds = _novelty_split(sf_dir)
-    out = analytics.novel_docs_minhash(
-        new_ds, corpus_ds, threshold=_FUZZY_NOVEL_THRESHOLD
-    )
-    return out.select_columns(["doc_id", "lang"])
-
-
 def _q_chunk_documents(sf_dir: str):
     """Sliding-window chunking (64-token chunks, 16-token overlap) — the
     embedding/RAG indexing fan-out. Pure map-side; the oracle replays
@@ -1045,52 +879,6 @@ def _q_chunk_documents(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.chunk_documents(_docs(sf_dir, ["doc_id", "text"]), 64, 16)
-
-
-def _q_novel_docs_bloom(sf_dir: str):
-    """Same novelty semantics as novel_docs (every-5th-doc new batch vs
-    the rest as corpus) through the Bloom-prefilter path: misses pass
-    map-side as definitely-novel, hits re-verify exactly against the real
-    hash table — the 35x-smaller broadcast with unchanged output, which is
-    why it shares novel_docs' NOT IN oracle verbatim."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    new_ds, corpus_ds = _novelty_split(sf_dir)
-    out = analytics.novel_docs_bloom(new_ds, corpus_ds)
-    return out.select_columns(["doc_id", "lang"])
-
-
-_BOILER1 = "promo: subscribe to our newsletter today!"
-_BOILER2 = "follow us on social media for updates"
-
-
-def _q_line_dedup(sf_dir: str):
-    """C4-style corpus line dedup over a deterministically boilerplated
-    corpus: every doc gains a newsletter line (all docs), a social line
-    (doc_id%3==0) and a short 'ad' line (exempt, < 8 chars). After dedup
-    only the globally-first occurrence of each boilerplate line survives;
-    each doc's own unique line and the exempt short line stay everywhere.
-    Engine: hash-only line-stats shuffle -> broadcast {hash: first-pack}
-    -> map-side rewrite. Oracle replays split/count/min-pack/rejoin."""
-    import pyarrow as pa
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    def boiler(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        out = [
-            t
-            + "\n"
-            + _BOILER1
-            + ("\n" + _BOILER2 if d % 3 == 0 else "")
-            + "\nad"
-            for d, t in zip(ids, texts)
-        ]
-        return pa.table({"doc_id": batch.column("doc_id"), "text": pa.array(out, pa.string())})
-
-    src = _docs(sf_dir, ["doc_id", "text"]).map_batches(boiler, batch_format="pyarrow")
-    return analytics.line_dedup(src, min_line_chars=8)
 
 
 def _q_sample_exact_n(sf_dir: str):
@@ -1314,46 +1102,6 @@ def _q_oov_rate_by_lang(sf_dir: str):
     return analytics.oov_rate_by_lang(ds, vocab_k=512)
 
 
-def _q_dup_shingle_rate(sf_dir: str):
-    """Per-source duplicated-shingle rate (exact-substring-duplication
-    health metric); oracle reuses the shared word-3-shingle CTE body
-    (_SHINGLE_CTES) and counts shingle instances appearing in >= 2 docs."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
-    )
-    return analytics.dup_shingle_rate(ds)
-
-
-def _q_doc_boilerplate(sf_dir: str):
-    """Per-doc duplicated-shingle ppm (the boilerplate quality column a
-    substring-dedup gate filters on; analytics.doc_boilerplate_score);
-    oracle reuses the shared word-3-shingle CTE body (_SHINGLE_CTES) and
-    resolves dup_shingle_rate's >= 2-doc rule per doc_id."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return analytics.doc_boilerplate_score(ds)
-
-
-def _q_dup_spans(sf_dir: str):
-    """Per-doc duplicated-SPAN token coverage ppm (positional complement of
-    doc_boilerplate: how much of the token stream shared 3-shingles blanket;
-    analytics.dup_spans); oracle replays positions with a QUALIFY window and
-    expands spans via generate_series."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return analytics.dup_spans(ds)
-
-
 def _q_compaction_bins(sf_dir: str):
     """Deterministic cumulative bin-packing of (source, lang) partition
     sizes into capacity-100 compaction bins (table-maintenance plan;
@@ -1365,19 +1113,6 @@ def _q_compaction_bins(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["source", "lang"])
     return analytics.compaction_bins(ds)
-
-
-def _q_shingle_containment(sf_dir: str):
-    """Directional 3-shingle containment between sources in ppm
-    (train/test leakage-direction audit; analytics.shingle_containment);
-    oracle joins the shared shingle CTE body back to source and replays
-    the self-join whose diagonal is the per-source size."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    return analytics.shingle_containment(ds)
 
 
 def _q_bigram_surprisal_by_source(sf_dir: str):
@@ -1506,21 +1241,6 @@ def _q_readability_by_lang(sf_dir: str):
     return analytics.readability_by_lang(ds)
 
 
-def _q_minhash_recall_audit(sf_dir: str):
-    """Precision/recall of the MinHash+LSH pair set (est >= 0.6, the
-    registered minhash_pairs query) against the exact word-3-gram Jaccard
-    >= 0.5 ground truth (the registered ngram_jaccard_pairs query) -- the
-    committed evidence for recommending MinHash as the at-scale dedup
-    path. Oracle composes the two already-green CTE replays (they share
-    the shingle CTE body) and the same floor-div ppm."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    exact = analytics.ngram_jaccard_pairs(docs, threshold=0.5)
-    approx = analytics.minhash_lsh_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.6)
-    return analytics.pair_set_audit(exact, approx)
-
-
 def _q_bloom_fp_audit(sf_dir: str):
     """Bloom-prefilter FP audit on the shared novelty split; the oracle
     replays the ENTIRE filter in SQL: md5(sha256-hex) halves,
@@ -1539,24 +1259,6 @@ def _q_cms_error_audit(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.cms_error_audit(_docs(sf_dir, ["text"]), _docs(sf_dir, ["text"]))
-
-
-def _q_dup_size_histogram(sf_dir: str):
-    """Histogram of exact-duplicate group sizes (corpus-health profile one
-    level finer than dedup_stats), over the corpus with every-7th doc
-    repeated once (the documents table is dup-free by construction, so the
-    planted rows make the size-2 bucket real on both sides); oracle is the
-    two-level GROUP BY over the same UNION ALL."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def every7(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids % 7 == 0))
-
-    planted = docs.union(docs.map_batches(every7, batch_format="pyarrow"))
-    return analytics.dup_size_histogram(planted)
 
 
 def _q_langid_confusion(sf_dir: str):
@@ -1583,16 +1285,6 @@ def _q_source_vocab_overlap(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.source_vocab_overlap(sf_dir)
-
-
-def _q_normalized_dedup(sf_dir: str):
-    """C4-style near-exact dedup profile after lowercase/punct-strip/
-    ws-collapse normalization -- sizes the gap between raw exact dedup and
-    the fuzzy pair family; hash-only shuffle
-    (analytics.normalized_dedup_stats)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.normalized_dedup_stats(_docs(sf_dir, ["text"]))
 
 
 def _q_lang_source_chi2(sf_dir: str):
@@ -1632,17 +1324,6 @@ def _q_encoding_audit(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.encoding_audit(sf_dir)
-
-
-def _q_cross_source_dups(sf_dir: str):
-    """MinHash near-dup pair counts per unordered source pair -- the
-    provenance contamination matrix; pairs from the unchanged minhash
-    plan, endpoint sources resolved by a capped broadcast of the (small
-    by construction) endpoint id set over the narrow (doc_id, source)
-    projection (analytics.cross_source_dup_matrix)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.cross_source_dup_matrix(sf_dir, threshold=0.6)
 
 
 def _q_link_prediction_topk(sf_dir: str):
@@ -1719,17 +1400,6 @@ def _q_ccnet_bucket_counts(sf_dir: str):
     return analytics.ccnet_bucket_counts(ds)
 
 
-def _q_soft_dedup_weights(sf_dir: str):
-    """Soft dedup: per-doc training weight 10^6 // exact-content cluster
-    size (analytics.soft_dedup_weights -- reweight instead of drop); the
-    oracle joins per-text counts back onto documents with the same
-    floor-div ppm."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    return analytics.soft_dedup_weights(ds)
-
-
 def _q_filter_impact_audit(sf_dir: str):
     """Disparate-impact audit of the composed pipeline's quality gate:
     per-lang pass rates at the 400k-ppm threshold, impact ratio vs the
@@ -1752,20 +1422,6 @@ def _q_texttiling_boundaries(sf_dir: str):
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     return analytics.texttiling_boundaries(ds)
-
-
-def _q_quality_neardup_auc(sf_dir: str):
-    """Exact Mann-Whitney ROC-AUC of the cheap quality score as a
-    near-duplicate predictor, positives = members of a MinHash est
-    >= 0.5 pair (analytics.quality_neardup_auc -- the threshold-free
-    companion of quality_dup_calibration; MinHash is the default ground
-    truth since VERDICT r4 #1, exact ngram is an opt-in audit); oracle
-    composes the green minhash-pair CTEs, the shared quality CTEs and
-    the histogram cumulative 2U walk with the tie convention."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    return analytics.quality_neardup_auc(ds)
 
 
 def _q_nb_source_classifier(sf_dir: str):
@@ -2039,38 +1695,6 @@ _PPS_SAMPLE_SQL = (
     "((cw - n_chars) * 500) // w AS BIGINT) AS n_hits FROM c, tot) "
     "SELECT doc_id, n_chars, n_hits FROM h WHERE n_hits > 0"
 )
-
-
-def _q_ngram_dedup_keepers(sf_dir: str):
-    """Composed near-dup cleaning: exact-recall Jaccard pairs -> connected
-    components -> keep the min doc per cluster plus all unclustered docs
-    (left anti-join semantics via the bucketed join, scale-safe -- the
-    non-keeper set is never collected to the driver)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-    from distributed_system___ocr_ray.pipelines.relational import bucketed_hash_join
-
-    pairs = analytics.ngram_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]), threshold=0.5)
-    clusters = analytics.dedup_clusters(pairs)
-
-    def non_keepers(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.not_equal(batch.column("doc_id"), batch.column("cluster_id"))
-        return pa.table({"cdoc": batch.column("doc_id").filter(mask)})
-
-    non = clusters.map_batches(non_keepers, batch_format="pyarrow")
-    docs = _docs(sf_dir, ["doc_id"])
-    # anti-join by NULL test only -- the left-join's float padding of cdoc
-    # never has its VALUE compared, so 64-bit ids stay precision-safe
-    joined = bucketed_hash_join(docs, non, "doc_id", "cdoc", how="left")
-
-    def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.is_null(batch.column("cdoc"))
-        return pa.table({"keeper_doc_id": batch.column("doc_id").filter(mask)})
-
-    return joined.map_batches(keep, batch_format="pyarrow")
 
 
 def _q_training_corpus_counts(sf_dir: str):
@@ -2631,17 +2255,6 @@ def _q_dp_geometric_counts(sf_dir: str):
     return analytics.dp_geometric_counts(_docs(sf_dir, ["lang"]))
 
 
-def _q_boundary_overlap_pairs(sf_dir: str):
-    """Crawl-stitch candidate pairs: A's last-2-token window == B's
-    first-2-token window, boilerplate-boundary skew cap 40 per side
-    (analytics.boundary_overlap_pairs); oracle replays list_slice windows,
-    the cap CTE and the self-pair exclusion on the window STRINGS (the
-    engine joins on their md5-u64, collision-free at 64 bits)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.boundary_overlap_pairs(_docs(sf_dir, ["doc_id", "text"]))
-
-
 def _q_padding_waste_by_bucket(sf_dir: str):
     """Length-bucketed batching padding audit: power-of-two token buckets,
     exact ppm of padded slots per bucket (analytics.padding_waste_by_bucket);
@@ -2826,18 +2439,6 @@ def _q_vocab_pruning_plan(sf_dir: str):
     return analytics.vocab_pruning_plan(_docs(sf_dir, ["text"]))
 
 
-def _q_dedup_family_agreement(sf_dir: str):
-    """Pairwise Jaccard agreement between the three SUB-LINEAR near-dup
-    pair generators (minhash, simhash, winnow) over the same corpus
-    (analytics.dedup_family_agreement -- the which-signal-to-trust
-    meta-audit; exact ngram demoted to an opt-in audit, VERDICT r4 #1);
-    oracle composes the three already-green pair replays and the set
-    arithmetic."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.dedup_family_agreement(_docs(sf_dir, ["doc_id", "text"]))
-
-
 def _q_unigram_power_sample_plan(sf_dir: str):
     """Word2vec negative-sampling distribution: token weights ~ n^(3/4)
     via the nested floor-sqrt identity, vocabulary-wide floor-div shares,
@@ -2860,40 +2461,6 @@ def _q_ams_f2_audit(sf_dir: str):
     return analytics.ams_f2_audit(_docs(sf_dir, ["text"]))
 
 
-def _q_winnow_dup_clusters(sf_dir: str):
-    """Copy-detection clusters over the winnowing (MOSS) pair graph --
-    fourth edge generator for the cluster matrix beside
-    minhash/ngram/simhash; same connected-components engine, oracle
-    wraps the full winnow pair replay as a CTE with the shared
-    recursive-closure pattern."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    pairs = analytics.winnow_fingerprint_pairs(_docs(sf_dir, ["doc_id", "text"]))
-    out = analytics.dedup_clusters(pairs)
-    return _pairs_df(out, {"doc_id": "int64", "cluster_id": "int64"})
-
-
-def _q_winnow_fingerprint_pairs(sf_dir: str):
-    """Winnowing (MOSS) copy-detection pairs: window-minimum 20-gram
-    fingerprints, pairs sharing >= 5 prints with the shared count
-    (analytics.winnow_fingerprint_pairs); the packed (hash, reversed-pos)
-    int64 makes the rightmost-tie rule a plain window MIN the oracle
-    replays verbatim."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.winnow_fingerprint_pairs(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_cdc_chunk_dedup(sf_dir: str):
-    """Content-defined chunking dedup audit: rolling-hash (W=16, mod
-    2^31-1, boundary mask 64) chunk boundaries, corpus-wide chunk-store
-    savings (analytics.cdc_chunk_dedup); oracle replays the 16-term
-    polynomial hash expression and DISTINCTs the chunk strings."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.cdc_chunk_dedup(_docs(sf_dir, ["text"]))
-
-
 def _q_max_coverage_select(sf_dir: str):
     """Greedy max-coverage selection of 5 docs by uncovered word-bigram
     gain (analytics.max_coverage_select); oracle unrolls the k rounds as
@@ -2911,16 +2478,6 @@ def _q_blocklist_screen(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.blocklist_screen(_docs(sf_dir, ["text", "lang"]))
-
-
-def _q_boundary_stitch_chains(sf_dir: str):
-    """Chain-size histogram of boundary-overlap connected components
-    (analytics.boundary_stitch_chains: pairs -> dedup_clusters pointer
-    jumping -> histogram); oracle closes the shared boundary edge CTE
-    recursively."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.boundary_stitch_chains(_docs(sf_dir, ["doc_id", "text"]))
 
 
 def _q_code_switch_rate_by_source(sf_dir: str):
@@ -2958,16 +2515,6 @@ def _q_kwic_snippets(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.kwic_snippets(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def _q_leakage_free_split_audit(sf_dir: str):
-    """Near-dup-aware vs naive train/val split policies measured on the
-    same corpus: straddling multi-doc near-dup clusters per policy
-    (analytics.leakage_free_split_audit); oracle composes the green
-    MinHash recursive-CC replay with md5 split predicates."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.leakage_free_split_audit(_docs(sf_dir, ["doc_id", "text"]))
 
 
 def _q_matryoshka_recall_audit(sf_dir: str):
@@ -3186,16 +2733,6 @@ def _q_nearest_centroid_confusion(sf_dir: str):
     return analytics.nearest_centroid_confusion(ds)
 
 
-def _q_quality_dup_calibration(sf_dir: str):
-    """Exact-dup participation rate per fixed quality-ppm bin
-    (analytics.quality_dup_calibration -- is the quality score a dedup
-    proxy?); oracle composes the green quality CTEs with the md5-prefix
-    text-group key and the same clamped bin + floor-div ppm."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.quality_dup_calibration(_docs(sf_dir, ["doc_id", "text"]))
-
-
 def _q_lang_temperature_plan(sf_dir: str):
     """alpha=0.5 temperature-sampling plan per language: sqrt weights,
     target share and resample factor in exact floor-divided ppm
@@ -3282,20 +2819,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fingerprints": _q_fingerprints,
         "repetition_stats": _q_repetition_stats,
         # dedup family
-        "exact_dedup_groups": _q_exact_dedup_groups,
-        "exact_dedup_rows": _q_exact_dedup_rows,
-        "novel_docs": _q_novel_docs,
-        "dedup_stats": _q_dedup_stats,
-        "minhash_pairs": _q_minhash_pairs,
-        "simhash_pairs": _q_simhash_pairs,
-        "ngram_jaccard_pairs": _q_ngram_jaccard_pairs,
-        "ngram_dup_clusters": _q_ngram_dup_clusters,
-        "ngram_dedup_keepers": _q_ngram_dedup_keepers,
         "embedding_neardup": _q_embedding_neardup,
         "extract_embed_neardup": _q_extract_embed_neardup,
-        "minhash_dup_clusters": _q_minhash_dup_clusters,
-        "simhash_dup_clusters": _q_simhash_dup_clusters,
-        "clean_corpus_keepers": _q_clean_corpus_keepers,
         "sample_docs": _q_sample_docs,
         "stratified_sample": _q_stratified_sample,
         "dataset_split_counts": _q_dataset_split_counts,
@@ -3312,10 +2837,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cms_top_tokens": _q_cms_top_tokens,
         "epoch_shuffle": _q_epoch_shuffle,
         "sample_exact_n": _q_sample_exact_n,
-        "line_dedup": _q_line_dedup,
-        "novel_docs_bloom": _q_novel_docs_bloom,
         "chunk_documents": _q_chunk_documents,
-        "novel_docs_minhash": _q_novel_docs_minhash,
         "sample_n_per_group": _q_sample_n_per_group,
         "zscore_by_lang": _q_zscore_by_lang,
         "domain_counts": _q_domain_counts,
@@ -3333,7 +2855,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "source_tv_distance": _q_source_tv_distance,
         "token_burstiness": _q_token_burstiness,
         "graph_reciprocity": _q_graph_reciprocity,
-        "dedup_keep_best": _q_dedup_keep_best,
         "robust_outliers": _q_robust_outliers,
         "collocations": _q_collocations,
         # similarity search / retrieval
@@ -3355,11 +2876,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "table_checksum": _q_table_checksum,
         "phrase_doc_counts": _q_phrase_doc_counts,
         "oov_rate_by_lang": _q_oov_rate_by_lang,
-        "dup_shingle_rate": _q_dup_shingle_rate,
-        "doc_boilerplate": _q_doc_boilerplate,
-        "dup_spans": _q_dup_spans,
         "compaction_bins": _q_compaction_bins,
-        "shingle_containment": _q_shingle_containment,
         "bigram_surprisal_by_source": _q_bigram_surprisal_by_source,
         "doclen_deciles_by_source": _q_doclen_deciles_by_source,
         "completeness_audit": _q_completeness_audit,
@@ -3370,21 +2887,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_surprisal_topk": _q_doc_surprisal_topk,
         "sentence_stats_by_lang": _q_sentence_stats_by_lang,
         "readability_by_lang": _q_readability_by_lang,
-        "minhash_recall_audit": _q_minhash_recall_audit,
         "bloom_fp_audit": _q_bloom_fp_audit,
         "cms_error_audit": _q_cms_error_audit,
-        "dup_size_histogram": _q_dup_size_histogram,
         "langid_confusion": _q_langid_confusion,
         "k_anonymity": _q_k_anonymity,
         "split_skew_audit": _q_split_skew_audit,
         "vocab_growth": _q_vocab_growth,
         "link_prediction_topk": _q_link_prediction_topk,
-        "cross_source_dups": _q_cross_source_dups,
         "encoding_audit": _q_encoding_audit,
         "quality_length_corr": _q_quality_length_corr,
         "shuffle_mix_audit": _q_shuffle_mix_audit,
         "lang_source_chi2": _q_lang_source_chi2,
-        "normalized_dedup": _q_normalized_dedup,
         "source_vocab_overlap": _q_source_vocab_overlap,
         "label_centroids": _q_label_centroids,
         "evolved_schema_counts": _q_evolved_schema_counts,
@@ -3395,7 +2908,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_prf_topk": _q_bm25_prf_topk,
         "bpe_merge_candidates": _q_bpe_merge_candidates,
         "dp_geometric_counts": _q_dp_geometric_counts,
-        "boundary_overlap_pairs": _q_boundary_overlap_pairs,
         "padding_waste_by_bucket": _q_padding_waste_by_bucket,
         "chao1_vocab_estimate": _q_chao1_vocab_estimate,
         "real_pdf_roundtrip": _q_real_pdf_roundtrip,
@@ -3404,27 +2916,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "gopher_quality_flags": _q_gopher_quality_flags,
         "mattr_by_lang": _q_mattr_by_lang,
         "vocab_pruning_plan": _q_vocab_pruning_plan,
-        "winnow_fingerprint_pairs": _q_winnow_fingerprint_pairs,
-        "winnow_dup_clusters": _q_winnow_dup_clusters,
         "ams_f2_audit": _q_ams_f2_audit,
         "unigram_power_sample_plan": _q_unigram_power_sample_plan,
-        "dedup_family_agreement": _q_dedup_family_agreement,
-        "cdc_chunk_dedup": _q_cdc_chunk_dedup,
         "max_coverage_select": _q_max_coverage_select,
         "blocklist_screen": _q_blocklist_screen,
-        "boundary_stitch_chains": _q_boundary_stitch_chains,
         "code_switch_rate_by_source": _q_code_switch_rate_by_source,
         "token_budget_waterfill": _q_token_budget_waterfill,
         "random_walks": _q_random_walks,
         "kwic_snippets": _q_kwic_snippets,
-        "leakage_free_split_audit": _q_leakage_free_split_audit,
         "matryoshka_recall_audit": _q_matryoshka_recall_audit,
         "mmr_diverse_topk": _q_mmr_diverse_topk,
         "embedding_covariance_topk": _q_embedding_covariance_topk,
         "pq_recall_audit": _q_pq_recall_audit,
         "sq8_recall_audit": _q_sq8_recall_audit,
         "lang_temperature_plan": _q_lang_temperature_plan,
-        "quality_dup_calibration": _q_quality_dup_calibration,
         "embedding_outliers_topk": _q_embedding_outliers_topk,
         "centroid_separation_audit": _q_centroid_separation_audit,
         "nearest_centroid_confusion": _q_nearest_centroid_confusion,
@@ -3440,13 +2945,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hits_scores": _q_hits_scores,
         "langid_kappa": _q_langid_kappa,
         "nb_source_classifier": _q_nb_source_classifier,
-        "quality_neardup_auc": _q_quality_neardup_auc,
         "texttiling_boundaries": _q_texttiling_boundaries,
         "filter_impact_audit": _q_filter_impact_audit,
         "mor_delete_counts": _q_mor_delete_counts,
         "wap_publish_counts": _q_wap_publish_counts,
         "binary_hamming_topk": _q_binary_hamming_topk,
-        "soft_dedup_weights": _q_soft_dedup_weights,
         "ccnet_bucket_counts": _q_ccnet_bucket_counts,
         "kcore_nodes": _q_kcore_nodes,
         # multimodal
@@ -3735,24 +3238,6 @@ def _sample_n_per_group_sql(n: int, group_col: str = "lang") -> str:
     )
 
 
-def _novel_docs_minhash_sql(threshold: float) -> str:
-    """Replays _q_novel_docs_minhash: the full minhash replay over the
-    side-encoded union (sid = 2*id for corpus, 2*id+1 for the every-5th
-    new batch), then new docs with a cross-side pair are anti-joined out.
-    In minhash_lsh_pairs doc_a < doc_b, so the odd (new) sid can sit on
-    either side of a pair."""
-    ctes = _minhash_ctes(threshold=threshold, src="uni")
-    return (
-        "WITH uni AS (SELECT doc_id * 2 + CASE WHEN doc_id % 5 = 0 THEN 1 ELSE 0 END "
-        "AS doc_id, text FROM documents), "
-        f"{ctes[len('WITH '):] if ctes.startswith('WITH ') else ctes}, "
-        "matched AS (SELECT (CASE WHEN doc_a % 2 = 1 THEN doc_a ELSE doc_b END) // 2 "
-        "AS doc_id FROM mpairs WHERE doc_a % 2 != doc_b % 2) "
-        "SELECT d.doc_id, d.lang FROM documents d WHERE d.doc_id % 5 = 0 "
-        "AND d.doc_id NOT IN (SELECT doc_id FROM matched)"
-    )
-
-
 def _chunk_documents_sql(chunk: int, overlap: int) -> str:
     """Replays _q_chunk_documents: k in [0, ceil(n/stride)) windows of the
     whitespace-token array, 1-based inclusive list_slice."""
@@ -3767,28 +3252,6 @@ def _chunk_documents_sql(chunk: int, overlap: int) -> str:
         f"LEAST(chunk_id * {stride} + {chunk}, n)), ' ') AS text, "
         f"CAST(LEAST(chunk_id * {stride} + {chunk}, n) - chunk_id * {stride} AS BIGINT) "
         "AS n_tokens FROM c"
-    )
-
-
-def _line_dedup_sql(min_chars: int = 8) -> str:
-    """Replays _q_line_dedup end-to-end: the boilerplate construction, the
-    per-line (count, min(doc_id*2^32 + idx)) stats over lines >=
-    min_chars, the keep-first filter, and the ordered chr(10) rejoin.
-    Docs whose every line was a non-first duplicate come back as ''."""
-    return (
-        "WITH src AS (SELECT doc_id, text || chr(10) || "
-        f"'{_BOILER1}' || "
-        f"CASE WHEN doc_id % 3 = 0 THEN chr(10) || '{_BOILER2}' ELSE '' END || "
-        "chr(10) || 'ad' AS text FROM documents), "
-        "t AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM src), "
-        "l AS (SELECT doc_id, unnest(ls) AS line, generate_subscripts(ls, 1) AS i FROM t), "
-        "d AS (SELECT line, COUNT(*) AS n, MIN(doc_id * 4294967296 + (i - 1)) AS mp "
-        f"FROM l WHERE length(line) >= {min_chars} GROUP BY line), "
-        "k AS (SELECT l.doc_id, l.i, l.line FROM l LEFT JOIN d "
-        f"ON length(l.line) >= {min_chars} AND l.line = d.line "
-        "WHERE d.n IS NULL OR d.n = 1 OR (l.doc_id * 4294967296 + (l.i - 1)) = d.mp), "
-        "o AS (SELECT doc_id, string_agg(line, chr(10) ORDER BY i) AS text FROM k GROUP BY doc_id) "
-        "SELECT s.doc_id, COALESCE(o.text, '') AS text FROM src s LEFT JOIN o USING (doc_id)"
     )
 
 
@@ -4036,120 +3499,6 @@ def _render_html_sql() -> str:
     )
 
 
-# distinct word-3-gram shingle strings per document (with the <3-words
-# fallback matching dedup.shingle_hashes) -- shared by the ngram-Jaccard AND
-# MinHash oracles, so both families tokenize/shingle identically in SQL
-def _shingle_ctes(src: str = "documents") -> str:
-    """Word-3-gram shingle CTE body, parameterized by the source relation
-    (novel_docs_minhash replays over a side-encoded union, not documents)."""
-    return _SHINGLE_CTES.replace("FROM documents", f"FROM {src}", 1)
-
-
-_SHINGLE_CTES = (
-    "ws AS (SELECT doc_id, regexp_extract_all(text, '\\S+') AS w FROM documents), "
-    "base AS (SELECT doc_id, len(w) AS nw, w FROM ws), "
-    "tok AS (SELECT doc_id, unnest(w) AS tk, unnest(generate_series(1, len(w))) AS i "
-    "FROM base WHERE nw >= 3), "
-    "sh3 AS (SELECT DISTINCT doc_id, tk || ' ' || lead(tk, 1) OVER win || ' ' || "
-    "lead(tk, 2) OVER win AS s FROM tok WINDOW win AS (PARTITION BY doc_id ORDER BY i) "
-    "QUALIFY lead(tk, 2) OVER win IS NOT NULL), "
-    "shsmall AS (SELECT doc_id, array_to_string(w, ' ') AS s FROM base WHERE nw < 3), "
-    "sh AS (SELECT * FROM sh3 UNION ALL SELECT * FROM shsmall)"
-)
-
-# exact word-3-gram Jaccard pair set (threshold 0.5) -- shared CTE body for
-# the pair and cluster oracles; jaccard as integer ppm (identical float64
-# division then floor on both sides)
-_NGRAM_PAIRS_CTES = (
-    f"{_SHINGLE_CTES}, "
-    "sz AS (SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id), "
-    "inter AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i "
-    "FROM sh a JOIN sh b ON a.s = b.s AND a.doc_id < b.doc_id GROUP BY 1, 2), "
-    "jac AS (SELECT doc_a, doc_b, CAST(i AS DOUBLE) / (sa.n + sb.n - i) AS j "
-    "FROM inter JOIN sz sa ON sa.doc_id = doc_a JOIN sz sb ON sb.doc_id = doc_b), "
-    "pairs AS (SELECT doc_a, doc_b, CAST(FLOOR(j * 1000000.0 + 0.5) AS BIGINT) "
-    "AS jaccard_ppm FROM jac WHERE j >= 0.5)"
-)
-
-_NGRAM_PAIRS_SQL = f"WITH {_NGRAM_PAIRS_CTES} SELECT doc_a, doc_b, jaccard_ppm FROM pairs"
-
-_NGRAM_CC_CTES = (
-    f"{_NGRAM_PAIRS_CTES}, "
-    "edges AS (SELECT doc_a AS a, doc_b AS b FROM pairs "
-    "UNION SELECT doc_b, doc_a FROM pairs), "
-    "reach AS (SELECT a, b FROM edges "
-    "UNION SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a), "
-    "cl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-    "FROM reach GROUP BY a)"
-)
-
-_NGRAM_CLUSTERS_SQL = (
-    f"WITH RECURSIVE {_NGRAM_CC_CTES} SELECT doc_id, cluster_id FROM cl"
-)
-
-_NGRAM_KEEPERS_SQL = (
-    f"WITH RECURSIVE {_NGRAM_CC_CTES} "
-    "SELECT d.doc_id AS keeper_doc_id FROM documents d "
-    "LEFT JOIN cl ON d.doc_id = cl.doc_id "
-    "WHERE cl.cluster_id IS NULL OR cl.cluster_id = d.doc_id"
-)
-
-# replay of analytics.dup_shingle_rate over the SAME shared shingle CTE
-# body: sh is (doc_id, s)-distinct, so COUNT(*) per s is the distinct-doc
-# count; the engine's u64-hash grouping is string-equality-identical here
-_DUP_SHINGLE_SQL = (
-    f"WITH {_SHINGLE_CTES}, "
-    "g AS (SELECT s, COUNT(*) AS nd FROM sh GROUP BY s), "
-    "j AS (SELECT d.source, CASE WHEN g.nd >= 2 THEN 1 ELSE 0 END AS shared "
-    "FROM sh JOIN g USING (s) JOIN documents d USING (doc_id)), "
-    "a AS (SELECT source, COUNT(*) AS n_shingles, SUM(shared) AS n_shared "
-    "FROM j GROUP BY source) "
-    "SELECT source, CAST(n_shingles AS BIGINT) AS n_shingles, "
-    "CAST(n_shared AS BIGINT) AS n_shared, "
-    "CAST(n_shared * 1000000 // n_shingles AS BIGINT) AS shared_ppm FROM a"
-)
-
-# replay of analytics.doc_boilerplate_score: dup_shingle_rate's >= 2-doc
-# rule over the SAME shared shingle CTE body, grouped per doc_id
-_DOC_BOILERPLATE_SQL = (
-    f"WITH {_SHINGLE_CTES}, "
-    "g AS (SELECT s, COUNT(*) AS nd FROM sh GROUP BY s), "
-    "j AS (SELECT sh.doc_id, CASE WHEN g.nd >= 2 THEN 1 ELSE 0 END AS shared "
-    "FROM sh JOIN g USING (s)), "
-    "a AS (SELECT doc_id, COUNT(*) AS n_shingles, SUM(shared) AS n_shared "
-    "FROM j GROUP BY doc_id) "
-    "SELECT doc_id, CAST(n_shingles AS BIGINT) AS n_shingles, "
-    "CAST(n_shared AS BIGINT) AS n_shared, "
-    "CAST(n_shared * 1000000 // n_shingles AS BIGINT) AS boilerplate_ppm FROM a"
-)
-
-# replay of analytics.dup_spans: POSITIONAL word-3-shingles (no DISTINCT --
-# every occurrence keeps its 1-based start i), shingles in >= 2 distinct docs
-# mark their positions, spans [i, i+L) expand via generate_series and the
-# per-doc COUNT(DISTINCT j) IS the interval-union coverage
-_DUP_SPANS_SQL = (
-    "WITH ws AS (SELECT doc_id, regexp_extract_all(text, '\\S+') AS w FROM documents), "
-    "base AS (SELECT doc_id, len(w) AS nw, w FROM ws), "
-    "tok AS (SELECT doc_id, unnest(w) AS tk, unnest(generate_series(1, len(w))) AS i "
-    "FROM base WHERE nw >= 3), "
-    "shp AS (SELECT doc_id, i, tk || ' ' || lead(tk, 1) OVER win || ' ' || "
-    "lead(tk, 2) OVER win AS s FROM tok WINDOW win AS (PARTITION BY doc_id ORDER BY i) "
-    "QUALIFY lead(tk, 2) OVER win IS NOT NULL), "
-    "shsm AS (SELECT doc_id, 1 AS i, array_to_string(w, ' ') AS s "
-    "FROM base WHERE nw >= 1 AND nw < 3), "
-    "allp AS (SELECT * FROM shp UNION ALL SELECT * FROM shsm), "
-    "g AS (SELECT s FROM allp GROUP BY s HAVING COUNT(DISTINCT doc_id) >= 2), "
-    "dup AS (SELECT DISTINCT a.doc_id, a.i FROM allp a JOIN g USING (s)), "
-    "cov AS (SELECT d.doc_id, unnest(generate_series(d.i, "
-    "d.i + (CASE WHEN b.nw >= 3 THEN 3 ELSE b.nw END) - 1)) AS j "
-    "FROM dup d JOIN base b USING (doc_id)), "
-    "c AS (SELECT doc_id, COUNT(DISTINCT j) AS covered FROM cov GROUP BY doc_id) "
-    "SELECT b.doc_id, CAST(b.nw AS BIGINT) AS nw, "
-    "CAST(COALESCE(c.covered, 0) AS BIGINT) AS covered, "
-    "CAST(COALESCE(c.covered, 0) * 1000000 // b.nw AS BIGINT) AS dup_span_ppm "
-    "FROM base b LEFT JOIN c USING (doc_id) WHERE b.nw >= 1"
-)
-
 # replay of analytics.token_simpson_by_lang: exact HUGEINT sum-of-squares
 # over global (lang, token) counts, floor-div ppm
 _TOKEN_DIVERSITY_SQL = (
@@ -4209,96 +3558,6 @@ _EMBEDDING_NEARDUP_SQL = (
 _MD5U64 = "CAST(('0x' || substr(md5({v}), 1, 16)) AS UBIGINT)"
 
 
-def _minhash_ctes(threshold: float = 0.6, num_perm: int = 64, bands: int = 16,
-                  seed: int = 7, src: str = "documents") -> str:
-    """Replay of pipelines/analytics.minhash_lsh_pairs in SQL: the same
-    md5-prefix shingle hash, the same 64 seeded permutation constants
-    (embedded as literals from the very MinHasher the engine builds), the
-    same uint64-wrap-then-Mersenne arithmetic via HUGEINT, LSH banding by
-    value equality, the engine's bucket skew cap (representative-only
-    pairing past _MAX_GROUP_SIZE, the bkc CTE), and the est >= threshold
-    filter on candidate pairs. One documented deviation: the engine keys
-    band buckets by a 63-bit md5 of the slice, so a 2^-63 collision could
-    merge two value-buckets -- adding candidates, or (if the merged group
-    tops the cap) dropping pairs the oracle keeps. Negligible by
-    construction and unobserved at any tested scale."""
-    from distributed_system___ocr_ray.functions import dedup as dk
-
-    mh = dk.MinHasher(num_perm=num_perm, seed=seed)
-    perms = ", ".join(
-        f"({i}, {int(a)}, {int(b)})" for i, (a, b) in enumerate(zip(mh.a, mh.b))
-    )
-    r = num_perm // bands
-    hsh = _MD5U64.format(v="s")
-    return (
-        f"{_shingle_ctes(src)}, "
-        f"hsh AS (SELECT doc_id, {hsh} AS h FROM sh), "
-        f"perm(i, pa, pb) AS (VALUES {perms}), "
-        "sigv AS (SELECT h.doc_id, p.i AS i, "
-        "MIN(((CAST(p.pa AS HUGEINT) * h.h + p.pb) % 18446744073709551616) "
-        "% 2305843009213693951) AS v "
-        "FROM hsh h CROSS JOIN perm p GROUP BY h.doc_id, p.i), "
-        f"bk AS (SELECT doc_id, i // {r} AS band, "
-        "string_agg(CAST(v AS VARCHAR), ',' ORDER BY i) AS bkey "
-        "FROM sigv GROUP BY doc_id, band), "
-        # group_pairs' skew cap: a bucket over _MAX_GROUP_SIZE members pairs
-        # each member with the bucket's min id (the representative) only
-        "bkc AS (SELECT band, bkey, COUNT(*) AS n, MIN(doc_id) AS rep "
-        "FROM bk GROUP BY band, bkey), "
-        "cand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b FROM bk a "
-        "JOIN bk b ON a.band = b.band AND a.bkey = b.bkey AND a.doc_id < b.doc_id "
-        "JOIN bkc c ON c.band = a.band AND c.bkey = a.bkey "
-        f"WHERE c.n <= {dk._MAX_GROUP_SIZE} OR a.doc_id = c.rep), "
-        "nm AS (SELECT c.doc_a, c.doc_b, "
-        "CAST(SUM(CASE WHEN sa.v = sb.v THEN 1 ELSE 0 END) AS BIGINT) AS n_match "
-        "FROM cand c JOIN sigv sa ON sa.doc_id = c.doc_a "
-        "JOIN sigv sb ON sb.doc_id = c.doc_b AND sb.i = sa.i "
-        "GROUP BY c.doc_a, c.doc_b), "
-        "mpairs AS (SELECT doc_a, doc_b, n_match FROM nm "
-        f"WHERE CAST(n_match AS DOUBLE) / {num_perm}.0 >= {threshold})"
-    )
-
-
-def _minhash_pairs_sql() -> str:
-    return f"WITH {_minhash_ctes()} SELECT doc_a, doc_b, n_match FROM mpairs"
-
-
-def _minhash_recall_audit_sql() -> str:
-    """Replay of analytics.pair_set_audit over the two already-green pair
-    replays: the minhash body defines sh..mpairs; the ngram tail
-    (sz/inter/jac/pairs) reads the SAME sh CTE, so strip its duplicated
-    shingle prefix and compose one WITH."""
-    ngram_tail = _NGRAM_PAIRS_CTES[len(_SHINGLE_CTES) + 2 :]
-    return (
-        f"WITH {_minhash_ctes()}, {ngram_tail}, "
-        "ne AS (SELECT COUNT(*) AS n FROM pairs), "
-        "na AS (SELECT COUNT(*) AS n FROM mpairs), "
-        "nb AS (SELECT COUNT(*) AS n FROM pairs JOIN mpairs USING (doc_a, doc_b)) "
-        "SELECT CAST(ne.n AS BIGINT) AS n_exact, "
-        "CAST(na.n AS BIGINT) AS n_approx, CAST(nb.n AS BIGINT) AS n_both, "
-        "CAST(CASE WHEN ne.n = 0 THEN 1000000 ELSE nb.n * 1000000 // ne.n END "
-        "AS BIGINT) AS recall_ppm, "
-        "CAST(CASE WHEN na.n = 0 THEN 1000000 ELSE nb.n * 1000000 // na.n END "
-        "AS BIGINT) AS precision_ppm FROM ne, na, nb"
-    )
-
-
-def _simhash_clusters_sql() -> str:
-    """Connected components over the SQL-replayed SimHash pair graph --
-    the same recursive-closure pattern as the minhash/ngram cluster
-    oracles, with the whole pair replay nested as a CTE."""
-    return (
-        f"WITH RECURSIVE sp AS ({_simhash_pairs_sql()}), "
-        "edges AS (SELECT doc_a AS a, doc_b AS b FROM sp "
-        "UNION SELECT doc_b, doc_a FROM sp), "
-        "reach AS (SELECT a, b FROM edges "
-        "UNION SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a), "
-        "cl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-        "FROM reach GROUP BY a) "
-        "SELECT doc_id, cluster_id FROM cl"
-    )
-
-
 def _anf_sql(p: int = 6, max_h: int = 6) -> str:
     """First-principles replay of ``analytics.anf_effective_diameter``:
     exact min-hop reachability (recursive UNION on (v, u, h), capped at
@@ -4352,63 +3611,6 @@ def _anf_sql(p: int = 6, max_h: int = 6) -> str:
         "SELECT h, pairs_est, frac_ppm, "
         "CAST(CASE WHEN h = (SELECT d FROM d90) THEN 1 ELSE 0 END AS BIGINT) "
         "AS is_effective_diameter FROM fr ORDER BY h"
-    )
-
-
-def _minhash_clusters_sql() -> str:
-    """Connected components (min doc_id per component) over the SQL-replayed
-    MinHash pair graph -- same recursive-closure pattern as the ngram
-    cluster oracle."""
-    return (
-        f"WITH RECURSIVE {_minhash_ctes()}, "
-        "edges AS (SELECT doc_a AS a, doc_b AS b FROM mpairs "
-        "UNION SELECT doc_b, doc_a FROM mpairs), "
-        "reach AS (SELECT a, b FROM edges "
-        "UNION SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a), "
-        "cl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-        "FROM reach GROUP BY a) "
-        "SELECT doc_id, cluster_id FROM cl"
-    )
-
-
-def _simhash_pairs_sql(max_hamming: int = 3) -> str:
-    """Replay of pipelines/analytics.simhash_pairs: per-token-occurrence
-    md5-prefix hash, per-bit majority vote (bit p of the simhash is
-    sum(2*((h>>p)&1)-1) > 0 -- the identity dedup.simhash64's
-    unpackbits/packbits round trip computes), 16-bit band blocking, and
-    Hamming <= max_hamming via bit_count(xor). The engine's bucket skew cap
-    (over _MAX_GROUP_SIZE members -> representative-only pairing) is modeled
-    exactly by the sbc CTE."""
-    from distributed_system___ocr_ray.functions import dedup as dk
-
-    _SIMHASH_CAP = dk._MAX_GROUP_SIZE
-    th = _MD5U64.format(v="tk")
-    return (
-        "WITH tw AS (SELECT doc_id, unnest(regexp_extract_all(text, '\\S+')) AS tk "
-        "FROM documents), "
-        f"th AS (SELECT doc_id, {th} AS h FROM tw), "
-        "bitv AS (SELECT doc_id, g.p AS p, "
-        "SUM(CASE WHEN (h >> CAST(g.p AS INTEGER)) & 1 = 1 THEN 1 ELSE -1 END) AS v "
-        "FROM th CROSS JOIN generate_series(0, 63) g(p) GROUP BY doc_id, g.p), "
-        "shv AS (SELECT doc_id, CAST(SUM(CASE WHEN v > 0 THEN "
-        "(CAST(1 AS UBIGINT) << CAST(p AS INTEGER)) ELSE 0 END) AS UBIGINT) AS sh "
-        "FROM bitv GROUP BY doc_id), "
-        "shall AS (SELECT d.doc_id, CAST(COALESCE(s.sh, 0) AS UBIGINT) AS sh "
-        "FROM documents d LEFT JOIN shv s ON d.doc_id = s.doc_id), "
-        "sb AS (SELECT doc_id, gb.b AS band, "
-        "CAST((sh >> CAST(16 * gb.b AS INTEGER)) & 65535 AS BIGINT) AS bkey, sh "
-        "FROM shall CROSS JOIN generate_series(0, 3) gb(b)), "
-        # the engine's bucket cap: over _MAX_GROUP_SIZE members, pair each
-        # member with the bucket's min id (representative) only
-        "sbc AS (SELECT band, bkey, COUNT(*) AS n, MIN(doc_id) AS rep "
-        "FROM sb GROUP BY band, bkey), "
-        "scand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-        "a.sh AS sha, b.sh AS shb FROM sb a "
-        "JOIN sb b ON a.band = b.band AND a.bkey = b.bkey AND a.doc_id < b.doc_id "
-        "JOIN sbc c ON c.band = a.band AND c.bkey = a.bkey "
-        f"WHERE c.n <= {_SIMHASH_CAP} OR a.doc_id = c.rep) "
-        "SELECT doc_a, doc_b, CAST(bit_count(xor(sha, shb)) AS BIGINT) AS hamming "
-        f"FROM scand WHERE bit_count(xor(sha, shb)) <= {max_hamming}"
     )
 
 
@@ -4996,30 +4198,6 @@ _TEXTTILING_SQL = (
 )
 
 
-def _quality_neardup_auc_sql() -> str:
-    """Replay of ``analytics.quality_neardup_auc``: MinHash pair CTEs
-    (the default sub-linear ground truth, est >= 0.5) -> positive id
-    set, quality CTEs -> per-doc score, (score, label) histogram,
-    cumulative-negatives 2U fold, floor-div ppm with the single-class
-    500000 pin."""
-    return (
-        f"WITH {_minhash_ctes(threshold=0.5)}, "
-        "posids AS (SELECT doc_a AS i FROM mpairs UNION SELECT doc_b FROM mpairs), "
-        f"{_quality_ctes()}, "
-        f"lab AS (SELECT {_QPPM_EXPR} AS s, "
-        "CASE WHEN r.doc_id IN (SELECT i FROM posids) THEN 1 ELSE 0 END AS pos "
-        "FROM r), "
-        "h AS (SELECT s, SUM(pos) AS np, SUM(1 - pos) AS nn FROM lab GROUP BY s), "
-        "w AS (SELECT s, np, nn, COALESCE(SUM(nn) OVER (ORDER BY s "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS cumlt FROM h), "
-        "t AS (SELECT SUM(np) AS tp, SUM(nn) AS tn, "
-        "SUM(np * (2 * cumlt + nn)) AS u2 FROM w) "
-        "SELECT CAST(tp AS BIGINT) AS n_pos, CAST(tn AS BIGINT) AS n_neg, "
-        "CAST(CASE WHEN tp = 0 OR tn = 0 THEN 500000 "
-        "ELSE u2 * 1000000 // (2 * tp * tn) END AS BIGINT) AS auc_ppm FROM t"
-    )
-
-
 def _nb_source_classifier_sql(train_mod: int = 10, train_lt: int = 8) -> str:
     """Replay of ``analytics.nb_source_classifier``: the md5-prefix
     train/test split, (source, token) train counts under the shared
@@ -5440,44 +4618,6 @@ def _dp_geometric_sql() -> str:
     )
 
 
-# shared CTE body for the boundary-overlap pair family (k=2, cap=40):
-# [a-z0-9]+ token windows, cap CTE drops boilerplate boundaries (> cap
-# docs on either side), join tail(a) = head(b), a <> b
-_BOUNDARY_CTES = (
-    "bt AS (SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS arr "
-    "FROM documents), "
-    "bw AS (SELECT doc_id, array_to_string(list_slice(arr, 1, 2), ' ') AS head, "
-    "array_to_string(list_slice(arr, len(arr)-1, len(arr)), ' ') AS tail "
-    "FROM bt WHERE len(arr) >= 2), "
-    "bbad AS (SELECT head AS s FROM bw GROUP BY 1 HAVING COUNT(*) > 40 "
-    "UNION SELECT tail AS s FROM bw GROUP BY 1 HAVING COUNT(*) > 40), "
-    "bpairs AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b "
-    "FROM bw a JOIN bw b ON a.tail = b.head AND a.doc_id <> b.doc_id "
-    "WHERE a.tail NOT IN (SELECT s FROM bbad))"
-)
-
-_BOUNDARY_OVERLAP_SQL = (
-    # replay of analytics.boundary_overlap_pairs over the shared CTE body
-    f"WITH {_BOUNDARY_CTES} SELECT doc_a, doc_b FROM bpairs"
-)
-
-_BOUNDARY_CHAINS_SQL = (
-    # replay of analytics.boundary_stitch_chains: symmetric closure over
-    # the boundary edges (recursive reach, the ngram-CC construction),
-    # min-id components, chain-size histogram
-    f"WITH RECURSIVE {_BOUNDARY_CTES}, "
-    "bedges AS (SELECT doc_a AS a, doc_b AS b FROM bpairs "
-    "UNION SELECT doc_b, doc_a FROM bpairs), "
-    "breach AS (SELECT a, b FROM bedges "
-    "UNION SELECT r.a, e.b FROM breach r JOIN bedges e ON r.b = e.a), "
-    "bcl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-    "FROM breach GROUP BY a), "
-    "bsz AS (SELECT cluster_id, COUNT(*) AS n FROM bcl GROUP BY 1) "
-    "SELECT CAST(n AS BIGINT) AS chain_size, CAST(COUNT(*) AS BIGINT) AS n_chains "
-    "FROM bsz GROUP BY n ORDER BY chain_size"
-)
-
-
 _PADDING_WASTE_SQL = (
     # replay of analytics.padding_waste_by_bucket: RE2 \\S token count,
     # power-of-two CASE ladder (16..8192, long docs clamp into the top),
@@ -5534,40 +4674,6 @@ _VOCAB_PRUNING_SQL = (
 )
 
 
-def _dedup_family_agreement_sql() -> str:
-    """Replay of ``analytics.dedup_family_agreement``: the minhash body,
-    simhash and winnow pair replays nested whole (the default family set
-    is the three sub-linear generators -- exact ngram is an opt-in audit
-    since VERDICT r4 #1), then three UNION ALL rows of set arithmetic
-    with the empty-union 1e6 pin."""
-    combos = [("minhash", "fm"), ("simhash", "fs"), ("winnow", "fw")]
-    rows = []
-    for i, (na, ta) in enumerate(combos):
-        for nb, tb in combos[i + 1:]:
-            rows.append(
-                f"SELECT '{na}' AS family_a, '{nb}' AS family_b, "
-                f"(SELECT COUNT(*) FROM {ta}) AS n_a, "
-                f"(SELECT COUNT(*) FROM {tb}) AS n_b, "
-                f"(SELECT COUNT(*) FROM {ta} JOIN {tb} USING (doc_a, doc_b)) "
-                "AS n_common, 0 AS jaccard_ppm"
-            )
-    body = " UNION ALL ".join(rows)
-    return (
-        f"WITH {_minhash_ctes()}, "
-        f"sp AS ({_simhash_pairs_sql()}), "
-        f"wp AS ({_winnow_sql()}), "
-        "fm AS (SELECT doc_a, doc_b FROM mpairs), "
-        "fs AS (SELECT doc_a, doc_b FROM sp), "
-        "fw AS (SELECT doc_a, doc_b FROM wp), "
-        f"fam6 AS ({body}) "
-        "SELECT family_a, family_b, CAST(n_a AS BIGINT) AS n_a, "
-        "CAST(n_b AS BIGINT) AS n_b, CAST(n_common AS BIGINT) AS n_common, "
-        "CAST(CASE WHEN n_a + n_b - n_common = 0 THEN 1000000 "
-        "ELSE n_common * 1000000 // (n_a + n_b - n_common) END AS BIGINT) "
-        "AS jaccard_ppm FROM fam6 ORDER BY family_a, family_b"
-    )
-
-
 _UNIGRAM_POWER_SQL = (
     # replay of analytics.unigram_power_sample_plan: shared tokenizer,
     # grouped counts, w = FLOOR(SQRT(n * FLOOR(SQRT(n)))) (ieee-correctly-
@@ -5608,84 +4714,6 @@ def _ams_f2_sql(k_est: int = 17) -> str:
         "CAST(abs(med.s2 - ex.f2) AS HUGEINT) * 1000000 // ex.f2 END "
         "AS BIGINT) AS err_ppm FROM ex, med"
     )
-
-
-def _winnow_clusters_sql() -> str:
-    """Connected components over the SQL-replayed winnow pair graph --
-    the shared recursive-closure pattern, pair replay nested as a CTE."""
-    return (
-        f"WITH RECURSIVE wp AS ({_winnow_sql()}), "
-        "edges AS (SELECT doc_a AS a, doc_b AS b FROM wp "
-        "UNION SELECT doc_b, doc_a FROM wp), "
-        "reach AS (SELECT a, b FROM edges "
-        "UNION SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a), "
-        "cl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-        "FROM reach GROUP BY a) "
-        "SELECT doc_id, cluster_id FROM cl"
-    )
-
-
-def _winnow_sql(k: int = 20, w: int = 8, cap: int = 40, min_shared: int = 5) -> str:
-    from distributed_system___ocr_ray.pipelines.analytics import _CDC_B, _CDC_M
-
-    terms = " + ".join(
-        f"CAST(ascii(substr(s, CAST(pos + {j} AS INT), 1)) AS BIGINT) "
-        f"* {pow(_CDC_B, k - 1 - j, _CDC_M)}"
-        for j in range(k)
-    )
-    return (
-        # replay of analytics.winnow_fingerprint_pairs: k-grams of the
-        # lowered text hashed by the cdc polynomial (generated term list,
-        # int64-safe), packed (31-bit hash, reversed clamped pos) winnowing
-        # keys, trailing-w window MIN (prefix windows included), distinct
-        # fingerprints, hot-print cap, pair counts
-        "WITH t AS (SELECT doc_id, lower(text) AS s FROM documents), "
-        f"g0 AS (SELECT doc_id, unnest(range(1, greatest(length(s) - {k - 2}, 1))) "
-        "AS pos, s FROM t), "
-        "g AS (SELECT doc_id, CAST(pos AS BIGINT) AS pos, "
-        f"({terms}) % {_CDC_M} AS hv FROM g0), "
-        "kk AS (SELECT doc_id, pos, CAST(hv AS BIGINT) * 1048576 "
-        "+ (1048575 - LEAST(pos - 1, 1048575)) AS key FROM g), "
-        "sel AS (SELECT DISTINCT doc_id, MIN(key) OVER "
-        f"(PARTITION BY doc_id ORDER BY pos ROWS BETWEEN {w - 1} PRECEDING "
-        "AND CURRENT ROW) AS sk FROM kk), "
-        "f AS (SELECT DISTINCT doc_id, sk // 1048576 AS hh FROM sel), "
-        f"hot AS (SELECT hh FROM f GROUP BY hh HAVING COUNT(*) > {cap}), "
-        "fp AS (SELECT * FROM f WHERE hh NOT IN (SELECT hh FROM hot)), "
-        "p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-        "CAST(COUNT(*) AS BIGINT) AS n_shared "
-        "FROM fp a JOIN fp b ON a.hh = b.hh AND a.doc_id < b.doc_id GROUP BY 1, 2) "
-        f"SELECT doc_a, doc_b, n_shared FROM p WHERE n_shared >= {min_shared}"
-    )
-
-
-_CDC_CHUNK_SQL = (
-    # replay of analytics.cdc_chunk_dedup: 16-term polynomial rolling
-    # hash mod 2^31-1 over codepoints (int64-safe, generated term list),
-    # boundaries where hv % 64 == 0 at window ends plus end-of-doc,
-    # LAG reconstructs chunks, DISTINCT on chunk strings (engine: md5-u64)
-    "WITH t AS (SELECT doc_id, text AS s FROM documents), "
-    "p AS (SELECT doc_id, s, unnest(range(1, greatest(length(s) - 14, 1))) "
-    "AS pos FROM t), "
-    "h AS (SELECT doc_id, s, CAST(pos AS BIGINT) AS pos, "
-    "(CAST(ascii(substr(s, CAST(pos + 0 AS INT), 1)) AS BIGINT) * 1079017218 + CAST(ascii(substr(s, CAST(pos + 1 AS INT), 1)) AS BIGINT) * 330081243 + CAST(ascii(substr(s, CAST(pos + 2 AS INT), 1)) AS BIGINT) * 1346595130 + CAST(ascii(substr(s, CAST(pos + 3 AS INT), 1)) AS BIGINT) * 1150007217 + CAST(ascii(substr(s, CAST(pos + 4 AS INT), 1)) AS BIGINT) * 1090750511 + CAST(ascii(substr(s, CAST(pos + 5 AS INT), 1)) AS BIGINT) * 1775709275 + CAST(ascii(substr(s, CAST(pos + 6 AS INT), 1)) AS BIGINT) * 483199522 + CAST(ascii(substr(s, CAST(pos + 7 AS INT), 1)) AS BIGINT) * 1213495441 + CAST(ascii(substr(s, CAST(pos + 8 AS INT), 1)) AS BIGINT) * 623063367 + CAST(ascii(substr(s, CAST(pos + 9 AS INT), 1)) AS BIGINT) * 336663071 + CAST(ascii(substr(s, CAST(pos + 10 AS INT), 1)) AS BIGINT) * 168429323 + CAST(ascii(substr(s, CAST(pos + 11 AS INT), 1)) AS BIGINT) * 67503107 + CAST(ascii(substr(s, CAST(pos + 12 AS INT), 1)) AS BIGINT) * 16974593 + CAST(ascii(substr(s, CAST(pos + 13 AS INT), 1)) AS BIGINT) * 66049 + CAST(ascii(substr(s, CAST(pos + 14 AS INT), 1)) AS BIGINT) * 257 + CAST(ascii(substr(s, CAST(pos + 15 AS INT), 1)) AS BIGINT) * 1) % 2147483647 AS hv FROM p), "
-    "b AS (SELECT doc_id, s, pos + 15 AS cut FROM h WHERE hv % 64 = 0 "
-    "UNION SELECT doc_id, s, length(s) AS cut FROM t WHERE length(s) > 0), "
-    "c AS (SELECT doc_id, cut, COALESCE(LAG(cut) OVER "
-    "(PARTITION BY doc_id ORDER BY cut), 0) AS prev "
-    "FROM (SELECT DISTINCT doc_id, cut FROM b)), "
-    "ch AS (SELECT t.doc_id, substr(t.s, CAST(c.prev + 1 AS INT), "
-    "CAST(c.cut - c.prev AS INT)) AS chunk "
-    "FROM c JOIN t ON t.doc_id = c.doc_id WHERE c.cut > c.prev), "
-    "agg AS (SELECT CAST(COUNT(*) AS BIGINT) AS n_chunks, "
-    "CAST(COUNT(DISTINCT chunk) AS BIGINT) AS n_distinct_chunks, "
-    "CAST(SUM(length(chunk)) AS BIGINT) AS total_chars FROM ch), "
-    "st AS (SELECT CAST(SUM(length(chunk)) AS BIGINT) AS stored_chars "
-    "FROM (SELECT DISTINCT chunk FROM ch)) "
-    "SELECT agg.n_chunks, agg.n_distinct_chunks, agg.total_chars, st.stored_chars, "
-    "CAST((agg.total_chars - st.stored_chars) * 1000000 "
-    "// GREATEST(agg.total_chars, 1) AS BIGINT) AS saving_ppm FROM agg, st"
-)
 
 
 def _max_coverage_sql(k: int = 5) -> str:
@@ -5842,38 +4870,6 @@ def _kwic_sql(terms=("merge", "vector", "stream"), window: int = 3, k: int = 20)
         "SELECT term, doc_id, pos, snippet FROM h "
         f"QUALIFY row_number() OVER (PARTITION BY term ORDER BY doc_id, pos) <= {k} "
         "ORDER BY term, doc_id, pos"
-    )
-
-
-def _leakage_split_sql(train_pct: int = 8) -> str:
-    hd = _MD5U64.format(v="'lsplit:' || CAST(doc_id AS VARCHAR)")
-    hc = _MD5U64.format(v="'lsplit:' || CAST(c AS VARCHAR)")
-    # replay of analytics.leakage_free_split_audit over the green
-    # MinHash recursive-closure body: per-doc cluster (singleton = own
-    # id), md5 split predicates, per-cluster straddle flags
-    return (
-        f"WITH RECURSIVE {_minhash_ctes()}, "
-        "ledges AS (SELECT doc_a AS a, doc_b AS b FROM mpairs "
-        "UNION SELECT doc_b, doc_a FROM mpairs), "
-        "lreach AS (SELECT a, b FROM ledges "
-        "UNION SELECT r.a, e.b FROM lreach r JOIN ledges e ON r.b = e.a), "
-        "lcl AS (SELECT a AS doc_id, CAST(LEAST(a, MIN(b)) AS BIGINT) AS cluster_id "
-        "FROM lreach GROUP BY a), "
-        "d AS (SELECT dd.doc_id, COALESCE(lcl.cluster_id, dd.doc_id) AS c "
-        "FROM documents dd LEFT JOIN lcl ON dd.doc_id = lcl.doc_id), "
-        f"s AS (SELECT c, CASE WHEN {hd} % 10 < {train_pct} THEN 1 ELSE 0 END AS nt, "
-        f"CASE WHEN {hc} % 10 < {train_pct} THEN 1 ELSE 0 END AS ct FROM d), "
-        "pc AS (SELECT c, COUNT(*) AS n, SUM(nt) AS nt, SUM(ct) AS ct "
-        "FROM s GROUP BY c), "
-        "tot AS (SELECT CAST(SUM(n) AS BIGINT) AS nd, "
-        "CAST(SUM(nt) AS BIGINT) AS naive_tr, CAST(SUM(ct) AS BIGINT) AS clus_tr, "
-        "CAST(COUNT(*) FILTER (n > 1 AND nt > 0 AND nt < n) AS BIGINT) AS nstr, "
-        "CAST(COUNT(*) FILTER (n > 1 AND ct > 0 AND ct < n) AS BIGINT) AS cstr "
-        "FROM pc) "
-        "SELECT 'by_cluster' AS method, clus_tr AS n_train, nd - clus_tr AS n_val, "
-        "cstr AS straddling_clusters FROM tot "
-        "UNION ALL SELECT 'by_doc', naive_tr, nd - naive_tr, nstr FROM tot "
-        "ORDER BY method"
     )
 
 
@@ -6068,10 +5064,6 @@ def _pq_sql(n_sub: int = 8, n_codes: int = 16, k: int = 10,
 
 
 def oracle_sql() -> dict[str, str]:
-    from distributed_system___ocr_ray.functions.textstats import (
-        PUNCT_PATTERN as _TS_PUNCT,
-        WS_PATTERN as _TS_WS,
-    )
     from distributed_system___ocr_ray.pipelines.analytics import (
         ENC_CTRL_PATTERN as _ENC_CTRL,
         ENC_MOJIBAKE_PATTERN as _ENC_MOJI,
@@ -6167,9 +5159,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM allr GROUP BY kind ORDER BY kind"
         ),
         "render_html": _render_html_sql(),
-        "ngram_jaccard_pairs": _NGRAM_PAIRS_SQL,
-        "ngram_dup_clusters": _NGRAM_CLUSTERS_SQL,
-        "ngram_dedup_keepers": _NGRAM_KEEPERS_SQL,
         "quality_by_lang": _quality_by_lang_sql(),
         "pps_sample": _PPS_SAMPLE_SQL,
         "profile_documents": _PROFILE_DOCUMENTS_SQL,
@@ -6180,11 +5169,6 @@ def oracle_sql() -> dict[str, str]:
         "tfidf_keywords": _TFIDF_SQL,
         "embedding_neardup": _EMBEDDING_NEARDUP_SQL,
         "extract_embed_neardup": _extract_embed_neardup_sql(),
-        "minhash_pairs": _minhash_pairs_sql(),
-        "minhash_recall_audit": _minhash_recall_audit_sql(),
-        "minhash_dup_clusters": _minhash_clusters_sql(),
-        "simhash_dup_clusters": _simhash_clusters_sql(),
-        "simhash_pairs": _simhash_pairs_sql(),
         "bm25_topk": _bm25_sql(),
         "bm25_prf_topk": _bm25_prf_sql(),
         "docs_by_lang": "SELECT lang, COUNT(*) AS n_docs FROM documents GROUP BY lang",
@@ -6233,23 +5217,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT lang, CAST(SUM(length(regexp_extract_all(text, '\\S+'))) AS BIGINT) "
             "AS n_ws_tokens FROM documents GROUP BY lang"
         ),
-        "exact_dedup_groups": (
-            "SELECT MIN(doc_id) AS keeper_doc_id, COUNT(*) AS n_copies FROM documents GROUP BY text"
-        ),
-        "exact_dedup_rows": (
-            "SELECT doc_id, lang, n_chars FROM documents "
-            "WHERE doc_id IN (SELECT MIN(doc_id) FROM documents GROUP BY text)"
-        ),
-        "novel_docs": (
-            "SELECT doc_id, lang FROM documents WHERE doc_id % 5 = 0 "
-            "AND text NOT IN (SELECT text FROM documents WHERE doc_id % 5 != 0)"
-        ),
-        # identical semantics through the Bloom-prefilter path: exactness
-        # comes from hit re-verification, so the oracle is shared verbatim
-        "novel_docs_bloom": (
-            "SELECT doc_id, lang FROM documents WHERE doc_id % 5 = 0 "
-            "AND text NOT IN (SELECT text FROM documents WHERE doc_id % 5 != 0)"
-        ),
         # full SQL replay of functions/bloom.BloomFilter: one md5 over the
         # sha256-hex key, h1/h2 = big-endian digest halves (h2 | 1),
         # Kirsch-Mitzenmacher probes (h1 + i*h2) % m for i in 0..6,
@@ -6285,23 +5252,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(CASE WHEN n_new - n_true = 0 THEN 0 ELSE "
             "(n_hits - n_true) * 1000000 // (n_new - n_true) END AS BIGINT) AS fp_ppm "
             "FROM agg"
-        ),
-        "dedup_stats": (
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_docs, "
-            "CAST(COUNT(DISTINCT text) AS BIGINT) AS n_distinct FROM documents"
-        ),
-        "dup_size_histogram": (
-            # text equality == the engine's sha256 equality (dedup family's
-            # documented collision odds); same every-7th planted-dup UNION
-            "WITH u AS (SELECT text FROM documents UNION ALL "
-            "SELECT text FROM documents WHERE doc_id % 7 = 0), "
-            "g AS (SELECT text, COUNT(*) AS n FROM u GROUP BY text) "
-            "SELECT CAST(n AS BIGINT) AS group_size, "
-            "CAST(COUNT(*) AS BIGINT) AS n_groups FROM g GROUP BY n"
-        ),
-        "clean_corpus_keepers": (
-            "SELECT MIN(doc_id) AS keeper_doc_id FROM documents "
-            "WHERE n_chars >= 100 AND n_chars <= 20000 GROUP BY text"
         ),
         "sample_docs": (
             # threshold = format(int(0.25 * 0xFFFFFFFF), '08x') = '3fffffff'
@@ -6347,9 +5297,7 @@ def oracle_sql() -> dict[str, str]:
         "cms_error_audit": _cms_error_audit_sql(20),
         "epoch_shuffle": _epoch_shuffle_sql(3),
         "sample_exact_n": _sample_exact_n_sql(60),
-        "line_dedup": _line_dedup_sql(8),
         "chunk_documents": _chunk_documents_sql(64, 16),
-        "novel_docs_minhash": _novel_docs_minhash_sql(_FUZZY_NOVEL_THRESHOLD),
         "sample_n_per_group": _sample_n_per_group_sql(15),
         "zscore_by_lang": _zscore_by_lang_sql(),
         "domain_counts": _domain_counts_sql(10),
@@ -6494,20 +5442,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(COUNT(*) AS BIGINT) AS n FROM documents "
             "GROUP BY CUBE(lang, source)"
         ),
-        # replays _q_dedup_keep_best: shared quality CTE, then per-content
-        # argmax via the (quality DESC, doc_id ASC) window
-        "dedup_keep_best": (
-            f"WITH {_quality_ctes()}, "
-            "q AS (SELECT r.doc_id, d.text, "
-            f"{_QPPM_EXPR} AS quality_ppm "
-            "FROM r JOIN documents d USING (doc_id)), "
-            "w AS (SELECT doc_id, text, quality_ppm, "
-            "row_number() OVER (PARTITION BY text "
-            "ORDER BY quality_ppm DESC, doc_id) AS rn, "
-            "COUNT(*) OVER (PARTITION BY text) AS n_copies FROM q) "
-            "SELECT doc_id AS keeper_doc_id, quality_ppm, "
-            "CAST(n_copies AS BIGINT) AS n_copies FROM w WHERE rn = 1"
-        ),
         # replays _q_cow_delete_counts: the complement of the deleted range
         "cow_delete_counts": (
             f"WITH {_RANGE_CTE} "
@@ -6589,15 +5523,9 @@ def oracle_sql() -> dict[str, str]:
         "pagerank_top": _pagerank_sql(iters=4, damping_pct=85, topn=20),
         "ppr_top": _ppr_sql(iters=4, damping_pct=85, topn=20),
         "nb_source_classifier": _nb_source_classifier_sql(),
-        "quality_neardup_auc": _quality_neardup_auc_sql(),
         "texttiling_boundaries": _TEXTTILING_SQL,
         "filter_impact_audit": _filter_impact_sql(),
         "binary_hamming_topk": _BINARY_HAMMING_SQL,
-        "soft_dedup_weights": (
-            "WITH c AS (SELECT text, CAST(COUNT(*) AS BIGINT) AS n FROM documents GROUP BY text) "
-            "SELECT d.doc_id, c.n AS cluster_size, CAST(1000000 // c.n AS BIGINT) AS weight_ppm "
-            "FROM documents d JOIN c ON c.text = d.text ORDER BY d.doc_id"
-        ),
         "ccnet_bucket_counts": _CCNET_BUCKET_SQL,
         "bfs_levels": _bfs_levels_sql(max_rounds=8),
         "anf_effective_diameter": _anf_sql(),
@@ -6695,9 +5623,6 @@ def oracle_sql() -> dict[str, str]:
             "i -> toks[i] = 'order' AND toks[i+1] = 'fast')) > 0 "
             "GROUP BY lang"
         ),
-        "dup_shingle_rate": _DUP_SHINGLE_SQL,
-        "doc_boilerplate": _DOC_BOILERPLATE_SQL,
-        "dup_spans": _DUP_SPANS_SQL,
         "two_hop_reach": (
             # replay of analytics.two_hop_reach over the shared edge CTE:
             # distinct edges, top-20 by (in_deg DESC, dst), double join +
@@ -6799,20 +5724,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(tb AS BIGINT) AS total_bits, "
             "CAST(tb * 1000 // nb AS BIGINT) AS mean_millibits FROM a"
         ),
-        "shingle_containment": (
-            # replay of analytics.shingle_containment: distinct (source, s)
-            # over the shared shingle CTE; self-join diagonal = |S_a|
-            f"WITH {_SHINGLE_CTES}, "
-            "ss AS (SELECT DISTINCT d.source, sh.s FROM sh "
-            "JOIN documents d USING (doc_id)), "
-            "pr AS (SELECT a.source AS source_a, b.source AS source_b, "
-            "COUNT(*) AS n FROM ss a JOIN ss b ON a.s = b.s GROUP BY 1, 2) "
-            "SELECT p.source_a, p.source_b, CAST(sz.n AS BIGINT) AS n_a, "
-            "CAST(p.n AS BIGINT) AS n_inter, "
-            "CAST(p.n * 1000000 // sz.n AS BIGINT) AS containment_ppm "
-            "FROM pr p JOIN pr sz ON sz.source_a = p.source_a "
-            "AND sz.source_b = p.source_a WHERE p.source_a <> p.source_b"
-        ),
         "compaction_bins": (
             # replay of analytics.compaction_bins: exclusive window
             # prefix-sum over (rows DESC, key) order, floor-div capacity 100
@@ -6875,20 +5786,6 @@ def oracle_sql() -> dict[str, str]:
             "(sa.n + sb.n - i.n_common) AS BIGINT) AS jaccard_ppm "
             "FROM inter i JOIN sz sa ON sa.source = i.source_a "
             "JOIN sz sb ON sb.source = i.source_b"
-        ),
-        "normalized_dedup": (
-            # replay of analytics.normalized_dedup_stats: identical
-            # lower -> punct-strip -> ws-collapse -> trim chain (patterns
-            # shared char-for-char) and the md5-u64 hash grouping
-            "WITH nrm AS (SELECT trim(regexp_replace(regexp_replace(lower(text), "
-            f"'{_TS_PUNCT}', '', 'g'), '{_TS_WS}', ' ', 'g')) AS t FROM documents), "
-            f"hh AS (SELECT {_MD5U64.format(v='t')} AS h FROM nrm), "
-            "g AS (SELECT h, COUNT(*) AS c FROM hh GROUP BY 1) "
-            "SELECT CAST(SUM(c) AS BIGINT) AS n_docs, "
-            "CAST(COUNT(*) AS BIGINT) AS n_distinct, "
-            "CAST(SUM(CASE WHEN c >= 2 THEN c ELSE 0 END) AS BIGINT) AS n_dup_docs, "
-            "CAST(SUM(CASE WHEN c >= 2 THEN 1 ELSE 0 END) AS BIGINT) AS n_dup_groups "
-            "FROM g"
         ),
         "lang_source_chi2": (
             # replay of analytics.categorical_independence_chi2: per-cell
@@ -6957,18 +5854,6 @@ def oracle_sql() -> dict[str, str]:
             f"CAST(SUM(CASE WHEN regexp_matches(t, '{_ENC_CTRL}') THEN 1 ELSE 0 END) AS BIGINT) AS n_ctrl, "
             f"CAST(SUM(CASE WHEN regexp_matches(t, '{_ENC_NONASCII}') THEN 1 ELSE 0 END) AS BIGINT) AS n_nonascii "
             "FROM planted GROUP BY 1"
-        ),
-        "cross_source_dups": (
-            # replay of analytics.cross_source_dup_matrix: the green minhash
-            # pair CTEs + two source joins + LEAST/GREATEST unordered fold
-            f"WITH {_minhash_ctes()}, "
-            "dsrc AS (SELECT doc_id, source FROM documents), "
-            "lab AS (SELECT LEAST(sa.source, sb.source) AS source_a, "
-            "GREATEST(sa.source, sb.source) AS source_b FROM mpairs p "
-            "JOIN dsrc sa ON sa.doc_id = p.doc_a "
-            "JOIN dsrc sb ON sb.doc_id = p.doc_b) "
-            "SELECT source_a, source_b, CAST(COUNT(*) AS BIGINT) AS n_pairs "
-            "FROM lab GROUP BY 1, 2"
         ),
         "link_prediction_topk": (
             # replay of analytics.common_neighbor_pairs: shared edge CTEs,
@@ -7060,7 +5945,6 @@ def oracle_sql() -> dict[str, str]:
         ),
         "bpe_merge_candidates": _BPE_MERGE_SQL,
         "dp_geometric_counts": _dp_geometric_sql(),
-        "boundary_overlap_pairs": _BOUNDARY_OVERLAP_SQL,
         "padding_waste_by_bucket": _PADDING_WASTE_SQL,
         "chao1_vocab_estimate": _CHAO1_SQL,
         "corpus_datacard": _corpus_datacard_sql(),
@@ -7069,20 +5953,14 @@ def oracle_sql() -> dict[str, str]:
         "real_png_roundtrip": ("SELECT doc_id, CASE WHEN length(text) >= 32 THEN substr(text, 1, (length(text) // 32) * 32) ELSE text END AS text_out FROM documents WHERE lang = 'en'"),
         "real_pdf_roundtrip": ("SELECT doc_id, text AS text_out FROM documents WHERE lang = 'en'"),
         "vocab_pruning_plan": _VOCAB_PRUNING_SQL,
-        "winnow_fingerprint_pairs": _winnow_sql(),
-        "winnow_dup_clusters": _winnow_clusters_sql(),
         "ams_f2_audit": _ams_f2_sql(),
         "unigram_power_sample_plan": _UNIGRAM_POWER_SQL,
-        "dedup_family_agreement": _dedup_family_agreement_sql(),
-        "cdc_chunk_dedup": _CDC_CHUNK_SQL,
         "max_coverage_select": _max_coverage_sql(),
         "blocklist_screen": _blocklist_sql(),
-        "boundary_stitch_chains": _BOUNDARY_CHAINS_SQL,
         "code_switch_rate_by_source": _code_switch_sql(),
         "token_budget_waterfill": _WATERFILL_SQL,
         "random_walks": _random_walks_sql(),
         "kwic_snippets": _kwic_sql(),
-        "leakage_free_split_audit": _leakage_split_sql(),
         "matryoshka_recall_audit": _matryoshka_sql(),
         "mmr_diverse_topk": _mmr_sql(),
         "embedding_covariance_topk": (
@@ -7277,22 +6155,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(m.n_vecs * 1000000 // cnt.n_total AS BIGINT) AS share_ppm "
             "FROM m JOIN cnt ON cnt.label = m.label "
             "ORDER BY m.label, m.pred_label"
-        ),
-        "quality_dup_calibration": (
-            # replay of analytics.quality_dup_calibration: quality CTEs +
-            # the same 64-bit md5-prefix text group key (so a 2^-64
-            # collision would merge the SAME groups on both sides), clamped
-            # 100k-ppm bins, floor-div rate
-            f"WITH {_quality_ctes('text')}, "
-            f"qd AS (SELECT doc_id, LEAST({_QPPM_EXPR} // 100000, 9) AS qbin, "
-            f"{_MD5U64.format(v='text')} AS h FROM r), "
-            "g AS (SELECT h, COUNT(*) AS n FROM qd GROUP BY h), "
-            "j AS (SELECT qd.qbin, CASE WHEN g.n >= 2 THEN 1 ELSE 0 END "
-            "AS dup FROM qd JOIN g USING (h)) "
-            "SELECT qbin, CAST(COUNT(*) AS BIGINT) AS n_docs, "
-            "CAST(SUM(dup) AS BIGINT) AS n_dup_docs, "
-            "CAST(SUM(dup) * 1000000 // COUNT(*) AS BIGINT) AS dup_rate_ppm "
-            "FROM j GROUP BY qbin"
         ),
         "lang_temperature_plan": (
             # replay of analytics.lang_temperature_plan: FLOOR(SQRT(n))

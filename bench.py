@@ -150,34 +150,28 @@ def run_bench() -> dict:
 # the full query sweep; chunked into fresh-cluster subprocesses by
 # run_sweep (see its docstring for why)
 SWEEP_QUERIES = [
-    "token_count_by_lang", "exact_dedup_groups", "minhash_pairs", "ann_topk",
-    "extract_flat_identity", "embedding_neardup", "ngram_jaccard_pairs",
-    "fingerprints", "quality_by_lang", "bm25_topk", "simhash_pairs",
+    "token_count_by_lang", "ann_topk", "extract_flat_identity",
+    "embedding_neardup", "fingerprints", "quality_by_lang", "bm25_topk",
     "contamination_flags", "pack_sequences", "redact_pii", "repetition_stats",
     "budget_select", "mixture_sample", "cms_top_tokens", "epoch_shuffle",
-    "sample_exact_n", "line_dedup", "novel_docs_bloom", "robust_outliers",
-    "collocations", "pruned_range_read", "dedup_keep_best", "kmeans_clusters",
-    "pagerank_top", "hybrid_topk", "semdedup_keepers", "label_centroids",
-    "evolved_schema_counts", "pps_sample", "bfs_levels", "profile_documents",
-    "rnn_pairs", "kmeans_inertia", "in_degree_histogram", "table_checksum",
-    "phrase_doc_counts", "docs_cube", "oov_rate_by_lang", "dup_shingle_rate",
-    "bloom_fp_audit", "cms_error_audit", "dup_size_histogram",
-    "langid_confusion", "k_anonymity", "split_skew_audit", "vocab_growth",
-    "link_prediction_topk", "cross_source_dups", "encoding_audit",
-    "quality_length_corr", "shuffle_mix_audit", "lang_source_chi2",
-    "normalized_dedup", "source_vocab_overlap", "doc_boilerplate",
-    "token_diversity_by_lang", "doc_surprisal_topk", "sentence_stats_by_lang",
-    "zipf_bits_audit", "hapax_rate_by_source", "source_tv_distance",
-    "token_burstiness", "graph_reciprocity", "dup_spans", "compaction_bins",
-    "shingle_containment", "bigram_surprisal_by_source",
+    "sample_exact_n", "robust_outliers", "collocations", "pruned_range_read",
+    "kmeans_clusters", "pagerank_top", "hybrid_topk", "semdedup_keepers",
+    "label_centroids", "evolved_schema_counts", "pps_sample", "bfs_levels",
+    "profile_documents", "rnn_pairs", "kmeans_inertia", "in_degree_histogram",
+    "table_checksum", "phrase_doc_counts", "docs_cube", "oov_rate_by_lang",
+    "bloom_fp_audit", "cms_error_audit", "langid_confusion", "k_anonymity",
+    "split_skew_audit", "vocab_growth", "link_prediction_topk",
+    "encoding_audit", "quality_length_corr", "shuffle_mix_audit",
+    "lang_source_chi2", "source_vocab_overlap", "token_diversity_by_lang",
+    "doc_surprisal_topk", "sentence_stats_by_lang", "zipf_bits_audit",
+    "hapax_rate_by_source", "source_tv_distance", "token_burstiness",
+    "graph_reciprocity", "compaction_bins", "bigram_surprisal_by_source",
     "doclen_deciles_by_source", "completeness_audit",
     "doc_bigram_surprisal_topk", "span_corruption_plan", "two_hop_reach",
-    "bpe_merge_candidates", "dp_geometric_counts", "boundary_overlap_pairs",
-    "padding_waste_by_bucket", "vocab_pruning_plan",
-    "winnow_fingerprint_pairs", "cdc_chunk_dedup", "max_coverage_select",
-    "blocklist_screen", "boundary_stitch_chains", "code_switch_rate_by_source",
-    "token_budget_waterfill", "random_walks", "kwic_snippets",
-    "leakage_free_split_audit", "matryoshka_recall_audit", "mmr_diverse_topk",
+    "bpe_merge_candidates", "dp_geometric_counts", "padding_waste_by_bucket",
+    "vocab_pruning_plan", "max_coverage_select", "blocklist_screen",
+    "code_switch_rate_by_source", "token_budget_waterfill", "random_walks",
+    "kwic_snippets", "matryoshka_recall_audit", "mmr_diverse_topk",
     "centroid_separation_audit", "readability_by_lang",
     "nearest_centroid_confusion", "doc_completeness_by_lang",
     "span_profile_by_kind", "retry_plan", "kcenter_coreset",
@@ -185,15 +179,13 @@ SWEEP_QUERIES = [
     "dsir_importance_weights", "lpa_communities", "degree_assortativity",
     "bitext_mining_topk", "hits_scores", "langid_kappa", "kcore_nodes",
     "encoding_advisor", "local_clustering_topk", "lpa_modularity", "ppr_top",
-    "nb_source_classifier", "ccnet_bucket_counts", "soft_dedup_weights",
-    "binary_hamming_topk", "mor_delete_counts", "filter_impact_audit",
-    "texttiling_boundaries", "simhash_dup_clusters", "anf_effective_diameter",
-    "quality_neardup_auc", "bm25_prf_topk", "wap_publish_counts",
-    "cluster_balanced_sample", "winnow_dup_clusters", "dedup_family_agreement",
-    "ams_f2_audit", "unigram_power_sample_plan", "chao1_vocab_estimate",
-    "real_pdf_roundtrip", "corpus_datacard", "gopher_quality_flags",
-    "mattr_by_lang", "real_png_roundtrip", "ivf_indexed_topk",
-    "media_dedup_groups", "sq8_recall_audit",
+    "nb_source_classifier", "ccnet_bucket_counts", "binary_hamming_topk",
+    "mor_delete_counts", "filter_impact_audit", "texttiling_boundaries",
+    "anf_effective_diameter", "bm25_prf_topk", "wap_publish_counts",
+    "cluster_balanced_sample", "ams_f2_audit", "unigram_power_sample_plan",
+    "chao1_vocab_estimate", "real_pdf_roundtrip", "corpus_datacard",
+    "gopher_quality_flags", "mattr_by_lang", "real_png_roundtrip",
+    "ivf_indexed_topk", "media_dedup_groups", "sq8_recall_audit",
     "dangling_ref_audit", "orphan_media_audit",
 ]
 

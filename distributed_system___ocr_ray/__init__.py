@@ -12,8 +12,9 @@ SURVEY.md) as ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
   Worker.java:79-121) as actor-pool ``map_batches`` stages with
   errors-as-data sentinels (Worker.java:87,95)
 - per-document reassembly (the reference's summary phase,
-  Manager.java:250-293) as a hash-partitioned groupby + offset-ordered
-  vectorized sort-aggregate
+  Manager.java:250-293) as an offset-ordered vectorized sort-aggregate
+  inside the block that exploded the spans: a document is one input row,
+  so every block holds whole documents and nothing is shuffled
 - per-partition checkpoint manifest with lineage + metrics so a killed job
   resumes from the last committed partition (the reference keeps this state
   in manager RAM only, Manager.java:49-60 -- a known SPOF).

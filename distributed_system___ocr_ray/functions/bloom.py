@@ -4,9 +4,9 @@ The broadcast novelty/semi-filter paths ship full 64-char sha256 hex
 strings (~70 B/key in Arrow); a Bloom filter at ``bits_per_key`` = 16 is
 ~35x smaller for the same broadcast, which moves the 256 MB broadcast
 ceiling from ~3.5M keys to ~128M keys per GB. Bloom hits can be FALSE
-positives, so an exact operator must re-verify hits (see
-``analytics.novel_docs_bloom``: misses are definitely-novel, hits join
-against the real key set) — the filter only shrinks the expensive side.
+positives, so an exact operator must re-verify hits (misses are
+definitely-novel, hits join against the real key set, as in
+``analytics.bloom_fp_audit``) — the filter only shrinks the expensive side.
 
 Determinism: one md5 per key; the two 64-bit halves drive
 Kirsch-Mitzenmacher double hashing (probe_i = (h1 + i*h2) | guarantee h2

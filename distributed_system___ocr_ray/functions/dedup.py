@@ -1,4 +1,4 @@
-"""Deduplication operators: exact, MinHash+LSH, SimHash, embedding near-dup.
+"""Deduplication operators: exact, MinHash+LSH, embedding near-dup.
 
 Driver-mandated training-data extras, built Ray-Data-first:
 
@@ -11,16 +11,13 @@ Driver-mandated training-data extras, built Ray-Data-first:
   ``(band, band_hash, doc_id, sig)`` rows -> ``groupby(band, band_hash)``
   -> candidate pairs verified by signature-estimated Jaccard. The only
   all-to-all moves (band rows + 512-byte signatures), never the text.
-- **SimHash**: 64-bit weighted token hash per batch -> 16-bit band buckets
-  -> groupby -> pairs with Hamming distance <= ``max_hamming``.
 - **embedding near-dup**: random-hyperplane LSH bucket (seeded, deterministic)
   -> groupby(bucket) -> within-bucket pairwise cosine >= threshold.
 
 Group-size capping: a pathological bucket (e.g. the empty-document cluster)
 would produce O(n^2) pairs; every pair emitter caps a group at
 ``max_group_size`` rows, emitting pairs against the group's representative
-(min id) beyond the cap -- documented skew guard, same spirit as the
-salted reassembly key (SURVEY.md #4).
+(min id) beyond the cap -- a documented skew guard.
 """
 
 from __future__ import annotations
@@ -42,10 +39,10 @@ def sha256_hex(texts: list[str]) -> list[str]:
 def md5_u64(data: bytes) -> int:
     """First 8 md5 digest bytes, big-endian -> uint64.
 
-    The one shingle/token hash used by the MinHash and SimHash kernels:
-    md5 is in C (hashlib) AND in DuckDB, and the big-endian prefix equals
+    The one shingle hash used by the MinHash kernel: md5 is in C (hashlib)
+    AND in DuckDB, and the big-endian prefix equals
     ``('0x' || substr(md5(s), 1, 16))::UBIGINT`` exactly, which is what lets
-    the pair-family oracles replay the whole signature computation in SQL."""
+    an oracle replay the whole signature computation in SQL."""
     return int.from_bytes(hashlib.md5(data).digest()[:8], "big")
 
 
@@ -68,21 +65,9 @@ def md5_u64_hashed(s: str, memo: dict[str, int] | None = None) -> int:
 def shingle_hashes(text: str, k: int = 3, memo: dict[str, int] | None = None) -> np.ndarray:
     """Word k-shingles -> uint64 hashes (md5 prefix: C-speed and
     DuckDB-replayable -- see ``md5_u64``). Tokenization uses the
-    RE2-\\S-equivalent ASCII class (textstats._WS_TOKEN) so the ngram
-    Jaccard DuckDB oracle splits words identically on non-ASCII whitespace.
+    RE2-\\S-equivalent ASCII class (textstats._WS_TOKEN) so a SQL replay
+    splits words identically on non-ASCII whitespace.
     ``memo``: per-batch distinct-shingle digest cache (md5_u64_hashed)."""
-    return shingle_hashes_nw(text, k, memo)[0]
-
-
-def shingle_hashes_nw(
-    text: str, k: int = 3, memo: dict[str, int] | None = None
-) -> tuple[np.ndarray, int]:
-    """``shingle_hashes`` plus the word count, from the SAME single
-    tokenization pass. Positional span operators (``analytics.dup_spans``)
-    need nw to size the <k-words whole-text shingle's token coverage and to
-    exclude empty documents; re-tokenizing just to count would double the
-    dominant regex cost. Hash values are bit-identical to
-    ``shingle_hashes`` -- this IS its body, now returning (hashes, nw)."""
     from .textstats import _WS_TOKEN
 
     words = _WS_TOKEN.findall(text)
@@ -94,7 +79,7 @@ def shingle_hashes_nw(
     if memo is None:
         for i, s in enumerate(shingles):
             out[i] = md5_u64(s.encode("utf-8"))
-        return out, len(words)
+        return out
     get = memo.get  # inlined md5_u64_hashed: no per-shingle function call
     for i, s in enumerate(shingles):
         v = get(s)
@@ -102,7 +87,7 @@ def shingle_hashes_nw(
             v = md5_u64(s.encode("utf-8"))
             memo[s] = v
         out[i] = v
-    return out, len(words)
+    return out
 
 
 def minhasher_cached(num_perm: int = 64, seed: int = 7) -> "MinHasher":
@@ -157,44 +142,6 @@ class MinHasher:
 
 def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
-
-
-def simhash64(text: str, memo: dict[str, int] | None = None) -> int:
-    """64-bit SimHash over whitespace tokens weighted by count: one md5 per
-    DISTINCT token (memoizable across the batch via ``memo``), then a
-    count-weighted bit vote over the distinct-token matrix -- Zipfian text
-    shrinks both the digest count and the vote input.
-
-    Tokenization is textstats._WS_TOKEN (same class every text oracle uses)
-    and the token hash is ``md5_u64``, so bit ``p`` of the result is exactly
-    ``sum_tokens(2*((h >> p) & 1) - 1) > 0`` -- the identity the DuckDB
-    ``simhash_pairs`` oracle replays with a generate_series(0,63) vote
-    (occurrence-weighted == count-weighted by commutativity)."""
-    from collections import Counter
-
-    from .textstats import _WS_TOKEN
-
-    counts = Counter(_WS_TOKEN.findall(text))
-    if not counts:
-        return 0
-    n_occ = sum(counts.values())
-    hs = np.fromiter(
-        (md5_u64_hashed(t, memo) for t in counts),
-        dtype=np.uint64,
-        count=len(counts),
-    )
-    w = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    bits = np.unpackbits(hs.view(np.uint8).reshape(-1, 8), axis=1)  # (n_distinct, 64)
-    votes = 2 * (w @ bits.astype(np.int64)) - n_occ
-    out = np.packbits((votes > 0).astype(np.uint8))
-    return int(np.frombuffer(out.tobytes(), dtype=np.uint64)[0])
-
-
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.bitwise_xor(a, b)
-    return np.bitwise_count(x.view(np.uint64)).astype(np.int64) if hasattr(np, "bitwise_count") else np.array(
-        [bin(int(v)).count("1") for v in x], dtype=np.int64
-    )
 
 
 def group_pairs(ids: list, cap: int = _MAX_GROUP_SIZE):

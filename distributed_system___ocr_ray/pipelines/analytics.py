@@ -321,69 +321,6 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     )
 
 
-def dedup_keep_best(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """Exact dedup that keeps the BEST-quality representative per content
-    group (max quality_ppm, then min id — not first-by-id): the curation
-    policy that matters when duplicates differ in upstream cleaning.
-
-    Shuffle payload is (hash, id, quality) — quality is computed MAP-SIDE
-    before the exchange and the text never moves. Per-batch partial argmax
-    first (each batch contributes at most one candidate per group), so the
-    shuffle is group-domain-sized — and it exchanges on an int32 hash
-    bucket of the 64-char hex hash, not the string itself (the native
-    string sort-shuffle is the 5x-slower exchange bucketed_grouped_sum
-    measured; review finding, round 3) — then the same argmax merges per
-    group inside each bucket. Returns (keeper id, its quality, copy count)
-    per distinct content."""
-    from .relational import hash_bucket_column
-
-    def hash_quality(batch: pa.Table) -> pa.Table:
-        df = batch.select([id_col]).to_pandas()
-        df["text_hash"] = dk.sha256_hex(batch.column(text_col).to_pylist())
-        df["quality_ppm"] = (
-            ts.quality_features(batch.column(text_col).to_pandas())["quality_ppm"]
-            .to_numpy(np.int64)
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def argmax_frame(df: pd.DataFrame) -> pd.DataFrame:
-        # max quality, tie -> min id: sort then first per group
-        g = df.sort_values(
-            ["text_hash", "quality_ppm", id_col], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        return g.groupby("text_hash", sort=False).head(1)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        cand = argmax_frame(df[["text_hash", id_col, "quality_ppm"]])
-        n = df.groupby("text_hash", sort=False).size().rename("n_copies").reset_index()
-        return pa.Table.from_pandas(cand.merge(n, on="text_hash"), preserve_index=False)
-
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        best = argmax_frame(group)[["text_hash", id_col, "quality_ppm"]]
-        tot = group.groupby("text_hash", sort=False)["n_copies"].sum().reset_index()
-        out = best.merge(tot, on="text_hash")
-        return pd.DataFrame(
-            {
-                "keeper_doc_id": out[id_col].astype("int64"),
-                "quality_ppm": out["quality_ppm"].astype("int64"),
-                "n_copies": out["n_copies"].astype("int64"),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "text_hash", 64)
-
-    return (
-        ds.map_batches(hash_quality, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
-
-
 def _concat_column(tables: list[pa.Table], col: str) -> pa.Array:
     """Column across collected blocks, skipping the schema-less empties an
     all-filtered block produces (a bare empty table has no columns at all,
@@ -630,60 +567,6 @@ def minhash_lsh_pairs(
     )
 
 
-def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text", max_hamming: int = 3):
-    """Near-dup pairs via 64-bit SimHash, 16-bit band blocking."""
-
-    def sims(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_pylist()
-        out_id, out_band, out_key, out_sh = [], [], [], []
-        memo: dict[str, int] = {}  # per-batch distinct-token digests
-        for i, t in enumerate(texts):
-            sh = dk.simhash64(t, memo=memo)
-            for band in range(4):
-                out_id.append(ids[i])
-                out_band.append(band)
-                out_key.append((sh >> (band * 16)) & 0xFFFF)
-                out_sh.append(sh - (1 << 63))  # store as signed int64
-        return pa.table(
-            {
-                id_col: pa.array(out_id),
-                "band": pa.array(out_band, pa.int32()),
-                "band_key": pa.array(out_key, pa.int64()),
-                "simhash": pa.array(out_sh, pa.int64()),
-            }
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # vectorized all-pairs hamming within the bucket (one XOR + popcount
-        # over the upper triangle, not per-pair 1-element numpy calls)
-        ids = group[id_col].to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        sh = group["simhash"].to_numpy()[order].astype(np.int64).view(np.uint64) ^ np.uint64(1 << 63)
-        n = len(ids)
-        cap = dk._MAX_GROUP_SIZE
-        if n <= cap:
-            iu, ju = np.triu_indices(n, k=1)
-        else:  # skew guard: pair against the representative (min id) only
-            iu = np.zeros(n - 1, dtype=np.int64)
-            ju = np.arange(1, n, dtype=np.int64)
-        d = dk.hamming64(sh[iu], sh[ju])
-        keep = d <= max_hamming
-        return pd.DataFrame(
-            {"doc_a": ids[iu[keep]], "doc_b": ids[ju[keep]], "hamming": d[keep]}
-        ).astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
-
-    pairs = (
-        ds.map_batches(sims, batch_format="pyarrow")
-        .groupby(["band", "band_key"])
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    from ray.data.aggregate import Min
-
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming", alias_name="hamming"))
-
-
 def embedding_neardup_pairs(
     ds, id_col: str = "vec_id", emb_col: str = "embedding", threshold: float = 0.95,
     n_planes: int = 10, n_tables: int = 4, seed: int = 7, dim: int | None = None,
@@ -742,343 +625,6 @@ def embedding_neardup_pairs(
         .map_groups(bucket_pairs, batch_format="pandas")
     )
     return pairs.groupby(["vec_a", "vec_b"]).aggregate(Max("cos_sim", alias_name="cos_sim"))
-
-
-class ExactPairScaleExceeded(RuntimeError):
-    """Exact all-pairs generator refused at corpus scale; use MinHash."""
-
-
-def ngram_jaccard_pairs(
-    ds,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    threshold: float = 0.5,
-    shingle_k: int = 3,
-    max_block_docs: int = 1024,
-    join_buckets: int | None = None,
-    broadcast_sets_bytes: int = 256 << 20,
-    max_corpus_docs: int | None = 5_000_000,
-):
-    """Exact n-gram Jaccard near-dup pairs with GUARANTEED recall via prefix
-    filtering (the AllPairs/PPJoin lemma, Bayardo et al. WWW'07): under any
-    global canonical order of shingles, two sets with J(a,b) >= t must share
-    at least one shingle among each set's first ``n - ceil(t*n) + 1``
-    shingles. The canonical order here is **ascending document frequency**
-    (ties by hash) -- the lemma holds for any total order, but DF-ascending
-    puts each doc's RAREST shingles in its prefix, which is what makes
-    AllPairs practical: a common shingle (huge df) almost never appears in a
-    prefix, so the candidate mass collapses to docs sharing rare shingles.
-    (Measured on sf0.1's small-vocabulary corpus: hash-ordered prefixes
-    produced ~600k spurious candidates and 281 s; DF-ordered runs in
-    seconds.)
-
-    Plan: shingle sets (hashes) -> explode (hash, doc) -> distributed df
-    count -> join df back -> per-doc-partition vectorized prefix selection
-    -> coarse-bucketed candidate pairing (run detection inside a bounded
-    number of groups, no per-block UDF calls) -> dedupe -> exact
-    verification. Verification is adaptive: while the sets table fits
-    ``broadcast_sets_bytes`` it is ray.put once and looked up locally in
-    every verify task (zero extra shuffles; measured 2-4x the whole-query
-    wall at sf0.1); past the cap, candidates join back to their sets via
-    bucketed hash joins whose fan-out derives from the CANDIDATE count.
-    Shuffle payloads are 16-byte rows (plus, on the join path, one set copy
-    per candidate side); the text never moves.
-
-    ``max_block_docs`` is the skew guard: a block larger than this pairs
-    members against the representative only (recall guarantee holds only
-    below the cap).
-
-    ``max_corpus_docs`` is the SCALE guard (the loud-raise convention of
-    ``collect_bounded``): even with DF-ordered prefixes and the length
-    filter, candidate mass grows ~sum(df^2) -- measured 10x scaling
-    exponent 1.29 vs MinHash's 0.47 on the same corpus -- so past the cap
-    this EXACT family raises :class:`ExactPairScaleExceeded` naming
-    ``minhash_lsh_pairs`` as the substitution instead of launching a run
-    that cannot finish at 100 TB. Pass ``None`` to opt into the exact
-    audit regardless of size.
-
-    Returns (doc_a, doc_b, jaccard_ppm) -- the ratio as integer ppm so the
-    DuckDB oracle (same float64 division, then floor) compares exactly."""
-    if max_corpus_docs is not None:
-        n_docs = ds.count()  # parquet reads answer from metadata
-        if n_docs > max_corpus_docs:
-            raise ExactPairScaleExceeded(
-                f"ngram_jaccard_pairs: corpus has {n_docs} docs > cap "
-                f"{max_corpus_docs}; exact AllPairs candidate mass grows "
-                "~sum(df^2) (measured 10x exponent 1.29) -- use "
-                "minhash_lsh_pairs (measured 0.47) for near-dup pairs at "
-                "scale, or pass max_corpus_docs=None to force the exact "
-                "audit"
-            )
-
-    def shingle_sets(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_pylist()
-        memo: dict[str, int] = {}  # per-batch distinct-shingle digests
-        sets = [np.sort(np.unique(dk.shingle_hashes(t, k=shingle_k, memo=memo))) for t in texts]
-        return pa.table(
-            {
-                id_col: pa.array(ids, pa.int64()),
-                "shingles": pa.array([s.tobytes() for s in sets], pa.binary()),
-            }
-        )
-
-    def explode_hashes(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pylist()
-        hs, ds_ = [], []
-        for i, raw in zip(ids, batch.column("shingles").to_pylist()):
-            s = np.frombuffer(raw, dtype=np.uint64).view(np.int64)  # bit reinterpret
-            hs.append(s)
-            ds_.append(np.full(s.size, i, dtype=np.int64))
-        h = np.concatenate(hs) if hs else np.array([], dtype=np.int64)
-        d = np.concatenate(ds_) if ds_ else np.array([], dtype=np.int64)
-        return pa.table({"h": pa.array(h, pa.int64()), id_col: pa.array(d, pa.int64())})
-
-    def prefix_partition(group: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized pass per doc-partition: sort by (doc, df, h) -- the
-        # global DF-ascending canonical order -- and keep each doc's first
-        # n - ceil(t*n) + 1 rows (its prefix). Each kept row also carries
-        # the doc's total set size n for the downstream LENGTH filter.
-        g = group.sort_values([id_col, "df", "h"], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        new = np.concatenate(([True], ids[1:] != ids[:-1]))
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, len(ids)))
-        p = counts - np.ceil(threshold * counts).astype(np.int64) + 1
-        rank = np.arange(len(ids)) - np.repeat(starts, counts)
-        keep = rank < np.repeat(p, counts)
-        return pd.DataFrame({"block": g["h"].to_numpy()[keep], id_col: ids[keep],
-                             "n": np.repeat(counts, counts)[keep]})
-
-    def bucket_cands(group: pa.Table) -> pa.Table:
-        # one coarse bucket = many complete blocks; vectorized run detection
-        # + per-run numpy pair emission (no per-block UDF calls -- a
-        # map_groups per distinct shingle would make ~n_distinct tiny calls).
-        # The AllPairs LENGTH filter applies right here, before any pair
-        # leaves the bucket: J(a,b) >= t forces |a|/|b| >= t (I <= min,
-        # U >= max), so size-mismatched candidates are dropped pre-shuffle
-        # -- the standard Bayardo'07 prune, and the cheap brake on the
-        # sum(df^2) candidate growth the 10x sweep measured (exponent 1.29).
-        empty = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]).empty_table()
-        if group.num_rows == 0 or "block" not in group.column_names:
-            return empty
-        g = group.sort_by([("block", "ascending")])
-        blk = g.column("block").to_numpy()
-        ids = g.column(id_col).to_numpy()
-        ns = g.column("n").to_numpy()
-        change = np.concatenate(([True], blk[1:] != blk[:-1]))
-        starts = np.flatnonzero(change)
-        ends = np.concatenate((starts[1:], [len(blk)]))
-        out_a, out_b, out_na, out_nb = [], [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            order = np.argsort(ids[s:e], kind="stable")
-            members = ids[s:e][order]
-            sizes = ns[s:e][order]
-            if n > max_block_docs:  # skew guard: representative pairing
-                a, b = np.full(n - 1, members[0]), members[1:]
-                na, nb = np.full(n - 1, sizes[0]), sizes[1:]
-            else:
-                iu, ju = np.triu_indices(n, k=1)
-                a, b = members[iu], members[ju]
-                na, nb = sizes[iu], sizes[ju]
-            out_a.append(a)
-            out_b.append(b)
-            out_na.append(na)
-            out_nb.append(nb)
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        na = np.concatenate(out_na).astype(np.float64)
-        nb = np.concatenate(out_nb).astype(np.float64)
-        # recall-safe margin: never drop a boundary pair to float rounding
-        keep = np.minimum(na, nb) >= (threshold - 1e-9) * np.maximum(na, nb)
-        return pa.table(
-            {
-                "doc_a": pa.array(a[keep], pa.int64()),
-                "doc_b": pa.array(b[keep], pa.int64()),
-            }
-        )
-
-    _VERIFY_SCHEMA = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jaccard_ppm", pa.int64())]
-    )
-
-    def _pair_ppm(ra: bytes, rb: bytes):
-        """Exact Jaccard of two PRE-SORTED uint64 set blobs, as int ppm, or
-        None below threshold. searchsorted membership count: ~10x cheaper
-        than np.intersect1d, which re-sorts per pair."""
-        sa = np.frombuffer(ra, dtype=np.uint64)
-        sb = np.frombuffer(rb, dtype=np.uint64)
-        if sb.size < sa.size:
-            sa, sb = sb, sa
-        if sa.size < (threshold - 1e-9) * sb.size:
-            return None  # length filter: J <= min/max < t, skip searchsorted
-        pos = np.searchsorted(sb, sa)
-        pos[pos == sb.size] = sb.size - 1
-        inter = int(np.count_nonzero(sb[pos] == sa))
-        union = sa.size + sb.size - inter
-        j = inter / union if union else 1.0
-        return int(np.floor(j * 1e6 + 0.5)) if j >= threshold else None
-
-    def _verify_rows(pairs_iter) -> pa.Table:
-        """(doc_a, doc_b, blob_a, blob_b) stream -> typed verified-pair
-        table; the ONE verify implementation both the join path and the
-        broadcast path call, so they cannot drift."""
-        out_a, out_b, out_ppm = [], [], []
-        for a, b, ra, rb in pairs_iter:
-            ppm = _pair_ppm(ra, rb)
-            if ppm is not None:
-                out_a.append(a)
-                out_b.append(b)
-                out_ppm.append(ppm)
-        return pa.table(
-            {
-                "doc_a": pa.array(out_a, pa.int64()),
-                "doc_b": pa.array(out_b, pa.int64()),
-                "jaccard_ppm": pa.array(out_ppm, pa.int64()),
-            }
-        )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "doc_a" not in batch.column_names:
-            return _VERIFY_SCHEMA.empty_table()
-        return _verify_rows(
-            zip(
-                batch.column("doc_a").to_pylist(),
-                batch.column("doc_b").to_pylist(),
-                batch.column("a_sh").to_pylist(),
-                batch.column("b_sh").to_pylist(),
-            )
-        )
-
-    from ray.data.aggregate import Count, Max
-
-    from .relational import bucketed_hash_join
-
-    sets = ds.map_batches(shingle_sets, batch_format="pyarrow").materialize()
-    n_docs = sets.count()
-    doc_parts = max(16, n_docs // 250_000 + 1)
-    coarse = max(64, n_docs // 500 + 1)
-
-    # materialized: consumed twice (df count + join left side) -- lazy would
-    # re-run the explode pass over every shingle row for each consumer
-    exploded = sets.map_batches(explode_hashes, batch_format="pyarrow").materialize()
-    from .relational import derive_buckets
-
-    if join_buckets is None:
-        # the exploded (hash, doc) table is the largest join side (one row
-        # per shingle instance, 16 B): size its fan-out from its row count;
-        # the candidate-verification joins carry whole shingle SETS (KB per
-        # row), so they bucket by doc count at a smaller rows-per-bucket
-        jb_explode = derive_buckets(exploded.count())
-        jb_sets = derive_buckets(n_docs, rows_per_bucket=50_000)
-    else:
-        jb_explode = jb_sets = join_buckets
-    # distributed document-frequency count (8-byte hash rows shuffle)
-    df_tbl = exploded.groupby("h").aggregate(Count(alias_name="df")).map_batches(
-        lambda t: pa.table({"h2": t.column("h"), "df": t.column("df")}),
-        batch_format="pyarrow",
-    )
-    with_df = bucketed_hash_join(exploded, df_tbl, "h", "h2", buckets=jb_explode).drop_columns(
-        ["h2"]
-    )
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        b = (batch.column(id_col).to_numpy() % doc_parts).astype(np.int32)
-        return batch.append_column("__dbk", pa.array(b, pa.int32()))
-
-    prefix = (
-        with_df.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("__dbk")
-        .map_groups(prefix_partition, batch_format="pandas")
-    )
-
-    def add_block_bucket(batch: pa.Table) -> pa.Table:
-        blk = batch.column("block").to_numpy()
-        cb = ((blk * np.int64(1315423911)) % np.int64(coarse)).astype(np.int32)
-        return batch.append_column("__cbk", pa.array(cb, pa.int32()))
-
-    from .relational import grouped_pair_fold
-
-    cands = (
-        grouped_pair_fold(
-            prefix.map_batches(add_block_bucket, batch_format="pyarrow")
-            .groupby("__cbk")
-            .map_groups(bucket_cands, batch_format="pyarrow"),
-            # a pair can share many prefix blocks: dedupe to one row per
-            # pair -- the derived-pair-key fold, NOT Ray's 2-col sort
-            # aggregate (see grouped_pair_fold's measurement)
-            ["doc_a", "doc_b"],
-            {"_n": ("doc_a", "size")},
-        )
-        .drop_columns(["_n"])
-    )
-    sets_a = sets.map_batches(
-        lambda t: pa.table({"a_id": t.column(id_col), "a_sh": t.column("shingles")}),
-        batch_format="pyarrow",
-    )
-    sets_b = sets.map_batches(
-        lambda t: pa.table({"b_id": t.column(id_col), "b_sh": t.column("shingles")}),
-        batch_format="pyarrow",
-    )
-    # --- verification: broadcast fast path vs bucketed-join scale path ---
-    # The verify input is (candidate pair x both shingle sets): shipping the
-    # KB-sized sets through two join shuffles dominates the pipeline wall
-    # when the sets table itself is small. Below ``broadcast_sets_bytes``
-    # (default 256 MB -- a bounded, deliberate driver collect, NOT the
-    # whole-corpus anti-pattern) the sets dict is ray.put ONCE and every
-    # verify task looks both sides up locally: zero extra shuffles. Past the
-    # cap, the bucketed joins remain the scale path, with fan-out derived
-    # from the CANDIDATE count (the actual workload), not the doc count.
-    if sets.size_bytes() <= broadcast_sets_bytes:
-        import ray
-
-        tbl = pa.concat_tables(ray.get(sets.to_arrow_refs()))
-        lookup = dict(
-            zip(tbl.column(id_col).to_pylist(), tbl.column("shingles").to_pylist())
-        )
-        handle = [ray.put(lookup)]
-
-        class VerifyBroadcast:
-            def __init__(self) -> None:
-                self.sets = ray.get(handle[0])
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0 or "doc_a" not in batch.column_names:
-                    return _VERIFY_SCHEMA.empty_table()
-                return _verify_rows(
-                    (a, b, self.sets[a], self.sets[b])
-                    for a, b in zip(
-                        batch.column("doc_a").to_pylist(),
-                        batch.column("doc_b").to_pylist(),
-                    )
-                )
-
-        # cands is already pair-deduped; one verified row per pair
-        return cands.map_batches(VerifyBroadcast, batch_format="pyarrow", concurrency=(1, 8))
-
-    cands = cands.materialize()
-    # an explicit join_buckets is honored verbatim; otherwise derive the
-    # verify fan-out from the candidate count
-    jb_cands = (
-        join_buckets
-        if join_buckets is not None
-        else max(jb_sets, derive_buckets(cands.count(), rows_per_bucket=20_000))
-    )
-    with_a = bucketed_hash_join(cands, sets_a, "doc_a", "a_id", buckets=jb_cands).drop_columns(
-        ["a_id"]
-    )
-    with_ab = bucketed_hash_join(with_a, sets_b, "doc_b", "b_id", buckets=jb_cands).drop_columns(
-        ["b_id"]
-    )
-    pairs = with_ab.map_batches(verify, batch_format="pyarrow")
-    return grouped_pair_fold(
-        pairs, ["doc_a", "doc_b"], {"jaccard_ppm": ("jaccard_ppm", "max")}
-    )
 
 
 # --------------------------------------------------------------- similarity
@@ -1244,180 +790,6 @@ def ivf_topk(
     )
     return partials.groupby("query_id").map_groups(
         lambda g: sk.final_topk_group(g, k, id_col), batch_format="pandas"
-    )
-
-
-# ------------------------------------------------------- duplicate clusters
-
-
-def dedup_clusters(
-    pairs, *, id_a: str = "doc_a", id_b: str = "doc_b", max_iters: int = 50,
-    buckets: int | None = None, collect_cap_edges: int = 4_000_000,
-):
-    """Connected components over a near-duplicate pair graph via iterative
-    min-label propagation with pointer jumping: each round a node's label
-    becomes the min of {its label, neighbors' labels, its label's label}.
-    The label-of-label hop halves path lengths each round, so convergence is
-    O(log diameter), not O(diameter). The loop runs to a FIXED POINT (zero
-    label changes); ``max_iters`` is a safety valve that raises rather than
-    silently returning split components. Under ``collect_cap_edges`` the
-    edge list instead collects to the driver for a path-compressed
-    union-find with identical min-id labels (see the inline note: path
-    diameters made the join rounds pay 42 s against sub-second edge sets);
-    past the cap all steps are Dataset ops -- edges and labels shuffle by
-    node id; only the scalar change-count per round reaches the driver.
-
-    Returns (doc_id, cluster_id) with cluster_id = min doc id in the
-    component.
-    """
-    from ray.data.aggregate import Min
-
-    _EMPTY = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
-    _EDGE = pa.schema([("node", pa.int64()), ("nbr", pa.int64())])
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        # schema-less empty blocks (all pair groups empty) have no columns;
-        # the int64 fallback type never mixes with real edges because a
-        # schema-less pairs dataset is empty overall (early return below)
-        if id_a not in batch.column_names:
-            return _EDGE.empty_table()
-        a = batch.column(id_a)
-        b = batch.column(id_b)
-        return pa.table(
-            {
-                "node": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
-                "nbr": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()]),
-            }
-        )
-
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        # empty graph: typed empty result, no join/groupby machinery touched
-        import ray.data as rd
-
-        return rd.from_arrow(_EMPTY.empty_table())
-    if n_edges <= collect_cap_edges:
-        # near-dup edge sets are dup-rate-bounded, but their DIAMETER is
-        # not: crawl-stitch paths made the O(log diameter) join rounds
-        # below cost 42 s against a sub-second edge pass. Under the cap
-        # the edges collect to the driver for a path-compressed
-        # union-find with min-root union -- VALUE-identical labels
-        # (cluster_id = min member id, roots can only move toward the
-        # minimum) -- the adaptive small-side convention: bounded,
-        # deliberate, loud. Past the cap the pointer-jumping path below
-        # runs unchanged.
-        import ray.data as rd
-
-        df = edges.to_pandas()
-        a = df["node"].to_numpy()  # type-preserving: int64 OR string ids
-        b = df["nbr"].to_numpy()
-        ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-        par = np.arange(len(ids), dtype=np.int64)
-
-        def find(x: int) -> int:
-            root = x
-            while par[root] != root:
-                root = par[root]
-            while par[x] != root:  # path compression
-                par[x], x = root, par[x]
-            return root
-
-        ai, bi = inv[: len(a)], inv[len(a):]
-        for x, y in zip(ai, bi):
-            rx, ry = find(int(x)), find(int(y))
-            if rx != ry:
-                par[max(rx, ry)] = min(rx, ry)
-        roots = np.array([find(int(i)) for i in range(len(ids))], np.int64)
-        # type-preserving: int ids stay int64, string ids (entity names)
-        # stay string; np.unique sorts ascending so min root index == min id
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array(ids),
-            "cluster_id": pa.array(ids[roots]),
-        }))
-    if buckets is None:
-        # size the join fan-out so one bucket's edges stay ~100k rows
-        buckets = max(4, min(512, n_edges // 100_000 + 4))
-    # labels: node -> current component label (init: itself)
-    labels = (
-        edges.groupby("node").aggregate(Min("nbr", alias_name="_"))
-        .map_batches(
-            lambda t: pa.table({"node": t.column("node"), "label": t.column("node")}),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    converged = False
-    for _ in range(max_iters):
-        from .relational import bucketed_hash_join
-
-        # neighbor labels: edges joined with labels on nbr
-        nbr_labels = bucketed_hash_join(
-            edges,
-            labels.map_batches(
-                lambda t: pa.table({"nbr": t.column("node"), "nbr_label": t.column("label")}),
-                batch_format="pyarrow",
-            ),
-            "nbr", "nbr", buckets=buckets,
-        ).map_batches(
-            lambda t: pa.table({"node": t.column("node"), "cand": t.column("nbr_label")}),
-            batch_format="pyarrow",
-        )
-        # pointer jumping: label-of-label (labels joined with itself)
-        jump = bucketed_hash_join(
-            labels.map_batches(
-                lambda t: pa.table({"node": t.column("node"), "lbl": t.column("label")}),
-                batch_format="pyarrow",
-            ),
-            labels.map_batches(
-                lambda t: pa.table({"lbl2": t.column("node"), "parent": t.column("label")}),
-                batch_format="pyarrow",
-            ),
-            "lbl", "lbl2", buckets=buckets,
-        ).map_batches(
-            lambda t: pa.table({"node": t.column("node"), "cand": t.column("parent")}),
-            batch_format="pyarrow",
-        )
-        own = labels.map_batches(
-            lambda t: pa.table({"node": t.column("node"), "cand": t.column("label")}),
-            batch_format="pyarrow",
-        )
-        new_labels = (
-            own.union(nbr_labels).union(jump)
-            .groupby("node")
-            .aggregate(Min("cand", alias_name="label"))
-            .materialize()
-        )
-        # convergence: did any label shrink this round?
-        joined = bucketed_hash_join(
-            labels.map_batches(
-                lambda t: pa.table({"node": t.column("node"), "old": t.column("label")}),
-                batch_format="pyarrow",
-            ),
-            new_labels.map_batches(
-                lambda t: pa.table({"n2": t.column("node"), "new": t.column("label")}),
-                batch_format="pyarrow",
-            ),
-            "node", "n2", buckets=buckets,
-        )
-        changed = joined.map_batches(
-            lambda t: pa.table(
-                {"c": pa.array([int((np.asarray(t.column("old")) != np.asarray(t.column("new"))).sum())], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        ).sum("c")
-        labels = new_labels
-        if not changed:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"dedup_clusters did not converge within {max_iters} rounds; "
-            "raise max_iters (components deeper than 2^max_iters hops)"
-        )
-    return labels.map_batches(
-        lambda t: pa.table({"doc_id": t.column("node"), "cluster_id": t.column("label")}),
-        batch_format="pyarrow",
     )
 
 
@@ -2793,175 +2165,6 @@ def sample_n(ds, n: int, id_col: str = "doc_id"):
     )
 
 
-def line_dedup(
-    ds,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    min_line_chars: int = 8,
-    *,
-    broadcast_dups_bytes: int = 256 << 20,
-    join_buckets: int | None = None,
-):
-    """C4-style corpus-level line dedup: a line occurring more than once in
-    the WHOLE corpus is kept only at its globally first occurrence
-    (smallest ``(doc_id, line_index)``); every other occurrence is removed
-    from its document's text. Lines shorter than ``min_line_chars`` are
-    exempt (kept verbatim — the C4 boilerplate rule targets repeated
-    sentences/menus, not whitespace or bullets). Returns (id, text) with
-    rewritten text for EVERY input doc — a doc whose every line was a
-    non-first duplicate comes back with text ''.
-
-    Scale shape (two passes over ``ds``; pass a re-readable source):
-
-    1. line stats: explode lines inside ``map_batches`` -> (md5_u64(line),
-       pack = doc_id * 2^32 + idx) — 16 B per line is ALL that shuffles,
-       never text -> ``groupby(hash)``: count + min(pack) -> the dup table
-       (hash, min_pack) holds only lines seen twice+.
-    2. rewrite map-side: dup table under ``broadcast_dups_bytes`` is
-       ``ray.put`` once and each actor keeps {hash: min_pack}; a line
-       survives iff it is short, unseen in the dup table, or IS the global
-       first occurrence. Past the cap: explode -> bucketed left join on
-       the line hash -> filter -> per-doc reassembly (sort by idx,
-       join '\\n') — full lines move once, same volume class as
-       ``exact_dedup``'s row shuffle.
-
-    A short line's content can never collide with a dup-table entry (the
-    dup table only holds lines >= ``min_line_chars``, and equal content
-    implies equal length), so eligibility needs no flag in the lookups.
-    Packing assumes doc_id < 2^31 and < 2^32 lines/doc (asserted).
-    Per-batch line hashing memoizes distinct lines (duplicate-heavy
-    corpora hash each repeated line once per batch)."""
-    import ray
-    from ray.data.aggregate import Count, Min
-
-    P = 1 << 32
-
-    def _i64(h: int) -> int:
-        # signed-int64 bit view of the md5 uint64: Ray's sort shuffle keys
-        # stay a native Arrow int64 (uint64 keys fall back to a pickled
-        # extension type on some block shapes); equality is preserved
-        return h - (1 << 64) if h >= (1 << 63) else h
-
-    def line_partials(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
-        memo: dict[str, int] = {}
-        hs, packs = [], []
-        for d, t in zip(ids, texts):
-            assert 0 <= d < P // 2, "line_dedup packing assumes doc_id < 2^31"
-            for j, ln in enumerate((t or "").split("\n")):
-                if len(ln) >= min_line_chars:
-                    hs.append(_i64(dk.md5_u64_hashed(ln, memo)))
-                    packs.append(d * P + j)
-        return pa.table({"h": pa.array(hs, pa.int64()), "pack": pa.array(packs, pa.int64())})
-
-    def only_dups(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.greater(batch.column("n"), 1)).select(["h", "mp"])
-
-    dups = (
-        ds.map_batches(line_partials, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Count(alias_name="n"), Min("pack", alias_name="mp"))
-        .map_batches(only_dups, batch_format="pyarrow")
-        .materialize()  # (hash, first-occurrence pack): 16 B per DUPLICATED line
-    )
-
-    if dups.size_bytes() <= broadcast_dups_bytes:
-        tabs = ray.get(dups.to_arrow_refs())
-        hs = _concat_column(tabs, "h").to_numpy(zero_copy_only=False)
-        mps = _concat_column(tabs, "mp").to_numpy(zero_copy_only=False)
-        handle = [ray.put((hs, mps))]
-
-        class LineRewrite:
-            def __init__(self) -> None:
-                h, m = ray.get(handle[0])
-                self.first = dict(zip(h.tolist(), m.tolist()))
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                ids = batch.column(id_col).to_pylist()
-                texts = batch.column(text_col).to_pylist()
-                memo: dict[str, int] = {}
-                out = []
-                for d, t in zip(ids, texts):
-                    kept = []
-                    for j, ln in enumerate((t or "").split("\n")):
-                        if len(ln) < min_line_chars:
-                            kept.append(ln)
-                            continue
-                        mp = self.first.get(_i64(dk.md5_u64_hashed(ln, memo)))
-                        if mp is None or mp == d * P + j:
-                            kept.append(ln)
-                    out.append("\n".join(kept))
-                return pa.table(
-                    {id_col: batch.column(id_col), text_col: pa.array(out, pa.string())}
-                )
-
-        return ds.map_batches(LineRewrite, batch_format="pyarrow", concurrency=(1, 8))
-
-    # scale path: explode every line (plus one always-kept sentinel per doc
-    # so fully-deduped docs still come back, as text='') -> bucketed left
-    # join on the line hash -> keep first occurrences -> per-doc reassembly
-    from .relational import bucketed_hash_join, derive_buckets
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
-        memo: dict[str, int] = {}
-        od, oi, ol, oh, oreal = [], [], [], [], []
-        for d, t in zip(ids, texts):
-            assert 0 <= d < P // 2, "line_dedup packing assumes doc_id < 2^31"
-            for j, ln in enumerate((t or "").split("\n")):
-                od.append(d)
-                oi.append(j)
-                ol.append(ln)
-                oh.append(
-                    _i64(dk.md5_u64_hashed(ln, memo)) if len(ln) >= min_line_chars else 0
-                )
-                oreal.append(True)
-            od.append(d)  # sentinel: sorts last, never joined, never rendered
-            oi.append(P // 2)
-            ol.append("")
-            oh.append(0)
-            oreal.append(False)
-        return pa.table(
-            {
-                id_col: pa.array(od, pa.int64()),
-                "i": pa.array(oi, pa.int64()),
-                "line": pa.array(ol, pa.string()),
-                "h": pa.array(oh, pa.int64()),
-                "real": pa.array(oreal, pa.bool_()),
-            }
-        )
-
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
-    buckets = join_buckets if join_buckets is not None else derive_buckets(dups.count())
-    dups2 = dups.map_batches(
-        lambda b: b.rename_columns(["h2", "mp"]), batch_format="pyarrow"
-    )
-    joined = bucketed_hash_join(exploded, dups2, "h", "h2", buckets=buckets, how="left")
-
-    def rejoin_doc(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("i")
-        real = g[g["real"]]
-        # nullable Int64 (never float64): packs reach 2^63 and would lose
-        # exactness through a NaN-bearing float column
-        mp = real["mp"].astype("Int64")
-        pack = real[id_col].astype("Int64") * P + real["i"].astype("Int64")
-        keep = (mp.isna() | (mp == pack).fillna(False)).to_numpy(dtype=bool)
-        # short lines carry h=0 which is never in the dup table (its lines
-        # are all >= min_line_chars), so mp is NaN for them: kept
-        return pd.DataFrame(
-            {
-                id_col: [int(g[id_col].iloc[0])],
-                text_col: ["\n".join(real.loc[keep, "line"])],
-            }
-        )
-
-    return joined.groupby(id_col).map_groups(rejoin_doc, batch_format="pandas")
-
-
 def _distinct_content_hashes(corpus_ds, text_col: str, out_col: str = "corpus_hash"):
     """Corpus side of the novelty filters: DISTINCT sha256 content hashes.
     Hash-only shuffle — 64 chars per distinct content, text never moves."""
@@ -2983,8 +2186,8 @@ def _broadcast_bloom(corpus_hashes, m_bits: int, merge_group: int = 64):
     """Per-block partial Bloom filters over the distinct corpus hashes ->
     bitwise-OR tree merge (bounded ``merge_group`` sketches per task, the
     CMS merge shape) -> ONE ``ray.put`` broadcast. Returns the wrapped
-    ObjectRef (list so map_batches kwargs don't auto-deref). Shared by
-    ``novel_docs_bloom`` and ``bloom_fp_audit``."""
+    ObjectRef (list so map_batches kwargs don't auto-deref). Used by
+    ``bloom_fp_audit``."""
     import ray
 
     from ..functions.bloom import BloomFilter
@@ -3008,88 +2211,6 @@ def _broadcast_bloom(corpus_hashes, m_bits: int, merge_group: int = 64):
             .materialize()
         )
     return [ray.put(blooms.take_all()[0]["bloom"])]
-
-
-def novel_docs_bloom(
-    new_ds,
-    corpus_ds,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    *,
-    bits_per_key: int = 16,
-    merge_group: int = 64,
-    join_buckets: int | None = None,
-):
-    """EXACT novelty filter (same output as ``novel_docs``) whose broadcast
-    is a Bloom filter instead of the raw hash set — ~35x smaller (16 bits
-    vs ~70 B per distinct content), which moves the broadcast ceiling from
-    ~3.5M to ~128M corpus keys per GB.
-
-    Bloom misses are DEFINITELY novel and pass map-side with zero further
-    work (the common case for a fresh crawl against a clean corpus). Bloom
-    hits are duplicate-OR-false-positive candidates — a small set (true
-    dups + ~0.05% FP at 16 bits/key) that re-verifies exactly via the
-    bucketed left join against the real hash table. Correctness never
-    depends on the FP rate; only the re-verification volume does.
-
-    Build: per-block partial Bloom over the distinct corpus hashes (fixed
-    m from the corpus count) -> bitwise-OR tree merge (bounded
-    ``merge_group`` rounds, same shape as the CMS merge) -> one broadcast.
-    Past ~1e9 distinct keys, shard the corpus by hash prefix and run this
-    per shard (the bloom itself stays a single ray.put here)."""
-    import ray
-
-    from ..functions.bloom import BloomFilter
-    from .relational import bucketed_hash_join, derive_buckets
-
-    corpus_hashes = _distinct_content_hashes(corpus_ds, text_col)
-    n_keys = corpus_hashes.count()
-    m_bits = BloomFilter.for_keys(max(n_keys, 1), bits_per_key).m
-    handle = _broadcast_bloom(corpus_hashes, m_bits, merge_group)
-
-    def with_hash(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__hash", pa.array(dk.sha256_hex(batch.column(text_col).to_pylist()))
-        )
-
-    class BloomSplit:
-        def __init__(self) -> None:
-            self.bloom = BloomFilter.from_bytes(ray.get(handle[0]))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = with_hash(batch)
-            hit = self.bloom.contains_many(batch.column("__hash").to_pylist())
-            return batch.append_column("__hit", pa.array(hit, pa.bool_()))
-
-    tagged = new_ds.map_batches(
-        BloomSplit, batch_format="pyarrow", concurrency=(1, 8)
-    ).materialize()  # split once, consume twice (definite + candidates)
-
-    def keep_misses(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.invert(batch.column("__hit"))).drop_columns(
-            ["__hash", "__hit"]
-        )
-
-    def keep_hits(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__hit")).drop_columns(["__hit"])
-
-    definite = tagged.map_batches(keep_misses, batch_format="pyarrow")
-    candidates = tagged.map_batches(keep_hits, batch_format="pyarrow")
-
-    buckets = join_buckets if join_buckets is not None else derive_buckets(n_keys)
-    joined = bucketed_hash_join(
-        candidates, corpus_hashes, "__hash", "corpus_hash", buckets=buckets, how="left"
-    )
-
-    def keep_verified_novel(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.is_null(batch.column("corpus_hash"))
-        return batch.filter(mask).drop_columns(["corpus_hash", "__hash"])
-
-    return definite.union(joined.map_batches(keep_verified_novel, batch_format="pyarrow"))
 
 
 def chunk_documents(ds, chunk_tokens: int = 64, overlap: int = 16, id_col: str = "doc_id", text_col: str = "text"):
@@ -3155,10 +2276,9 @@ def novel_docs_minhash(
     run the UNCHANGED ``minhash_lsh_pairs`` plan over the union. Cross-side
     pairs (odd+even sid) mark matched new docs; the matched-id set (at most
     |new|, usually the small dup fraction) broadcasts for a map-side
-    anti-filter — swap in the bucketed anti-join (``ngram_dedup_keepers``
-    shape) if a pathological corpus ever makes it large. New-vs-new
-    near-dups are deliberately NOT dropped here: in-batch dedup is
-    ``minhash_dup_clusters``'s job.
+    anti-filter — swap in a bucketed anti-join if a pathological corpus
+    ever makes it large. New-vs-new near-dups are deliberately NOT
+    dropped here.
 
     Exactly SQL-replayable: the oracle reruns the full minhash replay over
     the side-encoded union (same permutation literals, banding, skew cap)
@@ -4695,8 +3815,8 @@ def label_centroid_sums(ds, label_col: str = "label", emb_col: str = "embedding"
 
 def typo_pairs(ds, col: str, buckets: int = 64):
     """Edit-distance-1 string self-join via FastSS deletion neighborhoods
-    -- the fuzzy-join family's EXACT member (MinHash/SimHash/ngram are
-    set-similarity; this is true Levenshtein<=1, the vocabulary-typo /
+    -- the fuzzy-join family's EXACT member (MinHash is set-similarity;
+    this is true Levenshtein<=1, the vocabulary-typo /
     near-identical-id matcher). No verification stage is needed because
     the keys are constructed to be exact:
 
@@ -5092,262 +4212,10 @@ def oov_rate_by_lang(ds, vocab_k: int = 512, lang_col: str = "lang", text_col: s
     return folded.map_batches(add_ppm, batch_format="pyarrow", batch_size=None)
 
 
-def dup_shingle_rate(
-    ds, source_col: str = "source", text_col: str = "text", buckets: int | None = None
-):
-    """Cross-document duplicated-shingle audit: per source, what fraction
-    (ppm) of per-doc DISTINCT word-3-shingles also appears in at least one
-    OTHER document -- the exact-substring-duplication health metric behind
-    "how much boilerplate does this crawl slice carry" (the measurement
-    that motivates substring-level dedup a la Lee et al.; the pair family
-    finds the offenders, this op sizes the problem per slice).
-
-    Plan (ONE shingle-domain exchange, never text):
-
-    1. ``map_batches``: per doc, ``np.unique(shingle_hashes(text))`` -- the
-       SAME tokenization/shingling/md5-u64 kernel the MinHash and ngram
-       families share with their SQL replays -- emitted as long
-       (h: uint64, source) rows.
-    2. Hash-bucket on h (all rows of one shingle value land in one bucket,
-       so the in-bucket group size IS the global distinct-doc count --
-       per-doc uniqueness makes rows (h, doc)-distinct) -> per-bucket
-       vectorized transform('size') + per-source partials.
-    3. Bounded source domain -> ``tiny_final_groupby`` + Python-int ppm.
-
-    Grouping by the 64-bit shingle hash instead of the string is the pair
-    family's documented trade: collisions mis-merge two shingle strings
-    with probability 2^-64 per pair -- at 100 TB (~4e13 shingles) that is
-    ~ppm-level error on a ppm metric; swap md5_u64 for the full 128-bit
-    digest if exactness matters there. The oracle groups by the string
-    itself, which is equality-identical at test scale.
-
-    Returns (source, n_shingles, n_shared, shared_ppm)."""
-    from ..functions.dedup import shingle_hashes
-    from .relational import derive_buckets, hash_bucket_column, tiny_final_groupby
-
-    if buckets is None:
-        # ~40 shingles/doc: size buckets off the doc count so one bucket's
-        # long rows stay ~2M regardless of corpus scale
-        buckets = derive_buckets(ds.count(), rows_per_bucket=50_000)
-
-    def long_rows(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        srcs = batch.column(source_col).to_pylist()
-        memo: dict[str, int] = {}
-        us = [np.unique(shingle_hashes(t or "", 3, memo)) for t in texts]
-        lens = [len(u) for u in us]
-        h = np.concatenate(us) if us else np.empty(0, np.uint64)
-        src = np.repeat(np.asarray(srcs, dtype=object), lens)
-        out = pa.table(
-            {"h": pa.array(h, pa.uint64()), "source": pa.array(src, pa.string())}
-        )
-        return hash_bucket_column(out, "h", buckets)
-
-    def bucket_audit(g: pd.DataFrame) -> pd.DataFrame:
-        nd = g.groupby("h", sort=False)["h"].transform("size")
-        p = pd.DataFrame(
-            {
-                "source": g["source"].to_numpy(),
-                "shared": (nd >= 2).to_numpy().astype(np.int64),
-            }
-        )
-        out = p.groupby("source", sort=False)["shared"].agg(["size", "sum"]).reset_index()
-        return pd.DataFrame(
-            {
-                "source": out["source"],
-                "n_shingles": out["size"].to_numpy(np.int64),
-                "n_shared": out["sum"].to_numpy(np.int64),
-            }
-        )
-
-    folded = tiny_final_groupby(
-        ds.map_batches(long_rows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_audit, batch_format="pandas"),
-        ["source"],
-        [("n_shingles", "sum"), ("n_shared", "sum")],
-        ["source", "n_shingles", "n_shared"],
-    )
-
-    def add_ppm(batch: pa.Table) -> pa.Table:
-        ns = batch.column("n_shingles").to_pylist()
-        nh = batch.column("n_shared").to_pylist()
-        ppm = pa.array([int(s) * 1_000_000 // int(t) for s, t in zip(nh, ns)], pa.int64())
-        return batch.append_column("shared_ppm", ppm)
-
-    return folded.map_batches(add_ppm, batch_format="pyarrow", batch_size=None)
-
-
-def doc_boilerplate_score(
-    ds, id_col: str = "doc_id", text_col: str = "text", buckets: int | None = None
-):
-    """Per-DOCUMENT boilerplate score: the ppm of a doc's DISTINCT
-    word-3-shingles that also appear in at least one OTHER document --
-    ``dup_shingle_rate`` (the per-slice aggregate) resolved down to a
-    per-doc quality COLUMN, the signal a substring-dedup or quality gate
-    filters on (Lee et al.'s "how much of this doc is corpus boilerplate"
-    per row instead of per crawl slice).
-
-    Plan (TWO bounded exchanges, never text):
-
-    1. the SAME tokenize/shingle/md5-u64 kernel as the MinHash/ngram/
-       dup_shingle families, emitted as (h: uint64, doc_id) long rows,
-       hash-bucketed on h -- all rows of one shingle land together, so
-       the in-bucket group size IS the global distinct-doc count;
-    2. per h-bucket, per-doc PARTIAL (n, n_shared) counts -- collapsing
-       each bucket to at most |docs-in-bucket| rows before anything
-       moves again;
-    3. ONE doc_id-bucketed fold sums the partials and computes the exact
-       int64 ppm.
-
-    Same 2^-64-per-pair hash-collision caveat as dup_shingle_rate; the
-    SQL replay groups by the shingle string, equality-identical at test
-    scale.
-
-    Returns (doc_id, n_shingles, n_shared, boilerplate_ppm), one row per
-    doc with at least one shingle (every doc: the kernel emits one
-    whole-text shingle for <3-token docs)."""
-    from ..functions.dedup import shingle_hashes
-    from .relational import derive_buckets, hash_bucket_column
-
-    n_docs = ds.count()
-    if buckets is None:
-        buckets = derive_buckets(n_docs, rows_per_bucket=50_000)
-    doc_buckets = derive_buckets(n_docs, rows_per_bucket=500_000)
-
-    def long_rows(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        memo: dict[str, int] = {}
-        us = [np.unique(shingle_hashes(t or "", 3, memo)) for t in texts]
-        lens = [len(u) for u in us]
-        h = np.concatenate(us) if us else np.empty(0, np.uint64)
-        out = pa.table(
-            {
-                "h": pa.array(h, pa.uint64()),
-                "doc_id": pa.array(np.repeat(ids, lens), pa.int64()),
-            }
-        )
-        return hash_bucket_column(out, "h", buckets)
-
-    def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
-        nd = g.groupby("h", sort=False)["h"].transform("size")
-        p = pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].to_numpy(np.int64),
-                "shared": (nd >= 2).to_numpy().astype(np.int64),
-            }
-        )
-        out = p.groupby("doc_id", sort=False)["shared"].agg(["size", "sum"]).reset_index()
-        t = pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(out["size"].to_numpy(np.int64), pa.int64()),
-                "n_shared": pa.array(out["sum"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-        return hash_bucket_column(t, "doc_id", doc_buckets, name="__dbucket").to_pandas()
-
-    def fold_doc(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("doc_id", sort=False)[["n", "n_shared"]].sum().reset_index()
-        n = out["n"].to_numpy(np.int64)
-        s = out["n_shared"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "doc_id": out["doc_id"].to_numpy(np.int64),
-                "n_shingles": n,
-                "n_shared": s,
-                "boilerplate_ppm": s * 1_000_000 // n,
-            }
-        )
-
-    return (
-        ds.map_batches(long_rows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_partials, batch_format="pandas")
-        .groupby("__dbucket")
-        .map_groups(fold_doc, batch_format="pandas")
-    )
-
-
-def pair_set_audit(exact, approx):
-    """Precision/recall audit of an APPROXIMATE pair set against an EXACT
-    one -- the measurement that justifies (or indicts) running MinHash
-    instead of the exact-recall AllPairs join at scale ("measure, don't
-    guess" applied to the dedup family itself).
-
-    Both inputs are pair datasets carrying (doc_a, doc_b) int64 columns
-    (extra columns dropped). Plan: tag each side with a bit (exact=1,
-    approx=2), union, ONE pair-domain exchange bucketed on doc_a (both
-    rows of a pair share doc_a, so the in-bucket per-pair bit-sum is
-    global), per-bucket partial counts, single tiny fold. Each side emits
-    a pair at most once, so sum==3 identifies intersection rows.
-
-    Returns ONE row: (n_exact, n_approx, n_both, recall_ppm,
-    precision_ppm); a zero denominator reports 1_000_000 (vacuously
-    perfect) -- mirrored by the SQL replay."""
-    from .relational import hash_bucket_column
-
-    def tag(side: int):
-        def _fn(batch: pa.Table) -> pa.Table:
-            out = pa.table(
-                {
-                    "doc_a": batch.column("doc_a").cast(pa.int64()),
-                    "doc_b": batch.column("doc_b").cast(pa.int64()),
-                    "side": pa.array([side] * batch.num_rows, pa.int64()),
-                }
-            )
-            return hash_bucket_column(out, "doc_a", 32)
-
-        return _fn
-
-    tagged = exact.map_batches(tag(1), batch_format="pyarrow").union(
-        approx.map_batches(tag(2), batch_format="pyarrow")
-    )
-
-    def bucket_counts(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby(["doc_a", "doc_b"], sort=False)["side"].sum()
-        v = s.to_numpy()
-        return pd.DataFrame(
-            {
-                "n_exact": [int(np.count_nonzero(v & 1))],
-                "n_approx": [int(np.count_nonzero(v & 2))],
-                "n_both": [int(np.count_nonzero(v == 3))],
-            }
-        ).astype(np.int64)
-
-    partials = tagged.groupby("__bucket").map_groups(
-        bucket_counts, batch_format="pandas"
-    )
-
-    def fold(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ne = int(pc.sum(batch.column("n_exact")).as_py() or 0)
-        na = int(pc.sum(batch.column("n_approx")).as_py() or 0)
-        nb = int(pc.sum(batch.column("n_both")).as_py() or 0)
-        recall = nb * 1_000_000 // ne if ne else 1_000_000
-        precision = nb * 1_000_000 // na if na else 1_000_000
-        return pa.table(
-            {
-                "n_exact": pa.array([ne], pa.int64()),
-                "n_approx": pa.array([na], pa.int64()),
-                "n_both": pa.array([nb], pa.int64()),
-                "recall_ppm": pa.array([recall], pa.int64()),
-                "precision_ppm": pa.array([precision], pa.int64()),
-            }
-        )
-
-    return partials.repartition(1).map_batches(
-        fold, batch_format="pyarrow", batch_size=None
-    )
-
-
 def hll_error_audit(events, col: str = "user_id"):
     """Sketch-accuracy audit: the HyperLogLog estimate next to the EXACT
     distinct count, with the absolute error in ppm -- the committed
-    evidence for trusting (or re-sizing) the sketch at scale, same
-    "measure, don't guess" shape as ``pair_set_audit``.
+    evidence for trusting (or re-sizing) the sketch at scale.
 
     The exact side is a value-domain exchange: per-batch ``np.unique``
     partials (the map-side distinct that shrinks the shuffle to the batch
@@ -5398,12 +4266,11 @@ def bloom_fp_audit(
     """Bloom-prefilter false-positive audit: how many of the new batch's
     Bloom HITS were actually novel (false positives the exact
     re-verification join then had to absorb) -- the measurement behind
-    ``novel_docs_bloom``'s claim that FP rate only costs re-verification
-    volume. A member of the "measure, don't guess" audit family
-    (pair_set_audit).
+    a Bloom prefilter's claim that FP rate only costs re-verification
+    volume.
 
-    Same broadcast-bloom build as ``novel_docs_bloom`` (shared
-    ``_broadcast_bloom``); the new batch is tagged once, hit rows
+    The corpus side is the ``_broadcast_bloom`` build; the new batch is
+    tagged once, hit rows
     re-verify through the bucketed left join, and THREE bounded count
     partials fold at the driver. fp_ppm is false positives over the
     non-duplicate rows actually tested (the population that could FP).
@@ -5512,55 +4379,6 @@ def cms_error_audit(ds_exact, ds_cms, k: int = 20):
             "n_cms": m["n_cms"].astype("int64"),
             "over_ppm": pd.array(over, dtype="int64"),
         }
-    )
-
-
-def dup_size_histogram(ds, text_col: str = "text"):
-    """Duplicate-group-size histogram: how many distinct texts occur once,
-    twice, three times... -- the corpus-health profile that says whether
-    duplication is a long tail of near-singletons (cheap to keep) or a few
-    monster clusters (salting / cap territory), one level finer than
-    ``dedup_stats``' scalar totals.
-
-    Two-level collapse, both exchanges bounded: per-batch sha256
-    value_counts -> ``bucketed_grouped_sum`` over the hash domain (the
-    only unbounded exchange, (hash, count) partials) -> per-block
-    value_counts of the group SIZE -> tiny size-domain final (group sizes
-    are <= the corpus's max multiplicity, a handful of distinct values).
-    Text equality is hash equality modulo the dedup family's documented
-    2^-256 collision odds.
-
-    Returns (group_size, n_groups)."""
-    from .relational import bucketed_grouped_sum, tiny_final_groupby
-
-    def hash_counts(batch: pa.Table) -> pa.Table:
-        h = dk.sha256_hex(batch.column(text_col).to_pylist())
-        vc = pd.Series(h).value_counts()
-        return pa.table(
-            {
-                "h": pa.array(vc.index, pa.string()),
-                "n": pa.array(vc.to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    counts = bucketed_grouped_sum(
-        ds.map_batches(hash_counts, batch_format="pyarrow"), "h", "n"
-    )
-
-    def size_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        vc = batch["n"].value_counts()
-        return pd.DataFrame(
-            {
-                "group_size": vc.index.to_numpy(np.int64),
-                "k": vc.to_numpy(np.int64),
-            }
-        )
-
-    return tiny_final_groupby(
-        counts.map_batches(size_partial, batch_format="pandas"),
-        ["group_size"],
-        [("k", "sum")],
-        ["group_size", "n_groups"],
     )
 
 
@@ -5928,100 +4746,6 @@ def common_neighbor_pairs(ds, k: int = 20, id_col: str = "doc_id"):
     )
 
 
-def cross_source_dup_matrix(sf_dir: str, threshold: float = 0.6,
-                            broadcast_cap_bytes: int = 256 << 20):
-    """Cross-source near-duplicate contamination matrix: MinHash+LSH pair
-    counts per UNORDERED source pair -- the provenance audit that localizes
-    WHERE duplication comes from (mirror sites, cross-posted feeds) after
-    dup_shingle_rate has sized it and before a dedup pass spends compute.
-
-    Plan: the unchanged minhash_lsh_pairs plan yields the pair set, which
-    is small by construction (the near-dup rate times the corpus). Its
-    endpoint id set broadcasts ONCE (capped with a loud raise -- past the
-    cap the bucketed-join shape is right, and the previous revision of
-    this function implements it); one map-side pass over the narrow
-    (doc_id, source) projection keeps ONLY endpoint rows (bounded by
-    2x pairs), which fold to a doc->source dict; the pair stream then
-    labels both endpoints dict-side and emits bounded (source_a,
-    source_b) count partials. The corpus-sized source projection is never
-    shuffled -- the round-3 bench showed the two bucketed joins it
-    previously paid cost ~5 s at sf0.1 against a KB-sized pair set.
-    Sources order lexicographically within a pair (LEAST/GREATEST,
-    shared with the replay).
-
-    Returns (source_a, source_b, n_pairs); only pairs with >= 1 near-dup."""
-    import ray
-    import ray.data as rd
-
-    from .relational import tiny_final_groupby
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(docs, threshold=threshold).drop_columns(["est_jaccard"]).materialize()
-
-    def endpoint_ids(batch: pa.Table) -> pa.Table:
-        u = np.unique(
-            np.concatenate(
-                [
-                    batch.column("doc_a").to_numpy(zero_copy_only=False).astype(np.int64),
-                    batch.column("doc_b").to_numpy(zero_copy_only=False).astype(np.int64),
-                ]
-            )
-        )
-        return pa.table({"k": pa.array(u, pa.int64())})
-
-    ids = np.unique(
-        pairs.map_batches(endpoint_ids, batch_format="pyarrow").to_pandas()["k"].to_numpy(np.int64)
-    )
-    if ids.nbytes > broadcast_cap_bytes:
-        raise ValueError(
-            f"near-dup endpoint ids {ids.nbytes >> 20} MB exceed the broadcast cap; "
-            "resolve sources via the bucketed-join shape at this scale"
-        )
-    ids_handle = ray.put(ids)
-
-    srcs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-
-    class KeepEndpoints:
-        def __init__(self) -> None:
-            self.ids = ray.get(ids_handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            d = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(self.ids, d)
-            pos_safe = np.clip(pos, 0, max(len(self.ids) - 1, 0))
-            hit = (self.ids[pos_safe] == d) if len(self.ids) else np.zeros(len(d), bool)
-            return batch.filter(pa.array(hit))
-
-    kept = srcs.map_batches(KeepEndpoints, batch_format="pyarrow", concurrency=(1, 8)).to_pandas()
-    lookup = ray.put(dict(zip(kept["doc_id"].astype(np.int64), kept["source"].astype(object))))
-
-    class Label:
-        def __init__(self) -> None:
-            self.m = ray.get(lookup)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            a = np.array(
-                [self.m[int(x)] for x in batch.column("doc_a").to_pylist()], dtype=object
-            )
-            b = np.array(
-                [self.m[int(x)] for x in batch.column("doc_b").to_pylist()], dtype=object
-            )
-            t = pa.table(
-                {
-                    "source_a": pa.array(np.minimum(a, b), pa.string()),
-                    "source_b": pa.array(np.maximum(a, b), pa.string()),
-                }
-            )
-            return t.group_by(["source_a", "source_b"]).aggregate([([], "count_all")])
-
-    return tiny_final_groupby(
-        pairs.map_batches(Label, batch_format="pyarrow", concurrency=(1, 4)),
-        keys=["source_a", "source_b"],
-        aggs=[("count_all", "sum")],
-        out_names=["source_a", "source_b", "n_pairs"],
-    )
-
-
 # shared char-for-char with the encoding_audit SQL replay (Python re and
 # DuckDB RE2 read these identically; the mojibake pattern is the literal
 # U+FFFD replacement character)
@@ -6306,74 +5030,11 @@ def categorical_independence_chi2(sf_dir: str, col_a: str = "lang", col_b: str =
     return cells.repartition(1).map_batches(finalize, batch_format="pandas", batch_size=None)
 
 
-def normalized_dedup_stats(ds, text_col: str = "text"):
-    """C4-style NEAR-exact dedup profile: how much of the corpus collapses
-    once text is normalized (lowercase, ASCII punctuation stripped,
-    whitespace runs collapsed, trimmed) -- catches the reposts that raw
-    exact dedup misses ("Hello, World!" vs "hello world") and sizes the
-    gap between exact and fuzzy dedup before the pair family is spent.
-
-    Same hash-only shuffle as dedup_stats: each batch normalizes (three
-    compiled regex passes, patterns shared char-for-char with the RE2
-    replay), hashes the normal form to md5-u64 and ships (hash, count)
-    partials; per-bucket folds count distincts / dup rows / dup groups;
-    one tiny single-row final. Text never shuffles.
-
-    Returns ONE row (n_docs, n_distinct, n_dup_docs, n_dup_groups)."""
-    import re
-
-    from ..functions.dedup import md5_u64
-    from .relational import bucketed_grouped_sum
-
-    punct = re.compile(ts.PUNCT_PATTERN)
-    ws = re.compile(ts.WS_PATTERN)
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        t = (
-            batch[text_col]
-            .fillna("")
-            .str.lower()
-            .str.replace(punct, "", regex=True)
-            .str.replace(ws, " ", regex=True)
-            .str.strip()
-        )
-        h = np.fromiter(
-            (md5_u64(x.encode("utf-8")) for x in t), dtype=np.uint64, count=len(t)
-        ).astype(np.int64)
-        u, c = np.unique(h, return_counts=True)
-        return pd.DataFrame({"h": u, "c": c.astype(np.int64)})
-
-    groups = bucketed_grouped_sum(
-        ds.map_batches(partial, batch_format="pandas"), "h", "c"
-    )
-
-    def bucket_fold(batch: pd.DataFrame) -> pd.DataFrame:
-        c = batch["c"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "n_docs": [int(c.sum())],
-                "n_distinct": [len(c)],
-                "n_dup_docs": [int(c[c >= 2].sum())],
-                "n_dup_groups": [int((c >= 2).sum())],
-            }
-        )
-
-    def final(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.sum().to_frame().T.astype("int64")
-
-    return (
-        groups.map_batches(bucket_fold, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(final, batch_format="pandas", batch_size=None)
-    )
-
-
 def source_vocab_overlap(sf_dir: str, buckets: int = 64):
     """Cross-source LEXICAL similarity matrix: for every source pair, the
     count of shared distinct ``[a-z0-9]+`` tokens and the exact vocabulary
     Jaccard in ppm -- the cheap "are these feeds the same register/domain"
-    signal that complements cross_source_dup_matrix (document-level) at
-    the vocabulary level.
+    signal at the vocabulary level.
 
     Plan: each batch collapses to DISTINCT (token-md5, source) rows --
     each distinct token hashed ONCE then gathered (the batch-dedupe md5
@@ -6880,9 +5541,8 @@ def source_tv_distance(ds, source_col: str = "source", text_col: str = "text"):
     distributions, in integer ppm: tv(a, b) = sum_t |p_a(t) - p_b(t)| / 2
     with p(t) = count * 10^6 // total (floor-div ppm on both sides).
     Provenance-similarity audit: near-zero tv between two sources flags a
-    SHARED GENERATOR (cross_source_dups finds shared documents; this
-    fires even when no document is shared -- e.g. two scrapes of the same
-    template farm), near-10^6 flags disjoint vocabularies.
+    SHARED GENERATOR (even when no document is shared -- e.g. two scrapes
+    of the same template farm), near-10^6 flags disjoint vocabularies.
 
     Plan (everything after pass 1 is vocabulary-sized, never corpus-sized):
 
@@ -7010,8 +5670,7 @@ def token_burstiness(ds, k: int = 20, text_col: str = "text"):
     Bursty tokens (high per-doc rate) are topical/content words that
     concentrate where they appear; flat tokens are function words. On a
     training corpus the profile separates template spam (every token
-    bursty, repeated inside each doc) from natural text -- the
-    within-doc complement of dup_shingle_rate's cross-doc signal.
+    bursty, repeated inside each doc) from natural text.
 
     Plan: ONE pass emits per-batch (token, cf, df) partials -- cf from a
     flat explode value_counts, df from the explode deduplicated on
@@ -7150,134 +5809,6 @@ def graph_reciprocity(ds, id_col: str = "doc_id"):
     return partials.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)
 
 
-def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text", buckets: int | None = None):
-    """Per-DOCUMENT duplicated-SPAN coverage: the ppm of a doc's token
-    POSITIONS covered by at least one word-3-shingle that also appears in
-    another document -- the positional complement of
-    ``doc_boilerplate_score``. Boilerplate counts DISTINCT shared shingles;
-    a substring-dedup gate (Lee et al.'s ExactSubstr) cares how much of the
-    token STREAM those shingles blanket: ten shared shingles tiling one
-    30-token footer score very differently from ten scattered ones.
-
-    Plan (TWO bounded exchanges, never text):
-
-    1. the shared tokenize/shingle/md5-u64 kernel (``shingle_hashes_nw`` --
-       ONE tokenization pass yields both the ordered positional hash array
-       and nw), emitted as (h, doc_id, pos, nw) long rows plus ONE
-       marker row per doc (pos=0, h=md5 of a doc-salted tag: a singleton
-       group that carries nw through so zero-dup docs still fold out),
-       hash-bucketed on h;
-    2. per h-bucket, keep positions whose shingle lands in >= 2 DISTINCT
-       docs (plus markers) -- the only rows that move again;
-    3. ONE doc_id-bucketed fold unions the [pos, pos+L) intervals
-       (L = 3, or nw for the <3-word whole-text shingle) with a sorted
-       min(gap, L) sweep and computes the exact int64 ppm.
-
-    Same 2^-64-per-pair hash-collision caveat as the dup_shingle family
-    (markers included); the SQL replay groups by the shingle string and
-    expands spans with generate_series, equality-identical at test scale.
-
-    Returns (doc_id, nw, covered, dup_span_ppm), one row per doc with at
-    least one token (whitespace-only docs have no positions to cover)."""
-    from ..functions.dedup import md5_u64, shingle_hashes_nw
-    from .relational import derive_buckets, hash_bucket_column
-
-    n_docs = ds.count()
-    if buckets is None:
-        buckets = derive_buckets(n_docs, rows_per_bucket=50_000)
-    doc_buckets = derive_buckets(n_docs, rows_per_bucket=500_000)
-
-    def long_rows(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        memo: dict[str, int] = {}
-        hs, ps, dids, nws = [], [], [], []
-        for did, t in zip(ids, texts):
-            h, nw = shingle_hashes_nw(t or "", 3, memo)
-            if nw == 0:
-                continue
-            n = len(h)
-            hs.append(h)
-            ps.append(np.arange(1, n + 1, dtype=np.int64))
-            hs.append(np.array([md5_u64(b"\x00dup_spans:%d" % did)], np.uint64))
-            ps.append(np.zeros(1, np.int64))
-            dids.append(np.full(n + 1, did, np.int64))
-            nws.append(np.full(n + 1, nw, np.int64))
-        out = pa.table(
-            {
-                "h": pa.array(
-                    np.concatenate(hs) if hs else np.empty(0, np.uint64), pa.uint64()
-                ),
-                "doc_id": pa.array(
-                    np.concatenate(dids) if dids else np.empty(0, np.int64), pa.int64()
-                ),
-                "pos": pa.array(
-                    np.concatenate(ps) if ps else np.empty(0, np.int64), pa.int64()
-                ),
-                "nw": pa.array(
-                    np.concatenate(nws) if nws else np.empty(0, np.int64), pa.int64()
-                ),
-            }
-        )
-        return hash_bucket_column(out, "h", buckets)
-
-    def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
-        nd = g.groupby("h", sort=False)["doc_id"].transform("nunique")
-        keep = (nd.to_numpy(np.int64) >= 2) | (g["pos"].to_numpy(np.int64) == 0)
-        out = g.loc[keep]
-        t = pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64), pa.int64()),
-                "pos": pa.array(out["pos"].to_numpy(np.int64), pa.int64()),
-                "nw": pa.array(out["nw"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-        return hash_bucket_column(t, "doc_id", doc_buckets, name="__dbucket").to_pandas()
-
-    def fold_doc(g: pd.DataFrame) -> pd.DataFrame:
-        pos_all = g["pos"].to_numpy(np.int64)
-        docs = g.loc[pos_all == 0, ["doc_id", "nw"]].drop_duplicates("doc_id")
-        d = g.loc[pos_all > 0, ["doc_id", "pos", "nw"]]
-        did_out = docs["doc_id"].to_numpy(np.int64)
-        nw_out = docs["nw"].to_numpy(np.int64)
-        covered = np.zeros(len(docs), np.int64)
-        if len(d):
-            d = d.sort_values(["doc_id", "pos"]).drop_duplicates(["doc_id", "pos"])
-            doc = d["doc_id"].to_numpy(np.int64)
-            pos = d["pos"].to_numpy(np.int64)
-            span = np.where(d["nw"].to_numpy(np.int64) >= 3, 3, d["nw"].to_numpy(np.int64))
-            last = np.ones(len(d), bool)
-            last[:-1] = doc[1:] != doc[:-1]
-            gap = np.empty(len(d), np.int64)
-            gap[-1] = 0  # masked: last rows take the full span below
-            gap[:-1] = pos[1:] - pos[:-1]
-            contrib = np.where(last, span, np.minimum(gap, span))
-            cov = (
-                pd.DataFrame({"doc_id": doc, "c": contrib})
-                .groupby("doc_id", sort=False)["c"]
-                .sum()
-            )
-            covered = (
-                docs["doc_id"].map(cov).fillna(0).to_numpy(np.float64).astype(np.int64)
-            )
-        return pd.DataFrame(
-            {
-                "doc_id": did_out,
-                "nw": nw_out,
-                "covered": covered,
-                "dup_span_ppm": covered * 1_000_000 // nw_out,
-            }
-        )
-
-    return (
-        ds.map_batches(long_rows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_partials, batch_format="pandas")
-        .groupby("__dbucket")
-        .map_groups(fold_doc, batch_format="pandas")
-    )
-
-
 def exact_quantiles_permille(
     ds, col: str, permilles, bins: int = 4096, pull_limit: int = 100_000
 ):
@@ -7361,90 +5892,6 @@ def compaction_bins(ds, keys=("source", "lang"), capacity: int = 100):
     sizes["n_rows"] = sizes["n_rows"].astype(np.int64)
     sizes["bin"] = sizes["bin"].astype(np.int64)
     return sizes
-
-
-def shingle_containment(
-    ds, source_col: str = "source", text_col: str = "text", buckets: int | None = None
-):
-    """DIRECTIONAL content-leakage audit between sources: for every ordered
-    source pair (a, b), the ppm of a's distinct word-3-shingles that also
-    occur in b -- containment |S_a & S_b| / |S_a|, the asymmetric measure
-    train/test decontamination needs (a small eval set fully contained in a
-    big crawl has huge containment but near-zero Jaccard; cross_source_dups
-    sees only whole-doc hits, source_vocab_overlap only unigrams).
-
-    ONE bounded exchange: per-batch distinct (shingle-hash, source) rows
-    (the map-side dedup; sources are bounded so this is at most
-    |batch vocab| x |sources|), h-bucketed so each shingle's source set is
-    co-located, then a per-bucket self-join on h whose (a, a) diagonal rows
-    ARE the per-source distinct-shingle sizes -- sizes and intersections
-    ride the same tiny (sources^2) partial fold. Final ppm in Python ints
-    at the driver. Same 2^-64 hash-collision caveat as the shingle family.
-
-    Returns ordered pairs a != b: (source_a, source_b, n_a, n_inter,
-    containment_ppm)."""
-    from ..functions.dedup import shingle_hashes
-    from .relational import derive_buckets, hash_bucket_column, tiny_final_groupby
-
-    n_docs = ds.count()
-    if buckets is None:
-        buckets = derive_buckets(n_docs, rows_per_bucket=50_000)
-
-    def long_rows(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        srcs = batch.column(source_col).to_pylist()
-        memo: dict[str, int] = {}
-        us = [np.unique(shingle_hashes(t or "", 3, memo)) for t in texts]
-        lens = [len(u) for u in us]
-        df = pd.DataFrame(
-            {
-                "h": np.concatenate(us) if us else np.empty(0, np.uint64),
-                "source": np.repeat(np.array(srcs, dtype=object), lens),
-            }
-        ).drop_duplicates()
-        t = pa.table(
-            {
-                "h": pa.array(df["h"].to_numpy(), pa.uint64()),
-                "source": pa.array(df["source"].tolist(), pa.string()),
-            }
-        )
-        return hash_bucket_column(t, "h", buckets)
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["h", "source"]].drop_duplicates()
-        m = d.merge(d, on="h")
-        out = (
-            m.groupby(["source_x", "source_y"], sort=False)
-            .size()
-            .reset_index(name="n")
-            .rename(columns={"source_x": "source_a", "source_y": "source_b"})
-        )
-        out["n"] = out["n"].astype(np.int64)
-        return out
-
-    agg = tiny_final_groupby(
-        ds.map_batches(long_rows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pandas"),
-        ["source_a", "source_b"],
-        [("n", "sum")],
-        ["source_a", "source_b", "n"],
-    ).to_pandas()
-    size = {
-        r.source_a: int(r.n) for r in agg.itertuples() if r.source_a == r.source_b
-    }
-    rows = [
-        (r.source_a, r.source_b, size[r.source_a], int(r.n),
-         int(r.n) * 1_000_000 // size[r.source_a])
-        for r in agg.itertuples()
-        if r.source_a != r.source_b
-    ]
-    out = pd.DataFrame(
-        rows, columns=["source_a", "source_b", "n_a", "n_inter", "containment_ppm"]
-    )
-    for c in ("n_a", "n_inter", "containment_ppm"):
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def cusum_changepoints(ds, ts_col: str = "ts", value_col: str = "value"):
@@ -8319,92 +6766,6 @@ def dp_geometric_counts(ds, group_col: str = "lang", seed: str = "dp1"):
     return tiny.sort_values(group_col).reset_index(drop=True)
 
 
-def boundary_overlap_pairs(
-    ds, text_col: str = "text", id_col: str = "doc_id", k: int = 2, cap: int = 40
-):
-    """Crawl-stitch candidates: ordered pairs (A, B) where A's LAST k
-    word tokens equal B's FIRST k word tokens — the boundary-overlap
-    signature of one page split across consecutive crawl records (or a
-    chunker that re-emitted its overlap), which whole-doc dedup and
-    shingle containment both miss because the shared region is tiny.
-    Tokens are ``[a-z0-9]+`` runs of the lowercased text; docs with
-    fewer than k tokens are skipped.
-
-    Plan (100 TB shape): one pass emits TWO long rows per doc
-    ((md5-u64(window), doc_id, side) — never text, distinct window
-    strings hashed once per batch via factorize), h-hash-bucketed
-    exchange, and a vectorized per-bucket heads×tails merge. Skew cap:
-    a window string with more than ``cap`` docs on EITHER side is a
-    boilerplate boundary (navigation chrome), emits nothing, and is
-    replayed verbatim by the oracle's cap CTE — the same guard as the
-    minhash/simhash pair families. Output (doc_a, doc_b), unordered
-    (the driver compare sorts; a global sort here would be a pointless
-    all-to-all on the wide path)."""
-    import re as _re
-
-    from ..functions.dedup import md5_u64
-    from .relational import derive_buckets, hash_bucket_column
-
-    word_re = _re.compile(r"[a-z0-9]+")
-
-    def windows(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch[text_col].fillna("").str.lower().str.findall(word_re)
-        m = (toks.str.len() >= k).to_numpy()
-        ids = batch[id_col].to_numpy()[m].astype(np.int64)
-        if not len(ids):
-            return pd.DataFrame(
-                {
-                    "h": pd.Series([], dtype=np.int64),
-                    "doc_id": pd.Series([], dtype=np.int64),
-                    "side": pd.Series([], dtype=str),
-                }
-            )
-        tk = toks[m]
-        head = tk.str[:k].str.join(" ")
-        tail = tk.str[-k:].str.join(" ")
-
-        def hcol(series: pd.Series) -> np.ndarray:
-            codes, uniq = pd.factorize(series.to_numpy())
-            hv = np.array(
-                [md5_u64(("bnd:" + u).encode()) for u in uniq], dtype=np.uint64
-            )
-            return hv[codes].view(np.int64)
-
-        return pd.DataFrame(
-            {
-                "h": np.concatenate([hcol(head), hcol(tail)]),
-                "doc_id": np.concatenate([ids, ids]),
-                "side": np.array(["h"] * len(ids) + ["t"] * len(ids)),
-            }
-        )
-
-    long = ds.map_batches(windows, batch_format="pandas")
-    buckets = derive_buckets(ds.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "h", buckets)
-
-    def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
-        # per-window-side counts -> cap filter, then ONE vectorized merge
-        cnt = g.groupby(["h", "side"]).size().unstack(fill_value=0)
-        for c in ("h", "t"):
-            if c not in cnt.columns:
-                cnt[c] = 0
-        ok = cnt[(cnt["h"] <= cap) & (cnt["t"] <= cap)].index
-        g = g[g["h"].isin(ok)]
-        heads = g[g["side"] == "h"][["h", "doc_id"]].rename(columns={"doc_id": "doc_b"})
-        tails = g[g["side"] == "t"][["h", "doc_id"]].rename(columns={"doc_id": "doc_a"})
-        out = tails.merge(heads, on="h")
-        out = out[out["doc_a"] != out["doc_b"]][["doc_a", "doc_b"]]
-        return out.astype({"doc_a": "int64", "doc_b": "int64"})
-
-    return (
-        long.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_join, batch_format="pandas")
-    )
-
-
 def l_diversity_audit(
     ds,
     qi_cols: tuple = ("event_type",),
@@ -8772,255 +7133,6 @@ def vocab_pruning_plan(ds, text_col: str = "text", thresholds=(1, 2, 5, 10, 100)
     return out
 
 
-_CDC_B, _CDC_M, _CDC_W, _CDC_MASK = 257, 2147483647, 16, 63
-_CDC_POW = np.array(
-    [pow(_CDC_B, _CDC_W - 1 - j, _CDC_M) for j in range(_CDC_W)], dtype=np.int64
-)
-
-
-def winnow_fingerprint_pairs(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 20,
-    w: int = 8,
-    cap: int = 40,
-    min_shared: int = 5,
-):
-    """Winnowing copy detection (Schleimer-Wilkerson-Aiken, the MOSS
-    algorithm): each doc is reduced to the set of window-minimum k-gram
-    hashes — winnowing GUARANTEES any shared substring of length
-    ≥ k+w−1 yields at least one shared fingerprint — and pairs sharing
-    ≥ ``min_shared`` fingerprints are reported with their shared count.
-    The positional robust complement of MinHash (which estimates
-    whole-doc similarity, not contained copies).
-
-    Determinism: the winnowing key packs (31-bit polynomial gram hash,
-    20-bit reversed position) into one int64, so the window MIN itself
-    encodes the rightmost-tie rule and both sides replay it with a
-    single ``MIN() OVER (ROWS w−1 PRECEDING)`` — no argmin logic. The
-    gram hash is the cdc_chunk_dedup polynomial (k terms mod 2^31−1
-    over codepoints, int64-safe, generated term-for-term into the
-    oracle) — measured ~6× cheaper than per-gram md5 because NO gram
-    string is ever materialized: the whole batch's codepoints
-    concatenate once (k−1 sentinel gap between docs) and ONE
-    sliding-window matmul hashes every gram of every doc. 31-bit hash
-    collisions merge fingerprints IDENTICALLY on both sides (the oracle
-    joins on the same hash), so the compare stays exact. Prefix windows
-    (< w grams in) are included by both sides; docs shorter than k
-    grams emit nothing; positions clamp at 2^20−1 (1 MB docs).
-
-    Plan (100 TB shape): stage 1 is embarrassingly parallel and fully
-    batch-vectorized; the exchange moves only distinct
-    (fingerprint, doc_id) int rows; hot fingerprints past ``cap`` docs
-    are boilerplate and drop (cap CTE in the oracle);
-    per-fingerprint-bucket pair partials fold through ONE pair-keyed
-    groupby sum. Output (doc_a, doc_b, n_shared), doc_a < doc_b."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    from .relational import derive_buckets, hash_bucket_column
-
-    POSBITS = 20
-    POSMAX = (1 << POSBITS) - 1
-    M = _CDC_M
-    powvec = np.array([pow(_CDC_B, k - 1 - j, M) for j in range(k)], dtype=np.int64)
-
-    def prints(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"hh": pd.Series([], dtype=np.int64), "doc_id": pd.Series([], dtype=np.int64)}
-        )
-        ids = batch[id_col].to_numpy()
-        texts = batch[text_col].fillna("").str.lower().tolist()
-        cps, offs, lens = [], [], []
-        gap = np.full(k - 1, 0x110000, np.int64)  # sentinel > any codepoint
-        off = 0
-        for s in texts:
-            cp = np.frombuffer(s.encode("utf-32-le"), np.uint32).astype(np.int64)
-            cps.append(cp)
-            cps.append(gap)
-            offs.append(off)
-            lens.append(len(cp))
-            off += len(cp) + k - 1
-        concat = np.concatenate(cps) if cps else np.zeros(0, np.int64)
-        if len(concat) < k:
-            return empty
-        # ONE matmul hashes every k-gram of every doc; windows that cross
-        # a sentinel gap fall between the per-doc slices and are never read
-        hw_full = (sliding_window_view(concat, k) @ powvec) % M
-        out_hh, out_doc = [], []
-        big = np.iinfo(np.int64).max
-        for d, o, L in zip(ids, offs, lens):
-            n = L - k + 1
-            if n < 1:
-                continue
-            key = (hw_full[o : o + n] << POSBITS) | (
-                POSMAX - np.minimum(np.arange(n, dtype=np.int64), POSMAX)
-            )
-            ww = min(w, n)
-            padded = np.concatenate([np.full(ww - 1, big, np.int64), key])
-            sel = np.unique(sliding_window_view(padded, ww).min(axis=1))
-            hh = np.unique(sel >> POSBITS)
-            out_hh.append(hh)
-            out_doc.append(np.full(len(hh), d, np.int64))
-        if not out_hh:
-            return empty
-        return pd.DataFrame(
-            {"hh": np.concatenate(out_hh), "doc_id": np.concatenate(out_doc)}
-        )
-
-    buckets = derive_buckets(ds.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "hh", buckets)
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        sz = g.groupby("hh", sort=False)["doc_id"].transform("size")
-        g = g[sz <= cap]
-        m = g.merge(g, on="hh", suffixes=("_a", "_b"))
-        m = m[m["doc_id_a"] < m["doc_id_b"]]
-        out = (
-            m.groupby(["doc_id_a", "doc_id_b"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
-            .rename(columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"})
-        )
-        return out.astype({"doc_a": "int64", "doc_b": "int64", "n": "int64"})
-
-    partials = (
-        ds.map_batches(prints, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-
-    # pair-keyed fold: Ray's native sort-aggregate on the 2-column key
-    # measured 25 s on 107k partial rows at sf0.1 (vs 0.9 s for the
-    # derived-key fold, now shared as relational.grouped_pair_fold)
-    from .relational import grouped_pair_fold
-
-    folded = grouped_pair_fold(
-        partials, ["doc_a", "doc_b"], {"n_shared": ("n", "sum")}
-    )
-
-    def keep(g: pd.DataFrame) -> pd.DataFrame:
-        out = g[g["n_shared"] >= min_shared]
-        return out.astype({"doc_a": "int64", "doc_b": "int64", "n_shared": "int64"})
-
-    return folded.map_batches(keep, batch_format="pandas")
-
-
-def cdc_chunk_dedup(ds, text_col: str = "text"):
-    """Content-defined chunking dedup audit (the rsync/LBFS/casync
-    storage primitive): split every document at positions where a
-    W=16-char polynomial rolling hash ≡ 0 (mod 64), then measure how
-    much a chunk store would save — duplicated chunks (shared
-    boilerplate, partial copies) are stored ONCE even when whole-doc
-    and shingle dedup both miss them. Boundaries are content-defined,
-    so an insertion only reshapes its own chunk, not every later one
-    (the property fixed-size blocks lack).
-
-    Exactness: the hash is 16 integer products mod 2^31−1 over unicode
-    codepoints — term ≤ 2^51, sum ≤ 2^55, int64-safe — replayed
-    term-for-term by the oracle's generated SQL expression; chunk
-    identity downstream is md5-u64 ('cdc:'‖chunk, collision-free at 64
-    bits vs the oracle's DISTINCT on the chunk string). No min/max
-    chunk bounds (production CDC adds them; the replayable semantics
-    don't change). Lengths are CHARACTERS on both sides.
-
-    Plan (100 TB shape): stage 1 is embarrassingly parallel and emits
-    per-batch pre-grouped (chunk-hash, chars, n) partials — never chunk
-    text; ONE hash-bucketed exchange makes distinct-fold partials add;
-    a 4-counter tiny merge finishes. Output one row:
-    (n_chunks, n_distinct_chunks, total_chars, stored_chars,
-    saving_ppm)."""
-    import hashlib as _hl
-
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    from .relational import derive_buckets, hash_bucket_column
-
-    W, M, MASK = _CDC_W, _CDC_M, _CDC_MASK
-
-    def chunks(batch: pd.DataFrame) -> pd.DataFrame:
-        hs, ls = [], []
-        for s in batch[text_col].fillna(""):
-            L = len(s)
-            if L == 0:
-                continue
-            if L >= W:
-                cp = np.frombuffer(s.encode("utf-32-le"), np.uint32).astype(np.int64)
-                hw = (sliding_window_view(cp, W) @ _CDC_POW) % M
-                ends = np.flatnonzero(hw % (MASK + 1) == 0) + W  # 1-based ends
-                cuts = np.unique(np.append(ends, L))
-            else:
-                cuts = np.array([L], dtype=np.int64)
-            prev = 0
-            for cut in cuts:
-                c = int(cut)
-                chunk = s[prev:c]
-                hs.append(
-                    int.from_bytes(
-                        _hl.md5(("cdc:" + chunk).encode()).digest()[:8], "big"
-                    )
-                    >> 1
-                )
-                ls.append(c - prev)
-                prev = c
-        if not hs:
-            return pd.DataFrame(
-                {
-                    "h": pd.Series([], dtype=np.int64),
-                    "chars": pd.Series([], dtype=np.int64),
-                    "n": pd.Series([], dtype=np.int64),
-                }
-            )
-        df = pd.DataFrame(
-            {"h": np.array(hs, np.int64), "chars": np.array(ls, np.int64)}
-        )
-        g = df.groupby(["h", "chars"], sort=False).size().rename("n").reset_index()
-        return g.astype({"h": "int64", "chars": "int64", "n": "int64"})
-
-    buckets = derive_buckets(ds.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "h", buckets)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("h", sort=False).agg(n=("n", "sum"), chars=("chars", "first"))
-        return pd.DataFrame(
-            {
-                "n_chunks": [int(per["n"].sum())],
-                "n_distinct_chunks": [len(per)],
-                "total_chars": [int((per["n"] * per["chars"]).sum())],
-                "stored_chars": [int(per["chars"].sum())],
-            }
-        ).astype("int64")
-
-    tot = (
-        ds.map_batches(chunks, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_fold, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
-    total = int(tot["total_chars"])
-    stored = int(tot["stored_chars"])
-    out = pd.DataFrame(
-        {
-            "n_chunks": [int(tot["n_chunks"])],
-            "n_distinct_chunks": [int(tot["n_distinct_chunks"])],
-            "total_chars": [total],
-            "stored_chars": [stored],
-            "saving_ppm": [(total - stored) * 1_000_000 // max(total, 1)],
-        }
-    )
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
 def max_coverage_select(ds, k: int = 5, text_col: str = "text", id_col: str = "doc_id"):
     """Greedy max-coverage corpus selection (submodular curation, the
     lazy-greedy baseline of facility-location data selection): pick k
@@ -9044,8 +7156,7 @@ def max_coverage_select(ds, k: int = 5, text_col: str = "text", id_col: str = "d
     block WINNER'S row (id, gain, its new hashes) leaves a task —
     driver state is k rounds × blocks winner rows, never the corpus.
     64-bit bigram hashing is collision-free at corpus scale vs the
-    oracle's DISTINCT on the bigram strings (the boundary_overlap_pairs
-    equivalence). Returns (round, doc_id, gain, covered_total)."""
+    oracle's DISTINCT on the bigram strings. Returns (round, doc_id, gain, covered_total)."""
     import hashlib as _hl
 
     import ray
@@ -9223,94 +7334,6 @@ def blocklist_screen(ds, categories: dict | None = None, text_col: str = "text",
         .reset_index(drop=True)
     )
     for c in ("n_docs", "n_hits"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def boundary_stitch_chains(ds, collect_cap_rows: int = 2_000_000, **kwargs):
-    """Crawl-stitch CHAINS: connected components over the
-    ``boundary_overlap_pairs`` edge set (A's tail == B's head), reported
-    as a chain-size histogram (chain_size, n_chains) — a page split into
-    N consecutive crawl records shows up as one chain of N docs, the
-    signal a reassembly pass sizes itself by.
-
-    Plan: boundary pairs → components → bounded histogram. The edge set
-    is split-rate-bounded (a few pairs per split page, 0.83 s to produce
-    at sf0.1), but its chains are PATHS — diameter grows with split
-    depth, and ``dedup_clusters`` pointer jumping paid O(log diameter)
-    join rounds (measured 42 s at sf0.1 against the sub-second edge
-    pass). Under ``collect_cap_rows`` the pairs therefore collect to the
-    driver for a path-compressed union-find (the adaptive
-    small-side convention: bounded, deliberate, loud); past the cap the
-    distributed pointer-jumping path runs unchanged. Identical
-    histograms either way — component sizes are representation-free."""
-    from .relational import tiny_final_groupby
-
-    pairs = boundary_overlap_pairs(ds, **kwargs).materialize()
-    if pairs.count() <= collect_cap_rows:
-        df = pairs.to_pandas()
-        if not len(df):
-            return pd.DataFrame({"chain_size": pd.Series([], dtype="int64"),
-                                 "n_chains": pd.Series([], dtype="int64")})
-        a = df["doc_a"].to_numpy(np.int64)
-        b = df["doc_b"].to_numpy(np.int64)
-        ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-        par = np.arange(len(ids), dtype=np.int64)
-
-        def find(x: int) -> int:
-            root = x
-            while par[root] != root:
-                root = par[root]
-            while par[x] != root:  # path compression
-                par[x], x = root, par[x]
-            return root
-
-        ai, bi = inv[: len(a)], inv[len(a):]
-        for x, y in zip(ai, bi):
-            rx, ry = find(int(x)), find(int(y))
-            if rx != ry:
-                par[max(rx, ry)] = min(rx, ry)
-        roots = np.array([find(int(i)) for i in range(len(ids))], np.int64)
-        sizes = pd.Series(roots).value_counts()
-        h = sizes.value_counts().sort_index()
-        return pd.DataFrame({
-            "chain_size": h.index.to_numpy(np.int64),
-            "n_chains": h.to_numpy(np.int64),
-        })
-    cl = dedup_clusters(pairs)
-
-    def sizes(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("cluster_id", sort=False).size().rename("n").reset_index()
-        return g.astype({"cluster_id": "int64", "n": "int64"})
-
-    # cluster ids are co-located by dedup_clusters' final fold keyed on
-    # doc -- re-bucket on cluster_id so each chain counts once
-    from .relational import hash_bucket_column
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "cluster_id", 16)
-
-    def bucket_sizes(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("cluster_id", sort=False)["n"].sum()
-        h = per.value_counts().rename("n_chains").reset_index()
-        h.columns = ["chain_size", "n_chains"]
-        return h.astype({"chain_size": "int64", "n_chains": "int64"})
-
-    out = (
-        tiny_final_groupby(
-            cl.map_batches(sizes, batch_format="pandas")
-            .map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(bucket_sizes, batch_format="pandas"),
-            ["chain_size"],
-            [("n_chains", "sum")],
-            ["chain_size", "n_chains"],
-        )
-        .to_pandas()
-        .sort_values("chain_size")
-        .reset_index(drop=True)
-    )
-    for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out
 
@@ -9596,96 +7619,6 @@ def kwic_snippets(ds, terms=("merge", "vector", "stream"), window: int = 3,
         .reset_index(drop=True)
     )
     for c in ("doc_id", "pos"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def leakage_free_split_audit(ds, threshold: float = 0.6, train_pct: int = 8):
-    """Near-duplicate-aware train/val splitting audit: assigning splits
-    by DOCUMENT hash lets near-duplicate pairs straddle train and val
-    (the eval-contamination leak dedup papers warn about); assigning by
-    CLUSTER hash cannot. This op measures both policies on the same
-    corpus: MinHash-LSH pairs → connected components → per-doc cluster
-    id (singletons are their own cluster), then for each policy the
-    train/val doc counts and the number of multi-doc clusters whose
-    members land in BOTH splits. ``by_cluster`` straddling is 0 by
-    construction — computed honestly, not asserted.
-
-    Plan: the pair/cluster machinery is the existing
-    ``minhash_lsh_pairs`` + ``dedup_clusters``; docs LEFT-join their
-    cluster through one doc_id-bucketed hash join; ONE cluster-keyed
-    exchange folds per-cluster split masks into bounded partials.
-    Output (method, n_train, n_val, straddling_clusters), method ASC."""
-    from ..functions.dedup import md5_u64
-    from .relational import bucketed_hash_join, derive_buckets, hash_bucket_column
-
-    ids = ds.select_columns(["doc_id"])
-    pairs = minhash_lsh_pairs(ds, threshold=threshold)
-    cl = dedup_clusters(pairs)
-    joined = bucketed_hash_join(
-        ids, cl, "doc_id", "doc_id", buckets=derive_buckets(ds.count()), how="left"
-    )
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        d = batch["doc_id"].to_numpy(np.int64)
-        c = batch["cluster_id"].to_numpy()
-        c = np.where(pd.isna(c), d, c).astype(np.int64)
-
-        def split_of(vals: np.ndarray) -> np.ndarray:
-            codes, uniq = pd.factorize(vals)
-            s = np.array(
-                [md5_u64(f"lsplit:{int(v)}".encode()) % 10 < train_pct for v in uniq],
-                dtype=bool,
-            )
-            return s[codes]
-
-        return pd.DataFrame(
-            {
-                "c": c,
-                "nt": split_of(d).astype(np.int64),       # naive: by doc hash
-                "ct": split_of(c).astype(np.int64),       # by cluster hash
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "c", 32)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("c", sort=False).agg(
-            n=("nt", "size"), nt=("nt", "sum"), ct=("ct", "sum")
-        )
-        n = per["n"].to_numpy(np.int64)
-        nt = per["nt"].to_numpy(np.int64)
-        ct = per["ct"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "n_docs": [int(n.sum())],
-                "naive_train": [int(nt.sum())],
-                "cluster_train": [int(ct.sum())],
-                "naive_straddle": [int(((n > 1) & (nt > 0) & (nt < n)).sum())],
-                "cluster_straddle": [int(((n > 1) & (ct > 0) & (ct < n)).sum())],
-            }
-        ).astype("int64")
-
-    tot = (
-        joined.map_batches(assign, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_fold, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
-    nd = int(tot["n_docs"])
-    out = pd.DataFrame(
-        [
-            ("by_cluster", int(tot["cluster_train"]), nd - int(tot["cluster_train"]),
-             int(tot["cluster_straddle"])),
-            ("by_doc", int(tot["naive_train"]), nd - int(tot["naive_train"]),
-             int(tot["naive_straddle"])),
-        ],
-        columns=["method", "n_train", "n_val", "straddling_clusters"],
-    )
-    for c in ("n_train", "n_val", "straddling_clusters"):
         out[c] = out[c].astype(np.int64)
     return out
 
@@ -10239,64 +8172,6 @@ def lang_temperature_plan(ds, lang_col: str = "lang", alpha_sqrt: bool = True):
     for c in ("n_docs", "weight", "target_share_ppm", "resample_factor_ppm"):
         counts[c] = counts[c].astype(np.int64)
     return counts.sort_values(lang_col).reset_index(drop=True)
-
-
-def quality_dup_calibration(ds, id_col: str = "doc_id",
-                            text_col: str = "text", bin_ppm: int = 100_000,
-                            n_bins: int = 10):
-    """Does the quality score actually predict duplication? Per fixed
-    quality bin (``bin_ppm``-wide rungs of quality_ppm, top-clamped), the
-    fraction of documents participating in EXACT duplication (text-hash
-    group size >= 2) -- the calibration curve a filtering policy should
-    consult before trusting 'low quality' as a dedup proxy (and vice
-    versa). Composes two green kernels: textstats quality features and the
-    md5-prefix exact-dup key.
-
-    Scale shape: stage 1 maps docs to compact (h, qbin) pairs (text never
-    leaves the batch); ONE hash-domain exchange buckets by h so each text
-    group lands whole; per-bucket fold emits <= 2*n_bins partial counts;
-    tiny bounded final. Returns (qbin, n_docs, n_dup_docs, dup_rate_ppm)
-    for observed bins, qbin ASC."""
-    from ..functions import dedup as dk
-    from ..functions import textstats as ts
-    from .relational import hash_bucket_column, tiny_final_groupby
-
-    def pairs(batch: pd.DataFrame) -> pd.DataFrame:
-        f = ts.quality_features(batch[text_col])
-        q = np.minimum(f["quality_ppm"].to_numpy(np.int64) // bin_ppm,
-                       n_bins - 1)
-        memo: dict = {}
-        h = np.array([dk.md5_u64_hashed(t, memo) for t in batch[text_col]],
-                     dtype=np.uint64)
-        return pd.DataFrame({"h": h, "qbin": q.astype(np.int64)})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "h", 32)
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby("h")["qbin"].transform("size")
-        out = pd.DataFrame({"qbin": g["qbin"],
-                            "dup": (sizes >= 2).astype(np.int64)})
-        agg = out.groupby("qbin", as_index=False).agg(
-            n_docs=("dup", "size"), n_dup_docs=("dup", "sum"))
-        return agg.astype({"qbin": np.int64, "n_docs": np.int64,
-                           "n_dup_docs": np.int64})
-
-    cal = tiny_final_groupby(
-        ds.map_batches(pairs, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas"),
-        keys=["qbin"], aggs=[("n_docs", "sum"), ("n_dup_docs", "sum")],
-        out_names=["qbin", "n_docs", "n_dup_docs"],
-    ).to_pandas()
-    cal["dup_rate_ppm"] = (
-        cal["n_dup_docs"].to_numpy(np.int64) * 1_000_000
-        // cal["n_docs"].to_numpy(np.int64)
-    )
-    for c in cal.columns:
-        cal[c] = cal[c].astype(np.int64)
-    return cal.sort_values("qbin").reset_index(drop=True)
 
 
 def embedding_outliers_topk(ds, topk: int = 20, quant: int = 1000,
@@ -12387,53 +10262,6 @@ def ccnet_bucket_counts(ds, id_col: str = "doc_id", lang_col: str = "lang",
     return out.sort_values(["lang", "bucket"]).reset_index(drop=True)
 
 
-def soft_dedup_weights(ds, id_col: str = "doc_id", text_col: str = "text",
-                       buckets: int | None = None):
-    """Soft deduplication: instead of DROPPING duplicates, every document
-    gets a training weight ``weight_ppm = 10^6 // cluster_size`` so each
-    distinct content contributes ~one document's worth of gradient however
-    many copies exist (the count-based variant of SoftDeDup reweighting;
-    the hard-dedup families stay for when dropping is the policy). Sum of
-    weights over a cluster <= 10^6, equality when size divides 10^6 --
-    floor-div keeps it integer-exact and SQL-replayable.
-
-    Plan: per-batch sha256 content hash (the exact_dedup convention; text
-    itself never shuffles), int32 bucket from the hash's leading 8 hex
-    digits so the ONE exchange is int-keyed (the measured-faster shape vs
-    string-keyed groupby, see ``bucketed_grouped_sum``), then a per-bucket
-    vectorized transform('size') emits (doc_id, cluster_size, weight_ppm).
-    Fan-out is size-derived (``derive_buckets``); per-bucket memory is
-    rows/B * ~80 bytes regardless of corpus size.
-
-    Returns one row per input doc: (doc_id, cluster_size, weight_ppm)."""
-    from .relational import derive_buckets
-
-    B = int(buckets or derive_buckets(ds.count()))
-
-    def hash_batch(batch: pa.Table) -> pa.Table:
-        hashes = dk.sha256_hex(batch.column(text_col).to_pylist())
-        bucket = np.array([int(h[:8], 16) % B for h in hashes], dtype=np.int32)
-        return pa.table({
-            id_col: batch.column(id_col),
-            "text_hash": pa.array(hashes),
-            "bucket": pa.array(bucket),
-        })
-
-    def weigh(group: pd.DataFrame) -> pd.DataFrame:
-        n = group.groupby("text_hash")["text_hash"].transform("size").to_numpy(np.int64)
-        return pd.DataFrame({
-            id_col: group[id_col].to_numpy(np.int64),
-            "cluster_size": n,
-            "weight_ppm": 1_000_000 // n,
-        })
-
-    return (
-        ds.map_batches(hash_batch, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(weigh, batch_format="pandas")
-    )
-
-
 def binary_hamming_topk(ds, queries: "np.ndarray", k: int = 10,
                         quant: int = 1000, id_col: str = "vec_id",
                         emb_col: str = "embedding"):
@@ -12750,7 +10578,7 @@ def anf_effective_diameter(ds, id_col: str = "doc_id", max_h: int = 6,
                                batch_size=None).to_pandas()
         return int(parts["part"].sum())
 
-    # ---- capped driver fast path (the dedup_clusters pattern): the
+    # ---- capped driver fast path: the
     # sketch matrix is n * m BYTES -- tiny relative to the graph -- so
     # under the cap the whole register state lives in one numpy array on
     # the driver and each round is ONE vectorized maximum-scatter over
@@ -12826,95 +10654,6 @@ def anf_effective_diameter(ds, id_col: str = "doc_id", max_h: int = 6,
         "is_effective_diameter": pd.Series(
             [1 if h == d90 else 0 for h in range(max_h + 1)], dtype=np.int64),
     })
-
-
-def quality_neardup_auc(ds, pairs=None, id_col: str = "doc_id",
-                        text_col: str = "text", threshold: float = 0.5,
-                        ground_truth: str = "minhash"):
-    """Exact ROC-AUC of the cheap quality score as a NEAR-DUPLICATE
-    predictor: does low ``quality_ppm`` flag the documents the near-dup
-    pair family will catch? The threshold-free companion of
-    ``quality_dup_calibration`` -- one number that says whether the
-    cheap gate can pre-screen for the costly one. Positives = members of
-    at least one near-dup pair. ``ground_truth`` picks the pair family:
-    ``"minhash"`` (default -- ``minhash_lsh_pairs`` est >= ``threshold``,
-    the family that scales sub-linearly; VERDICT r4 #1) or ``"ngram"``
-    (``ngram_jaccard_pairs`` exact word-3-gram Jaccard -- an opt-in audit
-    that inherits that generator's corpus-size guard raise). An explicit
-    ``pairs`` table overrides both.
-
-    AUC is the exact Mann-Whitney statistic with the tie convention,
-    computed from the score HISTOGRAM (scores are bounded ppm ints, so
-    no global sort): 2U = sum_s n_pos(s) * (2 * cum_neg_below(s) +
-    n_neg(s)); auc_ppm = 2U * 10^6 // (2 * P * N); a single-class
-    corpus pins to 500000 (uninformative) on both sides.
-
-    Plan: the pair table is pair-bounded -- its distinct ids collect
-    (size-asserted via ``collect_bounded``) and broadcast via ``ray.put``
-    (same license as the near-dup keepers' anti-join set); ONE text pass
-    scores each batch and folds (score, label) partials;
-    ``bucketed_grouped_sum`` on the fused int key ``score * 2 + label``
-    merges them; the bounded histogram drives the exact cumulative
-    arithmetic on the driver.
-
-    Returns one row: (n_pos, n_neg, auc_ppm)."""
-    import ray
-
-    from .relational import bucketed_grouped_sum, collect_bounded
-
-    if pairs is None:
-        if ground_truth == "minhash":
-            pairs = minhash_lsh_pairs(ds, id_col=id_col, text_col=text_col,
-                                      threshold=threshold)
-        elif ground_truth == "ngram":
-            pairs = ngram_jaccard_pairs(ds, id_col=id_col, text_col=text_col,
-                                        threshold=threshold)
-        else:
-            raise ValueError(
-                f"unknown ground_truth {ground_truth!r}: 'minhash' | 'ngram'")
-    pdf = collect_bounded(
-        pairs, what="quality_neardup_auc pair set",
-        alternative="pair_set_audit (distributed per-combo compare)")
-    pos = set()
-    if len(pdf):
-        pos.update(int(v) for v in pdf["doc_a"])
-        pos.update(int(v) for v in pdf["doc_b"])
-    handle = ray.put(np.array(sorted(pos), dtype=np.int64))
-
-    class HistPartial:
-        def __init__(self) -> None:
-            self.pos = ray.get(handle)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            qp = ts.quality_features(batch[text_col])["quality_ppm"].to_numpy(np.int64)
-            ids = batch[id_col].to_numpy(np.int64)
-            lab = np.isin(ids, self.pos).astype(np.int64)
-            key = qp * 2 + lab
-            vc = pd.Series(key).value_counts()
-            return pd.DataFrame({"key": vc.index.to_numpy(np.int64),
-                                 "n": vc.to_numpy(np.int64)})
-
-    hist = bucketed_grouped_sum(
-        ds.map_batches(HistPartial, batch_format="pandas", concurrency=(1, 8)),
-        "key", "n",
-    ).to_pandas()
-    if len(hist) == 0:
-        return pd.DataFrame({"n_pos": pd.Series([0], dtype=np.int64),
-                             "n_neg": pd.Series([0], dtype=np.int64),
-                             "auc_ppm": pd.Series([500_000], dtype=np.int64)})
-    hist["s"] = hist["key"] // 2
-    hist["pos"] = hist["key"] % 2
-    piv = hist.pivot_table(index="s", columns="pos", values="n",
-                           aggfunc="sum", fill_value=0).sort_index()
-    np_col = piv[1].to_numpy(np.int64) if 1 in piv.columns else np.zeros(len(piv), np.int64)
-    nn_col = piv[0].to_numpy(np.int64) if 0 in piv.columns else np.zeros(len(piv), np.int64)
-    tp, tn = int(np_col.sum()), int(nn_col.sum())
-    cumlt = np.concatenate([[0], np.cumsum(nn_col)[:-1]])
-    u2 = int(np.sum(np_col * (2 * cumlt + nn_col)))
-    auc = 500_000 if tp == 0 or tn == 0 else u2 * 1_000_000 // (2 * tp * tn)
-    return pd.DataFrame({"n_pos": pd.Series([tp], dtype=np.int64),
-                         "n_neg": pd.Series([tn], dtype=np.int64),
-                         "auc_ppm": pd.Series([auc], dtype=np.int64)})
 
 
 def bm25_prf_topk(ds, queries: list[str], k: int = 10, fb_docs: int = 3,
@@ -13065,70 +10804,6 @@ def cluster_balanced_sample(ds, k: int = 8, iters: int = 3,
         .repartition(1)
         .map_batches(final, batch_format="pyarrow", batch_size=None)
     )
-
-
-def dedup_family_agreement(ds, id_col: str = "doc_id", text_col: str = "text",
-                           include_ngram: bool = False):
-    """Meta-audit of the near-dup PAIR FAMILIES: pairwise Jaccard
-    agreement between the edge generators (MinHash-LSH est>=0.6, SimHash
-    hamming<=3, winnowing shared>=5; plus exact 3-gram Jaccard>=0.5 when
-    ``include_ngram``) over the same corpus -- the one-table answer to
-    "which dedup signal do we trust, and where do they disagree". High
-    minhash/winnow overlap with low simhash overlap says the corpus's
-    near-dups are shingle-level (reorderings), not bag-of-words-level,
-    and vice versa.
-
-    The default family set is the three SUB-LINEAR generators (VERDICT
-    r4 #1: exact n-gram AllPairs measured 10x exponent 1.29 -- the one
-    family that cannot run at 100 TB); ``include_ngram=True`` opts the
-    exact family back in as an audit and inherits
-    ``ngram_jaccard_pairs``' corpus-size guard raise.
-
-    Each family's pair table is pair-bounded by construction, so the
-    comparison runs on collected pair sets -- and that bound is
-    ASSERTED at collect time (``collect_bounded``: a family whose skew
-    caps fail raises :class:`relational.CollectCapExceeded` naming the
-    distributed per-combo alternative, ``pair_set_audit``, instead of
-    silently pulling an unbounded pair domain onto the driver).
-    Degenerate empty unions pin jaccard to 10^6 (vacuous agreement) on
-    both sides.
-
-    Returns 3 rows (6 with ``include_ngram``): (family_a, family_b, n_a,
-    n_b, n_common, jaccard_ppm), families lexicographic."""
-    from .relational import collect_bounded
-
-    fams = {
-        "minhash": minhash_lsh_pairs(ds, id_col=id_col, text_col=text_col,
-                                     threshold=0.6),
-        "simhash": simhash_pairs(ds, id_col=id_col, text_col=text_col,
-                                 max_hamming=3),
-        "winnow": winnow_fingerprint_pairs(ds, text_col=text_col,
-                                           id_col=id_col),
-    }
-    if include_ngram:
-        fams["ngram"] = ngram_jaccard_pairs(
-            ds, id_col=id_col, text_col=text_col, threshold=0.5)
-    sets = {}
-    for name, out in fams.items():
-        df = collect_bounded(
-            out, what=f"dedup_family_agreement[{name}] pair set",
-            alternative="pair_set_audit (distributed per-combo compare)")
-        sets[name] = (set(zip(df["doc_a"].astype(np.int64),
-                              df["doc_b"].astype(np.int64)))
-                      if len(df) else set())
-    names = sorted(sets)
-    rows = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            common = len(sets[a] & sets[b])
-            union = len(sets[a] | sets[b])
-            jac = 1_000_000 if union == 0 else common * 1_000_000 // union
-            rows.append((a, b, len(sets[a]), len(sets[b]), common, jac))
-    out = pd.DataFrame(rows, columns=["family_a", "family_b", "n_a", "n_b",
-                                      "n_common", "jaccard_ppm"])
-    for c in out.columns[2:]:
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def ams_f2_audit(ds, text_col: str = "text", k_est: int = 17):

@@ -6,7 +6,7 @@ The kernels are the engine's generic toolbox, built the Ray-Data-first way:
 
 - **partial aggregation**: per-batch partials inside ``map_batches``, then
   one key-domain-sized exchange (``tiny_final_groupby``,
-  ``bucketed_grouped_sum``, ``grouped_pair_fold``, ``mode_by_key``,
+  ``bucketed_grouped_sum``, ``mode_by_key``,
   ``cooccurrence_counts``).
 - **one hash partition**: every bucketed plan derives its partition column
   from ``hash_bucket_column`` (``lance_like.bucket_of``) and sizes its
@@ -2583,53 +2583,6 @@ def customer_order_distribution(sf_dir: str, exclude_priority: str = "5-LOW",
         )
 
     return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def grouped_pair_fold(ds, key_cols, agg: dict, buckets: int = 16):
-    """Grouped aggregate on a MULTI-column integer key (pair tables)
-    via a derived int64 partition key + per-bucket pandas groupby.
-    Ray's native ``groupby(["a","b"]).aggregate(...)`` sort aggregate
-    measured 25 s on 107k partial rows (winnow_fingerprint_pairs) where
-    this fold takes under a second, and the same swap took
-    ngram_jaccard_pairs 17.2 → 7.8 s — both are pair partials emitted
-    by a ``map_groups`` stage. The swap is NOT universally right:
-    on triangle_count / link_prediction's edge dedupe (a low-block-count
-    ``map_batches`` Arrow table) the native aggregate measured FASTER
-    (3.2/4.3 s native vs 5.5/7.0 s folded on identical inputs), so those
-    keep the native path. Rule of thumb from the four measurements:
-    fold pair partials that come out of a grouped/bucketed stage;
-    leave plain map-stage pair tables on the native aggregate — and
-    measure, the boundary is empirical. The derived key (wraparound
-    multiply-add) is ONLY ever a partition key — the true multi-column
-    groupby runs inside each bucket, so collisions cost nothing.
-
-    ``agg``: {out_name: (value_col, fn)} with pandas agg fns
-    ('sum'/'min'/'max'/'size'/...). Key columns must be integral."""
-    import pandas as pd
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        arrs = [
-            batch.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-            for c in key_cols
-        ]
-        with np.errstate(over="ignore"):
-            key = arrs[0].copy()
-            for a in arrs[1:]:
-                key = key * np.int64(1000003) + a
-        batch = batch.append_column("__pk", pa.array(key, pa.int64()))
-        return hash_bucket_column(batch, "__pk", buckets)
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(list(key_cols), sort=False).agg(
-            **{name: (col, fn) for name, (col, fn) in agg.items()}
-        ).reset_index()
-        return out
-
-    return (
-        ds.map_batches(add_pk, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
 
 
 def watermark_late_counts(events, delay_us: int = 300_000_000,

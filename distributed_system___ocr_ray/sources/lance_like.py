@@ -891,8 +891,7 @@ def merge_upsert(
     if pc.count_distinct(kcol).as_py() != updates.num_rows:
         raise ValueError(
             f"merge_upsert: duplicate {key!r} keys in updates — MERGE needs "
-            "exactly one source row per target key (dedupe upstream, e.g. "
-            "dedup_keep_best)"
+            "exactly one source row per target key (dedupe upstream)"
         )
     # align column order to the committed physical schema so mixed-version
     # reads concat cleanly (the guard already proved the name->type mapping

@@ -29,10 +29,12 @@ def explode_spans(batch: pa.Table) -> pa.Table:
             "offset": flat.field("offset"),
         }
     )
-    # null text reads as empty, so a null-text media span is kept (a null
-    # in the mask would make ``filter`` drop the row)
+    # a null kind is "not text" and null text reads as empty, so neither
+    # puts a null in the mask (``filter`` would drop the row): a null-text
+    # media span is kept, and a null-kind span reaches the dispatch's
+    # unknown-kind parse error
     empty = pc.and_(
-        pc.equal(out.column("kind"), "text"),
+        pc.equal(pc.fill_null(out.column("kind"), ""), "text"),
         pc.equal(pc.utf8_trim_whitespace(pc.fill_null(out.column("text"), "")), ""),
     )
     return out.filter(pc.invert(empty))

@@ -203,23 +203,6 @@ class TestDedup:
         for pair in expected_pairs:
             assert pair in found, f"missed planted near-dup {pair}"
 
-    def test_simhash_finds_planted_neardups(self, planted_dups):
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds, expected_pairs = planted_dups
-        got = _pdf(analytics.simhash_pairs(ds, max_hamming=6))
-        found = {tuple(sorted((a, b))) for a, b in zip(got["doc_a"], got["doc_b"])}
-        for pair in expected_pairs:
-            assert pair in found
-
-    def test_ngram_jaccard_finds_planted_neardups(self, planted_dups):
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds, expected_pairs = planted_dups
-        got = _pdf(analytics.ngram_jaccard_pairs(ds, threshold=0.5))
-        found = {tuple(sorted((a, b))) for a, b in zip(got["doc_a"], got["doc_b"])}
-        for pair in expected_pairs:
-            assert pair in found
 
     def test_embedding_neardup_planted(self):
         import pandas as pd
@@ -450,48 +433,6 @@ class TestTextStats:
         # fingerprint is deterministic: same text -> same fingerprint
         fp2 = _pdf(analytics.fingerprints(ds))
         assert fp.sort_values("doc_id")["fingerprint"].tolist() == fp2.sort_values("doc_id")["fingerprint"].tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDedupClusters:
-    def test_min_label_propagation_chain(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # chain 1-2, 2-3, 3-4 plus isolated pair 10-11: two components
-        pairs = rd.from_pandas(
-            pd.DataFrame({"doc_a": [1, 2, 3, 10], "doc_b": [2, 3, 4, 11]})
-        )
-        out = analytics.dedup_clusters(pairs).to_pandas().set_index("doc_id")["cluster_id"]
-        assert out.loc[[1, 2, 3, 4]].tolist() == [1, 1, 1, 1]
-        assert out.loc[[10, 11]].tolist() == [10, 10]
-
-    def test_long_chain_converges_with_int_labels(self):
-        """Regression (code-review finding): a 10-node chain is ONE component
-        and labels stay int64 (no float upcast through the join padding)."""
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        pairs = rd.from_pandas(
-            pd.DataFrame({"doc_a": list(range(1, 10)), "doc_b": list(range(2, 11))})
-        )
-        out = analytics.dedup_clusters(pairs).to_pandas()
-        assert out["cluster_id"].dtype.kind == "i", out.dtypes
-        assert set(out["cluster_id"]) == {1}, out
-
-    def test_clusters_from_planted_minhash(self, planted_dups):
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds, expected_pairs = planted_dups
-        pairs = analytics.minhash_lsh_pairs(ds, threshold=0.6)
-        out = analytics.dedup_clusters(pairs).to_pandas()
-        labels = dict(zip(out["doc_id"], out["cluster_id"]))
-        for a, b in expected_pairs:
-            assert labels[a] == labels[b]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1288,117 +1229,9 @@ class TestSampleN:
         assert set(g.doc_id) & set(a.doc_id) == set(g.doc_id[g.doc_id < 500])
 
 
-class TestLineDedup:
-    """C4-style corpus-level keep-first line dedup."""
-
-    def _planted(self):
-        import pandas as pd
-
-        boiler = "subscribe to our newsletter"
-        return pd.DataFrame(
-            {
-                "doc_id": [1, 2, 3, 4],
-                "text": [
-                    f"unique alpha line one\n{boiler}\nad",
-                    f"{boiler}\nunique beta line two\n{boiler}",
-                    boiler,  # fully-deduped doc -> ''
-                    "short\nrepeat me exactly\nrepeat me exactly",  # in-doc dup
-                ],
-            }
-        )
-
-    def _expected(self):
-        # keep-first global order: doc1 keeps the boiler (pack (1,1) is the
-        # global min); every later occurrence (2,0), (2,2), (3,0) drops;
-        # in-doc duplicate keeps only its first occurrence; short lines stay
-        return {
-            1: "unique alpha line one\nsubscribe to our newsletter\nad",
-            2: "unique beta line two",
-            3: "",
-            4: "short\nrepeat me exactly",
-        }
-
-    def test_broadcast_path(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        got = (
-            analytics.line_dedup(rd.from_pandas(self._planted()), min_line_chars=6)
-            .to_pandas()
-            .set_index("doc_id")["text"]
-            .to_dict()
-        )
-        assert got == self._expected()
-
-    def test_bucketed_join_path_equal(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        got = (
-            analytics.line_dedup(
-                rd.from_pandas(self._planted()).repartition(3),
-                min_line_chars=6,
-                broadcast_dups_bytes=0,  # force the scale path
-                join_buckets=4,
-            )
-            .to_pandas()
-            .set_index("doc_id")["text"]
-            .to_dict()
-        )
-        assert got == self._expected()
-
-    def test_no_dups_identity(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        docs = pd.DataFrame(
-            {"doc_id": [7, 8], "text": ["totally unique first", "another unique text"]}
-        )
-        got = analytics.line_dedup(rd.from_pandas(docs)).to_pandas()
-        assert got.set_index("doc_id")["text"].to_dict() == {
-            7: "totally unique first",
-            8: "another unique text",
-        }
-
-
 class TestNovelDocsBloom:
     """Bloom-prefiltered novelty: exact output, FP-proof via verification."""
 
-    def test_equals_novel_docs_even_with_forced_fps(self):
-        """A deliberately TINY bloom (2 bits/key, k=1) floods the hit path
-        with false positives; output must still equal novel_docs exactly —
-        correctness may never depend on the FP rate."""
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        corpus = pd.DataFrame(
-            {"doc_id": range(100), "text": [f"corpus text {i}" for i in range(100)]}
-        )
-        new = pd.DataFrame(
-            {
-                "doc_id": range(100, 160),
-                # 20 dups of corpus content, 40 novel
-                "text": [f"corpus text {i}" for i in range(20)]
-                + [f"fresh text {i}" for i in range(40)],
-            }
-        )
-        exact = sorted(
-            analytics.novel_docs(rd.from_pandas(new), rd.from_pandas(corpus))
-            .to_pandas()["doc_id"]
-        )
-        bloomy = sorted(
-            analytics.novel_docs_bloom(
-                rd.from_pandas(new), rd.from_pandas(corpus), bits_per_key=2
-            )
-            .to_pandas()["doc_id"]
-        )
-        assert bloomy == exact == list(range(120, 160))
 
     def test_bloom_broadcast_is_smaller(self):
         from distributed_system___ocr_ray.functions.bloom import BloomFilter
@@ -1736,27 +1569,6 @@ class TestRollupAndKeepBest:
             ("ALL", "a"): 3, ("ALL", "b"): 1,
             ("ALL", "ALL"): 4,
         }
-
-    def test_keep_best_prefers_quality_then_min_id(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # same text twice -> one group with n_copies 2; distinct texts keep
-        # their own rows. doc 2 and 5 share content; equal quality (same
-        # text) so min id 2 wins.
-        t = pa.table(
-            {
-                "doc_id": [5, 2, 9],
-                "text": ["the same clean text here.", "the same clean text here.", "x"],
-            }
-        )
-        rows = sorted(
-            analytics.dedup_keep_best(rd.from_arrow(t)).take_all(),
-            key=lambda r: r["keeper_doc_id"],
-        )
-        assert [(r["keeper_doc_id"], r["n_copies"]) for r in rows] == [(2, 2), (9, 1)]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -4264,148 +4076,6 @@ class TestOovRateByLang:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestDupShingleRate:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # doc1/doc2 share the 3-shingle 'a b c'; doc3 (other source) is
-        # all-unique; doc4 is a <3-word doc whose fallback shingle 'x y'
-        # appears nowhere else
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-                "source": pa.array(["s1", "s1", "s2", "s2"], pa.string()),
-                "text": pa.array(
-                    [
-                        "a b c d",  # shingles: 'a b c', 'b c d'
-                        "a b c",  # shingle: 'a b c' (shared with doc1)
-                        "p q r s",  # 'p q r', 'q r s' (unique)
-                        "x y",  # fallback shingle 'x y' (unique)
-                    ],
-                    pa.string(),
-                ),
-            }
-        )
-        got = _pdf(analytics.dup_shingle_rate(rd.from_arrow(tbl), buckets=4))
-        out = {
-            r.source: (r.n_shingles, r.n_shared, r.shared_ppm) for r in got.itertuples()
-        }
-        assert out == {
-            "s1": (3, 2, 2 * 1_000_000 // 3),
-            "s2": (3, 0, 0),
-        }
-
-    def test_within_doc_repeat_not_shared(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 'a b c a b c a b c' repeats 'a b c' within ONE doc only: per-doc
-        # distinctness means nothing is cross-doc shared
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([1], pa.int64()),
-                "source": pa.array(["s1"], pa.string()),
-                "text": pa.array(["a b c a b c a b c"], pa.string()),
-            }
-        )
-        got = _pdf(analytics.dup_shingle_rate(rd.from_arrow(tbl), buckets=2))
-        assert got["n_shared"].iloc[0] == 0
-
-    def test_doc_boilerplate_hand_built_and_mass(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # same corpus as test_hand_built, resolved per doc: doc1 has one of
-        # its two shingles shared, doc2's single shingle is shared, docs
-        # 3/4 are clean
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-                "text": pa.array(
-                    ["a b c d", "a b c", "p q r s", "x y"], pa.string()
-                ),
-            }
-        )
-        got = (
-            _pdf(analytics.doc_boilerplate_score(rd.from_arrow(tbl), buckets=4))
-            .sort_values("doc_id").reset_index(drop=True)
-        )
-        assert list(got["doc_id"]) == [1, 2, 3, 4]
-        assert list(got["n_shingles"]) == [2, 1, 2, 1]
-        assert list(got["n_shared"]) == [1, 1, 0, 0]
-        assert list(got["boilerplate_ppm"]) == [500_000, 1_000_000, 0, 0]
-        # per-doc folds must conserve dup_shingle_rate's aggregate mass
-        agg = _pdf(
-            analytics.dup_shingle_rate(
-                rd.from_arrow(tbl.append_column(
-                    "source", pa.array(["s"] * 4, pa.string()))),
-                buckets=4,
-            )
-        )
-        assert got["n_shingles"].sum() == agg["n_shingles"].sum()
-        assert got["n_shared"].sum() == agg["n_shared"].sum()
-
-    def test_doc_boilerplate_bucket_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-        a = (
-            _pdf(analytics.doc_boilerplate_score(ds, buckets=3))
-            .sort_values("doc_id").reset_index(drop=True)
-        )
-        b = (
-            _pdf(analytics.doc_boilerplate_score(ds, buckets=17))
-            .sort_values("doc_id").reset_index(drop=True)
-        )
-        import pandas as pd
-
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(
-            f"{SF}/documents.parquet", columns=["doc_id", "source", "text"]
-        )
-        got = _pdf(analytics.dup_shingle_rate(ds)).sort_values("source")
-        exp = duckdb.sql(
-            f"""
-            WITH ws AS (SELECT doc_id, regexp_extract_all(text, '\\S+') AS w
-              FROM '{SF}/documents.parquet'),
-            base AS (SELECT doc_id, len(w) AS nw, w FROM ws),
-            tok AS (SELECT doc_id, unnest(w) AS tk,
-              unnest(generate_series(1, len(w))) AS i FROM base WHERE nw >= 3),
-            sh3 AS (SELECT DISTINCT doc_id, tk || ' ' || lead(tk, 1) OVER win
-              || ' ' || lead(tk, 2) OVER win AS s FROM tok
-              WINDOW win AS (PARTITION BY doc_id ORDER BY i)
-              QUALIFY lead(tk, 2) OVER win IS NOT NULL),
-            shsmall AS (SELECT doc_id, array_to_string(w, ' ') AS s FROM base
-              WHERE nw < 3),
-            sh AS (SELECT * FROM sh3 UNION ALL SELECT * FROM shsmall),
-            g AS (SELECT s, COUNT(*) AS nd FROM sh GROUP BY s),
-            j AS (SELECT d.source, CASE WHEN g.nd >= 2 THEN 1 ELSE 0 END AS shared
-              FROM sh JOIN g USING (s)
-              JOIN '{SF}/documents.parquet' d USING (doc_id)),
-            a AS (SELECT source, COUNT(*) AS n_shingles, SUM(shared) AS n_shared
-              FROM j GROUP BY source)
-            SELECT source, CAST(n_shingles AS BIGINT) AS n_shingles,
-              CAST(n_shared AS BIGINT) AS n_shared,
-              CAST(n_shared * 1000000 // n_shingles AS BIGINT) AS shared_ppm
-            FROM a ORDER BY source
-            """
-        ).df()
-        assert got.reset_index(drop=True).equals(exp.reset_index(drop=True))
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestSessionPaths:
     def test_hand_built(self):
         import ray.data as rd
@@ -4465,57 +4135,6 @@ class TestSessionPaths:
             """
         ).df()
         assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestPairSetAudit:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        exact = rd.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array([1, 1, 2, 5], pa.int64()),
-                    "doc_b": pa.array([2, 3, 3, 6], pa.int64()),
-                    "jaccard_ppm": pa.array([9, 9, 9, 9], pa.int64()),
-                }
-            )
-        )
-        approx = rd.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array([1, 2, 7], pa.int64()),
-                    "doc_b": pa.array([2, 3, 8], pa.int64()),
-                }
-            )
-        )
-        got = _pdf(analytics.pair_set_audit(exact, approx)).iloc[0]
-        # intersection {(1,2),(2,3)}: recall 2/4, precision 2/3
-        assert (
-            got["n_exact"],
-            got["n_approx"],
-            got["n_both"],
-            got["recall_ppm"],
-            got["precision_ppm"],
-        ) == (4, 3, 2, 500_000, 666_666)
-
-    def test_sf_recall_vs_duckdb_exact(self):
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        import ray.data as rd
-
-        docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-        exact = analytics.ngram_jaccard_pairs(docs, threshold=0.5)
-        approx = analytics.minhash_lsh_pairs(
-            rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"]),
-            threshold=0.6,
-        )
-        got = _pdf(analytics.pair_set_audit(exact, approx)).iloc[0]
-        assert got["n_both"] <= min(got["n_exact"], got["n_approx"])
-        assert 0 <= got["recall_ppm"] <= 1_000_000
-        assert 0 <= got["precision_ppm"] <= 1_000_000
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -4718,44 +4337,6 @@ class TestCmsErrorAudit:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestDupSizeHistogram:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table(
-            {"text": pa.array(["a", "a", "a", "b", "b", "c"], pa.string())}
-        )
-        got = _pdf(analytics.dup_size_histogram(rd.from_arrow(tbl)))
-        out = dict(zip(got["group_size"], got["n_groups"]))
-        assert out == {3: 1, 2: 1, 1: 1}
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
-        got = (
-            _pdf(analytics.dup_size_histogram(ds))
-            .sort_values("group_size")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH g AS (SELECT text, COUNT(*) AS n
-              FROM '{SF}/documents.parquet' GROUP BY text)
-            SELECT CAST(n AS BIGINT) AS group_size,
-              CAST(COUNT(*) AS BIGINT) AS n_groups FROM g GROUP BY n ORDER BY 1
-            """
-        ).df()
-        assert got.equals(exp)
-        # invariant: sum(group_size * n_groups) == corpus rows
-        assert int((got["group_size"] * got["n_groups"]).sum()) == ds.count()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestInterarrivalQuantiles:
     def test_hand_built(self):
         import ray.data as rd
@@ -4902,26 +4483,6 @@ class TestContinuationPartitionInvariance:
         b = (
             _pdf(relational.trimmed_mean_by_group(ds, "o_orderpriority", "o_totalprice", buckets=129))
             .sort_values("o_orderpriority")
-            .reset_index(drop=True)
-        )
-        assert a.equals(b)
-
-    def test_dup_shingle_rate_buckets(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(
-            f"{SF}/documents.parquet", columns=["doc_id", "source", "text"]
-        )
-        a = (
-            _pdf(analytics.dup_shingle_rate(ds, buckets=5))
-            .sort_values("source")
-            .reset_index(drop=True)
-        )
-        b = (
-            _pdf(analytics.dup_shingle_rate(ds, buckets=64))
-            .sort_values("source")
             .reset_index(drop=True)
         )
         assert a.equals(b)
@@ -5166,30 +4727,6 @@ class TestCommonNeighborPairs:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCrossSourceDups:
-    def test_vs_duckdb(self):
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        got = _pdf(analytics.cross_source_dup_matrix(SF, threshold=0.6))
-        con = duckdb.connect()
-        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{SF}/documents.parquet'")
-        exp = con.execute(em.oracle_sql()["cross_source_dups"]).df()
-        g = got.sort_values(list(got.columns)).reset_index(drop=True)
-        e = exp.sort_values(list(exp.columns)).reset_index(drop=True)
-        assert g.astype(str).equals(e.astype(str))
-
-    def test_mass_conservation(self):
-        # total cross+within pair mass must equal the pair-set size
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        mat = _pdf(analytics.cross_source_dup_matrix(SF, threshold=0.6))
-        n_pairs = len(em.queries()["minhash_pairs"](SF))
-        assert int(mat["n_pairs"].sum()) == n_pairs
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestEncodingAudit:
     def test_vs_duckdb(self):
         import __ray_entry__ as em
@@ -5324,49 +4861,6 @@ class TestQ2AndChi2:
         pqt.write_table(t2, str(d2 / "documents.parquet"))
         got2 = _pdf(analytics.categorical_independence_chi2(str(d2))).iloc[0]
         assert got2["chi2_ppm"] == 0 and got2["dof"] == 0
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestNormalizedDedup:
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        import __ray_entry__ as em
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
-        got = _pdf(analytics.normalized_dedup_stats(docs))
-        con = duckdb.connect()
-        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{SF}/documents.parquet'")
-        exp = con.execute(em.oracle_sql()["normalized_dedup"]).df()
-        assert got.astype(str).equals(exp.astype(str))
-
-    def test_planted_variants_collapse(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        t = pa.table(
-            {
-                "text": pa.array(
-                    [
-                        "Hello, World!",
-                        "hello world",
-                        "hello   world.",
-                        "HELLO\tWORLD",
-                        "something else entirely",
-                    ],
-                    pa.string(),
-                )
-            }
-        )
-        got = _pdf(analytics.normalized_dedup_stats(rd.from_arrow(t))).iloc[0]
-        assert (
-            got["n_docs"],
-            got["n_distinct"],
-            got["n_dup_docs"],
-            got["n_dup_groups"],
-        ) == (5, 2, 4, 1)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -5728,95 +5222,6 @@ class TestLexicalCurveAudits:
         assert int(got["reciprocal_edges"]) == recip
 
 
-class TestDupSpans:
-    def test_hand_built_interval_union(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # doc1/doc2 share overlapping shingles (union, not sum); doc3's
-        # "m m m" repeats WITHIN one doc only (distinct-doc rule keeps it
-        # out) while "x y z" at pos 1 and 8 gives two disjoint spans;
-        # doc5/doc6 share the <3-word whole-text shingle; doc7 is clean
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3, 4, 5, 6, 7], pa.int64()),
-                "text": pa.array(
-                    [
-                        "a b c d e f g h",
-                        "a b c d",
-                        "x y z m m m m x y z",
-                        "x y z",
-                        "q w",
-                        "q w",
-                        "lonely words here now",
-                    ],
-                    pa.string(),
-                ),
-            }
-        )
-        got = (
-            _pdf(analytics.dup_spans(rd.from_arrow(tbl), buckets=4))
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        assert list(got["doc_id"]) == [1, 2, 3, 4, 5, 6, 7]
-        assert list(got["nw"]) == [8, 4, 10, 3, 2, 2, 4]
-        # doc1: [1,3]u[2,4] = 4; doc3: [1,3]u[8,10] = 6
-        assert list(got["covered"]) == [4, 4, 6, 3, 2, 2, 0]
-        assert list(got["dup_span_ppm"]) == [
-            500_000,
-            1_000_000,
-            600_000,
-            1_000_000,
-            1_000_000,
-            1_000_000,
-            0,
-        ]
-
-    def test_whitespace_only_doc_excluded(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3], pa.int64()),
-                "text": pa.array(["  \t ", "a b", "a b"], pa.string()),
-            }
-        )
-        got = (
-            _pdf(analytics.dup_spans(rd.from_arrow(tbl), buckets=2))
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        assert list(got["doc_id"]) == [2, 3]
-        assert list(got["dup_span_ppm"]) == [1_000_000, 1_000_000]
-
-    def test_bucket_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-        a = (
-            _pdf(analytics.dup_spans(ds, buckets=3))
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        b = (
-            _pdf(analytics.dup_spans(ds, buckets=17))
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        import pandas as pd
-
-        pd.testing.assert_frame_equal(a, b)
-        # spans cover at least every doc with a shared shingle: covered
-        # bounded by nw, and boilerplate-positive docs are span-positive
-        assert (a["covered"] <= a["nw"]).all()
-
-
 class TestSampledQuantileAudit:
     def test_permille_ranks_vs_numpy_both_paths(self):
         import ray.data as rd
@@ -5898,53 +5303,6 @@ class TestCompactionBins:
         # of exclusive prefix -- bin ids are contiguous from 0
         bins = sorted(got["bin"].unique())
         assert bins == list(range(len(bins)))
-
-
-class TestShingleContainment:
-    def test_hand_built_directional(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # A's shingles: {a b c, b c d}; B's: {a b c, b c d, c d e, x y z}
-        # (4 distinct) -> A in B = 2/2 = 1e6; B in A = 2/4 = 5e5
-        tbl = pa.table(
-            {
-                "source": pa.array(["A", "A", "B", "B"], pa.string()),
-                "text": pa.array(
-                    ["a b c d", "a b c", "a b c d e", "x y z"], pa.string()
-                ),
-            }
-        )
-        got = (
-            analytics.shingle_containment(rd.from_arrow(tbl), buckets=4)
-            .set_index(["source_a", "source_b"])
-        )
-        assert got.loc[("A", "B"), "n_a"] == 2
-        assert got.loc[("A", "B"), "n_inter"] == 2
-        assert got.loc[("A", "B"), "containment_ppm"] == 1_000_000
-        assert got.loc[("B", "A"), "n_a"] == 4
-        assert got.loc[("B", "A"), "containment_ppm"] == 500_000
-
-    def test_bucket_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["source", "text"])
-        import pandas as pd
-
-        a = (
-            analytics.shingle_containment(ds, buckets=3)
-            .sort_values(["source_a", "source_b"])
-            .reset_index(drop=True)
-        )
-        b = (
-            analytics.shingle_containment(ds, buckets=17)
-            .sort_values(["source_a", "source_b"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(a, b)
 
 
 class TestCusumChangepoints:
@@ -6454,66 +5812,6 @@ class TestDpGeometricCounts:
             assert _md5_leading_ones16(s) == tuple(want)
 
 
-class TestBoundaryOverlapPairs:
-    def test_hand_built_stitch(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        texts = [
-            "alpha beta gamma delta",   # tail: "gamma delta"
-            "gamma delta epsilon zeta", # head: "gamma delta" -> (0, 1)
-            "unrelated words here now",
-            "zeta omega alpha beta",    # head "zeta omega"; tail "alpha beta"
-        ]
-        # doc3 tail "alpha beta" == doc0 head -> (3, 0)
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(range(4), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        got = sorted(
-            (r["doc_a"], r["doc_b"])
-            for r in analytics.boundary_overlap_pairs(rd.from_arrow(tbl)).take_all()
-        )
-        assert got == [(0, 1), (3, 0)]
-
-    def test_cap_drops_boilerplate_boundary(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 5 docs ending "the end", 1 doc starting "the end": cap=3 drops
-        # the hot window on the tail side entirely
-        texts = [f"doc {i} body the end" for i in range(5)] + ["the end coda x"]
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(range(6), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        got = analytics.boundary_overlap_pairs(rd.from_arrow(tbl), cap=3).take_all()
-        assert got == []
-        kept = analytics.boundary_overlap_pairs(rd.from_arrow(tbl), cap=5).take_all()
-        assert sorted((r["doc_a"], r["doc_b"]) for r in kept) == [
-            (i, 5) for i in range(5)
-        ]
-
-    def test_short_docs_skipped(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([0, 1], pa.int64()),
-                "text": pa.array(["one", "one"], pa.string()),
-            }
-        )
-        assert analytics.boundary_overlap_pairs(rd.from_arrow(tbl)).take_all() == []
-
-
 class TestLDiversityAudit:
     def test_hand_built_cells(self):
         import datetime
@@ -6636,132 +5934,6 @@ class TestVocabPruningPlan:
         assert got == {1: (1, 32), 33: (0, 0)}
 
 
-class TestWinnowFingerprintPairs:
-    def test_planted_copy_detected(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        import numpy as np
-
-        rng = np.random.RandomState(3)
-        alpha = "abcdefghijklmnopqrstuvwxyz "
-        base = "".join(rng.choice(list(alpha), 400))
-        shared = "".join(rng.choice(list(alpha), 200))
-        texts = [
-            base[:200] + shared,            # doc 0: shares 200 chars with 1
-            shared + base[200:],            # doc 1
-            "".join(rng.choice(list(alpha), 400)),  # doc 2: unrelated
-        ]
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(range(3), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        got = analytics.winnow_fingerprint_pairs(rd.from_arrow(tbl)).take_all()
-        pairs = {(r["doc_a"], r["doc_b"]) for r in got}
-        assert (0, 1) in pairs
-        assert not any(2 in p for p in pairs)
-
-    def test_guarantee_shared_substring(self):
-        # winnowing guarantee: a shared substring of length >= k + w - 1
-        # (27 here) yields at least one shared fingerprint
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        shared = "the quick brown fox jumps!"  # 26 chars < 27: may miss
-        shared2 = "the quick brown fox jumps twice"  # 31 chars: guaranteed
-        texts = [
-            "AAAA" * 30 + shared2,
-            shared2 + "BBBB" * 30,
-        ]
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([0, 1], pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        got = analytics.winnow_fingerprint_pairs(
-            rd.from_arrow(tbl), min_shared=1
-        ).take_all()
-        assert {(r["doc_a"], r["doc_b"]) for r in got} == {(0, 1)}
-
-    def test_short_docs_emit_nothing(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table(
-            {
-                "doc_id": pa.array([0, 1], pa.int64()),
-                "text": pa.array(["short text", "short text"], pa.string()),
-            }
-        )
-        assert (
-            analytics.winnow_fingerprint_pairs(rd.from_arrow(tbl)).take_all() == []
-        )
-
-
-class TestCdcChunkDedup:
-    def test_shared_chunk_saves(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        import numpy as np
-
-        rng = np.random.RandomState(11)
-        alpha = "abcdefghijklmnopqrstuvwxyz "
-        shared = "".join(rng.choice(list(alpha), 300))
-        a = "".join(rng.choice(list(alpha), 150)) + shared
-        b = shared + "".join(rng.choice(list(alpha), 150))
-        tbl = pa.table({"text": pa.array([a, b], pa.string())})
-        out = analytics.cdc_chunk_dedup(rd.from_arrow(tbl))
-        r = out.iloc[0]
-        # a 300-char shared region must yield at least one duplicated chunk
-        assert r["n_distinct_chunks"] < r["n_chunks"]
-        assert r["stored_chars"] < r["total_chars"]
-        assert r["saving_ppm"] > 0
-        assert r["total_chars"] == len(a) + len(b)
-
-    def test_matches_reference_chunker(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-        from distributed_system___ocr_ray.pipelines.analytics import (
-            _CDC_B, _CDC_M, _CDC_W, _CDC_MASK,
-        )
-
-        texts = ["the quick brown fox " * 20, "pack my box " * 30, "tiny"]
-
-        def ref_chunks(s):
-            W, M, MASK = _CDC_W, _CDC_M, _CDC_MASK
-            cuts = set()
-            for i in range(len(s) - W + 1):
-                h = 0
-                for j, ch in enumerate(s[i : i + W]):
-                    h += ord(ch) * pow(_CDC_B, W - 1 - j, M)
-                if (h % M) % (MASK + 1) == 0:
-                    cuts.add(i + W)
-            cuts.add(len(s))
-            prev, out = 0, []
-            for c in sorted(cuts):
-                if c > prev:
-                    out.append(s[prev:c])
-                    prev = c
-            return out
-
-        all_chunks = [c for t in texts for c in ref_chunks(t)]
-        tbl = pa.table({"text": pa.array(texts, pa.string())})
-        out = analytics.cdc_chunk_dedup(rd.from_arrow(tbl)).iloc[0]
-        assert out["n_chunks"] == len(all_chunks)
-        assert out["n_distinct_chunks"] == len(set(all_chunks))
-        assert out["total_chars"] == sum(len(c) for c in all_chunks)
-        assert out["stored_chars"] == sum(len(c) for c in set(all_chunks))
-
-
 class TestMaxCoverageSelect:
     def test_hand_built_greedy(self):
         import ray.data as rd
@@ -6828,31 +6000,6 @@ class TestBlocklistScreen:
         }
         # whole-token: 'contrast' must NOT count; zero cell (de) kept
         assert got == {("speed", "en"): (2, 3), ("speed", "de"): (0, 0)}
-
-
-class TestBoundaryStitchChains:
-    def test_three_doc_chain(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        texts = [
-            "alpha beta gamma delta",       # -> doc1 (tail 'gamma delta')
-            "gamma delta epsilon zeta",     # -> doc2 (tail 'epsilon zeta')
-            "epsilon zeta omega psi",       # chain of 3
-            "lonely words with no overlap", # singleton: not in any chain
-            "pair one start tail mark",     # -> doc5 ('tail mark')
-            "tail mark pair two finish",    # chain of 2
-        ]
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(range(6), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        out = analytics.boundary_stitch_chains(rd.from_arrow(tbl))
-        got = {r["chain_size"]: r["n_chains"] for _, r in out.iterrows()}
-        assert got == {2: 1, 3: 1}
 
 
 class TestCodeSwitchRateBySource:
@@ -6999,42 +6146,6 @@ class TestKwicSnippets:
         )
         assert len(out) == 7
         assert list(out["doc_id"]) == list(range(7))  # smallest doc_ids win
-
-
-class TestLeakageFreeSplitAudit:
-    def test_planted_dup_cluster_cannot_straddle(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 30 distinct docs + one near-dup FAMILY of 6 copies: by_cluster
-        # must report 0 straddling; totals must cover all docs either way
-        import numpy as np
-
-        rng = np.random.RandomState(5)
-        alpha = list("abcdefghij ")
-        texts = ["".join(rng.choice(alpha, 120)) for _ in range(30)]
-        dup = "the same duplicated document body repeated verbatim " * 4
-        texts += [dup] * 6
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(range(len(texts)), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-        out = analytics.leakage_free_split_audit(rd.from_arrow(tbl))
-        got = {
-            r["method"]: (r["n_train"], r["n_val"], r["straddling_clusters"])
-            for _, r in out.iterrows()
-        }
-        n = len(texts)
-        assert set(got) == {"by_cluster", "by_doc"}
-        for m, (tr, va, _) in got.items():
-            assert tr + va == n
-        assert got["by_cluster"][2] == 0
-        # the 6-copy cluster moves as one unit under by_cluster: its docs
-        # are all-train or all-val
-        assert abs(got["by_cluster"][0] - got["by_doc"][0]) >= 0  # sanity
 
 
 class TestMatryoshkaRecallAudit:
@@ -7283,26 +6394,6 @@ class TestLangTemperaturePlan:
         # sqrt temperature upsamples the tail, downsamples the head
         assert got.loc["de", "resample_factor_ppm"] > 1_000_000
         assert got.loc["en", "resample_factor_ppm"] < 1_000_000
-
-
-class TestQualityDupCalibration:
-    def test_dup_participation(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        texts = ["the quick brown fox jumps over the lazy dog again today",
-                 "the quick brown fox jumps over the lazy dog again today",
-                 "an entirely different and unique sentence with its own words"]
-        tbl = pa.table({
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array(texts),
-        })
-        got = analytics.quality_dup_calibration(rd.from_arrow(tbl))
-        assert int(got["n_docs"].sum()) == 3
-        assert int(got["n_dup_docs"].sum()) == 2
-        assert (got["dup_rate_ppm"]
-                == got["n_dup_docs"] * 1_000_000 // got["n_docs"]).all()
 
 
 class TestWatermarkLateCounts:
@@ -7882,54 +6973,6 @@ class TestKcoreNodes:
         assert len(got) == 0
 
 
-class TestBoundaryStitchPaths:
-    def test_driver_and_distributed_paths_agree(self, tmp_path):
-        import pyarrow.parquet as pq
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # three records of one split page (A tail == B head == C head...)
-        # plus an unrelated doc: one chain of 3
-        docs = [
-            "alpha bravo charlie delta echo",
-            "delta echo foxtrot golf hotel",
-            "golf hotel india juliet kilo",
-            "zulu yankee xray whiskey victor",
-        ]
-        t = pa.table({
-            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-            "text": pa.array(docs),
-        })
-        fast = analytics.boundary_stitch_chains(rd.from_arrow(t))
-        slow = analytics.boundary_stitch_chains(rd.from_arrow(t),
-                                                collect_cap_rows=0)
-        assert fast.values.tolist() == [[3, 1]]
-        assert slow.values.tolist() == fast.values.tolist()
-
-
-class TestDedupClustersPaths:
-    def test_driver_and_pointer_jumping_paths_agree(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # a 5-chain, a triangle, and a 2-cycle: min-id labels either path
-        e = [(10, 11), (11, 12), (12, 13), (13, 14),
-             (20, 21), (21, 22), (20, 22), (30, 31)]
-        pairs = pa.table({
-            "doc_a": pa.array([a for a, _ in e], pa.int64()),
-            "doc_b": pa.array([b for _, b in e], pa.int64()),
-        })
-        fast = (analytics.dedup_clusters(rd.from_arrow(pairs))
-                .to_pandas().sort_values("doc_id").reset_index(drop=True))
-        slow = (analytics.dedup_clusters(rd.from_arrow(pairs),
-                                         collect_cap_edges=0)
-                .to_pandas().sort_values("doc_id").reset_index(drop=True))
-        assert fast["cluster_id"].tolist() == [10] * 5 + [20] * 3 + [30] * 2
-        assert slow.values.tolist() == fast.values.tolist()
-
-
 class TestEncodingAdvisor:
     def test_exact_byte_arithmetic_and_verdicts(self):
         import ray.data as rd
@@ -8203,48 +7246,6 @@ class TestCcnetBucketCounts:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSoftDedupWeights:
-    def test_planted_clusters_hand_weights(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 3 copies of A, 2 of B, 1 of C -> weights 333333 / 500000 / 1000000
-        txt = ["A", "A", "A", "B", "B", "C"]
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array(list(range(6)), pa.int64()),
-            "text": pa.array(txt),
-        }))
-        got = analytics.soft_dedup_weights(ds).to_pandas().sort_values(
-            "doc_id").reset_index(drop=True)
-        assert got["cluster_size"].tolist() == [3, 3, 3, 2, 2, 1]
-        assert got["weight_ppm"].tolist() == [333333] * 3 + [500000] * 2 + [1000000]
-        # cluster contribution never exceeds one doc's worth
-        assert (got["cluster_size"] * got["weight_ppm"] <= 1_000_000).all()
-
-    def test_vs_duckdb_sf0001(self):
-        import duckdb
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-        got = analytics.soft_dedup_weights(ds).to_pandas().sort_values(
-            "doc_id").reset_index(drop=True)
-        exp = duckdb.sql(f"""
-            WITH c AS (SELECT text, CAST(COUNT(*) AS BIGINT) AS n
-                       FROM read_parquet('{SF}/documents.parquet') GROUP BY text)
-            SELECT d.doc_id, c.n AS cluster_size,
-                   CAST(1000000 // c.n AS BIGINT) AS weight_ppm
-            FROM read_parquet('{SF}/documents.parquet') d
-            JOIN c ON c.text = d.text ORDER BY d.doc_id
-        """).df()
-        for c in ("doc_id", "cluster_size", "weight_ppm"):
-            exp[c] = exp[c].astype(np.int64)
-        assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestBinaryHammingTopk:
     def test_orthant_planted_recall(self):
         """Vectors planted in two orthants: sign bits separate them
@@ -8424,29 +7425,6 @@ class TestTexttilingBoundaries:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSimhashDupClusters:
-    def test_planted_near_dups_cluster_together(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        base = ("the quick brown fox jumps over the lazy dog while the "
-                "cat sleeps on the warm mat near the door frame today")
-        near = base.replace("today", "tonight")
-        other = ("completely different words about databases indexes "
-                 "shuffles partitions and columnar storage engines here")
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array([base, near, other]),
-        }))
-        pairs = analytics.simhash_pairs(ds, max_hamming=3)
-        out = analytics.dedup_clusters(pairs).to_pandas()
-        got = dict(zip(out["doc_id"], out["cluster_id"]))
-        assert got.get(1) == 1 and got.get(2) == 1
-        assert 3 not in got  # no edges -> not in the pair graph
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestAnfEffectiveDiameter:
     def test_directed_cycle_exact_growth(self, tmp_path):
         """Independent pure-python replay (hashlib + math only): true
@@ -8527,56 +7505,6 @@ class TestAnfEffectiveDiameter:
         slow = analytics.anf_effective_diameter(ds, max_h=3,
                                                 force_distributed=True)
         assert fast.equals(slow)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestQualityNeardupAuc:
-    def test_hand_auc_with_ties(self):
-        """Planted pairs + hand scores: AUC computed independently with
-        the average-rank tie convention."""
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # scores (quality_ppm is monotone in n_chars here): make 2 docs
-        # that pair (identical long text) and 3 singles of varying length
-        dup = "the and for with that this " * 10
-        texts = [dup, dup, "zz", "one two three four five six " * 5,
-                 "seven eight nine ten eleven twelve " * 20]
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array(list(range(5)), pa.int64()),
-            "text": pa.array(texts),
-        }))
-        got = analytics.quality_neardup_auc(ds, threshold=0.5)
-        assert int(got["n_pos"].iloc[0]) == 2
-        assert int(got["n_neg"].iloc[0]) == 3
-        # independent AUC: rank-sum with average ranks over exact scores
-        from distributed_system___ocr_ray.functions import textstats as tsm
-        import pandas as pd_
-
-        s = tsm.quality_features(pd_.Series(texts))["quality_ppm"].tolist()
-        lab = [1, 1, 0, 0, 0]
-        import itertools
-        u2 = 0
-        for (si, li), (sj, lj) in itertools.product(zip(s, lab), repeat=2):
-            if li == 1 and lj == 0:
-                u2 += 2 if si > sj else (1 if si == sj else 0)
-        exp = u2 * 1_000_000 // (2 * 2 * 3)
-        assert int(got["auc_ppm"].iloc[0]) == exp
-
-    def test_no_pairs_pins_uninformative(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array([0, 1], pa.int64()),
-            "text": pa.array(["completely unrelated alpha words here",
-                              "different beta tokens entirely now"]),
-        }))
-        got = analytics.quality_neardup_auc(ds)
-        assert int(got["n_pos"].iloc[0]) == 0
-        assert int(got["auc_ppm"].iloc[0]) == 500_000
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -8679,93 +7607,6 @@ class TestClusterBalancedSample:
         a = analytics.cluster_balanced_sample(ds1).to_pandas()
         b = analytics.cluster_balanced_sample(ds2).to_pandas()
         assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestWinnowDupClusters:
-    def test_shared_passage_clusters(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        passage = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
-                   "lam mu nu xi omicron pi rho sigma tau upsilon phi chi "
-                   "psi omega one two three four five six")
-        a = passage + " seven eight nine ten"
-        b = "intro words first " + passage
-        c = " ".join(f"w{i}" for i in range(40))
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array([a, b, c]),
-        }))
-        pairs = analytics.winnow_fingerprint_pairs(ds)
-        out = analytics.dedup_clusters(pairs).to_pandas()
-        got = dict(zip(out["doc_id"], out["cluster_id"]))
-        assert got.get(1) == 1 and got.get(2) == 1
-        assert 3 not in got
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDedupFamilyAgreement:
-    def test_planted_dup_all_families_agree(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        words = [f"tok{i}" for i in range(120)]
-        base = " ".join(words)
-        near = " ".join(words + ["extra"])
-        other = " ".join(f"q{i}" for i in range(120))
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array([base, near, other]),
-        }))
-        got = analytics.dedup_family_agreement(ds)
-        # default family set is the three sub-linear generators (exact
-        # ngram demoted to opt-in, VERDICT r4 #1) -> 3 combo rows
-        assert len(got) == 3
-        assert list(got.columns) == ["family_a", "family_b", "n_a", "n_b",
-                                     "n_common", "jaccard_ppm"]
-        assert "ngram" not in set(got["family_a"]) | set(got["family_b"])
-        # the planted near-identical pair is found by every family, so
-        # every combo agrees perfectly (or is vacuously empty-vs-empty)
-        assert (got["jaccard_ppm"] == 1_000_000).all()
-        assert (got["n_common"] >= 1).all()
-        # opt-in exact audit restores the 4-family (6-row) comparison
-        got6 = analytics.dedup_family_agreement(ds, include_ngram=True)
-        assert len(got6) == 6
-        assert "ngram" in set(got6["family_a"]) | set(got6["family_b"])
-        assert (got6["jaccard_ppm"] == 1_000_000).all()
-
-    def test_sf0001_structure(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet",
-                             columns=["doc_id", "text"])
-        got = analytics.dedup_family_agreement(ds)
-        assert len(got) == 3
-        assert (got["n_common"] <= got[["n_a", "n_b"]].min(axis=1)).all()
-        assert got["jaccard_ppm"].between(0, 1_000_000).all()
-
-    def test_ngram_scale_guard_raises(self):
-        """The exact AllPairs generator refuses corpora past its cap,
-        naming the MinHash substitution (the collect_bounded loud-raise
-        convention applied to compute scale)."""
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array(["alpha beta gamma delta", "alpha beta gamma"]),
-        }))
-        with pytest.raises(analytics.ExactPairScaleExceeded) as ei:
-            analytics.ngram_jaccard_pairs(ds, max_corpus_docs=1)
-        assert "minhash_lsh_pairs" in str(ei.value)
-        # None opts out of the guard entirely
-        analytics.ngram_jaccard_pairs(ds, max_corpus_docs=None)
 
 
 @pytest.mark.usefixtures("ray_session")

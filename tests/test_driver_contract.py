@@ -119,16 +119,15 @@ def test_entry_smoke():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_pair_oracle_models_group_cap():
-    """The pair-family oracles replay the engine's bucket skew cap: past
-    _MAX_GROUP_SIZE members a bucket pairs each member with its min-id
-    representative only (dedup.group_pairs / simhash bucket_pairs). 70
-    identical documents force one 70-member bucket in both families; engine
-    output and oracle SQL must agree exactly -- 69 representative pairs from
-    that cluster, not C(70,2)."""
+def test_minhash_lsh_pairs_group_cap():
+    """The MinHash pair engine's bucket skew cap: past _MAX_GROUP_SIZE
+    members a band bucket pairs each member with its min-doc-id
+    representative only (dedup.group_pairs). 70 identical documents force
+    one 70-member bucket: 69 representative pairs from that cluster, not
+    C(70,2). The ingest near-dup gate (compose.ingest_increment) runs this
+    engine."""
     import ray.data as rd
 
-    import __ray_entry__ as entry_mod
     from distributed_system___ocr_ray.functions import dedup as dk
     from distributed_system___ocr_ray.pipelines import analytics
 
@@ -144,26 +143,43 @@ def test_pair_oracle_models_group_cap():
     docs = pd.DataFrame(
         {"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts}
     ).iloc[::-1].reset_index(drop=True)
-    con2 = duckdb.connect()
-    con2.register("documents", docs)
-    ds = rd.from_pandas(docs)
 
-    def canon_pairs(df, val):
-        df = df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-        return list(zip(df.doc_a.astype(int), df.doc_b.astype(int), df[val].astype(int)))
-
-    sim = analytics.simhash_pairs(ds, max_hamming=3).to_pandas()
-    sim_sql = con2.execute(entry_mod._simhash_pairs_sql()).df()
-    assert canon_pairs(sim, "hamming") == canon_pairs(sim_sql, "hamming")
-    dup_pairs = sim[(sim.doc_a < n_dup) & (sim.doc_b < n_dup)]
-    assert len(dup_pairs) == n_dup - 1 and (dup_pairs.doc_a == 0).all()
-
-    mh = analytics.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
-    mh["n_match"] = (mh.pop("est_jaccard") * 64).round().astype("int64")
-    mh_sql = con2.execute(entry_mod._minhash_pairs_sql()).df()
-    assert canon_pairs(mh, "n_match") == canon_pairs(mh_sql, "n_match")
+    mh = analytics.minhash_lsh_pairs(rd.from_pandas(docs), threshold=0.6).to_pandas()
     mdup = mh[(mh.doc_a < n_dup) & (mh.doc_b < n_dup)]
     assert len(mdup) == n_dup - 1 and (mdup.doc_a == 0).all()
+    assert sorted(mdup.doc_b) == list(range(1, n_dup))
+
+
+def test_sweep_lists_name_registered_queries():
+    """The benchmark sweep lists name only registered queries, so a cut
+    from the registry cannot leave a stale name behind."""
+    import importlib.util
+
+    import bench
+
+    spec = importlib.util.spec_from_file_location(
+        "scale_sweep", os.path.join(ROOT, "tools", "scale_sweep.py"))
+    scale_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale_sweep)
+    registered = set(_entry().queries())
+    stale = sorted(
+        (set(bench.SWEEP_QUERIES) | set(scale_sweep.DEFAULT_QUERIES)) - registered
+    )
+    assert stale == [], f"sweep lists name unregistered queries: {stale}"
+
+
+def test_no_oracle_uses_recursive_cte():
+    """No oracle replays its query with a recursive CTE (WITH RECURSIVE).
+    ``anf_effective_diameter`` is the one exemption left."""
+    import re
+
+    recursive = re.compile(r"\bWITH\s+RECURSIVE\b", re.IGNORECASE)
+    exempt = {"anf_effective_diameter"}
+    found = sorted(
+        name for name, sql in _entry().oracle_sql().items()
+        if name not in exempt and recursive.search(sql)
+    )
+    assert found == [], f"{len(found)} oracles use WITH RECURSIVE: {found}"
 
 
 class TestQueryCli:

@@ -18,6 +18,7 @@ from distributed_system___ocr_ray import (
     STATUS_DOWNLOAD_ERROR,
     STATUS_OCR_ERROR,
     STATUS_OK,
+    STATUS_PARSE_ERROR,
 )
 from distributed_system___ocr_ray.functions import glyph
 
@@ -183,6 +184,24 @@ class TestNullTextSpan:
         assert len(want) == 51
         assert want[-1]["text"] == SENTINEL_IMAGE_DOWNLOAD
         assert got == want
+
+    def test_null_kind_span_is_a_parse_error(self):
+        """A span with a NULL kind is an unknown kind, like "video": both
+        come out in offset order with empty text and parse_error status,
+        never silently dropped."""
+        from distributed_system___ocr_ray.corpus import DOC_SCHEMA
+        from distributed_system___ocr_ray.pipelines.extract import BlockExtractor
+
+        spans = [{"kind": "text", "text": "<p>a</p>", "media_ref": "", "offset": 0},
+                 {"kind": None, "text": "x", "media_ref": "", "offset": 1},
+                 {"kind": "video", "text": "y", "media_ref": "", "offset": 2}]
+        docs = pa.table({"doc_id": ["d"], "spans": [spans]}, schema=DOC_SCHEMA)
+        out, entry = BlockExtractor({}).process(docs)
+        got = out.column("spans")[0].as_py()
+        assert [(s["kind"], s["text"], s["order"]) for s in got] == [
+            ("text", "a", 0), (None, "", 1), ("video", "", 2)]
+        assert entry["rows_in"] == 3
+        assert entry["status_counts"] == {STATUS_OK: 1, STATUS_PARSE_ERROR: 2}
 
 
 class TestHttpFetcher:
