@@ -9,7 +9,7 @@ Prints ONE JSON line::
 Headline: the flagship checkpointed pipeline -- read interleaved corpus
 (Lance-style table on disk, derived deterministically from
 ``$GRAFT_SF_DIR/documents.parquet``, replicated x$RAY_GRAFT_REPLICATE) ->
-explode -> actor-pool extraction -> partitioned reassembly -> committed
+explode -> task-pool extraction -> partitioned reassembly -> committed
 parquet + manifest. Corpus generation is cached in /tmp and untimed; one
 untimed warm read precedes timing so the page cache is hot.
 
@@ -107,7 +107,7 @@ def run_bench() -> dict:
     from distributed_system___ocr_ray.pipelines.sharded import run_extraction_sharded
 
     # one untimed warm extraction first: a fresh process's FIRST run pays
-    # worker-import I/O (32 actors reading site-packages through a cold page
+    # worker-import I/O (32 workers reading site-packages through a cold page
     # cache: measured 13.8 s cold vs 8.1 s warm for the identical job on
     # this box). The headline metric is steady-state docs/sec -- the regime
     # that matters at 100 TB, where spin-up amortizes to zero.
@@ -285,7 +285,7 @@ def run_scaling() -> dict:
     n_lo = int(os.environ.get("GRAFT_SCALE_LO", "4"))
     n_hi = int(os.environ.get("GRAFT_SCALE_HI", str(n_lo * 4)))
     # the scaling corpus is 4x the plain-bench corpus: per-doc compute must
-    # dominate the fixed per-execution costs (actor-pool spin-up ~2 s,
+    # dominate the fixed per-execution costs (worker start-up,
     # driver dispatch) for the N-vs-4N ratio to reflect the compute's
     # scaling rather than the constants' -- at 100 TB per-node work dwarfs
     # spin-up by construction; the bigger corpus models that regime (the

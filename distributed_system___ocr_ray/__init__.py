@@ -9,7 +9,7 @@ SURVEY.md) as ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
 - span explode (the reference's one-SQS-message-per-URL fan-out,
   Manager.java:351-369) as a vectorized ``map_batches`` list-flatten
 - kind-routed extraction (the reference's Tesseract worker loop,
-  Worker.java:79-121) as actor-pool ``map_batches`` stages with
+  Worker.java:79-121) as task-pool ``map_batches`` stages with
   errors-as-data sentinels (Worker.java:87,95)
 - per-document reassembly (the reference's summary phase,
   Manager.java:250-293) as an offset-ordered vectorized sort-aggregate

@@ -417,7 +417,7 @@ def doc_completeness_by_lang(sf_dir: str, *, buckets: int = 32):
     reference's per-app summary file aggregates the same ok/error split,
     Manager.java:250-293; here it lands per language).
 
-    Runs the REAL pipeline (wrap -> explode -> actor-pool extraction), not
+    Runs the REAL pipeline (wrap -> explode -> task-pool extraction), not
     the closed form -- the oracle independently recomputes span statuses
     from doc_id/md5 arithmetic, so this query end-to-end checks the engine's
     error routing. Scale shape: span statuses collapse to compact

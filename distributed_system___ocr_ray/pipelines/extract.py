@@ -3,14 +3,21 @@ lifecycle").
 
 A document is ONE input row, so explode, extract and offset-ordered
 reassembly never need a row from another block. The whole pipeline is one
-narrow actor stage over document blocks, with no all-to-all exchange:
+narrow task-pool stage over document blocks, with no all-to-all exchange:
 
     documents (Lance-style table path, in-memory Arrow table or Dataset)
-    -> map_batches(BlockExtractor actor pool)
+    -> map_batches(task pool, BlockExtractor state per worker per run)
          explode -> ExtractDispatch over size-capped slices
          -> reassemble_partition (groupby(doc_id) + offset-ordered
             sort-aggregate, inside the block)
     -> (doc_id, spans) Dataset
+
+Stage state (decode memo, media store, glyph font) lives in the worker
+process for the length of one run: ``run_state`` keeps it under a fresh
+token per run, so Ray's warm worker processes serve every run without an
+actor start-up, and no state crosses from one run into the next (the
+reference's worker likewise sets up Tesseract once per long-lived process,
+Worker.java:47-48).
 
 ``extract_dataset`` is that stage without a checkpoint. The checkpointed,
 resumable run is ``pipelines.sharded.run_extraction_sharded``: its workers
@@ -26,6 +33,8 @@ into one fused dispatch; queue transport disappears into the object store
 from __future__ import annotations
 
 import os
+import uuid
+from collections import OrderedDict
 from typing import Any
 
 import pyarrow as pa
@@ -50,7 +59,7 @@ def media_fingerprint(media: Any) -> str:
     reference -- while overwrite rewrites (fresh fragment names) still
     mismatch. A missing/empty table raises FileNotFoundError here, at job
     setup, rather than committing a bogus identity and failing later inside
-    actors. In-memory stores hash refs + payload bytes (the media store is
+    workers. In-memory stores hash refs + payload bytes (the media store is
     the broadcast SMALL side by design, so the one-time md5 at job setup is
     cheap) and only resume on exact equality: use a path-backed table for
     incremental workflows."""
@@ -87,11 +96,11 @@ def media_compatible(committed: str, current: str) -> bool:
 
 def _media_handle(media: Any):
     """Broadcast the media store once (ray.put) and wrap the ref so Ray does
-    not auto-deref it in fn_constructor_kwargs; actors ray.get it in __init__."""
+    not auto-deref it; each worker ray.gets it once per run."""
     import ray
 
     if isinstance(media, str):  # path to a Lance-style media table: let each
-        return media  # actor read it (shared storage at scale)
+        return media  # worker read it (shared storage at scale)
     if isinstance(media, pa.Table):
         from ..corpus import media_dict
 
@@ -101,10 +110,53 @@ def _media_handle(media: Any):
 
 def _num_blocks() -> int:
     """Blocks to split a read or an in-memory table into: a block is the
-    unit of work of the actor stage, so several per pool slot."""
+    unit of work of the extraction stage, so several per pool slot."""
     import ray
 
     return max(64, int(ray.cluster_resources().get("CPU", 8)) * 4)
+
+
+RUNS_KEPT = 2  # runs whose state one worker process keeps. Two interleaved
+# runs (two jobs of jobs.run_jobs) keep theirs; more rebuild their state when
+# they come back to a process. A kept run's state outlives the run until
+# newer runs push it out: ~10 MB of peak worker RSS per kept run on the
+# ocr_distinct benchmark, whose media buckets and memo it holds
+_run_states: OrderedDict[str, Any] = OrderedDict()
+
+
+def run_state(run: str, build, kwargs: dict):
+    """This process's ``build(**kwargs)`` for run token ``run``: built on
+    the run's first batch in this process and reused by its later ones.
+    Each run makes a fresh token, so memo, media store and glyph font never
+    cross from one run into the next; only the ``RUNS_KEPT`` most recently
+    used runs keep their state, the least recent is dropped first. A Ray
+    worker process runs one task at a time, so the holder needs no lock."""
+    state = _run_states.get(run)
+    if state is None:
+        state = _run_states[run] = build(**kwargs)
+        while len(_run_states) > RUNS_KEPT:
+            _run_states.popitem(last=False)
+    else:
+        _run_states.move_to_end(run)
+    return state
+
+
+def _run_task(batch: pa.Table, *, run: str, build, kwargs: dict) -> pa.Table:
+    return run_state(run, build, kwargs)(batch)
+
+
+def map_per_run(ds, build, kwargs: dict, *, concurrency: int | None, batch_size: int | None):
+    """``ds.map_batches`` on a task pool whose worker processes each call
+    ``build(**kwargs)`` once for this run (``run_state``), then call the
+    built object on every batch they are handed."""
+    return ds.map_batches(
+        _run_task,
+        fn_kwargs={"run": uuid.uuid4().hex, "build": build, "kwargs": kwargs},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+        num_cpus=1,
+    )
 
 
 MIN_BLOCK_DOCS = 256  # an in-memory table is not cut finer than this
@@ -140,7 +192,7 @@ def extracted_dataset(
     docs: Any,
     media: Any,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = 256,
     fetcher=None,
     ocr_backend="auto",
@@ -148,23 +200,20 @@ def extracted_dataset(
     """Exploded + extracted span dataset (out_text/status columns added).
 
     ``fetcher`` / ``ocr_backend`` are the pluggable media-miss fetch and
-    real-OCR hooks threaded into every extractor actor (see
+    real-OCR hooks threaded into every worker's ``ExtractDispatch`` (see
     ``stages.extractors._Extractors``); defaults are no-fetch and
-    auto-resolved (glyph-only in this container)."""
-    return exploded_dataset(docs).map_batches(
-        ExtractDispatch,
-        fn_constructor_kwargs={"media_handle": _media_handle(media), "fetcher": fetcher,
-                               "ocr_backend": ocr_backend},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or (1, 8),
-        num_cpus=1,
-    )
+    auto-resolved (glyph-only in this container). ``concurrency`` caps the
+    concurrent tasks (None: as many as the CPUs allow)."""
+    return map_per_run(
+        exploded_dataset(docs), ExtractDispatch,
+        {"media_handle": _media_handle(media), "fetcher": fetcher, "ocr_backend": ocr_backend},
+        concurrency=concurrency, batch_size=batch_size)
 
 
 class BlockExtractor:
     """The extraction core: a block of ``(doc_id, spans)`` documents -> its
-    reassembled ``(doc_id, spans)`` documents, extractor state built once.
+    reassembled ``(doc_id, spans)`` documents, extractor state built once
+    per worker process per run.
 
     explode -> ``ExtractDispatch`` over size-capped span slices ->
     ``reassemble_partition`` (the offset-ordered sort-aggregate). Every
@@ -217,22 +266,19 @@ def extract_dataset(
     docs: Any,
     media: Any,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = 1024,
     fetcher=None,
     ocr_backend="auto",
 ):
     """Full pipeline -> reassembled (doc_id, spans) Dataset (no checkpoint):
-    one actor-pool map of ``BlockExtractor`` over whole document blocks."""
-    return _as_dataset(docs).map_batches(
-        BlockExtractor,
-        fn_constructor_kwargs={"media_handle": _media_handle(media), "batch_size": batch_size,
-                               "fetcher": fetcher, "ocr_backend": ocr_backend},
-        batch_format="pyarrow",
-        batch_size=None,  # one call per block: the unit that holds whole documents
-        concurrency=concurrency or (1, 8),
-        num_cpus=1,
-    )
+    one task-pool map of ``BlockExtractor`` over whole document blocks."""
+    return map_per_run(
+        _as_dataset(docs), BlockExtractor,
+        {"media_handle": _media_handle(media), "batch_size": batch_size,
+         "fetcher": fetcher, "ocr_backend": ocr_backend},
+        concurrency=concurrency,
+        batch_size=None)  # one call per block: the unit that holds whole documents
 
 
 def load_output(out_dir: str):

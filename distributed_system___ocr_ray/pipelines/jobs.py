@@ -15,6 +15,13 @@ Dataset pipeline; Ray Data executors are independent per execution, so
 concurrent jobs backpressure separately and a failed/killed job never
 touches a sibling's manifest. A killed process resumes every job from its
 own last committed fragment (see tests/test_crash_resume.py).
+
+Concurrent jobs share Ray's warm worker processes (the reference's shared
+worker fleet): a process serves tasks of every job and keeps each job's
+extractor state under that job's own run token (``extract.run_state``), so
+no job sees another's decode memo or media store. A process keeps the
+state of its ``extract.RUNS_KEPT`` most recent runs; past that many
+interleaved jobs, a job rebuilds its state when it comes back to a process.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ def run_jobs(jobs: list[dict], max_parallel: int = 4) -> list[dict]:
     Each job dict: ``{"docs_dir": str, "media": <store|path>, "out_dir": str,
     **kwargs}`` (kwargs forwarded to ``run_extraction_sharded``). Returns the
     per-job lineage summaries in input order. Raises the first job failure
-    after all jobs finish (siblings are never cancelled mid-commit)."""
+    after all jobs finish (siblings are never cancelled mid-commit). The jobs
+    share warm worker processes, with their stage state keyed per run."""
     from .sharded import run_extraction_sharded
 
     def one(job: dict) -> dict:

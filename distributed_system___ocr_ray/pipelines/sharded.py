@@ -6,8 +6,8 @@ reassembly are all *local to a fragment*. That turns the pipeline into an
 embarrassingly-parallel map over fragments with NO all-to-all exchange:
 
     Dataset[fragment descriptors]
-      -> map_batches(ShardWorker actor pool)    # read -> explode -> extract
-                                                # -> sort-aggregate -> commit
+      -> map_batches(task pool, ShardWorker     # read -> explode -> extract
+                     state per worker per run)  # -> sort-aggregate -> commit
       -> tiny lineage metrics rows to the driver
 
 Output partition id == fragment index, i.e. exactly the "one output
@@ -28,7 +28,11 @@ fragment layout: write it with ``lance_like.write_table`` /
 Scale notes: one fragment must fit a worker's heap (fragments are written
 row-capped; at 100 TB keep fragments ~256-512 MB). Skew across fragments is
 bounded by the row cap; stragglers are limited to one fragment's work. Media
-store is broadcast once (ray.put), fetched per actor in ``__init__``.
+store is broadcast once (ray.put) and fetched once per worker process per
+run, when ``extract.run_state`` builds that process's ``ShardWorker``: the
+stage runs on Ray's warm task workers, so a run pays no actor start-up, and
+the fresh per-run token keeps one run's memo and media state out of the
+next.
 """
 
 from __future__ import annotations
@@ -43,12 +47,19 @@ import pyarrow.parquet as pq
 
 from ..sources import lance_like
 from ..state.checkpoint import CheckpointManifest, clean_tmp, summarize
-from .extract import BlockExtractor, _media_handle, media_compatible, media_fingerprint
+from .extract import (
+    BlockExtractor,
+    _media_handle,
+    map_per_run,
+    media_compatible,
+    media_fingerprint,
+)
 
 
 class ShardWorker:
-    """Actor: processes whole fragments through one ``BlockExtractor``
-    (extractor state built once) and commits each as a partition."""
+    """Per-run worker state: processes whole fragments through one
+    ``BlockExtractor`` (extractor state built once per worker process per
+    run) and commits each as a partition."""
 
     def __init__(self, media_handle, out_dir: str, batch_size: int = 1024,
                  deletes_handle=None, evolution=None, fetcher=None,
@@ -57,7 +68,7 @@ class ShardWorker:
                                    fetcher=fetcher, ocr_backend=ocr_backend)
         self.manifest = CheckpointManifest(out_dir)
         # merge-on-read equality deletes: (col, sorted key array) pairs
-        # fetched once per actor; applied to every fragment read so the
+        # fetched once per worker per run; applied to every fragment read so the
         # zero-shuffle plan honors the same logical table as read_dataset
         if deletes_handle is not None:
             import ray
@@ -141,7 +152,7 @@ def run_extraction_sharded(
     out_dir: str,
     *,
     resume: bool = True,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = 1024,
     fetcher=None,
     ocr_backend="auto",
@@ -155,7 +166,8 @@ def run_extraction_sharded(
     mutating the output directory (no job entry persisted, no stale-index
     retirement): the validation surface for ``ray job submit`` packaging.
     With ``resume=True`` it refuses a job mismatch exactly as the real run
-    would."""
+    would. ``concurrency`` caps the concurrent tasks (default: CPUs - 2,
+    at least 2)."""
     import ray
     import ray.data as rd
 
@@ -239,9 +251,7 @@ def run_extraction_sharded(
             "hooks": job["hooks"],
         }
     if items:
-        if concurrency is None:
-            concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
-        pool = concurrency if isinstance(concurrency, int) else concurrency[1]
+        pool = concurrency or max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
         # task count ~8x pool: Ray Data's driver dispatch costs ~10 ms per
         # task (serial), so 1 task per fragment at 10^5 fragments would be
         # driver-bound; several fragments per task keeps dispatch negligible
@@ -249,9 +259,9 @@ def run_extraction_sharded(
         # commits each fragment inside the task loop)
         n_tasks = max(1, min(len(items), pool * 8))
         work = rd.from_items(items, override_num_blocks=n_tasks)
-        metrics = work.map_batches(
-            ShardWorker,
-            fn_constructor_kwargs={
+        metrics = map_per_run(
+            work, ShardWorker,
+            {
                 "media_handle": _media_handle(media),
                 "out_dir": out_dir,
                 "batch_size": batch_size,
@@ -263,10 +273,9 @@ def run_extraction_sharded(
                 "fetcher": fetcher,
                 "ocr_backend": ocr_backend,
             },
-            batch_format="pyarrow",
+            # never more tasks than work blocks (a small resume has few)
+            concurrency=min(pool, n_tasks),
             batch_size=None,  # whole work-item block per call
-            concurrency=concurrency,
-            num_cpus=1,
         )
         # a re-run fragment's row replaces its stale setup-scan entry
         for row in metrics.take_all():

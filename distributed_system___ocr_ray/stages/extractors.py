@@ -2,29 +2,29 @@
 
 The heart of the engine -- the analogue of the reference's worker loop
 (Worker.handleOcrTask, Worker.java:79-121): stateful setup once per worker
-(Tesseract init, Worker.java:47-48 -> ``__init__`` here), one result per
-record, failures recorded as sentinel *data* (Worker.java:87,95), never a
+process per run (Tesseract init, Worker.java:47-48 -> ``__init__`` here,
+called through ``pipelines.extract.run_state``), one result per record, failures recorded as sentinel *data* (Worker.java:87,95), never a
 dropped row (completion invariant, Manager.java:223-226).
 
 Kind routing is ONE fused dispatch (SURVEY.md #2.3): ``ExtractDispatch``, a
-single actor-pool ``map_batches`` stage holding all three extractors, routes
+single task-pool ``map_batches`` stage holding all three extractors, routes
 each span of a batch by its kind. The reference's queue-per-worker-pool
 routing (Manager.java:96) becomes that branch: one pass over the exploded
 table, no filter/union, streaming end-to-end. The text spans of a batch go
 to the HTML stripper in one batch-kernel call; image and pdf spans go one
-by one through the per-actor decode memo.
+by one through the per-run decode memo.
 
 Media is reached through ONE batch contract, ``lookup(refs) -> [payload |
 None]`` in ref order: every extraction batch looks up all of its distinct
-media refs that miss the per-actor decode memo in a single call, and the
+media refs that miss the per-run decode memo in a single call, and the
 per-span accessor ``_Extractors._payload`` reads the answers (adding the
 fetcher-on-miss hook). Two stores implement the contract:
 
 - ``MediaDict``: the broadcast small side (SURVEY.md #2.4) -- ``ray.put``
-  once on the driver, ``ray.get`` once per actor in ``__init__``, never
-  re-shipped per batch.
+  once on the driver, ``ray.get`` once per worker process per run in
+  ``__init__``, never re-shipped per batch.
 - ``ShardedMediaStore``: the 100 TB path -- a ``media_ref``-bucketed table
-  whose buckets an actor loads lazily; one vectorized hash per batch finds
+  whose buckets a worker loads lazily; one vectorized hash per batch finds
   them.
 """
 
@@ -64,13 +64,13 @@ class ShardedMediaStore:
     ``media_ref``). ``lookup(refs)`` hashes every ref of a batch in one
     vectorized ``lance_like.bucket_of`` call -- the writer's own hash -- then
     loads each bucket it needs once (one fragment read per bucket, held in a
-    bounded LRU) and gathers the payloads. An actor thus reads only the
+    bounded LRU) and gathers the payloads. A worker thus reads only the
     buckets its spans reference, instead of the whole store (the broadcast
-    path) or a full per-actor table read (the plain-path form). Same
+    path) or a full per-worker table read (the plain-path form). Same
     ``lookup`` contract as ``MediaDict``, so extraction code is identical
     across all three media routings.
 
-    ``max_buckets`` bounds per-actor memory at max_buckets x (store size /
+    ``max_buckets`` bounds per-worker memory at max_buckets x (store size /
     n_buckets); web corpora reference media with heavy locality (shared
     logos/figures -- the reference's inputs repeat 10 URLs over 24 lines,
     Worker.java analogue), so the LRU hit rate tracks the decode memo's.
@@ -232,19 +232,20 @@ def _resolve_media(media_handle) -> MediaDict | ShardedMediaStore:
 
 
 class _Extractors:
-    """Per-worker extractor state, built once (Worker.java:47-48 analogue).
+    """Per-worker extractor state, built once per run (Worker.java:47-48
+    analogue).
 
     OCR / layout parse are pure functions of the payload bytes, and web
     corpora repeat media refs heavily (logos, icons, shared figures -- the
     reference's own inputs have 24 lines over 10 distinct URLs), so decode
-    results are memoized per actor in a bounded FIFO map. Output
+    results are memoized per worker and run in a bounded FIFO map. Output
     multiplicity is untouched (one row per occurrence, M5); only the
     redundant decode work disappears. This is the worker-side analogue of
     the manager's per-URL bookkeeping (Manager.java:50,216)."""
 
-    CACHE_CAP = 4096  # max entries per actor
+    CACHE_CAP = 4096  # max entries per memo
     CACHE_MAX_BYTES = 64 * 1024 * 1024  # byte bound: MB-scale decoded texts
-    # (large PDFs) must not accumulate 4096 x MBs per actor
+    # (large PDFs) must not accumulate 4096 x MBs per memo
 
     def __init__(self, media_handle, fetcher=None, ocr_backend="auto") -> None:
         self.media = _resolve_media(media_handle)
@@ -359,11 +360,11 @@ class _Extractors:
 
 
 class ExtractDispatch:
-    """Fused kind-routing extraction stage (callable class -> actor pool).
+    """Fused kind-routing extraction stage (per-run worker state).
 
-    Use: ``ds.map_batches(ExtractDispatch, fn_constructor_kwargs=
-    {"media_handle": [ray.put(media)]}, batch_format="pyarrow",
-    concurrency=N, batch_size=B)``. ``fetcher`` / ``ocr_backend`` are the
+    Use: ``pipelines.extract.map_per_run(ds, ExtractDispatch,
+    {"media_handle": [ray.put(media)]}, concurrency=N, batch_size=B)``, as
+    ``extracted_dataset`` does. ``fetcher`` / ``ocr_backend`` are the
     pluggable miss-fetch and real-OCR hooks (see ``_Extractors``). Each
     batch makes one media ``lookup`` for its memo-missing refs.
     """

@@ -337,3 +337,93 @@ class TestShardedMorDeletes:
             ids.update(pq.read_table(f, columns=["doc_id"])
                        .column("doc_id").to_pylist())
         assert ids == set(docs.column("doc_id").to_pylist()[8:])
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestRunIsolation:
+    """Stage state lives in the worker processes for one run: two runs over
+    media stores with the same refs and different payloads must each match
+    the oracle against their own store, whether they run one after the
+    other or concurrently. A decode memo or media store carried from one
+    run into the next would serve the other store's texts."""
+
+    @pytest.fixture(scope="class")
+    def two_stores(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("isolation")
+        docs = corpus.build_documents(n_docs=120, seed=5)
+        docs_dir = str(root / "docs")
+        lance_like.write_table(docs, docs_dir, rows_per_fragment=15)  # 8 fragments
+        stores = [corpus.build_media_store(seed=s) for s in (21, 22)]
+        expected = [oracle.extract_table(docs, corpus.media_dict(s)) for s in stores]
+        assert stores[0].column("media_ref").equals(stores[1].column("media_ref"))
+        assert not expected[0].equals(expected[1]), "stores must change the output"
+        return docs_dir, stores, expected
+
+    def test_sequential_runs(self, two_stores, tmp_path):
+        docs_dir, stores, expected = two_stores
+        for i, store in enumerate(stores):
+            out = str(tmp_path / f"out{i}")
+            run_extraction_sharded(docs_dir, store, out, concurrency=2)
+            _assert_span_equality(_sorted_output(pipeline.load_output(out)), expected[i])
+
+    def test_concurrent_runs(self, two_stores, tmp_path):
+        from distributed_system___ocr_ray.pipelines.jobs import run_jobs
+
+        docs_dir, stores, expected = two_stores
+        outs = [str(tmp_path / f"out{i}") for i in range(2)]
+        run_jobs([{"docs_dir": docs_dir, "media": store, "out_dir": out, "concurrency": 2}
+                  for store, out in zip(stores, outs)])
+        for out, exp in zip(outs, expected):
+            _assert_span_equality(_sorted_output(pipeline.load_output(out)), exp)
+
+    def test_one_fragment_resume_warns_nothing(self, two_stores, tmp_path):
+        """The task cap follows the work blocks: a resume with one pending
+        fragment asks for one task, and Ray Data does not warn that the
+        pool is larger than its input."""
+        import warnings
+
+        docs_dir, stores, _ = two_stores
+        out = str(tmp_path / "out")
+        run_extraction_sharded(docs_dir, stores[0], out, concurrency=2)
+        os.remove(os.path.join(CheckpointManifest(out).dir, "part-0.json"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = run_extraction_sharded(docs_dir, stores[0], out, concurrency=2)
+        assert m["partitions_run"] == 1
+        assert not [w for w in caught if "concurrent tasks" in str(w.message)]
+
+
+class TestRunState:
+    """``extract.run_state``, the per-process holder of a run's stage state."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_holder(self, monkeypatch):
+        from collections import OrderedDict
+
+        monkeypatch.setattr(pipeline, "_run_states", OrderedDict())
+
+    class Built:
+        def __init__(self, **kwargs):
+            self.kwargs = kwargs
+
+    def state(self, run, **kwargs):
+        return pipeline.run_state(run, self.Built, kwargs)
+
+    def test_same_token_same_object(self):
+        a = self.state("run-a", x=1)
+        assert self.state("run-a", x=1) is a
+
+    def test_new_token_builds_from_new_kwargs(self):
+        a = self.state("run-a", x=1)
+        b = self.state("run-b", x=2)
+        assert b is not a and b.kwargs == {"x": 2} and a.kwargs == {"x": 1}
+
+    def test_keeps_only_the_most_recent_runs(self):
+        runs = [f"run-{i}" for i in range(pipeline.RUNS_KEPT + 1)]
+        first, second = self.state(runs[0]), self.state(runs[1])
+        self.state(runs[0])  # in use again: now run-1 is the least recent
+        for run in runs[2:]:
+            self.state(run)
+        assert len(pipeline._run_states) == pipeline.RUNS_KEPT
+        assert self.state(runs[0]) is first
+        assert self.state(runs[1]) is not second, "least recent run dropped"
