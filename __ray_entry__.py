@@ -1726,8 +1726,8 @@ def _q_training_corpus_counts(sf_dir: str):
     filt = out.map_batches(flatten, batch_format="pyarrow").map_batches(
         quality_filter, batch_format="pandas"
     )
-    # dedup via the GROUPS plan, not full-row exact_dedup: the split only
-    # needs the surviving ids, and exact_dedup's groupby would shuffle the
+    # dedup via the GROUPS plan, not a full-row groupby: the split only
+    # needs the surviving ids, and a groupby of whole rows would shuffle the
     # entire text column on the duplicate-cluster key -- precisely the
     # skewed-key exchange the engine's semifilter exists to avoid (VERDICT
     # r3 "what's wrong" #1). Here only (64-char hash, id) pairs move.
@@ -2453,8 +2453,8 @@ def _q_unigram_power_sample_plan(sf_dir: str):
 def _q_ams_f2_audit(sf_dir: str):
     """AMS second-moment sketch audit: 17 md5-signed linear estimators,
     median of squares vs exact F2 of the token counts
-    (analytics.ams_f2_audit -- completing the sketch-accuracy ladder
-    beside HLL/CMS/KMV/Bloom); oracle replays signs, sums, the median
+    (analytics.ams_f2_audit -- the second-moment rung beside the CMS
+    and Bloom audits); oracle replays signs, sums, the median
     row pick and the floor-div error ppm."""
     from distributed_system___ocr_ray.pipelines import analytics
 

@@ -96,9 +96,9 @@ def ingest_increment(
     compact when small fragments accumulate.
 
     Every stage is the standalone operator other queries use individually
-    (quality_features + repetition_features -> exact_dedup -> novel_docs ->
-    lance_like append/compact), wired the way a continuously-ingesting
-    100 TB corpus runs them:
+    (quality_features + repetition_features -> exact_dedup_semifilter ->
+    novel_docs -> lance_like append/compact), wired the way a
+    continuously-ingesting 100 TB corpus runs them:
 
     - the INCREMENT is materialized once after the hygiene filter (an
       increment is bounded by definition -- it is the day's crawl, not the
@@ -147,9 +147,9 @@ def ingest_increment(
     filt = new_ds.map_batches(hygiene, batch_format="pandas").materialize()
     after_hygiene = filt.count()
 
-    # semifilter, not full-row exact_dedup: within-increment duplicate
-    # clusters are skewed by nature (boilerplate), and exact_dedup's groupby
-    # would shuffle the whole text column on that key; the semifilter moves
+    # semifilter, not a full-row groupby: within-increment duplicate
+    # clusters are skewed by nature (boilerplate), and a groupby on the
+    # content key would shuffle the whole text column; the semifilter moves
     # only (hash, id) pairs and filters rows map-side. Its two passes over
     # the input are free here -- ``filt`` is already materialized above.
     deduped = analytics.exact_dedup_semifilter(filt).materialize()

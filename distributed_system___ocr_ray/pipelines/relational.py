@@ -17,7 +17,9 @@ The kernels are the engine's generic toolbox, built the Ray-Data-first way:
 
 The remaining functions are relational kernels over the TPC-H and
 ``events`` tables (joins, windows, sessions, ranks). No registry query
-calls them; ``tests/test_analytics.py`` checks each against DuckDB. Money
+calls them; ``tests/test_analytics.py`` checks each against DuckDB, and
+``tests/test_driver_contract.py`` lists each as known-unreachable, so that
+list only shrinks as they are deleted. Money
 columns are summed as integer cents (``floor(x*100 + 0.5)``) so those
 comparisons are exact.
 """
@@ -394,53 +396,6 @@ def rank_partition_frame(group, key: str, col: str, id_col: str):
     )
 
 
-def top_orders_per_segment(sf_dir: str, k: int = 3):
-    """Grouped top-k (window-function analogue): top-k orders by totalprice
-    per customer mktsegment. Scale-safe shape: the broadcast-tagging stage
-    also takes a PARTIAL top-k per segment within each batch (the ann_topk
-    pattern), so the final groupby(segment) merges <= k rows per segment per
-    batch instead of materializing a whole segment (~1/5 of all orders) in
-    one reducer. Custkeys absent from customer DROP (inner-join semantics,
-    same as revenue_by_nation)."""
-    import pandas as pd
-    import ray
-    import ray.data as rd
-
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    seg = dict(zip(cust.column("c_custkey").to_pylist(), cust.column("c_mktsegment").to_pylist()))
-    handle = ray.put(seg)
-
-    class TagPartialTopK:
-        def __init__(self) -> None:
-            self.seg = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pd.DataFrame:
-            df = pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series(
-                        batch.column("o_custkey").to_numpy(zero_copy_only=False)
-                    ).map(self.seg),
-                    "o_orderkey": batch.column("o_orderkey").to_numpy(zero_copy_only=False),
-                    "price_cents": _cents(batch.column("o_totalprice")).to_numpy(),
-                }
-            )
-            df = df.dropna(subset=["c_mktsegment"])  # inner-join: misses drop
-            df = df.sort_values(["price_cents", "o_orderkey"], ascending=[False, True])
-            return df.groupby("c_mktsegment", sort=False).head(k)
-
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(["price_cents", "o_orderkey"], ascending=[False, True]).head(k)
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    return (
-        orders.map_batches(TagPartialTopK, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("c_mktsegment")
-        .map_groups(topk, batch_format="pandas")
-    )
-
-
 def debounce_events(
     ds,
     key_cols: list[str] | None = None,
@@ -675,93 +630,6 @@ def interval_coverage(ds, key_col: str = "user_id", start_col: str = "s_us",
                 key_col: k[first],
                 "covered_us": np.bincount(seg, weights=e - s).astype(np.int64),
                 "n_islands": np.bincount(seg).astype(np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sweep, batch_format="pandas")
-    )
-
-
-def peak_concurrency(ds, key_col: str = "user_id", start_col: str = "s_us",
-                     end_col: str = "e_us", buckets: int = 64):
-    """Per key, the MAXIMUM number of simultaneously-open half-open
-    [start, end) intervals and the first instant it is reached -- peak
-    concurrent sessions / max parallel requests, the sweep-line dual of
-    ``interval_coverage``.
-
-    Half-open semantics: an interval ending at t does not overlap one
-    starting at t, so at equal timestamps ends settle before starts --
-    encoded by summing START(+1)/END(-1) deltas to ONE NET ROW per
-    (key, t) map-side (the dip-then-rise within a timestamp never exceeds
-    max(before, after), so the net-collapsed running max equals the
-    uncollapsed one; net-0 rows are KEPT because they can still be where
-    the peak time is first attained). The ONE hash exchange is therefore
-    distinct-(key, t)-domain sized, never event-row sized; the per-bucket
-    final pass re-nets across batches and runs one vectorized
-    segment-cumsum sweep shared by all keys (no per-key loop).
-
-    Returns (key, peak, peak_at_us) -- peak_at_us is the earliest t whose
-    running count equals the peak, deterministic by construction.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        s = batch.column(start_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        e = batch.column(end_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if e.size and (e < s).any():
-            raise ValueError("peak_concurrency: end < start interval")
-        kk = np.concatenate([k, k])
-        tt = np.concatenate([s, e])
-        dd = np.concatenate(
-            [np.ones(len(s), np.int64), -np.ones(len(e), np.int64)]
-        )
-        order = np.lexsort((tt, kk))
-        kk, tt, dd = kk[order], tt[order], dd[order]
-        first = np.r_[True, (kk[1:] != kk[:-1]) | (tt[1:] != tt[:-1])]
-        idx = np.flatnonzero(first)
-        net = np.add.reduceat(dd, idx)
-        return pa.table(
-            {
-                key_col: pa.array(kk[first], pa.int64()),
-                "t": pa.array(tt[first], pa.int64()),
-                "d": pa.array(net, pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def sweep(group: pd.DataFrame) -> pd.DataFrame:
-        kk = group[key_col].to_numpy(np.int64)
-        tt = group["t"].to_numpy(np.int64)
-        dd = group["d"].to_numpy(np.int64)
-        order = np.lexsort((tt, kk))
-        kk, tt, dd = kk[order], tt[order], dd[order]
-        # re-net duplicate (key, t) rows arriving from different batches
-        first = np.r_[True, (kk[1:] != kk[:-1]) | (tt[1:] != tt[:-1])]
-        idx = np.flatnonzero(first)
-        kk, tt = kk[first], tt[first]
-        dd = np.add.reduceat(dd, idx)
-        total = np.cumsum(dd)
-        seg_first = np.r_[True, kk[1:] != kk[:-1]]
-        seg_idx = np.flatnonzero(seg_first)
-        counts = np.diff(np.r_[seg_idx, len(kk)])
-        run = total - np.repeat(total[seg_idx] - dd[seg_idx], counts)
-        peak = np.maximum.reduceat(run, seg_idx)
-        at_peak = run == np.repeat(peak, counts)
-        hit = np.flatnonzero(at_peak)
-        seg_of_hit = np.repeat(np.arange(len(seg_idx)), counts)[hit]
-        # t ascends within a key, so the first hit per segment is min t
-        first_hit = np.unique(seg_of_hit, return_index=True)[1]
-        return pd.DataFrame(
-            {
-                key_col: kk[seg_idx],
-                "peak": peak,
-                "peak_at_us": tt[hit[first_hit]],
             }
         )
 
@@ -1635,108 +1503,6 @@ def new_users_daily(ds, key_col: str = "user_id", ts_col: str = "ts",
     )
 
 
-def rolling_active_users(ds, key_col: str = "user_id", ts_col: str = "ts",
-                         window_days: int = 30, buckets: int = 64):
-    """Trailing-window distinct-key count per calendar day -- the
-    "30-day active users" (MAU) curve: for every day d between the first
-    and last event day, how many distinct keys had >= 1 event in
-    [d - window_days + 1, d]. A naive COUNT(DISTINCT) per day re-scans a
-    30-day slice of the corpus 365 times a year; the distributed shape is
-    per-key coverage: an event on day a makes the key "active" for days
-    [a, a + W - 1], so a key's contribution is a union of coverage
-    islands (consecutive active days whose covers touch merge), and each
-    island is just a +1/-1 delta pair on the day axis.
-
-    Scale shape: per-batch distinct-(key, day) collapse (the exchange is
-    activity-domain sized, never event-row sized) -> ONE key-domain hash
-    exchange -> per-bucket island merge emitting netted (day, delta) rows
-    (day-domain sized per bucket) -> single-block final cumsum + calendar
-    expansion over the bounded day domain (~365 rows/year at ANY corpus
-    size; a loud guard raises past 200k days). Zero-active gap days get
-    explicit 0 rows, matching the calendar LEFT JOIN a warehouse writes.
-
-    Returns (day, active_users) with day as epoch-days int64.
-    """
-    W = int(window_days)
-    if W < 1:
-        raise ValueError("rolling_active_users: window_days must be >= 1")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch.column(ts_col).cast(pa.int64()).to_numpy() // 86_400_000_000
-        order = np.lexsort((d, k))
-        k, d = k[order], d[order]
-        keep = np.r_[True, (k[1:] != k[:-1]) | (d[1:] != d[:-1])]
-        return pa.table(
-            {
-                key_col: pa.array(k[keep], pa.int64()),
-                "day": pa.array(d[keep], pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def deltas(group: pd.DataFrame) -> pd.DataFrame:
-        k = group[key_col].to_numpy(np.int64)
-        d = group["day"].to_numpy(np.int64)
-        order = np.lexsort((d, k))
-        k, d = k[order], d[order]
-        keep = np.r_[True, (k[1:] != k[:-1]) | (d[1:] != d[:-1])]
-        k, d = k[keep], d[keep]
-        # covers [a, a+W-1] and [b, b+W-1] merge iff b <= a + W
-        new_island = np.r_[True, (k[1:] != k[:-1]) | (d[1:] > d[:-1] + W)]
-        isl_idx = np.flatnonzero(new_island)
-        starts = d[isl_idx]
-        last = np.r_[isl_idx[1:] - 1, len(d) - 1] if isl_idx.size else isl_idx
-        ends = d[last] + W  # exclusive: first day no longer covered
-        days = np.concatenate([starts, ends])
-        dd = np.concatenate(
-            [np.ones(len(starts), np.int64), -np.ones(len(ends), np.int64)]
-        )
-        ud, inv = np.unique(days, return_inverse=True)
-        net = np.bincount(inv, weights=dd).astype(np.int64)
-        return pd.DataFrame({"day": ud, "delta": net})
-
-    def cumulate(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "day": pa.array([], pa.int64()),
-                "active_users": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        df = batch.to_pandas().groupby("day", sort=True)["delta"].sum()
-        cd = df.index.to_numpy(np.int64)
-        cum = df.to_numpy(np.int64).cumsum()
-        # min delta day is the first active day; max is always a pure
-        # exclusive end (= last active day + W), so the calendar is:
-        lo, hi = cd[0], cd[-1] - W
-        if hi - lo > 200_000:
-            raise ValueError(
-                "rolling_active_users: day span > 200k days -- check that "
-                f"{ts_col} is a timestamp, not a raw integer"
-            )
-        days = np.arange(lo, hi + 1, dtype=np.int64)
-        idx = np.searchsorted(cd, days, side="right") - 1
-        return pa.table(
-            {
-                "day": pa.array(days, pa.int64()),
-                "active_users": pa.array(cum[idx], pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(deltas, batch_format="pandas")
-        .repartition(1)
-        .map_batches(cumulate, batch_format="pyarrow", batch_size=None)
-    )
-
-
 def zip_join_bucketed(dir_a: str, dir_b: str, key_a: str, key_b: str):
     """Zero-shuffle equi-join of two CO-PARTITIONED Lance-style tables
     (written by ``lance_like.write_bucketed`` with the same hash and
@@ -1960,199 +1726,6 @@ def cooccurrence_counts(ds, id_col: str = "user_id", cat_col: str = "event_type"
     )
 
 
-def daily_activity_full_outer(sf_dir: str):
-    """FULL OUTER join of two independent daily aggregates -- the
-    "activity calendar" reconciliation (orders/day vs events/day, zeros
-    where one side is silent). Neither side ships rows to the other: each
-    aggregates to its bounded day domain map-side (per-batch partials
-    carrying BOTH count columns, the absent one as 0), the union of
-    partials is one tiny final block, and the outer-join semantics fall
-    out of the shared groupby -- no join operator, no null handling.
-
-    Returns (day, n_orders, n_events)."""
-    import ray.data as rd
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderdate"])
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def day_partial(col: str, as_orders: bool):
-        def partial(batch: pa.Table) -> pa.Table:
-            day = pc.strftime(
-                pc.floor_temporal(batch.column(col), unit="day"), format="%Y-%m-%d"
-            )
-            t = pa.table({"day": day}).group_by(["day"]).aggregate([([], "count_all")])
-            n = t.column("count_all").cast(pa.int64())
-            zero = pa.array([0] * t.num_rows, pa.int64())
-            return pa.table(
-                {
-                    "day": t.column("day"),
-                    "o": n if as_orders else zero,
-                    "e": zero if as_orders else n,
-                }
-            )
-
-        return partial
-
-    partials = orders.map_batches(
-        day_partial("o_orderdate", True), batch_format="pyarrow"
-    ).union(events.map_batches(day_partial("ts", False), batch_format="pyarrow"))
-    return tiny_final_groupby(
-        partials, ["day"], [("o", "sum"), ("e", "sum")], ["day", "n_orders", "n_events"]
-    )
-
-
-def ols_trend_by_priority(sf_dir: str, epoch: str = "1992-01-01"):
-    """Exact distributed simple linear regression (OLS slope of order
-    value over time, per priority) -- the classic one-pass parallel
-    regression: each batch ships the five sufficient statistics
-    (n, Sx, Sy, Sxy, Sxx) as integer partials, the bounded-key final
-    block folds them with PYTHON ints (arbitrary precision -- the fold is
-    where n*Sxy - Sx*Sy leaves int64 at scale) and emits
-    ``slope_ppm = sign * (1e6*|num|) // den`` -- both operands
-    non-negative so truncating division is floor division in numpy,
-    Python and DuckDB alike, no float anywhere.
-
-    int64 partial safety: x = days since ``epoch`` (< 2^12), y = integer
-    cents (< 2^27 for TPC-H totalprice), so per-batch Sxy < rows * 2^39;
-    the explicit ``batch_size=16384`` caps that at 2^53 -- the guard that
-    makes int64 partials exact no matter how large read blocks are.
-
-    Returns (o_orderpriority, n_orders, slope_ppm); ppm of cents/day.
-    """
-    from datetime import date
-
-    import ray.data as rd
-
-    epoch_days = (date.fromisoformat(epoch) - date(1970, 1, 1)).days
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderpriority", "o_orderdate", "o_totalprice"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = (
-            pc.cast(pc.cast(batch.column("o_orderdate"), pa.date32()), pa.int32())
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-            - epoch_days
-        )
-        y = _cents(batch.column("o_totalprice")).to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "pri": batch.column("o_orderpriority"),
-                "one": pa.array(np.ones(len(x), np.int64)),
-                "x": pa.array(x),
-                "y": pa.array(y),
-                "xy": pa.array(x * y),
-                "xx": pa.array(x * x),
-            }
-        )
-        return t.group_by(["pri"]).aggregate(
-            [("one", "sum"), ("x", "sum"), ("y", "sum"), ("xy", "sum"), ("xx", "sum")]
-        )
-
-    def final(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        rows = []
-        for pri, g in df.groupby("pri", sort=False):
-            # Python-int fold: exact past int64 regardless of group size
-            n = int(g["one_sum"].sum())
-            sx, sy = int(g["x_sum"].sum()), int(g["y_sum"].sum())
-            sxy, sxx = int(g["xy_sum"].sum()), int(g["xx_sum"].sum())
-            num = n * sxy - sx * sy
-            den = n * sxx - sx * sx
-            q = (10**6 * abs(num)) // den
-            rows.append((pri, n, q if num >= 0 else -q))
-        out = pd.DataFrame(rows, columns=["o_orderpriority", "n_orders", "slope_ppm"])
-        out["n_orders"] = out["n_orders"].astype("int64")
-        out["slope_ppm"] = out["slope_ppm"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .repartition(1)
-        .map_batches(final, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def key_skew_report(ds, key_col: str):
-    """Join-key skew pre-flight: the one-row report (n_keys, n_rows,
-    max_n, p50_n, p99_n of per-key group size) you run BEFORE a groupby /
-    join on ``key_col`` to decide whether the key needs salting -- the
-    explicit skew-handling discipline the flagship applies to huge
-    documents, packaged as a reusable diagnostic.
-
-    Scale shape: per-batch ``value_counts`` partials -> ONE key-domain
-    groupby-sum (the only real exchange; payload is (key, count), never
-    rows) -> per-batch (size, n_keys) count partials -- the distinct
-    group-SIZE domain is tiny for any real distribution -- -> single
-    final block reads max and exact quantiles off cumulative counts
-    (same smallest-value-with-cum>=ceil(q*n) convention as
-    ``fulfillment_latency``). No sort, no bisection, no row movement.
-
-    Returns one row: (n_keys, n_rows, max_n, p50_n, p99_n)."""
-    import math
-
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
-
-    def key_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column(key_col).combine_chunks())
-        return pa.table(
-            {
-                "key": vc.field("values"),
-                "c": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    sizes = (
-        ds.map_batches(key_partial, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Sum("c", alias_name="n"))
-    )
-
-    def size_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("n").combine_chunks())
-        return pa.table(
-            {
-                "sz": vc.field("values").cast(pa.int64()),
-                "k": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    hist = tiny_final_groupby(
-        sizes.map_batches(size_partial, batch_format="pyarrow"),
-        ["sz"], [("k", "sum")], ["sz", "k"],
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values("sz")
-        sz = df["sz"].to_numpy(np.int64)
-        k = df["k"].to_numpy(np.int64)
-        cum = k.cumsum()
-        n_keys = int(cum[-1])
-        return pa.table(
-            {
-                "n_keys": pa.array([n_keys], pa.int64()),
-                "n_rows": pa.array([int((sz * k).sum())], pa.int64()),
-                "max_n": pa.array([int(sz[-1])], pa.int64()),
-                "p50_n": pa.array(
-                    [int(sz[np.searchsorted(cum, math.ceil(0.5 * n_keys))])],
-                    pa.int64(),
-                ),
-                "p99_n": pa.array(
-                    [int(sz[np.searchsorted(cum, math.ceil(0.99 * n_keys))])],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return hist.repartition(1).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None
-    )
-
-
 def session_paths(
     events, gap_minutes: int = 30, partitions: int | None = None
 ):
@@ -2212,464 +1785,3 @@ def session_paths(
         [("n", "sum")],
         ["e1", "e2", "e3", "n_paths"],
     )
-
-
-def trimmed_mean_by_group(
-    ds, group_col: str, val_col: str, trim_pct: int = 5, buckets: int | None = None
-):
-    """Exact per-group trimmed mean (drop the ``trim_pct``% lowest and
-    highest ROWS, mean the rest in integer cents) -- the robust-aggregate
-    dual of ``robust_outliers``: instead of flagging the tails, it reports
-    the center without them.
-
-    Grouped extension of the ``_range_offsets`` discipline (global_rank /
-    global_ntile / gini_ppm): trimming k rows off a sorted multiset only
-    depends on the MULTISET (tied rows have equal value, so WHICH tied row
-    is dropped cannot change the sum) -- so no global sort is needed:
-
-    1. pass 1 (narrow): per-batch (group, min, max, count) partials -> the
-       bounded group domain gives per-group n and the global cents range
-       at the driver;
-    2. pass 2 (narrow): per-batch (group, value-bin, count) partials ->
-       the (groups x bins)-bounded histogram's per-group exclusive prefix
-       sum is each (group, bin)'s starting per-group row rank, broadcast
-       ONCE via ``ray.put``;
-    3. pass 3: ONE bin-range exchange; each bin sorts locally per group,
-       ranks rows rank0 = offset + local position, keeps rows with
-       k < rn <= n - k (k = n * trim_pct // 100, per group), and emits
-       (group, n_used, sum_cents) partials -> ``tiny_final_groupby``.
-
-    Ties share a value hence a bin, so no ordered quantity crosses a
-    partition. ``ds`` is consumed three times: pass a cheap re-executable
-    parquet scan, not a computed pipeline (global_rank's documented rule).
-    Groups whose rows are ALL trimmed (n <= 2k) vanish, exactly like the
-    SQL replay's GROUP BY over an empty keep set.
-
-    Returns (group, n_used, trimmed_sum_cents, trimmed_mean_cents)."""
-    import ray
-
-    def mm_partial(batch: pa.Table) -> pa.Table:
-        c = _cents(batch.column(val_col)).to_numpy()
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"g": g, "c": c})
-        p = df.groupby("g", sort=False)["c"].agg(["min", "max", "size"]).reset_index()
-        return pa.table(
-            {
-                group_col: pa.array(p["g"]),
-                "lo": pa.array(p["min"].to_numpy(np.int64), pa.int64()),
-                "hi": pa.array(p["max"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(p["size"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    mm = ds.map_batches(mm_partial, batch_format="pyarrow").to_pandas()
-    lo, hi = int(mm["lo"].min()), int(mm["hi"].max())
-    n_by_g = mm.groupby(group_col)["n"].sum().to_dict()
-    k_by_g = {g: int(n) * trim_pct // 100 for g, n in n_by_g.items()}
-    n_total = int(sum(n_by_g.values()))
-    if buckets is None:
-        buckets = derive_buckets(n_total)
-    width = max(1, (hi - lo + buckets) // buckets)
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        c = _cents(batch.column(val_col)).to_numpy()
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"g": g, "b": (c - lo) // width})
-        p = df.groupby(["g", "b"], sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                group_col: pa.array(p["g"]),
-                "bin": pa.array(p["b"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(p["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    hist = ds.map_batches(hist_partial, batch_format="pyarrow").to_pandas()
-    hist = hist.groupby([group_col, "bin"])["n"].sum().reset_index()
-    offsets: dict = {}
-    for g, sub in hist.groupby(group_col):
-        per_bin = np.zeros(buckets, dtype=np.int64)
-        per_bin[sub["bin"].to_numpy()] = sub["n"].to_numpy()
-        offsets[g] = np.concatenate(([0], np.cumsum(per_bin)[:-1]))
-    handle = ray.put(offsets)
-
-    def add_bin(batch: pa.Table) -> pa.Table:
-        c = _cents(batch.column(val_col))
-        b = (c.to_numpy() - lo) // width
-        return pa.table(
-            {
-                group_col: batch.column(group_col),
-                "cents": c,
-                "__bucket": pa.array(b.astype(np.int32), pa.int32()),
-            }
-        )
-
-    def trim_bin(group: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(handle)
-        b = int(group["__bucket"].iloc[0])
-        g = group[group_col].to_numpy()
-        v = group["cents"].to_numpy(np.int64)
-        codes, uniques = pd.factorize(g, sort=True)
-        order = np.lexsort((v, codes))
-        codes, v = codes[order], v[order]
-        starts = np.r_[True, codes[1:] != codes[:-1]]
-        run_start = np.maximum.accumulate(np.where(starts, np.arange(len(v)), -1))
-        pos = np.arange(len(v)) - run_start
-        base = np.array([offs[u][b] for u in uniques], dtype=np.int64)
-        rn = base[codes] + pos + 1
-        nn = np.array([n_by_g[u] for u in uniques], dtype=np.int64)[codes]
-        kk = np.array([k_by_g[u] for u in uniques], dtype=np.int64)[codes]
-        keep = (rn > kk) & (rn <= nn - kk)
-        if not keep.any():
-            return pd.DataFrame({group_col: [], "n_used": [], "sum_cents": []}).astype(
-                {group_col: object, "n_used": np.int64, "sum_cents": np.int64}
-            )
-        kept = pd.DataFrame({group_col: g[order][keep], "c": v[keep]})
-        p = kept.groupby(group_col, sort=False)["c"].agg(["size", "sum"]).reset_index()
-        return pd.DataFrame(
-            {
-                group_col: p[group_col],
-                "n_used": p["size"].to_numpy(np.int64),
-                "sum_cents": p["sum"].to_numpy(np.int64),
-            }
-        )
-
-    partials = (
-        ds.map_batches(add_bin, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(trim_bin, batch_format="pandas")
-    )
-
-    # Python-int final fold (ols_trend's discipline): the per-bucket int64
-    # partial sums are safe (rows/bucket x max cents < 2^63 under the
-    # derive_buckets caps), but their TOTAL per group is not at 10^12 rows
-    def final(batch: pa.Table) -> pa.Table:
-        gs = batch.column(group_col).to_pylist()
-        nu = batch.column("n_used").to_pylist()
-        sc = batch.column("sum_cents").to_pylist()
-        agg: dict = {}
-        for g, n, s in zip(gs, nu, sc):
-            a = agg.setdefault(g, [0, 0])
-            a[0] += int(n)
-            a[1] += int(s)
-        keys = sorted(agg)
-        return pa.table(
-            {
-                group_col: pa.array(keys),
-                "n_used": pa.array([agg[g][0] for g in keys], pa.int64()),
-                "trimmed_sum_cents": pa.array([agg[g][1] for g in keys], pa.int64()),
-                "trimmed_mean_cents": pa.array(
-                    [agg[g][1] // agg[g][0] for g in keys], pa.int64()
-                ),
-            }
-        )
-
-    return partials.repartition(1).map_batches(
-        final, batch_format="pyarrow", batch_size=None
-    )
-
-
-def interarrival_quantiles(events, partitions: int | None = None):
-    """Inter-arrival latency profile: per event type, the exact p50/p90 of
-    the whole-second gap between CONSECUTIVE same-user events of that type
-    -- the behavioral cadence metric (how often does a user click / buy)
-    that feeds session-gap and debounce threshold choices.
-
-    Scale shape: ONE user-domain exchange (session_windows' bucketing);
-    each bucket sorts by (user, type, ts, event_id) -- the unique event_id
-    tie-break makes gap CONTENT deterministic -- and emits
-    (type, gap_seconds) COUNT partials off one vectorized diff; the
-    second exchange is the count table (bounded by observed distinct
-    gaps, not rows -- gaps concentrate on a few cadences in practice;
-    the single final block reads quantiles off cumulative counts, the
-    fulfillment_latency kernel).
-
-    Returns (event_type, n_gaps, p50_sec, p90_sec)."""
-    import math
-
-    import pandas as pd
-
-    if partitions is None:
-        partitions = derive_buckets(events.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def gap_counts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["user_id", "event_type", "ts", "event_id"], kind="mergesort"
-        )
-        uid = g["user_id"].to_numpy()
-        et = g["event_type"].to_numpy()
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        if len(uid) < 2:
-            return pd.DataFrame({"event_type": [], "gap": [], "n": []}).astype(
-                {"event_type": str, "gap": np.int64, "n": np.int64}
-            )
-        same = (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])
-        gaps = (us[1:] - us[:-1])[same] // 1_000_000
-        df = pd.DataFrame({"event_type": et[1:][same], "gap": gaps})
-        c = df.groupby(["event_type", "gap"], sort=False).size().rename("n").reset_index()
-        return c
-
-    merged = (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(gap_counts, batch_format="pandas")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        import math
-
-        df = batch.to_pandas().groupby(["event_type", "gap"], sort=True)["n"].sum().reset_index()
-        out = {"event_type": [], "n_gaps": [], "p50_sec": [], "p90_sec": []}
-        for et, g in df.groupby("event_type", sort=True):
-            gap = g["gap"].to_numpy(np.int64)
-            cum = g["n"].to_numpy(np.int64).cumsum()
-            n = int(cum[-1])
-            out["event_type"].append(et)
-            out["n_gaps"].append(n)
-            out["p50_sec"].append(int(gap[np.searchsorted(cum, math.ceil(0.5 * n))]))
-            out["p90_sec"].append(int(gap[np.searchsorted(cum, math.ceil(0.9 * n))]))
-        return pa.table(
-            {
-                "event_type": pa.array(out["event_type"], pa.string()),
-                "n_gaps": pa.array(out["n_gaps"], pa.int64()),
-                "p50_sec": pa.array(out["p50_sec"], pa.int64()),
-                "p90_sec": pa.array(out["p90_sec"], pa.int64()),
-            }
-        )
-
-    return merged.repartition(1).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None
-    )
-
-
-def session_duration_quantiles(events, gap_minutes: int = 30, partitions: int | None = None):
-    """Session-length profile: exact p50/p90 of session DURATION in whole
-    seconds (last event minus first, per session) plus the session count --
-    the engagement metric next to session_windows' per-session aggregates.
-
-    Same one-exchange shape as session_windows (sessions never span
-    user-hash partitions), then the (duration, count) table is the
-    quantiles' sufficient statistic (fulfillment_latency's kernel).
-    Duration is tie-order-free: equal timestamps cannot move a session's
-    min or max. Zero-gap single-event sessions count with duration 0.
-
-    Returns ONE row (n_sessions, p50_sec, p90_sec)."""
-    import math
-
-    if partitions is None:
-        partitions = derive_buckets(events.count())
-    gap = np.timedelta64(gap_minutes * 60, "s")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def dur_counts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        us = ts.astype("datetime64[us]").astype(np.int64)
-        new_user = np.concatenate(([True], uid[1:] != uid[:-1]))
-        gap_brk = np.concatenate(([False], (ts[1:] - ts[:-1]) > gap))
-        brk = new_user | gap_brk
-        starts = np.flatnonzero(brk)
-        ends = np.r_[starts[1:] - 1, len(us) - 1]
-        dur = (us[ends] - us[starts]) // 1_000_000
-        vc = pd.Series(dur).value_counts()
-        return pd.DataFrame(
-            {
-                "dur": vc.index.to_numpy(np.int64),
-                "n": vc.to_numpy(np.int64),
-            }
-        )
-
-    merged = (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dur_counts, batch_format="pandas")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        import math
-
-        df = batch.to_pandas().groupby("dur", sort=True)["n"].sum().reset_index()
-        dur = df["dur"].to_numpy(np.int64)
-        cum = df["n"].to_numpy(np.int64).cumsum()
-        n = int(cum[-1])
-        return pa.table(
-            {
-                "n_sessions": pa.array([n], pa.int64()),
-                "p50_sec": pa.array(
-                    [int(dur[np.searchsorted(cum, math.ceil(0.5 * n))])], pa.int64()
-                ),
-                "p90_sec": pa.array(
-                    [int(dur[np.searchsorted(cum, math.ceil(0.9 * n))])], pa.int64()
-                ),
-            }
-        )
-
-    return merged.repartition(1).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None
-    )
-
-
-def customer_order_distribution(sf_dir: str, exclude_priority: str = "5-LOW",
-                                buckets: int = 32):
-    """TPC-H Q13 shape (customer order-count distribution, with one
-    priority class excluded standing in for the comment anti-filter): how
-    many customers placed exactly c_count qualifying orders -- INCLUDING
-    the zero bin (customers with no qualifying orders at all).
-
-    Orders emit per-batch per-custkey count partials; ONE custkey-bucketed
-    exchange folds exact per-customer totals and collapses each bucket to
-    its (c_count -> n_customers) histogram, so the final merge is
-    bounded by the max order count, not the customer count. The zero bin
-    is total customers (parquet metadata count -- no scan) minus the
-    histogram mass; qualifying-order custkeys are assumed to be a subset
-    of the customer table (holds for the testdata; the SQL replay's LEFT
-    JOIN encodes the same assumption).
-
-    Returns (c_count, custdist)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    total_customers = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.not_equal(batch.column("o_orderpriority"), exclude_priority))
-        t = pa.table(
-            {
-                "ck": b.column("o_custkey"),
-                "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by(["ck"]).aggregate([("n", "sum")])
-        g = g.rename_columns(["ck", "n"])
-        return hash_bucket_column(g, "ck", buckets)
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("ck", sort=False)["n"].sum()
-        hist = per.value_counts()
-        return pd.DataFrame(
-            {
-                "c_count": hist.index.to_numpy(np.int64),
-                "custdist": hist.to_numpy(np.int64),
-            }
-        )
-
-    folded = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .repartition(buckets)
-        .groupby("__bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["c_count"]).aggregate([("custdist", "sum")])
-        cc = out.column("c_count").to_numpy(zero_copy_only=False).astype(np.int64)
-        cd = out.column("custdist_sum").to_numpy(zero_copy_only=False).astype(np.int64)
-        zero = total_customers - int(cd.sum())
-        if zero > 0:  # the SQL replay's LEFT JOIN emits a 0 bin only when occupied
-            cc = np.concatenate([cc, [0]])
-            cd = np.concatenate([cd, [zero]])
-        return pa.table(
-            {"c_count": pa.array(cc, pa.int64()), "custdist": pa.array(cd, pa.int64())}
-        )
-
-    return folded.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def watermark_late_counts(events, delay_us: int = 300_000_000,
-                          partitions: int = 32):
-    """Watermark / allowed-lateness audit: replaying the stream in ARRIVAL
-    order (ascending event_id), the watermark after each event is the
-    running MAX event time minus ``delay_us``; an arriving event whose
-    event time is already below the watermark -- strictly
-    ``prefix_max - ts > delay_us`` -- would be dropped (or side-output) by
-    any event-time window with that allowed lateness. Counts per tumbling
-    HOUR of event time: how many events, how many late -- the number that
-    tells you what lateness budget a streaming deployment of these windows
-    actually needs (out_of_order_audit measures per-user disorder; this is
-    the GLOBAL single-watermark semantics engines like Flink/Beam apply).
-
-    Scale shape: the global prefix max distributes by block-carry --
-    ONE map-side pass takes per-(arrival-range, batch) time maxima (no
-    exchange; a bounded partial per batch), the driver folds them into an
-    exclusive carry-in per range (bounded), and ONE range-bucketed
-    exchange lets each group finish its prefix max locally from its
-    carry. Per-group output is (hour, n, n_late) partials into a bounded
-    tiny fold. Arrival ranges are value ranges of event_id (contiguous,
-    ordered), so the carry composition is exact, not heuristic.
-
-    Returns (hour, n_events, n_late, late_ppm) ordered by hour."""
-    import ray
-
-    span_src = events.map_batches(
-        lambda b: pa.table({
-            "lo": pa.array([pc.min(b.column("event_id")).as_py()], pa.int64()),
-            "hi": pa.array([pc.max(b.column("event_id")).as_py()], pa.int64()),
-        }),
-        batch_format="pyarrow",
-    ).to_pandas()
-    lo, hi = int(span_src["lo"].min()), int(span_src["hi"].max())
-    span = max(1, (hi - lo + partitions) // partitions)
-
-    def rng(ids: np.ndarray) -> np.ndarray:
-        return (ids - lo) // span
-
-    # pass 1 (map-side, no exchange): per-(range, batch) event-time maxima
-    def range_max(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = batch.column("ts").to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        r = rng(ids)
-        df = pd.DataFrame({"r": r, "us": us}).groupby("r", as_index=False)["us"].max()
-        return pa.Table.from_pandas(df.astype(np.int64), preserve_index=False)
-
-    rmax = events.map_batches(range_max, batch_format="pyarrow").to_pandas()
-    rmax = rmax.groupby("r")["us"].max().sort_index()
-    carry: dict[int, int] = {}
-    run = None
-    for r in range(partitions + 1):
-        carry[r] = run if run is not None else -(1 << 62)
-        if r in rmax.index:
-            run = max(run, int(rmax[r])) if run is not None else int(rmax[r])
-    carry_h = ray.put(carry)
-
-    def add_range(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "__bucket", pa.array(rng(ids).astype(np.int32), pa.int32()))
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("event_id", kind="mergesort")
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        c = ray.get(carry_h)[int(g["__bucket"].iloc[0])]
-        pmax = np.maximum.accumulate(np.concatenate(([c], us[:-1])))
-        late = (pmax - us) > delay_us
-        hours = g["ts"].dt.strftime("%Y-%m-%d %H")
-        out = pd.DataFrame({"hour": hours.values, "late": late.astype(np.int64)})
-        agg = out.groupby("hour", as_index=False).agg(
-            n_events=("late", "size"), n_late=("late", "sum"))
-        return agg.astype({"n_events": np.int64, "n_late": np.int64})
-
-    folded = tiny_final_groupby(
-        events.map_batches(add_range, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kern, batch_format="pandas"),
-        keys=["hour"], aggs=[("n_events", "sum"), ("n_late", "sum")],
-        out_names=["hour", "n_events", "n_late"],
-    ).to_pandas()
-    folded["late_ppm"] = (
-        folded["n_late"].to_numpy(np.int64) * 1_000_000
-        // folded["n_events"].to_numpy(np.int64)
-    )
-    for c in ("n_events", "n_late", "late_ppm"):
-        folded[c] = folded[c].astype(np.int64)
-    return folded.sort_values("hour").reset_index(drop=True)

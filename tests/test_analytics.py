@@ -157,21 +157,9 @@ class TestDedup:
         for r in refs[10:]:
             assert by_keeper[r] == 1
 
-    def test_exact_dedup_rows(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-        got = _pdf(analytics.exact_dedup(ds))
-        n_distinct = duckdb.sql(
-            f"SELECT COUNT(DISTINCT text) FROM '{SF}/documents.parquet'"
-        ).fetchone()[0]
-        assert len(got) == n_distinct
-
     def test_exact_dedup_semifilter_both_paths(self):
-        """Semi-filter variant == single-pass exact_dedup, on both the
-        broadcast fast path and the forced bucketed-join scale path."""
+        """Semi-filter keeps the min-doc_id row per distinct text, on both
+        the broadcast fast path and the forced bucketed-join scale path."""
         import ray.data as rd
 
         from distributed_system___ocr_ray.pipelines import analytics
@@ -179,11 +167,10 @@ class TestDedup:
         def read():
             return rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
 
-        exp = (
-            _pdf(analytics.exact_dedup(read()))
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
+        exp = duckdb.sql(
+            f"SELECT doc_id, lang, text FROM '{SF}/documents.parquet' "
+            f"QUALIFY doc_id = MIN(doc_id) OVER (PARTITION BY text) ORDER BY doc_id"
+        ).df()
         for cap in (256 << 20, 0):  # broadcast path, then forced join path
             got = (
                 _pdf(analytics.exact_dedup_semifilter(read(), broadcast_keepers_bytes=cap))
@@ -321,52 +308,6 @@ class TestTextStats:
         ).df()
         assert got["lang"].tolist() == exp["lang"].tolist()
         assert got["n_ws_tokens"].tolist() == [int(x) for x in exp["n_ws_tokens"]]
-
-    def test_top_orders_skewed_segments_and_misses(self, tmp_path):
-        """10x-skewed segment + custkeys absent from customer: the partial
-        top-k path must stay exact (vs DuckDB) and misses must DROP
-        (inner-join semantics), not crash the task."""
-        import pandas as pd
-        import pyarrow as _pa
-        import pyarrow.parquet as _pq
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        rng = np.random.RandomState(9)
-        cust = pd.DataFrame(
-            {"c_custkey": np.arange(1, 301),
-             "c_mktsegment": ["BIG"] * 100 + ["MID"] * 100 + ["SML"] * 100}
-        )
-        n_big, n_other = 20000, 2000  # 10x skew into BIG
-        custkeys = np.concatenate(
-            [rng.randint(1, 101, n_big), rng.randint(101, 301, n_other),
-             np.full(50, 9999)]  # 50 orders with custkey absent from customer
-        )
-        orders = pd.DataFrame(
-            {"o_orderkey": np.arange(len(custkeys)), "o_custkey": custkeys,
-             "o_totalprice": rng.uniform(10, 1e6, len(custkeys)).round(2)}
-        )
-        sf = str(tmp_path)
-        _pq.write_table(_pa.Table.from_pandas(cust), f"{sf}/customer.parquet")
-        _pq.write_table(_pa.Table.from_pandas(orders), f"{sf}/orders.parquet", row_group_size=512)
-        got = (
-            _pdf(relational.top_orders_per_segment(sf, k=3))
-            .sort_values(["c_mktsegment", "o_orderkey"]).reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            SELECT c.c_mktsegment, o.o_orderkey,
-                   CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) AS price_cents
-            FROM '{sf}/orders.parquet' o JOIN '{sf}/customer.parquet' c
-              ON o.o_custkey = c.c_custkey
-            QUALIFY row_number() OVER (PARTITION BY c.c_mktsegment
-              ORDER BY price_cents DESC, o.o_orderkey) <= 3
-            ORDER BY 1, 2
-            """
-        ).df()
-        assert got["c_mktsegment"].tolist() == exp["c_mktsegment"].tolist()
-        assert got["o_orderkey"].tolist() == exp["o_orderkey"].tolist()
-        assert got["price_cents"].tolist() == exp["price_cents"].tolist()
 
     def test_ws_tokenization_matches_re2_on_unicode_whitespace(self):
         """The kernels tokenize with the RE2-\\S-equivalent ASCII class, so a
@@ -827,31 +768,6 @@ class TestIngestIncrement:
         man = lance_like.read_manifest(corpus_dir)
         assert len(man["fragments"]) <= 3  # small fragments merged
         assert sum(f["rows"] for f in man["fragments"]) == 12
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestGroupedQuantile:
-    def test_matches_partitioned_rank_sql(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        for q in (0.5, 0.9):
-            got = analytics.grouped_quantile(
-                lambda: rd.read_parquet(f"{SF}/events.parquet", columns=["event_type", "value"]),
-                key="event_type", col="value", q=q,
-            ).sort_values("event_type").reset_index(drop=True)
-            exp = duckdb.sql(
-                f"""
-                WITH s AS (SELECT event_type, value AS v,
-                  row_number() OVER (PARTITION BY event_type ORDER BY value) rn,
-                  COUNT(*) OVER (PARTITION BY event_type) n FROM '{SF}/events.parquet')
-                SELECT event_type, v FROM s WHERE rn = CAST(CEIL({q} * n) AS BIGINT)
-                ORDER BY event_type
-                """
-            ).df()
-            assert got["event_type"].tolist() == exp["event_type"].tolist()
-            assert np.allclose(got["q_value"].to_numpy(), exp["v"].to_numpy())
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1572,58 +1488,6 @@ class TestRollupAndKeepBest:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestDistinctAndArgmax:
-    def test_grouped_distinct_cross_batch(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # the same (a, 1) pair in two different blocks must count ONCE
-        t1 = pa.table({"k": ["a", "a", "b"], "v": [1, 2, 1]})
-        t2 = pa.table({"k": ["a", "b", "b"], "v": [1, 1, 3]})
-        ds = rd.from_arrow(t1).union(rd.from_arrow(t2))
-        got = {
-            r["k"]: r["n_distinct"]
-            for r in analytics.grouped_distinct_count(ds, "k", "v").take_all()
-        }
-        assert got == {"a": 2, "b": 2}
-
-    def test_latest_record_ties_and_cross_batch(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        t1 = pa.table({"u": [1, 1], "t": [10, 20], "p": ["x", "y"]})
-        t2 = pa.table({"u": [1, 2], "t": [20, 5], "p": ["z", "q"]})
-        ds = rd.from_arrow(t1).union(rd.from_arrow(t2))
-        rows = sorted(
-            analytics.latest_record_per_key(ds, "u", "t", ["p"]).take_all(),
-            key=lambda r: r["u"],
-        )
-        # user 1: two rows tie at t=20 across batches -> max payload "z" wins
-        assert [(r["u"], r["t"], r["p"]) for r in rows] == [(1, 20, "z"), (2, 5, "q")]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestPivot:
-    def test_pivot_fills_absent_combinations(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        t = pa.table({"k": [1, 1, 2], "c": ["a", "a", "b"]})
-        rows = sorted(
-            analytics.pivot_counts(rd.from_arrow(t), "k", "c", ["a", "b", "z"]).take_all(),
-            key=lambda r: r["k"],
-        )
-        assert rows[0] == {"k": 1, "n_a": 2, "n_b": 0, "n_z": 0}
-        assert rows[1] == {"k": 2, "n_a": 0, "n_b": 1, "n_z": 0}
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestKMeans:
     def test_kmeans_matches_numpy_reference(self):
         """Single-process numpy replay of the exact integer Lloyd rules."""
@@ -1815,72 +1679,6 @@ class TestGraphAndDecay:
         ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
         got = _pdf(analytics.triangle_count(ds))
         assert int(got["n_triangles"].iloc[0]) == exp
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSkylineOrders:
-    def _brute(self, pts):
-        """O(n^2) dominance check: survive iff nobody is >= on both, > on one."""
-        out = []
-        for i, (p, t) in enumerate(pts):
-            dominated = any(
-                (q >= p and u >= t and (q > p or u > t)) for j, (q, u) in enumerate(pts) if j != i
-            )
-            if not dominated:
-                out.append(i)
-        return out
-
-    def test_skyline_matches_bruteforce(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderkey", "o_totalprice", "o_orderdate"]
-        )
-        got = _pdf(analytics.skyline_orders(ds))
-
-        t = pq.read_table(f"{SF}/orders.parquet")
-        price = np.floor(np.asarray(t.column("o_totalprice")) * 100.0 + 0.5).astype(np.int64)
-        day = (
-            t.column("o_orderdate").to_numpy(zero_copy_only=False).astype("datetime64[D]")
-        ).view(np.int64)
-        keys = np.asarray(t.column("o_orderkey"))
-        keep = self._brute(list(zip(price.tolist(), day.tolist())))
-        exp = sorted(int(keys[i]) for i in keep)
-        assert got["o_orderkey"].astype(int).tolist() == exp
-        # frontier rows carry the exact integer coords they were judged on
-        by_key = {int(k): (int(p), int(d)) for k, p, d in zip(keys, price, day)}
-        for k, p, d in zip(got["o_orderkey"], got["price_cents"], got["date_day"]):
-            assert by_key[int(k)] == (int(p), int(d))
-
-    def test_skyline_partition_invariant_and_ties(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # hand-built table with both-axis ties (must ALL survive), equal-price
-        # dominance and equal-date dominance
-        t = pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-                "o_totalprice": pa.array([10.0, 10.0, 10.0, 9.0, 11.0, 11.0]),
-                "o_orderdate": pa.array(
-                    np.array(
-                        ["2024-01-05", "2024-01-05", "2024-01-02", "2024-01-05", "2024-01-01", "2024-01-01"],
-                        dtype="datetime64[us]",
-                    )
-                ),
-            }
-        )
-        ds = rd.from_arrow(t)
-        got = _pdf(analytics.skyline_orders(ds))
-        # 1,2 tie on both axes at the frontier; 3 dominated by 1 (same price,
-        # earlier date); 4 dominated by 1 (lower price, same date); 5,6 tie at
-        # the max-price corner
-        assert got["o_orderkey"].astype(int).tolist() == [1, 2, 5, 6]
-        a = _pdf(analytics.skyline_orders(ds.repartition(5)))
-        assert a.values.tolist() == got.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2126,98 +1924,6 @@ class TestIntervalCoverage:
     def test_end_before_start_raises(self):
         with pytest.raises(Exception, match="end < start"):
             self._run([(1, 10, 5)])
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestPeakConcurrency:
-    def _run(self, rows, parts=1):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        t = pa.table(
-            {
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "s_us": pa.array([r[1] for r in rows], pa.int64()),
-                "e_us": pa.array([r[2] for r in rows], pa.int64()),
-            }
-        )
-        ds = rd.from_arrow(t)
-        if parts > 1:
-            ds = ds.repartition(parts)
-        return (
-            relational.peak_concurrency(ds, "user_id", "s_us", "e_us")
-            .to_pandas()
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-
-    def test_hand_built_peaks(self):
-        rows = [
-            # user 1: [0,10) [5,20) [8,12) -> 3 concurrent from t=8
-            (1, 0, 10), (1, 5, 20), (1, 8, 12),
-            # user 2: half-open back-to-back [0,10) [10,20): end settles
-            # before start at t=10 -> peak 1 first reached at t=0
-            (2, 0, 10), (2, 10, 20),
-            # user 3: two disjoint singles -> peak 1 at the first start
-            (3, 100, 110), (3, 200, 210),
-        ]
-        got = self._run(rows)
-        assert got["user_id"].tolist() == [1, 2, 3]
-        assert got["peak"].tolist() == [3, 1, 1]
-        assert got["peak_at_us"].tolist() == [8, 0, 100]
-
-    def test_partition_invariant_and_brute_force(self):
-        rng = np.random.RandomState(3)
-        rows = []
-        for _ in range(400):
-            u = int(rng.randint(0, 10))
-            s = int(rng.randint(0, 300))
-            rows.append((u, s, s + int(rng.randint(1, 60))))
-        a = self._run(rows, parts=1)
-        b = self._run(rows, parts=11)
-        assert a.equals(b)
-        # brute force: count open intervals at every integer instant
-        for u in a["user_id"]:
-            depth = np.zeros(400, dtype=np.int64)
-            for uu, s, e in rows:
-                if uu == u:
-                    depth[s:e] += 1
-            row = a[a["user_id"] == u].iloc[0]
-            assert row["peak"] == depth.max()
-            assert row["peak_at_us"] == int(np.argmax(depth))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCorrStats:
-    def test_corr_matches_numpy(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_quantity", "l_extendedprice"])
-        got = analytics.corr_stats(ds, "l_quantity", "l_extendedprice").to_pandas()
-        t = pq.read_table(f"{SF}/lineitem.parquet", columns=["l_quantity", "l_extendedprice"])
-        x = np.floor(np.asarray(t.column("l_quantity")) * 100.0 + 0.5)
-        y = np.floor(np.asarray(t.column("l_extendedprice")) * 100.0 + 0.5)
-        ref = np.corrcoef(x, y)[0, 1]
-        assert int(got["n"].iloc[0]) == len(x)
-        assert int(got["sum_x_cents"].iloc[0]) == int(x.sum())
-        # ppm value within 1 ulp-of-ppm of numpy's (different summation order)
-        assert abs(int(got["corr_ppm"].iloc[0]) - round(ref * 1e6)) <= 1
-
-    def test_corr_partition_invariant_and_exact_bigint(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        base = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_quantity", "l_extendedprice"])
-        a = analytics.corr_stats(base, "l_quantity", "l_extendedprice").to_pandas()
-        b = analytics.corr_stats(
-            base.repartition(17), "l_quantity", "l_extendedprice"
-        ).to_pandas()
-        # sufficient statistics are exact integers: bit-identical at any layout
-        assert a.values.tolist() == b.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3016,61 +2722,6 @@ class TestPpsSystematicSample:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestWeightedQuantile:
-    def test_hand_built_heavy_weight_pulls_median(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # unweighted median of [1, 2, 3] is 2; weight 10 on the 3.00 row
-        # drags the weighted median to 3.00 (total W=12, k=6 lands in 3's
-        # cumulative weight range 3..12).
-        t = pa.table({
-            "v": pa.array([1.0, 2.0, 3.0]),
-            "w": pa.array([1.0, 1.0, 10.0]),
-        })
-        got = analytics.weighted_quantile_cents(
-            rd.from_arrow(t).repartition(2), "v", "w", q=0.5)
-        assert got == 300
-
-    def test_matches_duckdb_multiple_q(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet",
-                             columns=["l_extendedprice", "l_quantity"])
-        for q in (0.25, 0.5, 0.9):
-            got = analytics.weighted_quantile_cents(
-                ds, "l_extendedprice", "l_quantity", q=q, pull_limit=500)
-            exp = duckdb.sql(
-                f"""
-                WITH t AS (SELECT CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)
-                           AS cents, CAST(l_quantity AS BIGINT) AS w
-                           FROM '{SF}/lineitem.parquet'),
-                tot AS (SELECT SUM(w) AS tw FROM t),
-                c AS (SELECT cents, SUM(w) OVER (ORDER BY cents) AS cw FROM t)
-                SELECT MIN(cents) FROM c, tot WHERE cw >= CEIL({q} * tw)
-                """
-            ).fetchone()[0]
-            assert got == int(exp), q
-
-    def test_pull_limit_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet",
-                             columns=["l_extendedprice", "l_quantity"])
-        a = analytics.weighted_quantile_cents(
-            ds, "l_extendedprice", "l_quantity", q=0.5, pull_limit=100_000)
-        b = analytics.weighted_quantile_cents(
-            ds, "l_extendedprice", "l_quantity", q=0.5, pull_limit=1,
-            bins=16)
-        assert a == b
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestGlobalNtile:
     def test_hand_built_remainder_distribution(self):
         import ray.data as rd
@@ -3132,70 +2783,6 @@ class TestGlobalNtile:
         b = (relational.global_ntile(base.repartition(13), "o_totalprice",
                                      "o_orderkey", n_tiles=7, buckets=64)
              .to_pandas().sort_values("tile").reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRollingActiveUsers:
-    def test_hand_built_gap_days(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # W=3: user 1 active day 0 and day 10 (two islands, gap days 3-7
-        # have ZERO active users); user 2 active days 1 and 2 (one island).
-        day_us = 86_400_000_000
-        rows = [(1, 0), (1, 10), (2, 1), (2, 2)]
-        t = pa.table({
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] * day_us + 5 for r in rows], pa.int64()),
-        })
-        got = (
-            relational.rolling_active_users(
-                rd.from_arrow(t).repartition(3), window_days=3, buckets=4)
-            .to_pandas().sort_values("day").reset_index(drop=True)
-        )
-        assert got["day"].tolist() == list(range(0, 11))
-        #        day: 0  1  2  3  4  5  6  7  8  9 10
-        assert got["active_users"].tolist() == [1, 2, 2, 1, 1, 0, 0, 0, 0, 0, 1]
-
-    def test_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts"])
-        got = (
-            relational.rolling_active_users(ds, window_days=30)
-            .to_pandas().sort_values("day").reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH ud AS (SELECT DISTINCT user_id,
-                        CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS d
-                        FROM '{SF}/events.parquet'),
-            b AS (SELECT MIN(d) AS lo, MAX(d) AS hi FROM ud),
-            cal AS (SELECT UNNEST(range(lo, hi + 1)) AS day FROM b)
-            SELECT cal.day AS day, COUNT(DISTINCT ud.user_id) AS active_users
-            FROM cal LEFT JOIN ud ON ud.d BETWEEN cal.day - 29 AND cal.day
-            GROUP BY cal.day ORDER BY day
-            """
-        ).df()
-        assert got["day"].tolist() == exp["day"].astype(int).tolist()
-        assert got["active_users"].tolist() == exp["active_users"].astype(int).tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts"])
-        a = (relational.rolling_active_users(base.repartition(1), window_days=7,
-                                             buckets=3)
-             .to_pandas().sort_values("day").reset_index(drop=True))
-        b = (relational.rolling_active_users(base.repartition(15), window_days=7,
-                                             buckets=64)
-             .to_pandas().sort_values("day").reset_index(drop=True))
         assert a.values.tolist() == b.values.tolist()
 
 
@@ -3586,54 +3173,6 @@ class TestSchemaEvolution:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTypoPairs:
-    def test_hand_built_families(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # cat~bat (substitution), cat~cats and ba~bat (insertion), dog
-        # isolated, ab~ba must NOT pair (distance 2, the transposition trap)
-        t = pa.table({"s": pa.array(["cat", "bat", "cats", "dog", "ab", "ba",
-                                     "cat", "bat"])})  # dups collapse
-        got = (
-            analytics.typo_pairs(rd.from_arrow(t).repartition(3), "s")
-            .to_pandas().sort_values(["tok_a", "tok_b"]).values.tolist()
-        )
-        assert got == [["ba", "bat"], ["bat", "cat"], ["cat", "cats"]]
-
-    def test_matches_levenshtein_oracle(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/customer.parquet", columns=["c_name"])
-        got = (analytics.typo_pairs(ds, "c_name")
-               .to_pandas().sort_values(["tok_a", "tok_b"]).reset_index(drop=True))
-        exp = duckdb.sql(
-            f"""
-            WITH v AS (SELECT DISTINCT c_name AS tk FROM '{SF}/customer.parquet')
-            SELECT a.tk AS tok_a, b.tk AS tok_b FROM v a
-            JOIN v b ON a.tk < b.tk AND levenshtein(a.tk, b.tk) = 1 ORDER BY 1, 2
-            """
-        ).df()
-        assert got["tok_a"].tolist() == exp["tok_a"].tolist()
-        assert got["tok_b"].tolist() == exp["tok_b"].tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        base = rd.read_parquet(f"{SF}/customer.parquet", columns=["c_name"])
-        a = (analytics.typo_pairs(base.repartition(1), "c_name", buckets=3)
-             .to_pandas().sort_values(["tok_a", "tok_b"]).reset_index(drop=True))
-        b = (analytics.typo_pairs(base.repartition(7), "c_name", buckets=64)
-             .to_pandas().sort_values(["tok_a", "tok_b"]).reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestJsonFieldStats:
     def test_matches_duckdb(self):
         import ray.data as rd
@@ -3897,118 +3436,6 @@ class TestPhraseDocCounts:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestDailyActivityAndOls:
-    def test_daily_activity_zero_sides(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.daily_activity_full_outer(SF))
-        # events span ~150 days inside the orders calendar; every events
-        # day must also carry that day's order count, and order-only days
-        # must appear with n_events == 0
-        assert (got["n_orders"] + got["n_events"] > 0).all()
-        assert (got["n_events"] == 0).any()
-        exp = duckdb.sql(
-            f"""
-            WITH od AS (SELECT strftime(o_orderdate, '%Y-%m-%d') AS day,
-              COUNT(*) n FROM '{SF}/orders.parquet' GROUP BY 1),
-            ed AS (SELECT strftime(ts, '%Y-%m-%d') AS day, COUNT(*) n
-              FROM '{SF}/events.parquet' GROUP BY 1)
-            SELECT COALESCE(od.day, ed.day) AS day,
-              COALESCE(od.n, 0) AS n_orders, COALESCE(ed.n, 0) AS n_events
-            FROM od FULL OUTER JOIN ed ON od.day = ed.day
-            """
-        ).df()
-        g = got.sort_values("day").reset_index(drop=True)
-        e = exp.sort_values("day").reset_index(drop=True)
-        assert g["day"].tolist() == e["day"].tolist()
-        assert g["n_orders"].tolist() == e["n_orders"].astype(int).tolist()
-        assert g["n_events"].tolist() == e["n_events"].astype(int).tolist()
-
-    def test_ols_known_slope(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # y = 100 cents/day exactly: slope_ppm must be 100_000_000
-        days = ["1992-01-01", "1992-01-02", "1992-01-03", "1992-01-04"]
-        t = pa.table(
-            {
-                "o_orderpriority": ["1-URGENT"] * 4,
-                "o_orderdate": pa.array(
-                    [np.datetime64(d + "T00:00:00", "us") for d in days],
-                    pa.timestamp("us"),
-                ),
-                "o_totalprice": [10.0, 11.0, 12.0, 13.0],
-            }
-        )
-        import os
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as td:
-            pq.write_table(t, os.path.join(td, "orders.parquet"))
-            got = _pdf(relational.ols_trend_by_priority(td))
-        assert got["slope_ppm"].tolist() == [100 * 10**6]
-        assert got["n_orders"].tolist() == [4]
-
-    def test_ols_vs_duckdb_regr_slope(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.ols_trend_by_priority(SF)).set_index("o_orderpriority")
-        exp = duckdb.sql(
-            f"""
-            SELECT o_orderpriority,
-              regr_slope(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT),
-                datediff('day', DATE '1992-01-01', CAST(o_orderdate AS DATE)))
-                AS slope
-            FROM '{SF}/orders.parquet' GROUP BY 1
-            """
-        ).df().set_index("o_orderpriority")
-        for pri in got.index:
-            # float reference within one ppm-quantum of the exact integer
-            assert abs(got.loc[pri, "slope_ppm"] / 1e6 - exp.loc[pri, "slope"]) < 1e-3
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestKeySkewReport:
-    def test_hand_built_hot_key(self):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # 99 singleton keys + one 100x hot key: p50=p99=1, max=100
-        keys = list(range(99)) + [999] * 100
-        t = pa.table({"k": pa.array(keys, pa.int64())})
-        got = _pdf(relational.key_skew_report(rd.from_arrow(t), "k"))
-        assert got.iloc[0].to_dict() == {
-            "n_keys": 100, "n_rows": 199, "max_n": 100, "p50_n": 1, "p99_n": 1,
-        }
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_suppkey"])
-        got = _pdf(relational.key_skew_report(ds, "l_suppkey"))
-        exp = duckdb.sql(
-            f"""
-            WITH g AS (SELECT l_suppkey, COUNT(*) AS n
-              FROM '{SF}/lineitem.parquet' GROUP BY 1),
-            c AS (SELECT n AS sz, COUNT(*) AS k FROM g GROUP BY 1),
-            w AS (SELECT sz, k, SUM(k) OVER (ORDER BY sz) AS cum,
-              SUM(k) OVER () AS tot FROM c)
-            SELECT MAX(tot) AS n_keys, SUM(sz*k) AS n_rows, MAX(sz) AS max_n,
-              MIN(CASE WHEN cum >= CEIL(0.5*tot) THEN sz END) AS p50_n,
-              MIN(CASE WHEN cum >= CEIL(0.99*tot) THEN sz END) AS p99_n
-            FROM w
-            """
-        ).df()
-        assert got.iloc[0].astype(int).tolist() == exp.iloc[0].astype(int).tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestOovRateByLang:
     def test_hand_built(self):
         import ray.data as rd
@@ -4138,107 +3565,6 @@ class TestSessionPaths:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTrimmedMean:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # group A: values 1..20 dollars, trim 5% -> k=1 -> keep 2..19:
-        # sum 189 dollars = 18900 cents over 18 rows
-        tbl = pa.table(
-            {
-                "g": pa.array(["A"] * 20 + ["B"] * 3, pa.string()),
-                "v": pa.array([float(i) for i in range(1, 21)] + [5.0, 7.0, 9.0]),
-            }
-        )
-        got = _pdf(relational.trimmed_mean_by_group(rd.from_arrow(tbl), "g", "v"))
-        out = {
-            r.g: (r.n_used, r.trimmed_sum_cents, r.trimmed_mean_cents)
-            for r in got.itertuples()
-        }
-        # group B: n=3, k=0 -> nothing trimmed
-        assert out == {"A": (18, 18900, 1050), "B": (3, 2100, 700)}
-
-    def test_all_trimmed_group_vanishes(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # trim_pct=50 -> k = n//2; group C with n=2 keeps rn in (1, 1]:
-        # nothing -> absent, exactly like the SQL replay
-        tbl = pa.table(
-            {
-                "g": pa.array(["C", "C", "D", "D", "D"], pa.string()),
-                "v": pa.array([1.0, 2.0, 1.0, 2.0, 3.0]),
-            }
-        )
-        got = _pdf(
-            relational.trimmed_mean_by_group(rd.from_arrow(tbl), "g", "v", trim_pct=50)
-        )
-        assert list(got["g"]) == ["D"] and got["n_used"].iloc[0] == 1
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-        )
-        got = (
-            _pdf(relational.trimmed_mean_by_group(ds, "o_orderpriority", "o_totalprice"))
-            .sort_values("o_orderpriority")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH o AS (SELECT o_orderpriority,
-              CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-              FROM '{SF}/orders.parquet'),
-            r AS (SELECT o_orderpriority, cents, row_number() OVER
-              (PARTITION BY o_orderpriority ORDER BY cents) AS rn,
-              COUNT(*) OVER (PARTITION BY o_orderpriority) AS n FROM o),
-            t AS (SELECT o_orderpriority, cents FROM r
-              WHERE rn > n * 5 // 100 AND rn <= n - n * 5 // 100)
-            SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n_used,
-              CAST(SUM(cents) AS BIGINT) AS trimmed_sum_cents,
-              CAST(SUM(cents) // COUNT(*) AS BIGINT) AS trimmed_mean_cents
-            FROM t GROUP BY o_orderpriority ORDER BY o_orderpriority
-            """
-        ).df()
-        assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestHllErrorAudit:
-    def test_vs_duckdb_exact_side(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        events = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id"])
-        got = analytics.hll_error_audit(events, "user_id").iloc[0]
-        exact = duckdb.sql(
-            f"SELECT COUNT(DISTINCT user_id) FROM '{SF}/events.parquet'"
-        ).fetchone()[0]
-        assert got["exact_distinct"] == exact
-        # p=12 HLL standard error is ~1.6%; assert a loose 10% band so the
-        # test checks plumbing, not sketch luck
-        assert abs(got["approx_distinct"] - exact) <= max(5, exact * 0.10)
-        assert got["abs_err_ppm"] == abs(got["approx_distinct"] - exact) * 1_000_000 // exact
-
-    def test_hand_built_exact(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table({"user_id": pa.array([1, 1, 2, 3, 3, 3], pa.int64())})
-        got = analytics.hll_error_audit(rd.from_arrow(tbl), "user_id").iloc[0]
-        assert got["exact_distinct"] == 3
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestBloomFpAudit:
     def test_hand_built_identities(self):
         import ray.data as rd
@@ -4337,64 +3663,6 @@ class TestCmsErrorAudit:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestInterarrivalQuantiles:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        def t(s):
-            return np.datetime64("2024-01-01T00:00:00", "us") + np.timedelta64(s, "s")
-
-        # user 1 type a at 0, 10, 40 -> gaps 10, 30; user 2 type a at
-        # 0, 100 -> gap 100; type b: single events only -> absent
-        tbl = pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2, 2, 1], pa.int64()),
-                "ts": pa.array([t(0), t(10), t(40), t(0), t(100), t(7)], pa.timestamp("us")),
-                "event_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-                "event_type": pa.array(["a", "a", "a", "a", "a", "b"], pa.string()),
-            }
-        )
-        got = _pdf(relational.interarrival_quantiles(rd.from_arrow(tbl), partitions=4))
-        assert list(got["event_type"]) == ["a"]
-        r = got.iloc[0]
-        # gaps sorted: 10, 30, 100 -> p50 = 30, p90 = 100
-        assert (r["n_gaps"], r["p50_sec"], r["p90_sec"]) == (3, 30, 100)
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        events = rd.read_parquet(
-            f"{SF}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        got = (
-            _pdf(relational.interarrival_quantiles(events))
-            .sort_values("event_type")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH d AS (SELECT event_type, (epoch_us(ts) - lag(epoch_us(ts))
-              OVER (PARTITION BY user_id, event_type ORDER BY ts, event_id))
-              // 1000000 AS ds FROM '{SF}/events.parquet'),
-            v AS (SELECT event_type, ds FROM d WHERE ds IS NOT NULL),
-            c AS (SELECT event_type, ds, COUNT(*) AS n FROM v GROUP BY 1, 2),
-            w AS (SELECT event_type, ds,
-              SUM(n) OVER (PARTITION BY event_type ORDER BY ds) AS cum,
-              SUM(n) OVER (PARTITION BY event_type) AS tot FROM c)
-            SELECT event_type, CAST(MAX(tot) AS BIGINT) AS n_gaps,
-              CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN ds END) AS BIGINT) AS p50_sec,
-              CAST(MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN ds END) AS BIGINT) AS p90_sec
-            FROM w GROUP BY event_type ORDER BY event_type
-            """
-        ).df()
-        assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestLangidConfusion:
     def test_mass_conservation_and_diagonal(self):
         import ray.data as rd
@@ -4463,26 +3731,6 @@ class TestContinuationPartitionInvariance:
         b = (
             _pdf(relational.session_paths(events, partitions=17))
             .sort_values(["e1", "e2", "e3"])
-            .reset_index(drop=True)
-        )
-        assert a.equals(b)
-
-    def test_trimmed_mean_buckets(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
-        )
-        a = (
-            _pdf(relational.trimmed_mean_by_group(ds, "o_orderpriority", "o_totalprice", buckets=7))
-            .sort_values("o_orderpriority")
-            .reset_index(drop=True)
-        )
-        b = (
-            _pdf(relational.trimmed_mean_by_group(ds, "o_orderpriority", "o_totalprice", buckets=129))
-            .sort_values("o_orderpriority")
             .reset_index(drop=True)
         )
         assert a.equals(b)
@@ -4563,59 +3811,6 @@ class TestFirstLastAndSplitSkew:
         ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "n_chars"])
         got = analytics.split_skew_audit(ds).iloc[0]
         assert 0 <= got["tvd_ppm"] <= 1_000_000
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSessionDurations:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        def t(m):
-            return np.datetime64(f"2024-01-01T00:{m:02d}:00", "us")
-
-        # user 1: session [0..10] (600 s) then gap -> singleton (0 s);
-        # user 2: singleton (0 s). durations sorted: 0, 0, 600
-        tbl = pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([t(0), t(5), t(10), t(50), t(3)], pa.timestamp("us")),
-            }
-        )
-        got = _pdf(relational.session_duration_quantiles(rd.from_arrow(tbl), partitions=4)).iloc[0]
-        assert (got["n_sessions"], got["p50_sec"], got["p90_sec"]) == (3, 0, 600)
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        events = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts"])
-        got = _pdf(relational.session_duration_quantiles(events)).iloc[0]
-        exp = duckdb.sql(
-            f"""
-            WITH d AS (SELECT user_id, ts, CASE WHEN lag(ts) OVER w IS NULL
-              OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk
-              FROM '{SF}/events.parquet'
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts)),
-            s AS (SELECT *, SUM(brk) OVER (PARTITION BY user_id ORDER BY ts
-              ROWS UNBOUNDED PRECEDING) AS sid FROM d),
-            per AS (SELECT user_id, sid,
-              (epoch_us(MAX(ts)) - epoch_us(MIN(ts))) // 1000000 AS dur
-              FROM s GROUP BY 1, 2),
-            c AS (SELECT dur, COUNT(*) AS n FROM per GROUP BY 1),
-            w2 AS (SELECT dur, SUM(n) OVER (ORDER BY dur) AS cum,
-              SUM(n) OVER () AS tot FROM c)
-            SELECT CAST(MAX(tot) AS BIGINT) AS n_sessions,
-              CAST(MIN(CASE WHEN cum >= CEIL(0.5 * tot) THEN dur END) AS BIGINT) AS p50,
-              CAST(MIN(CASE WHEN cum >= CEIL(0.9 * tot) THEN dur END) AS BIGINT) AS p90
-            FROM w2
-            """
-        ).df().iloc[0]
-        assert got["n_sessions"] == exp["n_sessions"]
-        assert got["p50_sec"] == exp["p50"]
-        assert got["p90_sec"] == exp["p90"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -4887,61 +4082,6 @@ class TestSourceVocabOverlap:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTpchLateFamilyEdges:
-    """Hand-built boundary pins for the Q4/Q13/Q21 shapes (the driver
-    contract blanket-checks them vs DuckDB at sf0.001; these pin the exact
-    edge semantics the oracles could mask if both sides drifted together)."""
-
-    def _write(self, tmp_path, **tables):
-        import pandas as _pd
-        import pyarrow as _pa
-        import pyarrow.parquet as _pq
-
-        for name, df in tables.items():
-            _pq.write_table(_pa.Table.from_pandas(_pd.DataFrame(df)), f"{tmp_path}/{name}.parquet")
-        return str(tmp_path)
-
-    def test_customer_order_distribution_zero_bin(self, tmp_path):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # c1: two qualifying orders; c2: one; c3: only an EXCLUDED-priority
-        # order (-> zero bin); c4: no orders at all (-> zero bin)
-        sf = self._write(
-            tmp_path,
-            customer={"c_custkey": [1, 2, 3, 4]},
-            orders={
-                "o_custkey": [1, 1, 2, 3],
-                "o_orderpriority": ["1-URGENT", "2-HIGH", "3-MEDIUM", "5-LOW"],
-            },
-        )
-        got = (
-            _pdf(relational.customer_order_distribution(sf))
-            .sort_values("c_count").reset_index(drop=True)
-        )
-        assert got.to_dict("records") == [
-            {"c_count": 0, "custdist": 2},
-            {"c_count": 1, "custdist": 1},
-            {"c_count": 2, "custdist": 1},
-        ]
-
-    def test_customer_order_distribution_no_zero_row_when_all_active(self, tmp_path):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        sf = self._write(
-            tmp_path,
-            customer={"c_custkey": [1, 2]},
-            orders={
-                "o_custkey": [1, 2, 2],
-                "o_orderpriority": ["1-URGENT", "1-URGENT", "2-HIGH"],
-            },
-        )
-        got = _pdf(relational.customer_order_distribution(sf))
-        # the SQL LEFT JOIN emits no 0 bin when every customer qualifies
-        assert 0 not in set(got["c_count"])
-        assert got["custdist"].sum() == 2
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestCorpusQualityStats:
     def _docs(self, rows):
         import ray.data as rd
@@ -5028,55 +4168,6 @@ class TestCorpusQualityStats:
              "mean_words_per_sentence_milli": 0},
             {"lang": "en", "n_docs": 1, "n_sentences": 3, "n_words": 6,
              "mean_words_per_sentence_milli": 2000},
-        ]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestReshapeAndForensics:
-    def test_melt_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        wide = rd.from_arrow(pa.table({
-            "day": pa.array([1, 2], pa.int64()),
-            "n_click": pa.array([3, 0], pa.int64()),
-            "n_view": pa.array([5, 7], pa.int64()),
-        }))
-        got = (
-            analytics.melt(wide, ["day"], ["n_click", "n_view"],
-                           var_name="event_type", value_name="n",
-                           strip_prefix="n_")
-            .to_pandas()
-            .sort_values(["day", "event_type"])
-            .reset_index(drop=True)
-        )
-        assert got.to_dict("records") == [
-            {"day": 1, "event_type": "click", "n": 3},
-            {"day": 1, "event_type": "view", "n": 5},
-            {"day": 2, "event_type": "click", "n": 0},
-            {"day": 2, "event_type": "view", "n": 7},
-        ]
-
-    def test_benford_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # cents: 123, 4567, 89, 12, 999999 -> digits 1,4,8,1,9
-        prices = [1.23, 45.67, 0.89, 0.12, 9999.99]
-        ds = rd.from_arrow(pa.table({"o_totalprice": pa.array(prices, pa.float64())}))
-        got = (
-            analytics.benford_first_digit(ds)
-            .to_pandas()
-            .sort_values("digit")
-            .reset_index(drop=True)
-        )
-        assert got.to_dict("records") == [
-            {"digit": 1, "n": 2, "share_ppm": 400_000},
-            {"digit": 4, "n": 1, "share_ppm": 200_000},
-            {"digit": 8, "n": 1, "share_ppm": 200_000},
-            {"digit": 9, "n": 1, "share_ppm": 200_000},
         ]
 
 
@@ -5222,44 +4313,6 @@ class TestLexicalCurveAudits:
         assert int(got["reciprocal_edges"]) == recip
 
 
-class TestSampledQuantileAudit:
-    def test_permille_ranks_vs_numpy_both_paths(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/orders.parquet", columns=["o_totalprice"])
-        import pandas as pd
-
-        vals = np.sort(
-            np.floor(
-                pd.read_parquet(f"{SF}/orders.parquet", columns=["o_totalprice"])[
-                    "o_totalprice"
-                ].to_numpy()
-                * 100
-                + 0.5
-            ).astype(np.int64)
-        )
-        n = len(vals)
-        import pyarrow.compute as pc
-
-        cents = ds.map_batches(
-            lambda b: pa.table(
-                {"c": pc.floor(pc.add(pc.multiply(b.column("o_totalprice"), 100.0), 0.5))}
-            ),
-            batch_format="pyarrow",
-        )
-        want = {p: float(vals[max(1, (p * n + 999) // 1000) - 1]) for p in (100, 500, 900)}
-        got_pull, n1 = analytics.exact_quantiles_permille(cents, "c", [100, 500, 900])
-        # pull_limit=1 forces the histogram-bisection path at any size
-        got_bis, n2 = analytics.exact_quantiles_permille(
-            cents, "c", [100, 500, 900], bins=64, pull_limit=1
-        )
-        assert n1 == n2 == n
-        assert got_pull == want
-        assert got_bis == want
-
-
 class TestCompactionBins:
     def test_hand_built_packing(self):
         import ray.data as rd
@@ -5303,51 +4356,6 @@ class TestCompactionBins:
         # of exclusive prefix -- bin ids are contiguous from 0
         bins = sorted(got["bin"].unique())
         assert bins == list(range(len(bins)))
-
-
-class TestCusumChangepoints:
-    def test_hand_built_level_shift(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # days 1-3 at 100c, day 4 jumps to 400c: tot=700, mu=175, k=8
-        # s = [0, 0, 0, max(0, 400-183)=217]; 217 > mu -> flagged
-        ts = [datetime.datetime(2024, 1, d, 12, 0) for d in (1, 2, 3, 4)]
-        tbl = pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "value": pa.array([1.0, 1.0, 1.0, 4.0], pa.float64()),
-            }
-        )
-        got = analytics.cusum_changepoints(rd.from_arrow(tbl)).reset_index(drop=True)
-        assert list(got["day"]) == [f"2024-01-0{d}" for d in (1, 2, 3, 4)]
-        assert list(got["value_cents"]) == [100, 100, 100, 400]
-        assert list(got["cusum_cents"]) == [0, 0, 0, 217]
-        assert list(got["flagged"]) == [0, 0, 0, 1]
-
-    def test_accumulates_sustained_shift(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # a sustained +60% shift accumulates: days 5-8 at 160c vs 100c
-        # baseline; tot=1040, mu=130, k=6 -> s grows 24, 48, 72, 96
-        ts = [datetime.datetime(2024, 2, d, 0, 0) for d in range(1, 9)]
-        vals = [1.0] * 4 + [1.6] * 4
-        tbl = pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "value": pa.array(vals, pa.float64()),
-            }
-        )
-        got = analytics.cusum_changepoints(rd.from_arrow(tbl))
-        assert list(got["cusum_cents"]) == [0, 0, 0, 0, 24, 48, 72, 96]
-        assert list(got["flagged"]) == [0] * 8
 
 
 class TestBigramSurprisal:
@@ -5394,31 +4402,6 @@ class TestBigramSurprisal:
         assert list(got["n_bigrams"]) == [2]
 
 
-class TestRollingMedianDaily:
-    def test_hand_built_lower_median(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ts = [datetime.datetime(2024, 3, d) for d in range(1, 9)]
-        vals = [8.0, 1.0, 6.0, 3.0, 5.0, 4.0, 7.0, 2.0]
-        tbl = pa.table(
-            {
-                "o_orderdate": pa.array(ts, pa.timestamp("us")),
-                "o_totalprice": pa.array(vals, pa.float64()),
-            }
-        )
-        got = analytics.rolling_median_daily(tbl_ds := rd.from_arrow(tbl))
-        cents = [int(v * 100) for v in vals]
-        want = []
-        for i in range(len(cents)):
-            w = sorted(cents[max(0, i - 6) : i + 1])
-            want.append(w[(len(w) + 1) // 2 - 1])
-        assert list(got["med7_cents"]) == want
-
-
 class TestDoclenDeciles:
     def test_hand_built_ranks(self):
         import ray.data as rd
@@ -5458,159 +4441,6 @@ class TestDoclenDeciles:
                 want = v[(n - 1) * k // 10]
                 row = got[(got.source == src) & (got.decile == k)]
                 assert int(row["n_chars"].iloc[0]) == want
-
-
-class TestValueMoments:
-    def test_hand_built_exact_moments(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # type A: cents [100, 200, 600]; n=3, s1=900, s2=410000, s3=2.25e8
-        # mean=300, var=(3*410000-810000)//9=46666,
-        # m3 num = 9*s3 - 3*3*900*410000 + 2*900^3 = 1ee? compute in test
-        tbl = pa.table(
-            {
-                "event_type": pa.array(["A"] * 3 + ["B"] * 2, pa.string()),
-                "value": pa.array([1.0, 2.0, 6.0, 1.0, 1.0], pa.float64()),
-            }
-        )
-        got = _pdf(analytics.value_moments_by_type(rd.from_arrow(tbl))).set_index(
-            "event_type"
-        )
-        c = [100, 200, 600]
-        n, s1 = 3, sum(c)
-        s2, s3 = sum(x * x for x in c), sum(x**3 for x in c)
-        assert got.loc["A", "n"] == 3
-        assert got.loc["A", "mean_cents"] == s1 // n
-        assert got.loc["A", "var_cents2"] == (n * s2 - s1 * s1) // (n * n)
-        num = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
-        m3 = -((-num) // n**3) if num < 0 else num // n**3
-        assert got.loc["A", "m3_cents3"] == m3
-        # constant type B: zero variance and zero skew
-        assert got.loc["B", "var_cents2"] == 0
-        assert got.loc["B", "m3_cents3"] == 0
-
-    def test_negative_skew_truncates_like_sql(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # left-skewed: [6, 6, 1] dollars -> negative third moment; must
-        # TRUNCATE toward zero (DuckDB //), not floor
-        tbl = pa.table(
-            {
-                "event_type": pa.array(["L"] * 3, pa.string()),
-                "value": pa.array([6.0, 6.0, 1.0], pa.float64()),
-            }
-        )
-        got = _pdf(analytics.value_moments_by_type(rd.from_arrow(tbl)))
-        c = [600, 600, 100]
-        n, s1 = 3, sum(c)
-        s2, s3 = sum(x * x for x in c), sum(x**3 for x in c)
-        num = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
-        assert num < 0
-        want = -((-num) // n**3)
-        assert int(got["m3_cents3"].iloc[0]) == want
-        assert want != num // n**3  # floor would disagree
-
-
-class TestOrderBacklogDaily:
-    def test_hand_built_step_function(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # order 1: placed Jan 1, last ship Jan 3 (open Jan 1-3)
-        # order 2: placed Jan 2, last ship Jan 2 (open Jan 2)
-        # order 3: placed Jan 2, NO lineitems -> never opens (inner join)
-        orders = rd.from_arrow(
-            pa.table(
-                {
-                    "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-                    "o_orderdate": pa.array(
-                        [
-                            datetime.datetime(2024, 1, 1),
-                            datetime.datetime(2024, 1, 2),
-                            datetime.datetime(2024, 1, 2),
-                        ],
-                        pa.timestamp("us"),
-                    ),
-                }
-            )
-        )
-        lineitem = rd.from_arrow(
-            pa.table(
-                {
-                    "l_orderkey": pa.array([1, 1, 2], pa.int64()),
-                    "l_shipdate": pa.array(
-                        [
-                            datetime.datetime(2024, 1, 2),
-                            datetime.datetime(2024, 1, 3),
-                            datetime.datetime(2024, 1, 2),
-                        ],
-                        pa.timestamp("us"),
-                    ),
-                }
-            )
-        )
-        got = analytics.order_backlog_daily(orders, lineitem, buckets=4)
-        want = {
-            "2024-01-01": (1, 1),
-            "2024-01-02": (1, 2),
-            "2024-01-03": (-1, 1),
-            "2024-01-04": (-1, 0),
-        }
-        assert len(got) == 4
-        for r in got.itertuples():
-            assert want[r.day] == (r.net_delta, r.open_orders)
-
-    def test_backlog_never_negative_and_closes(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        orders = rd.read_parquet(
-            f"{SF}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
-        )
-        lineitem = rd.read_parquet(
-            f"{SF}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-        )
-        got = analytics.order_backlog_daily(orders, lineitem)
-        assert (got["open_orders"] >= 0).all()
-        assert int(got["open_orders"].iloc[-1]) == 0  # everything ships
-        assert int(got["net_delta"].sum()) == 0
-
-
-class TestDowRevenueProfile:
-    def test_hand_built_iso_weekdays(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 2024-08-19 is a Monday; 3 orders Mon/Mon/Sun
-        tbl = pa.table(
-            {
-                "o_orderdate": pa.array(
-                    [
-                        datetime.datetime(2024, 8, 19),
-                        datetime.datetime(2024, 8, 26),
-                        datetime.datetime(2024, 8, 25),
-                    ],
-                    pa.timestamp("us"),
-                ),
-                "o_totalprice": pa.array([1.0, 2.0, 1.0], pa.float64()),
-            }
-        )
-        got = analytics.dow_revenue_profile(rd.from_arrow(tbl)).set_index("isodow")
-        assert got.loc[1, "n_orders"] == 2
-        assert got.loc[1, "revenue_cents"] == 300
-        assert got.loc[1, "share_ppm"] == 750_000
-        assert got.loc[7, "share_ppm"] == 250_000
 
 
 class TestCompletenessAudit:
@@ -5810,58 +4640,6 @@ class TestDpGeometricCounts:
                 n = len(bits) - len(bits.lstrip("1"))
                 want.append(n)
             assert _md5_leading_ones16(s) == tuple(want)
-
-
-class TestLDiversityAudit:
-    def test_hand_built_cells(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        t0 = datetime.datetime(2024, 3, 1)
-        # cell (click, day0): users 1,1,2 -> n_events 3, n_users 2, at_risk
-        # cell (view, day0): users 1..6 -> n_users 6, safe at l=5
-        rows = [("click", t0, 1), ("click", t0, 1), ("click", t0, 2)] + [
-            ("view", t0, u) for u in range(1, 7)
-        ]
-        tbl = pa.table(
-            {
-                "event_type": pa.array([r[0] for r in rows], pa.string()),
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "user_id": pa.array([r[2] for r in rows], pa.int64()),
-            }
-        )
-        out = analytics.l_diversity_audit(rd.from_arrow(tbl))
-        got = {
-            (r["event_type"], r["day"]): (r["n_events"], r["n_users"], r["at_risk"])
-            for _, r in out.iterrows()
-        }
-        assert got == {
-            ("click", "2024-03-01"): (3, 2, 1),
-            ("view", "2024-03-01"): (6, 6, 0),
-        }
-
-    def test_cross_batch_user_dedup(self):
-        import datetime
-
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # the same (cell, user) appearing in MANY blocks must count once
-        t0 = datetime.datetime(2024, 3, 1)
-        tbl = pa.table(
-            {
-                "event_type": pa.array(["buy"] * 64, pa.string()),
-                "ts": pa.array([t0] * 64, pa.timestamp("us")),
-                "user_id": pa.array([7] * 64, pa.int64()),
-            }
-        )
-        out = analytics.l_diversity_audit(rd.from_arrow(tbl).repartition(8))
-        assert len(out) == 1
-        assert out.iloc[0]["n_events"] == 64 and out.iloc[0]["n_users"] == 1
 
 
 class TestPaddingWasteByBucket:
@@ -6252,40 +5030,6 @@ class TestEmbeddingCovariance:
         assert one.equals(many)
 
 
-class TestTCloseness:
-    def test_hand_built_emd(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # cell A: all mass in bin 0 ($5); cell B: all in bin 9 ($95);
-        # global: half/half -> each cell's EMD is 0.5 over 9 steps x 9
-        # nonzero cumulative diffs
-        vals = [5.0] * 10 + [95.0] * 10
-        qi = ["A"] * 10 + ["B"] * 10
-        tbl = pa.table({"event_type": pa.array(qi), "value": pa.array(vals)})
-        got = analytics.t_closeness_audit(rd.from_arrow(tbl)).set_index("qi")
-        # cum_A = 10 at every bin 0..8; cum_g = 10 at bins 0..8; N=20, n_c=10
-        # |10*20 - 10*10| = 100 per bin x 9 bins = 900
-        # t_ppm = 1e6*900 // (10*20*9) = 500_000
-        assert int(got.loc["A", "t_ppm"]) == 500_000
-        assert int(got.loc["B", "t_ppm"]) == 500_000
-        assert (got["at_risk"] == 1).all()
-        assert (got["n_events"] == 10).all()
-
-    def test_identical_distribution_is_zero(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        vals = [5.0, 15.0, 25.0] * 4
-        qi = (["A"] * 3 + ["B"] * 3) * 2
-        tbl = pa.table({"event_type": pa.array(qi), "value": pa.array(vals)})
-        got = analytics.t_closeness_audit(rd.from_arrow(tbl))
-        assert (got["t_ppm"] == 0).all()
-        assert (got["at_risk"] == 0).all()
-
-
 class TestPQRecallAudit:
     def test_self_query_and_bounds(self):
         import ray.data as rd
@@ -6394,49 +5138,6 @@ class TestLangTemperaturePlan:
         # sqrt temperature upsamples the tail, downsamples the head
         assert got.loc["de", "resample_factor_ppm"] > 1_000_000
         assert got.loc["en", "resample_factor_ppm"] < 1_000_000
-
-
-class TestWatermarkLateCounts:
-    def test_hand_built_stream(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # arrival order 1..5; event times (minutes): 0, 60, 2, 50, 59
-        # watermark delay 300s=5min: event 3 (t=2min, prefix max 60min)
-        # is 58min late -> dropped; event 4 (50min, max 60) 10min late ->
-        # dropped; event 5 (59min, max 60) 1min late -> kept
-        ts = pd.to_datetime([
-            "2026-01-01 00:00:00", "2026-01-01 01:00:00",
-            "2026-01-01 00:02:00", "2026-01-01 00:50:00",
-            "2026-01-01 00:59:00"])
-        tbl = pa.table({
-            "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-            "ts": pa.array(ts, pa.timestamp("us")),
-        })
-        got = relational.watermark_late_counts(rd.from_arrow(tbl)).set_index("hour")
-        assert int(got.loc["2026-01-01 00", "n_events"]) == 4
-        assert int(got.loc["2026-01-01 00", "n_late"]) == 2
-        assert int(got.loc["2026-01-01 01", "n_late"]) == 0
-        assert int(got.loc["2026-01-01 00", "late_ppm"]) == 500_000
-
-    def test_partition_invariance(self):
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        n = 500
-        ts = pd.to_datetime("2026-01-01") + pd.to_timedelta(
-            [(i * 37) % 360 for i in range(n)], unit="m")
-        tbl = pa.table({
-            "event_id": pa.array(list(range(n)), pa.int64()),
-            "ts": pa.array(ts, pa.timestamp("us")),
-        })
-        one = relational.watermark_late_counts(rd.from_arrow(tbl))
-        many = relational.watermark_late_counts(rd.from_arrow(tbl).repartition(11))
-        assert one.equals(many)
 
 
 class TestEmbeddingOutliers:
@@ -6909,33 +5610,6 @@ class TestLangidKappa:
         })
         got = analytics.langid_kappa(rd.from_arrow(t))
         assert int(got["kappa_ppm"].iloc[0]) == 0
-
-
-class TestKmvDistinctAudit:
-    def test_underfilled_sketch_is_exact(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 40 distinct values < k=256: the bottom set IS the population
-        t = pa.table({"user_id": pa.array(list(range(40)) * 3, pa.int64())})
-        got = analytics.kmv_distinct_audit(rd.from_arrow(t))
-        assert int(got["exact_distinct"].iloc[0]) == 40
-        assert int(got["kmv_distinct"].iloc[0]) == 40
-        assert int(got["abs_err_ppm"].iloc[0]) == 0
-
-    def test_filled_sketch_estimates_within_bound(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # 5000 distinct >> k=256: estimator error ~1/sqrt(k) ~ 6%;
-        # assert a generous 25% envelope (deterministic input, one value)
-        t = pa.table({"user_id": pa.array(list(range(5000)), pa.int64())})
-        got = analytics.kmv_distinct_audit(rd.from_arrow(t), k=256)
-        est = int(got["kmv_distinct"].iloc[0])
-        assert int(got["exact_distinct"].iloc[0]) == 5000
-        assert 3750 <= est <= 6250
 
 
 class TestKcoreNodes:
