@@ -658,7 +658,6 @@ def _merge_updates(sf_dir: str) -> "pa.Table":
     the table's max id arrives as lang='new' (INSERT). The updates batch
     is the SMALL side of a MERGE by construction -- building it
     driver-side is the operator's contract, not a scale compromise."""
-    import numpy as np
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -956,7 +955,6 @@ def _q_quantize_embeddings(sf_dir: str):
     checksums (sum / L1 / max of the quantized values) -- exact compare
     without list-column stringification differences; the list itself is
     pytest-held (dtype, dequantization error bound)."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from distributed_system___ocr_ray.pipelines import analytics
@@ -1851,7 +1849,6 @@ def _q_ingest_increment_counts(sf_dir: str):
     import tempfile
 
     import pandas as pd
-    import ray.data as rd
 
     from distributed_system___ocr_ray.pipelines import compose
 
@@ -2091,11 +2088,8 @@ def _q_wap_publish_counts(sf_dir: str):
     aggregate the TARGET per lang -- plus an in-query negative check
     that a tampered staging fails its audit and leaves the target
     untouched. Oracle is the range-filter aggregate over the source."""
-    import os
     import shutil
     import tempfile
-
-    import pyarrow.parquet as pq
 
     from distributed_system___ocr_ray.sources import lance_like
 
@@ -2143,8 +2137,6 @@ def _q_evolved_schema_counts(sf_dir: str):
     import tempfile
 
     import pyarrow.compute as pc
-
-    import ray.data as rd
 
     from distributed_system___ocr_ray.pipelines.relational import tiny_final_groupby
     from distributed_system___ocr_ray.sources import lance_like
@@ -2968,8 +2960,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def _sql_stop_hits(words) -> str:
-    from distributed_system___ocr_ray.functions import textstats as ts  # noqa: F401
-
     lst = ", ".join(f"'{w}'" for w in sorted(words))
     return (
         "len(list_filter(regexp_extract_all(lower(text), '[a-z]+'), "

@@ -91,8 +91,6 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from distributed_system___ocr_ray.pipelines import extract as pipeline
-
     docs_dir, media_dir, n_docs = _prepare_corpus()
 
     from distributed_system___ocr_ray.sources import lance_like

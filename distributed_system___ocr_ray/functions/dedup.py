@@ -25,8 +25,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
 
 _MERSENNE = (1 << 61) - 1
 _MAX_GROUP_SIZE = 64

@@ -1,9 +1,9 @@
 """Minimal pure-Python PNG codec (vendored; no third-party deps).
 
-Implements the subset of the public PNG specification (W3C PNG, RFC 2083)
-the multimodal stages need, so the image decode/resize paths execute a
-REAL branch in this container (VERDICT r3 "next round" #4 -- Pillow is
-absent here; when present it still takes precedence in the stages):
+Implements a subset of the public PNG specification (W3C PNG, RFC 2083),
+so PNG payloads need no Pillow. ``dims`` reads height and width from the
+header (``stages/multimodal.MediaMetadata``), and the
+``real_png_roundtrip`` query round-trips pixels through:
 
 - decode: 8-bit-depth, non-interlaced grayscale (color type 0), RGB (2)
   and RGBA (6); all five scanline filters (None/Sub/Up/Average/Paeth);

@@ -4262,7 +4262,6 @@ def quality_length_corr(ds, lang_col: str = "lang", text_col: str = "text"):
     has no scale limit).
 
     Returns (lang, n_docs, r2_signed_ppm)."""
-    from .relational import tiny_final_groupby  # noqa: F401  (shape doc)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         feats = ts.quality_features(batch[text_col])

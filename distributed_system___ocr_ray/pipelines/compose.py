@@ -196,83 +196,6 @@ def ingest_increment(
     }
 
 
-def refresh_daily_agg(
-    table_dir: str,
-    prior_agg=None,
-    v_old: int | None = None,
-    *,
-    ts_col: str = "ts",
-    val_col: str = "value",
-):
-    """Incremental view maintenance (IVM) for an ADDITIVE daily aggregate
-    (sum cents + count per day) over a Lance-style event table: refresh
-    the materialized aggregate by reading ONLY the fragments an append
-    added since ``v_old`` (``lance_like.diff``), then merging the delta
-    into the prior aggregate -- the refresh cost is O(increment), never
-    O(corpus). At 100 TB this is the difference between a nightly
-    full-table scan and a seconds-long delta fold.
-
-    Additive aggregates only: a diff with REMOVED fragments (delete /
-    compact rewrote history) raises loudly -- sums cannot be un-merged
-    without retraction records, so the caller must recompute (compaction
-    preserves rows, but this guard treats any removal as a rewrite rather
-    than silently double-counting carried rows).
-
-    Returns ``(agg: pandas[day, value_cents, n_events], version)``;
-    call with ``prior_agg=None`` for the initial full build.
-    """
-    import os
-
-    import pandas as pd
-    import ray.data as rd
-
-    from ..sources import lance_like
-    from .relational import tiny_final_groupby
-
-    v_new = lance_like.latest_version(table_dir)
-    if prior_agg is None:
-        paths = lance_like.fragment_paths(table_dir, v_new)
-    else:
-        if v_old is None:
-            raise ValueError("incremental refresh needs the prior version")
-        d = lance_like.diff(table_dir, v_old, v_new)
-        if d["removed"]:
-            raise ValueError(
-                "additive IVM cannot fold removed fragments; recompute from scratch"
-            )
-        paths = [os.path.join(table_dir, f["path"]) for f in d["added"]]
-        if not paths:
-            return prior_agg.copy(), v_new
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch.column(ts_col).cast(pa.int64()).to_numpy() // 86_400_000_000
-        cents = np.floor(
-            batch.column(val_col).to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        t = pa.table({"day": pa.array(day, pa.int64()),
-                      "value_cents": pa.array(cents, pa.int64())})
-        return t.group_by(["day"]).aggregate(
-            [("value_cents", "sum"), ("value_cents", "count")]
-        )
-
-    delta = tiny_final_groupby(
-        rd.read_parquet(paths, columns=[ts_col, val_col]).map_batches(
-            partial, batch_format="pyarrow"
-        ),
-        keys=["day"],
-        aggs=[("value_cents_sum", "sum"), ("value_cents_count", "sum")],
-        out_names=["day", "value_cents", "n_events"],
-    ).to_pandas()
-
-    if prior_agg is not None:
-        delta = (
-            pd.concat([prior_agg, delta])
-            .groupby("day", as_index=False)[["value_cents", "n_events"]]
-            .sum()
-        )
-    return delta.sort_values("day").reset_index(drop=True), v_new
-
-
 def changed_rows(
     table_dir: str,
     v_old: int,

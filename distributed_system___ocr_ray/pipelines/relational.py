@@ -16,16 +16,16 @@ The kernels are the engine's generic toolbox, built the Ray-Data-first way:
   the driver.
 
 The remaining functions are relational kernels over the TPC-H and
-``events`` tables (joins, windows, sessions, ranks). No registry query
-calls them; ``tests/test_analytics.py`` checks each against DuckDB, and
+``events`` tables: the integer-cent money aggregates, the range-partitioned
+global orderings (rank, ntile, Gini, period-over-period, spike days) and
+the per-key time-series windows (debounce, streaks, interval coverage,
+forward fill, SCD2 history). No registry query calls them;
+``tests/test_analytics.py`` checks each against DuckDB, and
 ``tests/test_driver_contract.py`` lists each as known-unreachable, so that
-list only shrinks as they are deleted. Money
-columns are summed as integer cents (``floor(x*100 + 0.5)``) so those
-comparisons are exact.
+list only shrinks as they are deleted. Money columns are summed as integer
+cents (``floor(x*100 + 0.5)``) so those comparisons are exact.
 """
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pandas as pd
@@ -105,7 +105,6 @@ def tiny_final_groupby(partials, keys, aggs, out_names):
 def pricing_summary(sf_dir: str):
     """TPC-H Q1-style pricing summary (grouped aggregate with partial agg)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -138,7 +137,6 @@ def pricing_summary(sf_dir: str):
 def events_daily(sf_dir: str):
     """Tumbling 1-day event-time window per event_type."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
@@ -440,8 +438,6 @@ def debounce_frame(
     exercise the exact production kernel): sort by (keys, ts, id), then one
     shifted-compare mask keeps rows that start a key or follow their
     predecessor by >= gap."""
-    import pandas as pd  # noqa: F401  (callers pass pandas frames)
-
     g = group.sort_values([*key_cols, ts_col, id_col], kind="mergesort")
     same_key = np.ones(len(g), dtype=bool)
     for c in key_cols:
@@ -752,65 +748,6 @@ def forward_fill_daily(ds, key_col: str = "user_id", ts_col: str = "ts",
     )
 
 
-def event_transitions(ds, key_col: str = "user_id", ts_col: str = "ts",
-                      type_col: str = "event_type", id_col: str = "event_id",
-                      buckets: int = 64):
-    """Markov transition counts: for each key's event stream ordered by
-    (ts, id), count every consecutive (prev_type -> next_type) pair -- the
-    clickstream LAG query behind next-action models and funnel diagnostics.
-
-    Scale shape: LAG needs per-key order, so the narrow (key, ts, id, type)
-    projection takes ONE key-domain exchange (the sessionize/debounce
-    shape -- no map-side collapse exists for an ordering operator). Each
-    bucket then runs one vectorized pass shared by all its keys (sort +
-    shifted-compare mask + factorized bincount), emitting per-bucket
-    partial counts; the final groupby merges <= |types|^2 rows per bucket,
-    so the second exchange is vocabulary-sized, not event-sized.
-
-    Returns (prev_type, next_type, n) over pairs within the same key.
-    """
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(
-            batch.select([key_col, ts_col, id_col, type_col]), key_col, buckets
-        )
-
-    def transitions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, ts_col, id_col], kind="mergesort")
-        k = g[key_col].to_numpy()
-        t = g[type_col].to_numpy()
-        same = k[1:] == k[:-1]
-        prev, nxt = t[:-1][same], t[1:][same]
-        if prev.size == 0:
-            return pd.DataFrame({"prev_type": pd.Series([], dtype=str),
-                                 "next_type": pd.Series([], dtype=str),
-                                 "n": pd.Series([], dtype=np.int64)})
-        cats, codes_p = np.unique(prev, return_inverse=True)
-        cats2, codes_n = np.unique(nxt, return_inverse=True)
-        pair = codes_p.astype(np.int64) * len(cats2) + codes_n
-        counts = np.bincount(pair, minlength=len(cats) * len(cats2))
-        hit = np.flatnonzero(counts)
-        return pd.DataFrame(
-            {
-                "prev_type": cats[hit // len(cats2)],
-                "next_type": cats2[hit % len(cats2)],
-                "n": counts[hit].astype(np.int64),
-            }
-        )
-
-    partials = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(transitions, batch_format="pandas")
-    )
-    return tiny_final_groupby(
-        partials,
-        keys=["prev_type", "next_type"],
-        aggs=[("n", "sum")],
-        out_names=["prev_type", "next_type", "n"],
-    )
-
-
 def scd2_history(ds, key_col: str = "user_id", ts_col: str = "ts",
                  val_col: str = "value", id_col: str = "event_id",
                  buckets: int = 64):
@@ -872,242 +809,6 @@ def scd2_history(ds, key_col: str = "user_id", ts_col: str = "ts",
         .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(compact, batch_format="pandas")
-    )
-
-
-def collect_sorted_list(ds, key_col: str, val_col: str, out_col: str,
-                        buckets: int = 64):
-    """Grouped ordered collect: per key, the DISTINCT values sorted
-    ascending and joined with ',' -- the string_agg / collect_list surface
-    (training-data analogue: concatenating a document's chunk ids in order;
-    reference analogue: the manager's per-app result assembly,
-    Manager.java:250-293, which concatenates per-URL blobs into one
-    summary). Distinct-sorted semantics make the result deterministic at
-    any partitioning even when the raw rows carry duplicates.
-
-    Scale shape: each batch collapses map-side to its DISTINCT (key, value)
-    pairs (np.unique on the pair matrix), so the ONE hash exchange is
-    pair-domain sized; the per-bucket kernel re-uniques across batches in
-    one vectorized pass and builds all keys' strings with a single
-    pandas str-join per bucket (strings are Python objects -- the join is
-    the operator's output payload, not avoidable compute).
-
-    Returns (key, n_values, values_csv).
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        pairs = np.unique(np.stack([k, v], axis=1), axis=0)
-        return pa.table(
-            {
-                key_col: pa.array(pairs[:, 0], pa.int64()),
-                val_col: pa.array(pairs[:, 1], pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def collect(group: pd.DataFrame) -> pd.DataFrame:
-        arr = np.unique(
-            np.stack(
-                [group[key_col].to_numpy(np.int64), group[val_col].to_numpy(np.int64)],
-                axis=1,
-            ),
-            axis=0,
-        )
-        k, v = arr[:, 0], arr[:, 1]
-        df = pd.DataFrame({key_col: k, "v": v.astype(str)})
-        g = df.groupby(key_col, sort=True)["v"]
-        return pd.DataFrame(
-            {
-                key_col: g.count().index.to_numpy(np.int64),
-                "n_values": g.count().to_numpy(np.int64),
-                out_col: g.agg(",".join).to_numpy(object),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(collect, batch_format="pandas")
-    )
-
-
-def rolling_range_sum(ds, key_col: str = "user_id", ts_col: str = "ts",
-                      val_col: str = "value", window_days: int = 7,
-                      buckets: int = 64):
-    """Trailing range-window aggregate: per key and active day, the sum of
-    the key's daily totals over the last ``window_days`` calendar days
-    (RANGE BETWEEN n-1 PRECEDING AND CURRENT ROW on the day axis) -- the
-    rolling-7-day-spend query, computed WITHOUT densifying the calendar.
-
-    Scale shape: each batch collapses map-side to per-(key, day) partial
-    sums (activity-domain, integer cents), ONE key-domain exchange, then a
-    per-bucket kernel shared by every key in the bucket: resolve daily
-    sums with one np.add.reduceat pass, then answer all windows at once
-    with a prefix-sum + ONE np.searchsorted over an ordinal (key, day)
-    composite padded so a window can never cross a key boundary. No
-    per-key loop, no calendar explode -- cost is O(active days), not
-    O(span).
-
-    Returns (key, day, day_cents, sum_window_cents).
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        ts_us = batch.column(ts_col).cast(pa.int64()).to_numpy()
-        c = np.floor(
-            batch.column(val_col).to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        day = ts_us // 86_400_000_000
-        order = np.lexsort((day, k))
-        k, day, c = k[order], day[order], c[order]
-        first = np.r_[True, (k[1:] != k[:-1]) | (day[1:] != day[:-1])]
-        sums = np.add.reduceat(c, np.flatnonzero(first))
-        return pa.table(
-            {
-                key_col: pa.array(k[first], pa.int64()),
-                "day": pa.array(day[first], pa.int64()),
-                "cents": pa.array(sums, pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def roll(group: pd.DataFrame) -> pd.DataFrame:
-        k = group[key_col].to_numpy(np.int64)
-        d = group["day"].to_numpy(np.int64)
-        c = group["cents"].to_numpy(np.int64)
-        order = np.lexsort((d, k))
-        k, d, c = k[order], d[order], c[order]
-        first = np.r_[True, (k[1:] != k[:-1]) | (d[1:] != d[:-1])]
-        k, d = k[first], d[first]
-        c = np.add.reduceat(c, np.flatnonzero(first))
-        # ordinal composite padded by the window width: a window's lower
-        # bound can reach day - (w-1), which must still map inside the SAME
-        # key's ordinal range
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        u_ord = np.cumsum(new_key) - 1
-        lo, hi = d.min(), d.max()
-        width = (hi - lo + 1) + window_days + 1
-        comp = u_ord * width + (d - lo) + window_days  # shift keeps lows positive
-        start = np.searchsorted(comp, comp - (window_days - 1), side="left")
-        prefix = np.cumsum(c)
-        win = prefix - np.where(start > 0, prefix[start - 1], 0)
-        # rows where start == 0 include everything from index 0 -- correct,
-        # prefix[i] is already the inclusive sum from the bucket's first row
-        return pd.DataFrame(
-            {
-                key_col: k,
-                "day": d,
-                "day_cents": c,
-                "sum_window_cents": win,
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(roll, batch_format="pandas")
-    )
-
-
-def conversion_within(ds, key_col: str = "user_id", ts_col: str = "ts",
-                      type_col: str = "event_type", from_type: str = "click",
-                      to_type: str = "purchase",
-                      window_us: int = 7 * 86_400_000_000, buckets: int = 64):
-    """Time-constrained conversion attribution: per key, how many
-    ``from_type`` events were FOLLOWED by a ``to_type`` event strictly
-    later but within ``window_us`` -- the click->purchase-within-7-days
-    query behind every attribution / conversion-rate report. Counts each
-    from-event once toward ``n_converted`` (any qualifying to-event) and
-    every qualifying (from, to) pair toward ``n_pairs``.
-
-    Scale shape: only the two event types survive the map-side projection
-    (everything else never leaves the scan); ONE key-domain hash exchange
-    co-locates a key's events; the per-bucket kernel answers ALL
-    from-events at once with two np.searchsorted calls over a
-    window-padded (key, t) ordinal composite (the rolling_range_sum
-    discipline: padding keeps a window from crossing a key boundary; a
-    loud guard raises if keys x time-span would overflow the composite --
-    the buckets knob is the fix). No per-key loop, no pair materialization.
-
-    Returns (key, n_from, n_converted, n_pairs) for keys with >= 1
-    from-event.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        types = batch.column(type_col)
-        keep = pc.or_(pc.equal(types, from_type), pc.equal(types, to_type))
-        b = batch.filter(keep)
-        side = pc.equal(b.column(type_col), to_type)  # False=from, True=to
-        return pa.table(
-            {
-                key_col: b.column(key_col).cast(pa.int64()),
-                "t": b.column(ts_col).cast(pa.int64()),
-                "side": side.combine_chunks().cast(pa.int8()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def kern(group: pd.DataFrame) -> pd.DataFrame:
-        k = group[key_col].to_numpy(np.int64)
-        t = group["t"].to_numpy(np.int64)
-        side = group["side"].to_numpy(np.int8)
-        uk, inv = np.unique(k, return_inverse=True)
-        lo = t.min()
-        width = (t.max() - lo + 1) + window_us + 1
-        if len(uk) and width > (2**62) // len(uk):
-            raise ValueError(
-                "conversion_within: key-count x time-span overflows the "
-                "ordinal composite; raise `buckets`"
-            )
-        comp = inv.astype(np.int64) * width + (t - lo)
-        is_from = side == 0
-        to_comp = np.sort(comp[~is_from])
-        fc = comp[is_from]
-        # to-events strictly after t, at most window_us later
-        m = (
-            np.searchsorted(to_comp, fc + window_us, side="right")
-            - np.searchsorted(to_comp, fc, side="right")
-        )
-        fk = inv[is_from]
-        if not fk.size:  # bucket held only to-events: no keys to report
-            return pd.DataFrame(
-                {
-                    key_col: pd.Series([], dtype=np.int64),
-                    "n_from": pd.Series([], dtype=np.int64),
-                    "n_converted": pd.Series([], dtype=np.int64),
-                    "n_pairs": pd.Series([], dtype=np.int64),
-                }
-            )
-        order = np.argsort(fk, kind="stable")
-        fk, m = fk[order], m[order]
-        first = np.r_[True, fk[1:] != fk[:-1]]
-        idx = np.flatnonzero(first)
-        return pd.DataFrame(
-            {
-                key_col: uk[fk[first]],
-                "n_from": np.diff(np.r_[idx, len(fk)]).astype(np.int64),
-                "n_converted": np.add.reduceat((m > 0).astype(np.int64), idx),
-                "n_pairs": np.add.reduceat(m, idx),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kern, batch_format="pandas")
     )
 
 
@@ -1441,226 +1142,6 @@ def global_ntile(ds, val_col: str, id_col: str, n_tiles: int = 10,
     )
 
 
-def new_users_daily(ds, key_col: str = "user_id", ts_col: str = "ts",
-                    buckets: int = 64):
-    """Daily new-user counts + running cumulative distinct users -- the
-    "new vs returning" growth curve. A naive COUNT(DISTINCT) per day
-    re-scans every prior day; the distributed shape is first-touch: each
-    key's FIRST-ever day is a per-key MIN (map-side collapsible), new
-    users per day is then a count over first days, and the cumulative
-    curve is a prefix sum over the bounded day domain.
-
-    Scale shape: per-batch (key, min day) collapse -> ONE key-domain
-    exchange -> per-bucket min resolve + day bincount partial (day-domain
-    rows per bucket) -> single-block final merge + cumsum (day domain is
-    bounded: ~365 rows/year at ANY corpus size).
-
-    Returns (day, new_users, cum_users).
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch.column(ts_col).cast(pa.int64()).to_numpy() // 86_400_000_000
-        order = np.lexsort((d, k))
-        k, d = k[order], d[order]
-        first = np.r_[True, k[1:] != k[:-1]]  # sorted: first row per key is min day
-        return pa.table(
-            {
-                key_col: pa.array(k[first], pa.int64()),
-                "day": pa.array(d[first], pa.int64()),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def day_counts(group: pd.DataFrame) -> pd.DataFrame:
-        k = group[key_col].to_numpy(np.int64)
-        d = group["day"].to_numpy(np.int64)
-        order = np.lexsort((d, k))
-        k, d = k[order], d[order]
-        first = np.r_[True, k[1:] != k[:-1]]
-        days, counts = np.unique(d[first], return_counts=True)
-        return pd.DataFrame({"day": days, "new_users": counts.astype(np.int64)})
-
-    def cumulate(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby("day", sort=True)["new_users"].sum()
-        return pa.table(
-            {
-                "day": pa.array(df.index.to_numpy(np.int64), pa.int64()),
-                "new_users": pa.array(df.to_numpy(np.int64), pa.int64()),
-                "cum_users": pa.array(df.cumsum().to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(day_counts, batch_format="pandas")
-        .repartition(1)
-        .map_batches(cumulate, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def zip_join_bucketed(dir_a: str, dir_b: str, key_a: str, key_b: str):
-    """Zero-shuffle equi-join of two CO-PARTITIONED Lance-style tables
-    (written by ``lance_like.write_bucketed`` with the same hash and
-    ``n_buckets``): bucket i of A can only match bucket i of B, so the
-    join is an embarrassingly parallel per-bucket-pair task -- NO exchange
-    at query time; the one exchange was paid once at ingest and is
-    amortized over every co-keyed join after it.
-
-    Validates both bucketing specs (same hash fn, same n_buckets, keys as
-    declared) and raises on mismatch rather than silently producing a
-    wrong join. Buckets missing from either side inner-join to nothing
-    and are skipped at plan time from the MANIFESTS alone.
-
-    Returns a Dataset of A's columns + B's non-key columns (inner join);
-    per-task memory is one bucket pair -- n_buckets at write time is the
-    memory knob.
-    """
-    import ray.data as rd
-
-    import pyarrow.parquet as _pq
-
-    from ..sources import lance_like
-
-    spec_a = lance_like.read_manifest(dir_a)["bucketing"]
-    spec_b = lance_like.read_manifest(dir_b)["bucketing"]
-    if spec_a["hash"] != spec_b["hash"] or spec_a["n_buckets"] != spec_b["n_buckets"]:
-        raise ValueError(f"bucketing specs differ: {spec_a} vs {spec_b}")
-    if spec_a["key"] != key_a or spec_b["key"] != key_b:
-        raise ValueError("declared join keys do not match the tables' bucketing keys")
-    paths_a = lance_like.bucket_paths(dir_a)
-    paths_b = lance_like.bucket_paths(dir_b)
-    shared = sorted(set(paths_a) & set(paths_b))
-    items = [
-        {"a": json.dumps(paths_a[b]), "b": json.dumps(paths_b[b])} for b in shared
-    ]
-
-    def join_bucket(batch: pd.DataFrame) -> pa.Table:
-        out = []
-        for _, row in batch.iterrows():  # batch_size=1: one bucket pair per task
-            ta = pa.concat_tables([_pq.read_table(p) for p in json.loads(row["a"])])
-            tb = pa.concat_tables([_pq.read_table(p) for p in json.loads(row["b"])])
-            a = ta.to_pandas()
-            b = tb.to_pandas()
-            out.append(a.merge(b, left_on=key_a, right_on=key_b, how="inner"))
-        df = pd.concat(out) if out else pd.DataFrame()
-        if key_b != key_a and key_b in df.columns:
-            df = df.drop(columns=[key_b])
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return rd.from_items(items).map_batches(
-        join_bucket, batch_format="pandas", batch_size=1
-    )
-
-
-def semi_join_agg(fact_ds, probe_ds, fact_key: str, probe_key: str,
-                  group_col: str, broadcast_cap_bytes: int = 256 << 20,
-                  anti: bool = False):
-    """EXISTS semi-join + grouped count (TPC-H Q4 shape): count fact rows
-    per ``group_col`` that have AT LEAST ONE match in the probe side;
-    ``anti=True`` flips the mask to NOT EXISTS (rows with NO match --
-    the "customers without orders" audit).
-    The probe side never joins -- it collapses to its DISTINCT keys
-    map-side (per-batch np.unique), is re-deduped in one driver fold, and
-    ships ONCE via ``ray.put`` as a sorted int64 array probed with
-    np.searchsorted per fact batch; the fact table streams.
-
-    The distinct-key broadcast is capped (``broadcast_cap_bytes``, 8 B/key
-    -- the same adaptive-cap discipline as the ngram verify path); past
-    the cap the right shape is the bucketed anti/semi join
-    (orphan_audit_multi's exchange) -- this raises loudly rather than
-    silently OOMing the driver.
-
-    Returns (group_col, n_matching).
-    """
-    import ray
-
-    def distinct_keys(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column(probe_key).to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"k": pa.array(u, pa.int64())})
-
-    parts = probe_ds.map_batches(distinct_keys, batch_format="pyarrow").to_pandas()
-    keys = np.unique(parts["k"].to_numpy(np.int64))
-    if keys.nbytes > broadcast_cap_bytes:
-        raise ValueError(
-            f"distinct probe keys {keys.nbytes >> 20} MB exceed the broadcast cap; "
-            "use a bucketed semi-join (orphan_audit_multi shape) at this scale"
-        )
-    handle = ray.put(keys)
-
-    class Probe:
-        def __init__(self) -> None:
-            self.keys = ray.get(handle)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            fk = batch.column(fact_key).to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(self.keys, fk)
-            pos_safe = np.clip(pos, 0, len(self.keys) - 1)
-            hit = self.keys[pos_safe] == fk
-            if anti:
-                hit = ~hit
-            t = pa.table({group_col: batch.column(group_col).filter(pa.array(hit))})
-            return t.group_by([group_col]).aggregate([([], "count_all")])
-
-    partials = fact_ds.map_batches(Probe, batch_format="pyarrow", concurrency=(1, 8))
-    return tiny_final_groupby(
-        partials,
-        keys=[group_col],
-        aggs=[("count_all", "sum")],
-        out_names=[group_col, "n_matching"],
-    )
-
-
-def json_field_stats(ds, json_col: str = "props", key: str = "k",
-                     group_col: str = "event_type"):
-    """Semi-structured extraction + grouped stats: pull integer field
-    ``key`` out of a JSON-string column with ONE compiled vectorized regex
-    per batch (pandas .str.extract -- C-speed, no per-row json.loads,
-    the redact_pii discipline) and aggregate per group. The regex is
-    shared character-for-character with the DuckDB regexp_extract oracle,
-    so extraction semantics are pinned, not approximated. Rows where the
-    field is absent drop (SQL NULL-group semantics would differ per
-    engine; absence is data, not an error).
-
-    Returns (group_col, n_rows, sum_k, min_k, max_k).
-    """
-    pattern = r'"' + key + r'":\s*(\d+)'
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        v = batch[json_col].str.extract(pattern, expand=False)
-        ok = v.notna()
-        df = pd.DataFrame(
-            {group_col: batch[group_col][ok], "k": v[ok].astype(np.int64)}
-        )
-        g = df.groupby(group_col, sort=False)["k"]
-        return pd.DataFrame(
-            {
-                group_col: g.count().index,
-                "n_rows": g.count().to_numpy(np.int64),
-                "sum_k": g.sum().to_numpy(np.int64),
-                "min_k": g.min().to_numpy(np.int64),
-                "max_k": g.max().to_numpy(np.int64),
-            }
-        )
-
-    def final(batch: pa.Table) -> pa.Table:
-        out = batch.group_by([group_col]).aggregate(
-            [("n_rows", "sum"), ("sum_k", "sum"), ("min_k", "min"), ("max_k", "max")]
-        )
-        out = out.select([group_col, "n_rows_sum", "sum_k_sum", "min_k_min", "max_k_max"])
-        return out.rename_columns([group_col, "n_rows", "sum_k", "min_k", "max_k"])
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final, batch_format="pyarrow", batch_size=None)
-    )
-
-
 def cooccurrence_counts(ds, id_col: str = "user_id", cat_col: str = "event_type",
                         buckets: int = 64):
     """Audience overlap: for every unordered pair of categories, the count
@@ -1725,63 +1206,3 @@ def cooccurrence_counts(ds, id_col: str = "user_id", cat_col: str = "event_type"
         out_names=["type_a", "type_b", "n_ids"],
     )
 
-
-def session_paths(
-    events, gap_minutes: int = 30, partitions: int | None = None
-):
-    """Session path mining: counts of every consecutive event-type TRIGRAM
-    inside a session (gap > ``gap_minutes`` starts a new one) -- the
-    behavioral-sequence op behind "what do users do next" funnels, one
-    level up from ``event_transitions``' bigrams.
-
-    Same partition-bucketed discipline as ``session_windows``, with one
-    addition the aggregates there don't need: a DETERMINISTIC total order.
-    Trigram CONTENT depends on tie order (equal ts), so both sides sort by
-    (ts, event_id) -- the unique event_id makes the sequence, and therefore
-    the counts, partition-invariant and exactly SQL-replayable.
-
-    Per partition (ONE user-domain exchange, one vectorized pass): sort by
-    (user_id, ts, event_id), break sessions via the shared diff/cumsum
-    formulation, then the trigram mask is csum[i]==csum[i+2] (csum is
-    nondecreasing, so equality pins rows i..i+2 to one session); shifted
-    slices + one groupby-size yield the partial counts. The event-type
-    domain is bounded, so |types|^3 bounds the partial rows and licenses
-    ``tiny_final_groupby``. Returns (e1, e2, e3, n_paths), every observed
-    trigram -- callers top-k the tiny result if they want a leaderboard."""
-    import pandas as pd
-
-    if partitions is None:
-        partitions = derive_buckets(events.count())
-    gap = np.timedelta64(gap_minutes * 60, "s")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "user_id", partitions)
-
-    def paths_partition(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        et = g["event_type"].to_numpy()
-        if len(uid) < 3:
-            return pd.DataFrame(
-                {"e1": [], "e2": [], "e3": [], "n": []}
-            ).astype({"e1": str, "e2": str, "e3": str, "n": np.int64})
-        new_user = np.concatenate(([True], uid[1:] != uid[:-1]))
-        gap_brk = np.concatenate(([False], (ts[1:] - ts[:-1]) > gap))
-        csum = np.cumsum(new_user | gap_brk)
-        mask = csum[2:] == csum[:-2]
-        tri = pd.DataFrame(
-            {"e1": et[:-2][mask], "e2": et[1:-1][mask], "e3": et[2:][mask]}
-        )
-        out = tri.groupby(["e1", "e2", "e3"], sort=False).size().reset_index(name="n")
-        out["n"] = out["n"].astype(np.int64)
-        return out
-
-    return tiny_final_groupby(
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(paths_partition, batch_format="pandas"),
-        ["e1", "e2", "e3"],
-        [("n", "sum")],
-        ["e1", "e2", "e3", "n_paths"],
-    )

@@ -594,7 +594,7 @@ def wap_publish(staging_dir: str, target_dir: str,
     counts match, zone maps honest) plus an optional exact row-count
     contract -- and only a clean audit PUBLISHES: the target gains a new
     manifest version referencing the staged fragments IN PLACE
-    (metadata-only, the shallow-clone mechanics), becoming the target's
+    (metadata-only: no data file is copied), becoming the target's
     current snapshot. A failed audit raises ``WapAuditError`` and the
     target is untouched -- consumers reading the target can never observe
     unaudited data, which is the entire point of the pattern.
@@ -1132,8 +1132,9 @@ def write_bucketed(
     bucketed-table / Spark bucketBy semantics; the prompt's "pick ONE
     partitioning key and reuse it across stages" made durable). Every
     fragment holds exactly one bucket's rows (``bucket_of``) and the manifest
-    records the bucketing spec; ``relational.zip_join_bucketed`` validates
-    two tables' specs match, then joins bucket-by-bucket with no shuffle.
+    records the bucketing spec; ``bucket_paths`` maps each bucket to its
+    fragments, so a keyed reader (``extractors.ShardedMediaStore``) loads
+    only the buckets that hold its keys.
 
     The ONE exchange this costs happens here, once, at ingest -- every
     subsequent co-keyed join, groupby or dedup over the table reads
@@ -1145,7 +1146,7 @@ def write_bucketed(
     NOTE: ``compact()``/``delete_where()`` do not preserve bucket tags;
     a bucketed table that goes through them loses its spec (the manifest
     keeps ``bucketing`` only for manifests whose fragments all carry a
-    ``bucket`` tag -- zip_join re-checks this and raises).
+    ``bucket`` tag -- ``bucket_paths`` re-checks this and raises).
     """
     import uuid
 
@@ -1217,23 +1218,6 @@ def bucket_paths(table_dir: str, version: int | None = None) -> dict[int, list[s
     for f in man["fragments"]:
         out.setdefault(int(f["bucket"]), []).append(os.path.join(table_dir, f["path"]))
     return out
-
-
-def _morton2(a, b):
-    """Vectorized 2-D Morton (Z-order) code: interleave the low 16 bits of
-    two non-negative integer arrays (a gets the odd bit positions). The
-    standard magic-number bit spread -- pure numpy, no per-row loop."""
-    import numpy as np
-
-    def spread(x):
-        x = x.astype(np.uint64) & np.uint64(0xFFFF)
-        x = (x | (x << np.uint64(8))) & np.uint64(0x00FF00FF)
-        x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F)
-        x = (x | (x << np.uint64(2))) & np.uint64(0x33333333)
-        x = (x | (x << np.uint64(1))) & np.uint64(0x55555555)
-        return x
-
-    return (spread(a) << np.uint64(1)) | spread(b)
 
 
 def evolve_add_column(table_dir: str, col: str, type_name: str, default) -> dict:
@@ -1319,53 +1303,3 @@ def read_evolved(table_dir: str, version: int | None = None, columns=None):
         )
     return out
 
-
-def rollback(table_dir: str, to_version: int) -> dict:
-    """Iceberg-style ROLLBACK: commit a NEW manifest version whose content
-    (fragments, schema, bucket/evolution metadata) is exactly that of
-    ``to_version`` -- the bad-ingest undo. History is preserved: the
-    rolled-past versions stay readable (time travel) until ``gc``
-    reclaims them, and gc keeps the restored fragments alive because the
-    new head references them (fragments are immutable, so re-listing them
-    IS restoring the table; no data file is touched or copied).
-
-    Raises FileNotFoundError if ``to_version`` was never committed (or
-    was gc'd). Rolling back to the current head is allowed and simply
-    re-commits its content under a new version (an explicit no-op marker
-    in the history). Returns the new manifest dict (with ``rollback_of``
-    recording provenance)."""
-    target = read_manifest(table_dir, to_version)
-    new = dict(target)
-    new["version"] = latest_version(table_dir) + 1
-    new["rollback_of"] = to_version
-    return _commit_manifest(table_dir, new)
-
-
-def clone(src_dir: str, dst_dir: str) -> dict:
-    """Delta-style SHALLOW CLONE: a new table whose first manifest
-    references the source's current fragments IN PLACE -- zero data
-    copied, so cloning a 100 TB table is a metadata write. The clone then
-    evolves independently: appends/compactions/merges write into the
-    clone's own ``data/`` while untouched fragments keep pointing at the
-    source; the clone's ``gc`` only reclaims files under its own data dir,
-    so it can never delete source data. The documented shallow-clone
-    caveat applies in both systems: ``gc`` on the SOURCE can reclaim
-    fragments a clone still references (clones pin by reference, not by
-    refcount) -- clone provenance is recorded so an operator can check.
-
-    Stats/schema/bucket metadata carry over verbatim. Returns the clone's
-    manifest dict."""
-    man = read_manifest(src_dir)
-    os.makedirs(_manifest_dir(dst_dir), exist_ok=True)
-    os.makedirs(os.path.join(dst_dir, "data"), exist_ok=True)
-    src_abs, dst_abs = os.path.abspath(src_dir), os.path.abspath(dst_dir)
-    frags = []
-    for f in man["fragments"]:
-        nf = dict(f)
-        nf["path"] = os.path.relpath(os.path.join(src_abs, f["path"]), dst_abs)
-        frags.append(nf)
-    new = dict(man)
-    new["version"] = latest_version(dst_dir) + 1
-    new["fragments"] = frags
-    new["cloned_from"] = {"table": src_abs, "version": man["version"]}
-    return _commit_manifest(dst_dir, new)

@@ -1,16 +1,16 @@
-"""Multimodal column stages: opaque binary payloads + typed metadata.
+"""Multimodal column stage: opaque binary payloads -> typed metadata.
 
 Image/audio/video payloads are treated as opaque ``binary`` columns with
-typed metadata extracted/attached by actor-pool ``map_batches`` stages.
-Real decode coverage in this container (no Pillow/ffmpeg):
+typed metadata extracted by an actor-pool ``map_batches`` stage
+(``media_metadata``). Real header parsing in this build (no Pillow/ffmpeg):
 
-- PNG (8-bit gray/RGB/RGBA, non-interlaced): the vendored pure-Python
-  codec (``functions/png.py``, public W3C/RFC 2083 chunk layout) gives
-  metadata, resize and frame-stream decode a REAL pixel path.
-- WAV: stdlib ``wave`` gives the frame sampler real PCM windows.
-- GLY1/MPDF1: the engine's own formats, parsed natively as before.
+- PNG: the vendored pure-Python codec (``functions/png.py``, public
+  W3C/RFC 2083 chunk layout) reads width and height from the header.
+- WAV: stdlib ``wave`` gives the frame count.
+- GLY1/MPDF1: the engine's own formats, parsed natively; real PDFs get a
+  page count from ``functions/pdftext.py``.
 - anything else: Pillow when installed (import-gated; takes what it
-  handles), else errors-as-data nulls / the documented ``fake`` fallback.
+  handles), else errors-as-data nulls.
 
 Batch-size note for 100 TB: payload columns dominate block bytes; callers
 should pass small ``batch_size`` (e.g. 64) and rely on
@@ -20,14 +20,12 @@ rows fits the worker heap.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..functions import glyph, minipdf, pdftext, png
 
-# import-gated real-decode upgrade: when Pillow is installed (not in this
-# container), the real paths below activate with NO code changes -- the
-# stubs are the fallback, not permanent residents.
+# import-gated real-decode upgrade: when Pillow is installed, the Pillow
+# branch of ``MediaMetadata`` activates with no code changes.
 try:  # pragma: no cover - exercised only where Pillow exists
     from PIL import Image as _PILImage
 
@@ -114,179 +112,6 @@ class MediaMetadata:
                 "width": pa.array(width, pa.int32()),
                 "height": pa.array(height, pa.int32()),
                 "n_blocks": pa.array(nblocks, pa.int32()),
-            }
-        )
-
-
-class ImageResize:
-    """Actor-pool resize stage.
-
-    REAL paths: GLY1 bitmaps (nearest-neighbor on the unpacked array,
-    re-packed) and PNG via the vendored codec (decode -> nearest-neighbor
-    -> re-encode; 8-bit gray/RGB/RGBA). Pillow, when installed, handles
-    every other raster format (import-gated). A payload none of those
-    recognize raises NotImplementedError unless ``fake=True``, in which
-    case it emits a deterministic fake payload (format-tagged empty
-    bitmap) so pipelines can be wired and tested.
-    """
-
-    def __init__(self, target: tuple[int, int] = (7, 42), fake: bool = True) -> None:
-        self.font = glyph.GlyphFont()
-        self.target = target
-        self.fake = fake
-
-    def _resize_gly1(self, p: bytes) -> bytes:
-        import struct
-
-        h, w = self.font.dims(p)
-        nbits = h * w
-        img = np.unpackbits(np.frombuffer(p[8:], dtype=np.uint8))[:nbits].reshape(h, w)
-        th, tw = self.target
-        rows = (np.arange(th) * h // th)
-        cols = (np.arange(tw) * w // tw)
-        out = img[rows][:, cols]
-        return glyph.MAGIC + struct.pack("<HH", th, tw) + np.packbits(out.reshape(-1)).tobytes()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for p in batch.column("payload").to_pylist():
-            p = p or b""
-            if p[:4] == glyph.MAGIC:
-                try:
-                    out.append(self._resize_gly1(p))
-                    continue
-                except Exception:
-                    pass
-            if p[:8] == png.SIGNATURE:  # vendored codec: real pixel path
-                try:
-                    img = png.decode(p)
-                    th, tw = self.target
-                    rows = np.arange(th) * img.shape[0] // th
-                    cols = np.arange(tw) * img.shape[1] // tw
-                    out.append(png.encode(img[rows][:, cols]))
-                    continue
-                except png.PngError:
-                    pass
-            if HAVE_PIL:  # pragma: no cover - real-format path, lib-gated
-                try:
-                    import io
-
-                    with _PILImage.open(io.BytesIO(p)) as im:
-                        th, tw = self.target
-                        buf = io.BytesIO()
-                        im.resize((tw, th)).save(buf, format=im.format or "PNG")
-                        out.append(buf.getvalue())
-                        continue
-                except Exception:
-                    pass
-            if not self.fake:
-                raise NotImplementedError("real image decode unavailable in this container")
-            out.append(b"FAKE0" + bytes(self.target))
-        cols = {n: batch.column(n) for n in batch.column_names if n != "payload"}
-        cols["payload"] = pa.array(out, pa.binary())
-        return pa.table(cols)
-
-
-class FrameSampler:
-    """Actor-pool frame-sampling stage for video/audio payloads.
-
-    REAL paths in this container:
-
-    - WAV (RIFF/WAVE): stdlib ``wave`` -- each sampled frame is a window
-      of raw PCM at ``n_frames`` evenly spaced positions.
-    - PNG frame streams (MJPEG-style concatenated PNGs): split on the
-      PNG signature, validate each frame with the vendored codec, emit
-      ``n_frames`` evenly spaced frames (fewer when the stream is short).
-
-    Containerized video (mp4/webm) needs ffmpeg (absent here): such
-    payloads raise NotImplementedError unless ``fake=True``, in which
-    case frames are deterministic byte slices (so pipelines and tests
-    exercise the one-row-per-frame fan-out shape regardless). Output
-    schema: ``media_ref, frame_idx, frame``; use small batches for fat
-    payloads.
-    """
-
-    def __init__(self, n_frames: int = 4, fake: bool = True) -> None:
-        self.n_frames = n_frames
-        self.fake = fake
-
-    def _wav_frames(self, p: bytes) -> list[bytes]:
-        import io
-        import wave
-
-        with wave.open(io.BytesIO(p), "rb") as w:
-            n = w.getnframes()
-            width = w.getsampwidth() * w.getnchannels()
-            if n <= 0:
-                return []
-            step = max(1, n // self.n_frames)
-            out = []
-            for i in range(min(self.n_frames, n)):
-                w.setpos(min(i * step, n - 1))
-                out.append(w.readframes(min(step, 4096 // max(1, width))))
-            return out
-
-    def _png_stream_frames(self, p: bytes) -> list[bytes]:
-        starts = []
-        pos = 0
-        while True:
-            pos = p.find(png.SIGNATURE, pos)
-            if pos < 0:
-                break
-            starts.append(pos)
-            pos += len(png.SIGNATURE)
-        pieces = [p[s:e] for s, e in zip(starts, starts[1:] + [len(p)])]
-        good = []
-        for piece in pieces:
-            try:
-                png.dims(piece)
-                png.decode(piece)  # full validation: frame must decode
-                good.append(piece)
-            except png.PngError:
-                continue
-        if not good:
-            raise png.PngError("no decodable PNG frames")
-        if len(good) <= self.n_frames:
-            return good
-        idx = [i * len(good) // self.n_frames for i in range(self.n_frames)]
-        return [good[i] for i in idx]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs, idxs, frames = [], [], []
-
-        def emit(ref: str, fs: list[bytes]) -> None:
-            for i, f in enumerate(fs):
-                refs.append(ref)
-                idxs.append(i)
-                frames.append(f)
-
-        for ref, p in zip(batch.column("media_ref").to_pylist(), batch.column("payload").to_pylist()):
-            p = p or b""
-            if p[:4] == b"RIFF" and p[8:12] == b"WAVE":
-                try:
-                    emit(ref, self._wav_frames(p))
-                    continue
-                except Exception:
-                    pass
-            if p[:8] == png.SIGNATURE:
-                try:
-                    emit(ref, self._png_stream_frames(p))
-                    continue
-                except png.PngError:
-                    pass
-            if not self.fake:
-                raise NotImplementedError(
-                    "containerized video decode (ffmpeg) unavailable; "
-                    "WAV and PNG-stream payloads decode for real"
-                )
-            step = max(1, len(p) // self.n_frames)
-            emit(ref, [b"FRAME0" + p[i * step: i * step + min(step, 64)]
-                       for i in range(self.n_frames)])
-        return pa.table(
-            {
-                "media_ref": pa.array(refs, pa.string()),
-                "frame_idx": pa.array(idxs, pa.int32()),
-                "frame": pa.array(frames, pa.binary()),
             }
         )
 

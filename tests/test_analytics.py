@@ -71,14 +71,31 @@ class TestRelational:
         assert got["total_value_cents"].tolist() == exp["total_value_cents"].tolist()
 
 
+def _documents_with_dups(tmp_path) -> str:
+    """A copy of the sf0.001 documents, whose 500 texts are all distinct,
+    plus the texts of every 16th row again under new doc_ids above the
+    maximum: 32 exact duplicates for dedup to drop."""
+    import pyarrow.compute as pc
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    dups = docs.take(list(range(0, docs.num_rows, 16)))
+    start = pc.max(docs["doc_id"]).as_py() + 1
+    new_ids = pa.array(range(start, start + dups.num_rows), pa.int64())
+    dups = dups.set_column(dups.schema.get_field_index("doc_id"), "doc_id", new_ids)
+    path = str(tmp_path / "documents.parquet")
+    pq.write_table(pa.concat_tables([docs, dups]), path)
+    return path
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestDedup:
-    def test_exact_dedup_groups_vs_duckdb(self):
+    def test_exact_dedup_groups_vs_duckdb(self, tmp_path):
         import ray.data as rd
 
         from distributed_system___ocr_ray.pipelines import analytics
 
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+        path = _documents_with_dups(tmp_path)
+        ds = rd.read_parquet(path, columns=["doc_id", "text"])
         got = (
             _pdf(analytics.exact_dedup_groups(ds))
             .sort_values(["keeper_doc_id"])
@@ -86,8 +103,9 @@ class TestDedup:
         )
         exp = duckdb.sql(
             f"SELECT MIN(doc_id) AS keeper_doc_id, COUNT(*) AS n_copies "
-            f"FROM '{SF}/documents.parquet' GROUP BY text ORDER BY 1"
+            f"FROM '{path}' GROUP BY text ORDER BY 1"
         ).df()
+        assert len(exp) < pq.read_metadata(path).num_rows
         assert got["keeper_doc_id"].tolist() == exp["keeper_doc_id"].tolist()
         assert got["n_copies"].tolist() == exp["n_copies"].tolist()
 
@@ -157,20 +175,23 @@ class TestDedup:
         for r in refs[10:]:
             assert by_keeper[r] == 1
 
-    def test_exact_dedup_semifilter_both_paths(self):
+    def test_exact_dedup_semifilter_both_paths(self, tmp_path):
         """Semi-filter keeps the min-doc_id row per distinct text, on both
         the broadcast fast path and the forced bucketed-join scale path."""
         import ray.data as rd
 
         from distributed_system___ocr_ray.pipelines import analytics
 
+        path = _documents_with_dups(tmp_path)
+
         def read():
-            return rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
+            return rd.read_parquet(path, columns=["doc_id", "text", "lang"])
 
         exp = duckdb.sql(
-            f"SELECT doc_id, lang, text FROM '{SF}/documents.parquet' "
+            f"SELECT doc_id, lang, text FROM '{path}' "
             f"QUALIFY doc_id = MIN(doc_id) OVER (PARTITION BY text) ORDER BY doc_id"
         ).df()
+        assert len(exp) < pq.read_metadata(path).num_rows
         for cap in (256 << 20, 0):  # broadcast path, then forced join path
             got = (
                 _pdf(analytics.exact_dedup_semifilter(read(), broadcast_keepers_bytes=cap))
@@ -374,38 +395,6 @@ class TestTextStats:
         # fingerprint is deterministic: same text -> same fingerprint
         fp2 = _pdf(analytics.fingerprints(ds))
         assert fp.sort_values("doc_id")["fingerprint"].tolist() == fp2.sort_values("doc_id")["fingerprint"].tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSketches:
-    def test_hll_accuracy_vs_exact(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.sketches import approx_distinct
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id"])
-        est = approx_distinct(ds, "user_id")
-        exact = duckdb.sql(f"SELECT COUNT(DISTINCT user_id) FROM '{SF}/events.parquet'").fetchone()[0]
-        assert abs(est - exact) / max(exact, 1) < 0.10, (est, exact)
-
-    def test_hll_merge_equals_single(self):
-        from distributed_system___ocr_ray.functions.sketches import HyperLogLog
-
-        vals = [f"v{i}" for i in range(10_000)]
-        one = HyperLogLog().add_many(vals)
-        a = HyperLogLog().add_many(vals[:5000])
-        b = HyperLogLog().add_many(vals[5000:])
-        merged = a.merge(b)
-        assert (merged.registers == one.registers).all()
-        est = merged.estimate()
-        assert abs(est - 10_000) / 10_000 < 0.05, est
-
-    def test_hll_roundtrip_bytes(self):
-        from distributed_system___ocr_ray.functions.sketches import HyperLogLog
-
-        h = HyperLogLog().add_many([b"a", b"b", 42, "c"])
-        h2 = HyperLogLog.from_bytes(h.to_bytes())
-        assert (h2.registers == h.registers).all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2018,72 +2007,6 @@ class TestForwardFillDaily:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestEventTransitions:
-    def test_hand_built_bigrams(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # user 1: A -> B -> A ; user 2: B (no pair). Ties on ts break by id.
-        t = pa.table({
-            "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-            "ts": pa.array(
-                np.array(["2024-01-01T00:00:00", "2024-01-01T00:00:01",
-                          "2024-01-01T00:00:01", "2024-01-01T00:00:05"],
-                         dtype="datetime64[us]")),
-            "event_id": pa.array([1, 3, 2, 4], pa.int64()),  # id 2 before 3 at same ts
-            "event_type": pa.array(["A", "B", "A", "B"]),
-        })
-        got = (
-            relational.event_transitions(rd.from_arrow(t).repartition(2))
-            .to_pandas().sort_values(["prev_type", "next_type"]).reset_index(drop=True)
-        )
-        # order by (ts, id): A(id1) -> A(id2) -> B(id3)
-        assert got[["prev_type", "next_type"]].values.tolist() == [["A", "A"], ["A", "B"]]
-        assert got["n"].tolist() == [1, 1]
-
-    def test_transitions_match_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(
-            f"{SF}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        got = (
-            relational.event_transitions(ds)
-            .to_pandas().sort_values(["prev_type", "next_type"]).reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH t AS (SELECT user_id, event_type, LAG(event_type) OVER
-                       (PARTITION BY user_id ORDER BY ts, event_id) AS prev
-                       FROM '{SF}/events.parquet')
-            SELECT prev AS prev_type, event_type AS next_type,
-                   CAST(COUNT(*) AS BIGINT) AS n
-            FROM t WHERE prev IS NOT NULL GROUP BY 1, 2 ORDER BY 1, 2
-            """
-        ).df()
-        assert got["prev_type"].tolist() == exp["prev_type"].tolist()
-        assert got["next_type"].tolist() == exp["next_type"].tolist()
-        assert got["n"].tolist() == exp["n"].astype(int).tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(
-            f"{SF}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        a = (relational.event_transitions(base.repartition(1), buckets=3)
-             .to_pandas().sort_values(["prev_type", "next_type"]).reset_index(drop=True))
-        b = (relational.event_transitions(base.repartition(17), buckets=64)
-             .to_pandas().sort_values(["prev_type", "next_type"]).reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestScd2History:
     def test_hand_built_intervals(self):
         import ray.data as rd
@@ -2154,202 +2077,6 @@ class TestScd2History:
         idx = _np.searchsorted(comp, q, side="right") - 1
         assert (users[idx] == ff["user_id"].to_numpy(_np.int64)).all()
         assert vals[idx].tolist() == ff["value_cents"].tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCollectSortedList:
-    def test_hand_built_collect(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        t = pa.table({
-            "k": pa.array([1, 1, 1, 2, 2], pa.int64()),
-            "v": pa.array([30, 10, 10, 7, 5], pa.int64()),  # dup 10 collapses
-        })
-        got = (
-            relational.collect_sorted_list(rd.from_arrow(t).repartition(3), "k", "v", "csv")
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        assert got["k"].tolist() == [1, 2]
-        assert got["n_values"].tolist() == [2, 2]
-        assert got["csv"].tolist() == ["10,30", "5,7"]
-
-    def test_collect_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
-        got = (
-            relational.collect_sorted_list(ds, "l_orderkey", "l_partkey", "parts_csv")
-            .to_pandas().sort_values("l_orderkey").reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH d AS (SELECT DISTINCT l_orderkey, l_partkey
-                       FROM '{SF}/lineitem.parquet')
-            SELECT l_orderkey, CAST(COUNT(*) AS BIGINT) AS n_values,
-                   STRING_AGG(CAST(l_partkey AS VARCHAR), ',' ORDER BY l_partkey)
-                   AS parts_csv
-            FROM d GROUP BY l_orderkey ORDER BY l_orderkey
-            """
-        ).df()
-        assert got["n_values"].tolist() == exp["n_values"].astype(int).tolist()
-        assert got["parts_csv"].tolist() == exp["parts_csv"].tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
-        a = (relational.collect_sorted_list(base.repartition(1), "l_orderkey", "l_partkey", "c", buckets=3)
-             .to_pandas().sort_values("l_orderkey").reset_index(drop=True))
-        b = (relational.collect_sorted_list(base.repartition(9), "l_orderkey", "l_partkey", "c", buckets=64)
-             .to_pandas().sort_values("l_orderkey").reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRollingRangeSum:
-    def test_hand_built_windows(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # user 1: days 0,1,8 -> window(8) excludes 0 and 1 (8-6=2 > 1)
-        rows = [(1, 0, 1.00), (1, 0, 2.00), (1, 1, 4.00), (1, 8, 8.00), (2, 3, 0.50)]
-        ts = [np.datetime64("2024-01-01", "us") + np.timedelta64(d, "D")
-              for (_, d, _) in rows]
-        t = pa.table({
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(np.array(ts, dtype="datetime64[us]")),
-            "value": pa.array([r[2] for r in rows], pa.float64()),
-        })
-        got = (
-            relational.rolling_range_sum(rd.from_arrow(t).repartition(3), window_days=7)
-            .to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True)
-        )
-        assert got["day_cents"].tolist() == [300, 400, 800, 50]
-        assert got["sum_window_cents"].tolist() == [300, 700, 800, 50]
-
-    def test_rolling_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts", "value"])
-        got = (
-            relational.rolling_range_sum(ds, window_days=7)
-            .to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH e AS (SELECT user_id, CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400 AS day,
-                       CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents
-                       FROM '{SF}/events.parquet'),
-            d AS (SELECT user_id, day, SUM(cents) AS c FROM e GROUP BY 1, 2)
-            SELECT user_id, day, CAST(c AS BIGINT) AS day_cents,
-                   CAST(SUM(c) OVER (PARTITION BY user_id ORDER BY day
-                        RANGE BETWEEN 6 PRECEDING AND CURRENT ROW) AS BIGINT)
-                   AS sum_window_cents
-            FROM d ORDER BY user_id, day
-            """
-        ).df()
-        assert got["day_cents"].tolist() == exp["day_cents"].astype(int).tolist()
-        assert got["sum_window_cents"].tolist() == exp["sum_window_cents"].astype(int).tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts", "value"])
-        a = (relational.rolling_range_sum(base.repartition(1), window_days=3, buckets=3)
-             .to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True))
-        b = (relational.rolling_range_sum(base.repartition(15), window_days=3, buckets=64)
-             .to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestConversionWithin:
-    def test_hand_built_attribution(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # user 1: clicks at h0 and h1; purchases at h2 and h200 (outside a
-        # 24h window of the h1 click only for h200). user 2: click, no buy.
-        base = np.datetime64("2024-01-01T00:00:00", "us")
-        h = np.timedelta64(3600, "s").astype("timedelta64[us]")
-        rows = [
-            (1, 0, "click"), (1, 1, "click"), (1, 2, "purchase"),
-            (1, 200, "purchase"), (2, 0, "click"), (3, 0, "purchase"),
-        ]
-        t = pa.table({
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(np.array([base + r[1] * h for r in rows],
-                                    dtype="datetime64[us]")),
-            "event_type": pa.array([r[2] for r in rows]),
-        })
-        got = (
-            relational.conversion_within(
-                rd.from_arrow(t).repartition(3), window_us=86_400_000_000)
-            .to_pandas().sort_values("user_id").reset_index(drop=True)
-        )
-        # user 3 has no click -> absent; user 1: both clicks convert via the
-        # h2 purchase (h200 is > 24h after both); 2 qualifying pairs total.
-        assert got["user_id"].tolist() == [1, 2]
-        assert got["n_from"].tolist() == [2, 1]
-        assert got["n_converted"].tolist() == [2, 0]
-        assert got["n_pairs"].tolist() == [2, 0]
-
-    def test_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/events.parquet",
-                             columns=["user_id", "ts", "event_type"])
-        got = (
-            relational.conversion_within(ds, window_us=7 * 86_400_000_000)
-            .to_pandas().sort_values("user_id").reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH c AS (SELECT user_id, epoch_us(ts) AS t,
-                       ROW_NUMBER() OVER () AS rid
-                       FROM '{SF}/events.parquet' WHERE event_type = 'click'),
-            p AS (SELECT user_id, epoch_us(ts) AS t
-                  FROM '{SF}/events.parquet' WHERE event_type = 'purchase'),
-            per AS (SELECT c.user_id, c.rid, COUNT(p.t) AS m FROM c
-                    LEFT JOIN p ON p.user_id = c.user_id
-                    AND p.t > c.t AND p.t <= c.t + 604800000000
-                    GROUP BY c.user_id, c.rid)
-            SELECT user_id, COUNT(*) AS n_from,
-                   SUM(CASE WHEN m > 0 THEN 1 ELSE 0 END) AS n_converted,
-                   SUM(m) AS n_pairs
-            FROM per GROUP BY user_id ORDER BY user_id
-            """
-        ).df()
-        assert got["n_from"].tolist() == exp["n_from"].astype(int).tolist()
-        assert got["n_converted"].tolist() == exp["n_converted"].astype(int).tolist()
-        assert got["n_pairs"].tolist() == exp["n_pairs"].astype(int).tolist()
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/events.parquet",
-                               columns=["user_id", "ts", "event_type"])
-        a = (relational.conversion_within(base.repartition(1), buckets=3)
-             .to_pandas().sort_values("user_id").reset_index(drop=True))
-        b = (relational.conversion_within(base.repartition(15), buckets=64)
-             .to_pandas().sort_values("user_id").reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2838,126 +2565,7 @@ class TestGlobalRank:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestApproxDistinctByKey:
-    def test_grouped_estimates_near_exact(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.sketches import approx_distinct_by_key
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["event_type", "user_id"])
-        got = approx_distinct_by_key(ds, "event_type", "user_id", p=10)
-        exp = duckdb.sql(
-            f"""SELECT event_type, COUNT(DISTINCT user_id) AS n
-                FROM '{SF}/events.parquet' GROUP BY 1 ORDER BY 1"""
-        ).df()
-        assert got["event_type"].tolist() == exp["event_type"].tolist()
-        for a, e in zip(got["approx_distinct"], exp["n"]):
-            assert abs(a - e) <= max(5, 0.1 * e), (a, e)
-
-    def test_partition_invariance(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.sketches import approx_distinct_by_key
-
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["event_type", "user_id"])
-        a = approx_distinct_by_key(base.repartition(1), "event_type", "user_id", p=10)
-        b = approx_distinct_by_key(base.repartition(13), "event_type", "user_id", p=10)
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestNewUsersDaily:
-    def test_hand_built_curve(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        # first days: u1->0, u2->0, u3->2, u4->5
-        rows = [(1, 0), (1, 3), (2, 0), (3, 2), (3, 2), (4, 5)]
-        ts = [np.datetime64("2024-01-01", "us") + np.timedelta64(d, "D")
-              for (_, d) in rows]
-        t = pa.table({
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(np.array(ts, dtype="datetime64[us]")),
-        })
-        got = (
-            relational.new_users_daily(rd.from_arrow(t).repartition(3))
-            .to_pandas().sort_values("day").reset_index(drop=True)
-        )
-        assert got["new_users"].tolist() == [2, 1, 1]
-        assert got["cum_users"].tolist() == [2, 3, 4]
-
-    def test_matches_duckdb_and_partition_invariant(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "ts"])
-        a = (relational.new_users_daily(base.repartition(1), buckets=3)
-             .to_pandas().sort_values("day").reset_index(drop=True))
-        b = (relational.new_users_daily(base.repartition(9), buckets=64)
-             .to_pandas().sort_values("day").reset_index(drop=True))
-        assert a.values.tolist() == b.values.tolist()
-        exp = duckdb.sql(
-            f"""
-            WITH f AS (SELECT user_id,
-                       MIN(CAST(FLOOR(epoch(ts)) AS BIGINT) // 86400) AS day
-                       FROM '{SF}/events.parquet' GROUP BY 1)
-            SELECT day, CAST(COUNT(*) AS BIGINT) AS new_users FROM f
-            GROUP BY 1 ORDER BY 1
-            """
-        ).df()
-        assert a["new_users"].tolist() == exp["new_users"].astype(int).tolist()
-        assert a["cum_users"].tolist() == exp["new_users"].astype(int).cumsum().tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestBucketedZipJoin:
-    def _write_pair(self, root, n_buckets_a=8, n_buckets_b=8):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.sources import lance_like
-
-        orders = rd.read_parquet(f"{SF}/orders.parquet",
-                                 columns=["o_orderkey", "o_orderpriority"])
-        items = rd.read_parquet(f"{SF}/lineitem.parquet",
-                                columns=["l_orderkey", "l_quantity"])
-        lance_like.write_bucketed(orders, f"{root}/orders", "o_orderkey", n_buckets_a)
-        lance_like.write_bucketed(items, f"{root}/lineitem", "l_orderkey", n_buckets_b)
-
-    def test_zip_join_matches_sql_join(self, tmp_path):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        self._write_pair(str(tmp_path))
-        got = (
-            relational.zip_join_bucketed(
-                f"{tmp_path}/orders", f"{tmp_path}/lineitem",
-                "o_orderkey", "l_orderkey")
-            .to_pandas()
-            .sort_values(["o_orderkey", "l_quantity"])
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            SELECT o_orderkey, o_orderpriority, l_quantity
-            FROM '{SF}/orders.parquet' o JOIN '{SF}/lineitem.parquet' l
-            ON o_orderkey = l_orderkey
-            ORDER BY o_orderkey, l_quantity
-            """
-        ).df()
-        assert len(got) == len(exp)
-        assert got["o_orderkey"].tolist() == exp["o_orderkey"].tolist()
-        assert got["l_quantity"].tolist() == exp["l_quantity"].tolist()
-
-    def test_spec_mismatch_raises(self, tmp_path):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        self._write_pair(str(tmp_path), n_buckets_a=8, n_buckets_b=4)
-        with pytest.raises(ValueError, match="specs differ"):
-            relational.zip_join_bucketed(
-                f"{tmp_path}/orders", f"{tmp_path}/lineitem",
-                "o_orderkey", "l_orderkey")
-
     def test_non_bucketed_table_raises(self, tmp_path):
         import ray.data as rd
 
@@ -3000,115 +2608,6 @@ class TestLabelCentroidSums:
         b = (analytics.label_centroid_sums(base.repartition(7))
              .to_pandas().sort_values(["label", "dim"]).reset_index(drop=True))
         assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRefreshDailyAgg:
-    def test_incremental_equals_full(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import compose
-        from distributed_system___ocr_ray.sources import lance_like
-
-        root = str(tmp_path / "events")
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["event_id", "ts", "value"])
-        import pyarrow.compute as pc
-
-        def part(keep: bool):
-            def f(b: pa.Table) -> pa.Table:
-                m = pc.equal(pc.bit_wise_and(b.column("event_id"), 1), 0)
-                return b.filter(m if keep else pc.invert(m)).select(["ts", "value"])
-            return f
-
-        lance_like.write_dataset(base.map_batches(part(False), batch_format="pyarrow"),
-                                 root, rows_per_fragment=512)
-        agg1, v1 = compose.refresh_daily_agg(root)
-        lance_like.write_dataset(base.map_batches(part(True), batch_format="pyarrow"),
-                                 root, mode="append", rows_per_fragment=512)
-        inc, v2 = compose.refresh_daily_agg(root, agg1, v1)
-        full, v2b = compose.refresh_daily_agg(root)
-        assert v2 == v2b
-        assert inc.values.tolist() == full.values.tolist()
-
-    def test_removed_fragments_raise(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import compose
-        from distributed_system___ocr_ray.sources import lance_like
-
-        root = str(tmp_path / "events")
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["ts", "value"])
-        lance_like.write_dataset(base, root, rows_per_fragment=256)
-        agg1, v1 = compose.refresh_daily_agg(root)
-        lance_like.compact(root, target_rows_per_fragment=4096)
-        with pytest.raises(ValueError, match="removed fragments"):
-            compose.refresh_daily_agg(root, agg1, v1)
-
-    def test_empty_increment_returns_prior(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import compose
-        from distributed_system___ocr_ray.sources import lance_like
-
-        root = str(tmp_path / "events")
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["ts", "value"])
-        lance_like.write_dataset(base, root)
-        agg1, v1 = compose.refresh_daily_agg(root)
-        again, v2 = compose.refresh_daily_agg(root, agg1, v1)
-        assert v2 == v1
-        assert again.values.tolist() == agg1.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSemiJoinAgg:
-    def test_hand_built_semi_join(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        fact = pa.table({
-            "k": pa.array([1, 2, 3, 4], pa.int64()),
-            "g": pa.array(["a", "a", "b", "b"]),
-        })
-        probe = pa.table({"pk": pa.array([2, 2, 4, 9], pa.int64())})
-        got = (
-            relational.semi_join_agg(
-                rd.from_arrow(fact).repartition(2),
-                rd.from_arrow(probe).repartition(2), "k", "pk", "g")
-            .to_pandas().sort_values("g").reset_index(drop=True)
-        )
-        assert got["g"].tolist() == ["a", "b"]
-        assert got["n_matching"].tolist() == [1, 1]
-
-    def test_broadcast_cap_raises(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        fact = pa.table({"k": pa.array([1], pa.int64()), "g": pa.array(["a"])})
-        probe = pa.table({"pk": pa.array(list(range(100)), pa.int64())})
-        with pytest.raises(ValueError, match="broadcast cap"):
-            relational.semi_join_agg(
-                rd.from_arrow(fact), rd.from_arrow(probe), "k", "pk", "g",
-                broadcast_cap_bytes=8)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestZOrder:
-    def test_morton_kernel_reference(self):
-        from distributed_system___ocr_ray.sources.lance_like import _morton2
-
-        a = np.array([0, 1, 0, 3], dtype=np.uint64)
-        b = np.array([0, 0, 1, 3], dtype=np.uint64)
-        # bit-interleave reference: a odd positions, b even
-        def ref(x, y):
-            out = 0
-            for i in range(16):
-                out |= ((x >> i) & 1) << (2 * i + 1)
-                out |= ((y >> i) & 1) << (2 * i)
-            return out
-        got = _morton2(a, b)
-        assert got.tolist() == [ref(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3173,45 +2672,6 @@ class TestSchemaEvolution:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestJsonFieldStats:
-    def test_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["props", "event_type"])
-        got = (relational.json_field_stats(ds)
-               .to_pandas().sort_values("event_type").reset_index(drop=True))
-        exp = duckdb.sql(
-            f"""
-            WITH x AS (SELECT event_type,
-                       CAST(regexp_extract(props, '"k":\\s*(\\d+)', 1) AS BIGINT) AS k
-                       FROM '{SF}/events.parquet'
-                       WHERE regexp_extract(props, '"k":\\s*(\\d+)', 1) <> '')
-            SELECT event_type, COUNT(*) AS n_rows, SUM(k) AS sum_k,
-                   MIN(k) AS min_k, MAX(k) AS max_k
-            FROM x GROUP BY 1 ORDER BY 1
-            """
-        ).df()
-        assert got["event_type"].tolist() == exp["event_type"].tolist()
-        for c in ("n_rows", "sum_k", "min_k", "max_k"):
-            assert got[c].tolist() == exp[c].astype(int).tolist(), c
-
-    def test_missing_field_rows_drop(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        t = pa.table({
-            "props": pa.array(['{"k": 3}', '{"other": 1}', '{"k": 7}']),
-            "event_type": pa.array(["a", "a", "a"]),
-        })
-        got = relational.json_field_stats(rd.from_arrow(t)).to_pandas()
-        assert got["n_rows"].tolist() == [2]
-        assert got["sum_k"].tolist() == [10]
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestCooccurrenceCounts:
     def test_hand_built_overlap(self):
         import ray.data as rd
@@ -3247,30 +2707,6 @@ class TestCooccurrenceCounts:
             """
         ).df()
         assert a["n_ids"].tolist() == exp["n_ids"].astype(int).tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestAntiJoinAgg:
-    def test_anti_flips_the_mask(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        fact = pa.table({
-            "k": pa.array([1, 2, 3, 4], pa.int64()),
-            "g": pa.array(["a", "a", "b", "b"]),
-        })
-        probe = pa.table({"pk": pa.array([2, 4], pa.int64())})
-        semi = (relational.semi_join_agg(rd.from_arrow(fact), rd.from_arrow(probe),
-                                         "k", "pk", "g")
-                .to_pandas().sort_values("g"))
-        anti = (relational.semi_join_agg(rd.from_arrow(fact), rd.from_arrow(probe),
-                                         "k", "pk", "g", anti=True)
-                .to_pandas().sort_values("g"))
-        assert semi["n_matching"].tolist() == [1, 1]
-        assert anti["n_matching"].tolist() == [1, 1]
-        # semi + anti partition the fact table
-        assert semi["n_matching"].sum() + anti["n_matching"].sum() == 4
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3503,68 +2939,6 @@ class TestOovRateByLang:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSessionPaths:
-    def test_hand_built(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        def t(m):
-            return np.datetime64(f"2024-01-01T00:{m:02d}:00", "us")
-
-        # user 1: a,b,c,d within one session -> trigrams abc, bcd; then a
-        # 31-min gap starts a session with only 2 events (no trigram).
-        # user 2: equal-ts events ordered by event_id -> trigram abc.
-        tbl = pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 1, 1, 2, 2, 2], pa.int64()),
-                "ts": pa.array(
-                    [t(0), t(1), t(2), t(3), t(35), t(36), t(0), t(0), t(0)],
-                    pa.timestamp("us"),
-                ),
-                "event_id": pa.array([1, 2, 3, 4, 5, 6, 12, 11, 10], pa.int64()),
-                "event_type": pa.array(
-                    ["a", "b", "c", "d", "x", "y", "c", "b", "a"], pa.string()
-                ),
-            }
-        )
-        got = _pdf(relational.session_paths(rd.from_arrow(tbl), partitions=4))
-        out = {(r.e1, r.e2, r.e3): r.n_paths for r in got.itertuples()}
-        assert out == {("a", "b", "c"): 2, ("b", "c", "d"): 1}
-
-    def test_vs_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        events = rd.read_parquet(
-            f"{SF}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        got = (
-            _pdf(relational.session_paths(events))
-            .sort_values(["e1", "e2", "e3"])
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH d AS (SELECT user_id, ts, event_id, event_type,
-              CASE WHEN lag(ts) OVER w IS NULL OR ts - lag(ts) OVER w >
-              INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk
-              FROM '{SF}/events.parquet'
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-            s AS (SELECT *, SUM(brk) OVER (PARTITION BY user_id
-              ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS sid FROM d),
-            t AS (SELECT event_type AS e1, lead(event_type, 1) OVER w2 AS e2,
-              lead(event_type, 2) OVER w2 AS e3 FROM s
-              WINDOW w2 AS (PARTITION BY user_id, sid ORDER BY ts, event_id))
-            SELECT e1, e2, e3, CAST(COUNT(*) AS BIGINT) AS n_paths FROM t
-            WHERE e3 IS NOT NULL GROUP BY 1, 2, 3 ORDER BY e1, e2, e3
-            """
-        ).df()
-        assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestBloomFpAudit:
     def test_hand_built_identities(self):
         import ray.data as rd
@@ -3707,33 +3081,6 @@ class TestSupplierHhi:
         total = sum(revs)
         s2 = sum(v * v for v in revs)
         assert s2 * 1_000_000 // (total * total) == 1_000_000
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestContinuationPartitionInvariance:
-    """The new bucketed operators must be exchange-layout-invariant: a
-    different bucket count is a different physical plan for the same
-    logical result (the house partition-invariance regression)."""
-
-    def test_session_paths_partitions(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        events = rd.read_parquet(
-            f"{SF}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        a = (
-            _pdf(relational.session_paths(events, partitions=3))
-            .sort_values(["e1", "e2", "e3"])
-            .reset_index(drop=True)
-        )
-        b = (
-            _pdf(relational.session_paths(events, partitions=17))
-            .sort_values(["e1", "e2", "e3"])
-            .reset_index(drop=True)
-        )
-        assert a.equals(b)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -208,43 +208,25 @@ def _name_refs(nodes) -> set[str]:
 # Definitions in the kernel modules that no program code reaches yet, kept
 # until their tests go with them. Delete entries with the code; never add.
 KNOWN_UNREACHABLE = (
-    "functions/sketches.py:HyperLogLog",
-    "functions/sketches.py:approx_distinct",
-    "functions/sketches.py:approx_distinct_by_key",
-    "pipelines/compose.py:refresh_daily_agg",
     "pipelines/relational.py:_cents",
     "pipelines/relational.py:_daily_last_partial",
     "pipelines/relational.py:_range_offsets",
     "pipelines/relational.py:_union_islands",
-    "pipelines/relational.py:collect_sorted_list",
-    "pipelines/relational.py:conversion_within",
     "pipelines/relational.py:count_in_window",
     "pipelines/relational.py:debounce_events",
     "pipelines/relational.py:debounce_frame",
-    "pipelines/relational.py:event_transitions",
     "pipelines/relational.py:events_daily",
     "pipelines/relational.py:forward_fill_daily",
     "pipelines/relational.py:gini_ppm",
     "pipelines/relational.py:global_ntile",
     "pipelines/relational.py:global_rank",
     "pipelines/relational.py:interval_coverage",
-    "pipelines/relational.py:json_field_stats",
     "pipelines/relational.py:longest_streak",
-    "pipelines/relational.py:new_users_daily",
     "pipelines/relational.py:period_over_period",
     "pipelines/relational.py:pricing_summary",
-    "pipelines/relational.py:rolling_range_sum",
     "pipelines/relational.py:scd2_history",
-    "pipelines/relational.py:semi_join_agg",
-    "pipelines/relational.py:session_paths",
     "pipelines/relational.py:spike_days",
     "pipelines/relational.py:top_users_by_value",
-    "pipelines/relational.py:zip_join_bucketed",
-    "sources/lance_like.py:_morton2",
-    "sources/lance_like.py:clone",
-    "sources/lance_like.py:rollback",
-    "stages/multimodal.py:FrameSampler",
-    "stages/multimodal.py:ImageResize",
 )
 
 
@@ -291,6 +273,44 @@ def test_no_orphaned_kernels():
     assert new == [], f"{len(new)} definitions no program code reaches: {new}"
     stale = sorted(set(KNOWN_UNREACHABLE) - orphans)
     assert stale == [], f"KNOWN_UNREACHABLE names reached or deleted code: {stale}"
+
+
+def test_no_unused_imports():
+    """Every import in the program files is used: a module-level import as a
+    ``Name`` somewhere in its module, a function-local one inside that
+    function (nested definitions included). Scans the package (bar
+    ``__init__.py``), ``__ray_entry__``, ``bench.py`` and ``tools/``;
+    ``from __future__`` imports are exempt."""
+    import ast
+    import glob
+
+    pkg = os.path.join(ROOT, "distributed_system___ocr_ray")
+    program = ([p for p in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)
+                if os.path.basename(p) != "__init__.py"]
+               + [os.path.join(ROOT, f) for f in ("__ray_entry__.py", "bench.py")]
+               + glob.glob(os.path.join(ROOT, "tools", "*.py")))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if isinstance(child, ast.ImportFrom) and child.module == "__future__":
+                    continue
+                used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+                dead.extend(
+                    f"{os.path.relpath(path, ROOT)}:{child.lineno}:{name}"
+                    for a in child.names
+                    if (name := a.asname or a.name.split(".")[0]) not in used
+                )
+            else:
+                visit(child, child if isinstance(child, funcs) else scope, path)
+
+    for path in program:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        visit(tree, tree, path)
+    assert dead == [], f"{len(dead)} unused imports: {sorted(dead)}"
 
 
 class TestQueryCli:

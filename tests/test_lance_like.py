@@ -1,106 +1,8 @@
-"""Rollback (Iceberg-style restore) tests for the Lance-style table."""
+"""Lance-style table tests: merge-on-read deletes, commit conflicts,
+WAP publish, check constraints and the two-process commit race."""
 
 import pyarrow as pa
 import pytest
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRollback:
-    def _build(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.sources import lance_like
-
-        root = str(tmp_path / "tbl")
-        t1 = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
-                       "v": pa.array(["a", "b", "c"], pa.string())})
-        lance_like.write_dataset(rd.from_arrow(t1), root)
-        t2 = pa.table({"k": pa.array([4, 5], pa.int64()),
-                       "v": pa.array(["d", "e"], pa.string())})
-        lance_like.write_dataset(rd.from_arrow(t2), root, mode="append")
-        return root, lance_like
-
-    def test_rollback_restores_v1(self, tmp_path):
-        root, lance_like = self._build(tmp_path)
-        assert lance_like.latest_version(root) == 2
-        man = lance_like.rollback(root, 1)
-        assert man["version"] == 3 and man["rollback_of"] == 1
-        got = lance_like.read_arrow(root)
-        assert sorted(got.column("k").to_pylist()) == [1, 2, 3]
-        # the rolled-past version is still time-travel readable
-        v2 = lance_like.read_arrow(root, version=2)
-        assert sorted(v2.column("k").to_pylist()) == [1, 2, 3, 4, 5]
-        # diff reports the append's fragment as removed by the rollback
-        d = lance_like.diff(root, 2, 3)
-        assert d["rows_removed"] == 2 and d["rows_added"] == 0
-
-    def test_rollback_then_gc_and_append(self, tmp_path):
-        import ray.data as rd
-
-        root, lance_like = self._build(tmp_path)
-        lance_like.rollback(root, 1)
-        # keep only the head: the appended fragment (referenced solely by
-        # v2) is reclaimed, the restored fragments survive
-        res = lance_like.gc(root, keep_versions=1)
-        assert res["deleted_fragments"] == 1
-        assert sorted(lance_like.read_arrow(root).column("k").to_pylist()) == [1, 2, 3]
-        # append after rollback continues the version chain
-        t3 = pa.table({"k": pa.array([9], pa.int64()), "v": pa.array(["z"], pa.string())})
-        lance_like.write_dataset(rd.from_arrow(t3), root, mode="append")
-        assert sorted(lance_like.read_arrow(root).column("k").to_pylist()) == [1, 2, 3, 9]
-
-    def test_rollback_missing_version_raises(self, tmp_path):
-        root, lance_like = self._build(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            lance_like.rollback(root, 7)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestShallowClone:
-    def test_clone_reads_and_evolves_independently(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.sources import lance_like
-
-        src = str(tmp_path / "src")
-        t1 = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
-        lance_like.write_dataset(rd.from_arrow(t1), src)
-
-        dst = str(tmp_path / "dst")
-        man = lance_like.clone(src, dst)
-        assert man["cloned_from"]["version"] == 1
-        assert sorted(lance_like.read_arrow(dst).column("k").to_pylist()) == [1, 2, 3]
-
-        # append to the CLONE: source unchanged, clone grows
-        lance_like.write_dataset(
-            rd.from_arrow(pa.table({"k": pa.array([9], pa.int64())})), dst, mode="append"
-        )
-        assert sorted(lance_like.read_arrow(dst).column("k").to_pylist()) == [1, 2, 3, 9]
-        assert sorted(lance_like.read_arrow(src).column("k").to_pylist()) == [1, 2, 3]
-
-        # append to the SOURCE after cloning: clone pinned at clone time
-        lance_like.write_dataset(
-            rd.from_arrow(pa.table({"k": pa.array([7], pa.int64())})), src, mode="append"
-        )
-        assert sorted(lance_like.read_arrow(dst).column("k").to_pylist()) == [1, 2, 3, 9]
-
-    def test_clone_gc_never_touches_source(self, tmp_path):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.sources import lance_like
-
-        src = str(tmp_path / "src")
-        lance_like.write_dataset(rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())})), src)
-        dst = str(tmp_path / "dst")
-        lance_like.clone(src, dst)
-        lance_like.write_dataset(
-            rd.from_arrow(pa.table({"k": pa.array([3], pa.int64())})), dst, mode="append"
-        )
-        res = lance_like.gc(dst, keep_versions=1)
-        # only the clone's own data dir is subject to reclaim; both tables
-        # still read fully
-        assert sorted(lance_like.read_arrow(dst).column("k").to_pylist()) == [1, 2, 3]
-        assert sorted(lance_like.read_arrow(src).column("k").to_pylist()) == [1, 2]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -235,10 +137,10 @@ class TestWapPublish:
         with pytest.raises(ll.WapAuditError):
             ll.wap_publish(stage, target, expected_rows=6)
         assert ll.latest_version(target) == v
-        # (shallow publish references staged files in place, so the
-        # clone-caveat applies: mutating staged fragments after publish
-        # corrupts the published snapshot too -- WAP guards the commit
-        # boundary, immutability of fragments is the storage contract)
+        # (publish references staged files in place, so mutating staged
+        # fragments after publish corrupts the published snapshot too --
+        # WAP guards the commit boundary, immutability of fragments is the
+        # storage contract)
         # row-count contract alone also gates
         stage2 = str(tmp_path / "stage2")
         ll.write_dataset(rd.from_arrow(t), stage2)

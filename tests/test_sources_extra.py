@@ -1,4 +1,4 @@
-"""JSONL source round trip, output publishing, CLI status, strip fuzzing."""
+"""Output publishing, CLI status, strip fuzzing."""
 
 import json
 import os
@@ -9,44 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distributed_system___ocr_ray import corpus, oracle
+from distributed_system___ocr_ray import corpus
 from distributed_system___ocr_ray.functions.html_strip import strip_boilerplate
-
-from test_pipeline import _assert_span_equality, _sorted_output
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestJsonlSource:
-    def test_jsonl_roundtrip_through_pipeline(self, small_corpus, tmp_path):
-        from distributed_system___ocr_ray.pipelines import extract as pipeline
-        from distributed_system___ocr_ray.sources.jsonl import (
-            read_documents_jsonl,
-            write_documents_jsonl,
-        )
-
-        docs, store = small_corpus
-        path = str(tmp_path / "docs.jsonl")
-        assert write_documents_jsonl(docs, path) == docs.num_rows
-        ds = read_documents_jsonl(path)
-        expected = oracle.extract_table(docs, corpus.media_dict(store))
-        out = _sorted_output(pipeline.extract_dataset(ds, store))
-        _assert_span_equality(out, expected)
-
-    def test_normalizer_defaults(self, tmp_path):
-        from distributed_system___ocr_ray.sources.jsonl import read_documents_jsonl
-
-        # NOTE: pyarrow's JSON reader needs type-consistent rows; the
-        # normalizer's job is filling MISSING span fields and dropping extras
-        p = tmp_path / "sparse.jsonl"
-        p.write_text(
-            json.dumps({"doc_id": 7, "spans": [{"kind": "text", "text": "hi", "junk": 1}]}) + "\n"
-            + json.dumps({"doc_id": 8, "spans": []}) + "\n"
-        )
-        rows = sorted(read_documents_jsonl(str(p)).take_all(), key=lambda r: r["doc_id"])
-        assert rows[0]["doc_id"] == "7"
-        span = rows[0]["spans"][0]
-        assert span["media_ref"] == "" and span["offset"] == 0 and "junk" not in span
-        assert rows[1]["spans"] == []
 
 
 @pytest.mark.usefixtures("ray_session")

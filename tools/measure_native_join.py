@@ -129,8 +129,6 @@ def main() -> int:
 
     # 3. tiny-domain grouped count ---------------------------------------
     def run_partial_tiny():
-        import pyarrow as pa
-
         def partial(batch):
             g = batch.group_by("source").aggregate([("n_chars", "sum")])
             return g.rename_columns(["source", "n"])
