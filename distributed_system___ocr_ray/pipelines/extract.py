@@ -20,10 +20,11 @@ reference's worker likewise sets up Tesseract once per long-lived process,
 Worker.java:47-48).
 
 ``extract_dataset`` is that stage without a checkpoint. The checkpointed,
-resumable run is ``pipelines.sharded.run_extraction_sharded``: its workers
-hold the same ``BlockExtractor`` and feed it one fragment of a Lance-style
-table at a time, committing each as an output partition. ``exploded_dataset``
-and ``extracted_dataset`` expose the explode and dispatch steps as narrow
+resumable run is ``pipelines.sharded.run_extraction_sharded``: one plain Ray
+task per fragment of a Lance-style table, each feeding its fragment to the
+same ``BlockExtractor`` (kept per process per run by ``run_state``) and
+committing it as an output partition. ``exploded_dataset`` and
+``extracted_dataset`` expose the explode and dispatch steps as narrow
 stages for span-level queries. The reference's three processes
 (LocalApplication / Manager / Worker) and its per-kind SQS queues collapse
 into one fused dispatch; queue transport disappears into the object store
@@ -116,23 +117,45 @@ def _num_blocks() -> int:
     return max(64, int(ray.cluster_resources().get("CPU", 8)) * 4)
 
 
-RUNS_KEPT = 2  # runs whose state one worker process keeps. Two interleaved
-# runs (two jobs of jobs.run_jobs) keep theirs; more rebuild their state when
-# they come back to a process. A kept run's state outlives the run until
-# newer runs push it out: ~10 MB of peak worker RSS per kept run on the
-# ocr_distinct benchmark, whose media buckets and memo it holds
+RUNS_KEPT = 4  # unfinished runs whose state one worker process keeps:
+# interleaved runs (jobs of jobs.run_jobs) up to this many keep theirs; more
+# rebuild their state when they come back to a process. Each kept run holds
+# its media buckets and memo, ~5-10 MB of worker RSS on ocr_distinct
 _run_states: OrderedDict[str, Any] = OrderedDict()
+_FINISHED_NS = "ocr_ray_finished_runs"  # internal-KV namespace of end_run marks
+
+
+def end_run(run: str) -> None:
+    """Mark run token ``run`` finished in Ray's internal KV, which every
+    worker process reads: each drops the run's state before it next builds
+    a run's state (``run_state``). A mark is a few dozen bytes and stays for
+    the life of the Ray session."""
+    from ray.experimental.internal_kv import _internal_kv_put
+
+    _internal_kv_put(run, b"1", namespace=_FINISHED_NS)
+
+
+def _drop_finished() -> None:
+    from ray.experimental import internal_kv as kv
+
+    if kv._internal_kv_initialized():
+        for run in [r for r in _run_states if kv._internal_kv_exists(r, namespace=_FINISHED_NS)]:
+            del _run_states[run]
 
 
 def run_state(run: str, build, kwargs: dict):
     """This process's ``build(**kwargs)`` for run token ``run``: built on
     the run's first batch in this process and reused by its later ones.
     Each run makes a fresh token, so memo, media store and glyph font never
-    cross from one run into the next; only the ``RUNS_KEPT`` most recently
-    used runs keep their state, the least recent is dropped first. A Ray
-    worker process runs one task at a time, so the holder needs no lock."""
+    cross from one run into the next. Before it builds a run's state, a
+    process drops the state of every run marked finished (``end_run``);
+    of the rest it keeps the ``RUNS_KEPT`` most recently used runs, the
+    least recent dropped first (a run that is never marked, such as an
+    ``extract_dataset`` one, leaves only that way). A Ray worker process
+    runs one task at a time, so the holder needs no lock."""
     state = _run_states.get(run)
     if state is None:
+        _drop_finished()
         state = _run_states[run] = build(**kwargs)
         while len(_run_states) > RUNS_KEPT:
             _run_states.popitem(last=False)

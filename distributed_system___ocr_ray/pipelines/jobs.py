@@ -10,18 +10,19 @@ per-job checkpoint isolation), while Ray's scheduler interleaves the jobs'
 tasks on the shared CPU pool (the listener pool + fleet sharing collapse
 into resource-based scheduling, as SQS collapsed into the object store).
 
-Jobs run on driver threads -- each thread executes its own streaming
-Dataset pipeline; Ray Data executors are independent per execution, so
-concurrent jobs backpressure separately and a failed/killed job never
-touches a sibling's manifest. A killed process resumes every job from its
+Jobs run on driver threads -- each thread keeps its own window of
+fragment tasks in flight (``sharded._dispatch``), so a job's slots refill
+independently of its siblings' and a failed/killed job never touches a
+sibling's manifest. A killed process resumes every job from its
 own last committed fragment (see tests/test_crash_resume.py).
 
 Concurrent jobs share Ray's warm worker processes (the reference's shared
 worker fleet): a process serves tasks of every job and keeps each job's
 extractor state under that job's own run token (``extract.run_state``), so
-no job sees another's decode memo or media store. A process keeps the
-state of its ``extract.RUNS_KEPT`` most recent runs; past that many
-interleaved jobs, a job rebuilds its state when it comes back to a process.
+no job sees another's decode memo or media store. A finished job's state
+is dropped before a process builds the next run's; of the unfinished ones a
+process keeps the ``extract.RUNS_KEPT`` most recent, and past that many
+interleaved jobs a job rebuilds its state when it comes back to a process.
 """
 
 from __future__ import annotations

@@ -5,41 +5,55 @@ contains only whole documents -- explode, extract and offset-ordered
 reassembly are all *local to a fragment*. That turns the pipeline into an
 embarrassingly-parallel map over fragments with NO all-to-all exchange:
 
-    Dataset[fragment descriptors]
-      -> map_batches(task pool, ShardWorker     # read -> explode -> extract
-                     state per worker per run)  # -> sort-aggregate -> commit
-      -> tiny lineage metrics rows to the driver
+    fragment list (minus committed fragments)
+      -> one Ray task per fragment, ``pool`` in flight: ShardWorker (state
+         per worker process per run) reads the fragment, explodes,
+         extracts, sort-aggregates and commits it
+      -> one lineage entry per fragment back to the driver
 
 Output partition id == fragment index, i.e. exactly the "one output
 directory per input shard" resumable layout: resume prunes committed
 fragments from the work list BEFORE anything is read -- a killed job
 re-reads only unfinished shards.
 
+Dispatch is the reference's work queue (Worker.java:79-121: a worker takes
+the next message as soon as it finishes one) kept on the driver: it holds
+``pool`` fragment tasks in flight and submits the next fragment the moment
+``ray.wait`` returns one. The fragment is the unit of work, of commit and
+of retry; Ray re-runs the task of a dead worker process, and the in-run
+retry skip returns a fragment that task had already committed.
+
 The semantic spec (groupby(doc_id) + offset-ordered sort-aggregate, north
 rule) is unchanged: each worker holds the one extraction core,
 ``pipelines.extract.BlockExtractor`` (explode -> ``ExtractDispatch`` ->
 ``reassemble_partition``), feeds it one fragment at a time and commits the
 result through ``CheckpointManifest.commit_partition``. The run result is
-the setup manifest scan folded with the workers' lineage rows, so a run
+the setup manifest scan folded with the tasks' lineage entries, so a run
 reads the manifest entries once. An in-memory table or a Dataset has no
 fragment layout: write it with ``lance_like.write_table`` /
 ``write_dataset`` first, or run ``extract_dataset`` without a checkpoint.
 
 Scale notes: one fragment must fit a worker's heap (fragments are written
 row-capped; at 100 TB keep fragments ~256-512 MB). Skew across fragments is
-bounded by the row cap; stragglers are limited to one fragment's work. Media
-store is broadcast once (ray.put) and fetched once per worker process per
-run, when ``extract.run_state`` builds that process's ``ShardWorker``: the
-stage runs on Ray's warm task workers, so a run pays no actor start-up, and
-the fresh per-run token keeps one run's memo and media state out of the
-next.
+bounded by the row cap; stragglers are limited to one fragment's work. One
+task per fragment is cheap at that size: a window of 2 no-op tasks turns
+over in ~1.2 ms per task on a 4-CPU box, against seconds of work per
+256 MB fragment. Media store is broadcast once (ray.put) and fetched once
+per worker process per run, when ``extract.run_state`` builds that
+process's ``ShardWorker``: the tasks run on Ray's warm worker processes, so
+a run pays no actor start-up, and the fresh per-run token keeps one run's
+memo and media state out of the next. At run end the token is marked
+finished (``extract.end_run``), so the processes drop its state before they
+build the next run's.
 """
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
 import os
 import time
+import uuid
 from typing import Any
 
 import pyarrow as pa
@@ -50,7 +64,8 @@ from ..state.checkpoint import CheckpointManifest, clean_tmp, summarize
 from .extract import (
     BlockExtractor,
     _media_handle,
-    map_per_run,
+    _run_task,
+    end_run,
     media_compatible,
     media_fingerprint,
 )
@@ -80,70 +95,97 @@ class ShardWorker:
         # the column physically; deletes keyed on it match the default
         self.evo_defaults = {e["add"]: e["default"] for e in (evolution or [])}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        entries = []
-        for item in batch.to_pylist():
-            part, path, frag = int(item["part"]), item["path"], item["frag"]
-            # in-run retry skip: a block packs many fragments (n_tasks ~
-            # pool*8), so a task retried after a mid-block failure must not
-            # redo the fragments it already durably committed
-            prior = self.manifest.committed_one(part)
-            if prior is not None and prior.get("fragment") == frag:
-                entries.append({**prior, "wall_sec": 0.0})
-                continue
-            t0 = time.monotonic()
-            # widen the projection to delete key columns (a delete may be
-            # keyed on any column -- tables support ADD COLUMN evolution),
-            # then drop the extras after filtering so the plan stays narrow
-            cols = ["doc_id", "spans"]
-            extra = [c for c, _ in self.deletes if c not in cols]
-            # metadata-only ADD COLUMN evolution: an old fragment may lack a
-            # delete-key column physically. Intersect the widened projection
-            # with the fragment's footer schema; absent evolved columns are
-            # matched against their recorded default instead (every row of
-            # such a fragment carries the default by definition).
-            if extra:
-                physical = set(pq.read_schema(path).names)
-                absent = [c for c in extra if c not in physical]
-                extra = [c for c in extra if c in physical]
-                for c in absent:
-                    if c not in self.evo_defaults:
-                        raise ValueError(
-                            f"delete keyed on column {c!r} absent from "
-                            f"fragment {frag!r} with no evolution default"
-                        )
-            else:
-                absent = []
-            docs = pq.read_table(path, columns=cols + extra)
-            if self.deletes:
-                import pyarrow.compute as pc
+    def __call__(self, item: dict) -> dict:
+        """Extract and commit one fragment; its manifest entry is the task's
+        lineage entry."""
+        part, path, frag = item["part"], item["path"], item["frag"]
+        # in-run retry skip: a task re-run after its worker process died
+        # past the commit must not redo the fragment it durably committed
+        prior = self.manifest.committed_one(part)
+        if prior is not None and prior.get("fragment") == frag:
+            return {**prior, "wall_sec": 0.0}
+        t0 = time.monotonic()
+        # widen the projection to delete key columns (a delete may be
+        # keyed on any column -- tables support ADD COLUMN evolution),
+        # then drop the extras after filtering so the plan stays narrow
+        cols = ["doc_id", "spans"]
+        extra = [c for c, _ in self.deletes if c not in cols]
+        # metadata-only ADD COLUMN evolution: an old fragment may lack a
+        # delete-key column physically. Intersect the widened projection
+        # with the fragment's footer schema; absent evolved columns are
+        # matched against their recorded default instead (every row of
+        # such a fragment carries the default by definition).
+        if extra:
+            physical = set(pq.read_schema(path).names)
+            absent = [c for c in extra if c not in physical]
+            extra = [c for c in extra if c in physical]
+            for c in absent:
+                if c not in self.evo_defaults:
+                    raise ValueError(
+                        f"delete keyed on column {c!r} absent from "
+                        f"fragment {frag!r} with no evolution default"
+                    )
+        else:
+            absent = []
+        docs = pq.read_table(path, columns=cols + extra)
+        if self.deletes:
+            import pyarrow.compute as pc
 
-                for col, keys in self.deletes:
-                    if col in absent:
-                        if self.evo_defaults[col] in set(keys.to_pylist()):
-                            docs = docs.slice(0, 0)  # default is deleted
-                        continue
-                    mask = pc.is_in(docs.column(col), value_set=keys)
-                    docs = docs.filter(pc.invert(mask))
-            if extra:
-                docs = docs.select(cols)
-            out, meta = self.core.process(docs)
-            # identity = manifest-RELATIVE path: basenames degenerate for
-            # tables whose fragments share file names (e.g. part=K/data.parquet)
-            meta["fragment"] = frag
-            entries.append({"part": part, **self.manifest.commit_partition(part, out, meta, t0=t0)})
-        # one lineage row per fragment, carrying what the run result sums,
-        # so the driver never re-reads the manifest entries
-        return pa.table(
-            {
-                "part": pa.array([e["part"] for e in entries], pa.int32()),
-                "rows_in": pa.array([e["rows_in"] for e in entries], pa.int64()),
-                "rows_out": pa.array([e["rows_out"] for e in entries], pa.int64()),
-                "wall_sec": pa.array([e["wall_sec"] for e in entries], pa.float64()),
-                "status_counts": pa.array(
-                    [json.dumps(e["status_counts"]) for e in entries], pa.string()),
-            }
-        )
+            for col, keys in self.deletes:
+                if col in absent:
+                    if self.evo_defaults[col] in set(keys.to_pylist()):
+                        docs = docs.slice(0, 0)  # default is deleted
+                    continue
+                mask = pc.is_in(docs.column(col), value_set=keys)
+                docs = docs.filter(pc.invert(mask))
+        if extra:
+            docs = docs.select(cols)
+        out, meta = self.core.process(docs)
+        # identity = manifest-RELATIVE path: basenames degenerate for
+        # tables whose fragments share file names (e.g. part=K/data.parquet)
+        meta["fragment"] = frag
+        return {"part": part, **self.manifest.commit_partition(part, out, meta, t0=t0)}
+
+
+@functools.cache
+def _remote_run_task():
+    """``extract._run_task`` as a Ray task, defined once per process, with
+    Ray Data's task defaults: a task whose worker process died is re-run
+    without limit, and so is one that raised ``RaySystemError``."""
+    import ray
+
+    return ray.remote(
+        num_cpus=1, max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
+        scheduling_strategy="DEFAULT",  # never inherit a caller's placement group
+    )(_run_task)
+
+
+def _dispatch(items: list[dict], pool: int, kwargs) -> list[dict]:
+    """One ``ShardWorker`` task per fragment, ``pool`` of them in flight: a
+    finished task frees its slot for the next fragment at once. On a task
+    error the tasks still in flight finish before the error is raised, so
+    no task of a failed run still writes once the run has returned."""
+    import ray
+
+    task, run, todo = _remote_run_task(), uuid.uuid4().hex, iter(items)
+
+    def submit(item):
+        return task.remote(item, run=run, build=ShardWorker, kwargs=kwargs)
+
+    inflight = [submit(item) for item in itertools.islice(todo, pool)]
+    entries = []
+    try:
+        while inflight:
+            [done], inflight = ray.wait(inflight, num_returns=1)
+            entries.append(ray.get(done))
+            inflight += [submit(item) for item in itertools.islice(todo, 1)]
+    except Exception:
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight), fetch_local=False)
+        raise
+    finally:
+        end_run(run)
+    return entries
 
 
 def run_extraction_sharded(
@@ -166,10 +208,9 @@ def run_extraction_sharded(
     mutating the output directory (no job entry persisted, no stale-index
     retirement): the validation surface for ``ray job submit`` packaging.
     With ``resume=True`` it refuses a job mismatch exactly as the real run
-    would. ``concurrency`` caps the concurrent tasks (default: CPUs - 2,
-    at least 2)."""
+    would. ``concurrency`` caps the fragment tasks in flight (default:
+    CPUs - 2, at least 2)."""
     import ray
-    import ray.data as rd
 
     from ..stages.extractors import _hook_identity
 
@@ -252,35 +293,20 @@ def run_extraction_sharded(
         }
     if items:
         pool = concurrency or max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
-        # task count ~8x pool: Ray Data's driver dispatch costs ~10 ms per
-        # task (serial), so 1 task per fragment at 10^5 fragments would be
-        # driver-bound; several fragments per task keeps dispatch negligible
-        # while commit/resume granularity stays per-fragment (the worker
-        # commits each fragment inside the task loop)
-        n_tasks = max(1, min(len(items), pool * 8))
-        work = rd.from_items(items, override_num_blocks=n_tasks)
-        metrics = map_per_run(
-            work, ShardWorker,
-            {
-                "media_handle": _media_handle(media),
-                "out_dir": out_dir,
-                "batch_size": batch_size,
-                "deletes_handle": (
-                    ray.put([(c, pa.array(sorted(k))) for c, k in dels])
-                    if dels else None
-                ),
-                "evolution": man.get("evolution", []),
-                "fetcher": fetcher,
-                "ocr_backend": ocr_backend,
-            },
-            # never more tasks than work blocks (a small resume has few)
-            concurrency=min(pool, n_tasks),
-            batch_size=None,  # whole work-item block per call
-        )
-        # a re-run fragment's row replaces its stale setup-scan entry
-        for row in metrics.take_all():
-            committed[int(row["part"])] = {
-                **row, "status_counts": json.loads(row["status_counts"])}
+        kwargs = ray.put({  # once per run, not once per task
+            "media_handle": _media_handle(media),
+            "out_dir": out_dir,
+            "batch_size": batch_size,
+            "deletes_handle": (
+                ray.put([(c, pa.array(sorted(k))) for c, k in dels]) if dels else None
+            ),
+            "evolution": man.get("evolution", []),
+            "fetcher": fetcher,
+            "ocr_backend": ocr_backend,
+        })
+        # a re-run fragment's entry replaces its stale setup-scan entry
+        for entry in _dispatch(items, pool, kwargs):
+            committed[entry["part"]] = entry
     summary = summarize(committed.values())
     del summary["wall_sec_sum"]  # a status field, not part of the run result
     return {**summary, "partitions_run": len(items), "partitions_skipped_prior": n_skipped}

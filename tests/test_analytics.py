@@ -1715,7 +1715,6 @@ class TestSemDeDup:
     def test_semdedup_matches_bruteforce(self):
         """Reference: assign via the engine's own integer kmeans (fit is
         tested against SQL elsewhere), then brute-force the dominance rule."""
-        import ray
         import ray.data as rd
 
         from distributed_system___ocr_ray.pipelines import analytics
@@ -3074,16 +3073,6 @@ class TestLangidConfusion:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSupplierHhi:
-    def test_monopoly_bound(self):
-        # pure-python fold identity on a monopoly-like distribution
-        revs = [100, 0, 0]
-        total = sum(revs)
-        s2 = sum(v * v for v in revs)
-        assert s2 * 1_000_000 // (total * total) == 1_000_000
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestKAnonymity:
     def test_hand_built_with_nulls(self):
         import ray.data as rd
@@ -3362,8 +3351,6 @@ class TestShuffleMixAudit:
 @pytest.mark.usefixtures("ray_session")
 class TestQ2AndChi2:
     def test_chi2_vs_duckdb_and_independence_zero(self):
-        import ray.data as rd  # noqa: F401
-
         import __ray_entry__ as em
         from distributed_system___ocr_ray.pipelines import analytics
 
@@ -4805,7 +4792,6 @@ class TestRendezvousRoutingBalance:
 class TestDsirImportanceWeights:
     def test_target_like_docs_score_higher(self, tmp_path):
         import pyarrow.parquet as pq
-        import ray.data as rd  # noqa: F401 - ray session fixture side
 
         from distributed_system___ocr_ray.pipelines import analytics
 
@@ -5068,7 +5054,6 @@ class TestPprTop:
     def test_structure_and_topic_sensitivity(self, tmp_path):
         import pyarrow.parquet as pq
         import pytest
-        import ray.data as rd  # noqa: F401
 
         from distributed_system___ocr_ray.pipelines import analytics
 
@@ -5093,7 +5078,6 @@ class TestPprTop:
 class TestBitextMining:
     def test_margin_separates_true_pairs_from_hubs(self, tmp_path):
         import pyarrow.parquet as pq
-        import ray.data as rd  # noqa: F401
 
         from distributed_system___ocr_ray.pipelines import analytics
 

@@ -27,14 +27,6 @@ def _to_pandas(result):
     return result
 
 
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
 @pytest.fixture(scope="session")
 def con():
     c = duckdb.connect()
@@ -279,8 +271,8 @@ def test_no_unused_imports():
     """Every import in the program files is used: a module-level import as a
     ``Name`` somewhere in its module, a function-local one inside that
     function (nested definitions included). Scans the package (bar
-    ``__init__.py``), ``__ray_entry__``, ``bench.py`` and ``tools/``;
-    ``from __future__`` imports are exempt."""
+    ``__init__.py``), ``__ray_entry__``, ``bench.py``, ``tools/`` and the
+    tests; ``from __future__`` imports are exempt."""
     import ast
     import glob
 
@@ -288,7 +280,8 @@ def test_no_unused_imports():
     program = ([p for p in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)
                 if os.path.basename(p) != "__init__.py"]
                + [os.path.join(ROOT, f) for f in ("__ray_entry__.py", "bench.py")]
-               + glob.glob(os.path.join(ROOT, "tools", "*.py")))
+               + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+               + glob.glob(os.path.join(ROOT, "tests", "*.py")))
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
 

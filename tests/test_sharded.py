@@ -2,10 +2,14 @@
 oracle AND with the uncheckpointed ``extract_dataset``, plus resume
 semantics."""
 
+import glob
+import json
 import os
 import shutil
+import time
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from distributed_system___ocr_ray import corpus, oracle
@@ -26,6 +30,64 @@ def corpus_dirs(tmp_path_factory, small_corpus):
     lance_like.write_table(docs, docs_dir, rows_per_fragment=7)  # 9 fragments
     lance_like.write_table(store, media_dir, rows_per_fragment=10**6)
     return docs_dir, media_dir
+
+
+def _exit_once_fetcher(marker: str):
+    """A fetcher that ends its worker process on its first call anywhere
+    (creating ``marker`` first, atomically) and misses on every later one.
+    Built as a closure: cloudpickle ships closures by value, so the workers
+    need not import this test module."""
+
+    def fetch(ref):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return None
+        os._exit(1)
+
+    return fetch
+
+
+def _overlap_fetcher(log_dir: str, wait_s: float = 10.0):
+    """A fetcher that misses and, once ``log_dir/armed`` exists, logs its
+    process id with the call's start and end times. An armed call holds
+    until calls of two processes have started (at most ``wait_s``), so two
+    tasks that run one after the other never overlap."""
+
+    def fetch(ref):
+        if not os.path.exists(os.path.join(log_dir, "armed")):
+            return None
+        t0 = time.time()
+        open(os.path.join(log_dir, f"start-{os.getpid()}"), "w").close()
+        while (len(glob.glob(os.path.join(log_dir, "start-*"))) < 2
+               and time.time() - t0 < wait_s):
+            time.sleep(0.01)
+        with open(os.path.join(log_dir, f"calls-{os.getpid()}.jsonl"), "a") as f:
+            f.write(json.dumps({"pid": os.getpid(), "t0": t0, "t1": time.time()}) + "\n")
+        return None
+
+    return fetch
+
+
+def _slow_fetcher(delay_s: float):
+    """A fetcher that misses after ``delay_s``."""
+
+    def fetch(ref):
+        time.sleep(delay_s)
+
+    return fetch
+
+
+def _fragments_with_misses(docs_dir: str, store: pa.Table) -> list[int]:
+    """Indices of the fragments holding a media ref the store lacks."""
+    refs = set(store.column("media_ref").to_pylist())
+    hits = []
+    for i, frag in enumerate(lance_like.read_manifest(docs_dir)["fragments"]):
+        spans = pq.read_table(os.path.join(docs_dir, frag["path"])).column("spans")
+        if any(s["media_ref"] and s["media_ref"] not in refs
+               for doc in spans.to_pylist() for s in doc):
+            hits.append(i)
+    return hits
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -95,10 +157,8 @@ class TestResumeIdentity:
         assert m["partitions_run"] == 0
 
     def test_worker_skips_committed_fragment_in_run(self, corpus_dirs, small_corpus, tmp_path):
-        """A retried worker block must not redo fragments it already durably
+        """A retried fragment task must not redo a fragment it already durably
         committed: the in-run skip returns the prior entry untouched."""
-        import pyarrow as pa
-
         from distributed_system___ocr_ray.pipelines.extract import _media_handle
         from distributed_system___ocr_ray.pipelines.sharded import ShardWorker
         from distributed_system___ocr_ray.sources import lance_like as ll
@@ -112,11 +172,8 @@ class TestResumeIdentity:
         part_file = CheckpointManifest(out_dir).partition_path(0)
         mtime = os.path.getmtime(part_file)
         worker = ShardWorker(_media_handle(store), out_dir)
-        batch = pa.table(
-            {"part": [0], "path": [os.path.join(docs_dir, frag)], "frag": [frag]}
-        )
-        out = worker(batch)
-        assert out.column("wall_sec").to_pylist() == [0.0], "must skip, not redo"
+        out = worker({"part": 0, "path": os.path.join(docs_dir, frag), "frag": frag})
+        assert out["wall_sec"] == 0.0, "must skip, not redo"
         assert os.path.getmtime(part_file) == mtime, "data file must be untouched"
 
     def test_media_append_resumes(self, small_corpus, tmp_path):
@@ -377,9 +434,8 @@ class TestRunIsolation:
             _assert_span_equality(_sorted_output(pipeline.load_output(out)), exp)
 
     def test_one_fragment_resume_warns_nothing(self, two_stores, tmp_path):
-        """The task cap follows the work blocks: a resume with one pending
-        fragment asks for one task, and Ray Data does not warn that the
-        pool is larger than its input."""
+        """A resume with one pending fragment runs one task and warns
+        nothing about a pool larger than its input."""
         import warnings
 
         docs_dir, stores, _ = two_stores
@@ -418,6 +474,18 @@ class TestRunState:
         b = self.state("run-b", x=2)
         assert b is not a and b.kwargs == {"x": 2} and a.kwargs == {"x": 1}
 
+    @pytest.mark.usefixtures("ray_session")
+    def test_drops_finished_runs_before_building(self):
+        import uuid
+
+        a, b, c = (uuid.uuid4().hex for _ in range(3))
+        first, second = self.state(a), self.state(b)
+        pipeline.end_run(a)
+        assert self.state(a) is first, "a kept run is reused without a lookup"
+        self.state(c)
+        assert list(pipeline._run_states) == [b, c], "finished run dropped first"
+        assert self.state(b) is second
+
     def test_keeps_only_the_most_recent_runs(self):
         runs = [f"run-{i}" for i in range(pipeline.RUNS_KEPT + 1)]
         first, second = self.state(runs[0]), self.state(runs[1])
@@ -427,3 +495,81 @@ class TestRunState:
         assert len(pipeline._run_states) == pipeline.RUNS_KEPT
         assert self.state(runs[0]) is first
         assert self.state(runs[1]) is not second, "least recent run dropped"
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestFragmentTasks:
+    """The run is one Ray task per fragment with ``concurrency`` in flight;
+    Ray re-runs the task of a worker process that died."""
+
+    def test_worker_death_loses_and_duplicates_nothing(self, corpus_dirs, small_corpus, tmp_path):
+        docs, store = small_corpus
+        docs_dir, _ = corpus_dirs
+        assert len(_fragments_with_misses(docs_dir, store)) >= 2
+        marker, out_dir = str(tmp_path / "died"), str(tmp_path / "out")
+        m = run_extraction_sharded(docs_dir, store, out_dir, concurrency=2,
+                                   fetcher=_exit_once_fetcher(marker))
+        assert os.path.exists(marker), "a worker process must have died"
+        assert m["partitions_run"] == m["partitions_total"] == 9
+        expected = oracle.extract_table(docs, corpus.media_dict(store))
+        _assert_span_equality(_sorted_output(pipeline.load_output(out_dir)), expected)
+        man = CheckpointManifest(out_dir)
+        frags = [f["path"] for f in lance_like.read_manifest(docs_dir)["fragments"]]
+        assert sorted(f for f in os.listdir(man.dir) if f.startswith("part-")) == sorted(
+            f"part-{i}.json" for i in range(9))
+        assert {p: e["fragment"] for p, e in man.committed().items()} == dict(enumerate(frags))
+        assert [f for _, _, fs in os.walk(out_dir) for f in fs if ".tmp" in f] == []
+
+    def test_two_pending_fragments_run_in_two_processes_at_once(
+            self, corpus_dirs, small_corpus, tmp_path):
+        docs, store = small_corpus
+        docs_dir, _ = corpus_dirs
+        log_dir, out_dir = tmp_path / "log", str(tmp_path / "out")
+        log_dir.mkdir()
+        fetcher = _overlap_fetcher(str(log_dir))
+        run_extraction_sharded(docs_dir, store, out_dir, concurrency=2, fetcher=fetcher)
+        man = CheckpointManifest(out_dir)
+        for p in _fragments_with_misses(docs_dir, store)[:2]:  # lose two fragments
+            os.remove(os.path.join(man.dir, f"part-{p}.json"))
+            shutil.rmtree(os.path.join(out_dir, f"part={p}"))
+        (log_dir / "armed").touch()
+        m = run_extraction_sharded(docs_dir, store, out_dir, concurrency=2, fetcher=fetcher)
+        assert m["partitions_run"] == 2
+        calls = [json.loads(line) for path in glob.glob(str(log_dir / "calls-*.jsonl"))
+                 for line in open(path)]
+        spans = {}
+        for c in calls:
+            t0, t1 = spans.get(c["pid"], (c["t0"], c["t1"]))
+            spans[c["pid"]] = (min(t0, c["t0"]), max(t1, c["t1"]))
+        assert len(spans) == 2, f"two worker processes, got {sorted(spans)}"
+        (a0, a1), (b0, b1) = spans.values()
+        assert max(a0, b0) < min(a1, b1), "the two fragments must run at overlapping times"
+        expected = oracle.extract_table(docs, corpus.media_dict(store))
+        _assert_span_equality(_sorted_output(pipeline.load_output(out_dir)), expected)
+
+    def test_failed_run_returns_after_its_tasks_stop_writing(self, small_corpus, tmp_path):
+        """A task error ends the run only once the tasks still in flight
+        have finished: nothing of the failed run writes after it returns,
+        and a resume completes the run."""
+        docs, store = small_corpus
+        docs_dir, out_dir = str(tmp_path / "docs"), str(tmp_path / "out")
+        lance_like.write_table(docs, docs_dir, rows_per_fragment=7)
+        last = os.path.join(docs_dir, lance_like.read_manifest(docs_dir)["fragments"][-1]["path"])
+        os.rename(last, last + ".away")  # the last fragment's read fails
+        no_media = store.slice(0, 0)  # every media span calls the slow fetcher
+        fetcher = _slow_fetcher(0.05)
+
+        def files():
+            return sorted((d, f, os.path.getmtime(os.path.join(d, f)))
+                          for d, _, fs in os.walk(out_dir) for f in fs)
+
+        with pytest.raises(FileNotFoundError):
+            run_extraction_sharded(docs_dir, no_media, out_dir, concurrency=2, fetcher=fetcher)
+        at_return = files()
+        time.sleep(1.5)
+        assert files() == at_return, "a task of the failed run wrote after it returned"
+        os.rename(last + ".away", last)
+        m = run_extraction_sharded(docs_dir, no_media, out_dir, concurrency=2, fetcher=fetcher)
+        assert m["partitions_total"] == 9 and m["partitions_run"] >= 1
+        expected = oracle.extract_table(docs, corpus.media_dict(no_media))
+        _assert_span_equality(_sorted_output(pipeline.load_output(out_dir)), expected)

@@ -722,7 +722,6 @@ class TestVerifyAudit:
         import os
 
         import pyarrow as pa
-        import pyarrow.parquet as pq_mod
 
         from distributed_system___ocr_ray.sources import lance_like
 

@@ -1,10 +1,12 @@
-"""Backpressure/spill evidence: the flagship pipeline stays CORRECT when
-the object store is far smaller than the data flowing through it.
+"""Object-store evidence: the flagship pipeline stays CORRECT when the
+object store is far smaller than the corpus it extracts.
 
-The 100 TB claim rests on streaming execution: blocks flow through a
-bounded object store with backpressure and spill, never a full
-materialization. This tool runs the sharded extraction over a corpus
-several times larger than a deliberately tiny object store and checks
+The sharded run never moves documents through the object store: each
+fragment task reads its fragment from the table and commits its partition
+itself, so only the broadcast media store, the task arguments and the
+small lineage entries live there. This tool runs the sharded extraction
+over a corpus several times larger than a deliberately tiny object store
+and checks
 
 1. the run completes (no OOM),
 2. output row counts equal the input span counts (nothing dropped under
@@ -15,9 +17,9 @@ Prints one JSON line. Usage::
 
     PYTHONPATH=/root/repo python tools/measure_backpressure.py
 
-Streaming keeps the sharded run's footprint bounded by construction --
-expected result: completes with little or no spill however large the
-corpus (that bound IS the evidence).
+Reading inside the tasks keeps the sharded run's object-store footprint
+bounded by construction -- expected result: completes with little or no
+spill however large the corpus (that bound IS the evidence).
 
 Env: ``BP_STORE_MB`` (default 512), ``BP_REPLICATE`` (default 800 over
 sf0.1 -- the 4M-doc scaling corpus, whose exploded spans are well past the
