@@ -538,19 +538,6 @@ def _q_token_burstiness(sf_dir: str):
     return analytics.token_burstiness(ds, k=20)
 
 
-def _q_graph_reciprocity(sf_dir: str):
-    """Edge reciprocity ppm of the md5-derived citation graph
-    (analytics.graph_reciprocity): distinct directed edges whose reverse
-    is also present. Oracle replays the shared edge CTEs + a self-join
-    EXISTS over the DISTINCT edge set."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.graph_reciprocity(ds)
-
-
 def _q_docs_rollup(sf_dir: str):
     """OLAP ROLLUP counts over (lang, source) in one shuffle: coarser
     levels fold from the finest inside the single final block; rolled
@@ -1038,30 +1025,6 @@ def _q_ivf_indexed_topk(sf_dir: str):
     return out.select_columns(["query_id", "vec_id"])
 
 
-def _q_triangle_count(sf_dir: str):
-    """Exact triangle count of the derived link graph (wedge-check with two
-    bucketed joins); the oracle replays the edge CTEs plus the classic
-    three-way self-join."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.triangle_count(ds)
-
-
-def _q_in_degree_histogram(sf_dir: str):
-    """In-degree distribution of the derived citation graph (0-degree row
-    included closed-form); the oracle replays the shared edge CTEs plus a
-    LEFT JOIN COALESCE(0) double GROUP BY."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.in_degree_histogram(ds)
-
-
 def _q_table_checksum(sf_dir: str):
     """Order-independent uint64 content fingerprint of the documents table
     (anti-entropy verification); oracle replays the chr(31) serialization +
@@ -1173,16 +1136,6 @@ def _q_span_corruption_plan(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return analytics.span_corruption_plan(ds)
-
-
-def _q_two_hop_reach(sf_dir: str):
-    """2-hop in-neighborhood size for the top-20 most-cited nodes of the
-    shared md5 citation graph (analytics.two_hop_reach); oracle composes
-    the shared edge CTE with a double join + COUNT DISTINCT."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    docs = _docs(sf_dir, ["doc_id"])
-    return analytics.two_hop_reach(docs)
 
 
 def _q_token_diversity_by_lang(sf_dir: str):
@@ -1324,16 +1277,6 @@ def _q_encoding_audit(sf_dir: str):
     return analytics.encoding_audit(sf_dir)
 
 
-def _q_link_prediction_topk(sf_dir: str):
-    """Top-20 NON-adjacent pairs of the derived citation graph by
-    common-neighbor count (Liben-Nowell/Kleinberg link prediction); wedge
-    self-join on the center vertex, packed-pair count exchange, null-test
-    anti-join vs the edge set (analytics.common_neighbor_pairs)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.common_neighbor_pairs(_docs(sf_dir, ["doc_id"]), k=20)
-
-
 def _q_vocab_growth(sf_dir: str):
     """Heaps-law vocabulary growth: distinct whitespace tokens first seen
     in the first 25/50/75/100% of the corpus by doc_id, with the doc count
@@ -1371,18 +1314,6 @@ def _q_hybrid_topk(sf_dir: str):
         k=10,
     )
     return _pairs_df(out, {"query_id": "int64", "doc_id": "int64", "rrf_score": "int64"})
-
-
-def _q_pagerank_top(sf_dir: str):
-    """Distributed integer PageRank over the md5-derived citation graph;
-    the oracle unrolls the identical edge derivation + rank recurrence as
-    CTEs (_pagerank_sql). Top-20 by (rank desc, id asc)."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.pagerank_top(ds, iters=4, damping_pct=85, topn=20)
 
 
 def _q_ccnet_bucket_counts(sf_dir: str):
@@ -1434,68 +1365,6 @@ def _q_nb_source_classifier(sf_dir: str):
 
     ds = _docs(sf_dir, ["doc_id", "source", "text"])
     return analytics.nb_source_classifier(ds)
-
-
-def _q_ppr_top(sf_dir: str):
-    """Personalized PageRank with the teleport landing on the lang='en'
-    slice (analytics.ppr_top -- topic-sensitive authority); oracle is
-    the pagerank replay with a per-node CASE teleport, unrolled CTEs."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.ppr_top(sf_dir)
-
-
-def _q_anf_effective_diameter(sf_dir: str):
-    """HyperANF neighbourhood function / effective diameter of the
-    citation graph: per-node HLL ball sketches, register-max propagation
-    per hop, N(h) and the 90% knee (analytics.anf_effective_diameter --
-    Palmer et al. ANF / Boldi et al. HyperANF, the all-pairs-distances-
-    in-linear-passes trick); oracle derives the SAME registers from
-    first principles (recursive min-hop reachability + grouped HLL with
-    the pinned estimator ladder), so the equality proves the
-    propagation."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.anf_effective_diameter(ds)
-
-
-def _q_bfs_levels(sf_dir: str):
-    """Min-hop BFS levels from doc 0 over the md5-derived citation graph
-    (analytics.bfs_levels): per round a capped broadcast-frontier map-side
-    probe (edges never re-shuffle; falls back to the bucketed join past
-    the cap) + one bucketed groupby-MIN fold (idempotent -- no visited-set
-    broadcast); the oracle unrolls the identical rounds as CTEs."""
-    import ray.data as rd
-
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return analytics.bfs_levels(ds, source=0, max_rounds=8)
-
-
-def _bfs_levels_sql(max_rounds: int = 8) -> str:
-    """Unrolled-CTE replay of ``analytics.bfs_levels``: the shared edge
-    derivation, then per round a frontier join + UNION ALL + MIN fold --
-    identical to the engine's groupby-MIN (an exhausted frontier makes
-    later rounds no-ops on both sides)."""
-    parts = [
-        f"WITH {_edges_ctes()}, ",
-        "l0 AS (SELECT CAST(0 AS BIGINT) AS node, CAST(0 AS BIGINT) AS level), ",
-    ]
-    for r in range(max_rounds):
-        parts.append(
-            f"c{r + 1} AS (SELECT e.dst AS node, CAST({r + 1} AS BIGINT) AS level "
-            f"FROM edges e JOIN l{r} f ON f.node = e.src AND f.level = {r}), "
-        )
-        parts.append(
-            f"l{r + 1} AS (SELECT node, MIN(level) AS level FROM "
-            f"(SELECT * FROM l{r} UNION ALL SELECT * FROM c{r + 1}) GROUP BY node), "
-        )
-    body = "".join(parts).rstrip().rstrip(",")
-    return f"{body} SELECT node AS doc_id, level FROM l{max_rounds}"
 
 
 def _q_cluster_balanced_sample(sf_dir: str):
@@ -2198,16 +2067,6 @@ def _q_encoding_advisor(sf_dir: str):
         ["lang", "source", "text"])
 
 
-def _q_lpa_modularity(sf_dir: str):
-    """Newman modularity of the LPA partition over the md5-derived
-    citation graph (analytics.lpa_modularity); oracle reuses the shared
-    LPA voting chain and replays the per-community degree-mass /
-    within-edge fold and the exact 4m-scaled quotient."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.lpa_modularity(_docs(sf_dir, ["doc_id"]))
-
-
 def _q_semdedup_keepers(sf_dir: str):
     """SemDeDup: kmeans the embedding space (the integer-exact Lloyd fit
     kmeans_clusters uses), then within each cluster drop vectors that have
@@ -2491,15 +2350,6 @@ def _q_token_budget_waterfill(sf_dir: str):
     return analytics.token_budget_waterfill(_docs(sf_dir, ["text", "source"]))
 
 
-def _q_random_walks(sf_dir: str):
-    """Deterministic DeepWalk-style walk corpus over the shared md5
-    citation graph (analytics.random_walks); oracle unrolls the hops as
-    step CTEs over the sorted-adjacency list table."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.random_walks(_docs(sf_dir, ["doc_id"]))
-
-
 def _q_kwic_snippets(sf_dir: str):
     """Keyword-in-context concordance: first 20 occurrences per query
     term with a +-3-token snippet (analytics.kwic_snippets); oracle
@@ -2638,26 +2488,6 @@ def _q_rendezvous_routing_balance(sf_dir: str):
     return analytics.rendezvous_routing_balance(ds, n_workers=16)
 
 
-def _q_lpa_communities(sf_dir: str):
-    """Synchronous label-propagation communities with self-vote and
-    smallest-label tie-break over the md5-derived citation graph, 4 fixed
-    rounds (analytics.lpa_communities); oracle replays the undirected
-    edge symmetrization and every voting round as MATERIALIZED CTEs."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.lpa_communities(_docs(sf_dir, ["doc_id"]))
-
-
-def _q_kcore_nodes(sf_dir: str):
-    """4-round 2-core peel of the md5-derived citation graph
-    (analytics.kcore_nodes -- the dense-region prefilter); oracle
-    replays every peel round as MATERIALIZED CTEs (surviving-subgraph
-    degree, threshold filter)."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.kcore_nodes(_docs(sf_dir, ["doc_id"]))
-
-
 def _q_langid_kappa(sf_dir: str):
     """Cohen's kappa between labeled lang and the n-gram heuristic
     (analytics.langid_kappa -- the chance-corrected routing-trust
@@ -2666,38 +2496,6 @@ def _q_langid_kappa(sf_dir: str):
     from distributed_system___ocr_ray.pipelines import analytics
 
     return analytics.langid_kappa(_docs(sf_dir, ["doc_id", "lang", "text"]))
-
-
-def _q_hits_scores(sf_dir: str):
-    """HITS hubs/authorities over the md5-derived citation graph, 3
-    fixed rounds of exact integer max-renormalized mutual recursion
-    (analytics.hits_scores); oracle unrolls every half-step as
-    MATERIALIZED CTEs and replays the (auth DESC, id) top-20."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.hits_scores(_docs(sf_dir, ["doc_id"]))
-
-
-def _q_local_clustering_topk(sf_dir: str):
-    """Top-20 nodes by local clustering coefficient over the md5-derived
-    citation graph (analytics.local_clustering_topk -- per-node
-    refinement of triangle_count); oracle replays the apex-carrying
-    wedge probe, the 3-way triangle credit, and the exact truncating
-    ppm with the (lcc DESC, doc_id) rank."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.local_clustering_topk(_docs(sf_dir, ["doc_id"]))
-
-
-def _q_degree_assortativity(sf_dir: str):
-    """Newman degree assortativity of the md5-derived citation graph
-    (analytics.degree_assortativity): exact-integer endpoint-degree
-    Pearson over the symmetrized undirected edge list, shipped as
-    sign-split truncating r_ppm; oracle replays edges, degrees and the
-    HUGEINT moment arithmetic."""
-    from distributed_system___ocr_ray.pipelines import analytics
-
-    return analytics.degree_assortativity(_docs(sf_dir, ["doc_id"]))
 
 
 def _q_dsir_importance_weights(sf_dir: str):
@@ -2846,7 +2644,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hapax_rate_by_source": _q_hapax_rate_by_source,
         "source_tv_distance": _q_source_tv_distance,
         "token_burstiness": _q_token_burstiness,
-        "graph_reciprocity": _q_graph_reciprocity,
         "robust_outliers": _q_robust_outliers,
         "collocations": _q_collocations,
         # similarity search / retrieval
@@ -2855,16 +2652,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ivf_indexed_topk": _q_ivf_indexed_topk,
         "kmeans_clusters": _q_kmeans_clusters,
         "semdedup_keepers": _q_semdedup_keepers,
-        "pagerank_top": _q_pagerank_top,
-        "ppr_top": _q_ppr_top,
-        "bfs_levels": _q_bfs_levels,
-        "anf_effective_diameter": _q_anf_effective_diameter,
         "rnn_pairs": _q_rnn_pairs,
         "kmeans_inertia": _q_kmeans_inertia,
         "cluster_balanced_sample": _q_cluster_balanced_sample,
         "hybrid_topk": _q_hybrid_topk,
-        "triangle_count": _q_triangle_count,
-        "in_degree_histogram": _q_in_degree_histogram,
         "table_checksum": _q_table_checksum,
         "phrase_doc_counts": _q_phrase_doc_counts,
         "oov_rate_by_lang": _q_oov_rate_by_lang,
@@ -2874,7 +2665,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "completeness_audit": _q_completeness_audit,
         "doc_bigram_surprisal_topk": _q_doc_bigram_surprisal_topk,
         "span_corruption_plan": _q_span_corruption_plan,
-        "two_hop_reach": _q_two_hop_reach,
         "token_diversity_by_lang": _q_token_diversity_by_lang,
         "doc_surprisal_topk": _q_doc_surprisal_topk,
         "sentence_stats_by_lang": _q_sentence_stats_by_lang,
@@ -2885,7 +2675,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "k_anonymity": _q_k_anonymity,
         "split_skew_audit": _q_split_skew_audit,
         "vocab_growth": _q_vocab_growth,
-        "link_prediction_topk": _q_link_prediction_topk,
         "encoding_audit": _q_encoding_audit,
         "quality_length_corr": _q_quality_length_corr,
         "shuffle_mix_audit": _q_shuffle_mix_audit,
@@ -2894,7 +2683,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "label_centroids": _q_label_centroids,
         "evolved_schema_counts": _q_evolved_schema_counts,
         "encoding_advisor": _q_encoding_advisor,
-        "lpa_modularity": _q_lpa_modularity,
         "quantize_embeddings": _q_quantize_embeddings,
         "bm25_topk": _q_bm25_topk,
         "bm25_prf_topk": _q_bm25_prf_topk,
@@ -2914,7 +2702,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "blocklist_screen": _q_blocklist_screen,
         "code_switch_rate_by_source": _q_code_switch_rate_by_source,
         "token_budget_waterfill": _q_token_budget_waterfill,
-        "random_walks": _q_random_walks,
         "kwic_snippets": _q_kwic_snippets,
         "matryoshka_recall_audit": _q_matryoshka_recall_audit,
         "mmr_diverse_topk": _q_mmr_diverse_topk,
@@ -2931,10 +2718,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pca_top_component": _q_pca_top_component,
         "rendezvous_routing_balance": _q_rendezvous_routing_balance,
         "dsir_importance_weights": _q_dsir_importance_weights,
-        "lpa_communities": _q_lpa_communities,
-        "degree_assortativity": _q_degree_assortativity,
-        "local_clustering_topk": _q_local_clustering_topk,
-        "hits_scores": _q_hits_scores,
         "langid_kappa": _q_langid_kappa,
         "nb_source_classifier": _q_nb_source_classifier,
         "texttiling_boundaries": _q_texttiling_boundaries,
@@ -2943,7 +2726,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "wap_publish_counts": _q_wap_publish_counts,
         "binary_hamming_topk": _q_binary_hamming_topk,
         "ccnet_bucket_counts": _q_ccnet_bucket_counts,
-        "kcore_nodes": _q_kcore_nodes,
         # multimodal
         "media_metadata": _q_media_metadata,
         "media_dedup_groups": _q_media_dedup_groups,
@@ -3546,62 +3328,6 @@ _EMBEDDING_NEARDUP_SQL = (
 # uint64 from the first 8 md5 digest bytes -- the exact value
 # functions/dedup.md5_u64 computes (big-endian prefix)
 _MD5U64 = "CAST(('0x' || substr(md5({v}), 1, 16)) AS UBIGINT)"
-
-
-def _anf_sql(p: int = 6, max_h: int = 6) -> str:
-    """First-principles replay of ``analytics.anf_effective_diameter``:
-    exact min-hop reachability (recursive UNION on (v, u, h), capped at
-    max_h) -> per-(node, h) HLL registers over the EXACT ball members ->
-    the pinned estimator ladder (exact HUGEINT register sum, alpha bias,
-    linear-counting branch, FLOOR(x+0.5)) -> N(h), frac, 90% knee.
-    Register-wise MAX over members equals the engine's per-hop max
-    propagation -- that identity is what the equality certifies."""
-    m = 1 << p
-    hh = _MD5U64.format(v="CAST(u AS VARCHAR)")
-    deg_h = _MD5U64.format(v="CAST(doc_id AS VARCHAR) || ':deg'")
-    lnk_h = _MD5U64.format(v="CAST(src AS VARCHAR) || ':link:' || CAST(j AS VARCHAR)")
-    alpha = repr(0.7213 / (1 + 1.079 / m))
-    return (
-        "WITH RECURSIVE "
-        "nn AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM documents), "
-        f"degs AS (SELECT doc_id AS src, CAST(1 + {deg_h} % 3 AS BIGINT) AS deg "
-        "FROM documents), "
-        "lnk AS (SELECT src, deg, unnest(range(deg)) AS j FROM degs), "
-        f"edges AS (SELECT src, dst FROM (SELECT src, CAST({lnk_h} % nn.n AS BIGINT) "
-        "AS dst FROM lnk, nn) WHERE dst <> src), "
-        "reach AS (SELECT doc_id AS v, doc_id AS u, 0 AS h FROM documents "
-        "UNION SELECT r.v, e.dst AS u, r.h + 1 AS h FROM reach r "
-        f"JOIN edges e ON e.src = r.u WHERE r.h < {max_h}), "
-        "md AS (SELECT v, u, MIN(h) AS minh FROM reach GROUP BY 1, 2), "
-        f"urank AS (SELECT u, CAST(h >> {64 - p} AS BIGINT) AS idx, "
-        "64 - length(bin(CAST((CAST(h AS HUGEINT) % "
-        f"CAST({1 << (64 - p)} AS HUGEINT)) * {1 << p} + {(1 << p) - 1} "
-        "AS UBIGINT))) + 1 AS rank "
-        f"FROM (SELECT DISTINCT u, {hh} AS h FROM (SELECT u FROM md))), "
-        "mh AS (SELECT md.v, md.u, g.h FROM md "
-        f"CROSS JOIN generate_series(0, {max_h}) g(h) WHERE md.minh <= g.h), "
-        "reg AS (SELECT mh.v, mh.h, ur.idx, MAX(ur.rank) AS r FROM mh "
-        "JOIN urank ur ON ur.u = mh.u GROUP BY 1, 2, 3), "
-        "agg AS (SELECT v, h, SUM(CAST(power(2.0, CAST(64 - r AS DOUBLE)) "
-        "AS HUGEINT)) AS pnum, CAST(COUNT(*) AS BIGINT) AS cnt "
-        "FROM reg GROUP BY 1, 2), "
-        f"e AS (SELECT v, h, CAST({alpha} AS DOUBLE) * {m} * {m} "
-        "* 18446744073709551616.0 / CAST(pnum + "
-        f"(CAST({m} AS HUGEINT) - cnt) * CAST(18446744073709551616.0 AS HUGEINT) "
-        f"AS DOUBLE) AS est0, {m} - cnt AS zeros FROM agg), "
-        f"pe AS (SELECT v, h, CAST(FLOOR((CASE WHEN est0 <= {m} * 2.5 "
-        f"AND zeros > 0 THEN {m} * ln(CAST({m} AS DOUBLE) / zeros) "
-        "ELSE est0 END) + 0.5) AS BIGINT) AS pairs FROM e), "
-        "nh AS (SELECT h, CAST(SUM(pairs) AS BIGINT) AS pairs_est FROM pe "
-        "GROUP BY h), "
-        f"fin AS (SELECT pairs_est AS f FROM nh WHERE h = {max_h}), "
-        "fr AS (SELECT h, pairs_est, pairs_est * 1000000 // "
-        "(SELECT f FROM fin) AS frac_ppm FROM nh), "
-        "d90 AS (SELECT MIN(h) AS d FROM fr WHERE frac_ppm >= 900000) "
-        "SELECT h, pairs_est, frac_ppm, "
-        "CAST(CASE WHEN h = (SELECT d FROM d90) THEN 1 ELSE 0 END AS BIGINT) "
-        "AS is_effective_diameter FROM fr ORDER BY h"
-    )
 
 
 def _bm25_prf_sql(queries: list[str] | None = None, k: int | None = None,
@@ -4252,237 +3978,6 @@ def _hybrid_sql(k: int = 10, rrf_k: int = 60) -> str:
     )
 
 
-def _edges_ctes() -> str:
-    """Shared CTE prefix replaying ``analytics.derived_link_edges`` (the
-    md5-derived citation graph; deg fixed BEFORE the self-loop drop)."""
-    deg_h = _MD5U64.format(v="CAST(doc_id AS VARCHAR) || ':deg'")
-    lnk_h = _MD5U64.format(v="CAST(src AS VARCHAR) || ':link:' || CAST(j AS VARCHAR)")
-    return (
-        "nn AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM documents), "
-        f"degs AS (SELECT doc_id AS src, CAST(1 + {deg_h} % 3 AS BIGINT) AS deg FROM documents), "
-        "lnk AS (SELECT src, deg, unnest(range(deg)) AS j FROM degs), "
-        f"edges AS (SELECT src, deg, dst FROM (SELECT src, deg, CAST({lnk_h} % nn.n AS BIGINT) "
-        "AS dst FROM lnk, nn) WHERE dst <> src)"
-    )
-
-
-def _lpa_cte_parts(rounds: int = 4) -> list:
-    """Shared CTE chain for the LPA replays (communities + modularity):
-    distinct undirected edges from the citation-graph CTEs, then
-    ``rounds`` synchronous voting rounds -- self-vote unioned with
-    neighbor labels, modal vote with QUALIFY (n DESC, lab) = 1. Chained
-    CTEs MATERIALIZED (same exponential-inlining hazard as
-    _kcenter_sql)."""
-    parts = [
-        f"WITH {_edges_ctes()}, "
-        "und AS MATERIALIZED (SELECT DISTINCT LEAST(src, dst) AS a, "
-        "GREATEST(src, dst) AS b FROM edges), "
-        "sym AS MATERIALIZED (SELECT a AS node, b AS nbr FROM und "
-        "UNION ALL SELECT b, a FROM und), "
-        "l0 AS MATERIALIZED (SELECT doc_id AS node, "
-        "CAST(doc_id AS BIGINT) AS lab FROM documents)"
-    ]
-    for t in range(1, rounds + 1):
-        parts.append(
-            f"v{t} AS MATERIALIZED (SELECT s.node, l.lab FROM sym s "
-            f"JOIN l{t - 1} l ON l.node = s.nbr "
-            f"UNION ALL SELECT node, lab FROM l{t - 1})"
-        )
-        parts.append(
-            f"l{t} AS MATERIALIZED (SELECT node, lab FROM "
-            f"(SELECT node, lab, COUNT(*) AS n FROM v{t} GROUP BY 1, 2) "
-            "QUALIFY row_number() OVER (PARTITION BY node "
-            "ORDER BY n DESC, lab) = 1)"
-        )
-    return parts
-
-
-def _lpa_sql(rounds: int = 4) -> str:
-    """Replay of ``analytics.lpa_communities`` (chain: _lpa_cte_parts)."""
-    return (
-        ", ".join(_lpa_cte_parts(rounds))
-        + f" SELECT node AS doc_id, lab AS community FROM l{rounds} "
-        "ORDER BY doc_id"
-    )
-
-
-def _lpa_modularity_sql(rounds: int = 4) -> str:
-    """Replay of ``analytics.lpa_modularity``: the shared LPA chain, both
-    endpoint communities joined onto the distinct undirected edges, the
-    per-community (degree mass, within-edges) fold, and
-    Q = sum(4*m*e_c - d_c^2) / (4*m^2) in HUGEINT with the sign-split
-    truncating ppm."""
-    parts = _lpa_cte_parts(rounds)
-    parts.append(
-        f"la AS MATERIALIZED (SELECT fa.lab AS ca, fb.lab AS cb FROM und u "
-        f"JOIN l{rounds} fa ON fa.node = u.a "
-        f"JOIN l{rounds} fb ON fb.node = u.b)"
-    )
-    parts.append("mm AS (SELECT CAST(COUNT(*) AS HUGEINT) AS m FROM la)")
-    parts.append(
-        "pc AS MATERIALIZED (SELECT c, SUM(deg) AS d_c, SUM(w) AS e_c FROM "
-        "(SELECT ca AS c, 1 AS deg, CASE WHEN ca = cb THEN 1 ELSE 0 END AS w "
-        "FROM la UNION ALL SELECT cb, 1, 0 FROM la) GROUP BY 1)"
-    )
-    parts.append(
-        "ag AS (SELECT SUM(4 * (SELECT m FROM mm) * CAST(e_c AS HUGEINT) - "
-        "CAST(d_c AS HUGEINT) * d_c) AS num, COUNT(*) AS nc FROM pc)"
-    )
-    return (
-        ", ".join(parts)
-        + " SELECT CAST((SELECT m FROM mm) AS BIGINT) AS m_edges, "
-        "CAST((SELECT nc FROM ag) AS BIGINT) AS n_communities, "
-        "CAST(CASE WHEN (SELECT m FROM mm) = 0 THEN 0 "
-        "WHEN (SELECT num FROM ag) >= 0 THEN ((SELECT num FROM ag) * 1000000) "
-        "// (4 * (SELECT m FROM mm) * (SELECT m FROM mm)) "
-        "ELSE -((-(SELECT num FROM ag) * 1000000) "
-        "// (4 * (SELECT m FROM mm) * (SELECT m FROM mm))) END AS BIGINT) "
-        "AS modularity_ppm"
-    )
-
-
-def _kcore_sql(k: int = 2, rounds: int = 4) -> str:
-    """Replay of ``analytics.kcore_nodes``: distinct undirected edges,
-    then ``rounds`` unrolled peel iterations -- surviving-subgraph degree
-    via a double semi-join, threshold >= k. Chained CTEs MATERIALIZED."""
-    parts = [
-        f"WITH {_edges_ctes()}, "
-        "und AS MATERIALIZED (SELECT DISTINCT LEAST(src, dst) AS a, "
-        "GREATEST(src, dst) AS b FROM edges), "
-        "sym AS MATERIALIZED (SELECT a AS node, b AS nbr FROM und "
-        "UNION ALL SELECT b, a FROM und), "
-        "s0 AS MATERIALIZED (SELECT doc_id AS node FROM documents)"
-    ]
-    for t in range(1, rounds + 1):
-        parts.append(
-            f"d{t} AS MATERIALIZED (SELECT e.node, COUNT(*) AS dg FROM sym e "
-            f"JOIN s{t - 1} x ON x.node = e.node "
-            f"JOIN s{t - 1} y ON y.node = e.nbr GROUP BY 1)"
-        )
-        parts.append(
-            f"s{t} AS MATERIALIZED (SELECT node FROM d{t} WHERE dg >= {k})"
-        )
-    return (
-        ", ".join(parts)
-        + f" SELECT CAST(node AS BIGINT) AS doc_id FROM s{rounds} "
-        "ORDER BY doc_id"
-    )
-
-
-def _hits_sql(rounds: int = 3, topn: int = 20, scale: int = 1_000_000) -> str:
-    """Replay of ``analytics.hits_scores``: the shared edge CTEs, then
-    ``rounds`` unrolled half-step pairs -- authority = grouped HUGEINT sum
-    of hub over in-edges then ``(s * scale) // MAX(s)``, hub likewise over
-    out-edges -- and the (auth DESC, id) top-n with hub attached by LEFT
-    JOIN (absent hub = 0). All chained CTEs MATERIALIZED."""
-    parts = [
-        f"WITH {_edges_ctes()}, "
-        "e AS MATERIALIZED (SELECT src, dst FROM edges), "
-        "h0 AS MATERIALIZED (SELECT doc_id AS node, "
-        f"CAST({scale} AS BIGINT) AS v FROM documents)"
-    ]
-    for t in range(1, rounds + 1):
-        parts.append(
-            f"ar{t} AS MATERIALIZED (SELECT e.dst AS node, SUM(h.v) AS s "
-            f"FROM e JOIN h{t - 1} h ON h.node = e.src GROUP BY 1)"
-        )
-        parts.append(
-            f"a{t} AS MATERIALIZED (SELECT node, (s * {scale}) // "
-            f"(SELECT MAX(s) FROM ar{t}) AS v FROM ar{t})"
-        )
-        parts.append(
-            f"hr{t} AS MATERIALIZED (SELECT e.src AS node, SUM(a.v) AS s "
-            f"FROM e JOIN a{t} a ON a.node = e.dst GROUP BY 1)"
-        )
-        parts.append(
-            f"h{t} AS MATERIALIZED (SELECT node, (s * {scale}) // "
-            f"(SELECT MAX(s) FROM hr{t}) AS v FROM hr{t})"
-        )
-    return (
-        ", ".join(parts)
-        + f" SELECT CAST(t.node AS BIGINT) AS doc_id, "
-        "CAST(t.v AS BIGINT) AS auth_scaled, "
-        "CAST(COALESCE(hh.v, 0) AS BIGINT) AS hub_scaled "
-        f"FROM (SELECT node, v FROM a{rounds} ORDER BY v DESC, node "
-        f"LIMIT {topn}) t LEFT JOIN h{rounds} hh ON hh.node = t.node "
-        "ORDER BY t.v DESC, t.node"
-    )
-
-
-def _triangle_sql() -> str:
-    """Replay of ``analytics.triangle_count``: canonical a<b distinct edges,
-    wedge at the smallest vertex, closing-edge probe."""
-    return (
-        f"WITH {_edges_ctes()}, "
-        "und AS (SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b FROM edges) "
-        "SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles FROM und e1 "
-        "JOIN und e2 ON e1.a = e2.a AND e1.b < e2.b "
-        "JOIN und e3 ON e3.a = e1.b AND e3.b = e2.b"
-    )
-
-
-def _pagerank_sql(iters: int = 4, damping_pct: int = 85, topn: int = 20) -> str:
-    """Unrolled-CTE replay of ``analytics.pagerank_top``: md5-derived edges
-    (deg fixed BEFORE self-loop drop), integer rank recurrence
-    ``r' = BASE + (damping * SUM(r//deg)) // 100``. Every quantity is a
-    non-negative integer, so DuckDB's truncating ``//`` == Python floor
-    division throughout."""
-    parts = [
-        f"WITH {_edges_ctes()}, ",
-        "consts AS (SELECT n, 1000000000000 // n AS r0, "
-        f"((100 - {damping_pct}) * (1000000000000 // n)) // 100 AS base FROM nn), ",
-        "r0 AS (SELECT doc_id AS node, (SELECT r0 FROM consts) AS rank FROM documents), ",
-    ]
-    for t in range(iters):
-        parts.append(
-            f"r{t + 1} AS (SELECT d.doc_id AS node, CAST((SELECT base FROM consts) + "
-            f"({damping_pct} * COALESCE(i.inc, 0)) // 100 AS BIGINT) AS rank "
-            "FROM documents d LEFT JOIN ("
-            "SELECT e.dst AS node, SUM(r.rank // e.deg) AS inc "
-            f"FROM edges e JOIN r{t} r ON r.node = e.src GROUP BY e.dst"
-            ") i ON i.node = d.doc_id), "
-        )
-    body = "".join(parts).rstrip().rstrip(",")
-    return (
-        f"{body} SELECT node AS doc_id, rank AS rank_scaled FROM r{iters} "
-        f"ORDER BY rank DESC, node LIMIT {topn}"
-    )
-
-
-def _ppr_sql(iters: int = 4, damping_pct: int = 85, topn: int = 20,
-             topic_lang: str = "en") -> str:
-    """Replay of ``analytics.ppr_top``: the pagerank recurrence with the
-    teleport concentrated on the topic slice -- r0 and the per-node base
-    are CASE-gated on lang, mass S // nT; all quantities non-negative
-    ints so ``//`` parity holds throughout."""
-    s = 1_000_000_000_000
-    parts = [
-        f"WITH {_edges_ctes()}, ",
-        f"tt AS (SELECT COUNT(*) AS nt FROM documents WHERE lang = '{topic_lang}'), ",
-        f"cc AS (SELECT nt, {s} // nt AS r0, "
-        f"((100 - {damping_pct}) * ({s} // nt)) // 100 AS bt FROM tt), ",
-        f"bt AS (SELECT doc_id AS node, CASE WHEN lang = '{topic_lang}' "
-        "THEN (SELECT bt FROM cc) ELSE 0 END AS base FROM documents), ",
-        f"r0 AS (SELECT doc_id AS node, CAST(CASE WHEN lang = '{topic_lang}' "
-        "THEN (SELECT r0 FROM cc) ELSE 0 END AS BIGINT) AS rank "
-        "FROM documents), ",
-    ]
-    for t in range(iters):
-        parts.append(
-            f"r{t + 1} AS (SELECT b.node, CAST(b.base + "
-            f"({damping_pct} * COALESCE(i.inc, 0)) // 100 AS BIGINT) AS rank "
-            "FROM bt b LEFT JOIN ("
-            "SELECT e.dst AS node, SUM(r.rank // e.deg) AS inc "
-            f"FROM edges e JOIN r{t} r ON r.node = e.src GROUP BY e.dst"
-            ") i ON i.node = b.node), "
-        )
-    body = "".join(parts).rstrip().rstrip(",")
-    return (
-        f"{body} SELECT node AS doc_id, rank AS rank_scaled FROM r{iters} "
-        f"ORDER BY rank DESC, node LIMIT {topn}"
-    )
-
-
 def _kmeans_assign_ctes(k: int = 8, iters: int = 3, scale: int = 1000) -> str:
     """Unrolled-CTE replay of the shared Lloyd fit (``analytics._kmeans_fit``
     + final assignment): long-form integer-quantized vectors, md5-key
@@ -4807,42 +4302,6 @@ _WATERFILL_SQL = (
     "CAST(CASE WHEN s.a > lvl.L THEN 1 ELSE 0 END AS BIGINT) AS capped "
     "FROM s, lvl ORDER BY s.source"
 )
-
-
-def _random_walks_sql(n_seeds: int = 16, walks_per_seed: int = 4,
-                      walk_len: int = 3) -> str:
-    seed_h = _MD5U64.format(v="'rwseed:' || CAST(doc_id AS VARCHAR)")
-    # replay of analytics.random_walks over the shared edge CTEs:
-    # sorted-adjacency lists, md5-arithmetic hop picks, walks end at
-    # sink nodes via the step JOIN
-    parts = [
-        f"{_edges_ctes()}, "
-        "de AS (SELECT DISTINCT src, dst FROM edges), "
-        "adj AS (SELECT src, list(dst ORDER BY dst) AS arr FROM de GROUP BY src), "
-        f"sh AS (SELECT doc_id AS v, {seed_h} AS h FROM documents), "
-        f"seeds AS (SELECT v FROM sh ORDER BY h, v LIMIT {n_seeds}), "
-        "s0 AS (SELECT v AS seed, CAST(unnest(range("
-        f"{walks_per_seed})) AS BIGINT) AS w, v FROM seeds)"
-    ]
-    for t in range(walk_len):
-        hop_h = _MD5U64.format(
-            v="'walk:' || CAST(s.seed AS VARCHAR) || ':' || CAST(s.w AS VARCHAR) "
-            f"|| ':{t}:' || CAST(s.v AS VARCHAR)"
-        )
-        parts.append(
-            f"s{t + 1} AS (SELECT s.seed, s.w, "
-            f"adj.arr[CAST(1 + {hop_h} % len(adj.arr) AS INT)] AS v "
-            f"FROM s{t} s JOIN adj ON adj.src = s.v)"
-        )
-    union = " UNION ALL ".join(
-        f"SELECT seed, w AS walk_id, CAST({t} AS BIGINT) AS step, v AS node FROM s{t}"
-        for t in range(walk_len + 1)
-    )
-    return (
-        "WITH " + ", ".join(parts) + " "
-        + "SELECT seed, walk_id, step, CAST(node AS BIGINT) AS node FROM ("
-        + union + ") ORDER BY seed, walk_id, step"
-    )
 
 
 def _kwic_sql(terms=("merge", "vector", "stream"), window: int = 3, k: int = 20) -> str:
@@ -5405,19 +4864,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT tk AS token, cf, df, CAST(cf * 1000 // df AS BIGINT) "
             "AS per_doc_milli FROM top"
         ),
-        # replays _q_graph_reciprocity: shared edge CTEs, DISTINCT directed
-        # edges, EXISTS probe for the reverse edge, floor-div ppm
-        "graph_reciprocity": (
-            f"WITH {_edges_ctes()}, "
-            "e AS (SELECT DISTINCT src, dst FROM edges), "
-            "t AS (SELECT CAST(COUNT(*) AS BIGINT) AS total, "
-            "CAST(SUM(CASE WHEN EXISTS (SELECT 1 FROM e x "
-            "WHERE x.src = e.dst AND x.dst = e.src) THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS recip FROM e) "
-            "SELECT total AS directed_edges, recip AS reciprocal_edges, "
-            "CAST(CASE WHEN total = 0 THEN 0 ELSE recip * 1000000 // total END "
-            "AS BIGINT) AS reciprocity_ppm FROM t"
-        ),
         # replays _q_docs_rollup: ROLLUP levels with 'ALL' sentinels
         "docs_rollup": (
             "SELECT COALESCE(lang, 'ALL') AS lang, "
@@ -5510,83 +4956,15 @@ def oracle_sql() -> dict[str, str]:
         "ivf_indexed_topk": _ANN_TOPK_SQL,
         "kmeans_clusters": _kmeans_sql(k=8, iters=3, scale=1000),
         "semdedup_keepers": _semdedup_sql(k=8, iters=3, scale=1000, threshold=0.4),
-        "pagerank_top": _pagerank_sql(iters=4, damping_pct=85, topn=20),
-        "ppr_top": _ppr_sql(iters=4, damping_pct=85, topn=20),
         "nb_source_classifier": _nb_source_classifier_sql(),
         "texttiling_boundaries": _TEXTTILING_SQL,
         "filter_impact_audit": _filter_impact_sql(),
         "binary_hamming_topk": _BINARY_HAMMING_SQL,
         "ccnet_bucket_counts": _CCNET_BUCKET_SQL,
-        "bfs_levels": _bfs_levels_sql(max_rounds=8),
-        "anf_effective_diameter": _anf_sql(),
         "rnn_pairs": _RNN_PAIRS_SQL,
         "kmeans_inertia": _kmeans_inertia_sql(k=8, iters=3),
         "cluster_balanced_sample": _cluster_balanced_sample_sql(),
         "hybrid_topk": _hybrid_sql(k=10, rrf_k=60),
-        "triangle_count": _triangle_sql(),
-        "lpa_communities": _lpa_sql(rounds=4),
-        "hits_scores": _hits_sql(rounds=3),
-        "kcore_nodes": _kcore_sql(k=2, rounds=4),
-        "local_clustering_topk": (
-            # replay of analytics.local_clustering_topk: distinct
-            # undirected edges, apex-carrying wedge probe, 3-way triangle
-            # credit, degree over the symmetrized list, exact truncating
-            # ppm, (lcc DESC, doc_id) top-20
-            f"WITH {_edges_ctes()}, "
-            "und AS (SELECT DISTINCT LEAST(src, dst) AS a, "
-            "GREATEST(src, dst) AS b FROM edges), "
-            "wed AS (SELECT e1.a AS a, e1.b AS b1, e2.b AS b2 FROM und e1 "
-            "JOIN und e2 ON e1.a = e2.a AND e1.b < e2.b), "
-            "tri AS (SELECT w.a, w.b1, w.b2 FROM wed w "
-            "JOIN und u ON u.a = w.b1 AND u.b = w.b2), "
-            "tv AS (SELECT a AS v FROM tri UNION ALL SELECT b1 FROM tri "
-            "UNION ALL SELECT b2 FROM tri), "
-            "tc AS (SELECT v, COUNT(*) AS n_tri FROM tv GROUP BY 1), "
-            "sym AS (SELECT a AS node, b AS nbr FROM und "
-            "UNION ALL SELECT b, a FROM und), "
-            "dg AS (SELECT node, COUNT(*) AS deg FROM sym GROUP BY 1), "
-            "x AS (SELECT dg.node AS doc_id, dg.deg, "
-            "COALESCE(tc.n_tri, 0) AS n_tri FROM dg "
-            "LEFT JOIN tc ON tc.v = dg.node WHERE dg.deg >= 2) "
-            "SELECT CAST(doc_id AS BIGINT) AS doc_id, "
-            "CAST(deg AS BIGINT) AS deg, CAST(n_tri AS BIGINT) AS n_tri, "
-            "CAST((2 * n_tri * 1000000) // (deg * (deg - 1)) AS BIGINT) "
-            "AS lcc_ppm FROM x "
-            "QUALIFY row_number() OVER (ORDER BY lcc_ppm DESC, doc_id) <= 20"
-        ),
-        "degree_assortativity": (
-            # replay of analytics.degree_assortativity: distinct undirected
-            # edges, symmetrized votes, degree join both ends, HUGEINT
-            # moments, sign-split truncating ppm
-            f"WITH {_edges_ctes()}, "
-            "und AS (SELECT DISTINCT LEAST(src, dst) AS a, "
-            "GREATEST(src, dst) AS b FROM edges), "
-            "sym AS (SELECT a AS node, b AS nbr FROM und "
-            "UNION ALL SELECT b, a FROM und), "
-            "dg AS (SELECT node, COUNT(*) AS deg FROM sym GROUP BY 1), "
-            "ed AS (SELECT dx.deg AS x, dy.deg AS y FROM sym s "
-            "JOIN dg dx ON dx.node = s.node JOIN dg dy ON dy.node = s.nbr), "
-            "mo AS (SELECT COUNT(*) AS m, SUM(CAST(x AS HUGEINT)) AS sx, "
-            "SUM(CAST(x AS HUGEINT) * x) AS sxx, "
-            "SUM(CAST(x AS HUGEINT) * y) AS sxy FROM ed), "
-            "nd AS (SELECT m, m * sxy - sx * sx AS num, "
-            "m * sxx - sx * sx AS den FROM mo) "
-            "SELECT CAST(m AS BIGINT) AS m_votes, "
-            "CAST(CASE WHEN den = 0 THEN 0 WHEN num >= 0 THEN "
-            "(num * 1000000) // den ELSE -(((-num) * 1000000) // den) END "
-            "AS BIGINT) AS r_ppm FROM nd"
-        ),
-        "in_degree_histogram": (
-            # replay of analytics.in_degree_histogram: shared edge CTEs,
-            # multi-edges counted, LEFT JOIN puts never-cited nodes at 0
-            f"WITH {_edges_ctes()}, "
-            "ind AS (SELECT dst, CAST(COUNT(*) AS BIGINT) AS in_degree "
-            "FROM edges GROUP BY dst), "
-            "alln AS (SELECT COALESCE(i.in_degree, 0) AS in_degree "
-            "FROM documents d LEFT JOIN ind i ON i.dst = d.doc_id) "
-            "SELECT in_degree, CAST(COUNT(*) AS BIGINT) AS n_nodes "
-            "FROM alln GROUP BY in_degree"
-        ),
         "table_checksum": (
             # replay of analytics.table_checksum: identical chr(31)-joined
             # CAST serialization (NULL -> chr(0)), md5-prefix UBIGINT row
@@ -5612,22 +4990,6 @@ def oracle_sql() -> dict[str, str]:
             "WHERE len(toks) >= 2 AND len(list_filter(range(1, len(toks)), "
             "i -> toks[i] = 'order' AND toks[i+1] = 'fast')) > 0 "
             "GROUP BY lang"
-        ),
-        "two_hop_reach": (
-            # replay of analytics.two_hop_reach over the shared edge CTE:
-            # distinct edges, top-20 by (in_deg DESC, dst), double join +
-            # COUNT DISTINCT, COALESCE 0 for citer-less citers
-            f"WITH {_edges_ctes()}, "
-            "de AS (SELECT DISTINCT src, dst FROM edges), "
-            "ind AS (SELECT dst, COUNT(*) AS in_deg FROM de GROUP BY dst), "
-            "seeds AS (SELECT dst AS seed, in_deg FROM ind "
-            "ORDER BY in_deg DESC, dst LIMIT 20), "
-            "r2 AS (SELECT s.seed, COUNT(DISTINCT e2.src) AS reach2 "
-            "FROM seeds s JOIN de e1 ON e1.dst = s.seed "
-            "JOIN de e2 ON e2.dst = e1.src GROUP BY s.seed) "
-            "SELECT s.seed, CAST(s.in_deg AS BIGINT) AS in_deg, "
-            "CAST(COALESCE(r2.reach2, 0) AS BIGINT) AS reach2 "
-            "FROM seeds s LEFT JOIN r2 USING (seed)"
         ),
         "span_corruption_plan": (
             # replay of analytics.span_corruption_plan: nw = \S+ count,
@@ -5845,21 +5207,6 @@ def oracle_sql() -> dict[str, str]:
             f"CAST(SUM(CASE WHEN regexp_matches(t, '{_ENC_NONASCII}') THEN 1 ELSE 0 END) AS BIGINT) AS n_nonascii "
             "FROM planted GROUP BY 1"
         ),
-        "link_prediction_topk": (
-            # replay of analytics.common_neighbor_pairs: shared edge CTEs,
-            # canonical undirected dedup, center-vertex wedge join,
-            # null-test anti-join vs edges, deterministic (n desc, a, b) cut
-            f"WITH {_edges_ctes()}, "
-            "und AS (SELECT DISTINCT LEAST(src,dst) AS a, GREATEST(src,dst) AS b FROM edges), "
-            "dir AS (SELECT a AS w, b AS v FROM und UNION ALL SELECT b, a FROM und), "
-            "wed AS (SELECT e1.v AS a, e2.v AS b FROM dir e1 "
-            "JOIN dir e2 ON e1.w = e2.w AND e1.v < e2.v), "
-            "cn AS (SELECT a, b, CAST(COUNT(*) AS BIGINT) AS n_common FROM wed GROUP BY 1, 2), "
-            "ne AS (SELECT cn.a, cn.b, cn.n_common FROM cn "
-            "LEFT JOIN und ON und.a = cn.a AND und.b = cn.b WHERE und.a IS NULL) "
-            "SELECT a AS doc_a, b AS doc_b, n_common FROM ne "
-            "ORDER BY n_common DESC, a, b LIMIT 20"
-        ),
         "vocab_growth": (
             # replay of analytics.vocab_growth: integer-ppm thresholds of
             # max(doc_id)+1, per-token MIN first doc, counts below each
@@ -5910,7 +5257,6 @@ def oracle_sql() -> dict[str, str]:
         ),
         "label_centroids": _LABEL_CENTROIDS_SQL,
         "evolved_schema_counts": _EVOLVED_SCHEMA_COUNTS_SQL,
-        "lpa_modularity": _lpa_modularity_sql(rounds=4),
         "encoding_advisor": (
             # replay of analytics.encoding_advisor: exact byte arithmetic,
             # index width = bytes to index the dictionary via length(bin())
@@ -5949,7 +5295,6 @@ def oracle_sql() -> dict[str, str]:
         "blocklist_screen": _blocklist_sql(),
         "code_switch_rate_by_source": _code_switch_sql(),
         "token_budget_waterfill": _WATERFILL_SQL,
-        "random_walks": _random_walks_sql(),
         "kwic_snippets": _kwic_sql(),
         "matryoshka_recall_audit": _matryoshka_sql(),
         "mmr_diverse_topk": _mmr_sql(),

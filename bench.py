@@ -153,33 +153,33 @@ SWEEP_QUERIES = [
     "contamination_flags", "pack_sequences", "redact_pii", "repetition_stats",
     "budget_select", "mixture_sample", "cms_top_tokens", "epoch_shuffle",
     "sample_exact_n", "robust_outliers", "collocations", "pruned_range_read",
-    "kmeans_clusters", "pagerank_top", "hybrid_topk", "semdedup_keepers",
-    "label_centroids", "evolved_schema_counts", "pps_sample", "bfs_levels",
-    "profile_documents", "rnn_pairs", "kmeans_inertia", "in_degree_histogram",
+    "kmeans_clusters", "hybrid_topk", "semdedup_keepers",
+    "label_centroids", "evolved_schema_counts", "pps_sample",
+    "profile_documents", "rnn_pairs", "kmeans_inertia",
     "table_checksum", "phrase_doc_counts", "docs_cube", "oov_rate_by_lang",
     "bloom_fp_audit", "cms_error_audit", "langid_confusion", "k_anonymity",
-    "split_skew_audit", "vocab_growth", "link_prediction_topk",
+    "split_skew_audit", "vocab_growth",
     "encoding_audit", "quality_length_corr", "shuffle_mix_audit",
     "lang_source_chi2", "source_vocab_overlap", "token_diversity_by_lang",
     "doc_surprisal_topk", "sentence_stats_by_lang", "zipf_bits_audit",
     "hapax_rate_by_source", "source_tv_distance", "token_burstiness",
-    "graph_reciprocity", "compaction_bins", "bigram_surprisal_by_source",
+    "compaction_bins", "bigram_surprisal_by_source",
     "doclen_deciles_by_source", "completeness_audit",
-    "doc_bigram_surprisal_topk", "span_corruption_plan", "two_hop_reach",
+    "doc_bigram_surprisal_topk", "span_corruption_plan",
     "bpe_merge_candidates", "dp_geometric_counts", "padding_waste_by_bucket",
     "vocab_pruning_plan", "max_coverage_select", "blocklist_screen",
-    "code_switch_rate_by_source", "token_budget_waterfill", "random_walks",
+    "code_switch_rate_by_source", "token_budget_waterfill",
     "kwic_snippets", "matryoshka_recall_audit", "mmr_diverse_topk",
     "centroid_separation_audit", "readability_by_lang",
     "nearest_centroid_confusion", "doc_completeness_by_lang",
     "span_profile_by_kind", "retry_plan", "kcenter_coreset",
     "pca_top_component", "rendezvous_routing_balance",
-    "dsir_importance_weights", "lpa_communities", "degree_assortativity",
-    "bitext_mining_topk", "hits_scores", "langid_kappa", "kcore_nodes",
-    "encoding_advisor", "local_clustering_topk", "lpa_modularity", "ppr_top",
+    "dsir_importance_weights",
+    "bitext_mining_topk", "langid_kappa",
+    "encoding_advisor",
     "nb_source_classifier", "ccnet_bucket_counts", "binary_hamming_topk",
     "mor_delete_counts", "filter_impact_audit", "texttiling_boundaries",
-    "anf_effective_diameter", "bm25_prf_topk", "wap_publish_counts",
+    "bm25_prf_topk", "wap_publish_counts",
     "cluster_balanced_sample", "ams_f2_audit", "unigram_power_sample_plan",
     "chao1_vocab_estimate", "real_pdf_roundtrip", "corpus_datacard",
     "gopher_quality_flags", "mattr_by_lang", "real_png_roundtrip",

@@ -147,11 +147,11 @@ def cmd_render(args) -> int:
 
 def cmd_query(args) -> int:
     """Run any registry query by name and write its result as parquet --
-    the ad-hoc analysis surface over the same 290-entry registry the
-    driver contract exposes (``__ray_entry__.queries()``); ``--list``
-    enumerates names. The registry module lives at the repo root, so it
-    is imported from this file's grandparent when not already on the
-    path (running ``python -m`` from anywhere)."""
+    the ad-hoc analysis surface over the same registry the driver
+    contract exposes (``__ray_entry__.queries()``); ``--list`` enumerates
+    names. The registry module lives at the repo root, so it is imported
+    from this file's grandparent when not already on the path (running
+    ``python -m`` from anywhere)."""
     import os
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -169,22 +169,24 @@ def cmd_query(args) -> int:
         return 2
     import ray
 
-    owns_session = not ray.is_initialized()  # don't kill a host session
-    _ray_session(args.num_cpus)
-    res = qs[args.name](args.sf_dir)
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    if hasattr(res, "to_pandas"):
-        res = res.to_pandas()
-    tbl = (pa.Table.from_pandas(res, preserve_index=False)
-           if isinstance(res, pd.DataFrame) else res)
-    pq.write_table(tbl, args.out)
-    print(f"{args.name}: {tbl.num_rows} rows -> {args.out}")
-    if owns_session:
-        ray.shutdown()
-    return 0
+    owns_session = not ray.is_initialized()  # don't kill a host session
+    _ray_session(args.num_cpus)
+    try:
+        res = qs[args.name](args.sf_dir)
+        if hasattr(res, "to_pandas"):
+            res = res.to_pandas()
+        tbl = (pa.Table.from_pandas(res, preserve_index=False)
+               if isinstance(res, pd.DataFrame) else res)
+        pq.write_table(tbl, args.out)
+        print(f"{args.name}: {tbl.num_rows} rows -> {args.out}")
+        return 0
+    finally:
+        if owns_session:
+            ray.shutdown()
 
 
 def cmd_ingest_daemon(args) -> int:

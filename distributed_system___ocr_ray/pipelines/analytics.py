@@ -1,4 +1,7 @@
-"""Dataset-level analytics pipelines: dedup, similarity search, text stats.
+"""Dataset-level analytics pipelines behind the document registry: text and
+token statistics, quality and language scores, exact dedup and the media
+audits, similarity search and k-means over embeddings, and sampling,
+mixing and packing plans.
 
 Each function takes/returns ``ray.data.Dataset`` and composes the vectorized
 kernels in ``functions/`` with the minimal set of wide operations -- partial
@@ -2882,305 +2885,6 @@ def semdedup_keepers(
     )
 
 
-# --------------------------------------------------------------- pagerank
-
-
-def derived_link_edges(ds, n_nodes: int, id_col: str = "doc_id"):
-    """Deterministic citation graph, closed-form from the id column: node u
-    emits ``deg(u) = 1 + md5_u64(f"{u}:deg") % 3`` links, link j targeting
-    ``md5_u64(f"{u}:link:{j}") % n_nodes``; self-loops are dropped AFTER deg
-    is fixed. Ids must be dense 0..N-1 (the modulus needs a dense target
-    space). Shared by ``pagerank_top`` and ``triangle_count`` and replayed
-    verbatim by their oracles' edge CTEs."""
-    from ..functions.dedup import md5_u64
-
-    def mkedges(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        src, dst, deg = [], [], []
-        for u in ids:
-            u = int(u)
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % n_nodes
-                if t != u:
-                    src.append(u)
-                    dst.append(int(t))
-                    deg.append(d)
-        return pa.table(
-            {
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
-                "deg": pa.array(deg, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(mkedges, batch_format="pyarrow")
-
-
-def bfs_levels(ds, source: int = 0, max_rounds: int = 8, id_col: str = "doc_id",
-               broadcast_cap_bytes: int = 64 << 20):
-    """Distributed BFS: minimum hop count from ``source`` to every node it
-    reaches within ``max_rounds``, over the md5-derived citation graph
-    shared with ``pagerank_top`` / ``triangle_count`` -- the reachability /
-    influence-radius primitive.
-
-    Per-round plan, chosen by FRONTIER size (the BFS-specific skew: the
-    frontier starts at one node and only reaches edge scale in the
-    exponential middle rounds):
-
-    - frontier fits ``broadcast_cap_bytes`` (8 bytes/node): ship the sorted
-      frontier ONCE with ray.put and probe it map-side over the
-      materialized edge table -- the edge set (the 100 TB side) never
-      re-shuffles, the round's only exchange is the level fold. The
-      round-3 rewrite: the old always-join plan re-bucketed ALL edges
-      EVERY round, 8 edge shuffles for 8 rounds (measured 24.4 s cold at
-      sf0.01 for 248 reached nodes -- pure exchange constants).
-    - otherwise: the bucketed hash join (both sides large, broadcast
-      would cap out) -- unchanged semantics, automatic crossover.
-
-    Candidates fold in with ONE groupby-MIN per round (idempotent, so
-    re-discovered nodes keep their first level and no anti-join or
-    visited-set broadcast is needed), expressed as the bucketed
-    map_groups fold to skip the sort-aggregate barrier. Levels
-    materialize per round (bounded recovery; same justification as
-    pagerank_top). An already-exhausted frontier makes later rounds
-    no-ops, so a fixed ``max_rounds`` unrolls verbatim into SQL CTEs.
-
-    Returns (doc_id, level) for reached nodes, source included at 0.
-    """
-    import pyarrow.compute as pc
-    import ray
-    import ray.data as rd
-
-    from .relational import bucketed_hash_join, derive_buckets, hash_bucket_column
-
-    n_nodes = ds.count()
-    edges = (
-        derived_link_edges(ds, n_nodes, id_col=id_col)
-        .select_columns(["src", "dst"])
-        .materialize()
-    )
-    buckets = derive_buckets(edges.count(), rows_per_bucket=1_000_000)
-    levels = rd.from_arrow(
-        pa.table({"node": pa.array([int(source)], pa.int64()),
-                  "level": pa.array([0], pa.int64())})
-    ).materialize()
-
-    def fold_min(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("node", sort=False)["level"].min().reset_index()
-        return pd.DataFrame(
-            {
-                "node": per["node"].to_numpy(np.int64),
-                "level": per["level"].to_numpy(np.int64),
-            }
-        )
-
-    for r in range(max_rounds):
-        def is_frontier(batch: pa.Table, r_=r) -> pa.Table:
-            return batch.filter(pc.equal(batch.column("level"), r_))
-
-        # levels is materialized, so this filter-count is a memory scan
-        frontier = levels.map_batches(is_frontier, batch_format="pyarrow")
-        n_frontier = frontier.count()
-        if n_frontier == 0:
-            break
-
-        def cand(batch: pa.Table, r_=r) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch.column("dst").combine_chunks().cast(pa.int64()),
-                    "level": pa.array(np.full(batch.num_rows, r_ + 1), pa.int64()),
-                }
-            )
-
-        if n_frontier * 8 <= broadcast_cap_bytes:
-            # bounded driver collect: <= cap bytes of int64 node ids
-            fr = np.sort(
-                np.fromiter(
-                    (row["node"] for row in frontier.take_all()), np.int64, n_frontier
-                )
-            )
-            handle = ray.put(fr)
-
-            def probe(batch: pa.Table) -> pa.Table:
-                f = ray.get(handle)
-                src_ids = batch.column("src").to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(f, src_ids)
-                pos[pos == len(f)] = 0
-                return batch.filter(pa.array(f[pos] == src_ids))
-
-            candidates = edges.map_batches(probe, batch_format="pyarrow").map_batches(
-                cand, batch_format="pyarrow"
-            )
-        else:
-            def as_src(batch: pa.Table) -> pa.Table:
-                # explicit rebuild, not select+rename Projects: the fused
-                # Project pair mis-plans into a duplicate-column schema here
-                return pa.table(
-                    {"src": batch.column("node").combine_chunks().cast(pa.int64()),
-                     "level": batch.column("level")}
-                )
-
-            joined = bucketed_hash_join(
-                edges,
-                frontier.map_batches(as_src, batch_format="pyarrow"),
-                "src", "src", buckets=buckets,
-            )
-            candidates = joined.map_batches(cand, batch_format="pyarrow")
-
-        def norm(batch: pa.Table) -> pa.Table:
-            # normalize block type: join-path blocks arrive as pandas
-            t = pa.table(
-                {"node": batch.column("node").combine_chunks().cast(pa.int64()),
-                 "level": batch.column("level").combine_chunks().cast(pa.int64())}
-            )
-            return hash_bucket_column(t, "node", buckets)
-
-        levels = (
-            levels.union(candidates)
-            .map_batches(norm, batch_format="pyarrow")
-            .repartition(buckets)
-            .groupby("__bucket")
-            .map_groups(fold_min, batch_format="pandas")
-            .materialize()
-        )
-
-    def out(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("node").combine_chunks().cast(pa.int64()),
-                "level": batch.column("level").combine_chunks().cast(pa.int64()),
-            }
-        )
-
-    return levels.map_batches(out, batch_format="pyarrow")
-
-
-def pagerank_top(
-    ds,
-    iters: int = 4,
-    damping_pct: int = 85,
-    topn: int = 20,
-    id_col: str = "doc_id",
-    scale_total: int = 10**12,
-):
-    """Distributed PageRank over a deterministic citation graph derived
-    closed-form from the id column, with INTEGER rank arithmetic so every
-    round replays exactly in SQL (no float convergence fuzz):
-
-    - graph: node u emits ``deg(u) = 1 + md5_u64(f"{u}:deg") % 3`` links,
-      link j targeting ``md5_u64(f"{u}:link:{j}") % N``; self-loops are
-      dropped AFTER deg is fixed, so self-loop mass evaporates (a documented,
-      SQL-identical simplification of dangling-mass handling). Ids must be
-      dense 0..N-1 (guaranteed by the corpus contract; the modulus needs a
-      dense target space).
-    - rank: ``r0 = SCALE // N``; each round
-      ``r'(v) = BASE + (damping_pct * inc(v)) // 100`` with
-      ``inc(v) = sum over edges (u,v) of r(u) // deg(u)`` and
-      ``BASE = ((100 - damping_pct) * (SCALE // N)) // 100``. All values
-      non-negative int64, so Python/numpy floor division == DuckDB ``//``.
-
-    Plan shape: edges (~2N rows) are derived once and materialized; each
-    round is ONE bucketed hash join (edges x ranks on src -- both sides
-    large, so a broadcast is NOT valid at scale) followed by a grouped sum
-    on the int64 dst. Nodes with no in-edges are covered by unioning a
-    zero-contribution row per node into the grouped sum (value-identical
-    to a left join back onto the node list, one fewer exchange per round).
-    Ranks materialize per round: that truncates lineage (bounded recovery
-    -- a lost worker replays one round, not the whole history) and keeps
-    downstream schema probes O(1) instead of re-executing the prefix chain
-    (the lazy-chained version measured 158 s for 4 rounds at sf0.1; this
-    shape ~15-20 s). Nothing touches the driver but scalars. Top-n
-    extraction
-    is per-batch partial top-n -> single tiny merge (never a global sort).
-
-    Returns the topn (doc_id, rank_scaled) rows, rank descending, id
-    ascending on ties.
-    """
-    from ray.data.aggregate import Sum
-
-    from .relational import bucketed_hash_join, derive_buckets
-
-    n_nodes = ds.count()
-    if n_nodes == 0:
-        return ds.map_batches(
-            lambda b: pa.table(
-                {"doc_id": pa.array([], pa.int64()), "rank_scaled": pa.array([], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-    r0 = scale_total // n_nodes
-    base = ((100 - damping_pct) * r0) // 100
-
-    edges = derived_link_edges(ds, n_nodes, id_col=id_col).materialize()
-    buckets = derive_buckets(edges.count(), rows_per_bucket=1_000_000)
-
-    def init_ranks(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).combine_chunks().cast(pa.int64())
-        return pa.table({"node": ids, "rank": pa.array([r0] * len(ids), pa.int64())})
-
-    nodes = ds.map_batches(init_ranks, batch_format="pyarrow").materialize()
-    ranks = nodes
-
-    def share(batch: pa.Table) -> pa.Table:
-        r = batch.column("rank").to_numpy(zero_copy_only=False)
-        d = batch.column("deg").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"dst": batch.column("dst"), "c": pa.array(r // d, pa.int64())}
-        )
-
-    def zero_contrib(batch: pa.Table) -> pa.Table:
-        # one (dst=node, c=0) row per node: guarantees every node appears
-        # in the grouped sum (BASE fill for in-degree-0 nodes) without a
-        # second join per round
-        return pa.table(
-            {
-                "dst": batch.column("node"),
-                "c": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            }
-        )
-
-    zeros = nodes.map_batches(zero_contrib, batch_format="pyarrow").materialize()
-
-    def apply(batch: pa.Table) -> pa.Table:
-        node = batch.column("dst").combine_chunks().cast(pa.int64())
-        iv = batch.column("inc").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"node": node, "rank": pa.array(base + (damping_pct * iv) // 100, pa.int64())}
-        )
-
-    for _ in range(iters):
-        joined = bucketed_hash_join(
-            edges, ranks.rename_columns(["src", "rank"]), "src", "src", buckets=buckets
-        )
-        ranks = (
-            joined.map_batches(share, batch_format="pyarrow")
-            .union(zeros)
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="inc"))
-            .map_batches(apply, batch_format="pyarrow")
-            .materialize()
-        )
-
-    def _top(batch: pa.Table, node_col: str, rank_col: str) -> pa.Table:
-        r = batch.column(rank_col).to_numpy(zero_copy_only=False)
-        node = batch.column(node_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((node, -r))[:topn]
-        return pa.table(
-            {
-                "doc_id": pa.array(node[order], pa.int64()),
-                "rank_scaled": pa.array(r[order], pa.int64()),
-            }
-        )
-
-    partials = ranks.map_batches(
-        lambda b: _top(b, "node", "rank"), batch_format="pyarrow"
-    )
-    return partials.repartition(1).map_batches(
-        lambda b: _top(b, "doc_id", "rank_scaled"), batch_format="pyarrow", batch_size=None
-    )
-
-
 # ------------------------------------------------------- hybrid retrieval
 
 
@@ -3275,85 +2979,6 @@ def hybrid_topk(
     )
 
 
-# --------------------------------------------------------- triangle count
-
-
-def triangle_count(ds, id_col: str = "doc_id"):
-    """Exact triangle count of the (undirected view of the) derived link
-    graph -- the classic wedge-check formulation: canonicalize edges to
-    ``a < b`` and dedup, build wedges by self-joining on the shared LOW
-    vertex, then probe each wedge's closing pair against the edge set.
-    Every triangle {a < b1 < b2} is counted exactly once, at its smallest
-    vertex.
-
-    Plan: two bucketed hash joins (edges x edges on ``a``, then wedges x
-    edges on the packed closing key) and a count -- no driver-side data,
-    only the final scalar. The closing key packs (b1, b2) as
-    ``b1 * n_nodes + b2``, exact while n_nodes^2 < 2^63 (raises above;
-    a 3e9-node graph needs a 128-bit or two-column exchange key instead).
-
-    Returns a 1-row table (n_triangles int64).
-    """
-    from .relational import bucketed_hash_join, derive_buckets
-
-    n_nodes = ds.count()
-    if n_nodes == 0 or n_nodes * n_nodes >= 2**63:
-        if n_nodes:
-            raise ValueError("packed closing key would overflow int64")
-        import ray.data as rd
-
-        return rd.from_arrow(pa.table({"n_triangles": pa.array([0], pa.int64())}))
-
-    def canon(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        a = np.minimum(s, d)
-        b = np.maximum(s, d)
-        return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
-
-    from ray.data.aggregate import Count
-
-    und = (
-        derived_link_edges(ds, n_nodes, id_col=id_col)
-        .map_batches(canon, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_m"))
-        .drop_columns(["_m"])
-        .materialize()
-    )
-    buckets = derive_buckets(und.count(), rows_per_bucket=1_000_000)
-
-    def key_ab(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"k": pa.array(a * n_nodes + b, pa.int64())})
-
-    wedges = bucketed_hash_join(
-        und.rename_columns(["a", "b1"]),
-        und.rename_columns(["a", "b2"]),
-        "a",
-        "a",
-        buckets=buckets,
-    ).filter(expr="b1 < b2")
-
-    def wedge_key(batch: pa.Table) -> pa.Table:
-        b1 = batch.column("b1").to_numpy(zero_copy_only=False)
-        b2 = batch.column("b2").to_numpy(zero_copy_only=False)
-        return pa.table({"k": pa.array(b1 * n_nodes + b2, pa.int64())})
-
-    closed = bucketed_hash_join(
-        wedges.map_batches(wedge_key, batch_format="pyarrow"),
-        und.map_batches(key_ab, batch_format="pyarrow").rename_columns(["k2"]),
-        "k",
-        "k2",
-        buckets=buckets,
-    )
-    n = closed.count()
-    import ray.data as rd
-
-    return rd.from_arrow(pa.table({"n_triangles": pa.array([n], pa.int64())}))
-
-
 # ------------------------------------------------------- label centroids
 
 
@@ -3400,81 +3025,6 @@ def label_centroid_sums(ds, label_col: str = "label", emb_col: str = "embedding"
         aggs=[("sum_micros", "sum"), ("n_vecs", "sum")],
         out_names=[label_col, "dim", "sum_micros", "n_vecs"],
     )
-
-
-def in_degree_histogram(ds, id_col: str = "doc_id"):
-    """In-degree distribution of the md5-derived citation graph (shared
-    with ``pagerank_top`` / ``triangle_count`` / ``bfs_levels`` via
-    ``derived_link_edges``) -- the first structural audit run on any link
-    graph: hub skew shows up here before it breaks a join. Out-degree is
-    1-3 by construction, so IN-degree is the informative side.
-
-    Plan: edges -> per-batch ``value_counts`` on dst (partials, at most
-    distinct-dst rows per batch) -> ONE dst-domain groupby-sum -> per-batch
-    degree ``value_counts`` partials (the md5 target distribution is
-    Binomial(2E/N, 1/N)-thin, so the degree domain is O(log N / log log N)
-    -- bounded, which is what licenses ``tiny_final_groupby``) -> the
-    0-in-degree row is closed-form (N minus cited-node count) and is
-    appended inside the single final block, no extra pass.
-
-    Returns (in_degree, n_nodes), 0-degree row included.
-    Reference analogue: the manager's per-URL result-counter audit
-    (``Manager.java:351-369`` counter hashmaps) generalized to graph form.
-    """
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
-
-    from .relational import tiny_final_groupby
-
-    n = ds.count()
-    edges = derived_link_edges(ds, n, id_col=id_col).select_columns(["dst"])
-
-    def dst_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("dst").combine_chunks())
-        return pa.table(
-            {
-                "dst": vc.field("values"),
-                "c": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    per_node = (
-        edges.map_batches(dst_partial, batch_format="pyarrow")
-        .groupby("dst")
-        .aggregate(Sum("c", alias_name="in_degree"))
-    )
-
-    def degree_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("in_degree").combine_chunks())
-        return pa.table(
-            {
-                "in_degree": vc.field("values").cast(pa.int64()),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    hist = tiny_final_groupby(
-        per_node.map_batches(degree_partial, batch_format="pyarrow"),
-        ["in_degree"],
-        [("n", "sum")],
-        ["in_degree", "n_nodes"],
-    )
-
-    def add_zero_row(batch: pa.Table) -> pa.Table:
-        cited = pc.sum(batch.column("n_nodes")).as_py() or 0
-        uncited = n - cited
-        if uncited > 0:
-            zero = pa.table(
-                {
-                    "in_degree": pa.array([0], pa.int64()),
-                    "n_nodes": pa.array([uncited], pa.int64()),
-                }
-            )
-            batch = pa.concat_tables([zero, batch])
-        return batch.sort_by("in_degree")
-
-    return hist.map_batches(add_zero_row, batch_format="pyarrow", batch_size=None)
 
 
 def table_checksum(ds, columns: list[str]):
@@ -4053,132 +3603,6 @@ def vocab_growth(sf_dir: str, fracs_ppm: tuple[int, ...] = (250_000, 500_000, 75
         )
 
     return merged.map_batches(attach, batch_format="pyarrow")
-
-
-def common_neighbor_pairs(ds, k: int = 20, id_col: str = "doc_id"):
-    """Link prediction by common-neighbor count: the top-k NON-adjacent
-    node pairs of the (undirected view of the) derived citation graph,
-    ranked by how many neighbors they share -- the classic
-    missing-link/recommendation score (Liben-Nowell & Kleinberg), and the
-    structural dual of triangle_count (a predicted link is an OPEN wedge).
-
-    Plan: canonical distinct undirected edges (triangle_count's canon) ->
-    both-direction adjacency -> wedge self-join bucketed on the CENTER
-    vertex (per-pair contribution = one shared neighbor) -> per-batch
-    packed-pair count partials -> ``bucketed_grouped_sum`` on the packed
-    int64 key -> LEFT bucketed join against the edge set drops pairs that
-    are already edges (null-test anti-join) -> per-block partial top-k +
-    tiny merge under the deterministic (n desc, a asc, b asc) order. The
-    packed key needs n_nodes^2 < 2^63 (same guard as triangle_count).
-
-    Returns (doc_a, doc_b, n_common), doc_a < doc_b, k rows."""
-    from ray.data.aggregate import Count
-
-    from .relational import bucketed_grouped_sum, bucketed_hash_join, derive_buckets
-
-    n_nodes = ds.count()
-    if n_nodes == 0 or n_nodes * n_nodes >= 2**63:
-        raise ValueError("common_neighbor_pairs: packed pair key would overflow int64")
-
-    def canon(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, d), pa.int64()),
-                "b": pa.array(np.maximum(s, d), pa.int64()),
-            }
-        )
-
-    und = (
-        derived_link_edges(ds, n_nodes, id_col=id_col)
-        .map_batches(canon, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_m"))
-        .drop_columns(["_m"])
-        .materialize()
-    )
-    buckets = derive_buckets(und.count(), rows_per_bucket=1_000_000)
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "w": pa.array(np.concatenate([a, b]), pa.int64()),
-                "v": pa.array(np.concatenate([b, a]), pa.int64()),
-            }
-        )
-
-    adj = und.map_batches(both_dirs, batch_format="pyarrow")
-    wedges = bucketed_hash_join(
-        adj.rename_columns(["w", "v1"]),
-        adj.rename_columns(["w", "v2"]),
-        "w",
-        "w",
-        buckets=buckets,
-    ).filter(expr="v1 < v2")
-
-    def pack_counts(batch: pa.Table) -> pa.Table:
-        v1 = batch.column("v1").to_numpy(zero_copy_only=False)
-        v2 = batch.column("v2").to_numpy(zero_copy_only=False)
-        pk, cnt = np.unique(v1 * n_nodes + v2, return_counts=True)
-        return pa.table(
-            {"pk": pa.array(pk, pa.int64()), "c": pa.array(cnt.astype(np.int64), pa.int64())}
-        )
-
-    cn = bucketed_grouped_sum(
-        wedges.map_batches(pack_counts, batch_format="pyarrow"), "pk", "c", buckets=buckets
-    )
-
-    def edge_keys(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "pk2": pa.array(a * n_nodes + b, pa.int64()),
-                "is_edge": pa.array(np.ones(len(a), np.int8), pa.int8()),
-            }
-        )
-
-    def drop_edges(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.is_null(batch.column("is_edge")))
-
-    non_edges = bucketed_hash_join(
-        cn,
-        und.map_batches(edge_keys, batch_format="pyarrow"),
-        "pk",
-        "pk2",
-        buckets=buckets,
-        how="left",
-    ).map_batches(drop_edges, batch_format="pyarrow")
-
-    def unpack_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        pk = batch["pk"].to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "doc_a": pk // n_nodes,
-                "doc_b": pk % n_nodes,
-                "n_common": batch["c"].to_numpy(np.int64),
-            }
-        )
-        return out.sort_values(
-            ["n_common", "doc_a", "doc_b"], ascending=[False, True, True]
-        ).head(k)
-
-    return (
-        non_edges.map_batches(unpack_topk, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(
-            lambda df: df.sort_values(
-                ["n_common", "doc_a", "doc_b"], ascending=[False, True, True]
-            ).head(k),
-            batch_format="pandas",
-            batch_size=None,
-        )
-    )
 
 
 # shared char-for-char with the encoding_audit SQL replay (Python re and
@@ -5105,74 +4529,6 @@ def token_burstiness(ds, k: int = 20, text_col: str = "text"):
     )
 
 
-def graph_reciprocity(ds, id_col: str = "doc_id"):
-    """Edge reciprocity of the md5-derived citation graph (shared with
-    pagerank_top / triangle_count / bfs_levels via derived_link_edges):
-    of the DISTINCT directed edges, what ppm has its reverse edge also
-    present. The standard directed-graph structural audit after the
-    degree histogram -- a crawl graph with near-zero reciprocity is
-    tree/feed-like, high reciprocity is social/forum-like, and a sudden
-    shift flags a changed link extractor.
-
-    Plan (ONE exchange): edges -> map to the unordered pair (u=min,
-    v=max, dir) -> hash-bucket on u (both directions of a pair share u;
-    pairs-per-u is bounded by max degree, so buckets stay flat) -> each
-    bucket drop_duplicates (fuses the DISTINCT with the match) and
-    groups by (u, v): a pair with both dirs present contributes 2
-    reciprocal directed edges -> (total, reciprocal) partials ->
-    tiny_final_groupby + Python-int ppm.
-
-    Returns one row (directed_edges, reciprocal_edges, reciprocity_ppm).
-    Reference analogue: SURVEY.md 2.13 graph family."""
-    from .relational import hash_bucket_column
-
-    n = ds.count()
-    edges = derived_link_edges(ds, n, id_col=id_col)
-
-    def to_pairs(batch: pa.Table) -> pa.Table:
-        src = batch.column("src").to_numpy(zero_copy_only=False)
-        dst = batch.column("dst").to_numpy(zero_copy_only=False)
-        u = np.minimum(src, dst)
-        v = np.maximum(src, dst)
-        return pa.table({
-            "u": pa.array(u, pa.int64()),
-            "v": pa.array(v, pa.int64()),
-            "dir": pa.array((src < dst).astype(np.int8), pa.int8()),
-        })
-
-    buckets = 64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, "u", buckets)
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop(columns="__bucket").drop_duplicates()
-        ndir = d.groupby(["u", "v"], sort=False)["dir"].nunique()
-        total = int(ndir.sum())  # distinct directed edges in this bucket
-        recip = int((ndir == 2).sum()) * 2
-        return pd.DataFrame({"total": pd.Series([total], dtype="int64"),
-                             "recip": pd.Series([recip], dtype="int64")})
-
-    partials = (
-        edges.map_batches(to_pairs, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_fold, batch_format="pandas")
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        total = sum(int(x) for x in batch.column("total").to_pylist())
-        recip = sum(int(x) for x in batch.column("recip").to_pylist())
-        ppm = recip * 1_000_000 // total if total else 0
-        return pa.table({
-            "directed_edges": pa.array([total], pa.int64()),
-            "reciprocal_edges": pa.array([recip], pa.int64()),
-            "reciprocity_ppm": pa.array([ppm], pa.int64()),
-        })
-
-    return partials.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)
-
-
 def compaction_bins(ds, keys=("source", "lang"), capacity: int = 100):
     """Compaction PLAN over partition sizes: group the corpus's (source,
     lang) partitions into target-size compaction bins -- the table-
@@ -5562,118 +4918,6 @@ def span_corruption_plan(ds, id_col: str = "doc_id", text_col: str = "text",
         )
 
     return ds.map_batches(plan, batch_format="pyarrow")
-
-
-def two_hop_reach(ds, topn: int = 20, id_col: str = "doc_id"):
-    """2-hop IN-neighborhood size for the most-cited nodes of the shared
-    md5 citation graph: for each of the ``topn`` highest in-degree nodes,
-    how many DISTINCT nodes sit two citation hops upstream (who cites the
-    citers) -- the influence-funnel audit one step past
-    in_degree_histogram (out-degree is capped at 3 by construction, so
-    the interesting reach is inbound). Ties at the top-n boundary break
-    on (in_deg DESC, node ASC) on both sides.
-
-    Plan: ONE dst-bucketed exchange dedupes the edge multiset and fixes
-    exact in-degrees in the same fold (dst co-located) -- the distinct-
-    edge table materializes once and serves both hops; seeds come from
-    per-batch partial top-n (total order makes the union a superset);
-    the seeds' in-neighbor lists are a bounded driver collect broadcast
-    back as a closure map (u -> seeds it feeds), so hop 2 is ONE map-side
-    pass over the distinct edges -- no second join shuffle. Seeds whose
-    citers have no citers report reach2 = 0.
-
-    Returns (seed, in_deg, reach2), topn rows."""
-    from .relational import derive_buckets, hash_bucket_column
-
-    n = ds.count()
-    edges = derived_link_edges(ds, n, id_col=id_col)
-    buckets = derive_buckets(2 * n)
-
-    def bucketed(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"src": batch.column("src"), "dst": batch.column("dst")})
-            .group_by(["src", "dst"])
-            .aggregate([])
-        )
-        return hash_bucket_column(t, "dst", buckets)
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["src", "dst"]].drop_duplicates()
-        ind = d.groupby("dst", sort=False)["src"].transform("size")
-        return pd.DataFrame(
-            {
-                "src": d["src"].to_numpy(np.int64),
-                "dst": d["dst"].to_numpy(np.int64),
-                "in_deg": ind.to_numpy(np.int64),
-            }
-        )
-
-    detail = (
-        edges.map_batches(bucketed, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas")
-        .materialize()
-    )
-
-    def partial_top(batch: pa.Table) -> pa.Table:
-        df = (
-            batch.select(["dst", "in_deg"])
-            .to_pandas()
-            .drop_duplicates()
-            .sort_values(["in_deg", "dst"], ascending=[False, True])
-            .head(topn)
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    seeds = (
-        detail.map_batches(partial_top, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(partial_top, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
-    seed_set = set(int(x) for x in seeds["dst"])
-
-    def n1_rows(batch: pa.Table) -> pa.Table:
-        dst = batch.column("dst").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(dst, list(seed_set))))
-
-    n1 = detail.map_batches(n1_rows, batch_format="pyarrow").to_pandas()
-    u2seeds: dict[int, list[int]] = {}
-    for r in n1.itertuples():
-        u2seeds.setdefault(int(r.src), []).append(int(r.dst))
-
-    def hop2(batch: pa.Table) -> pa.Table:
-        src = batch.column("src").to_numpy(zero_copy_only=False)
-        dst = batch.column("dst").to_numpy(zero_copy_only=False)
-        out_s, out_w = [], []
-        for w, u in zip(src, dst):
-            for s in u2seeds.get(int(u), ()):
-                out_s.append(s)
-                out_w.append(int(w))
-        df = pd.DataFrame({"seed": out_s, "w": out_w}).drop_duplicates()
-        return pa.table(
-            {
-                "seed": pa.array(df["seed"].to_numpy(np.int64), pa.int64()),
-                "w": pa.array(df["w"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    def count_fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("seed", sort=False)["w"].nunique().reset_index(name="reach2")
-        out["reach2"] = out["reach2"].astype(np.int64)
-        return out
-
-    r2 = (
-        detail.map_batches(hop2, batch_format="pyarrow")
-        .groupby("seed")
-        .map_groups(count_fold, batch_format="pandas")
-        .to_pandas()
-    )
-    out = seeds.rename(columns={"dst": "seed"}).merge(r2, on="seed", how="left")
-    out["reach2"] = out["reach2"].fillna(0).astype(np.int64)
-    out["in_deg"] = out["in_deg"].astype(np.int64)
-    out["seed"] = out["seed"].astype(np.int64)
-    return out[["seed", "in_deg", "reach2"]]
 
 
 def bpe_merge_candidates(ds, text_col: str = "text", k: int = 50):
@@ -6402,101 +5646,6 @@ def token_budget_waterfill(ds, text_col: str = "text", source_col: str = "source
     src["capped"] = (a > L).astype(np.int64)
     src["available_tokens"] = src["available_tokens"].astype(np.int64)
     return src
-
-
-def random_walks(ds, n_seeds: int = 16, walks_per_seed: int = 4, walk_len: int = 3,
-                 id_col: str = "doc_id"):
-    """Deterministic random-walk corpus over the shared md5 citation
-    graph — the DeepWalk/node2vec training-data generator: from each
-    seed, ``walks_per_seed`` walks of up to ``walk_len`` hops, the next
-    hop drawn from the current node's SORTED distinct out-neighbors by
-    md5 arithmetic (``md5('walk:{seed}:{w}:{t}:{v}') % out_degree``) —
-    the same walk regenerates on any cluster shape, Ray or SQL. Seeds
-    are the ``n_seeds`` smallest ``md5('rwseed:'‖id)`` nodes (a
-    deterministic pseudo-random sample). A walk that reaches a node
-    with no out-edges simply ends (the oracle's step JOIN drops it the
-    same way).
-
-    Plan (100 TB shape): edges derive once and MATERIALIZE as a compact
-    distinct (src, dst) int table (per-doc emission means per-batch
-    dedup IS global dedup); each hop broadcasts the ≤ seeds×walks
-    frontier node set and filters the edge table map-side — the
-    adjacency rows reaching the driver are bounded by frontier×max_deg,
-    never the graph. Output (seed, walk_id, step, node) including
-    step 0."""
-    from ..functions.dedup import md5_u64
-
-    n = ds.count()
-    edges = derived_link_edges(ds, n)
-
-    def dedupe(batch: pa.Table) -> pa.Table:
-        df = batch.select(["src", "dst"]).to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    compact = edges.map_batches(dedupe, batch_format="pyarrow").materialize()
-
-    # seeds: n_seeds smallest md5('rwseed:'||id) -- per-block partial
-    # top-k + tiny merge (the top_tokens plan)
-    def seed_partial(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        # keep UNSIGNED: an int64 view flips the sort order of large
-        # hashes vs the oracle's UBIGINT ORDER BY
-        h = np.array(
-            [md5_u64(f"rwseed:{int(u)}".encode()) for u in ids], dtype=np.uint64
-        )
-        df = pd.DataFrame({"h": h, "v": ids}).sort_values(["h", "v"]).head(n_seeds)
-        return df
-
-    seeds = (
-        ds.map_batches(seed_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(
-            lambda b: b.sort_values(["h", "v"]).head(n_seeds),
-            batch_format="pandas",
-            batch_size=None,
-        )
-        .to_pandas()["v"]
-        .to_numpy(np.int64)
-    )
-
-    rows = [(int(s), w, 0, int(s)) for s in seeds for w in range(walks_per_seed)]
-    frontier = list(rows)  # (seed, w, t, v) still walking
-    import ray
-
-    for t in range(walk_len):
-        need = np.array(sorted({v for *_, v in frontier}), dtype=np.int64)
-        if not len(need):
-            break
-        ref = ray.put(need)
-
-        def pick(batch: pa.Table, _ref=ref) -> pa.Table:
-            want = ray.get(_ref)
-            src = batch.column("src").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(want, src)
-            pos[pos == len(want)] = len(want) - 1
-            return batch.filter(pa.array(want[pos] == src))
-
-        adj_rows = compact.map_batches(pick, batch_format="pyarrow").to_pandas()
-        adj = {
-            int(s): g["dst"].sort_values().to_numpy(np.int64)
-            for s, g in adj_rows.groupby("src")
-        }
-        nxt = []
-        for seed, w, _, v in frontier:
-            nbrs = adj.get(v)
-            if nbrs is None or not len(nbrs):
-                continue
-            idx = md5_u64(f"walk:{seed}:{w}:{t}:{v}".encode()) % len(nbrs)
-            nv = int(nbrs[idx])
-            nxt.append((seed, w, t + 1, nv))
-        rows.extend(nxt)
-        frontier = nxt
-
-    out = pd.DataFrame(rows, columns=["seed", "walk_id", "step", "node"])
-    out = out.sort_values(["seed", "walk_id", "step"]).reset_index(drop=True)
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def kwic_snippets(ds, terms=("merge", "vector", "stream"), window: int = 3,
@@ -7845,298 +6994,6 @@ def dsir_importance_weights(sf_dir: str, target_lang: str = "en",
                                  concurrency=(1, 8))
 
 
-def lpa_communities(ds, rounds: int = 4, id_col: str = "doc_id", edges=None):
-    """Synchronous label-propagation communities (Raghavan et al. 2007)
-    over the md5-derived citation graph -- the community detector next to
-    the connectivity family (connected components find WHO TOUCHES WHOM;
-    LPA finds DENSER-THAN-CUT blocks, the mirror-site / topic-cluster
-    structure a dedup or mixture plan acts on). Deterministic variant:
-    every node votes its own label PLUS each undirected neighbor's label;
-    the new label is the modal vote with ties to the SMALLEST label --
-    the self-vote both damps the classic sync-LPA bipartite oscillation
-    and keeps isolated nodes labeled with no extra join. A FIXED
-    ``rounds`` count (no convergence probe) is the determinism contract,
-    same as pagerank_top.
-
-    Plan shape: distinct undirected edges symmetrize once and
-    materialize (~2N rows); each round is ONE bucketed hash join
-    (edges x labels on the neighbor end -- both sides corpus-sized, no
-    broadcast) and ONE mode_by_key exchange (moves the (node, label)
-    vote domain, never raw rows); labels materialize per round (bounded
-    recovery + O(1) schema probes, the measured pagerank justification).
-
-    Returns a Dataset of (doc_id, community), one row per node.
-    ``edges`` overrides the derived graph with an explicit (src, dst)
-    Dataset (pytest hand graphs)."""
-    from .relational import bucketed_hash_join, derive_buckets, mode_by_key
-
-    if edges is None:
-        edges = derived_link_edges(ds, ds.count(), id_col=id_col)
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        a = batch.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"node": pa.array(np.concatenate([lo, hi])),
-                         "nbr": pa.array(np.concatenate([hi, lo]))})
-
-    from ray.data.aggregate import Count
-
-    sym = (
-        edges.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["node", "nbr"])
-        .aggregate(Count(alias_name="__n"))
-        .select_columns(["node", "nbr"])
-        .materialize()
-    )
-    buckets = derive_buckets(sym.count(), rows_per_bucket=1_000_000)
-
-    def init_labels(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).combine_chunks().cast(pa.int64())
-        return pa.table({"node": ids, "lab": ids})
-
-    labels = ds.map_batches(init_labels, batch_format="pyarrow").materialize()
-
-    def project_votes(batch: pa.Table) -> pa.Table:
-        return batch.select(["node", "lab"])
-
-    def project_labels(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch.column("node").combine_chunks().cast(pa.int64()),
-            "lab": batch.column("mode_value").combine_chunks().cast(pa.int64()),
-        })
-
-    for _ in range(rounds):
-        nbr_lab = bucketed_hash_join(
-            sym, labels.rename_columns(["nbr", "lab"]), "nbr", "nbr",
-            buckets=buckets,
-        )
-        votes = nbr_lab.map_batches(
-            project_votes, batch_format="pyarrow").union(labels)
-        labels = (
-            mode_by_key(votes, "node", "lab")
-            .map_batches(project_labels, batch_format="pyarrow")
-            .materialize()
-        )
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("node"),
-            "community": batch.column("lab"),
-        })
-
-    return labels.map_batches(final, batch_format="pyarrow")
-
-
-def degree_assortativity(ds, id_col: str = "doc_id", edges=None):
-    """Degree assortativity of the md5-derived citation graph (Newman
-    2002): the Pearson correlation of endpoint degrees over the
-    undirected edge list -- positive means hubs link hubs (social-graph
-    shape), negative means hubs link leaves (web/citation shape). The
-    single number that says whether hot-key skew in a graph pipeline
-    CONCENTRATES (assortative cores make pointer-jumping and LPA rounds
-    skew-bound) or SPREADS.
-
-    Exactness: with x, y the endpoint degrees over the SYMMETRIZED edge
-    list (every undirected edge votes twice, so sum x = sum y and the
-    two marginal variances coincide), r = num / den with
-    ``num = M * Sxy - Sx * Sx`` and ``den = M * Sxx - Sx * Sx`` -- exact
-    Python-int driver arithmetic. num and den grow ~M^2 (past int64 near
-    1e8 edges), so the SHIPPED value is r_ppm = sign-split-trunc(num *
-    1e6 / den) -- exact integer both sides, bounded in [-1e6, 1e6] at
-    any graph size.
-
-    Plan shape: distinct undirected edges symmetrize once; degree =
-    ONE grouped count over the symmetrized list; TWO bucketed hash
-    joins attach x and y (both sides edge-domain -- no broadcast);
-    per-block (count, Sx, Sxx, Sxy) partials fold to ONE tiny row.
-
-    Returns one row (m_votes, r_ppm); degree-regular graphs have a zero
-    variance term (r undefined) and ship r_ppm = 0."""
-    from ray.data.aggregate import Count
-
-    from .relational import bucketed_hash_join, derive_buckets, tiny_final_groupby
-
-    if edges is None:
-        edges = derived_link_edges(ds, ds.count(), id_col=id_col)
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        a = batch.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"node": pa.array(np.concatenate([lo, hi])),
-                         "nbr": pa.array(np.concatenate([hi, lo]))})
-
-    sym = (
-        edges.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["node", "nbr"])
-        .aggregate(Count(alias_name="__n"))
-        .select_columns(["node", "nbr"])
-        .materialize()
-    )
-    buckets = derive_buckets(sym.count(), rows_per_bucket=1_000_000)
-    deg = sym.groupby("node").aggregate(Count(alias_name="deg")).materialize()
-
-    with_x = bucketed_hash_join(sym, deg, "node", "node", buckets=buckets)
-
-    def flip(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "nbr": batch.column("nbr"),
-            "node": batch.column("node"),
-            "x": batch.column("deg").combine_chunks().cast(pa.int64()),
-        })
-
-    both = bucketed_hash_join(
-        with_x.map_batches(flip, batch_format="pyarrow"),
-        deg.rename_columns(["nbr", "deg"]), "nbr", "nbr", buckets=buckets,
-    )
-
-    def moments(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.int64)
-        y = batch.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "k": pa.array([0], pa.int64()),
-            "m": pa.array([len(x)], pa.int64()),
-            "sx": pa.array([int(x.sum())], pa.int64()),
-            "sxx": pa.array([int((x * x).sum())], pa.int64()),
-            "sxy": pa.array([int((x * y).sum())], pa.int64()),
-        })
-
-    f = tiny_final_groupby(
-        both.map_batches(moments, batch_format="pyarrow"),
-        keys=["k"],
-        aggs=[("m", "sum"), ("sx", "sum"), ("sxx", "sum"), ("sxy", "sum")],
-        out_names=["k", "m", "sx", "sxx", "sxy"],
-    ).to_pandas()
-    m = int(f["m"].iloc[0]) if len(f) else 0
-    sx = int(f["sx"].iloc[0]) if len(f) else 0
-    sxx = int(f["sxx"].iloc[0]) if len(f) else 0
-    sxy = int(f["sxy"].iloc[0]) if len(f) else 0
-    num = m * sxy - sx * sx
-    den = m * sxx - sx * sx
-    if den == 0:
-        r_ppm = 0
-    elif num >= 0:
-        r_ppm = (num * 1_000_000) // den
-    else:
-        r_ppm = -(((-num) * 1_000_000) // den)
-    return pd.DataFrame({
-        "m_votes": pd.Series([m], dtype="int64"),
-        "r_ppm": pd.Series([r_ppm], dtype="int64"),
-    })
-
-
-def hits_scores(ds, rounds: int = 3, topn: int = 20, scale: int = 1_000_000,
-                id_col: str = "doc_id", edges=None):
-    """HITS hubs-and-authorities (Kleinberg 1999) over the md5-derived
-    citation graph -- the second classic link-analysis ranking next to
-    pagerank_top, separating GOOD POINTERS (hubs) from GOOD TARGETS
-    (authorities): a(v) = sum of h over in-neighbors, h(u) = sum of a
-    over out-neighbors, renormalized each half-step. The float L2
-    normalization is replaced by an exact integer max-normalization
-    ``v' = (s * scale) // max(s)`` -- every quantity non-negative int so
-    Python floor-div == DuckDB ``//`` -- and a FIXED ``rounds`` count is
-    the determinism contract (pagerank_top's convention). Rankings are
-    normalization-invariant, which is all the audit consumes.
-
-    Plan shape: edges materialize once; each half-step is ONE bucketed
-    hash join (edges x scores -- both corpus-sized, no broadcast), ONE
-    grouped int sum, a driver max() scalar, and a map-side rescale;
-    scores materialize per half-step (bounded recovery, the measured
-    pagerank justification). Nodes with no in-edges never enter the
-    authority table (zero by construction on both sides).
-
-    Returns the topn (doc_id, auth_scaled, hub_scaled) by authority
-    descending, id ascending on ties; hub_scaled is 0 for a top
-    authority that points at nothing scored."""
-    from ray.data.aggregate import Sum
-
-    from .relational import bucketed_hash_join, derive_buckets
-
-    if edges is None:
-        edges = derived_link_edges(ds, ds.count(), id_col=id_col)
-    edges = edges.select_columns(["src", "dst"]).materialize()
-    buckets = derive_buckets(edges.count(), rows_per_bucket=1_000_000)
-
-    def init_scores(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).combine_chunks().cast(pa.int64())
-        return pa.table({"node": ids,
-                         "v": pa.array([scale] * len(ids), pa.int64())})
-
-    h = ds.map_batches(init_scores, batch_format="pyarrow").materialize()
-    a = None
-
-    def _half_step(scores, src_key: str, dst_key: str):
-        """scores on the ``src_key`` end -> summed, renormalized scores
-        on the ``dst_key`` end."""
-        joined = bucketed_hash_join(
-            edges, scores.rename_columns([src_key, "v"]), src_key, src_key,
-            buckets=buckets,
-        )
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": batch.column(dst_key),
-                             "v": batch.column("v")})
-
-        raw = (
-            joined.map_batches(contrib, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("v", alias_name="s"))
-            .materialize()
-        )
-        m = raw.max("s")
-        if m is None or m == 0:
-            return raw.map_batches(
-                lambda b: pa.table({"node": b.column("node"),
-                                    "v": pa.array(np.zeros(b.num_rows,
-                                                           np.int64))}),
-                batch_format="pyarrow",
-            ).materialize()
-
-        def rescale(batch: pa.Table, _m=int(m)) -> pa.Table:
-            s = batch.column("s").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({"node": batch.column("node"),
-                             "v": pa.array(s * scale // _m, pa.int64())})
-
-        return raw.map_batches(rescale, batch_format="pyarrow").materialize()
-
-    for _ in range(rounds):
-        a = _half_step(h, "src", "dst")
-        h = _half_step(a, "dst", "src")
-
-    def topk_partial(batch: pa.Table, _n=topn) -> pa.Table:
-        df = batch.to_pandas().sort_values(["v", "node"],
-                                           ascending=[False, True]).head(_n)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    top = (
-        a.map_batches(topk_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(topk_partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    # hub lookup for <= topn ids: a targeted map-side mask pull
-    ids = np.array(sorted(int(i) for i in top["node"]), np.int64)
-
-    def keep_top(batch: pa.Table) -> pa.Table:
-        n = batch.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(np.isin(n, ids)))
-
-    hub_rows = (h.map_batches(keep_top, batch_format="pyarrow").to_pandas()
-                if len(ids) else pd.DataFrame({"node": [], "v": []}))
-    if "node" not in hub_rows.columns:  # empty pull loses its schema
-        hub_rows = pd.DataFrame({"node": [], "v": []})
-    hub_map = dict(zip(hub_rows["node"].astype(np.int64),
-                       hub_rows["v"].astype(np.int64)))
-    out = pd.DataFrame({
-        "doc_id": top["node"].astype(np.int64),
-        "auth_scaled": top["v"].astype(np.int64),
-        "hub_scaled": np.array([int(hub_map.get(int(i), 0)) for i in
-                                top["node"]], np.int64),
-    })
-    return out.reset_index(drop=True)
-
-
 def langid_kappa(ds, lang_col: str = "lang", text_col: str = "text"):
     """Cohen's kappa between the labeled language and the n-gram
     heuristic's prediction (Cohen 1960) -- the chance-corrected
@@ -8176,123 +7033,6 @@ def langid_kappa(ds, lang_col: str = "lang", text_col: str = "text"):
         "agree": pd.Series([agree], dtype="int64"),
         "kappa_ppm": pd.Series([kappa_ppm], dtype="int64"),
     })
-
-
-def kcore_nodes(ds, k: int = 2, rounds: int = 4, id_col: str = "doc_id",
-                edges=None, broadcast_cap_ids: int = 8_000_000):
-    """k-core peeling over the md5-derived citation graph (Seidman 1983):
-    iteratively drop nodes whose degree within the SURVIVING subgraph is
-    below k -- the densest-region extractor that pagerank/LPA rank but
-    never delimit, and the standard prefilter before any expensive
-    per-subgraph pass (a node outside the 2-core can sit on no cycle and
-    no triangle). A FIXED ``rounds`` count is the determinism contract:
-    round t ships the t-th peel iterate, a monotone-decreasing superset
-    of the true k-core that EQUALS it once a round removes nothing
-    (sparse random graphs converge in a handful of peels; the monotone
-    chain makes the fixed cut exact on both sides by construction).
-
-    Plan shape (incremental peel -- the first revision re-semi-joined the
-    FULL survivor set onto both edge ends every round, 2 corpus-sized
-    joins x rounds, measured 25.5 s at sf0.1): the live edge set
-    materializes once and only SHRINKS; each round is ONE grouped degree
-    count over live edges plus ONE map-side filter that drops edges
-    touching that round's REMOVED set -- which is exactly the newly
-    peeled nodes, broadcast via ray.put under ``broadcast_cap_ids``
-    (adaptive-broadcast convention; a loud raise past the cap documents
-    the bucketed anti-join fallback shape). Rounds stop early at a
-    fixpoint (nothing removed) or an empty core -- both sides of the
-    oracle agree by monotonicity.
-
-    Returns a Dataset of (doc_id,) -- the nodes surviving ``rounds``
-    peels, i.e. the k-core upper iterate."""
-    import ray
-    import ray.data as rd
-
-    from ray.data.aggregate import Count
-
-    if edges is None:
-        edges = derived_link_edges(ds, ds.count(), id_col=id_col)
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        a = batch.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"node": pa.array(np.concatenate([lo, hi])),
-                         "nbr": pa.array(np.concatenate([hi, lo]))})
-
-    live = (
-        edges.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["node", "nbr"])
-        .aggregate(Count(alias_name="__n"))
-        .select_columns(["node", "nbr"])
-        .materialize()
-    )
-
-    empty = pa.table({"doc_id": pa.array([], pa.int64())})
-    for _ in range(rounds):
-        deg = live.groupby("node").aggregate(Count(alias_name="dg"))
-
-        def below_k(batch: pa.Table, _k=k) -> pa.Table:
-            # only the PEELED rows travel to the driver (bounded by the
-            # round's peel size, never the node domain)
-            if "node" not in batch.column_names:
-                return pa.table({"node": pa.array([], pa.int64())})
-            d = batch.column("dg").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {"node": batch.column("node").combine_chunks()
-                 .cast(pa.int64()).filter(pa.array(d < _k))})
-
-        rem_df = deg.map_batches(below_k, batch_format="pyarrow").to_pandas()
-        rem = (rem_df["node"].to_numpy(np.int64)
-               if "node" in rem_df.columns else np.empty(0, np.int64))
-        if not len(rem):
-            break  # fixpoint: the iterate IS the k-core
-        if len(rem) > broadcast_cap_ids:
-            raise ValueError(
-                f"peeled set {len(rem)} ids exceeds the broadcast cap; "
-                "drop the edges via the bucketed anti-join shape at this "
-                "scale (semi-join live edges against the survivor set)")
-        rem_handle = ray.put(np.sort(rem))
-
-        class DropTouched:
-            def __init__(self) -> None:
-                self.rem = ray.get(rem_handle)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                if "node" not in batch.column_names:  # schema-less empty
-                    return pa.table({"node": pa.array([], pa.int64()),
-                                     "nbr": pa.array([], pa.int64())})
-                a = batch.column("node").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                b = batch.column("nbr").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                pos_a = np.searchsorted(self.rem, a)
-                pos_b = np.searchsorted(self.rem, b)
-                na = np.clip(pos_a, 0, max(len(self.rem) - 1, 0))
-                nb = np.clip(pos_b, 0, max(len(self.rem) - 1, 0))
-                hit = (self.rem[na] == a) | (self.rem[nb] == b)
-                return batch.filter(pa.array(~hit))
-
-        live = live.map_batches(
-            DropTouched, batch_format="pyarrow", concurrency=(1, 8)
-        ).materialize()
-        if live.count() == 0:
-            return rd.from_arrow(empty)
-
-    # surviving iterate = nodes at degree >= k in the final live set (at a
-    # fixpoint every live node qualifies, so the recompute is identical);
-    # stays a Dataset -- the node domain never lands on the driver
-    final_deg = live.groupby("node").aggregate(Count(alias_name="dg"))
-
-    def at_least_k(batch: pa.Table, _k=k) -> pa.Table:
-        if "node" not in batch.column_names:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        d = batch.column("dg").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"doc_id": batch.column("node").combine_chunks()
-             .cast(pa.int64()).filter(pa.array(d >= _k))})
-
-    return final_deg.map_batches(at_least_k, batch_format="pyarrow")
 
 
 def encoding_advisor(ds, columns, id_type_bytes: int | None = None,
@@ -8373,353 +7113,6 @@ def encoding_advisor(ds, columns, id_type_bytes: int | None = None,
     for c in out.columns[1:]:
         out[c] = out[c].astype(np.int64)
     return out.reset_index(drop=True)
-
-
-def local_clustering_topk(ds, topn: int = 20, id_col: str = "doc_id",
-                          edges=None):
-    """Per-node local clustering coefficient, top-n (Watts & Strogatz
-    1998): lcc(v) = triangles through v / (deg(v) choose 2) -- the
-    per-node refinement of triangle_count's global scalar, the standard
-    ego-density screen (a crawl hub with high degree and near-zero lcc
-    is a directory page; high lcc marks tight cliques -- mirror rings,
-    template families). Shipped as exact truncating ppm.
-
-    Plan: the same wedge-probe machinery as triangle_count but the wedge
-    APEX survives the closing-key pack, so each closed wedge credits all
-    THREE vertices (3 rows into one grouped count -- a triangle-domain
-    exchange, tiny); degree is one grouped count over the symmetrized
-    distinct edges; ONE bucketed left join attaches triangle counts to
-    degrees; per-block partial top-n then a single tiny merge. Same
-    n_nodes^2 < 2^63 packed-key bound as triangle_count.
-
-    Returns (doc_id, deg, n_tri, lcc_ppm) top-n by (lcc_ppm DESC,
-    doc_id), nodes with deg >= 2 only. ``edges`` overrides the derived
-    graph (pytest hand graphs, the graph-family convention)."""
-    from ray.data.aggregate import Count
-
-    from .relational import bucketed_hash_join, derive_buckets
-
-    n_nodes = ds.count()
-    if n_nodes == 0 or n_nodes * n_nodes >= 2**63:
-        raise ValueError("packed closing key needs n_nodes^2 < 2^63")
-
-    def canon(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        return pa.table({"a": pa.array(np.minimum(s, d), pa.int64()),
-                         "b": pa.array(np.maximum(s, d), pa.int64())})
-
-    if edges is None:
-        edges = derived_link_edges(ds, n_nodes, id_col=id_col)
-    und = (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_m"))
-        .drop_columns(["_m"])
-        .materialize()
-    )
-    buckets = derive_buckets(und.count(), rows_per_bucket=1_000_000)
-
-    wedges = bucketed_hash_join(
-        und.rename_columns(["a", "b1"]), und.rename_columns(["a", "b2"]),
-        "a", "a", buckets=buckets,
-    ).filter(expr="b1 < b2")
-
-    def wedge_key(batch: pa.Table) -> pa.Table:
-        b1 = batch.column("b1").to_numpy(zero_copy_only=False)
-        b2 = batch.column("b2").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "apex": batch.column("a").combine_chunks().cast(pa.int64()),
-            "k": pa.array(b1 * n_nodes + b2, pa.int64()),
-        })
-
-    def key_ab(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"k2": pa.array(a * n_nodes + b, pa.int64())})
-
-    closed = bucketed_hash_join(
-        wedges.map_batches(wedge_key, batch_format="pyarrow"),
-        und.map_batches(key_ab, batch_format="pyarrow"),
-        "k", "k2", buckets=buckets,
-    )
-
-    def credit(batch: pa.Table) -> pa.Table:
-        apex = batch.column("apex").to_numpy(zero_copy_only=False).astype(np.int64)
-        k = batch.column("k").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"v": pa.array(
-            np.concatenate([apex, k // n_nodes, k % n_nodes]), pa.int64())})
-
-    tri = (
-        closed.map_batches(credit, batch_format="pyarrow")
-        .groupby("v").aggregate(Count(alias_name="n_tri"))
-        .materialize()
-    )
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.concatenate([a, b]), pa.int64())})
-
-    deg = (
-        und.map_batches(undirect, batch_format="pyarrow")
-        .groupby("node").aggregate(Count(alias_name="deg"))
-    )
-    def tri_as_node(batch: pa.Table) -> pa.Table:
-        # explicit projection, not rename_columns: the grouped count can
-        # emit pandas blocks that a rename Project chokes on (and empty
-        # blocks that lose schema -- same hazard as kcore_nodes)
-        if "v" not in batch.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "n_tri": pa.array([], pa.int64())})
-        return pa.table({
-            "node": batch.column("v").combine_chunks().cast(pa.int64()),
-            "n_tri": batch.column("n_tri").combine_chunks().cast(pa.int64()),
-        })
-
-    both = bucketed_hash_join(
-        deg, tri.map_batches(tri_as_node, batch_format="pyarrow"),
-        "node", "node", buckets=buckets, how="left")
-
-    def score(batch: pa.Table, _n=topn) -> pa.Table:
-        df = batch.to_pandas()
-        if "node" not in df.columns or not len(df):
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "deg": pa.array([], pa.int64()),
-                             "n_tri": pa.array([], pa.int64()),
-                             "lcc_ppm": pa.array([], pa.int64())})
-        df = df[df["deg"].to_numpy(np.int64) >= 2]
-        deg_v = df["deg"].to_numpy(np.int64)
-        nt = df["n_tri"].fillna(0).to_numpy(np.int64)
-        lcc = (2 * nt * 1_000_000) // (deg_v * (deg_v - 1))
-        out = pd.DataFrame({"doc_id": df["node"].to_numpy(np.int64),
-                            "deg": deg_v, "n_tri": nt, "lcc_ppm": lcc})
-        out = out.sort_values(["lcc_ppm", "doc_id"],
-                              ascending=[False, True]).head(_n)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def merge_top(batch: pa.Table, _n=topn) -> pa.Table:
-        df = batch.to_pandas().sort_values(["lcc_ppm", "doc_id"],
-                                           ascending=[False, True]).head(_n)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    top = (
-        both.map_batches(score, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(merge_top, batch_format="pyarrow")
-        .to_pandas()
-    )
-    for c in top.columns:
-        top[c] = top[c].astype(np.int64)
-    return top.reset_index(drop=True)
-
-
-def lpa_modularity(ds, rounds: int = 4, id_col: str = "doc_id", edges=None):
-    """Newman modularity of the LPA partition (Newman & Girvan 2004):
-    Q = sum_c [ e_c/m - (d_c/2m)^2 ] -- the standard goodness score for
-    a community assignment, here grading lpa_communities' own output
-    (positive and large: real block structure worth exploiting for
-    locality; near zero: the partition is noise and a dedup/mixture plan
-    should not trust it). Exactness: with m undirected edges, e_c =
-    within-community edges and d_c = community degree mass,
-    ``Q = sum_c (4*m*e_c - d_c^2) / (4*m^2)`` -- every term an integer;
-    the global numerator folds distributively over the community domain
-    and ships as sign-split truncating ppm (driver Python ints; the
-    replay uses HUGEINT).
-
-    Scale shape: labels come from the same fixed-round LPA; TWO
-    bucketed hash joins attach both endpoints' communities to the
-    distinct undirected edge list (corpus-sized sides, no broadcast);
-    within-community edge counts and degree mass fold per community,
-    then ONE bounded global sum. Returns one row (m_edges,
-    n_communities, modularity_ppm)."""
-    from ray.data.aggregate import Count
-
-    from .relational import bucketed_hash_join, derive_buckets, tiny_final_groupby
-
-    if edges is None:
-        edges = derived_link_edges(ds, ds.count(), id_col=id_col)
-    edges = edges.materialize()
-    labels = lpa_communities(ds, rounds=rounds, id_col=id_col,
-                             edges=edges).materialize()
-
-    def canon(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        return pa.table({"a": pa.array(np.minimum(s, d), pa.int64()),
-                         "b": pa.array(np.maximum(s, d), pa.int64())})
-
-    und = (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_m"))
-        .select_columns(["a", "b"])
-        .materialize()
-    )
-    m = und.count()
-    buckets = derive_buckets(max(m, 1), rows_per_bucket=1_000_000)
-
-    def lab_as(name):
-        def project(batch: pa.Table, _n=name) -> pa.Table:
-            if "doc_id" not in batch.column_names:
-                return pa.table({_n: pa.array([], pa.int64()),
-                                 f"c_{_n}": pa.array([], pa.int64())})
-            return pa.table({
-                _n: batch.column("doc_id").combine_chunks().cast(pa.int64()),
-                f"c_{_n}": batch.column("community").combine_chunks()
-                .cast(pa.int64()),
-            })
-        return project
-
-    e1 = bucketed_hash_join(
-        und, labels.map_batches(lab_as("a"), batch_format="pyarrow"),
-        "a", "a", buckets=buckets)
-    e2 = bucketed_hash_join(
-        e1, labels.map_batches(lab_as("b"), batch_format="pyarrow"),
-        "b", "b", buckets=buckets)
-
-    def within_partial(batch: pa.Table) -> pa.Table:
-        ca = batch.column("c_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        cb = batch.column("c_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        # every edge contributes degree mass to BOTH endpoint communities;
-        # within-community edges count once under their shared label
-        comm = np.concatenate([ca, cb])
-        t = pa.table({"c": pa.array(comm, pa.int64()),
-                      "deg": pa.array(np.ones(len(comm), np.int64)),
-                      "within": pa.array(
-                          np.concatenate([(ca == cb).astype(np.int64),
-                                          np.zeros(len(cb), np.int64)]))})
-        return t.group_by(["c"]).aggregate([("deg", "sum"), ("within", "sum")])
-
-    per_c = tiny_final_groupby(
-        e2.map_batches(within_partial, batch_format="pyarrow"),
-        keys=["c"], aggs=[("deg_sum", "sum"), ("within_sum", "sum")],
-        out_names=["c", "d_c", "e_c"],
-    ).to_pandas()
-    n_comm = len(per_c)
-    num = sum(4 * m * int(e) - int(d) * int(d)
-              for e, d in zip(per_c["e_c"], per_c["d_c"]))
-    den = 4 * m * m
-    if den == 0:
-        ppm = 0
-    elif num >= 0:
-        ppm = (num * 1_000_000) // den
-    else:
-        ppm = -(((-num) * 1_000_000) // den)
-    return pd.DataFrame({
-        "m_edges": pd.Series([m], dtype="int64"),
-        "n_communities": pd.Series([n_comm], dtype="int64"),
-        "modularity_ppm": pd.Series([ppm], dtype="int64"),
-    })
-
-
-def ppr_top(sf_dir: str, topic_lang: str = "en", iters: int = 4,
-            damping_pct: int = 85, topn: int = 20,
-            scale_total: int = 1_000_000_000_000):
-    """Personalized PageRank (Haveliwala 2002, topic-sensitive): the
-    teleport lands on the TOPIC SET (docs with lang = topic_lang), not
-    uniformly -- ranking authority AS SEEN FROM one corpus slice (which
-    hubs matter to the English sub-corpus), the recommendation/locality
-    primitive the global pagerank_top cannot express. Same integer
-    recurrence and fixed-round determinism contract: r0_v = S // nT on
-    topic nodes else 0; r'(v) = base_v + (damping * inc(v)) // 100 with
-    base_v = ((100 - damping) * (S // nT)) // 100 on topic nodes else 0;
-    all quantities non-negative ints so the replay is character-exact.
-
-    Scale shape: pagerank_top's plan with ONE twist -- the per-node
-    teleport rides the SAME zero-contribution union rows the uniform
-    version already ships (rows (node, c=0, b=base_v); shares carry
-    b=0; the one grouped exchange folds Sum(c) AND Max(b) together), so
-    personalization costs no extra join, no broadcast, no second
-    exchange per round. Returns the topn (doc_id, rank_scaled), rank
-    descending, id ascending on ties; an empty topic slice raises."""
-    import ray.data as rd
-
-    from ray.data.aggregate import Max, Sum
-
-    from .relational import bucketed_hash_join, derive_buckets
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
-    n_nodes = docs.count()
-    import pyarrow.compute as pc
-
-    def topic_mask(batch: pa.Table) -> pa.Table:
-        is_t = pc.equal(batch.column("lang"), topic_lang)
-        return pa.table({
-            "node": batch.column("doc_id").combine_chunks().cast(pa.int64()),
-            "is_t": is_t.combine_chunks().cast(pa.int8())
-            if isinstance(is_t, pa.ChunkedArray) else is_t.cast(pa.int8()),
-        })
-
-    nodes = docs.map_batches(topic_mask, batch_format="pyarrow").materialize()
-    n_topic = int(nodes.sum("is_t") or 0)
-    if n_topic == 0:
-        raise ValueError(f"empty topic slice lang={topic_lang!r}")
-    r0 = scale_total // n_topic
-    base_t = ((100 - damping_pct) * r0) // 100
-
-    edges = derived_link_edges(
-        docs.select_columns(["doc_id"]), n_nodes).materialize()
-    buckets = derive_buckets(edges.count(), rows_per_bucket=1_000_000)
-
-    def init_ranks(batch: pa.Table, _r0=r0) -> pa.Table:
-        m = batch.column("is_t").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node": batch.column("node"),
-                         "rank": pa.array(m * _r0, pa.int64())})
-
-    ranks = nodes.map_batches(init_ranks, batch_format="pyarrow").materialize()
-
-    def zero_base(batch: pa.Table, _b=base_t) -> pa.Table:
-        m = batch.column("is_t").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "dst": batch.column("node"),
-            "c": pa.array(np.zeros(len(m), np.int64)),
-            "b": pa.array(m * _b, pa.int64()),
-        })
-
-    zeros = nodes.map_batches(zero_base, batch_format="pyarrow").materialize()
-
-    def share(batch: pa.Table) -> pa.Table:
-        r = batch.column("rank").to_numpy(zero_copy_only=False)
-        d = batch.column("deg").to_numpy(zero_copy_only=False)
-        return pa.table({"dst": batch.column("dst"),
-                         "c": pa.array(r // d, pa.int64()),
-                         "b": pa.array(np.zeros(len(d), np.int64))})
-
-    def apply(batch: pa.Table, _d=damping_pct) -> pa.Table:
-        iv = batch.column("inc").to_numpy(zero_copy_only=False).astype(np.int64)
-        bv = batch.column("base").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "node": batch.column("dst").combine_chunks().cast(pa.int64()),
-            "rank": pa.array(bv + (_d * iv) // 100, pa.int64()),
-        })
-
-    for _ in range(iters):
-        joined = bucketed_hash_join(
-            edges, ranks.rename_columns(["src", "rank"]), "src", "src",
-            buckets=buckets)
-        ranks = (
-            joined.map_batches(share, batch_format="pyarrow")
-            .union(zeros)
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="inc"), Max("b", alias_name="base"))
-            .map_batches(apply, batch_format="pyarrow")
-            .materialize()
-        )
-
-    def _top(batch: pa.Table, node_col: str, rank_col: str) -> pa.Table:
-        r = batch.column(rank_col).to_numpy(zero_copy_only=False)
-        node = batch.column(node_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((node, -r))[:topn]
-        return pa.table({"doc_id": pa.array(node[order], pa.int64()),
-                         "rank_scaled": pa.array(r[order], pa.int64())})
-
-    partials = ranks.map_batches(
-        lambda b: _top(b, "node", "rank"), batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        lambda b: _top(b, "doc_id", "rank_scaled"), batch_format="pyarrow",
-        batch_size=None)
 
 
 def bitext_mining_topk(sf_dir: str, src_lang: str = "en",
@@ -9306,184 +7699,6 @@ def texttiling_boundaries(ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     return ds.map_batches(score, batch_format="pandas")
-
-
-def anf_effective_diameter(ds, id_col: str = "doc_id", max_h: int = 6,
-                           p: int = 6, buckets: int | None = None,
-                           force_distributed: bool = False):
-    """Approximate Neighbourhood Function / effective diameter of the
-    md5-derived citation graph (Palmer et al. ANF, Boldi et al. HyperANF):
-    every node carries a tiny HLL sketch (m = 2^p registers) of its
-    OUT-reachable ball; each round every node folds its successors'
-    sketches into its own (register-wise max -- HLL union is exact), so
-    after h rounds sketch_v estimates |ball(v, h)|. N(h) = sum of the
-    per-node estimates is the neighbourhood function; the effective
-    diameter is the first h where N(h) >= 90% of N(max_h). The classic
-    trick: all-pairs distances in O(h) linear passes carrying n * m
-    bytes of state -- never a per-pair row.
-
-    Determinism contract: fixed ``max_h`` rounds (the iterative-family
-    convention); the per-node estimator is the exact HyperLogLog float
-    ladder, replayable in DuckDB (alpha bias term, exact HUGEINT
-    register sum, linear-counting branch, FLOOR(x+0.5)). The oracle
-    derives the SAME registers from first principles -- exact min-hop
-    reachability + grouped HLL -- so the propagation itself is what the
-    equality proves.
-
-    Scale shape: sketch state is (v, idx, rank) rows, <= n * m and
-    typically far fewer (a ball smaller than m fills few registers);
-    per round ONE bucketed hash join ships successor registers and ONE
-    bucketed grouped max folds them. Per-round estimates are a
-    per-node grouped computation folded inside the same buckets; only
-    (round, partial sum) scalars reach the driver.
-
-    Returns (h, pairs_est, frac_ppm, is_effective_diameter), h=0..max_h."""
-    from ..functions.dedup import md5_u64
-    from .relational import bucketed_hash_join, derive_buckets
-
-    n_nodes = ds.count()
-    if n_nodes == 0:
-        return pd.DataFrame({c: pd.Series([], dtype=np.int64)
-                             for c in ("h", "pairs_est", "frac_ppm",
-                                       "is_effective_diameter")})
-    B = int(buckets or derive_buckets(n_nodes * (1 << p), rows_per_bucket=2_000_000))
-    m = 1 << p
-    # materialize once: the per-round join would otherwise re-derive the
-    # edge list from the id column every iteration
-    edges = derived_link_edges(ds, n_nodes, id_col=id_col).drop_columns(
-        ["deg"]).materialize()
-
-    def init_sketch(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        idx = np.empty(len(ids), np.int64)
-        rank = np.empty(len(ids), np.int64)
-        for i, u in enumerate(ids):
-            h = md5_u64(str(int(u)).encode())
-            idx[i] = h >> (64 - p)
-            rest = ((h << p) | ((1 << p) - 1)) & ((1 << 64) - 1)
-            rank[i] = 64 - rest.bit_length() + 1
-        return pa.table({"v": pa.array(ids), "idx": pa.array(idx),
-                         "rank": pa.array(rank)})
-
-    def grouped_max(sk):
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            v = batch.column("v").to_numpy(zero_copy_only=False)
-            return batch.append_column(
-                "bucket", pa.array((v % B).astype(np.int32)))
-
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
-            out = (g.groupby(["v", "idx"], as_index=False)["rank"].max())
-            return out.astype({"v": np.int64, "idx": np.int64, "rank": np.int64})
-
-        return (sk.map_batches(add_bucket, batch_format="pyarrow")
-                .groupby("bucket").map_groups(fold, batch_format="pandas"))
-
-    def estimate_sum(sk) -> int:
-        """Sum of per-node rounded HLL estimates (exact integer register
-        sums, the pinned float ladder). NO shuffle: ``sk`` comes out of
-        ``grouped_max``, whose map_groups blocks hold complete per-node
-        register sets, so a batch_size=None map over those blocks sees
-        every node whole and only per-block partial sums reach the
-        driver."""
-        alpha = 0.7213 / (1 + 1.079 / m)
-
-        def est_fold(g: pd.DataFrame) -> pd.DataFrame:
-            # exact integer numerators: object-dtype Python ints survive
-            # the 2^64 terms that uint64 cannot
-            val = pd.Series([1 << (64 - int(r)) for r in g["rank"]],
-                            index=g.index, dtype=object)
-            gg = pd.DataFrame({"v": g["v"], "val": val})
-            per = gg.groupby("v")["val"].agg(["sum", "count"])
-            total = 0
-            for num, cnt in zip(per["sum"], per["count"]):
-                zeros = m - int(cnt)
-                numerator = int(num) + (zeros << 64)
-                est = alpha * m * m * 18446744073709551616.0 / float(numerator)
-                if est <= 2.5 * m and zeros > 0:
-                    est = m * np.log(m / zeros)
-                total += int(np.floor(est + 0.5))
-            return pd.DataFrame({"part": pd.Series([total], dtype=np.int64)})
-
-        parts = sk.map_batches(est_fold, batch_format="pandas",
-                               batch_size=None).to_pandas()
-        return int(parts["part"].sum())
-
-    # ---- capped driver fast path: the
-    # sketch matrix is n * m BYTES -- tiny relative to the graph -- so
-    # under the cap the whole register state lives in one numpy array on
-    # the driver and each round is ONE vectorized maximum-scatter over
-    # the collected edge list: zero shuffles, zero barriers. Past the
-    # cap (> ~4M nodes at m=64) the bucketed distributed path below
-    # runs -- same registers, same estimates.
-    if n_nodes * m <= (256 << 20) and not force_distributed:
-        E = edges.to_pandas()  # bounded by the same cap license
-        esrc = E["src"].to_numpy(np.int64)
-        edst = E["dst"].to_numpy(np.int64)
-        ids = np.sort(
-            ds.select_columns([id_col]).to_pandas()[id_col].to_numpy(np.int64))
-        R = np.zeros((n_nodes, m), dtype=np.uint8)
-        for u in ids:
-            h = md5_u64(str(int(u)).encode())
-            rest = ((h << p) | ((1 << p) - 1)) & ((1 << 64) - 1)
-            r = 64 - rest.bit_length() + 1
-            i = h >> (64 - p)
-            R[u, i] = max(R[u, i], r)
-
-        alpha = 0.7213 / (1 + 1.079 / m)
-
-        def est_total(R: np.ndarray) -> int:
-            total = 0
-            for row in R:
-                zeros = int(np.count_nonzero(row == 0))
-                num = (zeros << 64) + sum(
-                    1 << (64 - int(r)) for r in row[row > 0])
-                est = alpha * m * m * 18446744073709551616.0 / float(num)
-                if est <= 2.5 * m and zeros > 0:
-                    est = m * np.log(m / zeros)
-                total += int(np.floor(est + 0.5))
-            return total
-
-        sums = [est_total(R)]
-        for _ in range(max_h):
-            R2 = R.copy()
-            np.maximum.at(R2, esrc, R[edst])
-            R = R2
-            sums.append(est_total(R))
-        final = sums[-1] or 1
-        frac = [s * 1_000_000 // final for s in sums]
-        d90 = next((h for h, f in enumerate(frac) if f >= 900_000), max_h)
-        return pd.DataFrame({
-            "h": pd.Series(range(max_h + 1), dtype=np.int64),
-            "pairs_est": pd.Series(sums, dtype=np.int64),
-            "frac_ppm": pd.Series(frac, dtype=np.int64),
-            "is_effective_diameter": pd.Series(
-                [1 if h == d90 else 0 for h in range(max_h + 1)],
-                dtype=np.int64),
-        })
-
-    sk = grouped_max(ds.map_batches(init_sketch, batch_format="pyarrow")).materialize()
-    sums = [estimate_sum(sk)]
-    for _ in range(max_h):
-        msgs = bucketed_hash_join(edges, sk, "dst", "v", buckets=B)
-
-        def project(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"v": batch["src"].to_numpy(np.int64),
-                                 "idx": batch["idx"].to_numpy(np.int64),
-                                 "rank": batch["rank"].to_numpy(np.int64)})
-
-        moved = msgs.map_batches(project, batch_format="pandas")
-        sk = grouped_max(moved.union(sk)).materialize()
-        sums.append(estimate_sum(sk))
-    final = sums[-1] or 1
-    frac = [s * 1_000_000 // final for s in sums]
-    d90 = next((h for h, f in enumerate(frac) if f >= 900_000), max_h)
-    return pd.DataFrame({
-        "h": pd.Series(range(max_h + 1), dtype=np.int64),
-        "pairs_est": pd.Series(sums, dtype=np.int64),
-        "frac_ppm": pd.Series(frac, dtype=np.int64),
-        "is_effective_diameter": pd.Series(
-            [1 if h == d90 else 0 for h in range(max_h + 1)], dtype=np.int64),
-    })
 
 
 def bm25_prf_topk(ds, queries: list[str], k: int = 10, fb_docs: int = 3,

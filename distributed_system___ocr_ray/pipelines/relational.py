@@ -6,8 +6,7 @@ The kernels are the engine's generic toolbox, built the Ray-Data-first way:
 
 - **partial aggregation**: per-batch partials inside ``map_batches``, then
   one key-domain-sized exchange (``tiny_final_groupby``,
-  ``bucketed_grouped_sum``, ``mode_by_key``,
-  ``cooccurrence_counts``).
+  ``bucketed_grouped_sum``, ``cooccurrence_counts``).
 - **one hash partition**: every bucketed plan derives its partition column
   from ``hash_bucket_column`` (``lance_like.bucket_of``) and sizes its
   fan-out with ``derive_buckets``.
@@ -16,14 +15,14 @@ The kernels are the engine's generic toolbox, built the Ray-Data-first way:
   the driver.
 
 The remaining functions are relational kernels over the TPC-H and
-``events`` tables: the integer-cent money aggregates, the range-partitioned
-global orderings (rank, ntile, Gini, period-over-period, spike days) and
-the per-key time-series windows (debounce, streaks, interval coverage,
-forward fill, SCD2 history). No registry query calls them;
-``tests/test_analytics.py`` checks each against DuckDB, and
-``tests/test_driver_contract.py`` lists each as known-unreachable, so that
-list only shrinks as they are deleted. Money columns are summed as integer
-cents (``floor(x*100 + 0.5)``) so those comparisons are exact.
+``events`` tables: the range-partitioned global orderings (rank, ntile,
+Gini, period-over-period, spike days) and the per-key time-series windows
+(debounce, streaks, interval coverage, forward fill, SCD2 history). No
+registry query calls them; ``tests/test_analytics.py`` checks each against
+DuckDB, and ``tests/test_driver_contract.py`` lists each as
+known-unreachable, so that list only shrinks as they are deleted. They
+quantize values to integer cents (``floor(x*100 + 0.5)``, ``_cents``) so
+those comparisons are exact.
 """
 from __future__ import annotations
 
@@ -100,83 +99,6 @@ def tiny_final_groupby(partials, keys, aggs, out_names):
         return out.rename_columns(out_names)
 
     return partials.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
-
-
-def pricing_summary(sf_dir: str):
-    """TPC-H Q1-style pricing summary (grouped aggregate with partial agg)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_shipdate"],
-    )
-    cutoff = pa.scalar(pd.Timestamp("1998-09-02"), pa.timestamp("us"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.less_equal(batch.column("l_shipdate"), cutoff))
-        t = pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "qty_cents": _cents(batch.column("l_quantity")),
-                "base_cents": _cents(batch.column("l_extendedprice")),
-            }
-        )
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty_cents", "sum"), ("base_cents", "sum"), ("qty_cents", "count")]
-        )
-
-    return tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        [("qty_cents_sum", "sum"), ("base_cents_sum", "sum"), ("qty_cents_count", "sum")],
-        ["l_returnflag", "l_linestatus", "sum_qty_cents", "sum_base_cents", "n_rows"],
-    )
-
-
-def events_daily(sf_dir: str):
-    """Tumbling 1-day event-time window per event_type."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.strftime(pc.floor_temporal(batch.column("ts"), unit="day"), format="%Y-%m-%d")
-        t = pa.table(
-            {"event_type": batch.column("event_type"), "day": day, "value_cents": _cents(batch.column("value"))}
-        )
-        return t.group_by(["event_type", "day"]).aggregate(
-            [("value_cents", "sum"), ("value_cents", "count")]
-        )
-
-    # day x event_type cardinality is bounded (~150 at any sf): single-block final
-    return tiny_final_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "day"],
-        [("value_cents_sum", "sum"), ("value_cents_count", "sum")],
-        ["event_type", "day", "value_cents", "n_events"],
-    )
-
-
-def top_users_by_value(sf_dir: str, k: int = 10):
-    """Global top-k after a grouped sum (sort + limit; deterministic
-    tie-break on user_id)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"user_id": batch.column("user_id"), "value_cents": _cents(batch.column("value"))})
-        return t.group_by(["user_id"]).aggregate([("value_cents", "sum")])
-
-    totals = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("value_cents_sum", alias_name="total_value_cents"))
-    )
-    # k is tiny: exact global top-k via sort on (total desc, user_id asc)
-    return totals.sort(["total_value_cents", "user_id"], descending=[True, False]).limit(k)
 
 
 def filter_project_documents(sf_dir: str, min_chars: int = 100, max_chars: int = 20000):
@@ -449,52 +371,6 @@ def debounce_frame(
     close[1:] = (ts[1:] - ts[:-1]) < gap
     keep = ~(same_key & close)
     return g.loc[keep, [id_col, *key_cols]].reset_index(drop=True)
-
-
-# ------------------------------------------------------------- mode / audit
-
-
-def mode_by_key(ds, key_col: str, value_col: str, buckets: int = 64):
-    """Grouped mode: the most frequent ``value_col`` per ``key_col``, ties
-    broken by the smallest value (deterministic at any partitioning).
-
-    Scale shape: per-batch partial counts collapse each block to at most one
-    row per (key, value) it saw, so the ONE hash exchange moves the
-    (key, value)-domain, never input rows; the per-bucket merge is a
-    vectorized sort + head(1), not a per-group Python loop. Returns
-    (key, mode_value, n_rows) where n_rows counts the winning value's rows.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([key_col, value_col]).to_pandas()
-        c = df.groupby([key_col, value_col], sort=False).size().rename("n").reset_index()
-        return pa.Table.from_pandas(c, preserve_index=False)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return hash_bucket_column(batch, key_col, buckets)
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        tot = (
-            group.groupby([key_col, value_col], sort=False)["n"].sum().reset_index()
-        )
-        g = tot.sort_values(
-            [key_col, "n", value_col], ascending=[True, False, True], kind="mergesort"
-        )
-        best = g.groupby(key_col, sort=False).head(1)
-        return pd.DataFrame(
-            {
-                key_col: best[key_col].to_numpy(),
-                "mode_value": best[value_col].to_numpy(),
-                "n_rows": best["n"].to_numpy(np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
 
 
 def longest_streak(ds, key_col: str = "user_id", ts_col: str = "ts",

@@ -14,63 +14,6 @@ def _pdf(ds):
     return ds.to_pandas()
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestRelational:
-    def test_pricing_summary_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.pricing_summary(SF))
-            .sort_values(["l_returnflag", "l_linestatus"])
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            SELECT l_returnflag, l_linestatus,
-                   SUM(CAST(FLOOR(l_quantity*100 + 0.5) AS BIGINT)) AS sum_qty_cents,
-                   SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS sum_base_cents,
-                   COUNT(*) AS n_rows
-            FROM '{SF}/lineitem.parquet'
-            WHERE l_shipdate <= TIMESTAMP '1998-09-02'
-            GROUP BY 1, 2 ORDER BY 1, 2
-            """
-        ).df()
-        assert got["sum_qty_cents"].tolist() == exp["sum_qty_cents"].tolist()
-        assert got["sum_base_cents"].tolist() == exp["sum_base_cents"].tolist()
-        assert got["n_rows"].tolist() == exp["n_rows"].tolist()
-
-    def test_events_daily_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = (
-            _pdf(relational.events_daily(SF)).sort_values(["event_type", "day"]).reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            SELECT event_type, strftime(date_trunc('day', ts), '%Y-%m-%d') AS day,
-                   SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS value_cents,
-                   COUNT(*) AS n_events
-            FROM '{SF}/events.parquet' GROUP BY 1, 2 ORDER BY 1, 2
-            """
-        ).df()
-        assert got["day"].tolist() == exp["day"].tolist()
-        assert got["value_cents"].tolist() == exp["value_cents"].tolist()
-
-    def test_top_users_vs_duckdb(self):
-        from distributed_system___ocr_ray.pipelines import relational
-
-        got = _pdf(relational.top_users_by_value(SF, k=10))
-        exp = duckdb.sql(
-            f"""
-            SELECT user_id, SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT)) AS total_value_cents
-            FROM '{SF}/events.parquet' GROUP BY 1
-            ORDER BY total_value_cents DESC, user_id LIMIT 10
-            """
-        ).df()
-        assert got["user_id"].tolist() == exp["user_id"].tolist()
-        assert got["total_value_cents"].tolist() == exp["total_value_cents"].tolist()
-
-
 def _documents_with_dups(tmp_path) -> str:
     """A copy of the sf0.001 documents, whose 500 texts are all distinct,
     plus the texts of every 16th row again under new doc_ids above the
@@ -1537,57 +1480,6 @@ class TestKMeans:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestPageRank:
-    def _reference(self, ids, iters, damping=85, topn=10):
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-
-        N = len(ids)
-        r0 = 10**12 // N
-        base = ((100 - damping) * r0) // 100
-        edges = []
-        for u in ids:
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % N
-                if t != u:
-                    edges.append((u, t, d))
-        r = {u: r0 for u in ids}
-        for _ in range(iters):
-            inc = {u: 0 for u in ids}
-            for u, t, d in edges:
-                inc[t] += r[u] // d
-            r = {u: base + (damping * inc[u]) // 100 for u in ids}
-        return sorted(r.items(), key=lambda kv: (-kv[1], kv[0]))[:topn]
-
-    def test_pagerank_matches_reference(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = _pdf(analytics.pagerank_top(ds, iters=3, topn=10))
-        ids = sorted(
-            pq.read_table(f"{SF}/documents.parquet", columns=["doc_id"])
-            .column("doc_id")
-            .to_pylist()
-        )
-        exp = self._reference(ids, iters=3)
-        assert [(int(a), int(b)) for a, b in zip(got["doc_id"], got["rank_scaled"])] == [
-            (int(a), int(b)) for a, b in exp
-        ]
-
-    def test_pagerank_partition_invariant(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        base = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        a = _pdf(analytics.pagerank_top(base, iters=2, topn=15))
-        b = _pdf(analytics.pagerank_top(base.repartition(11), iters=2, topn=15))
-        assert a.values.tolist() == b.values.tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestHybridTopK:
     def test_hybrid_matches_manual_fusion(self):
         """RRF-fuse the two retrievers' own outputs by hand and compare."""
@@ -1631,83 +1523,6 @@ class TestHybridTopK:
             for qid, grp in got.groupby("query_id")
         }
         assert got_by_q == exp
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestGraphAndDecay:
-    def test_triangle_count_matches_bruteforce(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ids = sorted(
-            pq.read_table(f"{SF}/documents.parquet", columns=["doc_id"])
-            .column("doc_id")
-            .to_pylist()
-        )
-        N = len(ids)
-        und = set()
-        for u in ids:
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % N
-                if t != u:
-                    und.add((min(u, t), max(u, t)))
-        adj = {}
-        for a, b in und:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        exp = sum(
-            1
-            for a, b in und
-            for c in adj[a]
-            if c > b and (b, c) in und
-        )
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = _pdf(analytics.triangle_count(ds))
-        assert int(got["n_triangles"].iloc[0]) == exp
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestModeAndOrphanAudit:
-    def test_mode_by_key_matches_duckdb(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        ds = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "event_type"])
-        got = (
-            _pdf(relational.mode_by_key(ds, "user_id", "event_type"))
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-        exp = duckdb.sql(
-            f"""
-            WITH c AS (SELECT user_id, event_type, COUNT(*) AS n
-                       FROM '{SF}/events.parquet' GROUP BY 1, 2),
-            r AS (SELECT *, ROW_NUMBER() OVER
-                  (PARTITION BY user_id ORDER BY n DESC, event_type ASC) AS rk FROM c)
-            SELECT user_id, event_type AS mode_value, CAST(n AS BIGINT) AS n_rows
-            FROM r WHERE rk = 1 ORDER BY user_id
-            """
-        ).df()
-        assert got["user_id"].tolist() == exp["user_id"].tolist()
-        assert got["mode_value"].tolist() == exp["mode_value"].tolist()
-        assert got["n_rows"].astype(int).tolist() == exp["n_rows"].astype(int).tolist()
-
-    def test_mode_partition_invariant(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import relational
-
-        base = rd.read_parquet(f"{SF}/events.parquet", columns=["user_id", "event_type"])
-        a = _pdf(relational.mode_by_key(base, "user_id", "event_type")).sort_values(
-            "user_id").reset_index(drop=True)
-        b = _pdf(relational.mode_by_key(base.repartition(13), "user_id", "event_type")
-                 ).sort_values("user_id").reset_index(drop=True)
-        assert a.values.tolist() == b.values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2307,41 +2122,6 @@ class TestProfileTable:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestBfsLevels:
-    def test_matches_recursive_sql_and_monotone(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = (
-            analytics.bfs_levels(ds, source=0, max_rounds=5)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        # replay BFS in plain python over the same md5-derived edges
-        n = duckdb.sql(
-            f"SELECT COUNT(*) FROM '{SF}/documents.parquet'").fetchone()[0]
-        adj: dict[int, list[int]] = {}
-        frontier, lvl = {0}, {0: 0}
-        for r in range(5):
-            nxt = set()
-            for u in frontier:
-                if u not in adj:
-                    d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-                    adj[u] = [t for j in range(d)
-                              if (t := md5_u64(f"{u}:link:{j}".encode()) % n) != u]
-                for v in adj[u]:
-                    if v not in lvl:
-                        lvl[v] = r + 1
-                        nxt.add(v)
-            frontier = nxt
-        exp = sorted(lvl.items())
-        assert list(zip(got["doc_id"], got["level"])) == exp
-        assert got["level"].min() == 0 and got["level"].max() <= 5
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestGiniPpm:
     def test_hand_built_known_values(self):
         import ray.data as rd
@@ -2706,47 +2486,6 @@ class TestCooccurrenceCounts:
             """
         ).df()
         assert a["n_ids"].tolist() == exp["n_ids"].astype(int).tolist()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestInDegreeHistogram:
-    def test_vs_python_replay(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = _pdf(analytics.in_degree_histogram(ds)).sort_values("in_degree")
-
-        ids = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id"])[
-            "doc_id"
-        ].to_pylist()
-        n = len(ids)
-        indeg = {int(u): 0 for u in ids}
-        for u in ids:
-            u = int(u)
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % n
-                if t != u:
-                    indeg[t] += 1
-        exp: dict[int, int] = {}
-        for v in indeg.values():
-            exp[v] = exp.get(v, 0) + 1
-        assert dict(zip(got["in_degree"], got["n_nodes"])) == exp
-        # histogram accounts for every node exactly once
-        assert int(got["n_nodes"].sum()) == n
-
-    def test_zero_row_present(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = _pdf(analytics.in_degree_histogram(ds))
-        # ~e^-2 of nodes get no citations at deg ~2: the 0 row must exist
-        assert 0 in set(got["in_degree"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3208,56 +2947,6 @@ class TestVocabGrowth:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCommonNeighborPairs:
-    def test_vs_python_bruteforce(self):
-        import itertools
-
-        import pandas as pd
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        n = 120
-        docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(n), pa.int64())}))
-        got = _pdf(analytics.common_neighbor_pairs(docs, k=15)).reset_index(drop=True)
-
-        und = set()
-        for u in range(n):
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % n
-                if t != u:
-                    und.add((min(u, t), max(u, t)))
-        nbrs = {}
-        for a, b in und:
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
-        scores = []
-        for a, b in itertools.combinations(sorted(nbrs), 2):
-            if (a, b) in und:
-                continue
-            c = len(nbrs[a] & nbrs[b])
-            if c:
-                scores.append((a, b, c))
-        scores.sort(key=lambda r: (-r[2], r[0], r[1]))
-        exp = pd.DataFrame(scores[:15], columns=["doc_a", "doc_b", "n_common"])
-        assert got.astype(int).values.tolist() == exp.astype(int).values.tolist()
-
-    def test_vs_duckdb(self):
-        import __ray_entry__ as em
-
-        got = em.queries()["link_prediction_topk"](SF)
-        got = _pdf(got).reset_index(drop=True)
-        con = duckdb.connect()
-        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{SF}/documents.parquet'")
-        exp = con.execute(em.oracle_sql()["link_prediction_topk"]).df()
-        g = got.sort_values(list(got.columns)).reset_index(drop=True)
-        e = exp.sort_values(list(exp.columns)).reset_index(drop=True)
-        assert g.astype(str).equals(e.astype(str))
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestEncodingAudit:
     def test_vs_duckdb(self):
         import __ray_entry__ as em
@@ -3616,36 +3305,6 @@ class TestLexicalCurveAudits:
             {"token": "c", "cf": 1, "df": 1, "per_doc_milli": 1000},
         ]
 
-    def test_graph_reciprocity_bounds(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(50), pa.int64())}))
-        got = analytics.graph_reciprocity(ds).to_pandas()
-        assert len(got) == 1
-        row = got.iloc[0]
-        assert 0 <= row["reciprocal_edges"] <= row["directed_edges"]
-        assert row["reciprocity_ppm"] == (
-            int(row["reciprocal_edges"]) * 1_000_000 // int(row["directed_edges"])
-        )
-
-    def test_graph_reciprocity_matches_brute_force(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        n = 40
-        ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(n), pa.int64())}))
-        edges = set(
-            map(tuple, analytics.derived_link_edges(ds, n)
-                .to_pandas()[["src", "dst"]].values)
-        )
-        recip = sum(1 for (s, d) in edges if (d, s) in edges)
-        got = analytics.graph_reciprocity(ds).to_pandas().iloc[0]
-        assert int(got["directed_edges"]) == len(edges)
-        assert int(got["reciprocal_edges"]) == recip
-
 
 class TestCompactionBins:
     def test_hand_built_packing(self):
@@ -3868,45 +3527,6 @@ class TestSpanCorruptionPlan:
             assert r.start_tok == h % (45 - 2) + 1
             assert 1 <= r.start_tok <= 43
             assert r.span_len == 3
-
-
-class TestTwoHopReach:
-    def test_matches_brute_force(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-
-        n = 120
-        tbl = pa.table({"doc_id": pa.array(range(n), pa.int64())})
-        got = (
-            analytics.two_hop_reach(rd.from_arrow(tbl), topn=10)
-            .sort_values("seed")
-            .reset_index(drop=True)
-        )
-        # brute-force replay of derived_link_edges
-        de = set()
-        for u in range(n):
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % n
-                if t != u:
-                    de.add((u, t))
-        from collections import Counter, defaultdict
-
-        ind = Counter(t for _, t in de)
-        order = sorted(ind.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        preds = defaultdict(set)
-        for s, t in de:
-            preds[t].add(s)
-        assert len(got) == 10
-        for seed, deg in order:
-            row = got[got.seed == seed]
-            assert int(row["in_deg"].iloc[0]) == deg
-            want = set()
-            for u in preds[seed]:
-                want |= preds[u]
-            assert int(row["reach2"].iloc[0]) == len(want)
 
 
 class TestBpeMergeCandidates:
@@ -4179,41 +3799,6 @@ class TestTokenBudgetWaterfill:
         )
         assert list(out["allotted_tokens"]) == list(out["available_tokens"])
         assert list(out["capped"]) == [0, 0]
-
-
-class TestRandomWalks:
-    def test_structure_and_determinism(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        tbl = pa.table({"doc_id": pa.array(range(60), pa.int64())})
-        out1 = analytics.random_walks(rd.from_arrow(tbl), n_seeds=4, walks_per_seed=2)
-        out2 = analytics.random_walks(
-            rd.from_arrow(tbl).repartition(7), n_seeds=4, walks_per_seed=2
-        )
-        # identical walks regardless of partitioning
-        assert out1.equals(out2)
-        # step-0 rows are exactly the (seed, walk) grid at the seed node
-        s0 = out1[out1["step"] == 0]
-        assert len(s0) == 8
-        assert (s0["seed"] == s0["node"]).all()
-        # every step-t+1 node is an out-neighbor of the step-t node
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-
-        n = 60
-        adj = {}
-        for u in range(n):
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            ts = sorted({md5_u64(f"{u}:link:{j}".encode()) % n for j in range(d)} - {u})
-            adj[u] = ts
-        for (seed, w), g in out1.groupby(["seed", "walk_id"]):
-            g = g.sort_values("step")
-            nodes = g["node"].tolist()
-            for t in range(len(nodes) - 1):
-                nbrs = adj[nodes[t]]
-                idx = md5_u64(f"walk:{seed}:{w}:{t}:{nodes[t]}".encode()) % len(nbrs)
-                assert nodes[t + 1] == nbrs[idx]
 
 
 class TestKwicSnippets:
@@ -4814,100 +4399,6 @@ class TestDsirImportanceWeights:
         assert out.loc[0, "score_milli"] == out.loc[16, "score_milli"]
 
 
-class TestLpaCommunities:
-    def test_two_triangles_with_bridge(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # triangles {0,1,2} and {3,4,5} joined by bridge 2-3: sync LPA
-        # with self-vote and min-label ties converges to labels 0 and 3
-        nodes = pa.table({"doc_id": pa.array(list(range(6)), pa.int64())})
-        e = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
-        edges = pa.table({
-            "src": pa.array([a for a, _ in e], pa.int64()),
-            "dst": pa.array([b for _, b in e], pa.int64()),
-        })
-        got = (
-            analytics.lpa_communities(rd.from_arrow(nodes), rounds=4,
-                                      edges=rd.from_arrow(edges))
-            .to_pandas().sort_values("doc_id")
-        )
-        assert got["community"].tolist() == [0, 0, 0, 3, 3, 3]
-
-    def test_isolated_node_keeps_own_label(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        nodes = pa.table({"doc_id": pa.array([0, 1, 2], pa.int64())})
-        edges = pa.table({"src": pa.array([0], pa.int64()),
-                          "dst": pa.array([1], pa.int64())})
-        got = (
-            analytics.lpa_communities(rd.from_arrow(nodes), rounds=3,
-                                      edges=rd.from_arrow(edges))
-            .to_pandas().sort_values("doc_id")
-        )
-        assert got["community"].tolist() == [0, 0, 2]
-
-
-class TestDegreeAssortativity:
-    def test_star_graph_is_disassortative(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # star K1,3: every edge joins deg-3 hub to deg-1 leaf -> r = -1
-        nodes = pa.table({"doc_id": pa.array([0, 1, 2, 3], pa.int64())})
-        edges = pa.table({
-            "src": pa.array([0, 0, 0], pa.int64()),
-            "dst": pa.array([1, 2, 3], pa.int64()),
-        })
-        got = analytics.degree_assortativity(
-            rd.from_arrow(nodes), edges=rd.from_arrow(edges))
-        assert int(got["m_votes"].iloc[0]) == 6
-        assert int(got["r_ppm"].iloc[0]) == -1_000_000
-
-    def test_regular_graph_ships_zero(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # triangle: all degrees equal -> zero variance -> r_ppm = 0
-        nodes = pa.table({"doc_id": pa.array([0, 1, 2], pa.int64())})
-        edges = pa.table({
-            "src": pa.array([0, 1, 2], pa.int64()),
-            "dst": pa.array([1, 2, 0], pa.int64()),
-        })
-        got = analytics.degree_assortativity(
-            rd.from_arrow(nodes), edges=rd.from_arrow(edges))
-        assert int(got["r_ppm"].iloc[0]) == 0
-
-
-class TestHitsScores:
-    def test_bipartite_hub_authority_split(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # hubs {0,1} each point at authorities {2,3}; 3 gets an extra
-        # in-link from 4 so it outranks 2; hubs have zero authority
-        nodes = pa.table({"doc_id": pa.array([0, 1, 2, 3, 4], pa.int64())})
-        e = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 3)]
-        edges = pa.table({
-            "src": pa.array([a for a, _ in e], pa.int64()),
-            "dst": pa.array([b for _, b in e], pa.int64()),
-        })
-        got = analytics.hits_scores(rd.from_arrow(nodes), rounds=3, topn=3,
-                                    edges=rd.from_arrow(edges))
-        assert got["doc_id"].tolist()[:2] == [3, 2]
-        assert int(got["auth_scaled"].iloc[0]) == 1_000_000
-        # authorities point at nothing: their hub score is 0
-        assert int(got["hub_scaled"].iloc[0]) == 0
-        # the extra in-link strictly separates the two authorities
-        assert got["auth_scaled"].tolist()[0] > got["auth_scaled"].tolist()[1]
-
-
 class TestLangidKappa:
     def test_hand_confusion_arithmetic(self):
         import ray.data as rd
@@ -4945,41 +4436,6 @@ class TestLangidKappa:
         assert int(got["kappa_ppm"].iloc[0]) == 0
 
 
-class TestKcoreNodes:
-    def test_pendant_chain_peels_to_triangle(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # triangle {0,1,2} with pendant chain 2-3-4: peel 1 drops 4,
-        # peel 2 drops 3; the 2-core is exactly the triangle
-        nodes = pa.table({"doc_id": pa.array(list(range(5)), pa.int64())})
-        e = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
-        edges = pa.table({
-            "src": pa.array([a for a, _ in e], pa.int64()),
-            "dst": pa.array([b for _, b in e], pa.int64()),
-        })
-        got = (analytics.kcore_nodes(rd.from_arrow(nodes), k=2, rounds=4,
-                                     edges=rd.from_arrow(edges))
-               .to_pandas().sort_values("doc_id"))
-        assert got["doc_id"].tolist() == [0, 1, 2]
-
-    def test_tree_has_empty_two_core(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # a path graph is a tree: the 2-core is empty
-        nodes = pa.table({"doc_id": pa.array(list(range(4)), pa.int64())})
-        edges = pa.table({
-            "src": pa.array([0, 1, 2], pa.int64()),
-            "dst": pa.array([1, 2, 3], pa.int64()),
-        })
-        got = analytics.kcore_nodes(rd.from_arrow(nodes), k=2, rounds=4,
-                                    edges=rd.from_arrow(edges)).to_pandas()
-        assert len(got) == 0
-
-
 class TestEncodingAdvisor:
     def test_exact_byte_arithmetic_and_verdicts(self):
         import ray.data as rd
@@ -5000,79 +4456,6 @@ class TestEncodingAdvisor:
         assert int(g.loc["uid", "plain_bytes"]) == 64
         assert int(g.loc["uid", "dict_bytes"]) == 64 + 8 * 1
         assert int(g.loc["uid", "dict_wins"]) == 0
-
-
-class TestLocalClusteringTopk:
-    def test_hand_graph_coefficients(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # K4 on {0,1,2,3}: every node deg 3, 3 triangles each, lcc = 1.
-        # Node 4 pends off 0: deg(0) grows to 4 with still 3 triangles.
-        nodes = pa.table({"doc_id": pa.array(list(range(5)), pa.int64())})
-        e = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]
-        edges_tbl = pa.table({
-            "src": pa.array([a for a, _ in e], pa.int64()),
-            "dst": pa.array([b for _, b in e], pa.int64()),
-        })
-        got = analytics.local_clustering_topk(
-            rd.from_arrow(nodes), topn=5, edges=rd.from_arrow(edges_tbl))
-        g = got.set_index("doc_id")
-        assert int(g.loc[1, "lcc_ppm"]) == 1_000_000
-        assert int(g.loc[1, "n_tri"]) == 3
-        # node 0: 3 triangles over C(4,2)=6 wedge slots -> 500000 ppm
-        assert int(g.loc[0, "deg"]) == 4
-        assert int(g.loc[0, "lcc_ppm"]) == 500_000
-        # node 4 (deg 1) is excluded
-        assert 4 not in g.index
-
-
-class TestLpaModularity:
-    def test_two_cliques_score_high(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        # two triangles joined by one bridge: LPA finds the two cliques;
-        # hand arithmetic: m=7, communities d_c=(7,7), e_c=(3,3) ->
-        # Q = (4*7*6 - 2*49) / (4*49) = 70/196 -> 357142 ppm
-        nodes = pa.table({"doc_id": pa.array(list(range(6)), pa.int64())})
-        e = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
-        edges = pa.table({
-            "src": pa.array([a for a, _ in e], pa.int64()),
-            "dst": pa.array([b for _, b in e], pa.int64()),
-        })
-        got = analytics.lpa_modularity(rd.from_arrow(nodes),
-                                       edges=rd.from_arrow(edges))
-        assert int(got["m_edges"].iloc[0]) == 7
-        assert int(got["n_communities"].iloc[0]) == 2
-        assert int(got["modularity_ppm"].iloc[0]) == 357_142
-
-
-class TestPprTop:
-    def test_structure_and_topic_sensitivity(self, tmp_path):
-        import pyarrow.parquet as pq
-        import pytest
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        pq.write_table(pa.table({
-            "doc_id": pa.array(list(range(120)), pa.int64()),
-            "lang": pa.array(["en" if i % 3 == 0 else "de"
-                              for i in range(120)]),
-        }), tmp_path / "documents.parquet")
-        en = analytics.ppr_top(str(tmp_path), topic_lang="en").to_pandas()
-        de = analytics.ppr_top(str(tmp_path), topic_lang="de").to_pandas()
-        for out in (en, de):
-            assert len(out) == 20
-            r = out["rank_scaled"].tolist()
-            assert r == sorted(r, reverse=True)
-            assert min(r) >= 0
-        # different teleport sets rank differently (topic sensitivity)
-        assert en["doc_id"].tolist() != de["doc_id"].tolist()
-        with pytest.raises(ValueError):
-            analytics.ppr_top(str(tmp_path), topic_lang="fr")
 
 
 class TestBitextMining:
@@ -5427,89 +4810,6 @@ class TestTexttilingBoundaries:
         for c in exp.columns:
             exp[c] = exp[c].astype(np.int64)
         assert got.equals(exp)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestAnfEffectiveDiameter:
-    def test_directed_cycle_exact_growth(self, tmp_path):
-        """Independent pure-python replay (hashlib + math only): true
-        min-hop balls of the derived graph, HLL-estimated with the same
-        register/estimator ladder -- checks propagation end to end."""
-        import pyarrow.parquet as pq
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.functions.dedup import md5_u64
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        n = 12
-        pq.write_table(pa.table({"doc_id": pa.array(list(range(n)), pa.int64())}),
-                       tmp_path / "documents.parquet")
-        ds = rd.read_parquet(str(tmp_path / "documents.parquet"),
-                             columns=["doc_id"])
-        got = analytics.anf_effective_diameter(ds, max_h=4)
-        # independent truth: rebuild the derived edges, BFS every node
-        edges: dict[int, set] = {u: set() for u in range(n)}
-        for u in range(n):
-            d = 1 + md5_u64(f"{u}:deg".encode()) % 3
-            for j in range(d):
-                t = md5_u64(f"{u}:link:{j}".encode()) % n
-                if t != u:
-                    edges[u].add(t)
-        import hashlib
-        import math
-
-        def hll_est(members):
-            # independent pure-python HLL (hashlib + math only)
-            m = 64
-            regs = [0] * m
-            for u in members:
-                h = int.from_bytes(
-                    hashlib.md5(str(u).encode()).digest()[:8], "big")
-                idx = h >> 58
-                rest = ((h << 6) | 63) & ((1 << 64) - 1)
-                regs[idx] = max(regs[idx], 64 - rest.bit_length() + 1)
-            alpha = 0.7213 / (1 + 1.079 / m)
-            num = sum(1 << (64 - r) for r in regs)
-            est = alpha * m * m * 2.0 ** 64 / float(num)
-            zeros = regs.count(0)
-            if est <= 2.5 * m and zeros:
-                est = m * math.log(m / zeros)
-            return int(math.floor(est + 0.5))
-
-        exp = []
-        balls = {u: {u} for u in range(n)}
-        exp.append(sum(hll_est(b) for b in balls.values()))
-        for _ in range(4):
-            balls = {u: balls[u] | set().union(*(balls[t] for t in edges[u]))
-                     if edges[u] else set(balls[u]) for u in range(n)}
-            exp.append(sum(hll_est(b) for b in balls.values()))
-        assert got["pairs_est"].tolist() == exp
-        assert int(got["pairs_est"].iloc[0]) == n  # 12 singleton balls, no
-        # collision inside a 1-element sketch: h=0 is exact
-        assert got["is_effective_diameter"].sum() == 1
-
-    def test_monotone_and_flagged_knee(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        got = analytics.anf_effective_diameter(ds, max_h=3)
-        v = got["pairs_est"].tolist()
-        assert v == sorted(v)  # balls only grow
-        assert int(got["frac_ppm"].iloc[-1]) == 1_000_000
-        assert got.loc[got["is_effective_diameter"] == 1, "frac_ppm"].iloc[0] >= 0
-
-    def test_fast_and_distributed_paths_agree(self):
-        import ray.data as rd
-
-        from distributed_system___ocr_ray.pipelines import analytics
-
-        ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
-        fast = analytics.anf_effective_diameter(ds, max_h=3)
-        slow = analytics.anf_effective_diameter(ds, max_h=3,
-                                                force_distributed=True)
-        assert fast.equals(slow)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -161,15 +161,13 @@ def test_sweep_lists_name_registered_queries():
 
 
 def test_no_oracle_uses_recursive_cte():
-    """No oracle replays its query with a recursive CTE (WITH RECURSIVE).
-    ``anf_effective_diameter`` is the one exemption left."""
+    """No oracle replays its query with a recursive CTE (WITH RECURSIVE),
+    without exception."""
     import re
 
     recursive = re.compile(r"\bWITH\s+RECURSIVE\b", re.IGNORECASE)
-    exempt = {"anf_effective_diameter"}
     found = sorted(
-        name for name, sql in _entry().oracle_sql().items()
-        if name not in exempt and recursive.search(sql)
+        name for name, sql in _entry().oracle_sql().items() if recursive.search(sql)
     )
     assert found == [], f"{len(found)} oracles use WITH RECURSIVE: {found}"
 
@@ -207,7 +205,6 @@ KNOWN_UNREACHABLE = (
     "pipelines/relational.py:count_in_window",
     "pipelines/relational.py:debounce_events",
     "pipelines/relational.py:debounce_frame",
-    "pipelines/relational.py:events_daily",
     "pipelines/relational.py:forward_fill_daily",
     "pipelines/relational.py:gini_ppm",
     "pipelines/relational.py:global_ntile",
@@ -215,10 +212,8 @@ KNOWN_UNREACHABLE = (
     "pipelines/relational.py:interval_coverage",
     "pipelines/relational.py:longest_streak",
     "pipelines/relational.py:period_over_period",
-    "pipelines/relational.py:pricing_summary",
     "pipelines/relational.py:scd2_history",
     "pipelines/relational.py:spike_days",
-    "pipelines/relational.py:top_users_by_value",
 )
 
 
@@ -324,3 +319,26 @@ class TestQueryCli:
         from distributed_system___ocr_ray.__main__ import main
 
         assert main(["query", "--name", "no_such_query"]) == 2
+
+    def test_query_subcommand_shuts_down_its_session_on_error(self, tmp_path):
+        """A query that raises must not leave the Ray session the command
+        started running. Runs in a fresh interpreter, where no session
+        exists before the call."""
+        import subprocess
+        import sys
+
+        code = (
+            "import ray\n"
+            "from distributed_system___ocr_ray.__main__ import main\n"
+            "try:\n"
+            f"    main(['query', '--name', 'docs_by_lang', '--sf-dir', {str(tmp_path / 'missing')!r},\n"
+            f"          '--out', {str(tmp_path / 'out.parquet')!r}, '--num-cpus', '1'])\n"
+            "except Exception as ex:\n"
+            "    print('raised', type(ex).__name__)\n"
+            "print('initialized', ray.is_initialized())\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=300, cwd=ROOT, env={**os.environ, "PYTHONPATH": ROOT})
+        assert r.returncode == 0, r.stderr[-4000:]
+        assert "raised " in r.stdout, r.stdout
+        assert "initialized False" in r.stdout, r.stdout

@@ -10,13 +10,15 @@ Usage::
     PYTHONPATH=/root/repo python tools/check_oracles.py [sf_dir] [query ...]
 
 Defaults to sf0.01 (the driver's correctness scale) and all oracled queries.
-Exit code 1 on any failure.
+Each query's line ends with the seconds its query and its oracle took, and
+the last line gives the sweep's total. Exit code 1 on any failure.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 
 import duckdb
 import pandas as pd
@@ -50,14 +52,18 @@ def main() -> int:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
     names = names or [n for n in qs if n in osql]
     failures = 0
+    t_sweep = time.perf_counter()
     for name in names:
         if name not in osql:
             print(f"{name}: NO ORACLE (rows-only at the driver)")
             continue
         try:
+            t0 = time.perf_counter()
             res = qs[name](sf)
             got = res.to_pandas() if hasattr(res, "to_pandas") else pd.DataFrame(res)
+            t1 = time.perf_counter()
             exp = con.execute(osql[name]).df()
+            t2 = time.perf_counter()
             g, e = _norm(got), _norm(exp)
             rows_ok = len(g) == len(e)
             schema_ok = list(g.columns) == list(e.columns)
@@ -65,7 +71,7 @@ def main() -> int:
             ok = rows_ok and schema_ok and vals_ok
             failures += 0 if ok else 1
             print(f"{name}: {'OK' if ok else 'FAIL'} rows={len(g)}/{len(e)} "
-                  f"schema={schema_ok} vals={vals_ok}")
+                  f"schema={schema_ok} vals={vals_ok} query={t1 - t0:.2f}s oracle={t2 - t1:.2f}s")
             if not ok and rows_ok and schema_ok:
                 diff = (g.astype(str).values != e.astype(str).values).any(axis=1)
                 print(pd.concat([g[diff].head(3), e[diff].head(3)], keys=["got", "exp"]))
@@ -74,7 +80,7 @@ def main() -> int:
         except Exception as ex:  # noqa: BLE001 - report and keep checking
             failures += 1
             print(f"{name}: ERROR {type(ex).__name__}: {ex}")
-    print(f"{failures} failures / {len(names)} checked")
+    print(f"{failures} failures / {len(names)} checked in {time.perf_counter() - t_sweep:.1f}s")
     ray.shutdown()
     return 1 if failures else 0
 

@@ -30,15 +30,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_SF = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 SCALE_ROOT = "/tmp/graft_scale"
 
-# the 7 of the 15 most expensive BENCH_r03 sweep entries still in the
-# registry + the representatives whose sub-linear claims BASELINE.md
-# leans on
-DEFAULT_QUERIES = [
-    "lpa_modularity", "lpa_communities", "pagerank_top", "ppr_top",
-    "kcore_nodes", "hits_scores", "bfs_levels",
-    # scale-claim representatives
-    "semdedup_keepers", "bm25_topk",
-]
+# the representatives whose sub-linear claims BASELINE.md leans on
+DEFAULT_QUERIES = ["semdedup_keepers", "bm25_topk"]
 
 
 def _scaled_dir(scale: int) -> str:
