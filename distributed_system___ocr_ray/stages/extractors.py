@@ -10,14 +10,19 @@ Kind routing is ONE fused dispatch (SURVEY.md #2.3): ``ExtractDispatch``, a
 single task-pool ``map_batches`` stage holding all three extractors, routes
 each span of a batch by its kind. The reference's queue-per-worker-pool
 routing (Manager.java:96) becomes that branch: one pass over the exploded
-table, no filter/union, streaming end-to-end. The text spans of a batch go
-to the HTML stripper in one batch-kernel call; image and pdf spans go one
-by one through the per-run decode memo.
+table, no filter/union, streaming end-to-end. Each kind's rows of a slice
+are compacted with Arrow indices, run through their kernel, and scattered
+back with one ``take``. The text spans go to the HTML stripper in one
+batch-kernel call. The image and pdf refs are dictionary-encoded per kind,
+so the per-run decode memo is probed once per distinct ``(kind, ref)``;
+the misses are decoded once each (every image of the slice in one
+``GlyphFont.decode_batch`` call, pdfs one by one) and fanned back out to
+their spans. A null ref is its kind's download sentinel.
 
 Media is reached through ONE batch contract, ``lookup(refs) -> [payload |
-None]`` in ref order: every extraction batch looks up all of its distinct
+None]`` in ref order: every extraction slice looks up all of its distinct
 media refs that miss the per-run decode memo in a single call, and the
-per-span accessor ``_Extractors._payload`` reads the answers (adding the
+per-ref accessor ``_Extractors._payload`` reads the answers (adding the
 fetcher-on-miss hook). Two stores implement the contract:
 
 - ``MediaDict``: the broadcast small side (SURVEY.md #2.4) -- ``ray.put``
@@ -30,7 +35,9 @@ fetcher-on-miss hook). Two stores implement the contract:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import (
     KIND_IMAGE,
@@ -238,10 +245,14 @@ class _Extractors:
     OCR / layout parse are pure functions of the payload bytes, and web
     corpora repeat media refs heavily (logos, icons, shared figures -- the
     reference's own inputs have 24 lines over 10 distinct URLs), so decode
-    results are memoized per worker and run in a bounded FIFO map. Output
-    multiplicity is untouched (one row per occurrence, M5); only the
-    redundant decode work disappears. This is the worker-side analogue of
-    the manager's per-URL bookkeeping (Manager.java:50,216)."""
+    results are memoized per worker and run in a bounded FIFO map keyed by
+    ``(kind, ref)``: a ref used as an image span and as a pdf span decodes
+    once per kind. ``ExtractDispatch`` probes it once per distinct
+    ``(kind, ref)`` of a slice and hands the misses to ``image``/``pdf``,
+    which memoize their results. Output multiplicity is untouched (one row
+    per occurrence, M5); only the redundant decode work disappears. This
+    is the worker-side analogue of the manager's per-URL bookkeeping
+    (Manager.java:50,216)."""
 
     CACHE_CAP = 4096  # max entries per memo
     CACHE_MAX_BYTES = 64 * 1024 * 1024  # byte bound: MB-scale decoded texts
@@ -251,7 +262,7 @@ class _Extractors:
         self.media = _resolve_media(media_handle)
         self._batch: dict = {}  # ref -> store payload of the current batch
         self.font = glyph.GlyphFont()
-        self._memo: dict[str, tuple[str, str]] = {}
+        self._memo: dict[tuple[str, str], tuple[str, str]] = {}
         self._memo_bytes = 0
         # media fetcher hook (VERDICT r4 #3): optional ``ref -> bytes|None``
         # called on media-store MISS before emitting the download-error
@@ -265,18 +276,23 @@ class _Extractors:
         self.ocr_backend = (
             default_ocr_backend() if ocr_backend == "auto" else ocr_backend)
 
+    def cached(self, kind: str, refs: list) -> list:
+        """The memo's ``(text, status)`` for each ``(kind, ref)``, None for
+        a miss."""
+        get = self._memo.get
+        return [get((kind, r)) for r in refs]
+
     def prefetch(self, refs) -> None:
-        """Look up, in ONE store call, the distinct ``refs`` of a batch
-        that miss the decode memo; ``_payload`` serves them from here."""
-        memo = self._memo
-        todo = [r for r in dict.fromkeys(refs) if r not in memo]
+        """Look up, in ONE store call, the distinct ``refs`` of a slice that
+        missed the decode memo; ``_payload`` serves them from here."""
+        todo = list(dict.fromkeys(refs))
         self._batch = dict(zip(todo, self.media.lookup(todo))) if todo else {}
 
     def _payload(self, ref: str):
-        """The batch's store payload for ``ref``, with the miss-time
+        """The slice's store payload for ``ref``, with the miss-time
         fetcher hook; a fetcher error or None is a miss (errors-as-data,
-        never a raised batch). A ref ``prefetch`` did not cover (evicted
-        from the memo mid-batch, or no prefetch) is looked up alone."""
+        never a raised batch). A ref ``prefetch`` did not cover is looked
+        up alone."""
         batch = self._batch
         payload = batch[ref] if ref in batch else self.media.lookup([ref])[0]
         if payload is None and self.fetcher is not None:
@@ -292,71 +308,78 @@ class _Extractors:
         SQL-engine semantics, never a raised batch)."""
         return strip_boilerplate_batch(texts), STATUS_OK
 
-    def _memo_put(self, ref: str, res: tuple[str, str]) -> tuple[str, str]:
-        cost = len(res[0]) + len(ref) + 64
+    def _memo_put(self, key: tuple[str, str], res: tuple[str, str]) -> None:
+        cost = len(res[0]) + len(key[1]) + 64
         while self._memo and (
             len(self._memo) >= self.CACHE_CAP
             or self._memo_bytes + cost > self.CACHE_MAX_BYTES
         ):
             # FIFO eviction: oldest insertion first
-            old_ref = next(iter(self._memo))
-            old_res = self._memo.pop(old_ref)
-            self._memo_bytes -= len(old_res[0]) + len(old_ref) + 64
+            old_key = next(iter(self._memo))
+            old_res = self._memo.pop(old_key)
+            self._memo_bytes -= len(old_res[0]) + len(old_key[1]) + 64
         if cost <= self.CACHE_MAX_BYTES:
-            self._memo[ref] = res
+            self._memo[key] = res
             self._memo_bytes += cost
-        return res
 
-    def image(self, ref: str) -> tuple[str, str]:
-        hit = self._memo.get(ref)
-        if hit is not None:
-            return hit
-        payload = self._payload(ref)
-        if payload is None:
-            res = (SENTINEL_IMAGE_DOWNLOAD, STATUS_DOWNLOAD_ERROR)
-        elif (self.ocr_backend is not None
-              and payload[:4] != glyph.MAGIC):
-            # pluggable real-OCR path: non-native payloads go to the
-            # injected backend; a backend failure is the same OCR-error
-            # sentinel the reference records (Worker.java:87)
-            try:
-                res = (self.ocr_backend(payload), STATUS_OK)
-            except Exception:
-                res = (SENTINEL_OCR, STATUS_OCR_ERROR)
-        else:
-            try:
-                res = (self.font.decode(payload), STATUS_OK)
-            except Exception:
-                res = (SENTINEL_OCR, STATUS_OCR_ERROR)
-        return self._memo_put(ref, res)
+    def _memoized(self, kind: str, refs: list, res: list) -> tuple[list[str], list[str]]:
+        for r, x in zip(refs, res):
+            self._memo_put((kind, r), x)
+        return [x[0] for x in res], [x[1] for x in res]
 
-    def pdf(self, ref: str) -> tuple[str, str]:
-        hit = self._memo.get(ref)
-        if hit is not None:
-            return hit
-        payload = self._payload(ref)
-        if payload is None:
-            res = (SENTINEL_PDF_DOWNLOAD, STATUS_DOWNLOAD_ERROR)
-        elif payload[:5] == pdftext.MAGIC:
-            # REAL PDF payloads: the vendored ISO-32000 text extractor
-            # (FlateDecode + text operators + geometric reading order) --
-            # same errors-as-data contract as the MPDF1 branch. An empty
-            # extraction from a %PDF payload means no parseable text-
-            # bearing stream (garbled structure / unsupported filters):
-            # that is a parse failure for an extraction pipeline, not an
-            # empty document.
-            try:
-                text = pdftext.extract_text(payload)
-                res = ((text, STATUS_OK) if text
-                       else (SENTINEL_PDF_PARSE, STATUS_PARSE_ERROR))
-            except Exception:
-                res = (SENTINEL_PDF_PARSE, STATUS_PARSE_ERROR)
-        else:
-            try:
-                res = (minipdf.reading_order_text(payload), STATUS_OK)
-            except Exception:
-                res = (SENTINEL_PDF_PARSE, STATUS_PARSE_ERROR)
-        return self._memo_put(ref, res)
+    def image(self, refs: list) -> tuple[list[str], list[str]]:
+        """``(texts, statuses)`` of one slice's distinct memo-missing image
+        refs. Every GLY1 payload goes through one ``decode_batch`` call;
+        a payload it cannot read is the OCR sentinel."""
+        payloads = [self._payload(r) for r in refs]
+        res: list = [None] * len(refs)
+        native = []
+        for i, payload in enumerate(payloads):
+            if payload is None:
+                res[i] = (SENTINEL_IMAGE_DOWNLOAD, STATUS_DOWNLOAD_ERROR)
+            elif self.ocr_backend is not None and payload[:4] != glyph.MAGIC:
+                # pluggable real-OCR path: non-native payloads go to the
+                # injected backend; a backend failure is the same OCR-error
+                # sentinel the reference records (Worker.java:87)
+                try:
+                    res[i] = (self.ocr_backend(payload), STATUS_OK)
+                except Exception:
+                    res[i] = (SENTINEL_OCR, STATUS_OCR_ERROR)
+            else:
+                native.append(i)
+        for i, text in zip(native, self.font.decode_batch([payloads[i] for i in native])):
+            res[i] = (SENTINEL_OCR, STATUS_OCR_ERROR) if text is None else (text, STATUS_OK)
+        return self._memoized(KIND_IMAGE, refs, res)
+
+    def pdf(self, refs: list) -> tuple[list[str], list[str]]:
+        """``(texts, statuses)`` of one slice's distinct memo-missing pdf
+        refs, parsed one payload at a time."""
+        return self._memoized(KIND_PDF, refs, [_parse_pdf(self._payload(r)) for r in refs])
+
+
+def _parse_pdf(payload) -> tuple[str, str]:
+    if payload is None:
+        return SENTINEL_PDF_DOWNLOAD, STATUS_DOWNLOAD_ERROR
+    if payload[:5] == pdftext.MAGIC:
+        # REAL PDF payloads: the vendored ISO-32000 text extractor
+        # (FlateDecode + text operators + geometric reading order) --
+        # same errors-as-data contract as the MPDF1 branch. An empty
+        # extraction from a %PDF payload means no parseable text-
+        # bearing stream (garbled structure / unsupported filters):
+        # that is a parse failure for an extraction pipeline, not an
+        # empty document.
+        try:
+            text = pdftext.extract_text(payload)
+        except Exception:
+            text = ""
+        return (text, STATUS_OK) if text else (SENTINEL_PDF_PARSE, STATUS_PARSE_ERROR)
+    try:
+        return minipdf.reading_order_text(payload), STATUS_OK
+    except Exception:
+        return SENTINEL_PDF_PARSE, STATUS_PARSE_ERROR
+
+
+_DOWNLOAD_SENTINEL = {KIND_IMAGE: SENTINEL_IMAGE_DOWNLOAD, KIND_PDF: SENTINEL_PDF_DOWNLOAD}
 
 
 class ExtractDispatch:
@@ -366,7 +389,7 @@ class ExtractDispatch:
     {"media_handle": [ray.put(media)]}, concurrency=N, batch_size=B)``, as
     ``extracted_dataset`` does. ``fetcher`` / ``ocr_backend`` are the
     pluggable miss-fetch and real-OCR hooks (see ``_Extractors``). Each
-    batch makes one media ``lookup`` for its memo-missing refs.
+    slice makes one media ``lookup`` for its memo-missing refs.
     """
 
     def __init__(self, media_handle, fetcher=None, ocr_backend="auto") -> None:
@@ -374,27 +397,51 @@ class ExtractDispatch:
                               ocr_backend=ocr_backend)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch.column("kind").to_pylist()
-        refs = batch.column("media_ref").to_pylist()
-        n = len(kinds)
-        out_text: list[str] = [""] * n
-        status: list[str] = [""] * n
         ex = self.ex
-        text_rows = [i for i, k in enumerate(kinds) if k == KIND_TEXT]
-        if text_rows:
-            texts, ok = ex.text(batch.column("text").take(text_rows).combine_chunks())
-            for i, t in zip(text_rows, texts):
-                out_text[i], status[i] = t, ok
-        ex.prefetch([r for k, r in zip(kinds, refs) if k == KIND_IMAGE or k == KIND_PDF])
-        for i in range(n):
-            k = kinds[i]
-            if k == KIND_IMAGE:
-                out_text[i], status[i] = ex.image(refs[i])
-            elif k == KIND_PDF:
-                out_text[i], status[i] = ex.pdf(refs[i])
-            elif k != KIND_TEXT:  # unknown kind: schema violation -> parse error as data
-                out_text[i], status[i] = "", STATUS_PARSE_ERROR
+        kinds = batch.column("kind").combine_chunks()
+        refs = batch.column("media_ref").combine_chunks()
+        # (rows, texts, statuses) per kind present; rows of no known kind
+        # keep the trailing default: "" with parse_error (schema violation
+        # as data)
+        parts = []
+        rows = _rows_of(kinds, KIND_TEXT)
+        if len(rows):
+            texts, ok = ex.text(batch.column("text").take(rows).combine_chunks())
+            parts.append((rows, pa.array(texts, pa.string()), pa.repeat(ok, len(rows))))
+        media = []
+        for kind in (KIND_IMAGE, KIND_PDF):
+            rows = _rows_of(kinds, kind)
+            if len(rows):
+                enc = refs.take(rows).dictionary_encode()
+                distinct = enc.dictionary.to_pylist()
+                media.append((kind, rows, enc.indices, distinct, ex.cached(kind, distinct)))
+        ex.prefetch([r for *_, distinct, hits in media
+                     for r, h in zip(distinct, hits) if h is None])
+        for kind, rows, indices, distinct, hits in media:
+            miss = [i for i, h in enumerate(hits) if h is None]
+            if miss:
+                extract = ex.image if kind == KIND_IMAGE else ex.pdf
+                for i, res in zip(miss, zip(*extract([distinct[i] for i in miss]))):
+                    hits[i] = res
+            # a null ref takes no lookup: it is its kind's download sentinel
+            texts = pa.array([h[0] for h in hits], pa.string()).take(indices)
+            statuses = pa.array([h[1] for h in hits], pa.string()).take(indices)
+            parts.append((rows, texts.fill_null(_DOWNLOAD_SENTINEL[kind]),
+                          statuses.fill_null(STATUS_DOWNLOAD_ERROR)))
+        n = batch.num_rows
+        done = sum(len(p[0]) for p in parts)
+        where = np.full(n, done, np.int64)
+        if parts:
+            where[np.concatenate([p[0].to_numpy() for p in parts])] = np.arange(done)
+        where = pa.array(where)
         cols = {name: batch.column(name) for name in batch.column_names if name != "text"}
-        cols["out_text"] = pa.array(out_text, pa.string())
-        cols["status"] = pa.array(status, pa.string())
+        cols["out_text"] = pa.concat_arrays(
+            [p[1] for p in parts] + [pa.array([""], pa.string())]).take(where)
+        cols["status"] = pa.concat_arrays(
+            [p[2] for p in parts] + [pa.array([STATUS_PARSE_ERROR], pa.string())]).take(where)
         return pa.table(cols)
+
+
+def _rows_of(kinds: pa.Array, kind: str) -> pa.Array:
+    """Ascending row indices of the spans of ``kind``."""
+    return pc.indices_nonzero(pc.equal(kinds, kind))

@@ -262,21 +262,27 @@ def test_no_orphaned_kernels():
     assert stale == [], f"KNOWN_UNREACHABLE names reached or deleted code: {stale}"
 
 
-def test_no_unused_imports():
-    """Every import in the program files is used: a module-level import as a
-    ``Name`` somewhere in its module, a function-local one inside that
-    function (nested definitions included). Scans the package (bar
-    ``__init__.py``), ``__ray_entry__``, ``bench.py``, ``tools/`` and the
-    tests; ``from __future__`` imports are exempt."""
-    import ast
+def _scanned_files() -> list[str]:
+    """The package (bar ``__init__.py``), ``__ray_entry__``, ``bench.py``,
+    ``tools/`` and the tests."""
     import glob
 
     pkg = os.path.join(ROOT, "distributed_system___ocr_ray")
-    program = ([p for p in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)
-                if os.path.basename(p) != "__init__.py"]
-               + [os.path.join(ROOT, f) for f in ("__ray_entry__.py", "bench.py")]
-               + glob.glob(os.path.join(ROOT, "tools", "*.py"))
-               + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    return ([p for p in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)
+             if os.path.basename(p) != "__init__.py"]
+            + [os.path.join(ROOT, f) for f in ("__ray_entry__.py", "bench.py")]
+            + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+            + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+
+
+def test_no_unused_imports():
+    """Every import in the ``_scanned_files`` is used: a module-level import
+    as a ``Name`` somewhere in its module, a function-local one inside that
+    function (nested definitions included); ``from __future__`` imports
+    are exempt."""
+    import ast
+
+    program = _scanned_files()
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
 
@@ -299,6 +305,38 @@ def test_no_unused_imports():
             tree = ast.parse(f.read())
         visit(tree, tree, path)
     assert dead == [], f"{len(dead)} unused imports: {sorted(dead)}"
+
+
+def test_no_undefined_globals():
+    """Every global name the ``_scanned_files`` read resolves: to a binding
+    at module level (an assignment, import, ``def`` or ``class``, or a
+    ``global`` assignment in a function), a module dunder or a builtin.
+    ``symtable`` marks a name global wherever no enclosing function binds
+    it, so ``def f(): return g()`` with no module-level ``g`` fails here
+    instead of raising ``NameError`` when ``f`` first runs."""
+    import builtins
+    import symtable
+
+    known = set(dir(builtins)) | {"__file__", "__name__", "__doc__", "__spec__",
+                                  "__loader__", "__package__", "__path__"}
+    undefined = []
+    for path in _scanned_files():
+        with open(path) as f:
+            top = symtable.symtable(f.read(), path, "exec")
+        tables, bound, read = [top], set(), []
+        while tables:
+            t = tables.pop()
+            tables.extend(t.get_children())
+            for sym in t.get_symbols():
+                name = sym.get_name()
+                if (t is top or sym.is_declared_global()) and (
+                        sym.is_assigned() or sym.is_imported() or sym.is_namespace()):
+                    bound.add(name)
+                if sym.is_referenced() and (t is top or sym.is_global()):
+                    read.append((t.get_lineno(), name))
+        undefined += [f"{os.path.relpath(path, ROOT)}:{line}:{name}"
+                      for line, name in read if name not in bound | known]
+    assert undefined == [], f"{len(undefined)} undefined globals: {sorted(undefined)}"
 
 
 class TestQueryCli:

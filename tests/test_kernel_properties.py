@@ -3,12 +3,14 @@
 These run without Ray: every property is about a vectorized kernel's
 algebra, so shrinking works and the suite stays fast."""
 
+import struct
+
 import numpy as np
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distributed_system___ocr_ray.functions import scrub
+from distributed_system___ocr_ray.functions import glyph, scrub
 from distributed_system___ocr_ray.functions import textstats as ts
 
 # text without NUL (parquet/pandas-safe) and of bounded size
@@ -393,9 +395,14 @@ class TestMediaStageFuzz:
     @settings(max_examples=200, deadline=None)
     def test_extractors_emit_sentinels_not_raises(self, magic, tail):
         """The fused dispatch on image/pdf spans over the same payloads:
-        one row out per row in, status in the documented set."""
+        one row out per row in, status in the documented set, and each
+        kind's text equal to the oracle's for that kind (bar a ``%PDF``
+        payload's pdf span, which the engine's real-PDF reader owns and
+        the oracle does not model)."""
         import pyarrow as pa
 
+        from distributed_system___ocr_ray import oracle
+        from distributed_system___ocr_ray.functions import pdftext
         from distributed_system___ocr_ray.stages.extractors import (
             ExtractDispatch,
         )
@@ -413,6 +420,67 @@ class TestMediaStageFuzz:
         assert out.num_rows == 2
         assert set(out.column("status").to_pylist()) <= {
             "ok", "ocr_error", "parse_error", "download_error"}
+        want = [oracle.extract_span(k, "", "m", {"m": payload}) for k in ("image", "pdf")]
+        got = out.column("out_text").to_pylist()
+        assert got[0] == want[0]
+        if payload[:5] != pdftext.MAGIC:
+            assert got[1] == want[1]
+
+
+_FONT = glyph.GlyphFont()
+_glyph_texts = st.text(alphabet=glyph.ALPHABET, max_size=12)
+# (payload, is a clean render): renders of several widths, render(""),
+# corrupt, bit-flipped (full length) and truncated renders, trailing bytes, and forged headers with
+# bad magic, bad height and widths that are 0 or not a multiple of CELL_W
+
+
+def _flip(payload: bytes, at: int, mask: int) -> bytes:
+    """``payload`` with one body byte XORed by ``mask``: full length, so any
+    unknown cell is found by the cell lookup, not by the length check."""
+    body = bytearray(payload)
+    body[8 + at % (len(body) - 8)] ^= mask
+    return bytes(body)
+
+
+_glyph_payloads = st.one_of(
+    _glyph_texts.map(lambda t: (_FONT.render(t), True)),
+    _glyph_texts.map(lambda t: (glyph.corrupt(_FONT.render(t)), False)),
+    st.tuples(_glyph_texts, st.integers(0, 99), st.integers(1, 255)).map(
+        lambda a: (_flip(_FONT.render(a[0]), a[1], a[2]), False)),
+    st.tuples(_glyph_texts, st.integers(1, 12)).map(
+        lambda a: (_FONT.render(a[0])[:-a[1]], False)),
+    st.tuples(_glyph_texts, st.binary(min_size=1, max_size=8)).map(
+        lambda a: (_FONT.render(a[0]) + a[1], False)),
+    st.tuples(st.sampled_from([b"GLY1", b"GLY2", b"", b"GL"]),
+              st.sampled_from([0, 6, 7, 8]), st.sampled_from([0, 5, 6, 7, 12, 13, 18]),
+              st.binary(max_size=24)).map(
+        lambda a: (a[0] + struct.pack("<HH", a[1], a[2]) + a[3], False)),
+)
+
+
+class TestGlyphDecodeBatch:
+    @given(st.lists(_glyph_payloads, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_decode(self, items):
+        """``decode_batch`` returns ``None`` exactly where ``decode`` raises
+        and ``decode``'s text everywhere else; a clean render is never
+        ``None``."""
+
+        def scalar(p):
+            try:
+                return _FONT.decode(p)
+            except glyph.GlyphDecodeError:
+                return glyph.GlyphDecodeError
+
+        payloads = [p for p, _ in items]
+        got = _FONT.decode_batch(payloads)
+        assert len(got) == len(payloads)
+        for (p, clean), g in zip(items, got):
+            want = scalar(p)
+            assert (g is None) == (want is glyph.GlyphDecodeError)
+            if g is not None:
+                assert g == want
+            assert g is not None or not clean
 
 
 class TestHtmlStripFuzz:

@@ -381,6 +381,39 @@ class TestShardedMediaStore:
                 assert (texts[i], status[i]) == (SENTINEL_IMAGE_DOWNLOAD, STATUS_DOWNLOAD_ERROR)
         assert status[0] != STATUS_DOWNLOAD_ERROR and texts[0] == texts[4]
 
+    def test_null_ref_is_download_sentinel(self, small_corpus, tmp_path):
+        """An image or pdf span with a null ``media_ref`` is its kind's
+        download sentinel, as in the oracle, on both stores: no store
+        lookup of the null and no fetcher call, and the rest of the slice
+        extracts as usual."""
+        from distributed_system___ocr_ray.stages.extractors import ExtractDispatch
+
+        _, store = small_corpus
+        media = corpus.media_dict(store)
+        img, pdf = corpus.media_ref_img(0), corpus.media_ref_pdf(0)
+        kinds = ["image", "pdf", "image", "pdf", "text"]
+        refs = [None, None, img, pdf, None]
+        batch = pa.table({
+            "doc_id": pa.array(range(5), pa.int64()),
+            "part": pa.array([0] * 5, pa.int32()),
+            "kind": pa.array(kinds),
+            "text": pa.array(["", "", "", "", "<p>plain words here</p>"]),
+            "media_ref": pa.array(refs, pa.string()),
+            "offset": pa.array(range(5), pa.int32()),
+        })
+        want = [oracle.extract_span(k, t, r, media) for k, t, r in zip(
+            kinds, batch.column("text").to_pylist(), refs)]
+        for handle in (media, self._bucketed(store, tmp_path)):
+            fetched, looked_up = [], []
+            stage = ExtractDispatch(handle, fetcher=fetched.append)
+            lookup = stage.ex.media.lookup
+            stage.ex.media.lookup = lambda rs: looked_up.extend(rs) or lookup(rs)
+            out = stage(batch)
+            assert out.column("out_text").to_pylist() == want
+            assert out.column("status").to_pylist() == [
+                "download_error", "download_error", "ok", "ok", "ok"]
+            assert None not in looked_up and fetched == []
+
     def test_non_media_bucketed_table_raises(self, tmp_path):
         import ray.data as rd
 
@@ -391,6 +424,44 @@ class TestShardedMediaStore:
         lance_like.write_bucketed(rd.from_arrow(t), str(tmp_path / "x"), "other", 2)
         with pytest.raises(ValueError, match="bucketed by media_ref"):
             ShardedMediaStore(str(tmp_path / "x"))
+
+
+class TestDecodeMemo:
+    """The per-run decode memo is keyed by ``(kind, ref)``: one ref used as
+    an image span and as a pdf span extracts per kind, as the oracle
+    does, in either order, within one slice and across slices."""
+
+    @staticmethod
+    def _batch(spans):
+        n = len(spans)
+        return pa.table({
+            "doc_id": pa.array(range(n), pa.int64()),
+            "part": pa.array([0] * n, pa.int32()),
+            "kind": pa.array([k for k, _ in spans]),
+            "text": pa.array([""] * n),
+            "media_ref": pa.array([r for _, r in spans]),
+            "offset": pa.array(range(n), pa.int32()),
+        })
+
+    @pytest.mark.parametrize("first", ["image", "pdf"])
+    @pytest.mark.parametrize("ref", ["glyph", "mpdf", "gone"])
+    def test_ref_used_as_both_kinds(self, first, ref):
+        from distributed_system___ocr_ray.functions import glyph, minipdf
+        from distributed_system___ocr_ray.stages.extractors import ExtractDispatch
+
+        media = {"glyph": glyph.GlyphFont().render("Hello"),
+                 "mpdf": minipdf.encode([{"x": 0, "y": 0, "text": "Hi there"}])}
+        second = "pdf" if first == "image" else "image"
+        spans = [(first, ref), (second, ref)]
+        want = [oracle.extract_span(k, "", r, media) for k, r in spans]
+        assert want[0] != want[1]
+        # one slice
+        out = ExtractDispatch(media)(self._batch(spans))
+        assert out.column("out_text").to_pylist() == want
+        # two slices through one stage: the second is served by the memo
+        stage = ExtractDispatch(media)
+        got = [stage(self._batch([s])).column("out_text")[0].as_py() for s in spans * 2]
+        assert got == want * 2
 
 
 class TestDocCompleteness:
